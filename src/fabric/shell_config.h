@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/hash.h"
+
 namespace coyote {
 namespace fabric {
 
@@ -48,22 +50,16 @@ struct ShellConfigDesc {
   // Stable identity used for app-to-shell link verification. FNV-1a over all
   // configuration-relevant fields (the name is documentation, not identity).
   uint64_t ConfigId() const {
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-      }
-    };
     uint64_t svc_mask = 0;
     for (Service s : services) {
       svc_mask |= 1ull << static_cast<uint8_t>(s);
     }
-    mix(svc_mask);
-    mix(num_vfpgas);
-    mix(page_bytes);
-    mix(tlb_entries);
-    mix(tlb_associativity);
+    uint64_t h = sim::kFnvOffset;
+    sim::FnvFoldU64(&h, svc_mask);
+    sim::FnvFoldU64(&h, num_vfpgas);
+    sim::FnvFoldU64(&h, page_bytes);
+    sim::FnvFoldU64(&h, tlb_entries);
+    sim::FnvFoldU64(&h, tlb_associativity);
     return h;
   }
 };

@@ -58,15 +58,15 @@ class Network {
   // inside a node-outage window. Not owned; may be nullptr.
   void SetFaultInjector(sim::FaultInjector* injector) { injector_ = injector; }
 
-  // Fastest possible node-to-node traversal of this fabric: a minimum-size
-  // (64 B) frame serialized on the sender's TX link, the fixed switch
-  // latency, then serialization on the receiver's RX link. No frame can
-  // arrive sooner, so a node-partitioned sharded simulation may use this as
-  // its conservative lookahead (ShardedEngine::Config::lookahead) without
+  // Fastest possible node-to-node traversal of a fabric built from `config`:
+  // a minimum-size (64 B) frame serialized on the sender's TX link, the fixed
+  // switch latency, then serialization on the receiver's RX link. No frame
+  // can arrive sooner, so a node-partitioned sharded simulation may use this
+  // as its conservative lookahead (ShardedEngine::Config::lookahead) without
   // changing any observable ordering. Fault-injected *extra* delay only
   // lengthens traversals, so it never invalidates the bound.
-  sim::TimePs MinCrossNodeLatencyPs() const {
-    return config_.switch_latency + 2 * sim::TransferTime(64, config_.link_bps);
+  static sim::TimePs MinCrossNodeLatencyPs(const Config& config) {
+    return config.switch_latency + 2 * sim::TransferTime(64, config.link_bps);
   }
 
   // Declares which shard's engine drives this network. All ports of one

@@ -1,7 +1,8 @@
 #include "src/net/packets.h"
 
-#include <array>
 #include <cstring>
+
+#include "src/sim/hash.h"
 
 namespace coyote {
 namespace net {
@@ -39,26 +40,6 @@ uint16_t Ipv4Checksum(const uint8_t* hdr, size_t len) {
     sum = (sum & 0xFFFF) + (sum >> 16);
   }
   return static_cast<uint16_t>(~sum);
-}
-
-// CRC32 (reflected, poly 0xEDB88320) stands in for the InfiniBand ICRC.
-uint32_t Crc32(const uint8_t* data, size_t len) {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  uint32_t c = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    c = table[(c ^ data[i]) & 0xFF] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
 }
 
 }  // namespace
@@ -158,7 +139,7 @@ std::vector<uint8_t> BuildFrame(const FrameMeta& meta, const axi::BufferView& pa
   }
 
   f.insert(f.end(), payload.begin(), payload.end());
-  PutU32(f, Crc32(f.data(), f.size()));
+  PutU32(f, sim::Crc32(f.data(), f.size()));  // stands in for the ICRC
   return f;
 }
 
@@ -216,7 +197,7 @@ std::optional<ParsedFrame> ParseFrame(const axi::BufferView& bytes) {
   }
   // ICRC check: a frame corrupted in flight fails here and is treated like a
   // loss — the sender's retransmit machinery recovers it.
-  if (GetU32(end) != Crc32(p, bytes.size() - kIcrcBytes)) {
+  if (GetU32(end) != sim::Crc32(p, bytes.size() - kIcrcBytes)) {
     return std::nullopt;
   }
   // Zero-copy: the payload view shares the frame's storage.

@@ -1,6 +1,6 @@
 #include "src/net/rpc.h"
 
-#include "src/vfpga/checkpoint.h"
+#include "src/sim/hash.h"
 
 namespace coyote {
 namespace net {
@@ -51,7 +51,7 @@ std::vector<uint8_t> FrameWriter::Finish(MsgType type) const {
   out.push_back(0);  // reserved
   u32(static_cast<uint32_t>(buf_.size()));
   out.insert(out.end(), buf_.begin(), buf_.end());
-  u32(vfpga::ckpt::Crc32(out.data(), out.size()));
+  u32(sim::Crc32(out.data(), out.size()));
   return out;
 }
 
@@ -77,7 +77,7 @@ FrameReader::FrameReader(const std::vector<uint8_t>& frame) : frame_(&frame) {
     return;
   }
   const uint32_t stored = u32at(frame.size() - kTrailerBytes);
-  if (vfpga::ckpt::Crc32(frame.data(), frame.size() - kTrailerBytes) != stored) {
+  if (sim::Crc32(frame.data(), frame.size() - kTrailerBytes) != stored) {
     return;
   }
   type_ = static_cast<MsgType>(frame[6]);

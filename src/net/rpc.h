@@ -1,6 +1,6 @@
 // Length-prefixed, CRC-trailed RPC framing for control-plane messages that
 // ride the simulated fabric (router -> node request batches, node -> router
-// completions and heartbeats).
+// completions).
 //
 // The serving tier ships request *metadata* on the wire and lets payloads
 // travel as ref-counted axi::BufferViews alongside the frame — the wire
@@ -12,8 +12,8 @@
 //
 // All integers little-endian. A frame that fails magic/version/length/CRC
 // validation is rejected as a whole; the reader then reports !ok() and every
-// subsequent field read returns zero. The CRC is the same IEEE 802.3
-// implementation the CYK1 checkpoint format uses (src/vfpga/checkpoint.h).
+// subsequent field read returns zero. The CRC is sim::Crc32 (src/sim/hash.h),
+// the one IEEE 802.3 implementation the RoCE frames and CYK1 checkpoints use.
 
 #ifndef SRC_NET_RPC_H_
 #define SRC_NET_RPC_H_
@@ -32,7 +32,6 @@ inline constexpr uint16_t kVersion = 1;
 enum class MsgType : uint8_t {
   kRequestBatch = 1,  // router -> node: a batch of serving requests
   kCompletion = 2,    // node -> router: one typed completion
-  kHeartbeat = 3,     // node -> router: liveness beacon
 };
 
 class FrameWriter {
@@ -77,7 +76,7 @@ class FrameReader {
   size_t pos_ = 0;
   size_t end_ = 0;
   bool ok_ = false;
-  MsgType type_ = MsgType::kHeartbeat;
+  MsgType type_{};  // no valid type until a frame validates
 };
 
 }  // namespace rpc

@@ -1,6 +1,7 @@
 #include "src/runtime/orchestrator.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "src/runtime/serving.h"
@@ -11,18 +12,17 @@ namespace runtime {
 
 namespace {
 
-using serving::FoldBytes;
-
-// Injector seed derivation: one independent stream per logical node, stable
-// across shard counts and placements.
-uint64_t NodeSeed(uint64_t fleet_seed, uint32_t logical_node) {
-  return fleet_seed ^ (0x9E3779B97F4A7C15ull * (logical_node + 1));
-}
-
 // Deterministic per-tenant item payload; the restore target regenerates the
 // same bytes, so the rolling data hash is a pure function of the spec.
 uint8_t PatternByte(uint32_t tenant, uint64_t item, uint64_t i) {
   return static_cast<uint8_t>((tenant * 131 + item * 31 + i * 7) ^ (i >> 8));
+}
+
+// Chunk ids 0..n-1: one full transfer round.
+std::vector<uint32_t> AllChunks(uint32_t n) {
+  std::vector<uint32_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0u);
+  return ids;
 }
 
 }  // namespace
@@ -31,69 +31,55 @@ uint8_t PatternByte(uint32_t tenant, uint64_t item, uint64_t i) {
 // Fleet: construction and host-side setup
 // ---------------------------------------------------------------------------
 
-Fleet::Fleet(const Config& config) : config_(config) {
-  // Conservative lookahead: the minimum cross-node traversal of the modeled
-  // fabric — switch latency plus serialization of a minimum frame on both
-  // links (net::Network::MinCrossNodeLatencyPs's formula).
-  const sim::TimePs lookahead =
-      config_.net.switch_latency + 2 * sim::TransferTime(64, config_.net.link_bps);
-
-  orch_logical_ = config_.num_nodes;
-  shard_of_ = ShardPlacement::RoundRobin(config_.num_nodes + 1, config_.num_shards);
-
-  sim::ShardedEngine::Config ec;
-  ec.num_shards = config_.num_shards;
-  ec.lookahead = lookahead;
-  ec.use_threads = config_.use_threads;
-  sharded_ = std::make_unique<sim::ShardedEngine>(ec);
-
+Fleet::Fleet(const Config& config)
+    : config_(config), cluster_(config_, kDeadWindow), orch_logical_(cluster_.control()) {
   nodes_.reserve(config_.num_nodes);
-  for (uint32_t n = 0; n < config_.num_nodes; ++n) {
-    auto node = std::make_unique<NodeRt>();
-    node->id = n;
-
-    SimDevice::Config dc;
-    dc.shell.name = "fleet-node";
-    dc.shell.services = {fabric::Service::kHostStream, fabric::Service::kCardMemory};
-    dc.shell.num_vfpgas = config_.regions_per_node;
-    dc.ip = 0x0A000001u + n;
-    node->dev = std::make_unique<SimDevice>(dc, nullptr, &EngineAt(n));
-
-    // Preload the kernel into every region host-side: reconfiguration nests
-    // an engine run (SimDevice::StageAndProgram) and therefore must never
-    // happen inside a shard callback, so the fleet loads once up front and
-    // restores move *state*, not bitstreams.
-    if (config_.kernel_factory) {
-      node->dev->RegisterKernelFactory(config_.kernel_name, config_.kernel_factory);
-      for (uint32_t r = 0; r < config_.regions_per_node; ++r) {
-        node->dev->vfpga(r).LoadKernel(config_.kernel_factory());
-      }
-    }
-
-    sim::FaultPlan plan = config_.fault_template;
-    plan.seed = NodeSeed(config_.seed, n);
-    node->injector =
-        std::make_unique<sim::FaultInjector>(&EngineAt(n), plan);
-    node->dev->AttachFaultInjector(node->injector.get());
-
-    node->sup = std::make_unique<Supervisor>(node->dev.get(), nullptr, config_.supervisor);
-    node->region_tenant.assign(config_.regions_per_node, -1);
-    nodes_.push_back(std::move(node));
-
-    auto guard = std::make_unique<sim::AccessGuard>("fleet.node" + std::to_string(n));
-    guard->BindShard(shard_of_[n]);
-    node_guards_.push_back(std::move(guard));
-  }
+  cluster_.AddNodes({.kernel_at = [this](uint32_t, uint32_t) { return config_.kernel_name; },
+                     .setup = [this](uint32_t node) { SetupNode(node); },
+                     .start = [this](uint32_t node) { StartNode(node); },
+                     .kill = [this](uint32_t node) { StopNode(node); }});
 
   sim::FaultPlan orch_plan = config_.fault_template;
-  orch_plan.seed = NodeSeed(config_.seed, orch_logical_);
-  orch_injector_ = std::make_unique<sim::FaultInjector>(
-      &EngineAt(orch_logical_), orch_plan);
+  orch_plan.seed = cluster_.NodeSeed(orch_logical_);
+  orch_injector_ =
+      std::make_unique<sim::FaultInjector>(&cluster_.EngineAt(orch_logical_), orch_plan);
 
   orch_ = std::make_unique<Orchestrator>(this);
 }
 
 Fleet::~Fleet() = default;
+
+void Fleet::SetupNode(uint32_t node) {
+  auto n = std::make_unique<NodeRt>();
+  sim::FaultPlan plan = config_.fault_template;
+  plan.seed = cluster_.NodeSeed(node);
+  n->injector = std::make_unique<sim::FaultInjector>(&cluster_.EngineAt(node), plan);
+  SimDevice& dev = cluster_.device(node);
+  dev.AttachFaultInjector(n->injector.get());
+  n->sup = std::make_unique<Supervisor>(&dev, nullptr, config_.supervisor);
+  n->region_tenant.assign(config_.regions_per_node, -1);
+  nodes_.push_back(std::move(n));
+}
+
+void Fleet::StartNode(uint32_t node) {
+  NodeRt& n = *nodes_[node];
+  if (config_.checkpoint_period > 0) {
+    n.ckpt_timer = cluster_.device(node).timers().SchedulePeriodic(
+        config_.checkpoint_period, [this, node]() { CheckpointTick(node); });
+  }
+  n.sup->Start();
+}
+
+// Kill hook: the node's heartbeat already stopped. Everything else decays
+// passively: queued callbacks no-op on the alive check, and the detector
+// declares the death once the heartbeat window lapses.
+void Fleet::StopNode(uint32_t node) {
+  sim::ActorScope actor(sim::kActorOrchestrator);
+  NodeRt& n = *nodes_[node];
+  cluster_.device(node).timers().Cancel(n.ckpt_timer);
+  n.ckpt_timer = sim::TimerWheel::kInvalidTimer;
+  n.sup->Stop();
+}
 
 uint32_t Fleet::AddTenant(const TenantSpec& spec) {
   const uint32_t id = next_tenant_++;
@@ -113,37 +99,15 @@ uint32_t Fleet::AddTenant(const TenantSpec& spec) {
 }
 
 void Fleet::ScheduleMigration(sim::TimePs t, uint32_t tenant, uint32_t dst_node) {
-  sharded_->ScheduleOn(shard_of_[orch_logical_], t, [this, tenant, dst_node]() {
+  cluster_.ScheduleOn(orch_logical_, t, [this, tenant, dst_node]() {
     orch_->StartMigration(tenant, dst_node, "planned");
   });
 }
 
-void Fleet::ScheduleKill(sim::TimePs t, uint32_t node) {
-  sharded_->ScheduleOn(shard_of_[node], t, [this, node]() { KillNode(node); });
-}
+void Fleet::ScheduleKill(sim::TimePs t, uint32_t node) { cluster_.ScheduleKill(t, node); }
 
 bool Fleet::Run(sim::TimePs horizon, sim::TimePs step) {
-  if (!started_) {
-    started_ = true;
-    for (auto& node : nodes_) {
-      const uint32_t id = node->id;
-      node->hb_timer = node->dev->timers().SchedulePeriodic(
-          config_.heartbeat_period, [this, id]() { HeartbeatTick(id); });
-      if (config_.checkpoint_period > 0) {
-        node->ckpt_timer = node->dev->timers().SchedulePeriodic(
-            config_.checkpoint_period, [this, id]() { CheckpointTick(id); });
-      }
-      node->sup->Start();
-    }
-    orch_->timers_.SchedulePeriodic(config_.sweep_period, [this]() { orch_->Sweep(); });
-  }
-  for (sim::TimePs t = step; t <= horizon; t += step) {
-    sharded_->RunUntil(t);
-    if (orch_->AllSettled()) {
-      return true;
-    }
-  }
-  return orch_->AllSettled();
+  return cluster_.Run(horizon, step, [this]() { return orch_->AllSettled(); });
 }
 
 TenantOutcome Fleet::tenant_outcome(uint32_t tenant) const {
@@ -165,70 +129,63 @@ uint64_t Fleet::tenant_items_done(uint32_t tenant) const {
 }
 
 uint64_t Fleet::InjectorFingerprint() const {
-  uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
+  uint64_t h = sim::kFnvOffset;
   for (const auto& node : nodes_) {
-    mix(node->injector->ScheduleFingerprint());
+    sim::FnvFoldU64(&h, node->injector->ScheduleFingerprint());
   }
-  mix(orch_injector_->ScheduleFingerprint());
+  sim::FnvFoldU64(&h, orch_injector_->ScheduleFingerprint());
   return h;
-}
-
-// ---------------------------------------------------------------------------
-// Fleet: cross-node messaging
-// ---------------------------------------------------------------------------
-
-sim::Engine& Fleet::EngineAt(uint32_t logical) {
-  return sharded_->shard(shard_of_[logical]);  // lint: cross-shard-ok own-shard accessor, callers pass their own logical node; cross-node traffic goes through Post
-}
-
-sim::TimePs Fleet::NowAt(uint32_t logical) { return EngineAt(logical).Now(); }
-
-void Fleet::PostToNode(uint32_t src_logical, uint32_t dst_node, sim::TimePs delay,
-                       sim::InlineCallback cb) {
-  const sim::TimePs now = NowAt(src_logical);
-  const sim::TimePs wire = std::max(delay, sharded_->lookahead());
-  sharded_->Post(shard_of_[dst_node], now + wire, std::move(cb), /*order_key=*/src_logical);
-}
-
-void Fleet::PostToOrch(uint32_t src_logical, sim::TimePs delay, sim::InlineCallback cb) {
-  PostToNode(src_logical, orch_logical_, delay, std::move(cb));
-}
-
-sim::TimePs Fleet::ChunkWireDelay(uint32_t chunk_index, uint64_t cumulative_bytes) const {
-  (void)chunk_index;
-  return config_.net.switch_latency +
-         sim::TransferTime(cumulative_bytes, config_.net.link_bps);
 }
 
 // ---------------------------------------------------------------------------
 // Fleet: tenant execution (node shard context)
 // ---------------------------------------------------------------------------
 
-void Fleet::StartTenantFresh(uint32_t node, uint32_t tenant, const TenantSpec& spec,
-                             int32_t region) {
-  sim::ActorScope actor(sim::kActorOrchestrator);
-  NodeRt& n = *nodes_[node];
-  if (!n.alive || region < 0) {
-    return;
+Fleet::TenantRt* Fleet::LiveTenant(uint32_t node, uint32_t tenant) {
+  if (!cluster_.alive(node)) {
+    return nullptr;
   }
-  node_guards_[node]->Write();
+  auto& tenants = nodes_[node]->tenants;
+  auto it = tenants.find(tenant);
+  return it == tenants.end() ? nullptr : it->second.get();
+}
+
+std::unique_ptr<Fleet::TenantRt> Fleet::NewTenant(uint32_t node, uint32_t tenant,
+                                                  const TenantSpec& spec, int32_t region) {
   auto t = std::make_unique<TenantRt>();
   t->id = tenant;
   t->spec = spec;
-  t->node = node;
   t->region = region;
-  t->thread = std::make_unique<CThread>(n.dev.get(), static_cast<uint32_t>(region));
+  t->thread = std::make_unique<CThread>(&cluster_.device(node), static_cast<uint32_t>(region));
   t->src_vaddr = t->thread->GetMem({Alloc::kHpf, spec.item_bytes});
   t->dst_vaddr = t->thread->GetMem({Alloc::kHpf, spec.item_bytes});
   t->thread->SetCompletionCallback([this, node, tenant](CThread::Task task, OpStatus status) {
     OnItemComplete(node, tenant, task, status);
   });
+  return t;
+}
+
+void Fleet::Vacate(uint32_t node, TenantRt& t) {
+  if (t.src_vaddr != 0) {
+    t.thread->FreeMem(t.src_vaddr);  // unmap + TLB shootdown
+    t.thread->FreeMem(t.dst_vaddr);
+    t.src_vaddr = t.dst_vaddr = 0;
+  }
+  if (t.region >= 0) {
+    nodes_[node]->region_tenant[t.region] = -1;
+  }
+  t.region = -1;
+}
+
+void Fleet::StartTenantFresh(uint32_t node, uint32_t tenant, const TenantSpec& spec,
+                             int32_t region) {
+  sim::ActorScope actor(sim::kActorOrchestrator);
+  if (!cluster_.alive(node) || region < 0) {
+    return;
+  }
+  cluster_.guard(node).Write();
+  NodeRt& n = *nodes_[node];
+  std::unique_ptr<TenantRt> t = NewTenant(node, tenant, spec, region);
   t->running = true;
   n.region_tenant[region] = static_cast<int32_t>(tenant);
   n.tenants[tenant] = std::move(t);
@@ -236,110 +193,82 @@ void Fleet::StartTenantFresh(uint32_t node, uint32_t tenant, const TenantSpec& s
 }
 
 void Fleet::StartItem(uint32_t node, uint32_t tenant) {
-  NodeRt& n = *nodes_[node];
-  auto it = n.tenants.find(tenant);
-  if (!n.alive || it == n.tenants.end()) {
+  TenantRt* t = LiveTenant(node, tenant);
+  if (t == nullptr || !t->running || t->item_inflight || t->items_done >= t->spec.items_total) {
     return;
   }
-  TenantRt& t = *it->second;
-  if (!t.running || t.item_inflight || t.items_done >= t.spec.items_total) {
-    return;
-  }
-  node_guards_[node]->Write();
-  t.item_inflight = true;
+  cluster_.guard(node).Write();
+  t->item_inflight = true;
   // One item = one serving envelope: the same request shape the Router ships
   // to node schedulers, here issued directly on the tenant's resident region.
-  std::vector<uint8_t> payload(t.spec.item_bytes);
-  for (uint64_t i = 0; i < t.spec.item_bytes; ++i) {
-    payload[i] = PatternByte(tenant, t.items_done, i);
+  std::vector<uint8_t> payload(t->spec.item_bytes);
+  for (uint64_t i = 0; i < t->spec.item_bytes; ++i) {
+    payload[i] = PatternByte(tenant, t->items_done, i);
   }
   serving::ServingRequest item;
-  item.id = t.items_done;
+  item.id = t->items_done;
   item.tenant = tenant;
   item.kernel = config_.kernel_name;
   item.payload = axi::BufferView(std::move(payload));
-  serving::StageAndInvoke(t.thread.get(), t.src_vaddr, t.dst_vaddr, item);
+  serving::StageAndInvoke(t->thread.get(), t->src_vaddr, t->dst_vaddr, item);
 }
 
 void Fleet::OnItemComplete(uint32_t node, uint32_t tenant, CThread::Task task, OpStatus status) {
   (void)task;
   sim::ActorScope actor(sim::kActorOrchestrator);
-  NodeRt& n = *nodes_[node];
-  auto it = n.tenants.find(tenant);
-  if (!n.alive || it == n.tenants.end()) {
+  TenantRt* t = LiveTenant(node, tenant);
+  if (t == nullptr) {
     return;
   }
-  TenantRt& t = *it->second;
-  t.item_inflight = false;
-  if (!t.running) {
+  t->item_inflight = false;
+  if (!t->running) {
     return;  // quiesce/shed abort completions land here with running unset
   }
-  node_guards_[node]->Write();
+  cluster_.guard(node).Write();
   if (status == OpStatus::kOk) {
-    std::vector<uint8_t> out(t.spec.item_bytes);
-    t.thread->ReadBuffer(t.dst_vaddr, out.data(), out.size());
-    const uint64_t item = t.items_done;
-    FoldBytes(&t.data_hash, reinterpret_cast<const uint8_t*>(&item), sizeof(item));
-    FoldBytes(&t.data_hash, out.data(), out.size());
-    ++t.items_done;
-    if (t.items_done >= t.spec.items_total) {
-      // Retire in place: free the buffers (TLB shootdown at the source) and
-      // hand the region back through the orchestrator's books.
-      t.running = false;
-      t.thread->FreeMem(t.src_vaddr);
-      t.thread->FreeMem(t.dst_vaddr);
-      t.src_vaddr = t.dst_vaddr = 0;
-      if (t.region >= 0) {
-        n.region_tenant[t.region] = -1;
-      }
-      t.region = -1;
+    std::vector<uint8_t> out(t->spec.item_bytes);
+    t->thread->ReadBuffer(t->dst_vaddr, out.data(), out.size());
+    const uint64_t item = t->items_done;
+    sim::FnvFold(&t->data_hash, &item, sizeof(item));
+    sim::FnvFold(&t->data_hash, out.data(), out.size());
+    ++t->items_done;
+    if (t->items_done >= t->spec.items_total) {
+      // Retire in place and hand the region back through the orchestrator's
+      // books.
+      t->running = false;
+      Vacate(node, *t);
       PostToOrch(node, 0, [this, tenant]() { orch_->OnTenantDone(tenant); });
       return;
     }
-    EngineAt(node).ScheduleAfter(t.spec.think_time,
-                                                   [this, node, tenant]() { StartItem(node, tenant); });
+    cluster_.After(node, t->spec.think_time, [this, node, tenant]() { StartItem(node, tenant); });
     return;
   }
   // Typed error completion (DMA abort, deadline): retry the same item after
   // a think-time backoff. kShed never reaches here (running is unset first).
-  ++t.retries;
-  EngineAt(node).ScheduleAfter(t.spec.think_time,
-                                                 [this, node, tenant]() { StartItem(node, tenant); });
+  ++t->retries;
+  cluster_.After(node, t->spec.think_time, [this, node, tenant]() { StartItem(node, tenant); });
 }
 
 // ---------------------------------------------------------------------------
-// Fleet: heartbeats and periodic checkpoints (node shard context)
+// Fleet: periodic checkpoints (node shard context)
 // ---------------------------------------------------------------------------
-
-void Fleet::HeartbeatTick(uint32_t node) {
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
-    return;
-  }
-  const uint64_t seq = ++n.hb_seq;
-  const sim::TimePs sent = NowAt(node);
-  PostToOrch(node, 0, [this, node, seq, sent]() { orch_->OnHeartbeat(node, seq, sent); });
-}
 
 void Fleet::CheckpointTick(uint32_t node) {
   sim::ActorScope actor(sim::kActorOrchestrator);
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
+  if (!cluster_.alive(node)) {
     return;
   }
-  node_guards_[node]->Write();
-  for (auto& [tenant, t] : n.tenants) {
+  cluster_.guard(node).Write();
+  for (auto& [tenant, t] : nodes_[node]->tenants) {
     if (!t->running) {
       continue;
     }
     // Non-disruptive capture: in-flight ops ride along as pending descriptors
     // and are re-issued whole on restore, so the tenant keeps executing.
     uint64_t pages = 0;
-    std::vector<uint8_t> blob = BuildCheckpoint(n, *t, t->thread->SnapshotPending(), &pages);
-    t->last_ckpt_clock = n.dev->svm().dirty_clock();
-    const sim::TimePs captured = NowAt(node);
-    const sim::TimePs wire = config_.net.switch_latency +
-                             sim::TransferTime(blob.size(), config_.net.link_bps);
+    std::vector<uint8_t> blob = BuildCheckpoint(node, *t, t->thread->SnapshotPending(), &pages);
+    const sim::TimePs captured = cluster_.NowAt(node);
+    const sim::TimePs wire = cluster_.WireDelay(blob.size());
     const uint32_t tenant_id = tenant;
     PostToOrch(node, wire, [this, tenant_id, blob = std::move(blob), pages, captured]() mutable {
       orch_->OnCheckpoint(tenant_id, std::move(blob), pages, captured);
@@ -351,9 +280,9 @@ void Fleet::CheckpointTick(uint32_t node) {
 // Fleet: checkpoint serialization
 // ---------------------------------------------------------------------------
 
-std::vector<uint8_t> Fleet::BuildCheckpoint(const NodeRt& n, const TenantRt& t,
+std::vector<uint8_t> Fleet::BuildCheckpoint(uint32_t node, const TenantRt& t,
                                             const std::vector<CThread::PendingOp>& pending,
-                                            uint64_t* pages_out) const {
+                                            uint64_t* pages_out) {
   vfpga::ckpt::Writer w;
   w.U32(t.id);
   w.Str(t.spec.name);
@@ -366,7 +295,7 @@ std::vector<uint8_t> Fleet::BuildCheckpoint(const NodeRt& n, const TenantRt& t,
   w.U64(t.data_hash);
 
   vfpga::RegionSnapshot snap =
-      vfpga::CaptureRegion(n.dev->vfpga(static_cast<uint32_t>(t.region)));
+      vfpga::CaptureRegion(cluster_.device(node).vfpga(static_cast<uint32_t>(t.region)));
   snap.AppendTo(&w);
 
   // In-flight ops, buffer-relative (virtual addresses differ across nodes).
@@ -384,7 +313,7 @@ std::vector<uint8_t> Fleet::BuildCheckpoint(const NodeRt& n, const TenantRt& t,
   // are clipped to the buffer, so a small buffer inside a hugepage does not
   // drag the whole 2 MB across the wire.
   uint64_t pages = 0;
-  const mmu::Svm& svm = n.dev->svm();
+  const mmu::Svm& svm = cluster_.device(node).svm();
   const uint64_t page_bytes = svm.page_table().page_bytes();
   auto append_buffer = [&](uint64_t vaddr) {
     const std::vector<uint64_t> dirty = svm.DirtyPagesIn(vaddr, t.spec.item_bytes, 0);
@@ -461,21 +390,14 @@ bool Fleet::ApplyCheckpoint(uint32_t node, int32_t region, const std::vector<uin
     return false;
   }
 
-  auto t = std::make_unique<TenantRt>();
-  t->id = tenant;
-  t->spec = spec;
-  t->node = node;
-  t->region = region;
-  t->thread = std::make_unique<CThread>(n.dev.get(), static_cast<uint32_t>(region));
-  t->src_vaddr = t->thread->GetMem({Alloc::kHpf, spec.item_bytes});
-  t->dst_vaddr = t->thread->GetMem({Alloc::kHpf, spec.item_bytes});
+  std::unique_ptr<TenantRt> t = NewTenant(node, tenant, spec, region);
   for (const auto& s : src_segs) {
     t->thread->WriteBuffer(t->src_vaddr + s.off, s.bytes.data(), s.bytes.size());
   }
   for (const auto& s : dst_segs) {
     t->thread->WriteBuffer(t->dst_vaddr + s.off, s.bytes.data(), s.bytes.size());
   }
-  if (!vfpga::RestoreRegion(n.dev->vfpga(static_cast<uint32_t>(region)), snap)) {
+  if (!vfpga::RestoreRegion(cluster_.device(node).vfpga(static_cast<uint32_t>(region)), snap)) {
     t->thread->FreeMem(t->src_vaddr);
     t->thread->FreeMem(t->dst_vaddr);
     return false;
@@ -483,9 +405,6 @@ bool Fleet::ApplyCheckpoint(uint32_t node, int32_t region, const std::vector<uin
   t->items_done = items_done;
   t->retries = retries;
   t->data_hash = data_hash;
-  t->thread->SetCompletionCallback([this, node, tenant](CThread::Task task, OpStatus status) {
-    OnItemComplete(node, tenant, task, status);
-  });
   // Re-issue the ops the quiesce cut short, rebased onto the new buffers.
   // The workload keeps at most one op in flight, so the re-issue cannot
   // double-fold the data hash.
@@ -516,50 +435,42 @@ bool Fleet::ApplyCheckpoint(uint32_t node, int32_t region, const std::vector<uin
 void Fleet::BeginMigration(uint32_t node, uint32_t tenant, uint32_t dst_node,
                            int32_t dst_region) {
   sim::ActorScope actor(sim::kActorOrchestrator);
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
-    return;  // the sweep will declare this node dead and evacuate instead
+  if (!cluster_.alive(node)) {
+    return;  // the detector will declare this node dead and evacuate instead
   }
-  auto it = n.tenants.find(tenant);
-  if (it == n.tenants.end() || !it->second->running) {
+  TenantRt* t = LiveTenant(node, tenant);
+  if (t == nullptr || !t->running) {
     PostToOrch(node, 0,
                [this, tenant]() { orch_->OnMigrationFailed(tenant, "src.not_running"); });
     return;
   }
-  node_guards_[node]->Write();
-  TenantRt& t = *it->second;
+  cluster_.guard(node).Write();
+  SimDevice& dev = cluster_.device(node);
 
   // QUIESCE: stop issuing, snapshot the in-flight descriptors, then abort
   // them through the data mover (error completions, credit restore, TLB
   // shootdown) so the region is drained before capture.
-  t.running = false;
-  t.mig_pending = t.thread->SnapshotPending();
-  t.thread->AbortPending(OpStatus::kAborted);
-  n.dev->data_mover().AbortVfpga(static_cast<uint32_t>(t.region));
-  n.dev->vfpga(static_cast<uint32_t>(t.region)).FlushStreams();
+  t->running = false;
+  t->mig_pending = t->thread->SnapshotPending();
+  t->thread->AbortPending(OpStatus::kAborted);
+  dev.data_mover().AbortVfpga(static_cast<uint32_t>(t->region));
+  dev.vfpga(static_cast<uint32_t>(t->region)).FlushStreams();
 
   uint64_t pages = 0;
-  t.mig_blob = BuildCheckpoint(n, t, t.mig_pending, &pages);
-  t.mig_dst = dst_node;
-  t.mig_dst_region = dst_region;
-  t.mig_quiesced_at = NowAt(node);
+  t->mig_blob = BuildCheckpoint(node, *t, t->mig_pending, &pages);
+  t->mig_dst = dst_node;
+  t->mig_dst_region = dst_region;
 
-  const uint32_t chunks = static_cast<uint32_t>(
-      (t.mig_blob.size() + config_.chunk_bytes - 1) / config_.chunk_bytes);
-  const uint64_t bytes = t.mig_blob.size();
-  const sim::TimePs quiesced = t.mig_quiesced_at;
+  const uint32_t chunks = ChunkCount(t->mig_blob.size());
+  const uint64_t bytes = t->mig_blob.size();
+  const sim::TimePs quiesced = cluster_.NowAt(node);
   PostToOrch(node, 0, [this, tenant, quiesced, bytes, pages, chunks]() {
     orch_->OnMigrationQuiesced(tenant, quiesced, bytes, pages, chunks);
   });
 
   // TRANSFER: serialize-out at capture bandwidth, then chunks on the wire.
-  std::vector<uint32_t> ids(chunks);
-  for (uint32_t i = 0; i < chunks; ++i) {
-    ids[i] = i;
-  }
-  const sim::TimePs capture_delay = sim::TransferTime(bytes, config_.capture_bps);
-  SendChunks(node, dst_node, tenant, t.mig_blob, ids, chunks, /*round=*/0, dst_region,
-             capture_delay);
+  SendChunks(node, dst_node, tenant, t->mig_blob, AllChunks(chunks), chunks, /*round=*/0,
+             dst_region, sim::TransferTime(bytes, config_.capture_bps));
 }
 
 void Fleet::SendChunks(uint32_t src_logical, uint32_t dst_node, uint32_t tenant,
@@ -579,7 +490,7 @@ void Fleet::SendChunks(uint32_t src_logical, uint32_t dst_node, uint32_t tenant,
     }
     std::vector<uint8_t> bytes(blob.begin() + static_cast<ptrdiff_t>(off),
                                blob.begin() + static_cast<ptrdiff_t>(off + len));
-    PostToNode(src_logical, dst_node, extra_delay + ChunkWireDelay(i, cumulative),
+    cluster_.Post(src_logical, dst_node, extra_delay + cluster_.WireDelay(cumulative),
                [this, dst_node, tenant, id, bytes = std::move(bytes)]() mutable {
                  OnChunk(dst_node, tenant, id, std::move(bytes));
                });
@@ -587,8 +498,8 @@ void Fleet::SendChunks(uint32_t src_logical, uint32_t dst_node, uint32_t tenant,
   // The marker always arrives (control channel): it carries the per-round
   // corruption draw and closes the round on the receiver.
   const uint64_t corrupt = injector.NextCheckpointCorrupt();
-  const sim::TimePs marker_delay = extra_delay + ChunkWireDelay(0, cumulative + 64);
-  PostToNode(src_logical, dst_node, marker_delay,
+  const sim::TimePs marker_delay = extra_delay + cluster_.WireDelay(cumulative + 64);
+  cluster_.Post(src_logical, dst_node, marker_delay,
              [this, dst_node, tenant, src_logical, dst_region, total_chunks, round, corrupt]() {
                OnTransferMarker(dst_node, tenant, src_logical, dst_region, total_chunks, round,
                                 corrupt);
@@ -598,46 +509,38 @@ void Fleet::SendChunks(uint32_t src_logical, uint32_t dst_node, uint32_t tenant,
 void Fleet::OnChunk(uint32_t node, uint32_t tenant, uint32_t chunk_id,
                     std::vector<uint8_t> bytes) {
   sim::ActorScope actor(sim::kActorOrchestrator);
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
+  if (!cluster_.alive(node)) {
     return;
   }
-  node_guards_[node]->Write();
-  n.inbound[tenant].chunks[chunk_id] = std::move(bytes);
+  cluster_.guard(node).Write();
+  nodes_[node]->inbound[tenant][chunk_id] = std::move(bytes);
 }
 
 void Fleet::OnTransferMarker(uint32_t node, uint32_t tenant, uint32_t src_logical,
                              int32_t dst_region, uint32_t total_chunks, uint32_t round,
                              uint64_t corrupt_entropy) {
   sim::ActorScope actor(sim::kActorOrchestrator);
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
+  if (!cluster_.alive(node)) {
     return;
   }
-  node_guards_[node]->Write();
-  NodeRt::Inbound& ib = n.inbound[tenant];
-  ib.src_logical = src_logical;
-  ib.region = dst_region;
-  ib.total = total_chunks;
+  cluster_.guard(node).Write();
+  NodeRt& n = *nodes_[node];
+  NodeRt::Chunks& chunks = n.inbound[tenant];
 
   std::vector<uint32_t> missing;
   for (uint32_t i = 0; i < total_chunks; ++i) {
-    if (ib.chunks.find(i) == ib.chunks.end()) {
+    if (chunks.find(i) == chunks.end()) {
       missing.push_back(i);
     }
   }
   if (!missing.empty()) {
-    const uint32_t next_round = round + 1;
-    PostToNode(node, src_logical, 0,
-               [this, src_logical, tenant, missing = std::move(missing), next_round]() mutable {
-                 OnResendRequest(src_logical, tenant, std::move(missing), next_round);
-               });
+    RequestResend(node, src_logical, tenant, std::move(missing), round + 1);
     return;
   }
 
   std::vector<uint8_t> blob;
   for (uint32_t i = 0; i < total_chunks; ++i) {
-    auto& c = ib.chunks[i];
+    const std::vector<uint8_t>& c = chunks[i];
     blob.insert(blob.end(), c.begin(), c.end());
   }
   n.inbound.erase(tenant);
@@ -672,48 +575,41 @@ void Fleet::OnResendRequest(uint32_t src_logical, uint32_t tenant, std::vector<u
     }
     orch_->OnTransferRound(tenant, round);
     const MigrationRecord& rec = orch_->records_[bit->second];
-    const int32_t region = orch_->health_.at(rec.dst_node).regions.FindTenant(tenant);
-    const uint32_t total = static_cast<uint32_t>(
-        (it->second.blob.size() + config_.chunk_bytes - 1) / config_.chunk_bytes);
-    SendChunks(orch_logical_, rec.dst_node, tenant, it->second.blob, missing, total, round,
-               region, backoff);
+    const int32_t region = orch_->regions_[rec.dst_node].FindTenant(tenant);
+    SendChunks(orch_logical_, rec.dst_node, tenant, it->second.blob, missing,
+               ChunkCount(it->second.blob.size()), round, region, backoff);
     return;
   }
-  NodeRt& n = *nodes_[src_logical];
-  if (!n.alive) {
-    return;  // the sweep handles a source that died mid-transfer
-  }
-  auto it = n.tenants.find(tenant);
-  if (it == n.tenants.end() || it->second->mig_blob.empty()) {
+  // A source that died mid-transfer is the detector's to handle.
+  TenantRt* t = LiveTenant(src_logical, tenant);
+  if (t == nullptr || t->mig_blob.empty()) {
     return;
   }
-  node_guards_[src_logical]->Write();
-  TenantRt& t = *it->second;
+  cluster_.guard(src_logical).Write();
   PostToOrch(src_logical, 0, [this, tenant, round]() { orch_->OnTransferRound(tenant, round); });
-  const uint32_t total = static_cast<uint32_t>(
-      (t.mig_blob.size() + config_.chunk_bytes - 1) / config_.chunk_bytes);
-  SendChunks(src_logical, t.mig_dst, tenant, t.mig_blob, missing, total, round, t.mig_dst_region,
-             backoff);
+  SendChunks(src_logical, t->mig_dst, tenant, t->mig_blob, missing, ChunkCount(t->mig_blob.size()),
+             round, t->mig_dst_region, backoff);
+}
+
+void Fleet::RequestResend(uint32_t node, uint32_t src_logical, uint32_t tenant,
+                          std::vector<uint32_t> ids, uint32_t round) {
+  cluster_.Post(node, src_logical, 0,
+                [this, src_logical, tenant, ids = std::move(ids), round]() mutable {
+                  OnResendRequest(src_logical, tenant, std::move(ids), round);
+                });
+}
+
+uint32_t Fleet::ChunkCount(uint64_t bytes) const {
+  return static_cast<uint32_t>((bytes + config_.chunk_bytes - 1) / config_.chunk_bytes);
 }
 
 void Fleet::TryRestore(uint32_t node, uint32_t tenant, uint32_t src_logical, int32_t dst_region,
                        uint32_t round, std::vector<uint8_t> blob) {
-  NodeRt& n = *nodes_[node];
   vfpga::ckpt::Reader probe(blob);
   if (!probe.ok()) {
     // CRC/framing reject: request a full resend — counts against the same
     // retransmit budget as a lost chunk.
-    const uint32_t total = static_cast<uint32_t>(
-        (blob.size() + config_.chunk_bytes - 1) / config_.chunk_bytes);
-    std::vector<uint32_t> all(total);
-    for (uint32_t i = 0; i < total; ++i) {
-      all[i] = i;
-    }
-    const uint32_t next_round = round + 1;
-    PostToNode(node, src_logical, 0,
-               [this, src_logical, tenant, all = std::move(all), next_round]() mutable {
-                 OnResendRequest(src_logical, tenant, std::move(all), next_round);
-               });
+    RequestResend(node, src_logical, tenant, AllChunks(ChunkCount(blob.size())), round + 1);
     return;
   }
 
@@ -721,7 +617,7 @@ void Fleet::TryRestore(uint32_t node, uint32_t tenant, uint32_t src_logical, int
   bool restored = false;
   for (uint32_t attempt = 0; attempt < config_.restore_attempts_max && !restored; ++attempt) {
     PostToOrch(node, 0, [this, tenant]() { orch_->OnRestoreAttempt(tenant); });
-    if (n.injector->NextRestoreFail()) {
+    if (nodes_[node]->injector->NextRestoreFail()) {
       continue;
     }
     restored = ApplyCheckpoint(node, dst_region, blob);
@@ -733,133 +629,79 @@ void Fleet::TryRestore(uint32_t node, uint32_t tenant, uint32_t src_logical, int
   // RESUME: charge deserialize-in at capture bandwidth before declaring the
   // tenant live (the first re-issued op is already queued behind it).
   const sim::TimePs restore_ps = sim::TransferTime(blob.size(), config_.capture_bps);
-  EngineAt(node).ScheduleAfter(restore_ps, [this, node, tenant]() {
-    if (!nodes_[node]->alive) {
-      return;
-    }
-    const sim::TimePs resumed = NowAt(node);
+  cluster_.After(node, restore_ps, [this, node, tenant]() {
+    const sim::TimePs resumed = cluster_.NowAt(node);
     PostToOrch(node, 0, [this, tenant, resumed]() { orch_->OnMigrationDone(tenant, resumed); });
   });
 }
 
 void Fleet::ResumeAtSource(uint32_t node, uint32_t tenant) {
   sim::ActorScope actor(sim::kActorOrchestrator);
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
+  TenantRt* t = LiveTenant(node, tenant);
+  if (t == nullptr) {
     return;
   }
-  auto it = n.tenants.find(tenant);
-  if (it == n.tenants.end()) {
-    return;
-  }
-  node_guards_[node]->Write();
-  TenantRt& t = *it->second;
-  t.running = true;
+  cluster_.guard(node).Write();
+  t->running = true;
   bool reissued = false;
-  for (const auto& op : t.mig_pending) {
-    t.thread->Invoke(op.oper, op.sg);  // same node, original addresses
-    t.item_inflight = true;
+  for (const auto& op : t->mig_pending) {
+    t->thread->Invoke(op.oper, op.sg);  // same node, original addresses
+    t->item_inflight = true;
     reissued = true;
   }
-  t.mig_blob.clear();
-  t.mig_pending.clear();
+  t->mig_blob.clear();
+  t->mig_pending.clear();
   if (!reissued) {
     StartItem(node, tenant);
   }
-  const sim::TimePs resumed = NowAt(node);
+  const sim::TimePs resumed = cluster_.NowAt(node);
   PostToOrch(node, 0, [this, tenant, resumed]() { orch_->OnRollbackResumed(tenant, resumed); });
 }
 
 void Fleet::CleanupSource(uint32_t node, uint32_t tenant) {
   sim::ActorScope actor(sim::kActorOrchestrator);
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
+  TenantRt* t = LiveTenant(node, tenant);
+  if (t == nullptr) {
     return;
   }
-  auto it = n.tenants.find(tenant);
-  if (it == n.tenants.end()) {
-    return;
-  }
-  node_guards_[node]->Write();
-  TenantRt& t = *it->second;
-  if (t.src_vaddr != 0) {
-    t.thread->FreeMem(t.src_vaddr);  // unmap + TLB shootdown at the source
-    t.thread->FreeMem(t.dst_vaddr);
-    t.src_vaddr = t.dst_vaddr = 0;
-  }
-  if (t.region >= 0) {
-    n.region_tenant[t.region] = -1;
-  }
-  t.region = -1;
-  t.mig_blob.clear();
-  t.mig_pending.clear();
+  cluster_.guard(node).Write();
+  Vacate(node, *t);
+  t->mig_blob.clear();
+  t->mig_pending.clear();
 }
 
 void Fleet::AbandonInbound(uint32_t node, uint32_t tenant) {
   sim::ActorScope actor(sim::kActorOrchestrator);
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
+  if (!cluster_.alive(node)) {
     return;
   }
-  node_guards_[node]->Write();
-  n.inbound.erase(tenant);
+  cluster_.guard(node).Write();
+  nodes_[node]->inbound.erase(tenant);
 }
 
 void Fleet::ShedTenant(uint32_t node, uint32_t tenant) {
   sim::ActorScope actor(sim::kActorOrchestrator);
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
+  TenantRt* t = LiveTenant(node, tenant);
+  if (t == nullptr) {
     return;
   }
-  auto it = n.tenants.find(tenant);
-  if (it == n.tenants.end()) {
-    return;
-  }
-  node_guards_[node]->Write();
-  TenantRt& t = *it->second;
-  if (!t.running && t.region < 0) {
+  cluster_.guard(node).Write();
+  if (!t->running && t->region < 0) {
     // Retired (or already shed) before the command arrived; the tenant's own
     // OnTenantDone resolves any evacuation waiting on this region.
     return;
   }
   // Graceful degradation: typed kShed completions instead of a hang, then
   // the region and its buffers go back to the pool.
-  t.running = false;
-  t.thread->AbortPending(OpStatus::kShed);
-  if (t.region >= 0) {
-    n.dev->data_mover().AbortVfpga(static_cast<uint32_t>(t.region));
-    n.dev->vfpga(static_cast<uint32_t>(t.region)).FlushStreams();
-    n.region_tenant[t.region] = -1;
+  t->running = false;
+  t->thread->AbortPending(OpStatus::kShed);
+  if (t->region >= 0) {
+    SimDevice& dev = cluster_.device(node);
+    dev.data_mover().AbortVfpga(static_cast<uint32_t>(t->region));
+    dev.vfpga(static_cast<uint32_t>(t->region)).FlushStreams();
   }
-  if (t.src_vaddr != 0) {
-    t.thread->FreeMem(t.src_vaddr);
-    t.thread->FreeMem(t.dst_vaddr);
-    t.src_vaddr = t.dst_vaddr = 0;
-  }
-  t.region = -1;
+  Vacate(node, *t);
   PostToOrch(node, 0, [this, tenant]() { orch_->OnTenantShed(tenant, "capacity"); });
-}
-
-void Fleet::KillNode(uint32_t node) {
-  sim::ActorScope actor(sim::kActorOrchestrator);
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
-    return;
-  }
-  node_guards_[node]->Write();
-  n.alive = false;
-  if (n.hb_timer != sim::TimerWheel::kInvalidTimer) {
-    n.dev->timers().Cancel(n.hb_timer);
-    n.hb_timer = sim::TimerWheel::kInvalidTimer;
-  }
-  if (n.ckpt_timer != sim::TimerWheel::kInvalidTimer) {
-    n.dev->timers().Cancel(n.ckpt_timer);
-    n.ckpt_timer = sim::TimerWheel::kInvalidTimer;
-  }
-  n.sup->Stop();
-  // Everything else decays passively: heartbeats stop, queued callbacks
-  // no-op on the alive check, and the orchestrator's sweep declares the
-  // death once the heartbeat window lapses.
 }
 
 // ---------------------------------------------------------------------------
@@ -867,8 +709,7 @@ void Fleet::KillNode(uint32_t node) {
 // ---------------------------------------------------------------------------
 
 Orchestrator::Orchestrator(Fleet* fleet)
-    : fleet_(fleet),
-      timers_(&fleet->EngineAt(fleet->orch_logical_)) {
+    : fleet_(fleet), regions_(fleet->config_.num_nodes) {
   // The orchestrator's maps are touched from its own shard callbacks, from
   // host-side setup/observation, and (conceptually) alongside the engine /
   // DMA / supervisor actors whose completions feed it — all program-ordered
@@ -879,29 +720,35 @@ Orchestrator::Orchestrator(Fleet* fleet)
   ledger.DeclareOrdered(sim::kActorOrchestrator, sim::kActorEngine);
   ledger.DeclareOrdered(sim::kActorOrchestrator, sim::kActorDma);
   ledger.DeclareOrdered(sim::kActorOrchestrator, sim::kActorSupervisor);
-  const sim::ShardId shard = fleet_->shard_of_[fleet_->orch_logical_];
+  const sim::ShardId shard = fleet_->cluster_.shard_of(fleet_->orch_logical_);
   tenants_guard_.BindShard(shard);
-  health_guard_.BindShard(shard);
+  regions_guard_.BindShard(shard);
   ckpt_guard_.BindShard(shard);
-  for (uint32_t n = 0; n < fleet_->config_.num_nodes; ++n) {
-    NodeHealth h;
-    h.regions.Reset(fleet_->config_.regions_per_node);
-    health_[n] = std::move(h);
+  for (RegionBook& book : regions_) {
+    book.Reset(fleet_->config_.regions_per_node);
   }
+  fleet_->cluster_.OnNodeDead([this](uint32_t node) { DeclareDead(node); });
+}
+
+bool Orchestrator::BelievedAlive(uint32_t node) const {
+  return !fleet_->cluster_.declared_dead(node);
+}
+
+sim::TimePs Orchestrator::Now() { return fleet_->cluster_.NowAt(fleet_->orch_logical_); }
+
+void Orchestrator::PostToNode(uint32_t node, sim::InlineCallback cb) {
+  fleet_->cluster_.Post(fleet_->orch_logical_, node, 0, std::move(cb));
 }
 
 void Orchestrator::Trace(const std::string& line) {
-  const sim::TimePs now =
-      fleet_->NowAt(fleet_->orch_logical_);
-  trace_.push_back("t=" + std::to_string(now) + " " + line);
+  trace_.push_back("t=" + std::to_string(Now()) + " " + line);
 }
 
 uint64_t Orchestrator::TraceFingerprint() const {
-  uint64_t h = 0xcbf29ce484222325ull;
+  uint64_t h = sim::kFnvOffset;
   for (const auto& line : trace_) {
-    FoldBytes(&h, reinterpret_cast<const uint8_t*>(line.data()), line.size());
-    h ^= '\n';
-    h *= 0x100000001b3ull;
+    sim::FnvFold(&h, line.data(), line.size());
+    sim::FnvFold(&h, "\n", 1);
   }
   return h;
 }
@@ -909,7 +756,7 @@ uint64_t Orchestrator::TraceFingerprint() const {
 void Orchestrator::AdmitTenant(uint32_t tenant, const TenantSpec& spec, uint32_t node,
                                int32_t region) {
   tenants_guard_.Write();
-  health_guard_.Write();
+  regions_guard_.Write();
   TenantBook book;
   book.spec = spec;
   book.node = node;
@@ -921,27 +768,13 @@ void Orchestrator::AdmitTenant(uint32_t tenant, const TenantSpec& spec, uint32_t
 }
 
 void Orchestrator::ReserveRegion(uint32_t node, int32_t region, uint32_t tenant) {
-  health_[node].regions.Reserve(region, tenant);
+  regions_[node].Reserve(region, tenant);
 }
 
 void Orchestrator::ReleaseRegion(uint32_t node, int32_t region) {
-  NodeHealth& h = health_[node];
-  if (h.believed_alive) {
-    h.regions.Release(region);
+  if (BelievedAlive(node)) {
+    regions_[node].Release(region);
   }
-}
-
-void Orchestrator::OnHeartbeat(uint32_t node, uint64_t seq, sim::TimePs sent_at) {
-  sim::ActorScope actor(sim::kActorOrchestrator);
-  health_guard_.Write();
-  (void)sent_at;
-  NodeHealth& h = health_[node];
-  if (!h.believed_alive) {
-    return;  // a declared-dead node stays dead (no flapping)
-  }
-  h.last_heartbeat_at =
-      fleet_->NowAt(fleet_->orch_logical_);
-  h.heartbeats = seq;
 }
 
 void Orchestrator::OnCheckpoint(uint32_t tenant, std::vector<uint8_t> blob, uint64_t pages,
@@ -961,41 +794,54 @@ void Orchestrator::OnCheckpoint(uint32_t tenant, std::vector<uint8_t> blob, uint
 void Orchestrator::StartMigration(uint32_t tenant, uint32_t dst_node, const std::string& reason) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   tenants_guard_.Write();
-  health_guard_.Write();
+  regions_guard_.Write();
   auto it = tenants_.find(tenant);
   if (it == tenants_.end()) {
     return;
   }
   TenantBook& book = it->second;
-  const NodeHealth& dst = health_[dst_node];
-  if (book.outcome != TenantOutcome::kRunning || book.migrating ||
-      !health_[book.node].believed_alive || !dst.believed_alive || dst.regions.free() == 0 ||
-      dst_node == book.node) {
+  if (dst_node >= regions_.size() || book.outcome != TenantOutcome::kRunning ||
+      book.migrating || !BelievedAlive(book.node) || !BelievedAlive(dst_node) ||
+      regions_[dst_node].free() == 0 || dst_node == book.node) {
     Trace("tenant=" + std::to_string(tenant) + " migrate.reject dst=" +
           std::to_string(dst_node));
     return;
   }
-  const int32_t region = dst.regions.FindFree();
+  const int32_t region = regions_[dst_node].FindFree();
   ReserveRegion(dst_node, region, tenant);
   book.migrating = true;
-
-  MigrationRecord rec;
-  rec.tenant = tenant;
-  rec.src_node = book.node;
-  rec.dst_node = dst_node;
-  rec.reason = reason;
-  rec.started_at =
-      fleet_->NowAt(fleet_->orch_logical_);
-  rec.outcome = "ok";
-  active_migration_[tenant] = records_.size();
-  records_.push_back(std::move(rec));
+  OpenRecord(tenant, book.node, dst_node, reason).outcome = "ok";
   Trace("tenant=" + std::to_string(tenant) + " migrate.start src=" +
         std::to_string(book.node) + " dst=" + std::to_string(dst_node) + " reason=" + reason);
 
   const uint32_t src = book.node;
-  fleet_->PostToNode(fleet_->orch_logical_, src, 0, [this, src, tenant, dst_node, region]() {
+  PostToNode(src, [this, src, tenant, dst_node, region]() {
     fleet_->BeginMigration(src, tenant, dst_node, region);
   });
+}
+
+MigrationRecord& Orchestrator::OpenRecord(uint32_t tenant, uint32_t src, uint32_t dst,
+                                          const std::string& reason) {
+  active_migration_[tenant] = records_.size();
+  MigrationRecord& rec = records_.emplace_back();
+  rec.tenant = tenant;
+  rec.src_node = src;
+  rec.dst_node = dst;
+  rec.reason = reason;
+  rec.started_at = Now();
+  return rec;
+}
+
+void Orchestrator::StampResumed(MigrationRecord* rec, sim::TimePs resumed_at) {
+  rec->resumed_at = resumed_at;
+  rec->downtime = resumed_at - (rec->quiesced_at > 0 ? rec->quiesced_at : rec->started_at);
+}
+
+void Orchestrator::ShedBook(uint32_t tenant, TenantBook& book, const std::string& why) {
+  book.outcome = TenantOutcome::kShed;
+  ++sheds_;
+  Trace("tenant=" + std::to_string(tenant) + " shed why=" + why);
+  CheckSettled();
 }
 
 MigrationRecord* Orchestrator::ActiveRecord(uint32_t tenant) {
@@ -1044,39 +890,36 @@ void Orchestrator::OnRestoreAttempt(uint32_t tenant) {
 void Orchestrator::OnMigrationDone(uint32_t tenant, sim::TimePs resumed_at) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   tenants_guard_.Write();
-  health_guard_.Write();
+  regions_guard_.Write();
   MigrationRecord* rec = ActiveRecord(tenant);
   auto it = tenants_.find(tenant);
   if (rec == nullptr || it == tenants_.end()) {
     return;
   }
   TenantBook& book = it->second;
-  rec->resumed_at = resumed_at;
-  rec->downtime = resumed_at - (rec->quiesced_at > 0 ? rec->quiesced_at : rec->started_at);
+  StampResumed(rec, resumed_at);
 
   const uint32_t old_node = book.node;
   const int32_t old_region = book.region;
   book.node = rec->dst_node;
   book.migrating = false;
-  book.region = health_[rec->dst_node].regions.FindTenant(tenant);
+  book.region = regions_[rec->dst_node].FindTenant(tenant);
   active_migration_.erase(tenant);
   Trace("tenant=" + std::to_string(tenant) + " resume node=" + std::to_string(book.node) +
         " downtime=" + std::to_string(rec->downtime) + " outcome=" + rec->outcome);
 
   // Source cleanup only applies to a live source (planned migration or
   // drain); an evacuated tenant's source is gone.
-  if (health_[old_node].believed_alive && old_node != book.node) {
+  if (BelievedAlive(old_node) && old_node != book.node) {
     ReleaseRegion(old_node, old_region);
-    fleet_->PostToNode(fleet_->orch_logical_, old_node, 0, [this, old_node, tenant]() {
-      fleet_->CleanupSource(old_node, tenant);
-    });
+    PostToNode(old_node, [this, old_node, tenant]() { fleet_->CleanupSource(old_node, tenant); });
   }
 }
 
 void Orchestrator::OnMigrationFailed(uint32_t tenant, const std::string& why) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   tenants_guard_.Write();
-  health_guard_.Write();
+  regions_guard_.Write();
   MigrationRecord* rec = ActiveRecord(tenant);
   auto it = tenants_.find(tenant);
   if (rec == nullptr || it == tenants_.end()) {
@@ -1086,9 +929,9 @@ void Orchestrator::OnMigrationFailed(uint32_t tenant, const std::string& why) {
   Trace("tenant=" + std::to_string(tenant) + " migrate.fail why=" + why);
 
   // Release the destination reservation in every failure shape.
-  const NodeHealth& dst = health_[rec->dst_node];
-  for (uint32_t r = 0; r < dst.regions.size(); ++r) {
-    if (dst.regions.tenant_at(r) == static_cast<int32_t>(tenant) &&
+  const RegionBook& dst = regions_[rec->dst_node];
+  for (uint32_t r = 0; r < dst.size(); ++r) {
+    if (dst.tenant_at(r) == static_cast<int32_t>(tenant) &&
         static_cast<int32_t>(r) != book.region) {
       ReleaseRegion(rec->dst_node, static_cast<int32_t>(r));
     }
@@ -1100,21 +943,17 @@ void Orchestrator::OnMigrationFailed(uint32_t tenant, const std::string& why) {
     rec->outcome = "abort.src_done";
     return;
   }
-  if (health_[book.node].believed_alive) {
+  if (BelievedAlive(book.node)) {
     // ROLLBACK: the source still holds the live state; resume it there.
     rec->outcome = "rollback." + why;
     ++rollbacks_;
     const uint32_t src = book.node;
-    fleet_->PostToNode(fleet_->orch_logical_, src, 0,
-                       [this, src, tenant]() { fleet_->ResumeAtSource(src, tenant); });
+    PostToNode(src, [this, src, tenant]() { fleet_->ResumeAtSource(src, tenant); });
     return;
   }
   // Evacuation failed and there is no source to roll back to: degrade.
   rec->outcome = "shed";
-  book.outcome = TenantOutcome::kShed;
-  ++sheds_;
-  Trace("tenant=" + std::to_string(tenant) + " shed why=" + why);
-  CheckSettled();
+  ShedBook(tenant, book, why);
 }
 
 void Orchestrator::OnRollbackResumed(uint32_t tenant, sim::TimePs resumed_at) {
@@ -1124,53 +963,35 @@ void Orchestrator::OnRollbackResumed(uint32_t tenant, sim::TimePs resumed_at) {
   // on the most recent record for this tenant.
   for (auto rit = records_.rbegin(); rit != records_.rend(); ++rit) {
     if (rit->tenant == tenant) {
-      rit->resumed_at = resumed_at;
-      rit->downtime = resumed_at - (rit->quiesced_at > 0 ? rit->quiesced_at : rit->started_at);
+      StampResumed(&*rit, resumed_at);
       break;
     }
   }
   Trace("tenant=" + std::to_string(tenant) + " rollback.resumed");
 }
 
-void Orchestrator::OnTenantDone(uint32_t tenant) {
-  sim::ActorScope actor(sim::kActorOrchestrator);
-  tenants_guard_.Write();
-  health_guard_.Write();
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end() || it->second.outcome != TenantOutcome::kRunning) {
-    return;
-  }
-  TenantBook& book = it->second;
-  book.outcome = TenantOutcome::kDone;
-  ReleaseRegion(book.node, book.region);
-  book.region = -1;
-  Trace("tenant=" + std::to_string(tenant) + " done");
-  // An evacuation may have been waiting on this tenant's region (it was
-  // picked as a shed victim but finished first) — its region is free now.
-  auto pit = pending_evacuations_.find(tenant);
-  if (pit != pending_evacuations_.end()) {
-    const uint32_t evacuee = pit->second;
-    pending_evacuations_.erase(pit);
-    EvacuateTenant(evacuee, "node.dead");
-  }
-  CheckSettled();
-}
+void Orchestrator::OnTenantDone(uint32_t tenant) { Retire(tenant, TenantOutcome::kDone, "done"); }
 
 void Orchestrator::OnTenantShed(uint32_t tenant, const std::string& why) {
+  Retire(tenant, TenantOutcome::kShed, "shed why=" + why);
+}
+
+void Orchestrator::Retire(uint32_t tenant, TenantOutcome outcome, const std::string& what) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   tenants_guard_.Write();
-  health_guard_.Write();
+  regions_guard_.Write();
   auto it = tenants_.find(tenant);
   if (it == tenants_.end() || it->second.outcome != TenantOutcome::kRunning) {
     return;
   }
   TenantBook& book = it->second;
-  book.outcome = TenantOutcome::kShed;
-  ++sheds_;
+  book.outcome = outcome;
+  sheds_ += outcome == TenantOutcome::kShed ? 1 : 0;
   ReleaseRegion(book.node, book.region);
   book.region = -1;
-  Trace("tenant=" + std::to_string(tenant) + " shed why=" + why);
-  // A pending evacuation was waiting for this region.
+  Trace("tenant=" + std::to_string(tenant) + " " + what);
+  // An evacuation may have been waiting on this tenant's region (it was
+  // picked as a shed victim) — the region is free now.
   auto pit = pending_evacuations_.find(tenant);
   if (pit != pending_evacuations_.end()) {
     const uint32_t evacuee = pit->second;
@@ -1178,28 +999,13 @@ void Orchestrator::OnTenantShed(uint32_t tenant, const std::string& why) {
     EvacuateTenant(evacuee, "node.dead");
   }
   CheckSettled();
-}
-
-void Orchestrator::Sweep() {
-  sim::ActorScope actor(sim::kActorOrchestrator);
-  health_guard_.Write();
-  const sim::TimePs now =
-      fleet_->NowAt(fleet_->orch_logical_);
-  const sim::TimePs window =
-      fleet_->config_.dead_after_missed * fleet_->config_.heartbeat_period;
-  for (auto& [node, h] : health_) {
-    if (h.believed_alive && now - h.last_heartbeat_at > window) {
-      DeclareDead(node);
-    }
-  }
 }
 
 void Orchestrator::DeclareDead(uint32_t node) {
+  sim::ActorScope actor(sim::kActorOrchestrator);
   tenants_guard_.Write();
-  health_guard_.Write();
-  NodeHealth& h = health_[node];
-  h.believed_alive = false;
-  h.regions.CloseCapacity();
+  regions_guard_.Write();
+  regions_[node].CloseCapacity();
   ++deaths_declared_;
   Trace("node=" + std::to_string(node) + " dead");
 
@@ -1216,19 +1022,14 @@ void Orchestrator::DeclareDead(uint32_t node) {
     }
   }
 
-  std::vector<uint32_t> ids;
-  for (const auto& [id, book] : tenants_) {
-    (void)book;
-    ids.push_back(id);
-  }
-  for (const uint32_t id : ids) {
-    TenantBook& book = tenants_[id];
+  // Evacuations only edit books; no tenant enters or leaves the map here.
+  for (auto& [id, book] : tenants_) {
     if (book.outcome != TenantOutcome::kRunning) {
       continue;
     }
     if (book.migrating) {
       MigrationRecord* rec = ActiveRecord(id);
-      if (rec != nullptr && rec->dst_node == node && health_[rec->src_node].believed_alive) {
+      if (rec != nullptr && rec->dst_node == node && BelievedAlive(rec->src_node)) {
         // Destination died mid-restore: roll back to the live source.
         rec->outcome = "rollback.dst_dead";
         ++rollbacks_;
@@ -1236,8 +1037,7 @@ void Orchestrator::DeclareDead(uint32_t node) {
         active_migration_.erase(id);
         const uint32_t src = rec->src_node;
         Trace("tenant=" + std::to_string(id) + " rollback.dst_dead");
-        fleet_->PostToNode(fleet_->orch_logical_, src, 0,
-                           [this, src, id]() { fleet_->ResumeAtSource(src, id); });
+        PostToNode(src, [this, src, id]() { fleet_->ResumeAtSource(src, id); });
         continue;
       }
       if (rec != nullptr && rec->src_node == node) {
@@ -1246,16 +1046,15 @@ void Orchestrator::DeclareDead(uint32_t node) {
         rec->outcome = "abort.src_dead";
         book.migrating = false;
         active_migration_.erase(id);
-        if (health_[rec->dst_node].believed_alive) {
+        if (BelievedAlive(rec->dst_node)) {
           const uint32_t dst = rec->dst_node;
           // The reserved destination region frees up for the evacuation
           // placement decision below.
-          const int32_t reserved = health_[dst].regions.FindTenant(id);
+          const int32_t reserved = regions_[dst].FindTenant(id);
           if (reserved >= 0) {
             ReleaseRegion(dst, reserved);
           }
-          fleet_->PostToNode(fleet_->orch_logical_, dst, 0,
-                             [this, dst, id]() { fleet_->AbandonInbound(dst, id); });
+          PostToNode(dst, [this, dst, id]() { fleet_->AbandonInbound(dst, id); });
         }
         EvacuateTenant(id, "node.dead");
         continue;
@@ -1276,11 +1075,11 @@ void Orchestrator::DeclareDead(uint32_t node) {
 }
 
 bool Orchestrator::FindFreeRegion(uint32_t* node_out, int32_t* region_out) const {
-  for (const auto& [node, h] : health_) {
-    if (!h.believed_alive) {
+  for (uint32_t node = 0; node < regions_.size(); ++node) {
+    if (!BelievedAlive(node)) {
       continue;
     }
-    const int32_t r = h.regions.FindFree();
+    const int32_t r = regions_[node].FindFree();
     if (r >= 0) {
       *node_out = node;
       *region_out = r;
@@ -1296,7 +1095,7 @@ bool Orchestrator::FindShedVictim(uint32_t below_priority, uint32_t* victim_out)
   uint32_t best_id = 0;
   for (const auto& [id, book] : tenants_) {
     if (book.outcome != TenantOutcome::kRunning || book.migrating ||
-        !health_.at(book.node).believed_alive || book.spec.priority >= below_priority ||
+        !BelievedAlive(book.node) || book.spec.priority >= below_priority ||
         pending_evacuations_.find(id) != pending_evacuations_.end()) {
       continue;  // a victim already slated for another evacuee stays claimed
     }
@@ -1316,7 +1115,7 @@ bool Orchestrator::FindShedVictim(uint32_t below_priority, uint32_t* victim_out)
 
 void Orchestrator::EvacuateTenant(uint32_t tenant, const std::string& reason) {
   tenants_guard_.Write();
-  health_guard_.Write();
+  regions_guard_.Write();
   ckpt_guard_.Read();
   TenantBook& book = tenants_[tenant];
   uint32_t dst = 0;
@@ -1331,16 +1130,12 @@ void Orchestrator::EvacuateTenant(uint32_t tenant, const std::string& reason) {
       const uint32_t victim_node = tenants_[victim].node;
       Trace("tenant=" + std::to_string(victim) + " shed.request evacuee=" +
             std::to_string(tenant));
-      fleet_->PostToNode(fleet_->orch_logical_, victim_node, 0, [this, victim_node, victim]() {
-        fleet_->ShedTenant(victim_node, victim);
-      });
+      PostToNode(victim_node,
+                 [this, victim_node, victim]() { fleet_->ShedTenant(victim_node, victim); });
       return;
     }
     // Nobody to displace: the evacuee itself degrades.
-    book.outcome = TenantOutcome::kShed;
-    ++sheds_;
-    Trace("tenant=" + std::to_string(tenant) + " shed why=capacity");
-    CheckSettled();
+    ShedBook(tenant, book, "capacity");
     return;
   }
 
@@ -1348,49 +1143,32 @@ void Orchestrator::EvacuateTenant(uint32_t tenant, const std::string& reason) {
   book.migrating = true;
   ++evacuations_;
 
-  MigrationRecord rec;
-  rec.tenant = tenant;
-  rec.src_node = book.node;
-  rec.dst_node = dst;
-  rec.reason = reason;
-  const sim::TimePs now =
-      fleet_->NowAt(fleet_->orch_logical_);
-  rec.started_at = now;
-  rec.quiesced_at = now;  // downtime for an evacuation runs from detection
+  MigrationRecord& rec = OpenRecord(tenant, book.node, dst, reason);
+  rec.quiesced_at = rec.started_at;  // downtime for an evacuation runs from detection
 
   auto cit = ckpt_store_.find(tenant);
   if (cit != ckpt_store_.end()) {
     rec.outcome = "evacuated";
     rec.ckpt_bytes = cit->second.blob.size();
     rec.ckpt_pages = cit->second.pages;
-    const uint32_t chunks = static_cast<uint32_t>(
-        (cit->second.blob.size() + fleet_->config_.chunk_bytes - 1) /
-        fleet_->config_.chunk_bytes);
+    const uint32_t chunks = fleet_->ChunkCount(cit->second.blob.size());
     rec.chunks = chunks;
-    active_migration_[tenant] = records_.size();
-    records_.push_back(std::move(rec));
     Trace("tenant=" + std::to_string(tenant) + " evacuate dst=" + std::to_string(dst) +
           " region=" + std::to_string(region) + " bytes=" +
           std::to_string(cit->second.blob.size()));
-    std::vector<uint32_t> ids(chunks);
-    for (uint32_t i = 0; i < chunks; ++i) {
-      ids[i] = i;
-    }
-    fleet_->SendChunks(fleet_->orch_logical_, dst, tenant, cit->second.blob, ids, chunks,
-                       /*round=*/0, region, /*extra_delay=*/0);
+    fleet_->SendChunks(fleet_->orch_logical_, dst, tenant, cit->second.blob, AllChunks(chunks),
+                       chunks, /*round=*/0, region, /*extra_delay=*/0);
     return;
   }
 
   // No checkpoint yet: restart from scratch on the survivor.
   rec.outcome = "evacuated.fresh";
-  active_migration_[tenant] = records_.size();
-  records_.push_back(std::move(rec));
   Trace("tenant=" + std::to_string(tenant) + " evacuate.fresh dst=" + std::to_string(dst) +
         " region=" + std::to_string(region));
   const TenantSpec spec = book.spec;
-  fleet_->PostToNode(fleet_->orch_logical_, dst, 0, [this, dst, tenant, spec, region]() {
+  PostToNode(dst, [this, dst, tenant, spec, region]() {
     fleet_->StartTenantFresh(dst, tenant, spec, region);
-    const sim::TimePs resumed = fleet_->NowAt(dst);
+    const sim::TimePs resumed = fleet_->cluster_.NowAt(dst);
     fleet_->PostToOrch(dst, 0,
                        [this, tenant, resumed]() { OnMigrationDone(tenant, resumed); });
   });
@@ -1407,7 +1185,7 @@ void Orchestrator::CheckSettled() {
     }
   }
   settled_ = true;
-  settled_at_ = fleet_->NowAt(fleet_->orch_logical_);
+  settled_at_ = Now();
   Trace("settled");
 }
 

@@ -6,27 +6,23 @@
 // loop one level up, across nodes — the role the paper assigns to the data
 // center control plane sitting on the shell's monitoring registers:
 //
-//   Fleet         — the deployment harness. N SimDevice nodes partitioned
-//                   over a sharded PDES engine (one logical node per
-//                   ShardPlacement slot, the Orchestrator occupying logical
-//                   node id N), event-driven tenant workloads, per-node
-//                   fault injectors and supervisors, and deterministic
-//                   node-kill scheduling. Every cross-node interaction is a
-//                   ShardedEngine::Post keyed by the sending logical node,
-//                   so a fleet run is bit-identical across shard counts.
-//   Orchestrator  — the control plane. Scores node health from periodic
-//                   heartbeats, stores each tenant's periodic checkpoint,
-//                   and drives the migration pipeline:
+//   Fleet         — the workload harness on a runtime::Cluster (the nodes,
+//                   messaging, heartbeats and failure detector; the
+//                   Orchestrator is the cluster's control node): event-driven
+//                   tenant workloads, per-node fault injectors and
+//                   supervisors, and inbound checkpoint transfers.
+//   Orchestrator  — the control plane. Takes node deaths from the cluster's
+//                   detector, stores each tenant's periodic checkpoint, and
+//                   drives the migration pipeline:
 //
 //       quiesce -> checkpoint -> transfer (chunked, RoCE-latency modeled,
 //       lossy) -> restore -> resume
 //
 //   with bounded retransmit rounds and rollback to the source when the
-//   destination cannot restore. A node whose heartbeats go silent is
-//   declared dead; its tenants are replayed from their last stored
-//   checkpoint on a survivor, and when capacity runs out the lowest-
-//   priority tenant is shed with typed kShed completions — degraded, never
-//   hung.
+//   destination cannot restore. When the detector declares a node dead, its
+//   tenants are replayed from their last stored checkpoint on a survivor,
+//   and when capacity runs out the lowest-priority tenant is shed with typed
+//   kShed completions — degraded, never hung.
 //
 // Checkpoints use the CYK1 wire format (src/vfpga/checkpoint.h): region
 // CSR/kernel state, the tenant's progress counters, in-flight op
@@ -44,13 +40,14 @@
 #include <string>
 #include <vector>
 
-#include "src/net/network.h"
+#include "src/runtime/cluster.h"
 #include "src/runtime/cthread.h"
 #include "src/runtime/device.h"
 #include "src/runtime/placement.h"
 #include "src/runtime/supervisor.h"
 #include "src/sim/access_guard.h"
 #include "src/sim/fault.h"
+#include "src/sim/hash.h"
 #include "src/sim/sharded_engine.h"
 #include "src/sim/time.h"
 #include "src/sim/timer_wheel.h"
@@ -101,49 +98,39 @@ struct MigrationRecord {
 
 class Orchestrator;
 
-// The deployment: nodes, tenants, injectors, and the sharded engine that
-// runs them. Construction and Run() are host-side; everything else executes
-// inside shard callbacks and communicates through Post().
+// The deployment: tenants, injectors and supervisors on a Cluster's nodes.
+// Construction and Run() are host-side; everything else executes inside
+// shard callbacks and communicates through Cluster::Post().
 class Fleet {
  public:
-  struct Config {
-    uint32_t num_nodes = 4;
-    uint32_t regions_per_node = 2;
-    uint32_t num_shards = 1;
-    bool use_threads = false;
-    uint64_t seed = 1;
-
+  struct Config : ClusterConfig {
     // Per-node fault plan template; each node derives its injector seed from
     // `seed` and its node id, the orchestrator from id num_nodes.
     sim::FaultPlan fault_template;
 
-    // Control-plane cadence.
-    sim::TimePs heartbeat_period = sim::Microseconds(50);
-    sim::TimePs sweep_period = sim::Microseconds(100);
-    // Heartbeats a node may miss before the sweep declares it dead.
-    uint32_t dead_after_missed = 4;
     // Periodic tenant checkpoint cadence (0 disables periodic checkpoints;
     // a dead node's tenants then restart from scratch).
     sim::TimePs checkpoint_period = sim::Microseconds(300);
 
     // Migration transport: checkpoint chunk size on the wire and capture
-    // serialization bandwidth. Link rate and switch latency come from
-    // net::Network::Config — the same constants the RoCE fabric models.
+    // serialization bandwidth. Link rate and switch latency come from `net`,
+    // the same constants the RoCE fabric models.
     uint64_t chunk_bytes = 4096;
     uint64_t capture_bps = 8'000'000'000ull;
     uint32_t chunk_retry_max = 6;
     sim::TimePs chunk_retry_backoff = sim::Microseconds(5);
     uint32_t restore_attempts_max = 2;
 
-    net::Network::Config net;
     Supervisor::Config supervisor;
 
-    // Kernel preloaded into every region at setup. Restores must find the
-    // same kernel resident (RestoreRegion matches by name); the factory
-    // keeps this layer independent of the concrete kernel library.
+    // Name of the kernel kernel_factory preloads into every region. Restores
+    // must find the same kernel resident (RestoreRegion matches by name); the
+    // factory keeps this layer independent of the concrete kernel library.
     std::string kernel_name = "passthrough";
-    SimDevice::KernelFactory kernel_factory;
   };
+
+  // Heartbeat silence after which a node is declared dead: four missed beats.
+  static constexpr sim::TimePs kDeadWindow = 4 * Cluster::kHeartbeatPeriod;
 
   explicit Fleet(const Config& config);
   ~Fleet();
@@ -156,8 +143,8 @@ class Fleet {
   uint32_t AddTenant(const TenantSpec& spec);
   // Schedules a migration command (orchestrator-driven) at simulated time t.
   void ScheduleMigration(sim::TimePs t, uint32_t tenant, uint32_t dst_node);
-  // Schedules a hard node crash at simulated time t: timers stop, heartbeats
-  // go silent, every callback on the node becomes a no-op.
+  // Schedules a hard node crash at simulated time t (Cluster::Kill): timers
+  // stop, heartbeats go silent, every callback on the node becomes a no-op.
   void ScheduleKill(sim::TimePs t, uint32_t node);
 
   // Runs the fleet in fixed `step` windows until every tenant settled (done
@@ -167,13 +154,11 @@ class Fleet {
   // --- Observation (host-side, after Run) --------------------------------------
   Orchestrator& orchestrator() { return *orch_; }
   const Orchestrator& orchestrator() const { return *orch_; }
-  sim::ShardedEngine& sharded() { return *sharded_; }
-  SimDevice& node_device(uint32_t node) { return *nodes_[node]->dev; }
+  sim::ShardedEngine& sharded() { return cluster_.sharded(); }
+  SimDevice& node_device(uint32_t node) { return cluster_.device(node); }
   Supervisor& node_supervisor(uint32_t node) { return *nodes_[node]->sup; }
-  sim::FaultInjector& node_injector(uint32_t node) { return *nodes_[node]->injector; }
-  sim::FaultInjector& orch_injector() { return *orch_injector_; }
   uint32_t num_nodes() const { return config_.num_nodes; }
-  bool node_alive(uint32_t node) const { return nodes_[node]->alive; }
+  bool node_alive(uint32_t node) const { return cluster_.alive(node); }
 
   TenantOutcome tenant_outcome(uint32_t tenant) const;
   // Rolling FNV-1a over every item the tenant verified end-to-end; carried
@@ -193,16 +178,13 @@ class Fleet {
   struct TenantRt {
     uint32_t id = 0;
     TenantSpec spec;
-    uint32_t node = 0;
     int32_t region = -1;
     std::unique_ptr<CThread> thread;
     uint64_t src_vaddr = 0;
     uint64_t dst_vaddr = 0;
     uint64_t items_done = 0;
     uint64_t retries = 0;
-    uint64_t data_hash = 0xcbf29ce484222325ull;
-    // Dirty clock at the previous checkpoint (incremental-manifest stats).
-    uint64_t last_ckpt_clock = 0;
+    uint64_t data_hash = sim::kFnvOffset;
     bool running = false;  // false: quiesced / retired / shed
     // Exactly one item op in flight at a time. Guards against a stale
     // think-time timer firing right after a rollback resumed the tenant,
@@ -216,40 +198,44 @@ class Fleet {
     std::vector<CThread::PendingOp> mig_pending;
     uint32_t mig_dst = 0;
     int32_t mig_dst_region = -1;
-    sim::TimePs mig_quiesced_at = 0;
   };
 
+  // A node's fleet-side extras; its device, liveness and guard live in the
+  // Cluster.
   struct NodeRt {
-    uint32_t id = 0;
-    bool alive = true;
-    std::unique_ptr<SimDevice> dev;
     std::unique_ptr<Supervisor> sup;
     std::unique_ptr<sim::FaultInjector> injector;
-    sim::TimerWheel::TimerId hb_timer = sim::TimerWheel::kInvalidTimer;
     sim::TimerWheel::TimerId ckpt_timer = sim::TimerWheel::kInvalidTimer;
-    uint64_t hb_seq = 0;
     // region -> resident tenant id (-1 free). Orchestrator placement is
     // authoritative; this is the node-local execution view.
     std::vector<int32_t> region_tenant;
     // tenant id -> runtime (including retired entries).
     std::map<uint32_t, std::unique_ptr<TenantRt>> tenants;
-    // In-progress inbound checkpoint transfer, keyed by tenant. The marker
-    // message (re)stamps the metadata every round; chunks accumulate across
-    // retransmit rounds.
-    struct Inbound {
-      std::map<uint32_t, std::vector<uint8_t>> chunks;
-      uint32_t src_logical = 0;
-      int32_t region = -1;
-      uint32_t total = 0;
-    };
-    std::map<uint32_t, Inbound> inbound;
+    // In-progress inbound checkpoint transfers: tenant -> chunk id -> bytes.
+    // Chunks accumulate across retransmit rounds; each round's marker
+    // carries the metadata.
+    using Chunks = std::map<uint32_t, std::vector<uint8_t>>;
+    std::map<uint32_t, Chunks> inbound;
   };
 
+  // --- Cluster hooks ---------------------------------------------------------
+  void SetupNode(uint32_t node);
+  void StartNode(uint32_t node);
+  void StopNode(uint32_t node);
+
   // --- Node-side handlers (shard context of the node) ---------------------------
+  // The tenant's runtime on `node`; nullptr once the node was killed or when
+  // it never hosted the tenant.
+  TenantRt* LiveTenant(uint32_t node, uint32_t tenant);
+  // A tenant runtime on (node, region): its cThread, item buffers and
+  // completion routing.
+  std::unique_ptr<TenantRt> NewTenant(uint32_t node, uint32_t tenant, const TenantSpec& spec,
+                                      int32_t region);
+  // Frees the tenant's buffers and its region slot on `node`.
+  void Vacate(uint32_t node, TenantRt& t);
   void StartTenantFresh(uint32_t node, uint32_t tenant, const TenantSpec& spec, int32_t region);
   void StartItem(uint32_t node, uint32_t tenant);
   void OnItemComplete(uint32_t node, uint32_t tenant, CThread::Task task, OpStatus status);
-  void HeartbeatTick(uint32_t node);
   void CheckpointTick(uint32_t node);
   void BeginMigration(uint32_t node, uint32_t tenant, uint32_t dst_node, int32_t dst_region);
   void SendChunks(uint32_t src_logical, uint32_t dst_node, uint32_t tenant,
@@ -261,65 +247,47 @@ class Fleet {
                         uint32_t total_chunks, uint32_t round, uint64_t corrupt_entropy);
   void OnResendRequest(uint32_t src_logical, uint32_t tenant, std::vector<uint32_t> missing,
                        uint32_t round);
+  void RequestResend(uint32_t node, uint32_t src_logical, uint32_t tenant,
+                     std::vector<uint32_t> ids, uint32_t round);
+  uint32_t ChunkCount(uint64_t bytes) const;
   void TryRestore(uint32_t node, uint32_t tenant, uint32_t src_logical, int32_t dst_region,
                   uint32_t round, std::vector<uint8_t> blob);
   void ResumeAtSource(uint32_t node, uint32_t tenant);
   void CleanupSource(uint32_t node, uint32_t tenant);
   void AbandonInbound(uint32_t node, uint32_t tenant);
   void ShedTenant(uint32_t node, uint32_t tenant);
-  void KillNode(uint32_t node);
 
   // Serializes a tenant's full state (progress, region snapshot, pending
   // ops, dirty pages) into a CYK1 blob. `pending` comes from SnapshotPending
   // *before* the quiesce abort.
-  std::vector<uint8_t> BuildCheckpoint(const NodeRt& n, const TenantRt& t,
+  std::vector<uint8_t> BuildCheckpoint(uint32_t node, const TenantRt& t,
                                        const std::vector<CThread::PendingOp>& pending,
-                                       uint64_t* pages_out) const;
+                                       uint64_t* pages_out);
   // Instantiates the tenant described by `blob` on (node, region). Returns
   // false when the blob fails validation or the region state mismatches.
   bool ApplyCheckpoint(uint32_t node, int32_t region, const std::vector<uint8_t>& blob);
 
-  // Cross-node message: runs `cb` in `dst_node`'s shard context no earlier
-  // than now + max(delay, lookahead), merge-keyed by the sending node.
-  void PostToNode(uint32_t src_logical, uint32_t dst_node, sim::TimePs delay,
-                  sim::InlineCallback cb);
-  void PostToOrch(uint32_t src_logical, sim::TimePs delay, sim::InlineCallback cb);
-  sim::TimePs ChunkWireDelay(uint32_t chunk_index, uint64_t bytes) const;
-  // `logical`'s own engine / local clock. Callers always pass their *own*
-  // logical node id — reaching another node's engine is what PostToNode is
-  // for, and the access guards trip on any cross-shard touch.
-  sim::Engine& EngineAt(uint32_t logical);
-  sim::TimePs NowAt(uint32_t logical);
+  void PostToOrch(uint32_t src_logical, sim::TimePs delay, sim::InlineCallback cb) {
+    cluster_.Post(src_logical, orch_logical_, delay, std::move(cb));
+  }
 
   Config config_;
-  std::unique_ptr<sim::ShardedEngine> sharded_;
-  std::vector<uint32_t> shard_of_;  // logical node (incl. orchestrator) -> shard
-  uint32_t orch_logical_ = 0;       // == num_nodes
+  Cluster cluster_;
+  uint32_t orch_logical_ = 0;  // the cluster's control node, == num_nodes
+  // Declared after cluster_ so they go before the devices they point into.
+  // Shard-owned: every mutation runs in the node's shard behind
+  // cluster_.guard(node).
   std::vector<std::unique_ptr<NodeRt>> nodes_;
   std::unique_ptr<sim::FaultInjector> orch_injector_;
   std::unique_ptr<Orchestrator> orch_;
   uint32_t next_tenant_ = 0;
-  bool started_ = false;
-
-  // Node-side tenant/region tables are shard-owned: each node's guard is
-  // bound to its shard so a stray cross-shard touch trips the ledger.
-  std::vector<std::unique_ptr<sim::AccessGuard>> node_guards_;
 };
 
-// The control plane. Lives on logical node `num_nodes` (its own shard slot);
-// every method below executes in that shard's context unless noted.
+// The control plane. Lives on the cluster's control node (logical node
+// `num_nodes`); every method below executes in that shard's context unless
+// noted.
 class Orchestrator {
  public:
-  struct NodeHealth {
-    bool believed_alive = true;
-    sim::TimePs last_heartbeat_at = 0;
-    uint64_t heartbeats = 0;
-    // Orchestrator-authoritative placement books (src/runtime/placement.h).
-    // Reservations happen here before the destination node hears anything,
-    // so two migrations can never race for one region.
-    RegionBook regions;
-  };
-
   // Tenant bookkeeping from the orchestrator's point of view.
   struct TenantBook {
     TenantSpec spec;
@@ -332,7 +300,6 @@ class Orchestrator {
   explicit Orchestrator(Fleet* fleet);
 
   // --- Control-plane events (shard context) ------------------------------------
-  void OnHeartbeat(uint32_t node, uint64_t seq, sim::TimePs sent_at);
   void OnCheckpoint(uint32_t tenant, std::vector<uint8_t> blob, uint64_t pages,
                     sim::TimePs captured_at);
   void StartMigration(uint32_t tenant, uint32_t dst_node, const std::string& reason);
@@ -345,13 +312,11 @@ class Orchestrator {
   void OnRollbackResumed(uint32_t tenant, sim::TimePs resumed_at);
   void OnTenantDone(uint32_t tenant);
   void OnTenantShed(uint32_t tenant, const std::string& why);
-  void Sweep();
 
   // --- Host-side observation ----------------------------------------------------
   bool AllSettled() const;
   const std::vector<MigrationRecord>& migrations() const { return records_; }
   const std::map<uint32_t, TenantBook>& tenants() const { return tenants_; }
-  const std::map<uint32_t, NodeHealth>& node_health() const { return health_; }
   uint64_t deaths_declared() const { return deaths_declared_; }
   uint64_t evacuations() const { return evacuations_; }
   uint64_t sheds() const { return sheds_; }
@@ -373,7 +338,16 @@ class Orchestrator {
   };
 
   void AdmitTenant(uint32_t tenant, const TenantSpec& spec, uint32_t node, int32_t region);
+  // The tenant reached `outcome` on its node: free its region and wake an
+  // evacuation waiting for it.
+  void Retire(uint32_t tenant, TenantOutcome outcome, const std::string& what);
+  // Subscribed to the cluster's failure detector.
   void DeclareDead(uint32_t node);
+  // False once the cluster's detector declared the node dead.
+  bool BelievedAlive(uint32_t node) const;
+  sim::TimePs Now();
+  // Runs `cb` on `node` (delivery after the lookahead).
+  void PostToNode(uint32_t node, sim::InlineCallback cb);
   void EvacuateTenant(uint32_t tenant, const std::string& reason);
   void ReserveRegion(uint32_t node, int32_t region, uint32_t tenant);
   void ReleaseRegion(uint32_t node, int32_t region);
@@ -381,15 +355,24 @@ class Orchestrator {
   // id). Returns false when none qualifies.
   bool FindShedVictim(uint32_t below_priority, uint32_t* victim_out) const;
   bool FindFreeRegion(uint32_t* node_out, int32_t* region_out) const;
+  // Appends a migration record (started now) and makes it the tenant's
+  // active one.
+  MigrationRecord& OpenRecord(uint32_t tenant, uint32_t src, uint32_t dst,
+                              const std::string& reason);
   MigrationRecord* ActiveRecord(uint32_t tenant);
+  static void StampResumed(MigrationRecord* rec, sim::TimePs resumed_at);
+  // The tenant degrades to kShed without a region to give back.
+  void ShedBook(uint32_t tenant, TenantBook& book, const std::string& why);
   void Trace(const std::string& line);
   void CheckSettled();
 
   Fleet* fleet_;
-  sim::TimerWheel timers_;
 
   std::map<uint32_t, TenantBook> tenants_;
-  std::map<uint32_t, NodeHealth> health_;
+  // Orchestrator-authoritative placement books, one per node. Reservations
+  // happen here before the destination node hears anything, so two
+  // migrations can never race for one region.
+  std::vector<RegionBook> regions_;
   // Last periodic checkpoint per tenant (evacuation replays these).
   std::map<uint32_t, StoredCkpt> ckpt_store_;
   // Tenants whose evacuation waits on a shed victim's region (victim -> evacuee).
@@ -408,7 +391,7 @@ class Orchestrator {
 
   // Orchestrator-owned state maps, bound to the orchestrator's shard.
   sim::AccessGuard tenants_guard_{"orch.tenants"};
-  sim::AccessGuard health_guard_{"orch.node_health"};
+  sim::AccessGuard regions_guard_{"orch.regions"};
   sim::AccessGuard ckpt_guard_{"orch.ckpt_store"};
 };
 

@@ -1,12 +1,13 @@
-// Node -> shard placement for the sharded PDES engine.
+// Placement arithmetic: region occupancy books and node -> shard placement
+// for the sharded PDES engine.
 //
 // A placement maps every logical node of a simulated deployment onto the
 // shard whose Engine will execute its callbacks. Determinism across shard
 // counts requires only that cross-node interaction flows through
 // ShardedEngine::Post with the *node* id as the merge order key; the
-// placement itself is free. These helpers cover the two shapes the tests and
-// bench use; they are pure functions of (num_nodes, num_shards) so a run's
-// placement is reproducible from its config alone.
+// placement itself is free. RoundRobin is a pure function of
+// (num_nodes, num_shards), so a run's placement is reproducible from its
+// config alone.
 
 #ifndef SRC_RUNTIME_PLACEMENT_H_
 #define SRC_RUNTIME_PLACEMENT_H_
@@ -18,9 +19,7 @@ namespace coyote {
 namespace runtime {
 
 // Region occupancy books for one node: region -> tenant id (-1 free), plus a
-// capacity gate for declared-dead nodes. This is the placement arithmetic
-// the Orchestrator's NodeHealth and the serving Router's per-node view both
-// run on — extracted here so control plane and routing tier can't drift.
+// capacity gate for declared-dead nodes. The Orchestrator keeps one per node.
 // Deterministic by construction: every lookup scans regions in ascending
 // index order.
 class RegionBook {
@@ -91,7 +90,7 @@ class RegionBook {
   }
 
  private:
-  // lint: guard-ok value-type occupancy book embedded in a guarded owner (Orchestrator node health, DataMover region table); every mutation runs in the owner's shard context behind the owner's AccessGuard
+  // lint: guard-ok value-type occupancy book embedded in a guarded owner (the Orchestrator's per-node region books); every mutation runs in the owner's shard context behind the owner's AccessGuard
   std::vector<int32_t> tenant_;
   bool closed_ = false;
 };
@@ -103,20 +102,6 @@ struct ShardPlacement {
     std::vector<uint32_t> shard_of(num_nodes);
     for (uint32_t n = 0; n < num_nodes; ++n) {
       shard_of[n] = n % num_shards;
-    }
-    return shard_of;
-  }
-
-  // Contiguous blocks of ceil(num_nodes / num_shards) nodes per shard.
-  // Keeps ring/pairwise-adjacent nodes on one shard, minimizing cross-shard
-  // traffic for neighbor-heavy topologies. With num_shards > num_nodes the
-  // trailing shards simply stay empty (a legal, if wasteful, configuration —
-  // the stress suite exercises it).
-  static std::vector<uint32_t> Blocked(uint32_t num_nodes, uint32_t num_shards) {
-    std::vector<uint32_t> shard_of(num_nodes);
-    const uint32_t per_shard = (num_nodes + num_shards - 1) / num_shards;
-    for (uint32_t n = 0; n < num_nodes; ++n) {
-      shard_of[n] = n / per_shard;
     }
     return shard_of;
   }

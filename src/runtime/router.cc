@@ -59,18 +59,12 @@ void Router::Complete(const serving::ServingCompletion& c) {
     latency_us_.Add(static_cast<double>(c.completed_at - c.submitted_at) * 1e-6);
   }
   // Fold the completion into the determinism witness, in delivery order.
-  auto mix = [this](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      fp_ ^= (v >> (8 * i)) & 0xff;
-      fp_ *= serving::kFnvPrime;
-    }
-  };
-  mix(c.id);
-  mix(c.tenant);
-  mix(static_cast<uint64_t>(c.status));
-  mix((static_cast<uint64_t>(c.node) << 32) ^ static_cast<uint32_t>(c.region));
-  mix(c.completed_at);
-  mix(c.response_hash);
+  sim::FnvFoldU64(&fp_, c.id);
+  sim::FnvFoldU64(&fp_, c.tenant);
+  sim::FnvFoldU64(&fp_, static_cast<uint64_t>(c.status));
+  sim::FnvFoldU64(&fp_, (static_cast<uint64_t>(c.node) << 32) ^ static_cast<uint32_t>(c.region));
+  sim::FnvFoldU64(&fp_, c.completed_at);
+  sim::FnvFoldU64(&fp_, c.response_hash);
   if (observer_) {
     observer_(c);
   }
@@ -271,7 +265,7 @@ void Router::OnCompletion(const serving::ServingCompletion& c) {
     // payload the load generator synthesized.
     const axi::BufferView& p = it->second.req.payload;
     const bool match = serving::ResponseBytes(it->second.req) == p.size() &&
-                       c.response_hash == serving::HashBytes(p.data(), p.size());
+                       c.response_hash == sim::FnvHash(p.data(), p.size());
     counters_.Increment(match ? "router.integrity.ok" : "router.integrity.mismatch");
   }
   NodeView& v = nodes_[it->second.node];
@@ -281,28 +275,6 @@ void Router::OnCompletion(const serving::ServingCompletion& c) {
   inflight_.erase(it);
   Complete(c);
   KickDispatch();
-}
-
-void Router::OnHeartbeat(uint32_t node, uint64_t seq) {
-  guard_.Write();
-  NodeView& v = nodes_.at(node);
-  if (!v.alive) {
-    return;  // no resurrection: a declared death sticks for the run
-  }
-  v.last_heartbeat = engine_->Now();
-  v.heartbeats = seq;
-}
-
-void Router::Sweep() {
-  guard_.Write();
-  const sim::TimePs now = engine_->Now();
-  for (uint32_t n = 0; n < nodes_.size(); ++n) {
-    const NodeView& v = nodes_[n];
-    if (v.alive && now > config_.heartbeat_window &&
-        now - v.last_heartbeat > config_.heartbeat_window) {
-      MarkNodeDead(n);
-    }
-  }
 }
 
 void Router::MarkNodeDead(uint32_t node) {
@@ -365,17 +337,11 @@ bool Router::Settled() const {
 
 uint64_t Router::Fingerprint() const {
   uint64_t h = fp_;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= serving::kFnvPrime;
-    }
-  };
-  mix(counters_.Fingerprint());
-  mix(completions_);
-  mix(latency_us_.count());
-  mix(depth_hist_.Fingerprint());
-  mix(batch_hist_.Fingerprint());
+  sim::FnvFoldU64(&h, counters_.Fingerprint());
+  sim::FnvFoldU64(&h, completions_);
+  sim::FnvFoldU64(&h, latency_us_.count());
+  sim::FnvFoldU64(&h, depth_hist_.Fingerprint());
+  sim::FnvFoldU64(&h, batch_hist_.Fingerprint());
   return h;
 }
 
@@ -383,29 +349,8 @@ uint64_t Router::Fingerprint() const {
 // ServingFabric
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// One independent stream per logical node, stable across placements (the
-// same derivation Fleet uses).
-uint64_t NodeSeed(uint64_t fabric_seed, uint32_t logical_node) {
-  return fabric_seed ^ (0x9E3779B97F4A7C15ull * (logical_node + 1));
-}
-
-}  // namespace
-
-ServingFabric::ServingFabric(const Config& config) : config_(config) {
-  router_logical_ = config_.num_nodes;
-  shard_of_ = ShardPlacement::RoundRobin(config_.num_nodes + 1, config_.num_shards);
-
-  // Same conservative lookahead as Fleet: the minimum cross-node traversal
-  // of the modeled fabric.
-  sim::ShardedEngine::Config ec;
-  ec.num_shards = config_.num_shards;
-  ec.lookahead =
-      config_.net.switch_latency + 2 * sim::TransferTime(64, config_.net.link_bps);
-  ec.use_threads = config_.use_threads;
-  sharded_ = std::make_unique<sim::ShardedEngine>(ec);
-
+ServingFabric::ServingFabric(const Config& config)
+    : config_(config), cluster_(config_, config_.router.heartbeat_window) {
   // Node-side state is written by the scheduler dispatch path, the DMA
   // completion path, and generic engine callbacks (frames, storms) — all
   // program-ordered by the single-engine-per-shard contract. Declare the
@@ -416,144 +361,94 @@ ServingFabric::ServingFabric(const Config& config) : config_(config) {
   ledger.DeclareOrdered(sim::kActorScheduler, sim::kActorEngine);
   ledger.DeclareOrdered(sim::kActorScheduler, sim::kActorDma);
 
-  const size_t num_kernels = std::max<size_t>(1, config_.kernel_names.size());
   nodes_.reserve(config_.num_nodes);
-  for (uint32_t n = 0; n < config_.num_nodes; ++n) {
-    auto node = std::make_unique<NodeRt>();
-    node->id = n;
+  cluster_.AddNodes(
+      {.kernel_at = [this](uint32_t node, uint32_t region) { return KernelAt(node, region); },
+       .setup = [this](uint32_t node) { SetupNode(node); }});
 
-    SimDevice::Config dc;
-    dc.shell.name = "serving-node";
-    dc.shell.services = {fabric::Service::kHostStream, fabric::Service::kCardMemory};
-    dc.shell.num_vfpgas = config_.regions_per_node;
-    dc.ip = 0x0A010001u + n;
-    node->dev = std::make_unique<SimDevice>(dc, nullptr, &EngineAt(n));
-
-    // Preload every region's kernel host-side (reconfiguration nests an
-    // engine run and must never happen inside a shard callback) and tell the
-    // scheduler what is resident; the serving tier then runs
-    // require_resident end to end.
-    node->sched = std::make_unique<KernelScheduler>(node->dev.get(), config_.policy);
-    node->sched->BindShard(shard_of_[n]);
-    node->region_kernel.resize(config_.regions_per_node);
-    for (uint32_t r = 0; r < config_.regions_per_node; ++r) {
-      const std::string& kernel =
-          config_.kernel_names.empty()
-              ? node->region_kernel[r]  // stays empty
-              : config_.kernel_names[(n + r) % num_kernels];
-      node->region_kernel[r] = kernel;
-      if (config_.kernel_factory) {
-        node->dev->RegisterKernelFactory(kernel, config_.kernel_factory);
-        node->dev->vfpga(r).LoadKernel(config_.kernel_factory());
-      }
-      node->sched->NoteRegionReset(r, kernel);
-    }
-
-    // One executor cThread per region with preallocated staging buffers; the
-    // completion callback is the shard-safe alternative to Wait().
-    node->execs.resize(config_.regions_per_node);
-    for (uint32_t r = 0; r < config_.regions_per_node; ++r) {
-      Exec& e = node->execs[r];
-      e.thread = std::make_unique<CThread>(node->dev.get(), r,
-                                           static_cast<int64_t>(n * 1000 + r));
-      e.src_vaddr = e.thread->GetMem({Alloc::kHpf, config_.max_payload_bytes});
-      e.dst_vaddr = e.thread->GetMem({Alloc::kHpf, config_.max_payload_bytes});
-      e.thread->SetCompletionCallback(
-          [this, n, r](CThread::Task task, OpStatus status) {
-            OnExecDone(n, r, task, status);
-          });
-    }
-
-    nodes_.push_back(std::move(node));
-    auto guard = std::make_unique<sim::AccessGuard>("serving.node" + std::to_string(n));
-    guard->BindShard(shard_of_[n]);
-    node_guards_.push_back(std::move(guard));
-  }
-
+  const uint32_t control = cluster_.control();
   Router::Config rc = config_.router;
   rc.num_nodes = config_.num_nodes;
-  router_ = std::make_unique<Router>(&EngineAt(router_logical_), rc);
-  router_->BindShard(shard_of_[router_logical_]);
+  router_ = std::make_unique<Router>(&cluster_.EngineAt(control), rc);
+  router_->BindShard(cluster_.shard_of(control));
   for (uint32_t n = 0; n < config_.num_nodes; ++n) {
     router_->SetNodeResident(n, nodes_[n]->region_kernel);
   }
   router_->SetBatchSink([this](uint32_t node, std::vector<serving::ServingRequest> batch) {
     SendBatch(node, std::move(batch));
   });
+  cluster_.OnNodeDead([this](uint32_t node) { router_->MarkNodeDead(node); });
 
   LoadGen::Config lc = config_.loadgen;
-  lc.seed = NodeSeed(config_.seed, router_logical_);
+  lc.seed = cluster_.NodeSeed(control);
   if (lc.kernels.empty()) {
     lc.kernels = config_.kernel_names;
   }
   loadgen_ = std::make_unique<LoadGen>(
-      &EngineAt(router_logical_), lc,
+      &cluster_.EngineAt(control), lc,
       [this](serving::ServingRequest req) { router_->Submit(std::move(req)); });
-  loadgen_->BindShard(shard_of_[router_logical_]);
-
-  router_timers_ = std::make_unique<sim::TimerWheel>(&EngineAt(router_logical_));
+  loadgen_->BindShard(cluster_.shard_of(control));
 }
 
 ServingFabric::~ServingFabric() = default;
 
-sim::Engine& ServingFabric::EngineAt(uint32_t logical) {
-  return sharded_->shard(shard_of_[logical]);  // lint: cross-shard-ok own-shard accessor, callers pass their own logical node; cross-node traffic goes through Post
+std::string ServingFabric::KernelAt(uint32_t node, uint32_t region) const {
+  const std::vector<std::string>& names = config_.kernel_names;
+  return names.empty() ? std::string() : names[(node + region) % names.size()];
 }
 
-sim::TimePs ServingFabric::NowAt(uint32_t logical) { return EngineAt(logical).Now(); }
+// Setup hook: the cluster built the node's device and preloaded every
+// region's kernel, so the scheduler runs require_resident end to end.
+void ServingFabric::SetupNode(uint32_t node) {
+  auto n = std::make_unique<NodeRt>();
+  SimDevice& dev = cluster_.device(node);
+  n->sched = std::make_unique<KernelScheduler>(&dev, config_.policy);
+  n->sched->BindShard(cluster_.shard_of(node));
+  for (uint32_t r = 0; r < config_.regions_per_node; ++r) {
+    n->region_kernel.push_back(KernelAt(node, r));
+    n->sched->NoteRegionReset(r, n->region_kernel[r]);
+  }
 
-void ServingFabric::PostToNode(uint32_t src_logical, uint32_t dst_logical,
-                               sim::TimePs delay, sim::InlineCallback cb) {
-  const sim::TimePs now = NowAt(src_logical);
-  const sim::TimePs wire = std::max(delay, sharded_->lookahead());
-  sharded_->Post(shard_of_[dst_logical], now + wire, std::move(cb),
-                 /*order_key=*/src_logical);
-}
-
-sim::TimePs ServingFabric::WireDelay(uint64_t bytes) const {
-  return config_.net.switch_latency + sim::TransferTime(bytes, config_.net.link_bps);
+  // One executor cThread per region with preallocated staging buffers; the
+  // completion callback is the shard-safe alternative to Wait().
+  n->execs.resize(config_.regions_per_node);
+  for (uint32_t r = 0; r < config_.regions_per_node; ++r) {
+    Exec& e = n->execs[r];
+    e.thread = std::make_unique<CThread>(&dev, r, static_cast<int64_t>(node * 1000 + r));
+    e.src_vaddr = e.thread->GetMem({Alloc::kHpf, config_.max_payload_bytes});
+    e.dst_vaddr = e.thread->GetMem({Alloc::kHpf, config_.max_payload_bytes});
+    e.thread->SetCompletionCallback([this, node, r](CThread::Task task, OpStatus status) {
+      OnExecDone(node, r, task, status);
+    });
+  }
+  nodes_.push_back(std::move(n));
 }
 
 bool ServingFabric::Run(sim::TimePs horizon, sim::TimePs step) {
-  if (!started_) {
-    started_ = true;
-    for (auto& node : nodes_) {
-      const uint32_t id = node->id;
-      node->hb_timer = node->dev->timers().SchedulePeriodic(
-          config_.heartbeat_period, [this, id]() { HeartbeatTick(id); });
-    }
-    router_timers_->SchedulePeriodic(config_.sweep_period,
-                                     [this]() { router_->Sweep(); });
+  if (cluster_.Start()) {
     for (const StormSpec& s : config_.storms) {
-      sharded_->ScheduleOn(shard_of_[s.node], s.at, [this, s]() { StormBegin(s); });
+      cluster_.ScheduleOn(s.node, s.at, [this, s]() { StormBegin(s); });
     }
     for (const KillSpec& k : config_.kills) {
-      sharded_->ScheduleOn(shard_of_[k.node], k.at, [this, k]() { KillNode(k.node); });
+      cluster_.ScheduleKill(k.at, k.node);
     }
     loadgen_->Start();
   }
-  for (sim::TimePs t = step; t <= horizon; t += step) {
-    sharded_->RunUntil(t);
-    if (Settled()) {
-      return true;
-    }
-  }
-  return Settled();
+  return cluster_.Run(horizon, step, [this]() { return Settled(); });
 }
 
 void ServingFabric::SubmitAt(sim::TimePs t, serving::ServingRequest req) {
-  sharded_->ScheduleOn(shard_of_[router_logical_], t,
-                       [this, req = std::move(req)]() mutable {
-                         router_->Submit(std::move(req));
-                       });
+  cluster_.ScheduleOn(cluster_.control(), t, [this, req = std::move(req)]() mutable {
+    router_->Submit(std::move(req));
+  });
 }
 
 bool ServingFabric::Settled() const {
   if (!loadgen_->done() || !router_->Settled()) {
     return false;
   }
-  for (const auto& node : nodes_) {
-    if (node->alive && !node->sched->Idle()) {
+  for (uint32_t n = 0; n < config_.num_nodes; ++n) {
+    if (cluster_.alive(n) && !nodes_[n]->sched->Idle()) {
       return false;
     }
   }
@@ -562,18 +457,12 @@ bool ServingFabric::Settled() const {
 
 uint64_t ServingFabric::Fingerprint() const {
   uint64_t h = router_->Fingerprint();
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= serving::kFnvPrime;
-    }
-  };
   for (const auto& node : nodes_) {
-    mix(node->sched->stats().Fingerprint());
-    mix(node->sched->completed());
-    mix(node->sched->failed_requests());
+    sim::FnvFoldU64(&h, node->sched->stats().Fingerprint());
+    sim::FnvFoldU64(&h, node->sched->completed());
+    sim::FnvFoldU64(&h, node->sched->failed_requests());
   }
-  mix(frame_errors_);
+  sim::FnvFoldU64(&h, frame_errors_);
   return h;
 }
 
@@ -603,20 +492,19 @@ void ServingFabric::SendBatch(uint32_t node, std::vector<serving::ServingRequest
   std::vector<uint8_t> frame = w.Finish(net::rpc::MsgType::kRequestBatch);
   // The frame carries the metadata; payloads ride alongside as views (the
   // simulated wire charges for both, the host copies neither).
-  const sim::TimePs delay = WireDelay(frame.size() + payload_bytes);
-  PostToNode(router_logical_, node, delay,
-             [this, node, frame = std::move(frame), payloads = std::move(payloads)]() {
-               OnBatchFrame(node, frame, payloads);
-             });
+  const sim::TimePs delay = cluster_.WireDelay(frame.size() + payload_bytes);
+  cluster_.Post(cluster_.control(), node, delay,
+                [this, node, frame = std::move(frame), payloads = std::move(payloads)]() {
+                  OnBatchFrame(node, frame, payloads);
+                });
 }
 
 void ServingFabric::OnBatchFrame(uint32_t node, const std::vector<uint8_t>& frame,
                                  const std::vector<axi::BufferView>& payloads) {
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
-    return;  // the frame reached a dead node; the router's sweep recovers it
+  if (!cluster_.alive(node)) {
+    return;  // the frame reached a dead node; the detector recovers it
   }
-  node_guards_[node]->Write();
+  cluster_.guard(node).Write();
   net::rpc::FrameReader r(frame);
   if (!r.ok() || r.type() != net::rpc::MsgType::kRequestBatch || r.U32() != node) {
     ++frame_errors_;
@@ -649,17 +537,8 @@ void ServingFabric::OnBatchFrame(uint32_t node, const std::vector<uint8_t>& fram
 }
 
 void ServingFabric::ExecuteOnNode(uint32_t node, serving::ServingRequest req) {
-  NodeRt& n = *nodes_[node];
-  const sim::TimePs now = NowAt(node);
-  if (req.deadline > 0 && now > req.deadline) {
-    serving::ServingCompletion c;
-    c.id = req.id;
-    c.tenant = req.tenant;
-    c.status = OpStatus::kDeadlineExceeded;
-    c.node = node;
-    c.submitted_at = req.submitted_at;
-    c.completed_at = now;
-    CompleteFromNode(node, c);
+  if (req.deadline > 0 && cluster_.NowAt(node) > req.deadline) {
+    CompleteFromNode(node, req, OpStatus::kDeadlineExceeded, -1);
     return;
   }
   KernelScheduler::Request sr;
@@ -670,42 +549,21 @@ void ServingFabric::ExecuteOnNode(uint32_t node, serving::ServingRequest req) {
   // The serving contract: never reconfigure on the request path. If the
   // resident region vanished (quarantined mid-batch), fail typed instead.
   sr.require_resident = true;
-  const uint64_t id = req.id;
-  const uint32_t tenant = req.tenant;
-  const sim::TimePs submitted_at = req.submitted_at;
-  sr.failed = [this, node, id, tenant, submitted_at](OpStatus status) {
-    serving::ServingCompletion c;
-    c.id = id;
-    c.tenant = tenant;
-    c.status = status;
-    c.node = node;
-    c.submitted_at = submitted_at;
-    c.completed_at = NowAt(node);
-    CompleteFromNode(node, c);
-  };
+  sr.failed = [this, node, req](OpStatus status) { CompleteFromNode(node, req, status, -1); };
   sr.run = [this, node, req = std::move(req)](uint32_t vfpga_id,
                                               std::function<void()> done) mutable {
     StartExec(node, vfpga_id, std::move(req), std::move(done));
   };
-  n.sched->Submit(std::move(sr));
+  nodes_[node]->sched->Submit(std::move(sr));
 }
 
 void ServingFabric::StartExec(uint32_t node, uint32_t region,
                               serving::ServingRequest req, std::function<void()> done) {
-  NodeRt& n = *nodes_[node];
-  node_guards_[node]->Write();
-  Exec& e = n.execs[region];
+  cluster_.guard(node).Write();
+  Exec& e = nodes_[node]->execs[region];
   if (req.payload.size() > config_.max_payload_bytes ||
       serving::ResponseBytes(req) > config_.max_payload_bytes) {
-    serving::ServingCompletion c;
-    c.id = req.id;
-    c.tenant = req.tenant;
-    c.status = OpStatus::kError;
-    c.node = node;
-    c.region = static_cast<int32_t>(region);
-    c.submitted_at = req.submitted_at;
-    c.completed_at = NowAt(node);
-    CompleteFromNode(node, c);
+    CompleteFromNode(node, req, OpStatus::kError, static_cast<int32_t>(region));
     done();  // oversized payload: the region frees immediately
     return;
   }
@@ -719,53 +577,45 @@ void ServingFabric::StartExec(uint32_t node, uint32_t region,
 
 void ServingFabric::OnExecDone(uint32_t node, uint32_t region, CThread::Task task,
                                OpStatus status) {
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
+  if (!cluster_.alive(node)) {
     return;
   }
-  Exec& e = n.execs[region];
+  Exec& e = nodes_[node]->execs[region];
   if (!e.busy || e.task_id != task.id) {
     return;  // stale completion of a request the storm path already settled
   }
-  node_guards_[node]->Write();
+  cluster_.guard(node).Write();
   e.busy = false;
-  serving::ServingCompletion c;
-  c.id = e.req.id;
-  c.tenant = e.req.tenant;
-  c.status = status;
-  c.node = node;
-  c.region = static_cast<int32_t>(region);
-  c.submitted_at = e.req.submitted_at;
-  c.completed_at = NowAt(node);
-  if (status == OpStatus::kOk) {
-    c.response_hash = serving::HashResponse(e.thread.get(), e.dst_vaddr,
-                                            serving::ResponseBytes(e.req));
-  }
+  const uint64_t response_hash =
+      status == OpStatus::kOk
+          ? serving::HashResponse(e.thread.get(), e.dst_vaddr, serving::ResponseBytes(e.req))
+          : 0;
+  const serving::ServingRequest req = std::move(e.req);
   std::function<void()> done = std::move(e.done);
   e.done = nullptr;
   e.req = serving::ServingRequest{};
-  CompleteFromNode(node, c);
+  CompleteFromNode(node, req, status, static_cast<int32_t>(region), response_hash);
   if (done) {
     done();  // frees the region; a reaped epoch makes this a no-op
   }
 }
 
-// --- Wire: node -> router completions & heartbeats --------------------------
+// --- Wire: node -> router completions ---------------------------------------
 
-void ServingFabric::CompleteFromNode(uint32_t node, const serving::ServingCompletion& c) {
+void ServingFabric::CompleteFromNode(uint32_t node, const serving::ServingRequest& req,
+                                     OpStatus status, int32_t region, uint64_t response_hash) {
   net::rpc::FrameWriter w;
-  w.U64(c.id);
-  w.U32(c.tenant);
-  w.U8(static_cast<uint8_t>(c.status));
-  w.U32(c.node);
-  w.I32(c.region);
-  w.U64(c.submitted_at);
-  w.U64(c.completed_at);
-  w.U64(c.response_hash);
+  w.U64(req.id);
+  w.U32(req.tenant);
+  w.U8(static_cast<uint8_t>(status));
+  w.U32(node);
+  w.I32(region);
+  w.U64(req.submitted_at);
+  w.U64(cluster_.NowAt(node));
+  w.U64(response_hash);
   std::vector<uint8_t> frame = w.Finish(net::rpc::MsgType::kCompletion);
-  const sim::TimePs delay = WireDelay(frame.size());
-  PostToNode(node, router_logical_, delay,
-             [this, frame = std::move(frame)]() { OnCompletionFrame(frame); });
+  cluster_.Post(node, cluster_.control(), cluster_.WireDelay(frame.size()),
+                [this, frame = std::move(frame)]() { OnCompletionFrame(frame); });
 }
 
 void ServingFabric::OnCompletionFrame(const std::vector<uint8_t>& frame) {
@@ -790,38 +640,14 @@ void ServingFabric::OnCompletionFrame(const std::vector<uint8_t>& frame) {
   router_->OnCompletion(c);
 }
 
-void ServingFabric::HeartbeatTick(uint32_t node) {
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
-    return;
-  }
-  node_guards_[node]->Write();
-  const uint64_t seq = ++n.hb_seq;
-  net::rpc::FrameWriter w;
-  w.U32(node);
-  w.U64(seq);
-  w.U64(NowAt(node));
-  std::vector<uint8_t> frame = w.Finish(net::rpc::MsgType::kHeartbeat);
-  const sim::TimePs delay = WireDelay(frame.size());
-  PostToNode(node, router_logical_, delay, [this, node, frame = std::move(frame)]() {
-    net::rpc::FrameReader r(frame);
-    if (!r.ok() || r.type() != net::rpc::MsgType::kHeartbeat || r.U32() != node) {
-      ++frame_errors_;
-      return;
-    }
-    const uint64_t seq_rx = r.U64();
-    router_->OnHeartbeat(node, seq_rx);
-  });
-}
-
-// --- Storms and kills -------------------------------------------------------
+// --- Storms -------------------------------------------------------------------
 
 void ServingFabric::StormBegin(const StormSpec& s) {
-  NodeRt& n = *nodes_[s.node];
-  if (!n.alive || s.region >= config_.regions_per_node) {
+  if (!cluster_.alive(s.node) || s.region >= config_.regions_per_node) {
     return;
   }
-  node_guards_[s.node]->Write();
+  cluster_.guard(s.node).Write();
+  NodeRt& n = *nodes_[s.node];
   ++storms_begun_;
   // The region goes dark for the reprogram window: quarantine first so the
   // scheduler fails stranded require_resident work fast, then abort whatever
@@ -830,34 +656,15 @@ void ServingFabric::StormBegin(const StormSpec& s) {
   if (n.execs[s.region].busy) {
     n.execs[s.region].thread->AbortPending(OpStatus::kAborted);
   }
-  EngineAt(s.node).ScheduleAfter(std::max<sim::TimePs>(1, s.duration),
-                                 [this, s]() { StormEnd(s); });
+  cluster_.After(s.node, std::max<sim::TimePs>(1, s.duration), [this, s]() { StormEnd(s); });
 }
 
 void ServingFabric::StormEnd(const StormSpec& s) {
+  cluster_.guard(s.node).Write();
   NodeRt& n = *nodes_[s.node];
-  if (!n.alive) {
-    return;
-  }
-  node_guards_[s.node]->Write();
   // Reprogram done: the region comes back with its kernel freshly resident.
   n.sched->NoteRegionReset(s.region, n.region_kernel[s.region]);
   n.sched->SetQuarantined(s.region, false);
-}
-
-void ServingFabric::KillNode(uint32_t node) {
-  NodeRt& n = *nodes_[node];
-  if (!n.alive) {
-    return;
-  }
-  node_guards_[node]->Write();
-  n.alive = false;
-  if (n.hb_timer != sim::TimerWheel::kInvalidTimer) {
-    n.dev->timers().Cancel(n.hb_timer);
-    n.hb_timer = sim::TimerWheel::kInvalidTimer;
-  }
-  // Everything else decays passively: heartbeats stop, in-flight work never
-  // completes, and the router's sweep declares the death and evacuates.
 }
 
 }  // namespace runtime

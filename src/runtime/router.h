@@ -26,14 +26,13 @@
 //                reconfiguration-free contract); retries after a node death
 //                are capped, then kShed.
 //
-// Failure handling: nodes heartbeat to the router; a periodic sweep declares
-// a node dead after heartbeat_window of silence, evacuates its open batch
-// and in-flight requests back into the tenant queues (retries capped), and
-// routes them elsewhere. Completions that race the declaration are counted
-// stale and dropped.
+// Failure handling: MarkNodeDead (in a fabric, the cluster's failure
+// detector calls it) evacuates the node's open batch and in-flight requests
+// back into the tenant queues (retries capped) and routes them elsewhere.
+// Completions that race the declaration are counted stale and dropped.
 //
 // Determinism: the router lives on one logical node, so every input —
-// submissions, completions, heartbeats — arrives through the PDES merge
+// submissions, completions, death declarations — arrives in the PDES merge
 // order (time, order_key=source node). All policy state (bucket, cursors,
 // windows) is integer. Fingerprint() folds every completion in delivery
 // order; it is bit-identical across runs and shard placements.
@@ -49,17 +48,16 @@
 #include <string>
 #include <vector>
 
-#include "src/net/network.h"
+#include "src/runtime/cluster.h"
 #include "src/runtime/cthread.h"
 #include "src/runtime/device.h"
 #include "src/runtime/loadgen.h"
-#include "src/runtime/placement.h"
 #include "src/runtime/scheduler.h"
 #include "src/runtime/serving.h"
 #include "src/sim/access_guard.h"
+#include "src/sim/hash.h"
 #include "src/sim/sharded_engine.h"
 #include "src/sim/stats.h"
-#include "src/sim/timer_wheel.h"
 
 namespace coyote {
 namespace runtime {
@@ -85,7 +83,8 @@ class Router {
     uint32_t node_window = 16;
     // Re-routes after node deaths before the request sheds.
     uint32_t retry_max = 2;
-    // A node silent for longer than this is declared dead by Sweep().
+    // A ServingFabric's cluster declares a node dead after this much
+    // heartbeat silence (the Router itself only sees MarkNodeDead).
     sim::TimePs heartbeat_window = sim::Microseconds(400);
   };
 
@@ -107,9 +106,7 @@ class Router {
   // Takes ownership of the request; stamps id + submitted_at.
   void Submit(serving::ServingRequest req);
   void OnCompletion(const serving::ServingCompletion& c);
-  void OnHeartbeat(uint32_t node, uint64_t seq);
-  // Periodic: declares nodes dead after heartbeat_window of silence.
-  void Sweep();
+  // Stops routing to `node` and requeues its open batch and in-flight work.
   void MarkNodeDead(uint32_t node);
 
   // --- Observation ------------------------------------------------------------
@@ -138,8 +135,6 @@ class Router {
     std::vector<std::string> region_kernel;
     std::vector<serving::ServingRequest> open_batch;
     uint64_t batch_gen = 0;  // bumped per flush; cancels stale timeout timers
-    sim::TimePs last_heartbeat = 0;
-    uint64_t heartbeats = 0;
   };
   struct Inflight {
     uint32_t node = 0;
@@ -177,7 +172,7 @@ class Router {
   sim::TimePs bucket_refill_at_ = 0;
 
   uint64_t completions_ = 0;
-  uint64_t fp_ = serving::kFnvOffset;
+  uint64_t fp_ = sim::kFnvOffset;
   sim::CounterSet counters_;
   sim::Samples latency_us_;
   sim::Histogram depth_hist_;  // total queued, sampled at each admission
@@ -185,19 +180,18 @@ class Router {
 };
 
 // ---------------------------------------------------------------------------
-// ServingFabric: N simulated nodes (SimDevice + KernelScheduler + per-region
-// cThread executors) plus a Router and an open-loop LoadGen on logical node
-// N, wired over rpc-framed messages with modeled wire delays, all on one
-// sharded PDES engine. The serving analogue of Fleet: same placement rules,
-// same lookahead, same merge-order discipline, so the whole fabric is
-// bit-identical across 1/2/4/8-shard placements.
+// ServingFabric: the serving workload on a runtime::Cluster. Each node adds a
+// KernelScheduler and per-region cThread executors; the Router and an
+// open-loop LoadGen live on the cluster's control node. Requests and
+// completions travel as rpc frames with modeled wire delays, so the whole
+// fabric is bit-identical across 1/2/4/8-shard placements.
 //
 // Kernels are preloaded host-side (region r of node n holds
 // kernel_names[(n + r) % K]) and the schedulers run require_resident: a
 // reconfiguration — which nests an engine run — can never happen inside a
 // shard callback. Reconfiguration storms are modeled as quarantine +
-// region-reset after the reprogram latency; node kills stop heartbeats and
-// let the router's sweep declare the death and evacuate.
+// region-reset after the reprogram latency; a node kill stops its
+// heartbeats, and the cluster's detector hands the death to the Router.
 // ---------------------------------------------------------------------------
 class ServingFabric {
  public:
@@ -212,22 +206,14 @@ class ServingFabric {
     uint32_t node = 0;
   };
 
-  struct Config {
-    uint32_t num_nodes = 2;
-    uint32_t regions_per_node = 2;
-    uint32_t num_shards = 1;
-    bool use_threads = false;
-    uint64_t seed = 1;
-    net::Network::Config net;
+  struct Config : ClusterConfig {
     Router::Config router;    // num_nodes is overwritten by the fabric
     LoadGen::Config loadgen;  // seed is derived from the fabric seed
-    // Kernel k lives wherever (node + region) % kernel_names.size() == k.
+    // Kernel k lives wherever (node + region) % kernel_names.size() == k;
+    // kernel_factory builds it under every name.
     std::vector<std::string> kernel_names = {"serve.bin"};
-    SimDevice::KernelFactory kernel_factory;  // optional, used for every name
     uint64_t max_payload_bytes = 4096;  // executor staging buffer size
     KernelScheduler::Policy policy = KernelScheduler::Policy::kAffinity;
-    sim::TimePs heartbeat_period = sim::Microseconds(50);
-    sim::TimePs sweep_period = sim::Microseconds(100);
     std::vector<StormSpec> storms;
     std::vector<KillSpec> kills;
   };
@@ -249,7 +235,7 @@ class ServingFabric {
   Router& router() { return *router_; }
   LoadGen& loadgen() { return *loadgen_; }
   KernelScheduler& scheduler(uint32_t node) { return *nodes_[node]->sched; }
-  sim::ShardedEngine& sharded() { return *sharded_; }
+  sim::ShardedEngine& sharded() { return cluster_.sharded(); }
   uint64_t frame_errors() const { return frame_errors_; }
   uint64_t storms_begun() const { return storms_begun_; }
   // Router fingerprint folded with every node scheduler's counter table.
@@ -265,22 +251,16 @@ class ServingFabric {
     serving::ServingRequest req;
     std::function<void()> done;  // scheduler region-free callback
   };
+  // A node's serving extras; its device, liveness and guard live in the
+  // Cluster.
   struct NodeRt {
-    uint32_t id = 0;
-    bool alive = true;
-    std::unique_ptr<SimDevice> dev;
     std::unique_ptr<KernelScheduler> sched;
     std::vector<Exec> execs;  // one executor per region
     std::vector<std::string> region_kernel;
-    sim::TimerWheel::TimerId hb_timer = sim::TimerWheel::kInvalidTimer;
-    uint64_t hb_seq = 0;
   };
 
-  sim::Engine& EngineAt(uint32_t logical);
-  sim::TimePs NowAt(uint32_t logical);
-  void PostToNode(uint32_t src_logical, uint32_t dst_logical, sim::TimePs delay,
-                  sim::InlineCallback cb);
-  sim::TimePs WireDelay(uint64_t bytes) const;
+  std::string KernelAt(uint32_t node, uint32_t region) const;
+  void SetupNode(uint32_t node);
 
   void SendBatch(uint32_t node, std::vector<serving::ServingRequest> batch);
   void OnBatchFrame(uint32_t node, const std::vector<uint8_t>& frame,
@@ -289,24 +269,22 @@ class ServingFabric {
   void StartExec(uint32_t node, uint32_t region, serving::ServingRequest req,
                  std::function<void()> done);
   void OnExecDone(uint32_t node, uint32_t region, CThread::Task task, OpStatus status);
-  void CompleteFromNode(uint32_t node, const serving::ServingCompletion& c);
+  // Frames `req`'s completion, stamped with the node's clock, to the router.
+  void CompleteFromNode(uint32_t node, const serving::ServingRequest& req, OpStatus status,
+                        int32_t region, uint64_t response_hash = 0);
   void OnCompletionFrame(const std::vector<uint8_t>& frame);
-  void HeartbeatTick(uint32_t node);
   void StormBegin(const StormSpec& s);
   void StormEnd(const StormSpec& s);
-  void KillNode(uint32_t node);
   bool Settled() const;
 
   Config config_;
-  uint32_t router_logical_ = 0;  // logical node id of the router/loadgen
-  std::vector<uint32_t> shard_of_;
-  std::unique_ptr<sim::ShardedEngine> sharded_;
+  Cluster cluster_;
+  // Declared after cluster_ so they go before the devices they point into.
+  // Shard-owned: every mutation runs in the node's shard behind
+  // cluster_.guard(node).
   std::vector<std::unique_ptr<NodeRt>> nodes_;
-  std::vector<std::unique_ptr<sim::AccessGuard>> node_guards_;
   std::unique_ptr<Router> router_;
   std::unique_ptr<LoadGen> loadgen_;
-  std::unique_ptr<sim::TimerWheel> router_timers_;
-  bool started_ = false;
   uint64_t frame_errors_ = 0;
   uint64_t storms_begun_ = 0;
 };

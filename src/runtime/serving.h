@@ -7,8 +7,8 @@
 // conventions for sizes and error handling. The envelope names the contract
 // once: a request is (tenant, kernel, payload view, deadline, priority), an
 // execution is "stage the payload, run the kernel, read the response", and a
-// completion carries the typed OpStatus plus the per-hop timestamps the
-// latency accounting needs. The payload rides as an axi::BufferView so a
+// completion carries the typed OpStatus plus its submit and completion
+// times. The payload rides as an axi::BufferView so a
 // request forwarded router -> node is a refcount bump, not a copy.
 
 #ifndef SRC_RUNTIME_SERVING_H_
@@ -20,27 +20,12 @@
 
 #include "src/axi/buffer.h"
 #include "src/runtime/cthread.h"
+#include "src/sim/hash.h"
 #include "src/sim/time.h"
 
 namespace coyote {
 namespace runtime {
 namespace serving {
-
-inline constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-inline constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-inline void FoldBytes(uint64_t* h, const uint8_t* data, size_t len) {
-  for (size_t i = 0; i < len; ++i) {
-    *h ^= data[i];
-    *h *= kFnvPrime;
-  }
-}
-
-inline uint64_t HashBytes(const uint8_t* data, size_t len) {
-  uint64_t h = kFnvOffset;
-  FoldBytes(&h, data, len);
-  return h;
-}
 
 // The request envelope. `id` is stamped by whoever owns the request's
 // lifecycle (the Router in a fabric run, the test in a direct call);
@@ -99,7 +84,7 @@ inline CThread::Task StageAndInvoke(CThread* t, uint64_t src_vaddr, uint64_t dst
 inline uint64_t HashResponse(CThread* t, uint64_t dst_vaddr, uint64_t len) {
   std::vector<uint8_t> out(len);
   t->ReadBuffer(dst_vaddr, out.data(), len);
-  return HashBytes(out.data(), out.size());
+  return sim::FnvHash(out.data(), out.size());
 }
 
 // Synchronous one-shot execution on an existing cThread: allocates transfer
@@ -126,7 +111,7 @@ inline ServingCompletion ExecuteSync(CThread* t, const ServingRequest& req,
   if (done.status == OpStatus::kOk) {
     std::vector<uint8_t> out(resp_len);
     t->ReadBuffer(dst, out.data(), out.size());
-    done.response_hash = HashBytes(out.data(), out.size());
+    done.response_hash = sim::FnvHash(out.data(), out.size());
     if (response != nullptr) {
       *response = std::move(out);
     }

@@ -3,6 +3,8 @@
 #include <string>
 #include <utility>
 
+#include "src/sim/hash.h"
+
 namespace coyote {
 namespace runtime {
 
@@ -257,16 +259,10 @@ void Supervisor::TraceEvent(uint32_t id, const std::string& event) {
 }
 
 uint64_t Supervisor::TraceFingerprint() const {
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64-bit offset basis
-  auto mix = [&h](uint8_t byte) {
-    h ^= byte;
-    h *= 0x100000001b3ull;
-  };
+  uint64_t h = sim::kFnvOffset;
   for (const auto& line : trace_) {
-    for (const char c : line) {
-      mix(static_cast<uint8_t>(c));
-    }
-    mix('\n');
+    sim::FnvFold(&h, line.data(), line.size());
+    sim::FnvFold(&h, "\n", 1);
   }
   return h;
 }

@@ -30,16 +30,9 @@ FaultInjector::FaultInjector(Engine* engine, const FaultPlan& plan)
 void FaultInjector::Record(std::string_view what, uint64_t detail) {
   counters_.Increment(what);
   const TimePs now = engine_->Now();
-  auto mix = [this](const void* data, size_t len) {
-    const auto* p = static_cast<const uint8_t*>(data);
-    for (size_t i = 0; i < len; ++i) {
-      fingerprint_ ^= p[i];
-      fingerprint_ *= 0x100000001b3ull;
-    }
-  };
-  mix(what.data(), what.size());
-  mix(&detail, sizeof(detail));
-  mix(&now, sizeof(now));
+  FnvFold(&fingerprint_, what.data(), what.size());
+  FnvFold(&fingerprint_, &detail, sizeof(detail));
+  FnvFold(&fingerprint_, &now, sizeof(now));
 }
 
 FaultInjector::FrameDecision FaultInjector::OnFrame(uint32_t src_ip, uint32_t dst_ip,

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/sim/engine.h"
+#include "src/sim/hash.h"
 #include "src/sim/rng.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
@@ -174,7 +175,7 @@ class FaultInjector {
   uint32_t migration_chunks_seen_ = 0;
   uint32_t restores_seen_ = 0;
   CounterSet counters_;
-  uint64_t fingerprint_ = 0xcbf29ce484222325ull;
+  uint64_t fingerprint_ = kFnvOffset;
   uint64_t decisions_ = 0;
 };
 

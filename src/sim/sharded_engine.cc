@@ -26,7 +26,7 @@ ShardedEngine::ShardedEngine(const Config& config) : config_(config) {
     // Zero lookahead makes every window degenerate (no event is strictly
     // below its own timestamp) — the conservative protocol cannot make
     // progress. Callers must derive a positive horizon from the model, e.g.
-    // net::Network::MinCrossNodeLatencyPs().
+    // net::Network::MinCrossNodeLatencyPs.
     std::fprintf(stderr, "ShardedEngine: num_shards > 1 requires lookahead > 0\n");
     std::abort();
   }

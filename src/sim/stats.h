@@ -12,6 +12,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/sim/hash.h"
+
 namespace coyote {
 namespace sim {
 
@@ -129,18 +131,12 @@ class Histogram {
   // FNV-1a over (count, sum, max, buckets): two deterministic runs that fed
   // the same samples produce equal fingerprints.
   uint64_t Fingerprint() const {
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-      }
-    };
-    mix(count_);
-    mix(sum_);
-    mix(max_);
+    uint64_t h = kFnvOffset;
+    FnvFoldU64(&h, count_);
+    FnvFoldU64(&h, sum_);
+    FnvFoldU64(&h, max_);
     for (uint64_t b : buckets_) {
-      mix(b);
+      FnvFoldU64(&h, b);
     }
     return h;
   }
@@ -192,17 +188,10 @@ class CounterSet {
 
   // FNV-1a over (name, value) pairs in sorted order.
   uint64_t Fingerprint() const {
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](const void* data, size_t len) {
-      const auto* p = static_cast<const uint8_t*>(data);
-      for (size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-      }
-    };
+    uint64_t h = kFnvOffset;
     for (const auto& [name, v] : counters_) {
-      mix(name.data(), name.size());
-      mix(&v, sizeof(v));
+      FnvFold(&h, name.data(), name.size());
+      FnvFold(&h, &v, sizeof(v));
     }
     return h;
   }

@@ -1,36 +1,11 @@
 #include "src/vfpga/checkpoint.h"
 
-#include <array>
-
+#include "src/sim/hash.h"
 #include "src/vfpga/vfpga.h"
 
 namespace coyote {
 namespace vfpga {
 namespace ckpt {
-namespace {
-
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-}  // namespace
-
-uint32_t Crc32(const uint8_t* data, size_t len) {
-  static const std::array<uint32_t, 256> kTable = BuildCrcTable();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = kTable[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 Writer::Writer(uint16_t flags) {
   U32(kMagic);
@@ -65,7 +40,7 @@ void Writer::Str(const std::string& s) {
 }
 
 std::vector<uint8_t> Writer::Finish() && {
-  const uint32_t crc = Crc32(buf_.data(), buf_.size());
+  const uint32_t crc = sim::Crc32(buf_.data(), buf_.size());
   U32(crc);
   return std::move(buf_);
 }
@@ -79,7 +54,7 @@ Reader::Reader(const std::vector<uint8_t>& blob) {
                               static_cast<uint32_t>(blob[blob.size() - 3]) << 8 |
                               static_cast<uint32_t>(blob[blob.size() - 2]) << 16 |
                               static_cast<uint32_t>(blob[blob.size() - 1]) << 24;
-  if (Crc32(blob.data(), blob.size() - 4) != stored_crc) {
+  if (sim::Crc32(blob.data(), blob.size() - 4) != stored_crc) {
     return;
   }
   data_ = blob.data();

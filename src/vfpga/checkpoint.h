@@ -37,9 +37,6 @@ namespace ckpt {
 inline constexpr uint32_t kMagic = 0x314B5943u;  // "CYK1"
 inline constexpr uint16_t kVersion = 1;
 
-// CRC-32 (IEEE 802.3, reflected, init/final 0xFFFFFFFF).
-uint32_t Crc32(const uint8_t* data, size_t len);
-
 class Writer {
  public:
   // Starts a checkpoint stream: magic + version + flags header.

@@ -35,6 +35,7 @@
 #include "src/services/vector_kernels.h"
 #include "src/sim/engine.h"
 #include "src/sim/fault.h"
+#include "src/sim/hash.h"
 #include "src/sim/rng.h"
 #include "src/synth/flow.h"
 #include "src/synth/netlist.h"
@@ -661,7 +662,7 @@ TEST(ChaosSoakTest, SixtyFourClientCombinedChaosSoakIsHangFreeAndDeterministic) 
       if (done.status == OpStatus::kOk) {
         ++ok_count;
         EXPECT_EQ(out, data) << "client " << client;
-        EXPECT_EQ(done.response_hash, serving::HashBytes(out.data(), out.size()));
+        EXPECT_EQ(done.response_hash, sim::FnvHash(out.data(), out.size()));
         for (const uint8_t byte : out) {
           data_hash ^= byte;
           data_hash *= 0x100000001b3ull;

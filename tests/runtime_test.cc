@@ -16,6 +16,7 @@
 #include "src/services/hll.h"
 #include "src/services/pointer_chase.h"
 #include "src/services/vector_kernels.h"
+#include "src/sim/hash.h"
 #include "src/sim/rng.h"
 #include "src/synth/flow.h"
 #include "src/synth/netlist.h"
@@ -98,7 +99,7 @@ TEST(CThreadTest, LocalTransferThroughPassthroughPreservesData) {
   const serving::ServingCompletion done = serving::ExecuteSync(&t, req, &out);
   EXPECT_EQ(done.status, OpStatus::kOk);
   EXPECT_EQ(data, out);
-  EXPECT_EQ(done.response_hash, serving::HashBytes(data.data(), data.size()));
+  EXPECT_EQ(done.response_hash, sim::FnvHash(data.data(), data.size()));
   EXPECT_GT(done.completed_at, 0u);
 
   // Timing sanity: 64 KB both directions over a 12 GB/s link plus kernel

@@ -23,6 +23,7 @@
 #include "src/services/vector_kernels.h"
 #include "src/sim/access_guard.h"
 #include "src/sim/engine.h"
+#include "src/sim/hash.h"
 #include "src/sim/rng.h"
 #include "src/sim/time.h"
 
@@ -99,7 +100,7 @@ TEST(ServingEnvelopeTest, ExecuteSyncEchoesPayloadAndWitnessesIntegrity) {
   EXPECT_EQ(done.tenant, 9u);
   EXPECT_EQ(out, data);
   // The echo kernel makes the completion an end-to-end integrity witness.
-  EXPECT_EQ(done.response_hash, serving::HashBytes(data.data(), data.size()));
+  EXPECT_EQ(done.response_hash, sim::FnvHash(data.data(), data.size()));
   EXPECT_GT(done.completed_at, 0u);
 }
 
@@ -150,7 +151,7 @@ class RouterTest : public ::testing::Test {
       c.node = node;
       c.region = 0;
       c.completed_at = engine_.Now();
-      c.response_hash = serving::HashBytes(payload.data(), payload.size());
+      c.response_hash = sim::FnvHash(payload.data(), payload.size());
       router_->OnCompletion(c);
     });
   }
@@ -258,21 +259,16 @@ TEST_F(RouterTest, ExpiredDeadlineCompletesTypedBeforeRouting) {
   EXPECT_TRUE(batches_.empty());
 }
 
-TEST_F(RouterTest, HeartbeatSilenceDeclaresDeathAndEvacuatesInflight) {
+// Detection itself is the cluster's job (cluster_test); here the death
+// arrives the way the detector delivers it.
+TEST_F(RouterTest, NodeDeathEvacuatesInflightAndReroutes) {
   Router::Config c;
   c.batch_timeout = 0;  // unbatched: every request flushes alone
-  c.heartbeat_window = sim::Microseconds(100);
   MakeRouter(c, /*num_nodes=*/2);
 
   // One request lands on node 0 (tie-break: lowest id) and never completes.
   SubmitAt(sim::Microseconds(1), Req(1));
-  // Node 1 keeps heartbeating; node 0 goes silent.
-  for (int k = 1; k <= 3; ++k) {
-    engine_.ScheduleAt(sim::Microseconds(50 * k), [this, k]() {
-      router_->OnHeartbeat(1, static_cast<uint64_t>(k));
-    });
-  }
-  engine_.ScheduleAt(sim::Microseconds(151), [this]() { router_->Sweep(); });
+  engine_.ScheduleAt(sim::Microseconds(151), [this]() { router_->MarkNodeDead(0); });
   // The rerouted copy completes on node 1.
   CompleteAt(sim::Microseconds(200), /*id=*/1, /*tenant=*/1, /*node=*/1);
   engine_.RunUntil(sim::Microseconds(300));
@@ -404,8 +400,8 @@ TEST(ServingFabricTest, QuarantineMidBatchCompletesTypedErrorNotHang) {
   EXPECT_EQ(fab.storms_begun(), 1u);
 }
 
-// A node kill under open-loop load: the sweep declares the death, evacuates,
-// and the fabric still settles with one typed completion per offered request.
+// A node kill under open-loop load: the detector declares the death, the
+// router evacuates, and the fabric still settles with one typed completion per offered request.
 TEST(ServingFabricTest, NodeKillUnderLoadSettlesWithTypedCompletions) {
   ServingFabric::Config c = QuietFabric(/*num_nodes=*/2, /*regions_per_node=*/1);
   c.router.heartbeat_window = sim::Microseconds(250);
