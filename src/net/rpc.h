@@ -68,8 +68,9 @@ class FrameReader {
   int32_t I32() { return static_cast<int32_t>(U32()); }
   std::string Str();
 
-  // True when every payload byte has been consumed (trailing-garbage check).
-  bool AtEnd() const { return !ok_ || pos_ == end_; }
+  // True when the frame validated and every payload byte has been consumed
+  // (trailing-garbage check); a rejected frame is never at its end.
+  bool AtEnd() const { return ok_ && pos_ == end_; }
 
  private:
   const std::vector<uint8_t>* frame_ = nullptr;

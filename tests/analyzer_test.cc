@@ -1,27 +1,43 @@
-// Tests for the coyote-verify interprocedural analyzer (tools/coyote_analyze).
+// Tests for the coyote-verify static analyzer (tools/coyote_analyze).
 //
-// Three layers: seeded fixture files (tests/analyzer_fixtures/, excluded from
-// the repo-wide walk) prove each rule class fires *through* helper frames and
-// reports the correct call-chain trace; a golden clean-repo test pins the
-// repo-wide report the analyze_repo gate and CI artifact rely on; in-memory
-// sources exercise the index cache (round-trip, stale-entry invalidation) and
-// primitive-site suppressions.
+// Per-file rules: fixture files on disk (tests/lint_fixtures/, excluded from
+// the repo-wide walk) prove each rule fires on realistic bad code and that
+// the per-rule suppression comments silence it; in-memory sources pin down
+// the trickier tokenizer behaviors (comments, strings, member access, the
+// project-wide unordered-name symbol table).
+//
+// Context rules: seeded fixture files (tests/analyzer_fixtures/) prove each
+// rule class fires *through* helper frames and reports the correct
+// call-chain trace; a golden clean-repo test pins the repo-wide report the
+// analyze_repo gate and CI artifact rely on; in-memory sources exercise the
+// index cache (round-trip, stale-entry invalidation, rejection of a cache
+// another tool build wrote or with a malformed record) and primitive-site
+// suppressions.
+//
+// The fixture helpers (LintFixture/LintSnippet, AnalyzeFixture) narrow to
+// their own rule family with Options::rules, so a fixture seeded for one
+// family is judged by that family alone.
 
 #include "tools/coyote_analyze/analyze.h"
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "tools/coyote_frontend/frontend.h"
+#include "tools/coyote_analyze/frontend.h"
 
 namespace coyote {
 namespace analyze {
 namespace {
 
+#ifndef LINT_FIXTURE_DIR
+#error "LINT_FIXTURE_DIR must be defined by the build"
+#endif
 #ifndef ANALYZER_FIXTURE_DIR
 #error "ANALYZER_FIXTURE_DIR must be defined by the build"
 #endif
@@ -29,9 +45,273 @@ namespace {
 #error "PROJECT_SOURCE_DIR must be defined by the build"
 #endif
 
+using frontend::CollectFiles;
+
+const Options kFileRules{{"nondet", "unordered-iter", "raw-alloc", "blocking", "wall-clock",
+                          "header-guard", "using-ns-header", "hot-copy"}};
+const Options kContextRules{{"callback-blocking", "sim-nondet", "cross-shard", "guard-state"}};
+
+// ===========================================================================
+// Per-file rules
+// ===========================================================================
+
+// All per-file rules unless `options` names its own.
+std::vector<Finding> LintProject(const std::vector<SourceFile>& files, const Options& options) {
+  return Analyze(BuildIndex(files), options.rules.empty() ? kFileRules : options);
+}
+
+std::vector<Finding> LintPaths(const std::string& root_dir,
+                               const std::vector<std::string>& relative_paths,
+                               const Options& options) {
+  return Analyze(IndexPaths(root_dir, relative_paths, ""),
+                 options.rules.empty() ? kFileRules : options);
+}
+
+std::vector<Finding> LintFixture(const std::string& name) {
+  return LintPaths(LINT_FIXTURE_DIR, {name}, Options{});
+}
+
+bool HasRule(const std::vector<Finding>& findings, const std::string& rule) {
+  return std::any_of(findings.begin(), findings.end(),
+                     [&rule](const Finding& f) { return f.rule == rule; });
+}
+
+bool HasRuleAtLine(const std::vector<Finding>& findings, const std::string& rule,
+                   uint32_t line) {
+  return std::any_of(findings.begin(), findings.end(), [&](const Finding& f) {
+    return f.rule == rule && f.line == line;
+  });
+}
+
+std::vector<Finding> LintSnippet(const std::string& path, const std::string& content) {
+  return LintProject({{path, content}}, Options{});
+}
+
+TEST(LintFixtures, NondetRuleFiresOnEveryBannedForm) {
+  const auto findings = LintFixture("bad_nondet.cc");
+  EXPECT_TRUE(HasRuleAtLine(findings, "nondet", 4));   // #include <random>
+  EXPECT_TRUE(HasRuleAtLine(findings, "nondet", 7));   // std::random_device
+  EXPECT_TRUE(HasRuleAtLine(findings, "nondet", 8));   // std::mt19937
+  EXPECT_TRUE(HasRuleAtLine(findings, "nondet", 13));  // srand
+  EXPECT_TRUE(HasRuleAtLine(findings, "nondet", 14));  // rand
+  EXPECT_TRUE(HasRuleAtLine(findings, "nondet", 18));  // time(nullptr)
+  EXPECT_TRUE(HasRuleAtLine(findings, "nondet", 22));  // getenv
+  for (const auto& f : findings) {
+    EXPECT_EQ(f.rule, "nondet") << f.file << ":" << f.line << " " << f.message;
+  }
+}
+
+TEST(LintFixtures, UnorderedIterRuleFiresOnRangeForAndBegin) {
+  const auto findings = LintFixture("bad_unordered.cc");
+  EXPECT_TRUE(HasRuleAtLine(findings, "unordered-iter", 10));  // range-for
+  EXPECT_TRUE(HasRuleAtLine(findings, "unordered-iter", 18));  // members.begin()
+}
+
+TEST(LintFixtures, UnorderedIterRuleFiresOnTemporaries) {
+  const auto findings = LintFixture("bad_unordered_temp.cc");
+  EXPECT_TRUE(HasRuleAtLine(findings, "unordered-iter", 12));  // MakeUnorderedSet()
+  EXPECT_TRUE(HasRuleAtLine(findings, "unordered-iter", 20));  // BorrowUnorderedSet() (by-ref)
+  EXPECT_TRUE(HasRuleAtLine(findings, "unordered-iter", 28));  // inline unordered_set{...}
+}
+
+TEST(LintFixtures, SuppressionAboveMultiLineStatementIsHonored) {
+  // The flagged tokens sit on continuation lines; the comment above the
+  // statement's first line must still cover them.
+  EXPECT_TRUE(LintFixture("suppressed_multiline.cc").empty());
+}
+
+TEST(LintFixtures, WallClockRuleFiresInSimulatorSources) {
+  const auto findings = LintFixture("src/bad_wall_clock.cc");
+  EXPECT_TRUE(HasRuleAtLine(findings, "wall-clock", 8));   // steady_clock::now()
+  EXPECT_TRUE(HasRuleAtLine(findings, "wall-clock", 13));  // system_clock::now()
+  EXPECT_TRUE(HasRuleAtLine(findings, "wall-clock", 17));  // sleep_for
+}
+
+TEST(LintFixtures, WallClockRuleIgnoresNonSrcPaths) {
+  // Identical content outside src/: bench/tests own their wall-clock policy.
+  const auto findings =
+      LintSnippet("bench/timing.cc", "long Now() {\n"
+                                     "  return std::chrono::steady_clock::now()\n"
+                                     "      .time_since_epoch().count();\n"
+                                     "}\n");
+  EXPECT_FALSE(HasRule(findings, "wall-clock"));
+}
+
+TEST(LintFixtures, HostBoundaryAnnotationDisablesWallClock) {
+  EXPECT_FALSE(HasRule(LintFixture("src/host_boundary_ok.cc"), "wall-clock"));
+}
+
+TEST(LintFixtures, RawAllocRuleFiresOnNewAndDelete) {
+  const auto findings = LintFixture("bad_alloc.cc");
+  EXPECT_TRUE(HasRuleAtLine(findings, "raw-alloc", 3));  // new
+  EXPECT_TRUE(HasRuleAtLine(findings, "raw-alloc", 8));  // delete
+}
+
+TEST(LintFixtures, BlockingRuleFiresOnSleepSystemAndThreadInclude) {
+  const auto findings = LintFixture("bad_blocking.cc");
+  EXPECT_TRUE(HasRuleAtLine(findings, "blocking", 2));  // #include <thread>
+  EXPECT_TRUE(HasRuleAtLine(findings, "blocking", 5));  // sleep_for
+  EXPECT_TRUE(HasRuleAtLine(findings, "blocking", 9));  // system
+}
+
+TEST(LintFixtures, HeaderRulesFireOnBadHeader) {
+  const auto findings = LintFixture("bad_header.h");
+  EXPECT_TRUE(HasRule(findings, "header-guard"));    // non-canonical guard name
+  EXPECT_TRUE(HasRule(findings, "using-ns-header"));  // using namespace std
+}
+
+TEST(LintFixtures, HeaderGuardRuleFiresOnMissingGuard) {
+  const auto findings = LintFixture("bad_header_missing.h");
+  EXPECT_TRUE(HasRule(findings, "header-guard"));
+}
+
+TEST(LintFixtures, SuppressionCommentsSilenceEveryRule) {
+  EXPECT_TRUE(LintFixture("suppressed_ok.cc").empty());
+}
+
+TEST(LintFixtures, CleanCodeProducesNoFindings) {
+  EXPECT_TRUE(LintFixture("clean.cc").empty());
+}
+
+TEST(LintFixtures, RuleFilterRunsOnlySelectedRules) {
+  Options only_alloc;
+  only_alloc.rules = {"raw-alloc"};
+  const auto findings = LintPaths(LINT_FIXTURE_DIR, {"bad_nondet.cc", "bad_alloc.cc"},
+                                  only_alloc);
+  EXPECT_FALSE(findings.empty());
+  for (const auto& f : findings) {
+    EXPECT_EQ(f.rule, "raw-alloc");
+  }
+}
+
+// --- Tokenizer behaviors -----------------------------------------------------
+
+TEST(LintTokenizer, CommentsAndStringsAreNotCode) {
+  const auto findings = LintSnippet("t.cc",
+                                    "// rand() in a comment\n"
+                                    "/* srand(1); time(nullptr); */\n"
+                                    "const char* s = \"rand() getenv\";\n");
+  EXPECT_TRUE(findings.empty());
+}
+
+TEST(LintTokenizer, MemberAccessIsNotACall) {
+  // Engine events carry a `.time` field; member access must not trip the
+  // wall-clock ban, and a declaration `Type rand(` is not a call either.
+  const auto findings = LintSnippet("t.cc",
+                                    "struct Ev { long time; };\n"
+                                    "long F(Ev e) { return e.time; }\n"
+                                    "long G(Ev* e) { return e->time; }\n");
+  EXPECT_TRUE(findings.empty());
+}
+
+TEST(LintTokenizer, StdQualifiedCallIsStillACall) {
+  const auto findings = LintSnippet("t.cc", "long F() { return std::time(nullptr); }\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "nondet");
+}
+
+TEST(LintTokenizer, DeletedFunctionsAreNotRawDelete) {
+  const auto findings = LintSnippet("t.h",
+                                    "#ifndef T_H_\n#define T_H_\n"
+                                    "struct S {\n"
+                                    "  S(const S&) = delete;\n"
+                                    "  S& operator=(const S&) = delete;\n"
+                                    "};\n"
+                                    "#endif  // T_H_\n");
+  EXPECT_TRUE(findings.empty());
+}
+
+TEST(LintSymbols, UnorderedNamesAreCollectedAcrossFiles) {
+  // Declaration in one file (a header), iteration in another: the symbol
+  // table is project-wide, mirroring member declarations in .h files used by
+  // the .cc that iterates them.
+  const std::vector<SourceFile> files = {
+      {"s.h",
+       "#ifndef S_H_\n#define S_H_\n#include <unordered_map>\n"
+       "struct S { std::unordered_map<int, int> lookup_; };\n"
+       "#endif  // S_H_\n"},
+      {"s.cc",
+       "#include \"s.h\"\n"
+       "int Sum(S& s) { int n = 0; for (auto& [k, v] : s.lookup_) n += v; return n; }\n"}};
+  const auto findings = LintProject(files, Options{});
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "unordered-iter");
+  EXPECT_EQ(findings[0].file, "s.cc");
+}
+
+TEST(LintSymbols, OrderedMapIterationIsFine) {
+  const auto findings = LintSnippet(
+      "t.cc",
+      "#include <map>\nint F() { std::map<int, int> m; int n = 0;\n"
+      "for (auto& [k, v] : m) n += v; return n; }\n");
+  EXPECT_TRUE(findings.empty());
+}
+
+TEST(LintFixtures, HotCopyRuleFiresOnByValuePayloadParams) {
+  const auto findings = LintFixture("src/net/bad_hotcopy.cc");
+  EXPECT_TRUE(HasRuleAtLine(findings, "hot-copy", 9));   // StreamPacket by value
+  EXPECT_TRUE(HasRuleAtLine(findings, "hot-copy", 10));  // vector<uint8_t> by value
+  EXPECT_TRUE(HasRuleAtLine(findings, "hot-copy", 11));  // const-value still copies
+  // Everything else in the fixture — refs, moves, pointers, return types,
+  // members, locals, constructor calls, the suppressed sink — is clean.
+  for (const auto& f : findings) {
+    EXPECT_EQ(f.rule, "hot-copy") << f.file << ":" << f.line;
+    EXPECT_LE(f.line, 11u) << f.file << ":" << f.line << " " << f.message;
+  }
+  EXPECT_EQ(findings.size(), 3u);
+}
+
+TEST(LintRules, HotCopyOnlyAppliesToHotPathDirectories) {
+  // The same by-value signature outside src/{axi,dyn,net,memsys} is not the
+  // lint's business: cold paths may copy for clarity.
+  const std::string source =
+      "struct StreamPacket { int x; };\n"
+      "void Deliver(StreamPacket pkt);\n";
+  EXPECT_TRUE(LintSnippet("src/runtime/cold.cc", source).empty());
+  EXPECT_TRUE(LintSnippet("tests/some_test.cc", source).empty());
+  EXPECT_EQ(LintSnippet("src/net/hot.cc", source).size(), 1u);
+  EXPECT_EQ(LintSnippet("src/memsys/hot.cc", source).size(), 1u);
+}
+
+TEST(LintRules, RuleTableExposesSuppressionsForEveryRule) {
+  const auto& rules = Rules();
+  ASSERT_GE(rules.size(), 6u);
+  for (const auto& rule : rules) {
+    EXPECT_FALSE(rule.id.empty());
+    EXPECT_FALSE(rule.suppression.empty()) << rule.id;
+    EXPECT_FALSE(rule.summary.empty()) << rule.id;
+  }
+}
+
+TEST(LintWalk, CollectSkipsFixtureAndBuildDirectories) {
+  // Walking the real tests/ directory must not pick up lint_fixtures/.
+  const auto files = CollectFiles(PROJECT_SOURCE_DIR, {"tests"});
+  EXPECT_FALSE(files.empty());
+  for (const auto& f : files) {
+    EXPECT_EQ(f.find("lint_fixtures"), std::string::npos) << f;
+    EXPECT_EQ(f.find("CMakeFiles"), std::string::npos) << f;
+  }
+}
+
+TEST(LintRepo, WholeTreeIsClean) {
+  // The per-file half of the analyze_repo gate, in-process: src/, tests/,
+  // bench/, examples/ and the analyzer itself produce zero findings.
+  const auto files = CollectFiles(PROJECT_SOURCE_DIR,
+                                  {"src", "tests", "bench", "examples", "tools"});
+  ASSERT_GT(files.size(), 100u);
+  const auto findings = LintPaths(PROJECT_SOURCE_DIR, files, Options{});
+  for (const auto& f : findings) {
+    ADD_FAILURE() << f.file << ":" << f.line << ": [" << f.rule << "] " << f.message;
+  }
+}
+
+// ===========================================================================
+// Context rules
+// ===========================================================================
+
 std::vector<Finding> AnalyzeFixture(const std::string& name) {
   const Index index = IndexPaths(ANALYZER_FIXTURE_DIR, {name}, "");
-  return Analyze(index, Options{});
+  return Analyze(index, kContextRules);
 }
 
 const Finding* FindAtLine(const std::vector<Finding>& findings, const std::string& rule,
@@ -164,9 +444,10 @@ TEST(AnalyzerFixtures, CleanFixtureProducesTheGoldenEmptyReport) {
 }
 
 TEST(AnalyzerRepo, WholeRepoSrcIsCleanAndReportIsStable) {
-  // The same walk the analyze_repo ctest gate and the CI artifact use. Every
-  // real violation in src/ is either fixed or carries a reasoned suppression,
-  // so the repo-wide report is byte-stable: the golden empty report.
+  // All twelve rules over the simulator sources the context rules judge (the
+  // analyze_repo gate and the CI artifact add the harness roots). Every real
+  // violation in src/ is either fixed or carries a reasoned suppression, so
+  // the report is byte-stable: the golden empty report.
   const auto files = frontend::CollectFiles(PROJECT_SOURCE_DIR, {"src"});
   ASSERT_FALSE(files.empty());
   const Index index = IndexPaths(PROJECT_SOURCE_DIR, files, "");
@@ -183,7 +464,7 @@ TEST(AnalyzerIndexCache, RoundTripPreservesFindings) {
   const std::vector<SourceFile> files = {
       {"alpha.cc", std::string(kSinkDecl) + "void Arm(E& e) { e.ScheduleAt(1, [] { usleep(5); }); }\n"}};
   const Index built = BuildIndex(files);
-  const auto before = Analyze(built, Options{});
+  const auto before = Analyze(built, kContextRules);
   ASSERT_EQ(before.size(), 1u) << FormatReport(before);
   EXPECT_EQ(before[0].rule, "callback-blocking");
 
@@ -191,8 +472,36 @@ TEST(AnalyzerIndexCache, RoundTripPreservesFindings) {
   ASSERT_TRUE(SaveIndex(built, path));
   Index loaded;
   ASSERT_TRUE(LoadIndex(path, &loaded));
-  const auto after = Analyze(loaded, Options{});
+  const auto after = Analyze(loaded, kContextRules);
   EXPECT_EQ(FormatReport(after), FormatReport(before));
+}
+
+// A range-for over a braced list names no container, so it is no iteration
+// site; the loops after it and the next file must survive a save and load.
+const std::vector<SourceFile> kLiteralListLoops = {
+    {"src/sim/alpha.cc",
+     "std::unordered_map<int, int> table;\n"
+     "int Sum() {\n"
+     "  int s = 0;\n"
+     "  for (int n : {1, 2}) { s += n; }\n"
+     "  for (const auto& kv : table) { s += kv.second; }\n"
+     "  return s;\n"
+     "}\n"},
+    {"src/sim/beta.cc", "void Beta(std::unordered_set<int>& u) { for (int x : u) { Use(x); } }\n"}};
+
+TEST(AnalyzerIndexCache, LiteralListLoopRoundTripsWithTheLoopsAfterIt) {
+  const Index built = BuildIndex(kLiteralListLoops);
+  const auto before = Analyze(built, Options{});
+  ASSERT_EQ(before.size(), 4u) << FormatReport(before);
+  EXPECT_TRUE(HasRuleAtLine(before, "unordered-iter", 5)) << FormatReport(before);
+  EXPECT_TRUE(HasRuleAtLine(before, "sim-nondet", 5)) << FormatReport(before);
+
+  const std::string path = ::testing::TempDir() + "coyote_analyze_literal_list.index";
+  ASSERT_TRUE(SaveIndex(built, path));
+  Index loaded;
+  ASSERT_TRUE(LoadIndex(path, &loaded));
+  ASSERT_EQ(loaded.files.size(), 2u);
+  EXPECT_EQ(FormatReport(Analyze(loaded, Options{})), FormatReport(before));
 }
 
 TEST(AnalyzerIndexCache, StaleEntriesAreReindexedUnchangedOnesReused) {
@@ -213,6 +522,50 @@ TEST(AnalyzerIndexCache, StaleEntriesAreReindexedUnchangedOnesReused) {
   EXPECT_EQ(FormatReport(Analyze(refreshed, Options{})), "coyote_analyze: 0 findings\n");
 }
 
+TEST(AnalyzerIndexCache, CacheWrittenByAnotherToolBuildIsRejectedAndRebuilt) {
+  // A cached entry whose content hash still matches but whose facts came
+  // from another build of the indexer — here one that found nothing.
+  const std::string name = "nondet_two_deep.cc";
+  const std::string expected =
+      FormatReport(Analyze(IndexPaths(ANALYZER_FIXTURE_DIR, {name}, ""), Options{}));
+  ASSERT_NE(expected, "coyote_analyze: 0 findings\n");
+  Index stale;
+  stale.files.push_back(IndexPaths(ANALYZER_FIXTURE_DIR, {name}, "").files.front());
+  stale.files.front().functions.clear();
+  stale.files.front().findings.clear();
+  stale.files.front().iters.clear();
+  const std::string path = ::testing::TempDir() + "coyote_analyze_foreign.index";
+
+  // The content hash alone cannot tell: under this tool's header the stale
+  // entry is served.
+  ASSERT_TRUE(SaveIndex(stale, path));
+  EXPECT_EQ(FormatReport(Analyze(IndexPaths(ANALYZER_FIXTURE_DIR, {name}, path), Options{})),
+            "coyote_analyze: 0 findings\n");
+
+  // The same cache under another tool's header is rejected, rebuilt and
+  // saved again.
+  ASSERT_TRUE(SaveIndex(stale, path));
+  std::string body;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::string header;
+    std::getline(in, header);
+    std::ostringstream rest;
+    rest << in.rdbuf();
+    body = rest.str();
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "coyote-analyze-index 0\n" << body;
+  }
+  Index loaded;
+  EXPECT_FALSE(LoadIndex(path, &loaded));
+  EXPECT_EQ(FormatReport(Analyze(IndexPaths(ANALYZER_FIXTURE_DIR, {name}, path), Options{})),
+            expected);
+  ASSERT_TRUE(LoadIndex(path, &loaded));
+  EXPECT_EQ(FormatReport(Analyze(loaded, Options{})), expected);
+}
+
 TEST(AnalyzerIndexCache, LoadRejectsMissingAndMalformedCaches) {
   Index out;
   EXPECT_FALSE(LoadIndex(::testing::TempDir() + "does_not_exist.index", &out));
@@ -224,6 +577,26 @@ TEST(AnalyzerIndexCache, LoadRejectsMissingAndMalformedCaches) {
     fclose(fp);
   }
   EXPECT_FALSE(LoadIndex(path, &out));
+
+  // A malformed record mid-file: nothing loads, not the files before it.
+  ASSERT_TRUE(SaveIndex(BuildIndex(kLiteralListLoops), path));
+  std::string text;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream all;
+    all << in.rdbuf();
+    text = all.str();
+  }
+  const size_t second = text.find("file ", text.find("file ") + 1);
+  ASSERT_NE(second, std::string::npos);
+  text.insert(second, "it 4 -1 0 0 -\n");  // an iteration record with no names
+  {
+    std::ofstream out_file(path, std::ios::binary | std::ios::trunc);
+    out_file << text;
+  }
+  out = BuildIndex(kLiteralListLoops);
+  EXPECT_FALSE(LoadIndex(path, &out));
+  EXPECT_TRUE(out.files.empty());
 }
 
 // --- Suppressions at the primitive site -------------------------------------

@@ -68,6 +68,7 @@ TEST(RpcFrameTest, AnySingleByteFlipRejectsTheWholeFrame) {
     bad[i] ^= 0x01;
     net::rpc::FrameReader r(bad);
     EXPECT_FALSE(r.ok()) << "byte " << i << " flip was accepted";
+    EXPECT_FALSE(r.AtEnd()) << "byte " << i << " flip reads as a complete frame";
     EXPECT_EQ(r.U64(), 0u);  // reads after rejection yield zero
   }
 }

@@ -1,11 +1,14 @@
-// Unit tests for the discrete-event engine, clocks and bandwidth-shared links.
+// Unit tests for the discrete-event engine, clocks, bandwidth-shared links
+// and the FNV-1a / CRC-32 hashes.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "src/sim/clock.h"
 #include "src/sim/engine.h"
+#include "src/sim/hash.h"
 #include "src/sim/link.h"
 #include "src/sim/rng.h"
 #include "src/sim/stats.h"
@@ -262,6 +265,16 @@ TEST(LinkTest, ObservedBandwidthMatchesConfig) {
   e.RunUntilIdle();
   EXPECT_TRUE(done);
   EXPECT_NEAR(link.ObservedBandwidthBps(), 800e6, 1e3);
+}
+
+TEST(HashTest, MatchesPublishedVectors) {
+  // FNV-1a-64 and CRC-32 (IEEE 802.3) reference values; zlib.crc32 agrees.
+  const auto fnv = [](const char* s) { return FnvHash(s, std::strlen(s)); };
+  EXPECT_EQ(fnv(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv("foobar"), 0x85944171f73967e8ull);
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check), std::strlen(check)), 0xcbf43926u);
 }
 
 TEST(RngTest, DeterministicAcrossInstances) {

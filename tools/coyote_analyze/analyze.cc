@@ -1,34 +1,71 @@
 #include "tools/coyote_analyze/analyze.h"
 
 #include <algorithm>
+#include <cctype>
 #include <deque>
 #include <fstream>
 #include <sstream>
 
-#include "tools/coyote_frontend/frontend.h"
+#include "src/sim/hash.h"
+#include "tools/coyote_analyze/frontend.h"
 
 namespace coyote {
 namespace analyze {
 namespace {
 
 using frontend::LexedFile;
+using frontend::LooksLikeCall;
+using frontend::Prev;
+using frontend::PrevIsMemberAccess;
 using frontend::TokKind;
 using frontend::Token;
 
 // ---------------------------------------------------------------------------
-// Primitive vocabularies. These mirror (and extend) the per-line linter's
-// banned sets; here a hit is recorded unconditionally and only becomes a
-// finding when context propagation proves the enclosing function runs in the
-// context the rule protects.
+// Primitive vocabularies, one definition each. A per-file rule reports a hit
+// at its own line; a context rule records it unconditionally and only
+// reports it when context propagation proves the enclosing function runs in
+// the context the rule protects. A rule that needs a wider set extends a
+// shared one instead of restating it.
 // ---------------------------------------------------------------------------
+
+const std::set<std::string>& NondetCalls() {
+  static const std::set<std::string> s = {
+      "rand",   "srand",     "random",       "drand48",       "lrand48",  "mrand48",
+      "time",   "clock",     "gettimeofday", "clock_gettime", "localtime", "gmtime",
+      "getenv", "setenv",    "putenv"};
+  return s;
+}
+
+// Random engines: seeded from ambient entropy or a fixed default, never from
+// a sim::Rng stream.
+const std::set<std::string>& RandomEngines() {
+  static const std::set<std::string> s = {
+      "random_device", "mt19937",  "mt19937_64", "minstd_rand",   "minstd_rand0",
+      "default_random_engine",     "knuth_b",    "ranlux24",      "ranlux48",
+      "ranlux24_base", "ranlux48_base"};
+  return s;
+}
+
+const std::set<std::string>& WallClocks() {
+  static const std::set<std::string> s = {"system_clock", "steady_clock",
+                                          "high_resolution_clock"};
+  return s;
+}
 
 const std::set<std::string>& BlockingCalls() {
   static const std::set<std::string> s = {
-      "sleep",   "usleep", "nanosleep", "sleep_for", "sleep_until", "system",
-      "popen",   "fork",   "vfork",     "waitpid",   "pause",       "flock",
-      "fsync",   "fdatasync", "epoll_wait", "fopen", "fread",       "fwrite",
-      "fclose",  "fprintf", "printf",   "fscanf",    "scanf",       "fflush",
-      "puts",    "fputs",  "getchar",   "getline"};
+      "sleep",     "usleep",    "nanosleep", "sleep_for", "sleep_until", "system",
+      "popen",     "fork",      "vfork",     "waitpid",   "pause",       "flock",
+      "fsync",     "fdatasync", "epoll_wait"};
+  return s;
+}
+
+// Host IO blocks a callback (callback-blocking extends BlockingCalls with
+// it); outside callback context it is a harness's business.
+const std::set<std::string>& IoCalls() {
+  static const std::set<std::string> s = {
+      "fopen", "fread", "fwrite", "fclose", "fprintf", "printf", "fscanf",
+      "scanf", "fflush", "puts",  "fputs",  "getchar", "getline"};
   return s;
 }
 
@@ -51,26 +88,6 @@ const std::set<std::string>& BlockingTypes() {
   return s;
 }
 
-const std::set<std::string>& NondetCalls() {
-  static const std::set<std::string> s = {
-      "rand",   "srand",     "random",       "drand48",       "lrand48",  "mrand48",
-      "time",   "clock",     "gettimeofday", "clock_gettime", "localtime", "gmtime",
-      "getenv", "setenv",    "putenv"};
-  return s;
-}
-
-const std::set<std::string>& NondetTypes() {
-  static const std::set<std::string> s = {"random_device", "mt19937", "mt19937_64",
-                                          "minstd_rand", "default_random_engine"};
-  return s;
-}
-
-const std::set<std::string>& WallClocks() {
-  static const std::set<std::string> s = {"system_clock", "steady_clock",
-                                          "high_resolution_clock"};
-  return s;
-}
-
 const std::set<std::string>& UnorderedTypes() {
   static const std::set<std::string> s = {"unordered_map", "unordered_set",
                                           "unordered_multimap", "unordered_multiset"};
@@ -78,10 +95,12 @@ const std::set<std::string>& UnorderedTypes() {
 }
 
 const std::set<std::string>& ContainerTypes() {
-  static const std::set<std::string> s = {
-      "vector", "map",   "set",   "deque", "list",  "multimap", "multiset",
-      "queue",  "stack", "priority_queue", "unordered_map",     "unordered_set",
-      "unordered_multimap", "unordered_multiset"};
+  static const std::set<std::string> s = [] {
+    std::set<std::string> c = {"vector", "map",   "set",   "deque",         "list",
+                               "multimap", "multiset", "queue", "stack", "priority_queue"};
+    c.insert(UnorderedTypes().begin(), UnorderedTypes().end());
+    return c;
+  }();
   return s;
 }
 
@@ -117,6 +136,438 @@ bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
+// For a container type at toks[i] followed by its template argument list:
+// the index of the declared name after the closing '>' and any `const`,
+// `&` or `*` (reference-returning getters), or toks.size() when no name
+// follows. Sets `*is_const` when a `const` was skipped.
+size_t DeclaredName(const std::vector<Token>& toks, size_t i, bool* is_const) {
+  size_t j = i + 1;
+  int depth = 0;
+  for (; j < toks.size(); ++j) {
+    if (toks[j].text == "<") {
+      ++depth;
+    } else if (toks[j].text == ">") {
+      if (--depth == 0) {
+        break;
+      }
+    }
+  }
+  ++j;
+  while (j < toks.size() &&
+         ((toks[j].kind == TokKind::kPunct && (toks[j].text == "&" || toks[j].text == "*")) ||
+          (toks[j].kind == TokKind::kIdent && toks[j].text == "const"))) {
+    if (toks[j].kind == TokKind::kIdent) {
+      *is_const = true;
+    }
+    ++j;
+  }
+  return j < toks.size() && toks[j].kind == TokKind::kIdent ? j : toks.size();
+}
+
+// Every name declared with an unordered container type: variables, members,
+// parameters and functions returning one (`for (auto& x :
+// MakeUnorderedSet())` iterates a nondeterministic temporary just the same),
+// plus `using Alias = std::unordered_map<...>` aliases. Analyze merges the
+// per-file lists into the project-wide table both iteration rules consult,
+// so a member declared in a header is caught when a .cc iterates it.
+void CollectUnorderedNames(const LexedFile& lexed, std::vector<std::string>* names) {
+  const auto& toks = lexed.tokens;
+  for (size_t i = 0; i < toks.size(); ++i) {
+    if (toks[i].kind != TokKind::kIdent || UnorderedTypes().count(toks[i].text) == 0) {
+      continue;
+    }
+    // `using Alias = std::unordered_map<...>`: scan back a few tokens.
+    for (size_t back = 1; back <= 6 && back <= i; ++back) {
+      if (toks[i - back].kind == TokKind::kIdent && toks[i - back].text == "using" &&
+          back >= 2 && toks[i - back + 1].kind == TokKind::kIdent) {
+        names->push_back(toks[i - back + 1].text);
+        break;
+      }
+    }
+    if (i + 1 >= toks.size() || toks[i + 1].text != "<") {
+      continue;
+    }
+    bool is_const = false;
+    const size_t j = DeclaredName(toks, i, &is_const);
+    if (j < toks.size()) {
+      names->push_back(toks[j].text);
+    }
+  }
+}
+
+// The identifiers of the range expression of a range-for whose `for` sits at
+// toks[i], in order. False for any other `for`.
+bool RangeForNames(const std::vector<Token>& toks, size_t i, std::vector<std::string>* names) {
+  if (i + 1 >= toks.size() || toks[i + 1].text != "(") {
+    return false;
+  }
+  int depth = 0;
+  size_t colon = 0;
+  size_t close = 0;
+  for (size_t j = i + 1; j < toks.size(); ++j) {
+    if (toks[j].text == "(") {
+      ++depth;
+    } else if (toks[j].text == ")") {
+      if (--depth == 0) {
+        close = j;
+        break;
+      }
+    } else if (toks[j].text == ":" && depth == 1 && colon == 0) {
+      colon = j;
+    }
+  }
+  if (colon == 0 || close == 0) {
+    return false;
+  }
+  for (size_t j = colon + 1; j < close; ++j) {
+    if (toks[j].kind == TokKind::kIdent) {
+      names->push_back(toks[j].text);
+    }
+  }
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+// Per-file rules. Each judges one file from its own tokens and path; the
+// findings are stored in the file's index entry (and so cached with it).
+// ---------------------------------------------------------------------------
+
+struct FileCtx {
+  const std::string& path;
+  const LexedFile& lexed;
+  FileIndex* out;
+};
+
+void Report(const FileCtx& ctx, uint32_t line, const std::string& rule, const std::string& tag,
+            const std::string& message) {
+  if (!frontend::Suppressed(ctx.lexed, line, tag)) {
+    ctx.out->findings.push_back(Finding{ctx.path, line, rule, message, {}});
+  }
+}
+
+// nondet — no ambient randomness or wall-clock reads. All randomness must
+// flow through sim::Rng streams; all time through sim::Engine::Now().
+void RuleNondet(const FileCtx& ctx) {
+  static const std::set<std::string> kDistributions = {
+      "uniform_int_distribution", "uniform_real_distribution", "normal_distribution",
+      "bernoulli_distribution",   "poisson_distribution",      "exponential_distribution",
+      "discrete_distribution"};
+  static const std::set<std::string> kBannedIncludes = {"random", "ctime", "sys/time.h",
+                                                        "chrono"};
+  const auto& toks = ctx.lexed.tokens;
+  for (size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    std::string header;
+    if (frontend::AngleInclude(toks, &i, &header)) {
+      if (kBannedIncludes.count(header) != 0) {
+        Report(ctx, t.line, "nondet", "nondet-ok",
+               "#include <" + header + "> is banned in simulation code: randomness must flow "
+               "through sim::Rng and time through sim::Engine::Now()");
+      }
+      continue;
+    }
+    if (t.kind != TokKind::kIdent) {
+      continue;
+    }
+    if ((RandomEngines().count(t.text) != 0 || kDistributions.count(t.text) != 0 ||
+         WallClocks().count(t.text) != 0) &&
+        !PrevIsMemberAccess(toks, i)) {
+      Report(ctx, t.line, "nondet", "nondet-ok",
+             "'" + t.text + "' is nondeterministic (platform-dependent or ambient state); " +
+                 "use sim::Rng / sim::Engine::Now() instead");
+      continue;
+    }
+    if (NondetCalls().count(t.text) != 0 && LooksLikeCall(toks, i)) {
+      Report(ctx, t.line, "nondet", "nondet-ok",
+             "call to '" + t.text + "()' breaks seed-replay determinism; use sim::Rng / " +
+                 "sim::Engine::Now() instead");
+    }
+  }
+}
+
+// raw-alloc — no raw new/delete outside allocator shims. Everything in the
+// simulator owns memory via containers or smart pointers; raw allocation is
+// where the sanitizer jobs find their leaks and double-frees.
+void RuleRawAlloc(const FileCtx& ctx) {
+  const auto& toks = ctx.lexed.tokens;
+  for (size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (t.kind != TokKind::kIdent) {
+      continue;
+    }
+    const Token* p = Prev(toks, i);
+    if (t.text == "new") {
+      if (p != nullptr && p->kind == TokKind::kIdent && p->text == "operator") {
+        continue;  // allocator shim definition
+      }
+      Report(ctx, t.line, "raw-alloc", "raw-alloc-ok",
+             "raw 'new': own memory via containers or std::make_unique/make_shared");
+    } else if (t.text == "delete") {
+      if (p != nullptr &&
+          ((p->kind == TokKind::kPunct && p->text == "=") ||   // deleted function
+           (p->kind == TokKind::kIdent && p->text == "operator"))) {
+        continue;
+      }
+      Report(ctx, t.line, "raw-alloc", "raw-alloc-ok",
+             "raw 'delete': own memory via containers or smart pointers");
+    }
+  }
+}
+
+// blocking — no blocking syscalls or thread primitives. Engine callbacks must
+// complete without yielding to the OS: a sleep or wait inside an event
+// callback stalls simulated time against wall time and makes run duration
+// (and any timeout-adjacent behavior) machine-dependent.
+void RuleBlocking(const FileCtx& ctx) {
+  static const std::set<std::string> kBannedIncludes = {"thread", "mutex",
+                                                        "condition_variable", "future",
+                                                        "semaphore"};
+  const auto& toks = ctx.lexed.tokens;
+  for (size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    std::string header;
+    if (frontend::AngleInclude(toks, &i, &header)) {
+      if (kBannedIncludes.count(header) != 0) {
+        Report(ctx, t.line, "blocking", "blocking-ok",
+               "#include <" + header + ">: the simulator is single-threaded by design; "
+               "threads and blocking waits have no place in engine callbacks");
+      }
+      continue;
+    }
+    if (t.kind == TokKind::kIdent && BlockingCalls().count(t.text) != 0 &&
+        LooksLikeCall(toks, i)) {
+      Report(ctx, t.line, "blocking", "blocking-ok",
+             "call to '" + t.text + "()' blocks; engine callbacks must not yield to the OS");
+    }
+  }
+}
+
+// wall-clock — simulation code keeps time with the engine's virtual clock,
+// never the host's. std::chrono clock reads and thread sleeps in src/ make
+// behavior depend on machine speed and wall time; only files explicitly
+// annotated `// lint: host-boundary <why>` (benchmark harness timers, the
+// shard-worker coordination layer) may touch the host clock. The nondet and
+// blocking rules ban the underlying types and includes everywhere; this rule
+// pins the specific ::now()/sleep_for call sites in src/ so a host-boundary
+// file is still told exactly where it reads host time.
+void RuleWallClock(const FileCtx& ctx) {
+  if (!StartsWith(ctx.path, "src/")) {
+    return;  // bench/tests own their wall-clock policy (wall_-prefixed stats)
+  }
+  if (frontend::HasFileAnnotation(ctx.lexed, "host-boundary")) {
+    return;
+  }
+  static const std::set<std::string> kSleeps = {"sleep_for", "sleep_until"};
+  const auto& toks = ctx.lexed.tokens;
+  for (size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (t.kind != TokKind::kIdent) {
+      continue;
+    }
+    // system_clock::now() / steady_clock::now(...)
+    if (WallClocks().count(t.text) != 0 && i + 3 < toks.size() && toks[i + 1].text == "::" &&
+        toks[i + 2].text == "now" && toks[i + 3].text == "(") {
+      Report(ctx, t.line, "wall-clock", "wall-clock-ok",
+             "'" + t.text + "::now()' reads the host clock; simulation code must use "
+             "sim::Engine::Now() (annotate the file '// lint: host-boundary <why>' if it "
+             "really sits on the host side)");
+      continue;
+    }
+    if (kSleeps.count(t.text) != 0 &&
+        (LooksLikeCall(toks, i) || PrevIsMemberAccess(toks, i) ||
+         (Prev(toks, i) != nullptr && Prev(toks, i)->text == "::"))) {
+      Report(ctx, t.line, "wall-clock", "wall-clock-ok",
+             "'" + t.text + "' stalls simulated time against wall time; schedule a future "
+             "event on the engine instead");
+    }
+  }
+}
+
+// header-guard — headers carry a canonical include guard derived from their
+// project-relative path (SRC_SIM_ENGINE_H_ style).
+std::string ExpectedGuard(const std::string& path) {
+  std::string guard;
+  for (char c : path) {
+    guard += std::isalnum(static_cast<unsigned char>(c))
+                 ? static_cast<char>(std::toupper(static_cast<unsigned char>(c)))
+                 : '_';
+  }
+  guard += '_';
+  return guard;
+}
+
+void RuleHeaderGuard(const FileCtx& ctx) {
+  if (!frontend::IsHeaderPath(ctx.path)) {
+    return;
+  }
+  const auto& toks = ctx.lexed.tokens;
+  for (size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (toks[i].text != "#") {
+      continue;
+    }
+    if (toks[i + 1].text == "pragma" && i + 2 < toks.size() && toks[i + 2].text == "once") {
+      return;  // accepted (though the codebase convention is #ifndef guards)
+    }
+    if (toks[i + 1].text == "ifndef" && i + 2 < toks.size()) {
+      const std::string macro = toks[i + 2].text;
+      const std::string expected = ExpectedGuard(ctx.path);
+      if (macro != expected) {
+        Report(ctx, toks[i + 2].line, "header-guard", "header-ok",
+               "include guard '" + macro + "' should be '" + expected + "'");
+      }
+      if (!(i + 5 < toks.size() && toks[i + 3].text == "#" && toks[i + 4].text == "define" &&
+            toks[i + 5].text == macro)) {
+        Report(ctx, toks[i + 2].line, "header-guard", "header-ok",
+               "#ifndef " + macro + " is not followed by a matching #define");
+      }
+      return;
+    }
+    // Any other directive (or code) before the guard means there is no guard.
+    break;
+  }
+  Report(ctx, 1, "header-guard", "header-ok",
+         "missing include guard (expected '" + ExpectedGuard(ctx.path) + "')");
+}
+
+// using-ns-header — no `using namespace` at any scope in headers.
+void RuleUsingNamespaceHeader(const FileCtx& ctx) {
+  if (!frontend::IsHeaderPath(ctx.path)) {
+    return;
+  }
+  const auto& toks = ctx.lexed.tokens;
+  for (size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (toks[i].kind == TokKind::kIdent && toks[i].text == "using" &&
+        toks[i + 1].kind == TokKind::kIdent && toks[i + 1].text == "namespace") {
+      Report(ctx, toks[i].line, "using-ns-header", "using-ok",
+             "'using namespace' in a header leaks into every includer");
+    }
+  }
+}
+
+// hot-copy — no by-value payload parameters on the packet hot paths.
+// StreamPacket and std::vector<uint8_t> travel through every per-packet call
+// in src/axi, src/dyn, src/net and src/memsys; accepting them by value costs
+// a copy (and before BufferView, an allocation) per hop per packet. Take
+// `const T&` for borrowed payloads or `T&&`/BufferView for transfers; sites
+// that copy deliberately (e.g. a sink that must own the packet) annotate
+// with "// lint: hot-copy-ok".
+void RuleHotCopy(const FileCtx& ctx) {
+  static const std::vector<std::string> kHotDirs = {"src/axi/", "src/dyn/", "src/net/",
+                                                    "src/memsys/"};
+  if (std::none_of(kHotDirs.begin(), kHotDirs.end(),
+                   [&ctx](const std::string& dir) { return StartsWith(ctx.path, dir); })) {
+    return;
+  }
+  const auto& toks = ctx.lexed.tokens;
+  for (size_t i = 0; i < toks.size(); ++i) {
+    if (toks[i].kind != TokKind::kIdent) {
+      continue;
+    }
+    // Match the payload type and remember where its spelling ends.
+    size_t type_end;
+    std::string pretty;
+    if (toks[i].text == "StreamPacket") {
+      type_end = i;
+      pretty = "StreamPacket";
+    } else if (toks[i].text == "vector" && i + 3 < toks.size() && toks[i + 1].text == "<" &&
+               toks[i + 2].kind == TokKind::kIdent && toks[i + 2].text == "uint8_t" &&
+               toks[i + 3].text == ">") {
+      type_end = i + 3;
+      pretty = "std::vector<uint8_t>";
+    } else {
+      continue;
+    }
+    // Walk back over namespace qualifiers and `const` to the token that opens
+    // the parameter slot; only `(` and `,` put us in a parameter list. This
+    // rejects return types, member declarations, locals and template args.
+    size_t b = i;
+    while (b >= 2 && toks[b - 1].kind == TokKind::kPunct && toks[b - 1].text == "::" &&
+           toks[b - 2].kind == TokKind::kIdent) {
+      b -= 2;
+    }
+    if (b >= 1 && toks[b - 1].kind == TokKind::kIdent && toks[b - 1].text == "const") {
+      b -= 1;
+    }
+    const Token* opener = Prev(toks, b);
+    if (opener == nullptr || opener->kind != TokKind::kPunct ||
+        (opener->text != "(" && opener->text != ",")) {
+      continue;
+    }
+    // `StreamPacket(...)` / `StreamPacket{...}` right after the type is a
+    // constructor call inside an argument list, not a parameter.
+    if (type_end + 1 < toks.size() &&
+        (toks[type_end + 1].text == "(" || toks[type_end + 1].text == "{")) {
+      continue;
+    }
+    // The token after the type decides: `&` or `*` means the payload is
+    // borrowed or moved, `,` `)` or `=` ends a by-value parameter, anything
+    // else is not a plain parameter declaration.
+    bool by_value = false;
+    for (size_t j = type_end + 1; j < toks.size(); ++j) {
+      if (toks[j].kind != TokKind::kPunct) {
+        continue;
+      }
+      const std::string& tx = toks[j].text;
+      by_value = tx == "," || tx == ")" || tx == "=";
+      break;
+    }
+    if (by_value) {
+      Report(ctx, toks[i].line, "hot-copy", "hot-copy-ok",
+             "by-value '" + pretty + "' parameter copies the payload on a per-packet path; "
+             "take 'const " + pretty + "&' (borrow) or '" + pretty + "&&'/BufferView (transfer)");
+    }
+  }
+}
+
+// The rule table. A per-file rule carries its check; Analyze evaluates the
+// rest (null): unordered-iter from the indexed iteration sites, the context
+// rules over the call graph.
+struct RuleEntry {
+  RuleInfo info;
+  void (*check)(const FileCtx&);
+};
+
+const std::vector<RuleEntry>& RuleTable() {
+  static const std::vector<RuleEntry> table = {
+      {{"nondet", "nondet-ok",
+        "no ambient randomness or wall-clock reads; use sim::Rng / Engine::Now()"},
+       RuleNondet},
+      {{"unordered-iter", "ordered-ok",
+        "no iteration over unordered containers (order is implementation-defined)"},
+       nullptr},
+      {{"raw-alloc", "raw-alloc-ok", "no raw new/delete outside allocator shims"},
+       RuleRawAlloc},
+      {{"blocking", "blocking-ok", "no blocking syscalls or thread primitives"},
+       RuleBlocking},
+      {{"wall-clock", "wall-clock-ok",
+        "src/ keeps time with sim::Engine::Now(); host clock reads/sleeps only in "
+        "'// lint: host-boundary' files"},
+       RuleWallClock},
+      {{"header-guard", "header-ok", "headers carry a canonical path-derived include guard"},
+       RuleHeaderGuard},
+      {{"using-ns-header", "using-ok", "no 'using namespace' in headers"},
+       RuleUsingNamespaceHeader},
+      {{"hot-copy", "hot-copy-ok",
+        "no by-value StreamPacket / std::vector<uint8_t> parameters on packet hot paths"},
+       RuleHotCopy},
+      {{"callback-blocking", "callback-blocking-ok",
+        "no blocking/sleep/IO/mutex acquisition reachable from event-callback context"},
+       nullptr},
+      {{"sim-nondet", "sim-nondet-ok",
+        "no nondeterminism source (wall clock, rand, pointer hashing, unordered iteration) "
+        "reachable from simulation context"},
+       nullptr},
+      {{"cross-shard", "cross-shard-ok",
+        "callbacks reach other shards only through the ShardedEngine mailbox API (Post)"},
+       nullptr},
+      {{"guard-state", "guard-ok (reason required)",
+        "mutable containers mutated from callback context register a sim::AccessGuard or "
+        "carry a justified suppression"},
+       nullptr},
+  };
+  return table;
+}
+
 // ---------------------------------------------------------------------------
 // Indexer: one pass over a file's token stream with an explicit scope stack.
 // Understands namespaces, class bodies, function/method definitions
@@ -134,7 +585,11 @@ class Indexer {
     for (size_t i = 0; i < toks_.size(); ++i) {
       const Token& t = toks_[i];
       if (t.kind == TokKind::kPunct && t.text == "#") {
-        i = SkipDirective(i);
+        // A directive yields only iteration sites (a macro body may loop).
+        const size_t end = SkipDirective(i);
+        while (i < end) {
+          RecordIter(++i, -1);
+        }
         stmt_head_ = i + 1;
         continue;
       }
@@ -143,6 +598,7 @@ class Indexer {
         continue;
       }
       if (t.kind == TokKind::kIdent) {
+        RecordIter(i, CurrentFn());
         HandleIdent(i);
       }
     }
@@ -405,7 +861,7 @@ class Indexer {
         return;
       }
     }
-    scopes_.push_back({ScopeFrame::kBlock, "", CurrentFn() >= 0 ? -1 : -1, -1});
+    scopes_.push_back({ScopeFrame::kBlock, "", -1, -1});
   }
 
   void PushLambda(size_t i) {
@@ -461,6 +917,32 @@ class Indexer {
 
   // --- identifier-driven extraction ----------------------------------------
 
+  // A range-for at toks_[i] with at least one identifier in its range
+  // expression, or `x.begin(` / `x->equal_range(` and friends with the
+  // receiver at toks_[i]: one iteration site, owned by function `fn`.
+  void RecordIter(size_t i, int fn) {
+    const Token& t = toks_[i];
+    if (t.kind != TokKind::kIdent) {
+      return;
+    }
+    IterSite site{{}, "", t.line, fn, false, false};
+    if (t.text == "for") {
+      if (!RangeForNames(toks_, i, &site.names) || site.names.empty()) {
+        return;
+      }
+    } else if (i + 3 < toks_.size() && (toks_[i + 1].text == "." || toks_[i + 1].text == "->") &&
+               toks_[i + 2].kind == TokKind::kIdent && IterCalls().count(toks_[i + 2].text) != 0 &&
+               toks_[i + 3].text == "(") {
+      site.names = {t.text};
+      site.call = toks_[i + 2].text;
+    } else {
+      return;
+    }
+    site.ordered_ok = frontend::Suppressed(lexed_, t.line, "ordered-ok");
+    site.sim_nondet_ok = frontend::Suppressed(lexed_, t.line, "sim-nondet-ok");
+    out_->iters.push_back(std::move(site));
+  }
+
   void HandleIdent(size_t i) {
     const int fn = CurrentFn();
     if (fn < 0) {
@@ -473,10 +955,6 @@ class Indexer {
     const bool call_like = nx != nullptr && nx->kind == TokKind::kPunct && nx->text == "(";
     const bool member = frontend::PrevIsMemberAccess(toks_, i);
 
-    if (t.text == "for" && call_like) {
-      HandleRangeFor(i, &f);
-      return;
-    }
     if (t.text == "static") {
       HandleLocalStatic(i, &f);
       return;
@@ -506,7 +984,7 @@ class Indexer {
                    "sim-nondet-ok");
       return;
     }
-    if (!member && NondetTypes().count(t.text) != 0) {
+    if (!member && RandomEngines().count(t.text) != 0) {
       AddPrimitive(&f, "sim-nondet", t.line, "'" + t.text + "' nondeterministic source",
                    "sim-nondet-ok");
       return;
@@ -542,10 +1020,6 @@ class Indexer {
                      "'." + t.text + "()' reaches into another shard's engine",
                      "cross-shard-ok");
       }
-      if (IterCalls().count(t.text) != 0 && i >= 2 && toks_[i - 2].kind == TokKind::kIdent &&
-          !frontend::Suppressed(lexed_, t.line, "sim-nondet-ok")) {
-        f.iters.push_back(IterSite{toks_[i - 2].text, t.line});
-      }
       f.calls.push_back(CallSite{t.text, qualifier, t.line, true});
       return;
     }
@@ -553,7 +1027,7 @@ class Indexer {
       return;
     }
     if (!qualifier.empty() || frontend::LooksLikeCall(toks_, i)) {
-      if (BlockingCalls().count(t.text) != 0) {
+      if (BlockingCalls().count(t.text) != 0 || IoCalls().count(t.text) != 0) {
         AddPrimitive(&f, "callback-blocking", t.line, "'" + t.text + "()' blocks",
                      "callback-blocking-ok");
       }
@@ -567,47 +1041,6 @@ class Indexer {
                      "cross-shard-ok");
       }
       f.calls.push_back(CallSite{t.text, qualifier, t.line, false});
-    }
-  }
-
-  // Range-for: record every identifier in the range expression as an
-  // iteration candidate (resolved against the project-wide unordered-name
-  // table at analyze time); a literal unordered type there is an iteration
-  // over an unordered temporary — nondeterministic on the spot.
-  void HandleRangeFor(size_t i, FunctionInfo* f) {
-    int depth = 0;
-    size_t colon = 0;
-    size_t close = 0;
-    for (size_t j = i + 1; j < toks_.size(); ++j) {
-      if (toks_[j].text == "(") {
-        ++depth;
-      } else if (toks_[j].text == ")") {
-        if (--depth == 0) {
-          close = j;
-          break;
-        }
-      } else if (toks_[j].text == ":" && depth == 1 && colon == 0) {
-        colon = j;
-      }
-    }
-    if (colon == 0 || close == 0) {
-      return;
-    }
-    const uint32_t line = toks_[i].line;
-    if (frontend::Suppressed(lexed_, line, "sim-nondet-ok")) {
-      return;
-    }
-    for (size_t j = colon + 1; j < close; ++j) {
-      if (toks_[j].kind != TokKind::kIdent) {
-        continue;
-      }
-      if (UnorderedTypes().count(toks_[j].text) != 0) {
-        AddPrimitive(f, "sim-nondet", line,
-                     "iteration over an unordered temporary ('" + toks_[j].text + "')",
-                     "sim-nondet-ok");
-      } else {
-        f->iters.push_back(IterSite{toks_[j].text, line});
-      }
     }
   }
 
@@ -690,8 +1123,8 @@ class Indexer {
   }
 
   // Declaration scope (namespace or class body, outside any function):
-  // container members, AccessGuard registrations, unordered declarations,
-  // namespace-scope mutable globals.
+  // container members, AccessGuard registrations, namespace-scope mutable
+  // globals.
   void HandleDeclScopeIdent(size_t i) {
     if (!parens_.empty()) {
       return;  // inside a function signature: parameters are not globals
@@ -709,8 +1142,7 @@ class Indexer {
     if (nx == nullptr || nx->text != "<") {
       return;
     }
-    // Reject alias heads (`using X = std::map<...>`): the alias itself is
-    // recorded by the unordered table below, not as state.
+    // Reject alias heads (`using X = std::map<...>`): an alias is not state.
     bool alias_head = false;
     for (size_t j = stmt_head_; j < i; ++j) {
       if (toks_[j].kind == TokKind::kIdent &&
@@ -726,40 +1158,13 @@ class Indexer {
         break;
       }
     }
-    // Skip the template argument list, then cv/ref qualifiers, then the name.
-    size_t j = i + 1;
-    int depth = 0;
-    for (; j < toks_.size(); ++j) {
-      if (toks_[j].text == "<") {
-        ++depth;
-      } else if (toks_[j].text == ">") {
-        if (--depth == 0) {
-          break;
-        }
-      }
-    }
-    ++j;
-    while (j < toks_.size() &&
-           ((toks_[j].kind == TokKind::kPunct &&
-             (toks_[j].text == "&" || toks_[j].text == "*")) ||
-            (toks_[j].kind == TokKind::kIdent && toks_[j].text == "const"))) {
-      if (toks_[j].kind == TokKind::kIdent) {
-        is_const = true;
-      }
-      ++j;
-    }
-    if (j >= toks_.size() || toks_[j].kind != TokKind::kIdent) {
+    const size_t j = DeclaredName(toks_, i, &is_const);
+    if (j >= toks_.size()) {
       return;
     }
     const std::string declared = toks_[j].text;
     const Token* after = frontend::Next(toks_, j);
     const bool is_function = after != nullptr && after->text == "(";
-    if (UnorderedTypes().count(t.text) != 0) {
-      // Project-wide unordered symbol table: variables, members, and
-      // functions returning unordered containers all make range-for over
-      // them (or their temporaries) nondeterministic.
-      out_->unordered_names.push_back(declared);
-    }
     if (alias_head || is_function || is_const) {
       return;
     }
@@ -792,41 +1197,6 @@ class Indexer {
   size_t stmt_head_ = 0;
 };
 
-// Unordered declarations also hide inside function bodies (locals); sweep
-// the whole token stream for them so the analyze-time table is complete.
-void CollectLocalUnordered(const LexedFile& lexed, FileIndex* out) {
-  const auto& toks = lexed.tokens;
-  for (size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::kIdent || UnorderedTypes().count(toks[i].text) == 0) {
-      continue;
-    }
-    size_t j = i + 1;
-    if (j >= toks.size() || toks[j].text != "<") {
-      continue;
-    }
-    int depth = 0;
-    for (; j < toks.size(); ++j) {
-      if (toks[j].text == "<") {
-        ++depth;
-      } else if (toks[j].text == ">") {
-        if (--depth == 0) {
-          break;
-        }
-      }
-    }
-    ++j;
-    while (j < toks.size() &&
-           ((toks[j].kind == TokKind::kPunct &&
-             (toks[j].text == "&" || toks[j].text == "*")) ||
-            (toks[j].kind == TokKind::kIdent && toks[j].text == "const"))) {
-      ++j;
-    }
-    if (j < toks.size() && toks[j].kind == TokKind::kIdent) {
-      out->unordered_names.push_back(toks[j].text);
-    }
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -834,19 +1204,14 @@ void CollectLocalUnordered(const LexedFile& lexed, FileIndex* out) {
 // ---------------------------------------------------------------------------
 
 const std::vector<RuleInfo>& Rules() {
-  static const std::vector<RuleInfo> rules = {
-      {"callback-blocking", "callback-blocking-ok",
-       "no blocking/sleep/IO/mutex acquisition reachable from event-callback context"},
-      {"sim-nondet", "sim-nondet-ok",
-       "no nondeterminism source (wall clock, rand, pointer hashing, unordered iteration) "
-       "reachable from simulation context"},
-      {"cross-shard", "cross-shard-ok",
-       "callbacks reach other shards only through the ShardedEngine mailbox API (Post)"},
-      {"guard-state", "guard-ok (reason required)",
-       "mutable containers mutated from callback context register a sim::AccessGuard or "
-       "carry a justified suppression"},
-  };
-  return rules;
+  static const std::vector<RuleInfo> infos = [] {
+    std::vector<RuleInfo> v;
+    for (const RuleEntry& e : RuleTable()) {
+      v.push_back(e.info);
+    }
+    return v;
+  }();
+  return infos;
 }
 
 Index BuildIndex(const std::vector<SourceFile>& files) {
@@ -855,14 +1220,20 @@ Index BuildIndex(const std::vector<SourceFile>& files) {
   for (const SourceFile& f : files) {
     FileIndex fi;
     fi.path = f.first;
-    fi.fnv = frontend::Fnv1a(f.second);
+    fi.fnv = sim::FnvHash(f.second.data(), f.second.size());
     const LexedFile lexed = frontend::Lex(f.second);
     Indexer(fi.path, lexed, &fi).Run();
-    CollectLocalUnordered(lexed, &fi);
+    CollectUnorderedNames(lexed, &fi.unordered_names);
     std::sort(fi.unordered_names.begin(), fi.unordered_names.end());
     fi.unordered_names.erase(
         std::unique(fi.unordered_names.begin(), fi.unordered_names.end()),
         fi.unordered_names.end());
+    const FileCtx ctx{fi.path, lexed, &fi};
+    for (const RuleEntry& rule : RuleTable()) {
+      if (rule.check != nullptr) {
+        rule.check(ctx);
+      }
+    }
     index.files.push_back(std::move(fi));
   }
   return index;
@@ -877,7 +1248,7 @@ Index BuildIndexCached(const std::vector<SourceFile>& files, const Index& cached
   index.files.reserve(files.size());
   for (const SourceFile& f : files) {
     auto it = by_path.find(f.first);
-    if (it != by_path.end() && it->second->fnv == frontend::Fnv1a(f.second)) {
+    if (it != by_path.end() && it->second->fnv == sim::FnvHash(f.second.data(), f.second.size())) {
       index.files.push_back(*it->second);
       continue;
     }
@@ -909,13 +1280,14 @@ namespace {
 
 struct Graph {
   std::vector<const FunctionInfo*> fns;
-  std::vector<const FileIndex*> owner;
+  std::vector<std::vector<const IterSite*>> iters;  // per fns entry, sim-nondet-ok ones left out
   std::map<std::string, std::vector<int>> by_short;
   std::map<std::string, const ClassInfo*> classes;
   std::set<std::string> unordered;
   std::map<std::string, const GlobalInfo*> globals;
 };
 
+// Harness code: checked by the per-file rules, left out of the call graph.
 bool TestContext(const std::string& file) {
   return StartsWith(file, "tests/") || StartsWith(file, "bench/") ||
          StartsWith(file, "examples/") || StartsWith(file, "tools/");
@@ -1025,12 +1397,78 @@ std::string Finding::ChainString() const {
 }
 
 std::vector<Finding> Analyze(const Index& index, const Options& options) {
+  const auto enabled = [&options](const std::string& id) {
+    return options.rules.empty() ||
+           std::find(options.rules.begin(), options.rules.end(), id) != options.rules.end();
+  };
+  // Per-file rules report every hit; context findings collapse to one per
+  // (file, line, rule, message) below.
+  std::vector<Finding> findings;
+  std::vector<Finding> context_findings;
+  const auto add = [&context_findings](const std::string& file, uint32_t line,
+                                       const std::string& rule, std::string message,
+                                       std::vector<std::string> chain) {
+    context_findings.push_back(Finding{file, line, rule, std::move(message), std::move(chain)});
+  };
+
+  // unordered-iter — no iteration over unordered containers. Hash-map
+  // iteration order is implementation-defined and changes with rehashing,
+  // so any iteration result that feeds event ordering, stats fingerprints,
+  // or packet emission silently breaks replay. Point lookups are fine. Sites
+  // resolve against the unordered names of every file given, test harnesses
+  // included.
+  std::set<std::string> unordered;
+  for (const FileIndex& fi : index.files) {
+    unordered.insert(fi.unordered_names.begin(), fi.unordered_names.end());
+  }
+  for (const FileIndex& fi : index.files) {
+    for (const Finding& f : fi.findings) {
+      if (enabled(f.rule)) {
+        findings.push_back(f);
+      }
+    }
+    for (const IterSite& s : fi.iters) {
+      if (s.ordered_ok || !enabled("unordered-iter")) {
+        continue;
+      }
+      // A range-for reports the first unordered name (or literal unordered
+      // temporary) in its range expression.
+      const auto hit = std::find_if(s.names.begin(), s.names.end(), [&](const std::string& n) {
+        return unordered.count(n) != 0 || (s.call.empty() && UnorderedTypes().count(n) != 0);
+      });
+      if (hit == s.names.end()) {
+        continue;
+      }
+      findings.push_back(Finding{
+          fi.path, s.line, "unordered-iter",
+          s.call.empty()
+              ? "range-for over unordered container '" + *hit +
+                    "': iteration order is implementation-defined and breaks seed replay; "
+                    "use an ordered container or sort first"
+              : "'" + *hit + "." + s.call +
+                    "()' iterates an unordered container; order is implementation-defined",
+          {}});
+    }
+  }
+
+  // Context rules. The call graph holds simulator code only: harness code may
+  // block and seed from the clock, and indexing it would resolve harness calls
+  // into the simulator by name.
   Graph g;
   for (const FileIndex& fi : index.files) {
+    if (TestContext(fi.path)) {
+      continue;
+    }
+    const size_t base = g.fns.size();
     for (const FunctionInfo& fn : fi.functions) {
       g.by_short[fn.short_name].push_back(static_cast<int>(g.fns.size()));
       g.fns.push_back(&fn);
-      g.owner.push_back(&fi);
+    }
+    g.iters.resize(g.fns.size());
+    for (const IterSite& s : fi.iters) {
+      if (s.fn >= 0 && !s.sim_nondet_ok) {
+        g.iters[base + static_cast<size_t>(s.fn)].push_back(&s);
+      }
     }
     for (const ClassInfo& ci : fi.classes) {
       if (!ci.name.empty() && g.classes.count(ci.name) == 0) {
@@ -1045,11 +1483,6 @@ std::vector<Finding> Analyze(const Index& index, const Options& options) {
     g.unordered.insert(fi.unordered_names.begin(), fi.unordered_names.end());
   }
 
-  const auto enabled = [&options](const std::string& id) {
-    return options.rules.empty() ||
-           std::find(options.rules.begin(), options.rules.end(), id) != options.rules.end();
-  };
-
   // Context roots. Event-callback context: indexer-marked lambdas/functions
   // (schedule sinks, InlineCallback construction) plus the shard worker body.
   // Simulation context additionally covers the engine internals in src/sim —
@@ -1057,9 +1490,6 @@ std::vector<Finding> Analyze(const Index& index, const Options& options) {
   std::map<int, Reach> callback;
   for (size_t i = 0; i < g.fns.size(); ++i) {
     const FunctionInfo* f = g.fns[i];
-    if (TestContext(f->file)) {
-      continue;
-    }
     if (f->root == "callback" ||
         (f->short_name == "WorkerMain" && EndsWith(f->file, "sim/sharded_engine.cc"))) {
       callback[static_cast<int>(i)] = Reach{};
@@ -1075,17 +1505,8 @@ std::vector<Finding> Analyze(const Index& index, const Options& options) {
   }
   Propagate(g, &sim);
 
-  std::vector<Finding> findings;
-  const auto add = [&findings](const std::string& file, uint32_t line, const std::string& rule,
-                               std::string message, std::vector<std::string> chain) {
-    findings.push_back(Finding{file, line, rule, std::move(message), std::move(chain)});
-  };
-
   for (const auto& [id, reach] : callback) {
     const FunctionInfo* f = g.fns[static_cast<size_t>(id)];
-    if (TestContext(f->file)) {
-      continue;
-    }
     for (const PrimitiveSite& p : f->primitives) {
       if (p.rule == "sim-nondet") {
         continue;  // evaluated under the (wider) simulation context below
@@ -1162,9 +1583,6 @@ std::vector<Finding> Analyze(const Index& index, const Options& options) {
   if (enabled("sim-nondet")) {
     for (const auto& [id, reach] : sim) {
       const FunctionInfo* f = g.fns[static_cast<size_t>(id)];
-      if (TestContext(f->file)) {
-        continue;
-      }
       const std::string context = callback.count(id) != 0 ? "callback" : "sim";
       const std::map<int, Reach>& reached = callback.count(id) != 0 ? callback : sim;
       for (const PrimitiveSite& p : f->primitives) {
@@ -1174,18 +1592,26 @@ std::vector<Finding> Analyze(const Index& index, const Options& options) {
         add(f->file, p.line, "sim-nondet", p.detail + " reachable from simulation context",
             Chain(g, reached, id, context, p.detail, f->file, p.line));
       }
-      for (const IterSite& it : f->iters) {
-        if (g.unordered.count(it.name) == 0) {
-          continue;
+      // A literal unordered type in a range expression is an iteration over
+      // an unordered temporary: nondeterministic on the spot.
+      for (const IterSite* it : g.iters[static_cast<size_t>(id)]) {
+        for (const std::string& name : it->names) {
+          std::string detail;
+          if (it->call.empty() && UnorderedTypes().count(name) != 0) {
+            detail = "iteration over an unordered temporary ('" + name + "')";
+          } else if (g.unordered.count(name) != 0) {
+            detail = "iteration over unordered container '" + name + "'";
+          } else {
+            continue;
+          }
+          add(f->file, it->line, "sim-nondet", detail + " reachable from simulation context",
+              Chain(g, reached, id, context, detail, f->file, it->line));
         }
-        const std::string detail = "iteration over unordered container '" + it.name + "'";
-        add(f->file, it.line, "sim-nondet", detail + " reachable from simulation context",
-            Chain(g, reached, id, context, detail, f->file, it.line));
       }
     }
   }
 
-  std::sort(findings.begin(), findings.end(), [](const Finding& a, const Finding& b) {
+  const auto by_site = [](const Finding& a, const Finding& b) {
     if (a.file != b.file) {
       return a.file < b.file;
     }
@@ -1196,13 +1622,16 @@ std::vector<Finding> Analyze(const Index& index, const Options& options) {
       return a.rule < b.rule;
     }
     return a.message < b.message;
-  });
-  findings.erase(std::unique(findings.begin(), findings.end(),
-                             [](const Finding& a, const Finding& b) {
-                               return a.file == b.file && a.line == b.line &&
-                                      a.rule == b.rule && a.message == b.message;
-                             }),
-                 findings.end());
+  };
+  std::sort(context_findings.begin(), context_findings.end(), by_site);
+  context_findings.erase(std::unique(context_findings.begin(), context_findings.end(),
+                                     [](const Finding& a, const Finding& b) {
+                                       return a.file == b.file && a.line == b.line &&
+                                              a.rule == b.rule && a.message == b.message;
+                                     }),
+                         context_findings.end());
+  findings.insert(findings.end(), context_findings.begin(), context_findings.end());
+  std::sort(findings.begin(), findings.end(), by_site);
   return findings;
 }
 
@@ -1221,79 +1650,52 @@ std::string FormatReport(const std::vector<Finding>& findings) {
 
 // ---------------------------------------------------------------------------
 // Index cache: line-oriented text serialization. Identifiers and paths carry
-// no spaces, so fields are space-separated with free text (primitive detail)
-// last on the line. "-" encodes an empty string field.
+// no spaces, so fields are space-separated with free text (primitive detail,
+// finding message) or a name list last on the line. "-" encodes an empty
+// string field.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-// v2: SetCompletionCallback joined the callback sinks, so cached v1 indexes
-// would miss simulation-context edges through the serving executors.
-constexpr const char kMagic[] = "coyote-analyze-index v2";
+// The first line names the tool that wrote the cache: an FNV-1a over the
+// running executable, so any rebuild of the indexer, its rules or their
+// vocabulary invalidates every entry. Empty (no cache) when the executable
+// can't be read.
+const std::string& CacheHeader() {
+  static const std::string header = [] {
+    std::ifstream exe("/proc/self/exe", std::ios::binary);
+    std::ostringstream image;
+    image << exe.rdbuf();
+    const std::string bytes = image.str();
+    if (bytes.empty()) {
+      return std::string();
+    }
+    std::ostringstream h;
+    h << "coyote-analyze-index " << std::hex << sim::FnvHash(bytes.data(), bytes.size());
+    return h.str();
+  }();
+  return header;
+}
 
 std::string Enc(const std::string& s) { return s.empty() ? "-" : s; }
 std::string Dec(const std::string& s) { return s == "-" ? "" : s; }
 
-}  // namespace
-
-bool SaveIndex(const Index& index, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return false;
+// The free text ending a line.
+std::string ReadRest(std::istringstream& ls) {
+  std::string rest;
+  std::getline(ls, rest);
+  if (!rest.empty() && rest.front() == ' ') {
+    rest.erase(rest.begin());
   }
-  out << kMagic << "\n";
-  for (const FileIndex& fi : index.files) {
-    out << "file " << fi.fnv << " " << fi.path << "\n";
-    for (const std::string& u : fi.unordered_names) {
-      out << "un " << u << "\n";
-    }
-    for (const GlobalInfo& gl : fi.globals) {
-      out << "gl " << gl.line << " " << gl.suppressed << " " << gl.has_reason << " "
-          << gl.name << "\n";
-    }
-    for (const ClassInfo& ci : fi.classes) {
-      out << "cl " << ci.line << " " << ci.has_access_guard << " " << Enc(ci.name) << "\n";
-      for (const MemberInfo& m : ci.container_members) {
-        out << "mb " << m.line << " " << m.suppressed << " " << m.has_reason << " " << m.name
-            << "\n";
-      }
-    }
-    for (const FunctionInfo& fn : fi.functions) {
-      out << "fn " << fn.line << " " << fn.is_lambda << " " << Enc(fn.root) << " "
-          << Enc(fn.class_name) << " " << fn.short_name << " " << fn.name << "\n";
-      for (const CallSite& c : fn.calls) {
-        out << "ca " << c.line << " " << c.member << " " << Enc(c.qualifier) << " " << c.name
-            << "\n";
-      }
-      for (const IterSite& it : fn.iters) {
-        out << "it " << it.line << " " << it.name << "\n";
-      }
-      for (const MutationSite& m : fn.mutations) {
-        out << "mu " << m.line << " " << m.global << " " << m.name << "\n";
-      }
-      for (const PrimitiveSite& p : fn.primitives) {
-        out << "pr " << p.line << " " << p.needs_reason << " " << p.rule << " " << p.detail
-            << "\n";
-      }
-    }
-  }
-  return static_cast<bool>(out);
+  return rest;
 }
 
-bool LoadIndex(const std::string& path, Index* index) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic) {
-    return false;
-  }
-  index->files.clear();
+// The records after the header line; false at the first malformed one.
+bool ReadEntries(std::istream& in, Index* index) {
   FileIndex* fi = nullptr;
   ClassInfo* cls = nullptr;
   FunctionInfo* fn = nullptr;
-  while (std::getline(in, line)) {
+  for (std::string line; std::getline(in, line);) {
     std::istringstream ls(line);
     std::string tag;
     ls >> tag;
@@ -1309,6 +1711,30 @@ bool LoadIndex(const std::string& path, Index* index) {
       std::string name;
       ls >> name;
       fi->unordered_names.push_back(name);
+    } else if (tag == "fd") {
+      Finding f;
+      f.file = fi->path;
+      if (!(ls >> f.line >> f.rule)) {
+        return false;
+      }
+      f.message = ReadRest(ls);  // free text reads to the end of the line
+      fi->findings.push_back(std::move(f));
+      continue;
+    } else if (tag == "it") {
+      IterSite s;
+      std::string call;
+      if (!(ls >> s.line >> s.fn >> s.ordered_ok >> s.sim_nondet_ok >> call)) {
+        return false;
+      }
+      s.call = Dec(call);
+      for (std::string name; ls >> name;) {  // the name list reads to the end of the line
+        s.names.push_back(name);
+      }
+      if (s.names.empty() || s.fn < -1 || s.fn >= static_cast<int>(fi->functions.size())) {
+        return false;
+      }
+      fi->iters.push_back(std::move(s));
+      continue;
     } else if (tag == "gl") {
       GlobalInfo gl;
       ls >> gl.line >> gl.suppressed >> gl.has_reason >> gl.name;
@@ -1348,13 +1774,6 @@ bool LoadIndex(const std::string& path, Index* index) {
       ls >> c.line >> c.member >> qual >> c.name;
       c.qualifier = Dec(qual);
       fn->calls.push_back(c);
-    } else if (tag == "it") {
-      if (fn == nullptr) {
-        return false;
-      }
-      IterSite it_site;
-      ls >> it_site.line >> it_site.name;
-      fn->iters.push_back(it_site);
     } else if (tag == "mu") {
       if (fn == nullptr) {
         return false;
@@ -1367,18 +1786,93 @@ bool LoadIndex(const std::string& path, Index* index) {
         return false;
       }
       PrimitiveSite p;
-      ls >> p.line >> p.needs_reason >> p.rule;
-      std::getline(ls, p.detail);
-      if (!p.detail.empty() && p.detail.front() == ' ') {
-        p.detail.erase(p.detail.begin());
+      if (!(ls >> p.line >> p.needs_reason >> p.rule)) {
+        return false;
       }
-      fn->primitives.push_back(p);
+      p.detail = ReadRest(ls);  // free text reads to the end of the line
+      fn->primitives.push_back(std::move(p));
+      continue;
     } else if (!tag.empty()) {
       return false;
     }
-    if (!ls && tag != "pr") {
+    if (!ls) {
       return false;
     }
+  }
+  return true;
+}
+
+}  // namespace
+
+bool SaveIndex(const Index& index, const std::string& path) {
+  if (CacheHeader().empty()) {
+    return false;
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    return false;
+  }
+  out << CacheHeader() << "\n";
+  for (const FileIndex& fi : index.files) {
+    out << "file " << fi.fnv << " " << fi.path << "\n";
+    for (const std::string& u : fi.unordered_names) {
+      out << "un " << u << "\n";
+    }
+    for (const Finding& f : fi.findings) {
+      out << "fd " << f.line << " " << f.rule << " " << f.message << "\n";
+    }
+    for (const GlobalInfo& gl : fi.globals) {
+      out << "gl " << gl.line << " " << gl.suppressed << " " << gl.has_reason << " "
+          << gl.name << "\n";
+    }
+    for (const ClassInfo& ci : fi.classes) {
+      out << "cl " << ci.line << " " << ci.has_access_guard << " " << Enc(ci.name) << "\n";
+      for (const MemberInfo& m : ci.container_members) {
+        out << "mb " << m.line << " " << m.suppressed << " " << m.has_reason << " " << m.name
+            << "\n";
+      }
+    }
+    for (const FunctionInfo& fn : fi.functions) {
+      out << "fn " << fn.line << " " << fn.is_lambda << " " << Enc(fn.root) << " "
+          << Enc(fn.class_name) << " " << fn.short_name << " " << fn.name << "\n";
+      for (const CallSite& c : fn.calls) {
+        out << "ca " << c.line << " " << c.member << " " << Enc(c.qualifier) << " " << c.name
+            << "\n";
+      }
+      for (const MutationSite& m : fn.mutations) {
+        out << "mu " << m.line << " " << m.global << " " << m.name << "\n";
+      }
+      for (const PrimitiveSite& p : fn.primitives) {
+        out << "pr " << p.line << " " << p.needs_reason << " " << p.rule << " " << p.detail
+            << "\n";
+      }
+    }
+    // After the functions, so a load can check each site's function index.
+    for (const IterSite& s : fi.iters) {
+      out << "it " << s.line << " " << s.fn << " " << s.ordered_ok << " " << s.sim_nondet_ok
+          << " " << Enc(s.call);
+      for (const std::string& name : s.names) {
+        out << " " << name;
+      }
+      out << "\n";
+    }
+  }
+  return static_cast<bool>(out);
+}
+
+bool LoadIndex(const std::string& path, Index* index) {
+  index->files.clear();
+  if (CacheHeader().empty()) {
+    return false;
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::string header;
+  if (!in || !std::getline(in, header) || header != CacheHeader()) {
+    return false;
+  }
+  if (!ReadEntries(in, index)) {
+    index->files.clear();  // never a partial index
+    return false;
   }
   return true;
 }

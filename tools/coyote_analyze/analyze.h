@@ -1,14 +1,22 @@
-// coyote-verify interprocedural simulation-context analyzer.
+// coyote-verify static analyzer: one tool, one index, two rule families.
 //
-// The determinism lint (tools/coyote_lint) checks one line at a time and the
-// runtime AccessGuard checks one execution at a time. This tool closes the
-// gap between them: it indexes the whole repository into a function/method
-// symbol table and call graph, classifies *contexts* — which functions are
-// event-callback bodies (passed to sim::Engine::ScheduleAt/ScheduleAfter,
-// ShardedEngine::Post, TimerWheel, or shard worker bodies), which are
-// control-plane host code, which are test-only — propagates those contexts
-// transitively through the call graph, and then enforces the simulator's
-// context rules *interprocedurally*:
+// Per-file rules judge a file from its own tokens, one site at a time, and
+// apply to every path given: nondet (ambient randomness and wall-clock
+// reads), unordered-iter (hash-container iteration order), raw-alloc,
+// blocking (sleeps, thread primitives), wall-clock (host clock reads in
+// src/), header-guard and using-ns-header (headers), hot-copy (by-value
+// payload parameters on the packet paths).
+//
+// Context rules close the gap between a line-at-a-time check and the
+// runtime AccessGuard, which checks one execution at a time. They run on a
+// function/method symbol table and call graph built from the files outside
+// tests/ bench/ examples/ tools/ (harness code may sleep, print and seed
+// from the clock, and indexing it would resolve harness calls into the
+// simulator by name). The analyzer classifies *contexts* — which functions
+// are event-callback bodies (passed to sim::Engine::ScheduleAt/ScheduleAfter,
+// ShardedEngine::Post, TimerWheel, or shard worker bodies) and which run in
+// simulation context — propagates them transitively through the call graph,
+// and enforces:
 //
 //   callback-blocking   nothing reachable from an event callback may block:
 //                       no sleeps, no mutex/condvar acquisition, no IO, no
@@ -29,20 +37,20 @@
 //                       *with a written reason* — the static mirror of the
 //                       runtime race detector's state inventory.
 //
-// Findings come with a full call-chain trace ("callback → A() → B() →
-// std::unordered_map iteration"), so the report names not just the offending
-// line but the path by which callback context reaches it. Suppressions use
-// the same `// lint: <tag>` comment syntax as coyote_lint, written at the
-// *primitive* site (the deepest frame of the chain).
+// Context findings come with a full call-chain trace ("callback → A() → B()
+// → std::unordered_map iteration"), so the report names not just the
+// offending line but the path by which callback context reaches it. Every
+// rule is suppressed with a `// lint: <tag>` comment at the reported site;
+// for a context rule that is the *primitive* site (the deepest frame of the
+// chain).
 //
-// Like the linter, the analyzer is heuristic by design: it is built on the
-// shared token-level frontend (tools/coyote_frontend), not a compiler. The
-// function indexer understands namespaces, classes, out-of-line methods and
-// lambdas; it does not do template instantiation or overload resolution, so
-// calls resolve by name (same-class methods first, then free functions, then
-// any method of that name — an over-approximation that errs toward flagging).
-// The cases the heuristics get wrong are exactly what the per-site
-// suppressions are for.
+// The analyzer is heuristic by design: it is built on a token-level
+// frontend (frontend.h), not a compiler. The function indexer understands
+// namespaces, classes, out-of-line methods and lambdas; it does not do
+// template instantiation or overload resolution, so calls resolve by name
+// (same-class methods first, then free functions, then any method of that
+// name — an over-approximation that errs toward flagging). The cases the
+// heuristics get wrong are exactly what the per-site suppressions are for.
 
 #ifndef TOOLS_COYOTE_ANALYZE_ANALYZE_H_
 #define TOOLS_COYOTE_ANALYZE_ANALYZE_H_
@@ -61,6 +69,18 @@ namespace analyze {
 using SourceFile = std::pair<std::string, std::string>;
 
 // --- Index entities ---------------------------------------------------------
+
+struct Finding {
+  std::string file;
+  uint32_t line = 0;
+  std::string rule;
+  std::string message;
+  // Interprocedural trace, outermost first: "<context> root F (file:line)",
+  // then one entry per call edge, ending at the primitive. Empty for a
+  // per-file rule.
+  std::vector<std::string> chain;
+  std::string ChainString() const;  // "callback → A() → B() → <detail>"
+};
 
 // A call site inside a function body. `qualifier` is the explicit `Q::name`
 // scope if written; `member` is true for `obj.name(...)` / `obj->name(...)`.
@@ -84,13 +104,20 @@ struct PrimitiveSite {
   bool needs_reason = false;
 };
 
-// A candidate container-iteration site: `name` is iterated here (range-for
-// or .begin()/.equal_range()). Whether that is nondeterministic depends on
-// the *project-wide* unordered-name table, so resolution happens at analyze
+// A container-iteration site: a range-for whose range expression names
+// `names` (call ""), or `names[0].call()` for begin()/equal_range() and
+// friends. Both iteration rules read it: unordered-iter every site,
+// sim-nondet the sites inside function `fn` once that function runs in
+// simulation context. Whether a name is unordered depends on the
+// *project-wide* unordered-name table, so resolution happens at analyze
 // time, after every file's declarations are merged.
 struct IterSite {
-  std::string name;
+  std::vector<std::string> names;  // never empty
+  std::string call;
   uint32_t line = 0;
+  int fn = -1;                 // index into FileIndex::functions; -1 outside any body
+  bool ordered_ok = false;     // suppressed for unordered-iter
+  bool sim_nondet_ok = false;  // suppressed for sim-nondet
 };
 
 // A mutation of a container member (`entries_.insert(...)`, `table_[k] = v`)
@@ -114,7 +141,6 @@ struct FunctionInfo {
   std::string root;
   std::vector<CallSite> calls;
   std::vector<PrimitiveSite> primitives;
-  std::vector<IterSite> iters;
   std::vector<MutationSite> mutations;
 };
 
@@ -149,6 +175,10 @@ struct FileIndex {
   std::vector<ClassInfo> classes;
   std::vector<GlobalInfo> globals;
   std::vector<std::string> unordered_names;  // unordered containers declared here
+  std::vector<IterSite> iters;
+  // Per-file rule findings, except unordered-iter: it needs the project-wide
+  // unordered-name table, so Analyze judges it from `iters`.
+  std::vector<Finding> findings;
 };
 
 struct Index {
@@ -156,17 +186,6 @@ struct Index {
 };
 
 // --- Analysis ---------------------------------------------------------------
-
-struct Finding {
-  std::string file;
-  uint32_t line = 0;
-  std::string rule;
-  std::string message;
-  // Interprocedural trace, outermost first: "<context> root F (file:line)",
-  // then one entry per call edge, ending at the primitive.
-  std::vector<std::string> chain;
-  std::string ChainString() const;  // "callback → A() → B() → <detail>"
-};
 
 struct Options {
   // Empty: all rules. Otherwise only the listed rule ids run.
@@ -179,14 +198,16 @@ struct RuleInfo {
   std::string summary;
 };
 
+// The rule table: the per-file rules, then the context rules.
 const std::vector<RuleInfo>& Rules();
 
-// Indexes in-memory sources (lex, function/lambda extraction, call sites,
-// primitives, class inventories).
+// Indexes in-memory sources (lex, per-file rules, function/lambda
+// extraction, call sites, primitives, class inventories).
 Index BuildIndex(const std::vector<SourceFile>& files);
 
-// Call-graph assembly + context propagation + rule evaluation. Findings are
-// deterministic: ordered by (file, line, rule, message).
+// Per-file findings, then call-graph assembly + context propagation +
+// context-rule evaluation. Findings are deterministic: ordered by (file,
+// line, rule, message).
 std::vector<Finding> Analyze(const Index& index, const Options& options);
 
 // Formats findings the way the CLI and the CI artifact print them: one
@@ -196,11 +217,14 @@ std::string FormatReport(const std::vector<Finding>& findings);
 
 // --- Index cache ------------------------------------------------------------
 
-// Text serialization of an Index. Load returns false on missing/ malformed /
-// version-mismatched cache (callers just rebuild). BuildIndexCached reuses
-// the cached FileIndex for every file whose FNV-1a content hash is
-// unchanged, re-indexes the rest, and returns the fresh index; pass the
-// result to SaveIndex to refresh the cache.
+// Text serialization of an Index, headed by a hash of the running tool's
+// executable so a rebuilt indexer or vocabulary never reads entries it did
+// not write. Load returns false, leaving `index` empty, on a missing,
+// malformed or foreign cache, and both return false when the executable
+// can't be read (callers just index without a cache). BuildIndexCached reuses the cached FileIndex for
+// every file whose FNV-1a content hash is unchanged, re-indexes the rest,
+// and returns the fresh index; pass the result to SaveIndex to refresh the
+// cache.
 bool SaveIndex(const Index& index, const std::string& path);
 bool LoadIndex(const std::string& path, Index* index);
 Index BuildIndexCached(const std::vector<SourceFile>& files, const Index& cached);

@@ -1,4 +1,4 @@
-#include "tools/coyote_frontend/frontend.h"
+#include "tools/coyote_analyze/frontend.h"
 
 #include <algorithm>
 #include <cctype>
@@ -293,15 +293,19 @@ bool LooksLikeCall(const std::vector<Token>& toks, size_t i) {
   return true;
 }
 
-std::string JoinIncludeName(const std::vector<Token>& toks, size_t lt, size_t* end_index) {
-  std::string name;
-  size_t j = lt + 1;
+bool AngleInclude(const std::vector<Token>& toks, size_t* i, std::string* name) {
+  if (toks[*i].kind != TokKind::kPunct || toks[*i].text != "#" || *i + 2 >= toks.size() ||
+      toks[*i + 1].text != "include" || toks[*i + 2].text != "<") {
+    return false;
+  }
+  name->clear();
+  size_t j = *i + 3;
   while (j < toks.size() && toks[j].text != ">") {
-    name += toks[j].text;
+    *name += toks[j].text;
     ++j;
   }
-  *end_index = j;
-  return name;
+  *i = j;
+  return true;
 }
 
 std::vector<std::string> CollectFiles(const std::string& root_dir,
@@ -358,15 +362,6 @@ std::vector<SourceFile> ReadFiles(const std::string& root_dir,
     files.emplace_back(rel, content.str());
   }
   return files;
-}
-
-uint64_t Fnv1a(const std::string& data) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 }  // namespace frontend

@@ -1,21 +1,18 @@
-// coyote-verify shared frontend: the lexical layer under coyote_lint and
-// coyote_analyze.
+// coyote-verify frontend: the lexical layer under coyote_analyze.
 //
-// Both tools work from the same view of a C++ source file: a token stream
+// Every rule works from the same view of a C++ source file: a token stream
 // with comments and literals stripped out, a per-line comment map (the
 // suppression comments live there), and a statement-start map so that a
 // suppression written above a statement also covers violations reported on
-// the statement's continuation lines. Keeping this in one library guarantees
-// the two tools agree on what is code, what is comment, and what a
-// suppression covers — a `// lint: <tag>` means the same thing to the
-// token-level linter and to the interprocedural analyzer.
+// the statement's continuation lines. A `// lint: <tag>` therefore means the
+// same thing to a per-file rule and to a context rule.
 //
 // The frontend is deliberately not a compiler: it tokenizes, it does not
-// build an AST. Tools layer their own structure (the linter per-line rules,
-// the analyzer a function index and call graph) on top of the token stream.
+// build an AST. The analyzer layers its per-file rules and its function
+// index and call graph on top of the token stream.
 
-#ifndef TOOLS_COYOTE_FRONTEND_FRONTEND_H_
-#define TOOLS_COYOTE_FRONTEND_FRONTEND_H_
+#ifndef TOOLS_COYOTE_ANALYZE_FRONTEND_H_
+#define TOOLS_COYOTE_ANALYZE_FRONTEND_H_
 
 #include <cstdint>
 #include <map>
@@ -94,17 +91,17 @@ bool PrevIsMemberAccess(const std::vector<Token>& toks, size_t i);
 const std::set<std::string>& CallPrefixKeywords();
 
 // Keywords that can never be function names in a call graph (control flow,
-// cast-ish constructs). Shared by the linter's call heuristic and the
-// analyzer's call-site collection.
+// cast-ish constructs).
 const std::set<std::string>& NonCallKeywords();
 
 // True when toks[i] looks like a call of a *free* function: followed by "(",
 // not a member access, and not a declaration "Type name(".
 bool LooksLikeCall(const std::vector<Token>& toks, size_t i);
 
-// Reconstructs the header name of an `#include <...>` directive starting at
-// the "<" token index; returns the joined text ("sys/time.h").
-std::string JoinIncludeName(const std::vector<Token>& toks, size_t lt, size_t* end_index);
+// True when toks[*i] is the '#' of an `#include <...>` directive: `*name`
+// gets the joined header name ("sys/time.h") and `*i` moves to the closing
+// '>'.
+bool AngleInclude(const std::vector<Token>& toks, size_t* i, std::string* name);
 
 // --- Project walk ------------------------------------------------------------
 
@@ -119,11 +116,7 @@ std::vector<std::string> CollectFiles(const std::string& root_dir,
 std::vector<SourceFile> ReadFiles(const std::string& root_dir,
                                   const std::vector<std::string>& relative_paths);
 
-// FNV-1a over a string — the fingerprint primitive for the analyzer's index
-// cache (and deterministic by construction).
-uint64_t Fnv1a(const std::string& data);
-
 }  // namespace frontend
 }  // namespace coyote
 
-#endif  // TOOLS_COYOTE_FRONTEND_FRONTEND_H_
+#endif  // TOOLS_COYOTE_ANALYZE_FRONTEND_H_

@@ -1,14 +1,14 @@
-// coyote_analyze CLI: interprocedural simulation-context analysis.
+// coyote_analyze CLI: per-file and interprocedural analysis of the tree.
 //
-//   coyote_analyze --root <repo> src
+//   coyote_analyze --root <repo> src tests bench examples tools
 //   coyote_analyze --root <repo> --index-cache build/analyze.index src
-//   coyote_analyze --root <repo> --report build/analyze-report.txt src
+//   coyote_analyze --root <repo> --rule nondet --report build/analyze-report.txt src
 //   coyote_analyze --list-rules
 //
 // Exit codes: 0 clean, 1 findings, 2 usage error. The report (stdout and,
 // with --report, a file for the CI artifact) prints one finding as
-// `path:line: [rule] message` followed by the indented interprocedural
-// call-chain trace, ending with a stable summary line.
+// `path:line: [rule] message`, a context finding followed by its indented
+// interprocedural call-chain trace, ending with a stable summary line.
 
 #include <cstdio>
 #include <fstream>
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "tools/coyote_analyze/analyze.h"
-#include "tools/coyote_frontend/frontend.h"
+#include "tools/coyote_analyze/frontend.h"
 
 namespace {
 
@@ -30,7 +30,8 @@ void PrintUsage() {
       "  --report FILE      also write the findings report to FILE\n"
       "  --rule ID          run only the named rule (repeatable)\n"
       "  --list-rules       print the rule table and exit\n"
-      "  path               files or directories under --root (default: src)\n");
+      "  path               files or directories under --root\n"
+      "                     (default: src tests bench examples tools)\n");
 }
 
 }  // namespace
@@ -77,7 +78,7 @@ int main(int argc, char** argv) {
     }
   }
   if (paths.empty()) {
-    paths = {"src"};
+    paths = {"src", "tests", "bench", "examples", "tools"};
   }
 
   const auto files = coyote::frontend::CollectFiles(root, paths);
