@@ -45,7 +45,6 @@ void LoadGen::ArrivalTick() {
   const bool burst =
       config_.burst_permille > 0 && rng_.NextBounded(1000) < config_.burst_permille;
   const uint32_t sessions = burst ? std::max<uint32_t>(1, config_.burst_size) : 1;
-  counters_.Increment(burst ? "gen.burst_arrivals" : "gen.arrivals");
   for (uint32_t s = 0; s < sessions; ++s) {
     StartSession(now);
   }
@@ -59,7 +58,6 @@ void LoadGen::ArrivalTick() {
 }
 
 void LoadGen::StartSession(sim::TimePs now) {
-  ++sessions_;
   const uint32_t tenant = PickTenant(now);
   const uint64_t k = 1 + rng_.NextBounded(std::max<uint32_t>(1, config_.requests_per_session_max));
   sim::TimePs at = 0;
@@ -89,7 +87,6 @@ void LoadGen::EmitRequestAfter(sim::TimePs delay, uint32_t tenant) {
   if (config_.deadline_budget > 0) {
     req.deadline = engine_->Now() + delay + config_.deadline_budget;
   }
-  ++requests_;
   engine_->ScheduleAfter(delay, [this, req = std::move(req)]() mutable {
     guard_.Write();
     submit_(std::move(req));

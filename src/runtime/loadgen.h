@@ -31,7 +31,6 @@
 #include "src/sim/access_guard.h"
 #include "src/sim/engine.h"
 #include "src/sim/rng.h"
-#include "src/sim/stats.h"
 #include "src/sim/time.h"
 
 namespace coyote {
@@ -82,9 +81,6 @@ class LoadGen {
   // True once the generation window closed (no further arrivals will be
   // scheduled; in-flight session tails may still emit briefly after).
   bool done() const { return done_; }
-  uint64_t sessions() const { return sessions_; }
-  uint64_t requests() const { return requests_; }
-  const sim::CounterSet& counters() const { return counters_; }
 
  private:
   void ArrivalTick();
@@ -100,9 +96,6 @@ class LoadGen {
   sim::AccessGuard guard_{"runtime.loadgen"};
 
   bool done_ = false;
-  uint64_t sessions_ = 0;
-  uint64_t requests_ = 0;
-  sim::CounterSet counters_;
 };
 
 }  // namespace runtime

@@ -740,19 +740,6 @@ void Orchestrator::PostToNode(uint32_t node, sim::InlineCallback cb) {
   fleet_->cluster_.Post(fleet_->orch_logical_, node, 0, std::move(cb));
 }
 
-void Orchestrator::Trace(const std::string& line) {
-  trace_.push_back("t=" + std::to_string(Now()) + " " + line);
-}
-
-uint64_t Orchestrator::TraceFingerprint() const {
-  uint64_t h = sim::kFnvOffset;
-  for (const auto& line : trace_) {
-    sim::FnvFold(&h, line.data(), line.size());
-    sim::FnvFold(&h, "\n", 1);
-  }
-  return h;
-}
-
 void Orchestrator::AdmitTenant(uint32_t tenant, const TenantSpec& spec, uint32_t node,
                                int32_t region) {
   tenants_guard_.Write();
@@ -763,8 +750,7 @@ void Orchestrator::AdmitTenant(uint32_t tenant, const TenantSpec& spec, uint32_t
   book.region = region;
   tenants_[tenant] = std::move(book);
   ReserveRegion(node, region, tenant);
-  Trace("tenant=" + std::to_string(tenant) + " admit node=" + std::to_string(node) +
-        " region=" + std::to_string(region) + " prio=" + std::to_string(spec.priority));
+  events_.Record("admit", {tenant, node, static_cast<uint64_t>(region), spec.priority}, Now());
 }
 
 void Orchestrator::ReserveRegion(uint32_t node, int32_t region, uint32_t tenant) {
@@ -803,16 +789,14 @@ void Orchestrator::StartMigration(uint32_t tenant, uint32_t dst_node, const std:
   if (dst_node >= regions_.size() || book.outcome != TenantOutcome::kRunning ||
       book.migrating || !BelievedAlive(book.node) || !BelievedAlive(dst_node) ||
       regions_[dst_node].free() == 0 || dst_node == book.node) {
-    Trace("tenant=" + std::to_string(tenant) + " migrate.reject dst=" +
-          std::to_string(dst_node));
+    events_.Record("migrate.reject", {tenant, dst_node}, Now());
     return;
   }
   const int32_t region = regions_[dst_node].FindFree();
   ReserveRegion(dst_node, region, tenant);
   book.migrating = true;
   OpenRecord(tenant, book.node, dst_node, reason).outcome = "ok";
-  Trace("tenant=" + std::to_string(tenant) + " migrate.start src=" +
-        std::to_string(book.node) + " dst=" + std::to_string(dst_node) + " reason=" + reason);
+  events_.Record("migrate.start", {tenant, book.node, dst_node, sim::FnvHash(reason)}, Now());
 
   const uint32_t src = book.node;
   PostToNode(src, [this, src, tenant, dst_node, region]() {
@@ -839,8 +823,7 @@ void Orchestrator::StampResumed(MigrationRecord* rec, sim::TimePs resumed_at) {
 
 void Orchestrator::ShedBook(uint32_t tenant, TenantBook& book, const std::string& why) {
   book.outcome = TenantOutcome::kShed;
-  ++sheds_;
-  Trace("tenant=" + std::to_string(tenant) + " shed why=" + why);
+  events_.Record("shed", {tenant, sim::FnvHash(why)}, Now());
   CheckSettled();
 }
 
@@ -862,8 +845,7 @@ void Orchestrator::OnMigrationQuiesced(uint32_t tenant, sim::TimePs quiesced_at,
   rec->ckpt_bytes = ckpt_bytes;
   rec->ckpt_pages = ckpt_pages;
   rec->chunks = chunks;
-  Trace("tenant=" + std::to_string(tenant) + " quiesce bytes=" + std::to_string(ckpt_bytes) +
-        " pages=" + std::to_string(ckpt_pages) + " chunks=" + std::to_string(chunks));
+  events_.Record("quiesce", {tenant, ckpt_bytes, ckpt_pages, chunks}, Now());
 }
 
 void Orchestrator::OnTransferRound(uint32_t tenant, uint32_t round) {
@@ -874,7 +856,7 @@ void Orchestrator::OnTransferRound(uint32_t tenant, uint32_t round) {
     return;
   }
   rec->retransmit_rounds = std::max(rec->retransmit_rounds, round);
-  Trace("tenant=" + std::to_string(tenant) + " transfer.retry round=" + std::to_string(round));
+  events_.Record("transfer.retry", {tenant, round}, Now());
 }
 
 void Orchestrator::OnRestoreAttempt(uint32_t tenant) {
@@ -905,8 +887,8 @@ void Orchestrator::OnMigrationDone(uint32_t tenant, sim::TimePs resumed_at) {
   book.migrating = false;
   book.region = regions_[rec->dst_node].FindTenant(tenant);
   active_migration_.erase(tenant);
-  Trace("tenant=" + std::to_string(tenant) + " resume node=" + std::to_string(book.node) +
-        " downtime=" + std::to_string(rec->downtime) + " outcome=" + rec->outcome);
+  events_.Record("resume", {tenant, book.node, rec->downtime, sim::FnvHash(rec->outcome)},
+                 Now());
 
   // Source cleanup only applies to a live source (planned migration or
   // drain); an evacuated tenant's source is gone.
@@ -926,7 +908,7 @@ void Orchestrator::OnMigrationFailed(uint32_t tenant, const std::string& why) {
     return;
   }
   TenantBook& book = it->second;
-  Trace("tenant=" + std::to_string(tenant) + " migrate.fail why=" + why);
+  events_.Record("migrate.fail", {tenant, sim::FnvHash(why)}, Now());
 
   // Release the destination reservation in every failure shape.
   const RegionBook& dst = regions_[rec->dst_node];
@@ -946,7 +928,7 @@ void Orchestrator::OnMigrationFailed(uint32_t tenant, const std::string& why) {
   if (BelievedAlive(book.node)) {
     // ROLLBACK: the source still holds the live state; resume it there.
     rec->outcome = "rollback." + why;
-    ++rollbacks_;
+    events_.Record("rollback", {tenant, sim::FnvHash(why)}, Now());
     const uint32_t src = book.node;
     PostToNode(src, [this, src, tenant]() { fleet_->ResumeAtSource(src, tenant); });
     return;
@@ -967,16 +949,16 @@ void Orchestrator::OnRollbackResumed(uint32_t tenant, sim::TimePs resumed_at) {
       break;
     }
   }
-  Trace("tenant=" + std::to_string(tenant) + " rollback.resumed");
+  events_.Record("rollback.resumed", {tenant}, Now());
 }
 
-void Orchestrator::OnTenantDone(uint32_t tenant) { Retire(tenant, TenantOutcome::kDone, "done"); }
+void Orchestrator::OnTenantDone(uint32_t tenant) { Retire(tenant, TenantOutcome::kDone, ""); }
 
 void Orchestrator::OnTenantShed(uint32_t tenant, const std::string& why) {
-  Retire(tenant, TenantOutcome::kShed, "shed why=" + why);
+  Retire(tenant, TenantOutcome::kShed, why);
 }
 
-void Orchestrator::Retire(uint32_t tenant, TenantOutcome outcome, const std::string& what) {
+void Orchestrator::Retire(uint32_t tenant, TenantOutcome outcome, const std::string& why) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   tenants_guard_.Write();
   regions_guard_.Write();
@@ -986,10 +968,13 @@ void Orchestrator::Retire(uint32_t tenant, TenantOutcome outcome, const std::str
   }
   TenantBook& book = it->second;
   book.outcome = outcome;
-  sheds_ += outcome == TenantOutcome::kShed ? 1 : 0;
   ReleaseRegion(book.node, book.region);
   book.region = -1;
-  Trace("tenant=" + std::to_string(tenant) + " " + what);
+  if (outcome == TenantOutcome::kShed) {
+    events_.Record("shed", {tenant, sim::FnvHash(why)}, Now());
+  } else {
+    events_.Record("done", {tenant}, Now());
+  }
   // An evacuation may have been waiting on this tenant's region (it was
   // picked as a shed victim) — the region is free now.
   auto pit = pending_evacuations_.find(tenant);
@@ -1006,8 +991,7 @@ void Orchestrator::DeclareDead(uint32_t node) {
   tenants_guard_.Write();
   regions_guard_.Write();
   regions_[node].CloseCapacity();
-  ++deaths_declared_;
-  Trace("node=" + std::to_string(node) + " dead");
+  events_.Record("node.dead", {node}, Now());
 
   // A victim that was mid-shed on this node will never ack; release its
   // waiting evacuee back into the normal path below.
@@ -1032,11 +1016,10 @@ void Orchestrator::DeclareDead(uint32_t node) {
       if (rec != nullptr && rec->dst_node == node && BelievedAlive(rec->src_node)) {
         // Destination died mid-restore: roll back to the live source.
         rec->outcome = "rollback.dst_dead";
-        ++rollbacks_;
         book.migrating = false;
         active_migration_.erase(id);
         const uint32_t src = rec->src_node;
-        Trace("tenant=" + std::to_string(id) + " rollback.dst_dead");
+        events_.Record("rollback.dst_dead", {id}, Now());
         PostToNode(src, [this, src, id]() { fleet_->ResumeAtSource(src, id); });
         continue;
       }
@@ -1128,8 +1111,7 @@ void Orchestrator::EvacuateTenant(uint32_t tenant, const std::string& reason) {
       // ordered mailbox streams.
       pending_evacuations_[victim] = tenant;
       const uint32_t victim_node = tenants_[victim].node;
-      Trace("tenant=" + std::to_string(victim) + " shed.request evacuee=" +
-            std::to_string(tenant));
+      events_.Record("shed.request", {victim, tenant}, Now());
       PostToNode(victim_node,
                  [this, victim_node, victim]() { fleet_->ShedTenant(victim_node, victim); });
       return;
@@ -1141,7 +1123,6 @@ void Orchestrator::EvacuateTenant(uint32_t tenant, const std::string& reason) {
 
   ReserveRegion(dst, region, tenant);
   book.migrating = true;
-  ++evacuations_;
 
   MigrationRecord& rec = OpenRecord(tenant, book.node, dst, reason);
   rec.quiesced_at = rec.started_at;  // downtime for an evacuation runs from detection
@@ -1153,9 +1134,8 @@ void Orchestrator::EvacuateTenant(uint32_t tenant, const std::string& reason) {
     rec.ckpt_pages = cit->second.pages;
     const uint32_t chunks = fleet_->ChunkCount(cit->second.blob.size());
     rec.chunks = chunks;
-    Trace("tenant=" + std::to_string(tenant) + " evacuate dst=" + std::to_string(dst) +
-          " region=" + std::to_string(region) + " bytes=" +
-          std::to_string(cit->second.blob.size()));
+    events_.Record("evacuate",
+                   {tenant, dst, static_cast<uint64_t>(region), cit->second.blob.size()}, Now());
     fleet_->SendChunks(fleet_->orch_logical_, dst, tenant, cit->second.blob, AllChunks(chunks),
                        chunks, /*round=*/0, region, /*extra_delay=*/0);
     return;
@@ -1163,8 +1143,7 @@ void Orchestrator::EvacuateTenant(uint32_t tenant, const std::string& reason) {
 
   // No checkpoint yet: restart from scratch on the survivor.
   rec.outcome = "evacuated.fresh";
-  Trace("tenant=" + std::to_string(tenant) + " evacuate.fresh dst=" + std::to_string(dst) +
-        " region=" + std::to_string(region));
+  events_.Record("evacuate.fresh", {tenant, dst, static_cast<uint64_t>(region)}, Now());
   const TenantSpec spec = book.spec;
   PostToNode(dst, [this, dst, tenant, spec, region]() {
     fleet_->StartTenantFresh(dst, tenant, spec, region);
@@ -1186,7 +1165,7 @@ void Orchestrator::CheckSettled() {
   }
   settled_ = true;
   settled_at_ = Now();
-  Trace("settled");
+  events_.Record("settled", {}, Now());
 }
 
 bool Orchestrator::AllSettled() const { return settled_; }

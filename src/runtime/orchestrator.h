@@ -49,6 +49,7 @@
 #include "src/sim/fault.h"
 #include "src/sim/hash.h"
 #include "src/sim/sharded_engine.h"
+#include "src/sim/stats.h"
 #include "src/sim/time.h"
 #include "src/sim/timer_wheel.h"
 
@@ -317,16 +318,21 @@ class Orchestrator {
   bool AllSettled() const;
   const std::vector<MigrationRecord>& migrations() const { return records_; }
   const std::map<uint32_t, TenantBook>& tenants() const { return tenants_; }
-  uint64_t deaths_declared() const { return deaths_declared_; }
-  uint64_t evacuations() const { return evacuations_; }
-  uint64_t sheds() const { return sheds_; }
-  uint64_t rollbacks() const { return rollbacks_; }
+  uint64_t deaths_declared() const { return events_.value("node.dead"); }
+  uint64_t evacuations() const {
+    return events_.value("evacuate") + events_.value("evacuate.fresh");
+  }
+  uint64_t sheds() const { return events_.value("shed"); }
+  uint64_t rollbacks() const {
+    return events_.value("rollback") + events_.value("rollback.dst_dead");
+  }
   sim::TimePs settled_at() const { return settled_at_; }
 
-  // Append-ordered control-plane event trace and its FNV-1a fingerprint —
-  // the cross-shard-count determinism witness for the whole fleet.
-  const std::vector<std::string>& trace() const { return trace_; }
-  uint64_t TraceFingerprint() const;
+  // Every control-plane event (admit, migrate.*, shed, node.dead, ...) with
+  // its ids, counts and reason hashes; the fingerprint is the
+  // cross-shard-count determinism witness for the whole fleet.
+  const sim::CounterSet& events() const { return events_; }
+  uint64_t TraceFingerprint() const { return events_.Fingerprint(); }
 
  private:
   friend class Fleet;
@@ -338,9 +344,9 @@ class Orchestrator {
   };
 
   void AdmitTenant(uint32_t tenant, const TenantSpec& spec, uint32_t node, int32_t region);
-  // The tenant reached `outcome` on its node: free its region and wake an
-  // evacuation waiting for it.
-  void Retire(uint32_t tenant, TenantOutcome outcome, const std::string& what);
+  // The tenant reached `outcome` on its node (`why` names a shed's cause):
+  // free its region and wake an evacuation waiting for it.
+  void Retire(uint32_t tenant, TenantOutcome outcome, const std::string& why);
   // Subscribed to the cluster's failure detector.
   void DeclareDead(uint32_t node);
   // False once the cluster's detector declared the node dead.
@@ -363,7 +369,6 @@ class Orchestrator {
   static void StampResumed(MigrationRecord* rec, sim::TimePs resumed_at);
   // The tenant degrades to kShed without a region to give back.
   void ShedBook(uint32_t tenant, TenantBook& book, const std::string& why);
-  void Trace(const std::string& line);
   void CheckSettled();
 
   Fleet* fleet_;
@@ -381,11 +386,7 @@ class Orchestrator {
   std::map<uint32_t, size_t> active_migration_;
 
   std::vector<MigrationRecord> records_;
-  std::vector<std::string> trace_;
-  uint64_t deaths_declared_ = 0;
-  uint64_t evacuations_ = 0;
-  uint64_t sheds_ = 0;
-  uint64_t rollbacks_ = 0;
+  sim::CounterSet events_;
   sim::TimePs settled_at_ = 0;
   bool settled_ = false;
 

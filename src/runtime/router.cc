@@ -22,22 +22,27 @@ void Router::SetNodeResident(uint32_t node, std::vector<std::string> region_kern
   nodes_.at(node).region_kernel = std::move(region_kernels);
 }
 
-const char* Router::StatusKey(OpStatus status) {
+namespace {
+
+// The completion counter for one status.
+const char* DoneKey(OpStatus status) {
   switch (status) {
     case OpStatus::kOk:
-      return "ok";
+      return "router.done.ok";
     case OpStatus::kError:
-      return "error";
+      return "router.done.error";
     case OpStatus::kDeadlineExceeded:
-      return "deadline";
+      return "router.done.deadline";
     case OpStatus::kAborted:
-      return "aborted";
+      return "router.done.aborted";
     case OpStatus::kShed:
-      return "shed";
+      return "router.done.shed";
     default:
-      return "pending";
+      return "router.done.pending";
   }
 }
+
+}  // namespace
 
 serving::ServingCompletion Router::LocalCompletion(const serving::ServingRequest& req,
                                                    OpStatus status) const {
@@ -54,7 +59,7 @@ serving::ServingCompletion Router::LocalCompletion(const serving::ServingRequest
 
 void Router::Complete(const serving::ServingCompletion& c) {
   ++completions_;
-  counters_.Increment(std::string("router.done.") + StatusKey(c.status));
+  counters_.Increment(DoneKey(c.status));
   if (c.status == OpStatus::kOk) {
     latency_us_.Add(static_cast<double>(c.completed_at - c.submitted_at) * 1e-6);
   }
@@ -219,7 +224,7 @@ void Router::AppendToBatch(uint32_t node, serving::ServingRequest req) {
   NodeView& v = nodes_[node];
   v.open_batch.push_back(std::move(req));
   if (v.open_batch.size() >= config_.batch_max || config_.batch_timeout == 0) {
-    FlushBatch(node, "size");
+    FlushBatch(node, "router.flush.size");
     return;
   }
   if (v.open_batch.size() == 1) {
@@ -229,20 +234,20 @@ void Router::AppendToBatch(uint32_t node, serving::ServingRequest req) {
     engine_->ScheduleAfter(config_.batch_timeout, [this, node, gen]() {
       guard_.Write();
       if (nodes_[node].batch_gen == gen && !nodes_[node].open_batch.empty()) {
-        FlushBatch(node, "timeout");
+        FlushBatch(node, "router.flush.timeout");
       }
     });
   }
 }
 
-void Router::FlushBatch(uint32_t node, const char* why) {
+void Router::FlushBatch(uint32_t node, const char* key) {
   NodeView& v = nodes_[node];
   ++v.batch_gen;
   std::vector<serving::ServingRequest> batch = std::move(v.open_batch);
   v.open_batch.clear();
   v.outstanding += batch.size();
   counters_.Increment("router.batches");
-  counters_.Increment(std::string("router.flush.") + why);
+  counters_.Increment(key);
   batch_hist_.Add(batch.size());
   for (const serving::ServingRequest& r : batch) {
     inflight_.emplace(r.id, Inflight{node, r});  // payload copy = refcount bump

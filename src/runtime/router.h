@@ -147,12 +147,12 @@ class Router {
   int32_t RouteOf(const serving::ServingRequest& req) const;
   int32_t RegionHintOn(uint32_t node, const std::string& kernel) const;
   void AppendToBatch(uint32_t node, serving::ServingRequest req);
-  void FlushBatch(uint32_t node, const char* why);
+  // Counts the flush under `key`: "router.flush.size" or "router.flush.timeout".
+  void FlushBatch(uint32_t node, const char* key);
   void Requeue(std::vector<serving::ServingRequest> orphans);
   serving::ServingCompletion LocalCompletion(const serving::ServingRequest& req,
                                              OpStatus status) const;
   void Complete(const serving::ServingCompletion& c);
-  static const char* StatusKey(OpStatus status);
 
   sim::Engine* engine_;
   const Config config_;

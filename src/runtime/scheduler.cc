@@ -75,13 +75,12 @@ void KernelScheduler::NoteDequeued(const Request& request) {
   }
 }
 
-void KernelScheduler::FailRequest(size_t index, OpStatus status, const char* why) {
+void KernelScheduler::FailRequest(size_t index, OpStatus status, const char* key) {
   Request request = std::move(queue_[index]);
   queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(index));
   NoteDequeued(request);
   ++completed_;  // left the scheduler: Idle() converges
-  ++failed_requests_;
-  stats_.Increment(std::string("sched.failed.") + why);
+  stats_.Increment(key);
   if (request.failed) {
     request.failed(status);
   }
@@ -121,7 +120,7 @@ void KernelScheduler::DoSchedule() {
         // waits — a busy region will free up and re-enter Schedule().
         if (queue_[req_index].require_resident &&
             !ResidentAnywhereEligible(queue_[req_index].bitstream_path)) {
-          FailRequest(req_index, OpStatus::kError, "no_resident");
+          FailRequest(req_index, OpStatus::kError, "sched.failed.no_resident");
           continue;
         }
         break;
@@ -153,7 +152,6 @@ void KernelScheduler::Dispatch(size_t request_index, uint32_t vfpga_id) {
       state.busy = false;
       --busy_regions_;
       ++completed_;
-      ++failed_requests_;
       stats_.Increment("sched.failed.reconfig");
       if (request.failed) {
         request.failed(OpStatus::kError);
@@ -197,7 +195,6 @@ void KernelScheduler::SetQuarantined(uint32_t vfpga_id, bool quarantined) {
   }
   state.quarantined = quarantined;
   if (quarantined) {
-    ++quarantine_events_;
     stats_.Increment("sched.quarantine.on");
     // Queued require_resident requests stranded by this quarantine fail fast
     // in the next DoSchedule pass rather than waiting on a readmission that
@@ -219,7 +216,6 @@ void KernelScheduler::NoteRegionReset(uint32_t vfpga_id,
     state.busy = false;
     --busy_regions_;
     ++completed_;  // the hung request is counted done so Idle() converges
-    ++reaped_requests_;
     stats_.Increment("sched.reaped");
     Schedule();
   }

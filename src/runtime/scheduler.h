@@ -77,7 +77,6 @@ class KernelScheduler {
   // of submissions is scheduled together, respecting the policy).
   void Submit(Request request) {
     queue_guard_.Write();
-    ++submitted_;
     stats_.Increment("sched.submitted");
     stats_.Increment("sched.submitted.tenant" + std::to_string(request.tenant));
     ++tenant_depth_[request.tenant];
@@ -108,13 +107,15 @@ class KernelScheduler {
   // ShardedEngine::Post onto the owning shard.
   void BindShard(sim::ShardId shard) { queue_guard_.BindShard(shard); }
 
-  uint64_t submitted() const { return submitted_; }
+  uint64_t submitted() const { return stats_.value("sched.submitted"); }
   uint64_t completed() const { return completed_; }
   uint64_t reconfigurations() const { return reconfigurations_; }
   uint64_t affinity_hits() const { return affinity_hits_; }
-  uint64_t quarantine_events() const { return quarantine_events_; }
-  uint64_t reaped_requests() const { return reaped_requests_; }
-  uint64_t failed_requests() const { return failed_requests_; }
+  uint64_t quarantine_events() const { return stats_.value("sched.quarantine.on"); }
+  uint64_t reaped_requests() const { return stats_.value("sched.reaped"); }
+  uint64_t failed_requests() const {
+    return stats_.value("sched.failed.no_resident") + stats_.value("sched.failed.reconfig");
+  }
 
   // --- Observability (serving-tier admission inputs) --------------------------
   // Live queue depth for one tenant (requests enqueued, not yet dispatched).
@@ -122,30 +123,12 @@ class KernelScheduler {
     auto it = tenant_depth_.find(tenant);
     return it == tenant_depth_.end() ? 0 : it->second;
   }
-  uint32_t quarantined_regions() const {
-    uint32_t n = 0;
-    for (const RegionState& s : region_state_) {
-      n += s.quarantined ? 1u : 0u;
-    }
-    return n;
-  }
   // Monotonic event counters (per-tenant submits/dispatches, quarantine
   // transitions, failures) — the router reads these instead of poking
   // scheduler internals, and tests fingerprint them.
   const sim::CounterSet& stats() const { return stats_; }
   // Queue depth sampled at every Submit.
   const sim::Histogram& depth_histogram() const { return depth_hist_; }
-  // Snapshot of the live gauges under "sched.*" keys (queue depth per
-  // tenant, quarantined/busy region counts) merged into `out`.
-  void ExportStats(sim::CounterSet* out) const {
-    for (const auto& [tenant, depth] : tenant_depth_) {
-      if (depth > 0) {
-        out->Increment("sched.queue_depth.tenant" + std::to_string(tenant), depth);
-      }
-    }
-    out->Increment("sched.quarantined_regions", quarantined_regions());
-    out->Increment("sched.busy_regions", busy_regions_);
-  }
 
  private:
   struct RegionState {
@@ -164,8 +147,9 @@ class KernelScheduler {
   void Dispatch(size_t request_index, uint32_t vfpga_id);
   // True when some non-quarantined region (busy or not) holds the kernel.
   bool ResidentAnywhereEligible(const std::string& bitstream) const;
-  // Removes queue_[index] with a typed rejection (see Request::failed).
-  void FailRequest(size_t index, OpStatus status, const char* why);
+  // Removes queue_[index] with a typed rejection (see Request::failed),
+  // counted under `key`.
+  void FailRequest(size_t index, OpStatus status, const char* key);
   void NoteDequeued(const Request& request);
 
   SimDevice* dev_;
@@ -178,13 +162,9 @@ class KernelScheduler {
   bool rerun_needed_ = false;
 
   sim::AccessGuard queue_guard_{"runtime.sched_queue"};
-  uint64_t submitted_ = 0;
   uint64_t completed_ = 0;
   uint64_t reconfigurations_ = 0;
   uint64_t affinity_hits_ = 0;
-  uint64_t quarantine_events_ = 0;
-  uint64_t reaped_requests_ = 0;
-  uint64_t failed_requests_ = 0;
 
   sim::CounterSet stats_;
   sim::Histogram depth_hist_;

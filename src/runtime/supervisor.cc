@@ -67,7 +67,7 @@ void Supervisor::NoteDeadlineMiss(uint32_t vfpga_id) {
     // A miss during probation is relapse evidence: the freshly reprogrammed
     // region is already failing host deadlines again.
     w.deadline_missed = true;
-    TraceEvent(vfpga_id, "deadline.miss");
+    events_.Record("deadline.miss", {vfpga_id}, dev_->engine().Now());
   }
 }
 
@@ -78,7 +78,6 @@ void Supervisor::Tick() {
   ticking_ = true;
   sim::ActorScope actor(sim::kActorSupervisor);
   state_guard_.Write();
-  ++watchdog_ticks_;
   for (uint32_t i = 0; i < regions_.size(); ++i) {
     SampleRegion(i);
   }
@@ -94,7 +93,7 @@ void Supervisor::SampleRegion(uint32_t id) {
     if (dev_->data_mover().OutstandingOps(id) > 0) {
       dev_->data_mover().AbortVfpga(id);
       dev_->vfpga(id).FlushStreams();
-      TraceEvent(id, "quarantine.bounce");
+      events_.Record("quarantine.bounce", {id}, dev_->engine().Now());
     }
     return;
   }
@@ -123,7 +122,7 @@ void Supervisor::SampleRegion(uint32_t id) {
         (!progressed && dev_->data_mover().OutstandingOps(id) > 0 &&
          now - w.last_progress_at >= config_.heartbeat_deadline);
     if (relapsed) {
-      TraceEvent(id, "probation.relapse");
+      events_.Record("probation.relapse", {id}, now);
       Recover(id, "probation.relapse");
       return;
     }
@@ -134,8 +133,7 @@ void Supervisor::SampleRegion(uint32_t id) {
       w.health = RegionHealth::kHealthy;
       w.last_progress_at = now;
       w.incident_attempts = 0;  // clean exit: the incident chain is over
-      ++readmissions_;
-      TraceEvent(id, "readmit");
+      events_.Record("readmit", {id}, now);
       if (scheduler_ != nullptr) {
         scheduler_->SetQuarantined(id, false);
       }
@@ -148,7 +146,7 @@ void Supervisor::SampleRegion(uint32_t id) {
     w.deadline_missed = false;
     if (w.health == RegionHealth::kSuspected) {
       w.health = RegionHealth::kHealthy;
-      TraceEvent(id, "clear");
+      events_.Record("clear", {id}, now);
     }
     return;
   }
@@ -159,7 +157,7 @@ void Supervisor::SampleRegion(uint32_t id) {
     w.last_progress_at = now;
     if (w.health == RegionHealth::kSuspected) {
       w.health = RegionHealth::kHealthy;
-      TraceEvent(id, "clear");
+      events_.Record("clear", {id}, now);
     }
     return;
   }
@@ -169,7 +167,7 @@ void Supervisor::SampleRegion(uint32_t id) {
   // the window — the host already waited its own deadline out.
   if (w.health == RegionHealth::kHealthy) {
     w.health = RegionHealth::kSuspected;
-    TraceEvent(id, "suspect");
+    events_.Record("suspect", {id}, now);
   }
   if (w.deadline_missed || now - w.last_progress_at >= config_.heartbeat_deadline) {
     Recover(id, w.deadline_missed ? "deadline.miss" : "kernel.hang");
@@ -185,10 +183,9 @@ void Supervisor::Recover(uint32_t id, const std::string& fault_class) {
   incident.fault_class = fault_class;
   incident.detected_at = detected_at;
   incident.detect_latency = detected_at - w.last_progress_at;
-  ++hangs_detected_;
   w.health = RegionHealth::kRecovering;
   w.deadline_missed = false;
-  TraceEvent(id, "detect " + fault_class);
+  events_.Record("detect", {id, sim::FnvHash(fault_class)}, detected_at);
 
   // ISOLATE: fence the region off from new dispatches, abort its in-flight
   // DMA (error completions, credit restore, TLB shootdown) and flush the
@@ -218,14 +215,12 @@ void Supervisor::Recover(uint32_t id, const std::string& fault_class) {
     }
     ok = dev_->ReconfigureApp(w.last_known_good, id).ok;
     if (!ok) {
-      ++failed_recoveries_;
-      TraceEvent(id, "recover.retry");
+      events_.Record("recover.retry", {id}, dev_->engine().Now());
     }
   }
 
   const sim::TimePs now = dev_->engine().Now();
   if (ok) {
-    ++recoveries_;
     incident.recovered = true;
     incident.recovered_at = now;
     incident.mttr = now - detected_at;
@@ -234,7 +229,7 @@ void Supervisor::Recover(uint32_t id, const std::string& fault_class) {
     w.last_beats = dev_->vfpga(id).beats_retired();
     w.last_packets = dev_->data_mover().packets_moved_for(id);
     w.last_progress_at = now;
-    TraceEvent(id, "recover.ok");
+    events_.Record("recover.ok", {id}, now);
     if (scheduler_ != nullptr) {
       // Reap the hung request and record the freshly programmed bitstream.
       scheduler_->NoteRegionReset(id, w.last_known_good);
@@ -244,27 +239,12 @@ void Supervisor::Recover(uint32_t id, const std::string& fault_class) {
     // The shell keeps serving the other regions.
     dev_->vfpga(id).UnloadKernel();
     w.health = RegionHealth::kQuarantined;
-    ++permanent_quarantines_;
-    TraceEvent(id, "quarantine.permanent");
+    events_.Record("quarantine.permanent", {id}, dev_->engine().Now());
     if (scheduler_ != nullptr) {
       scheduler_->NoteRegionReset(id, std::string());
     }
   }
   incidents_.push_back(std::move(incident));
-}
-
-void Supervisor::TraceEvent(uint32_t id, const std::string& event) {
-  trace_.push_back("t=" + std::to_string(dev_->engine().Now()) + " vfpga=" +
-                   std::to_string(id) + " " + event);
-}
-
-uint64_t Supervisor::TraceFingerprint() const {
-  uint64_t h = sim::kFnvOffset;
-  for (const auto& line : trace_) {
-    sim::FnvFold(&h, line.data(), line.size());
-    sim::FnvFold(&h, "\n", 1);
-  }
-  return h;
 }
 
 }  // namespace runtime

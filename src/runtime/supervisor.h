@@ -22,8 +22,8 @@
 //              recovery pays the real Table-3 reconfiguration latency and
 //              is itself subject to injected ICAP faults.
 //   REPORT   — every incident is recorded (fault class, detection latency,
-//              MTTR) in an append-ordered trace whose FNV-1a fingerprint is
-//              bit-identical across same-seed runs.
+//              MTTR), and every state change is a sim::CounterSet event whose
+//              fingerprint is bit-identical across same-seed runs.
 //
 // A recovered region sits in probation: it stays out of the scheduler for a
 // configurable number of clean watchdog ticks before re-admission. A region
@@ -40,6 +40,7 @@
 #include "src/runtime/device.h"
 #include "src/runtime/scheduler.h"
 #include "src/sim/access_guard.h"
+#include "src/sim/stats.h"
 #include "src/sim/timer_wheel.h"
 
 namespace coyote {
@@ -107,17 +108,17 @@ class Supervisor {
   RegionHealth health(uint32_t vfpga_id) const { return regions_[vfpga_id].health; }
   const std::vector<Incident>& incidents() const { return incidents_; }
 
-  uint64_t watchdog_ticks() const { return watchdog_ticks_; }
-  uint64_t hangs_detected() const { return hangs_detected_; }
-  uint64_t recoveries() const { return recoveries_; }
-  uint64_t failed_recoveries() const { return failed_recoveries_; }
-  uint64_t permanent_quarantines() const { return permanent_quarantines_; }
-  uint64_t readmissions() const { return readmissions_; }
+  uint64_t hangs_detected() const { return events_.value("detect"); }
+  uint64_t recoveries() const { return events_.value("recover.ok"); }
+  uint64_t failed_recoveries() const { return events_.value("recover.retry"); }
+  uint64_t permanent_quarantines() const { return events_.value("quarantine.permanent"); }
+  uint64_t readmissions() const { return events_.value("readmit"); }
 
-  // Append-ordered event trace ("t=<ps> vfpga=<id> <event>" lines) and its
-  // FNV-1a fingerprint; same seed + same workload => same fingerprint.
-  const std::vector<std::string>& trace() const { return trace_; }
-  uint64_t TraceFingerprint() const;
+  // Every region event (suspect, detect, recover.*, readmit, ...) recorded
+  // with its vFPGA id and time; same seed + same workload => same
+  // fingerprint.
+  const sim::CounterSet& events() const { return events_; }
+  uint64_t TraceFingerprint() const { return events_.Fingerprint(); }
 
  private:
   struct RegionWatch {
@@ -142,7 +143,6 @@ class Supervisor {
   // simulated time through the nested reconfiguration, like the scheduler's
   // dispatch path).
   void Recover(uint32_t id, const std::string& fault_class);
-  void TraceEvent(uint32_t id, const std::string& event);
 
   SimDevice* dev_;
   KernelScheduler* scheduler_;  // may be nullptr
@@ -155,14 +155,7 @@ class Supervisor {
   bool ticking_ = false;
 
   std::vector<Incident> incidents_;
-  std::vector<std::string> trace_;
-
-  uint64_t watchdog_ticks_ = 0;
-  uint64_t hangs_detected_ = 0;
-  uint64_t recoveries_ = 0;
-  uint64_t failed_recoveries_ = 0;
-  uint64_t permanent_quarantines_ = 0;
-  uint64_t readmissions_ = 0;
+  sim::CounterSet events_;
 
   sim::AccessGuard state_guard_{"runtime.supervisor"};
 };

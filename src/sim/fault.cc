@@ -27,14 +27,6 @@ FaultInjector::FaultInjector(Engine* engine, const FaultPlan& plan)
       qp_rng_(plan.seed ^ kQpDomain),
       migration_rng_(plan.seed ^ kMigrationDomain) {}
 
-void FaultInjector::Record(std::string_view what, uint64_t detail) {
-  counters_.Increment(what);
-  const TimePs now = engine_->Now();
-  FnvFold(&fingerprint_, what.data(), what.size());
-  FnvFold(&fingerprint_, &detail, sizeof(detail));
-  FnvFold(&fingerprint_, &now, sizeof(now));
-}
-
 FaultInjector::FrameDecision FaultInjector::OnFrame(uint32_t src_ip, uint32_t dst_ip,
                                                     uint64_t frame_bytes) {
   FrameDecision d;
@@ -53,21 +45,21 @@ FaultInjector::FrameDecision FaultInjector::OnFrame(uint32_t src_ip, uint32_t ds
   const uint64_t key = (static_cast<uint64_t>(src_ip) << 32) | dst_ip;
   if (u < p_drop) {
     d.action = FrameAction::kDrop;
-    Record("net.frame_drop", key ^ frame_bytes);
+    counters_.Record("net.frame_drop", {key ^ frame_bytes}, engine_->Now());
   } else if (u < p_corrupt) {
     d.action = FrameAction::kCorrupt;
     d.corrupt_entropy = entropy;
-    Record("net.frame_corrupt", key ^ entropy);
+    counters_.Record("net.frame_corrupt", {key ^ entropy}, engine_->Now());
   } else if (u < p_dup) {
     d.action = FrameAction::kDuplicate;
-    Record("net.frame_duplicate", key ^ frame_bytes);
+    counters_.Record("net.frame_duplicate", {key ^ frame_bytes}, engine_->Now());
   } else if (u < p_delay) {
     d.action = FrameAction::kDelay;
     const TimePs span = plan_.frame_delay_max > plan_.frame_delay_min
                             ? plan_.frame_delay_max - plan_.frame_delay_min
                             : 0;
     d.delay = plan_.frame_delay_min + (span == 0 ? 0 : entropy % span);
-    Record("net.frame_delay", d.delay);
+    counters_.Record("net.frame_delay", {d.delay}, engine_->Now());
   }
   return d;
 }
@@ -86,7 +78,8 @@ bool FaultInjector::DropForOutage(uint32_t src_ip, uint32_t dst_ip) {
   if (!NodeDown(src_ip) && !NodeDown(dst_ip)) {
     return false;
   }
-  Record("net.outage_drop", (static_cast<uint64_t>(src_ip) << 32) | dst_ip);
+  counters_.Record("net.outage_drop", {(static_cast<uint64_t>(src_ip) << 32) | dst_ip},
+                   engine_->Now());
   return true;
 }
 
@@ -95,7 +88,7 @@ bool FaultInjector::NextReconfigFails() {
   const uint32_t index = reconfig_programs_seen_++;
   const double u = reconfig_rng_.NextDouble();
   if (index < plan_.reconfig_fail_first_n || u < plan_.reconfig_fail_rate) {
-    Record("reconfig.fail", index);
+    counters_.Record("reconfig.fail", {index}, engine_->Now());
     return true;
   }
   return false;
@@ -104,7 +97,7 @@ bool FaultInjector::NextReconfigFails() {
 double FaultInjector::NextReconfigSlowdown() {
   ++decisions_;
   if (reconfig_rng_.NextDouble() < plan_.reconfig_slowdown_rate) {
-    Record("reconfig.slowdown", 0);
+    counters_.Record("reconfig.slowdown", {0}, engine_->Now());
     return plan_.reconfig_slowdown_factor;
   }
   return 1.0;
@@ -113,7 +106,7 @@ double FaultInjector::NextReconfigSlowdown() {
 TimePs FaultInjector::NextXdmaStall() {
   ++decisions_;
   if (xdma_rng_.NextDouble() < plan_.xdma_stall_rate) {
-    Record("xdma.stall", plan_.xdma_stall_ps);
+    counters_.Record("xdma.stall", {plan_.xdma_stall_ps}, engine_->Now());
     return plan_.xdma_stall_ps;
   }
   return 0;
@@ -122,7 +115,7 @@ TimePs FaultInjector::NextXdmaStall() {
 bool FaultInjector::NextForcedTlbMiss() {
   ++decisions_;
   if (mmu_rng_.NextDouble() < plan_.tlb_force_miss_rate) {
-    Record("mmu.forced_tlb_miss", 0);
+    counters_.Record("mmu.forced_tlb_miss", {0}, engine_->Now());
     return true;
   }
   return false;
@@ -133,7 +126,7 @@ bool FaultInjector::NextKernelHang() {
   const uint32_t index = kernel_invocations_seen_++;
   const double u = kernel_rng_.NextDouble();
   if (index < plan_.kernel_hang_first_n || u < plan_.kernel_hang_rate) {
-    Record("kernel.hang", index);
+    counters_.Record("kernel.hang", {index}, engine_->Now());
     return true;
   }
   return false;
@@ -144,7 +137,7 @@ bool FaultInjector::NextQpWedge() {
   const uint32_t index = qp_posts_seen_++;
   const double u = qp_rng_.NextDouble();
   if (index < plan_.qp_wedge_first_n || u < plan_.qp_wedge_rate) {
-    Record("qp.wedge", index);
+    counters_.Record("qp.wedge", {index}, engine_->Now());
     return true;
   }
   return false;
@@ -155,7 +148,7 @@ bool FaultInjector::NextMigrationChunkDrop() {
   const uint32_t index = migration_chunks_seen_++;
   const double u = migration_rng_.NextDouble();
   if (index < plan_.migration_chunk_drop_first_n || u < plan_.migration_chunk_drop_rate) {
-    Record("migration.chunk_drop", index);
+    counters_.Record("migration.chunk_drop", {index}, engine_->Now());
     return true;
   }
   return false;
@@ -168,7 +161,7 @@ uint64_t FaultInjector::NextCheckpointCorrupt() {
   const uint64_t entropy = migration_rng_.Next();
   const double u = migration_rng_.NextDouble();
   if (u < plan_.checkpoint_corrupt_rate) {
-    Record("migration.ckpt_corrupt", entropy);
+    counters_.Record("migration.ckpt_corrupt", {entropy}, engine_->Now());
     return entropy | 1ull;  // never 0: 0 means "deliver clean"
   }
   return 0;
@@ -179,7 +172,7 @@ bool FaultInjector::NextRestoreFail() {
   const uint32_t index = restores_seen_++;
   const double u = migration_rng_.NextDouble();
   if (index < plan_.restore_fail_first_n || u < plan_.restore_fail_rate) {
-    Record("migration.restore_fail", index);
+    counters_.Record("migration.restore_fail", {index}, engine_->Now());
     return true;
   }
   return false;

@@ -10,18 +10,16 @@
 // deterministic, the same seed always reproduces the exact same fault
 // schedule — a failing chaos run is replayable from its seed alone.
 //
-// Each decision is accounted in a CounterSet and folded into a running
-// fingerprint, so tests can assert schedule identity across runs.
+// Each fired fault is recorded in a CounterSet with its detail and time, so
+// tests can assert schedule identity across runs.
 
 #ifndef SRC_SIM_FAULT_H_
 #define SRC_SIM_FAULT_H_
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "src/sim/engine.h"
-#include "src/sim/hash.h"
 #include "src/sim/rng.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
@@ -147,16 +145,14 @@ class FaultInjector {
   // --- Introspection ----------------------------------------------------------
   const FaultPlan& plan() const { return plan_; }
   const CounterSet& counters() const { return counters_; }
-  // Rolling FNV-1a hash over every (decision, time) pair drawn so far: two
-  // runs with identical fingerprints executed identical fault schedules.
-  uint64_t ScheduleFingerprint() const { return fingerprint_; }
+  // Fingerprint of every fired fault (name, detail, time) in firing order:
+  // two runs with identical fingerprints executed identical fault schedules.
+  uint64_t ScheduleFingerprint() const { return counters_.Fingerprint(); }
   // Fault *opportunities* seen (every draw, fired or not); counters() holds
   // only the faults that actually fired.
   uint64_t decisions() const { return decisions_; }
 
  private:
-  void Record(std::string_view what, uint64_t detail);
-
   Engine* engine_;
   FaultPlan plan_;
   // Independent streams per domain: drawing a network decision never
@@ -175,7 +171,6 @@ class FaultInjector {
   uint32_t migration_chunks_seen_ = 0;
   uint32_t restores_seen_ = 0;
   CounterSet counters_;
-  uint64_t fingerprint_ = kFnvOffset;
   uint64_t decisions_ = 0;
 };
 

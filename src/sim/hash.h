@@ -16,6 +16,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 namespace coyote {
 namespace sim {
@@ -43,6 +44,8 @@ inline uint64_t FnvHash(const void* data, size_t len) {
   FnvFold(&h, data, len);
   return h;
 }
+
+inline uint64_t FnvHash(std::string_view s) { return FnvHash(s.data(), s.size()); }
 
 inline constexpr std::array<uint32_t, 256> kCrc32Table = [] {
   std::array<uint32_t, 256> table{};

@@ -4,49 +4,19 @@
 #define SRC_SIM_STATS_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
+#include <functional>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/sim/hash.h"
+#include "src/sim/time.h"
 
 namespace coyote {
 namespace sim {
-
-// Online mean/stddev/min/max accumulator (Welford).
-class Summary {
- public:
-  void Add(double x) {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-
-  uint64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-  double stddev() const { return std::sqrt(variance()); }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
-  // Bit-exact comparison: two deterministic runs that fed the same samples in
-  // the same order produce equal Summaries (the chaos tests rely on this).
-  bool operator==(const Summary&) const = default;
-
- private:
-  uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 // Fixed set of samples with percentile queries; used for latency reporting.
 class Samples {
@@ -72,19 +42,6 @@ class Samples {
     const double frac = rank - static_cast<double>(lo);
     return values_[lo] * (1.0 - frac) + values_[hi] * frac;
   }
-
-  double Mean() const {
-    if (values_.empty()) {
-      return 0.0;
-    }
-    double s = 0.0;
-    for (double v : values_) {
-      s += v;
-    }
-    return s / static_cast<double>(values_.size());
-  }
-
-  const std::vector<double>& values() const { return values_; }
 
  private:
   std::vector<double> values_;
@@ -161,22 +118,37 @@ class Histogram {
   uint64_t buckets_[kBuckets] = {};
 };
 
-// Named monotonic counters with deterministic (sorted) iteration order.
-// Subsystems that inject or absorb faults account every event here, so a test
-// can assert that two runs with the same seed saw the exact same fault
-// schedule by comparing fingerprints.
+// Named monotonic counters with deterministic (sorted) iteration order: the
+// one way a component accounts an event. Increment counts a name; Record also
+// folds (name, fields..., t) into an ordered event hash, so two runs whose
+// recorded events differ in order, in any field or in time fingerprint
+// differently. Lookups of an existing name build no std::string.
 class CounterSet {
  public:
   void Increment(std::string_view name, uint64_t n = 1) {
-    counters_[std::string(name)] += n;
+    auto it = counters_.lower_bound(name);
+    if (it != counters_.end() && it->first == name) {
+      it->second += n;
+    } else {
+      counters_.emplace_hint(it, std::string(name), n);
+    }
+  }
+
+  // Counts `what` and folds its bytes, each field and `t` (eight
+  // little-endian bytes apiece) into the event hash.
+  void Record(std::string_view what, std::initializer_list<uint64_t> fields, TimePs t) {
+    Increment(what);
+    FnvFold(&events_, what.data(), what.size());
+    for (const uint64_t f : fields) {
+      FnvFoldU64(&events_, f);
+    }
+    FnvFoldU64(&events_, t);
   }
 
   uint64_t value(std::string_view name) const {
-    auto it = counters_.find(std::string(name));
+    auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
   }
-
-  const std::map<std::string, uint64_t>& counters() const { return counters_; }
 
   uint64_t total() const {
     uint64_t sum = 0;
@@ -186,9 +158,10 @@ class CounterSet {
     return sum;
   }
 
-  // FNV-1a over (name, value) pairs in sorted order.
+  // FNV-1a: starts from the event hash, then folds (name, value) pairs in
+  // name order. A set that was only Incremented starts from the FNV basis.
   uint64_t Fingerprint() const {
-    uint64_t h = kFnvOffset;
+    uint64_t h = events_;
     for (const auto& [name, v] : counters_) {
       FnvFold(&h, name.data(), name.size());
       FnvFold(&h, &v, sizeof(v));
@@ -199,7 +172,8 @@ class CounterSet {
   bool operator==(const CounterSet&) const = default;
 
  private:
-  std::map<std::string, uint64_t> counters_;
+  std::map<std::string, uint64_t, std::less<>> counters_;
+  uint64_t events_ = kFnvOffset;
 };
 
 }  // namespace sim

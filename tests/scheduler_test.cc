@@ -239,7 +239,7 @@ TEST_F(SchedulerTest, RegionHintSteersPlacementWhenEligible) {
   EXPECT_EQ(placed, (std::vector<uint32_t>{1, 0, 1}));
 }
 
-TEST_F(SchedulerTest, ExportsPerTenantDepthAndQuarantineGauges) {
+TEST_F(SchedulerTest, TracksPerTenantDepthAndQuarantine) {
   KernelScheduler sched(dev_.get(), KernelScheduler::Policy::kAffinity);
   // Warm both regions first (reconfiguration advances simulated time by the
   // full program latency, which would otherwise let the fillers finish early).
@@ -269,13 +269,7 @@ TEST_F(SchedulerTest, ExportsPerTenantDepthAndQuarantineGauges) {
   EXPECT_EQ(sched.tenant_depth(9), 1u);
   EXPECT_EQ(sched.tenant_depth(42), 0u);
   sched.SetQuarantined(1, true);
-
-  sim::CounterSet gauges;
-  sched.ExportStats(&gauges);
-  EXPECT_EQ(gauges.value("sched.queue_depth.tenant7"), 2u);
-  EXPECT_EQ(gauges.value("sched.queue_depth.tenant9"), 1u);
-  EXPECT_EQ(gauges.value("sched.quarantined_regions"), 1u);
-  EXPECT_EQ(gauges.value("sched.busy_regions"), 2u);  // both fillers still run
+  EXPECT_EQ(sched.quarantine_events(), 1u);
 
   // Monotonic counters track the same story.
   EXPECT_EQ(sched.stats().value("sched.submitted.tenant7"), 2u);

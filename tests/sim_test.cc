@@ -1,9 +1,13 @@
-// Unit tests for the discrete-event engine, clocks, bandwidth-shared links
-// and the FNV-1a / CRC-32 hashes.
+// Unit tests for the discrete-event engine, clocks, bandwidth-shared links,
+// the FNV-1a / CRC-32 hashes and the stats helpers (CounterSet events).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/clock.h"
@@ -13,6 +17,28 @@
 #include "src/sim/rng.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
+
+// Counts heap allocations so CounterSet's no-allocation claim is measured.
+// Replacing global operator new/delete is the one portable way to observe the
+// allocator; the test binary owns the whole process.
+namespace {
+std::atomic<uint64_t> g_allocs{0};
+}  // namespace
+
+__attribute__((noinline)) void* operator new(std::size_t size) {  // lint: raw-alloc-ok
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size);
+  if (p == nullptr) {
+    std::abort();
+  }
+  return p;
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {  // lint: raw-alloc-ok
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {  // lint: raw-alloc-ok
+  std::free(p);
+}
 
 namespace coyote {
 namespace sim {
@@ -312,18 +338,6 @@ TEST(RngTest, FillBytesCoversAllLengths) {
   }
 }
 
-TEST(StatsTest, SummaryMoments) {
-  Summary s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.Add(v);
-  }
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
 TEST(StatsTest, SamplesPercentiles) {
   Samples s;
   for (int i = 1; i <= 100; ++i) {
@@ -332,7 +346,61 @@ TEST(StatsTest, SamplesPercentiles) {
   EXPECT_DOUBLE_EQ(s.Percentile(0), 1.0);
   EXPECT_DOUBLE_EQ(s.Percentile(100), 100.0);
   EXPECT_NEAR(s.Percentile(50), 50.5, 1e-9);
-  EXPECT_NEAR(s.Mean(), 50.5, 1e-9);
+}
+
+TEST(CounterSetTest, ExistingKeysAreCountedWithoutAllocating) {
+  CounterSet c;
+  constexpr std::string_view kKey = "sched.submitted.tenant7";  // past any SSO buffer
+  c.Increment(kKey);
+  const uint64_t before = g_allocs;
+  for (int i = 0; i < 100; ++i) {
+    c.Increment(kKey);
+    c.Increment(kKey, 2);
+  }
+  const uint64_t seen = c.value(kKey);
+  const uint64_t allocs = g_allocs - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(seen, 301u);
+}
+
+TEST(CounterSetTest, IncrementOnlyFingerprintIsPinned) {
+  // The router, scheduler and tiering sets are only Incremented; their
+  // fingerprints (and so every witness folding them) must not move.
+  CounterSet c;
+  c.Increment("router.done.ok", 3);
+  c.Increment("sched.submitted.tenant7");
+  c.Increment("sched.submitted.tenant7");
+  c.Increment("router.flush.timeout");
+  c.Increment("tier.promotions", 5);
+  EXPECT_EQ(c.total(), 11u);
+  EXPECT_EQ(c.Fingerprint(), 0x8b1cfb1d011c52b6ull);
+}
+
+TEST(CounterSetTest, RecordFoldsOrderFieldsAndTime) {
+  EXPECT_EQ(CounterSet().Fingerprint(), 0xcbf29ce484222325ull);
+  struct Event {
+    std::string_view what;
+    uint64_t a;
+    uint64_t b;
+  };
+  auto fp = [](std::initializer_list<Event> events, TimePs t) {
+    CounterSet c;
+    for (const Event& e : events) {
+      c.Record(e.what, {e.a, e.b}, t);
+    }
+    return c.Fingerprint();
+  };
+  const uint64_t base = fp({{"suspect", 1, 7}, {"detect", 2, 7}}, 100);
+  EXPECT_EQ(base, fp({{"suspect", 1, 7}, {"detect", 2, 7}}, 100));
+  EXPECT_NE(base, fp({{"detect", 2, 7}, {"suspect", 1, 7}}, 100));  // swapped events
+  EXPECT_NE(base, fp({{"suspect", 1, 7}, {"detect", 3, 7}}, 100));  // first field
+  EXPECT_NE(base, fp({{"suspect", 1, 7}, {"detect", 2, 8}}, 100));  // second field
+  EXPECT_NE(base, fp({{"suspect", 1, 7}, {"detect", 2, 7}}, 101));  // time
+
+  CounterSet c;
+  c.Record("detect", {2, 7}, 100);
+  c.Record("detect", {3, 7}, 100);
+  EXPECT_EQ(c.value("detect"), 2u);
 }
 
 }  // namespace
