@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/memsys/card_memory.h"
@@ -104,6 +105,62 @@ TEST(PacketsTest, Ipv4HeaderChecksumValidates) {
     sum = (sum & 0xFFFF) + (sum >> 16);
   }
   EXPECT_EQ(sum, 0xFFFFu);
+}
+
+// Lowercase hex of a byte string, for comparing against a pinned layout.
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (const uint8_t b : bytes) {
+    s += kDigits[b >> 4];
+    s += kDigits[b & 0xF];
+  }
+  return s;
+}
+
+// The round trips above would pass a codec that moved a field on both sides;
+// these pin every byte of the RoCE v2 layout.
+TEST(PacketsTest, WriteWithRethGoldenBytes) {
+  FrameMeta meta;
+  meta.dst_mac = MacAddr{{0x02, 0x00, 0x0A, 0x00, 0x00, 0x02}};
+  meta.src_mac = MacAddr{{0x02, 0x00, 0x0A, 0x00, 0x00, 0x01}};
+  meta.src_ip = 0x0A000001;
+  meta.dst_ip = 0x0A000002;
+  meta.opcode = Opcode::kWriteOnly;
+  meta.dest_qpn = 0x123456;
+  meta.psn = 0xABCDEF;
+  meta.ack_req = true;
+  meta.reth_vaddr = 0x0123456789ABCDEFull;
+  meta.reth_rkey = 0xCAFEF00Du;
+  meta.reth_len = 4;
+  EXPECT_EQ(Hex(BuildFrame(meta, {0xAA, 0xBB, 0xCC, 0xDD})),
+            "02000a00000202000a0000010800"              // Ethernet
+            "4502004000004000401126a90a0000010a000002"  // IPv4
+            "c00012b7002c0000"                          // UDP
+            "0a80ffff0012345600abcdef"                  // BTH
+            "0123456789abcdefcafef00d00000004"          // RETH
+            "aabbccdd"                                  // payload
+            "29e5ceb6");                                // ICRC
+}
+
+TEST(PacketsTest, AckWithAethGoldenBytes) {
+  FrameMeta meta;
+  meta.dst_mac = MacAddr{{0x02, 0x00, 0x0A, 0x00, 0x00, 0x01}};
+  meta.src_mac = MacAddr{{0x02, 0x00, 0x0A, 0x00, 0x00, 0x02}};
+  meta.src_ip = 0x0A000002;
+  meta.dst_ip = 0x0A000001;
+  meta.opcode = Opcode::kAck;
+  meta.dest_qpn = 0x000321;
+  meta.psn = 0x010203;
+  meta.aeth_syndrome = 0x61;
+  meta.aeth_msn = 0x123456;
+  EXPECT_EQ(Hex(BuildFrame(meta, {})),
+            "02000a00000102000a0000020800"              // Ethernet
+            "4502003000004000401126b90a0000020a000001"  // IPv4
+            "c00012b7001c0000"                          // UDP
+            "1100ffff0000032100010203"                  // BTH
+            "61123456"                                  // AETH
+            "eb3367ff");                                // ICRC
 }
 
 TEST(NetworkTest, DeliversFramesWithLatencyAndBandwidth) {
@@ -356,6 +413,31 @@ TEST(SnifferTest, PcapFormatIsWellFormed) {
   // incl_len matches the frame.
   const uint32_t incl = pcap[32] | pcap[33] << 8 | pcap[34] << 16;
   EXPECT_EQ(incl, FrameOverheadBytes(Opcode::kSendOnly) + 4);
+}
+
+TEST(SnifferTest, PcapGoldenBytes) {
+  sim::Engine engine;
+  TrafficSniffer sniffer(&engine);
+  sniffer.Start();
+  FrameMeta meta;
+  meta.src_ip = 0x0A000001;
+  meta.dst_ip = 0x0A000002;
+  meta.opcode = Opcode::kSendOnly;
+  meta.dest_qpn = 7;
+  meta.psn = 0x0100;
+  engine.ScheduleAt(sim::Seconds(300) + sim::Microseconds(70'000), [&] {
+    sniffer.OnFrame(BuildFrame(meta, {1, 2, 3, 4}), true);
+  });
+  engine.RunUntilIdle();
+  EXPECT_EQ(Hex(sniffer.ToPcap()),
+            "d4c3b2a1020004000000000000000000ffff000001000000"  // global header
+            "2c010000701101003e0000003e000000"                  // record header
+            "0000000000000000000000000800"                      // frame: Ethernet
+            "4502003000004000401126b90a0000010a000002"          // IPv4
+            "c00012b7001c0000"                                  // UDP
+            "0400ffff0000000700000100"                          // BTH
+            "01020304"                                          // payload
+            "bc57c93b");                                        // ICRC
 }
 
 TEST(SnifferTest, HeadersOnlyTruncates) {

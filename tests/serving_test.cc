@@ -73,6 +73,65 @@ TEST(RpcFrameTest, AnySingleByteFlipRejectsTheWholeFrame) {
   }
 }
 
+// Lowercase hex of a byte string, for comparing against a pinned layout.
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (const uint8_t b : bytes) {
+    s += kDigits[b >> 4];
+    s += kDigits[b & 0xF];
+  }
+  return s;
+}
+
+// The round trips above would pass a codec that moved a field on both sides;
+// these pin every byte of a CYRP frame, with the fields in the order
+// ServingFabric writes them.
+TEST(RpcFrameTest, RequestBatchGoldenBytes) {
+  net::rpc::FrameWriter w;
+  w.U32(2);                      // node
+  w.U32(1);                      // request count
+  w.U64(0x1122334455667788ull);  // id
+  w.U32(7);                      // tenant
+  w.Str("aes.bin");              // kernel
+  w.U64(512);                    // payload bytes
+  w.U64(256);                    // response bytes
+  w.U64(90'000'000);             // deadline
+  w.U32(3);                      // priority
+  w.I32(-1);                     // region hint
+  w.U64(1'000'000);              // submitted at
+  w.U32(0);                      // retries
+  EXPECT_EQ(Hex(w.Finish(net::rpc::MsgType::kRequestBatch)),
+            "43595250010001004b000000"                          // header
+            "0200000001000000"                                  // node, count
+            "887766554433221107000000"                          // id, tenant
+            "070000006165732e62696e"                            // kernel
+            "00020000000000000001000000000000"                  // payload, response bytes
+            "804a5d0500000000"                                  // deadline
+            "03000000ffffffff"                                  // priority, region hint
+            "40420f000000000000000000"                          // submitted at, retries
+            "ca1e406a");                                        // CRC-32
+}
+
+TEST(RpcFrameTest, CompletionGoldenBytes) {
+  net::rpc::FrameWriter w;
+  w.U64(0x1122334455667788ull);  // id
+  w.U32(7);                      // tenant
+  w.U8(0);                       // status
+  w.U32(2);                      // node
+  w.I32(5);                      // region
+  w.U64(1'000'000);              // submitted at
+  w.U64(13'500'000);             // completed at
+  w.U64(0xFEDCBA9876543210ull);  // response hash
+  EXPECT_EQ(Hex(w.Finish(net::rpc::MsgType::kCompletion)),
+            "43595250010002002d000000"          // header
+            "88776655443322110700000000"        // id, tenant, status
+            "0200000005000000"                  // node, region
+            "40420f000000000060fecd0000000000"  // submitted at, completed at
+            "1032547698badcfe"                  // response hash
+            "a6e62e77");                        // CRC-32
+}
+
 // --- the request envelope -----------------------------------------------------
 
 TEST(ServingEnvelopeTest, ExecuteSyncEchoesPayloadAndWitnessesIntegrity) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/memsys/card_memory.h"
@@ -51,6 +52,36 @@ TEST(TcpSegmentTest, RejectsNonTcp) {
   // And vice versa: a TCP segment must not parse as RoCE.
   TcpSegmentMeta tcp;
   EXPECT_FALSE(ParseFrame(BuildTcpSegment(tcp, {})).has_value());
+}
+
+// Lowercase hex of a byte string, for comparing against a pinned layout.
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (const uint8_t b : bytes) {
+    s += kDigits[b >> 4];
+    s += kDigits[b & 0xF];
+  }
+  return s;
+}
+
+// The round trip above would pass a codec that moved a field on both sides;
+// this pins every byte of the segment layout.
+TEST(TcpSegmentTest, SegmentGoldenBytes) {
+  TcpSegmentMeta meta;
+  meta.src_ip = 0x0A000001;
+  meta.dst_ip = 0x0A000002;
+  meta.src_port = 0xC001;
+  meta.dst_port = 5001;
+  meta.seq = 0x01020304;
+  meta.ack = 0xA0B0C0D0u;
+  meta.flags = kTcpAck;
+  meta.window = 0x1234;
+  EXPECT_EQ(Hex(BuildTcpSegment(meta, {9, 8, 7})),
+            "02000a00000202000a0000010800"              // Ethernet
+            "4500002b00004000400600000a0000010a000002"  // IPv4
+            "c001138901020304a0b0c0d05010123400000000"  // TCP
+            "090807");                                  // payload
 }
 
 class TcpTest : public ::testing::Test {

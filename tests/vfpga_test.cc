@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/services/vector_kernels.h"
@@ -179,6 +180,39 @@ TEST(CheckpointTest, TruncatedOrOverlongBlobIsRejected) {
   std::vector<uint8_t> padded = blob;
   padded.push_back(0);
   EXPECT_FALSE(ckpt::Reader(padded).ok());
+}
+
+// Lowercase hex of a byte string, for comparing against a pinned layout.
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (const uint8_t b : bytes) {
+    s += kDigits[b >> 4];
+    s += kDigits[b & 0xF];
+  }
+  return s;
+}
+
+// The round trips here would pass a codec that moved a field on both sides;
+// this pins every byte of a CYK1 blob: header with non-zero flags, a region
+// snapshot, CRC trailer.
+TEST(CheckpointTest, FlaggedRegionSnapshotGoldenBytes) {
+  RegionSnapshot snap;
+  snap.kernel_name = "passthrough";
+  snap.csr = {{0, 0x11}, {3, 0x0102030405060708ull}};
+  snap.beats_retired = 0xA0B0C0D0E0ull;
+  snap.kernel_state = {0xDE, 0xAD, 0xBE, 0xEF};
+  ckpt::Writer w(/*flags=*/0x0102);
+  snap.AppendTo(&w);
+  EXPECT_EQ(Hex(std::move(w).Finish()),
+            "43594b3101000201"                // magic, version, flags
+            "0b000000706173737468726f756768"  // kernel name
+            "02000000"                        // CSR count
+            "000000001100000000000000"        // CSR 0
+            "030000000807060504030201"        // CSR 3
+            "e0d0c0b0a0000000"                // beats retired
+            "04000000deadbeef"                // kernel state
+            "68abc483");                      // CRC-32
 }
 
 TEST(CheckpointTest, RegionSnapshotRoundtripsCsrsBeatsAndKernelState) {
