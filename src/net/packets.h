@@ -48,6 +48,10 @@ struct MacAddr {
   bool operator==(const MacAddr&) const = default;
 };
 
+// The deterministic locally-administered MAC (02:00:<ip>) the stacks derive
+// from an IPv4 address.
+MacAddr MacForIp(uint32_t ip);
+
 // Everything needed to build or interpret one RoCE v2 frame.
 struct FrameMeta {
   MacAddr dst_mac;

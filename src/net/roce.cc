@@ -6,15 +6,6 @@
 
 namespace coyote {
 namespace net {
-namespace {
-
-MacAddr MacForIp(uint32_t ip) {
-  // Deterministic locally-administered MAC derived from the IP.
-  return MacAddr{{0x02, 0x00, static_cast<uint8_t>(ip >> 24), static_cast<uint8_t>(ip >> 16),
-                  static_cast<uint8_t>(ip >> 8), static_cast<uint8_t>(ip)}};
-}
-
-}  // namespace
 
 RoceStack::RoceStack(sim::Engine* engine, Network* network, uint32_t ip, mmu::Svm* svm,
                      Config config)

@@ -10,17 +10,19 @@
 //   u32 payload_len    payload bytes...
 //   u32 crc32          (IEEE 802.3, over everything before it)
 //
-// All integers little-endian. A frame that fails magic/version/length/CRC
-// validation is rejected as a whole; the reader then reports !ok() and every
-// subsequent field read returns zero. The CRC is sim::Crc32 (src/sim/hash.h),
-// the one IEEE 802.3 implementation the RoCE frames and CYK1 checkpoints use.
+// The payload is written and read with the sim::wire codec
+// (src/sim/wire.h), which also owns the integer layout (little-endian) and
+// the CRC seal. A frame that fails magic/version/type/length/CRC validation
+// is rejected as a whole: Open returns a failed Reader, whose every read
+// yields zero.
 
 #ifndef SRC_NET_RPC_H_
 #define SRC_NET_RPC_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
+
+#include "src/sim/wire.h"
 
 namespace coyote {
 namespace net {
@@ -34,51 +36,12 @@ enum class MsgType : uint8_t {
   kCompletion = 2,    // node -> router: one typed completion
 };
 
-class FrameWriter {
- public:
-  void U8(uint8_t v) { buf_.push_back(v); }
-  void U16(uint16_t v);
-  void U32(uint32_t v);
-  void U64(uint64_t v);
-  void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
-  void Str(const std::string& s);  // u32 length + raw bytes
+// Frames `payload` as a `type` message: header, payload, CRC trailer.
+std::vector<uint8_t> Seal(MsgType type, const sim::wire::Writer& payload);
 
-  // Seals the frame: prepends the header, appends the CRC trailer.
-  std::vector<uint8_t> Finish(MsgType type) const;
-
-  size_t payload_size() const { return buf_.size(); }
-
- private:
-  // lint: guard-ok stack-local frame builder: a FrameWriter is built, filled and finished within one event, never shared across contexts
-  std::vector<uint8_t> buf_;
-};
-
-class FrameReader {
- public:
-  // Validates header + CRC; on any mismatch ok() is false and reads yield 0.
-  explicit FrameReader(const std::vector<uint8_t>& frame);
-
-  bool ok() const { return ok_; }
-  MsgType type() const { return type_; }
-
-  uint8_t U8();
-  uint16_t U16();
-  uint32_t U32();
-  uint64_t U64();
-  int32_t I32() { return static_cast<int32_t>(U32()); }
-  std::string Str();
-
-  // True when the frame validated and every payload byte has been consumed
-  // (trailing-garbage check); a rejected frame is never at its end.
-  bool AtEnd() const { return ok_ && pos_ == end_; }
-
- private:
-  const std::vector<uint8_t>* frame_ = nullptr;
-  size_t pos_ = 0;
-  size_t end_ = 0;
-  bool ok_ = false;
-  MsgType type_{};  // no valid type until a frame validates
-};
+// A Reader over the payload of a valid `type` frame, or a failed Reader.
+sim::wire::Reader Open(const std::vector<uint8_t>& frame, MsgType type);
+sim::wire::Reader Open(std::vector<uint8_t>&&, MsgType) = delete;
 
 }  // namespace rpc
 }  // namespace net

@@ -3,22 +3,10 @@
 #include <cstdio>
 #include <cstring>
 
+#include "src/sim/wire.h"
+
 namespace coyote {
 namespace net {
-namespace {
-
-void PutU32Le(std::vector<uint8_t>& v, uint32_t x) {
-  v.push_back(static_cast<uint8_t>(x));
-  v.push_back(static_cast<uint8_t>(x >> 8));
-  v.push_back(static_cast<uint8_t>(x >> 16));
-  v.push_back(static_cast<uint8_t>(x >> 24));
-}
-void PutU16Le(std::vector<uint8_t>& v, uint16_t x) {
-  v.push_back(static_cast<uint8_t>(x));
-  v.push_back(static_cast<uint8_t>(x >> 8));
-}
-
-}  // namespace
 
 bool TrafficSniffer::Matches(const axi::BufferView& frame, bool is_tx) const {
   if (is_tx && !filter_.capture_tx) {
@@ -83,19 +71,19 @@ uint64_t TrafficSniffer::capture_bytes() const {
 std::vector<uint8_t> TrafficSniffer::ToPcap() const {
   std::vector<uint8_t> out;
   // Global header.
-  PutU32Le(out, 0xa1b2c3d4);  // magic (microsecond timestamps)
-  PutU16Le(out, 2);           // version major
-  PutU16Le(out, 4);           // version minor
-  PutU32Le(out, 0);           // thiszone
-  PutU32Le(out, 0);           // sigfigs
-  PutU32Le(out, 65535);       // snaplen
-  PutU32Le(out, 1);           // LINKTYPE_ETHERNET
+  sim::wire::PutLe32(out, 0xa1b2c3d4);  // magic (microsecond timestamps)
+  sim::wire::PutLe16(out, 2);           // version major
+  sim::wire::PutLe16(out, 4);           // version minor
+  sim::wire::PutLe32(out, 0);           // thiszone
+  sim::wire::PutLe32(out, 0);           // sigfigs
+  sim::wire::PutLe32(out, 65535);       // snaplen
+  sim::wire::PutLe32(out, 1);           // LINKTYPE_ETHERNET
   for (const auto& f : frames_) {
     const uint64_t usec_total = f.timestamp / sim::kPsPerUs;
-    PutU32Le(out, static_cast<uint32_t>(usec_total / 1'000'000));
-    PutU32Le(out, static_cast<uint32_t>(usec_total % 1'000'000));
-    PutU32Le(out, static_cast<uint32_t>(f.bytes.size()));
-    PutU32Le(out, f.original_len);
+    sim::wire::PutLe32(out, static_cast<uint32_t>(usec_total / 1'000'000));
+    sim::wire::PutLe32(out, static_cast<uint32_t>(usec_total % 1'000'000));
+    sim::wire::PutLe32(out, static_cast<uint32_t>(f.bytes.size()));
+    sim::wire::PutLe32(out, f.original_len);
     out.insert(out.end(), f.bytes.begin(), f.bytes.end());
   }
   return out;

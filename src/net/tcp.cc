@@ -3,25 +3,12 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/net/packets.h"
+#include "src/sim/wire.h"
+
 namespace coyote {
 namespace net {
 namespace {
-
-void PutU16(std::vector<uint8_t>& v, uint16_t x) {
-  v.push_back(static_cast<uint8_t>(x >> 8));
-  v.push_back(static_cast<uint8_t>(x));
-}
-void PutU32(std::vector<uint8_t>& v, uint32_t x) {
-  v.push_back(static_cast<uint8_t>(x >> 24));
-  v.push_back(static_cast<uint8_t>(x >> 16));
-  v.push_back(static_cast<uint8_t>(x >> 8));
-  v.push_back(static_cast<uint8_t>(x));
-}
-uint16_t GetU16(const uint8_t* p) { return static_cast<uint16_t>(p[0] << 8 | p[1]); }
-uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) << 24 | static_cast<uint32_t>(p[1]) << 16 |
-         static_cast<uint32_t>(p[2]) << 8 | static_cast<uint32_t>(p[3]);
-}
 
 constexpr size_t kEth = 14;
 constexpr size_t kIp = 20;
@@ -35,36 +22,32 @@ std::vector<uint8_t> BuildTcpSegment(const TcpSegmentMeta& meta,
   f.reserve(kEth + kIp + kTcp + payload.size());
   // Ethernet: derived MACs, ethertype IPv4.
   for (uint32_t ip : {meta.dst_ip, meta.src_ip}) {
-    f.push_back(0x02);
-    f.push_back(0x00);
-    f.push_back(static_cast<uint8_t>(ip >> 24));
-    f.push_back(static_cast<uint8_t>(ip >> 16));
-    f.push_back(static_cast<uint8_t>(ip >> 8));
-    f.push_back(static_cast<uint8_t>(ip));
+    const MacAddr mac = MacForIp(ip);
+    f.insert(f.end(), mac.bytes.begin(), mac.bytes.end());
   }
-  PutU16(f, 0x0800);
+  sim::wire::PutBe16(f, 0x0800);
   // IPv4, protocol 6 (TCP).
   const uint16_t total = static_cast<uint16_t>(kIp + kTcp + payload.size());
   f.push_back(0x45);
   f.push_back(0x00);
-  PutU16(f, total);
-  PutU16(f, 0);
-  PutU16(f, 0x4000);
+  sim::wire::PutBe16(f, total);
+  sim::wire::PutBe16(f, 0);
+  sim::wire::PutBe16(f, 0x4000);
   f.push_back(64);
   f.push_back(6);
-  PutU16(f, 0);  // checksum elided (link is reliable in the model)
-  PutU32(f, meta.src_ip);
-  PutU32(f, meta.dst_ip);
+  sim::wire::PutBe16(f, 0);  // checksum elided (link is reliable in the model)
+  sim::wire::PutBe32(f, meta.src_ip);
+  sim::wire::PutBe32(f, meta.dst_ip);
   // TCP header.
-  PutU16(f, meta.src_port);
-  PutU16(f, meta.dst_port);
-  PutU32(f, meta.seq);
-  PutU32(f, meta.ack);
+  sim::wire::PutBe16(f, meta.src_port);
+  sim::wire::PutBe16(f, meta.dst_port);
+  sim::wire::PutBe32(f, meta.seq);
+  sim::wire::PutBe32(f, meta.ack);
   f.push_back(0x50);  // data offset 5 words
   f.push_back(meta.flags);
-  PutU16(f, meta.window);
-  PutU16(f, 0);  // checksum
-  PutU16(f, 0);  // urgent
+  sim::wire::PutBe16(f, meta.window);
+  sim::wire::PutBe16(f, 0);  // checksum
+  sim::wire::PutBe16(f, 0);  // urgent
   f.insert(f.end(), payload.begin(), payload.end());
   return f;
 }
@@ -74,7 +57,7 @@ std::optional<ParsedTcpSegment> ParseTcpSegment(const axi::BufferView& frame) {
     return std::nullopt;
   }
   const uint8_t* p = frame.data();
-  if (GetU16(p + 12) != 0x0800) {
+  if (sim::wire::GetBe16(p + 12) != 0x0800) {
     return std::nullopt;
   }
   const uint8_t* ip = p + kEth;
@@ -82,15 +65,15 @@ std::optional<ParsedTcpSegment> ParseTcpSegment(const axi::BufferView& frame) {
     return std::nullopt;  // not IPv4/TCP
   }
   ParsedTcpSegment out;
-  out.meta.src_ip = GetU32(ip + 12);
-  out.meta.dst_ip = GetU32(ip + 16);
+  out.meta.src_ip = sim::wire::GetBe32(ip + 12);
+  out.meta.dst_ip = sim::wire::GetBe32(ip + 16);
   const uint8_t* tcp = ip + kIp;
-  out.meta.src_port = GetU16(tcp);
-  out.meta.dst_port = GetU16(tcp + 2);
-  out.meta.seq = GetU32(tcp + 4);
-  out.meta.ack = GetU32(tcp + 8);
+  out.meta.src_port = sim::wire::GetBe16(tcp);
+  out.meta.dst_port = sim::wire::GetBe16(tcp + 2);
+  out.meta.seq = sim::wire::GetBe32(tcp + 4);
+  out.meta.ack = sim::wire::GetBe32(tcp + 8);
   out.meta.flags = tcp[13];
-  out.meta.window = GetU16(tcp + 14);
+  out.meta.window = sim::wire::GetBe16(tcp + 14);
   // Zero-copy: the payload view shares the frame's storage.
   out.payload = frame.Slice(kEth + kIp + kTcp, frame.size() - (kEth + kIp + kTcp));
   return out;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/runtime/serving.h"
+#include "src/sim/wire.h"
 #include "src/vfpga/checkpoint.h"
 
 namespace coyote {
@@ -283,7 +284,7 @@ void Fleet::CheckpointTick(uint32_t node) {
 std::vector<uint8_t> Fleet::BuildCheckpoint(uint32_t node, const TenantRt& t,
                                             const std::vector<CThread::PendingOp>& pending,
                                             uint64_t* pages_out) {
-  vfpga::ckpt::Writer w;
+  sim::wire::Writer w = vfpga::ckpt::Begin();
   w.U32(t.id);
   w.Str(t.spec.name);
   w.U32(t.spec.priority);
@@ -334,12 +335,12 @@ std::vector<uint8_t> Fleet::BuildCheckpoint(uint32_t node, const TenantRt& t,
   if (pages_out != nullptr) {
     *pages_out = pages;
   }
-  return std::move(w).Finish();
+  return std::move(w).Seal();
 }
 
 bool Fleet::ApplyCheckpoint(uint32_t node, int32_t region, const std::vector<uint8_t>& blob) {
   NodeRt& n = *nodes_[node];
-  vfpga::ckpt::Reader r(blob);
+  sim::wire::Reader r = vfpga::ckpt::Open(blob);
   if (!r.ok() || region < 0) {
     return false;
   }
@@ -605,8 +606,7 @@ uint32_t Fleet::ChunkCount(uint64_t bytes) const {
 
 void Fleet::TryRestore(uint32_t node, uint32_t tenant, uint32_t src_logical, int32_t dst_region,
                        uint32_t round, std::vector<uint8_t> blob) {
-  vfpga::ckpt::Reader probe(blob);
-  if (!probe.ok()) {
+  if (!vfpga::ckpt::Open(blob).ok()) {
     // CRC/framing reject: request a full resend — counts against the same
     // retransmit budget as a lost chunk.
     RequestResend(node, src_logical, tenant, AllChunks(ChunkCount(blob.size())), round + 1);

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/net/rpc.h"
+#include "src/sim/wire.h"
 
 namespace coyote {
 namespace runtime {
@@ -474,7 +475,7 @@ uint64_t ServingFabric::Fingerprint() const {
 // --- Wire: router -> node batches ------------------------------------------
 
 void ServingFabric::SendBatch(uint32_t node, std::vector<serving::ServingRequest> batch) {
-  net::rpc::FrameWriter w;
+  sim::wire::Writer w;
   w.U32(node);
   w.U32(static_cast<uint32_t>(batch.size()));
   uint64_t payload_bytes = 0;
@@ -494,7 +495,7 @@ void ServingFabric::SendBatch(uint32_t node, std::vector<serving::ServingRequest
     payload_bytes += r.payload.size();
     payloads.push_back(r.payload);
   }
-  std::vector<uint8_t> frame = w.Finish(net::rpc::MsgType::kRequestBatch);
+  std::vector<uint8_t> frame = net::rpc::Seal(net::rpc::MsgType::kRequestBatch, w);
   // The frame carries the metadata; payloads ride alongside as views (the
   // simulated wire charges for both, the host copies neither).
   const sim::TimePs delay = cluster_.WireDelay(frame.size() + payload_bytes);
@@ -510,8 +511,8 @@ void ServingFabric::OnBatchFrame(uint32_t node, const std::vector<uint8_t>& fram
     return;  // the frame reached a dead node; the detector recovers it
   }
   cluster_.guard(node).Write();
-  net::rpc::FrameReader r(frame);
-  if (!r.ok() || r.type() != net::rpc::MsgType::kRequestBatch || r.U32() != node) {
+  sim::wire::Reader r = net::rpc::Open(frame, net::rpc::MsgType::kRequestBatch);
+  if (!r.ok() || r.U32() != node) {
     ++frame_errors_;
     return;
   }
@@ -609,7 +610,7 @@ void ServingFabric::OnExecDone(uint32_t node, uint32_t region, CThread::Task tas
 
 void ServingFabric::CompleteFromNode(uint32_t node, const serving::ServingRequest& req,
                                      OpStatus status, int32_t region, uint64_t response_hash) {
-  net::rpc::FrameWriter w;
+  sim::wire::Writer w;
   w.U64(req.id);
   w.U32(req.tenant);
   w.U8(static_cast<uint8_t>(status));
@@ -618,14 +619,14 @@ void ServingFabric::CompleteFromNode(uint32_t node, const serving::ServingReques
   w.U64(req.submitted_at);
   w.U64(cluster_.NowAt(node));
   w.U64(response_hash);
-  std::vector<uint8_t> frame = w.Finish(net::rpc::MsgType::kCompletion);
+  std::vector<uint8_t> frame = net::rpc::Seal(net::rpc::MsgType::kCompletion, w);
   cluster_.Post(node, cluster_.control(), cluster_.WireDelay(frame.size()),
                 [this, frame = std::move(frame)]() { OnCompletionFrame(frame); });
 }
 
 void ServingFabric::OnCompletionFrame(const std::vector<uint8_t>& frame) {
-  net::rpc::FrameReader r(frame);
-  if (!r.ok() || r.type() != net::rpc::MsgType::kCompletion) {
+  sim::wire::Reader r = net::rpc::Open(frame, net::rpc::MsgType::kCompletion);
+  if (!r.ok()) {
     ++frame_errors_;
     return;
   }

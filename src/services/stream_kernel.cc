@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/sim/fault.h"
+#include "src/sim/wire.h"
 #include "src/vfpga/checkpoint.h"
 
 namespace coyote {
@@ -45,13 +46,13 @@ void StreamKernel::Detach() {
 }
 
 void StreamKernel::SaveState(std::vector<uint8_t>* out) const {
-  vfpga::ckpt::Writer w;
+  sim::wire::Writer w = vfpga::ckpt::Begin();
   w.U64(bytes_processed_);
-  *out = std::move(w).Finish();
+  *out = std::move(w).Seal();
 }
 
 bool StreamKernel::RestoreState(const std::vector<uint8_t>& blob) {
-  vfpga::ckpt::Reader r(blob);
+  sim::wire::Reader r = vfpga::ckpt::Open(blob);
   const uint64_t bytes = r.U64();
   if (!r.ok() || !r.AtEnd()) {
     return false;

@@ -7,17 +7,18 @@
 // kernel's private state blob — serialized deterministically so two
 // same-seed runs produce bit-identical checkpoint bytes.
 //
-// Wire format (little-endian, see DESIGN.md "Checkpoint wire format"):
+// Wire format (see DESIGN.md "CYK1 container"):
 //
 //   u32 magic 'C''Y''K''1'   u16 version   u16 flags
-//   <payload sections written by the owner via Writer>
+//   <payload sections written by the owner>
 //   u32 crc32                 (IEEE 802.3, over everything before it)
 //
-// The Writer/Reader pair is deliberately dumb: fixed-width integers and
-// length-prefixed byte strings only, no varints, no padding, no host-order
-// leaks. A Reader validates the magic/version on Open and the CRC before
-// handing out a single field, so a truncated or bit-flipped checkpoint is
-// rejected as a whole rather than half-applied.
+// The payload is written and read with the sim::wire codec
+// (src/sim/wire.h): fixed-width little-endian integers and u32-length-
+// prefixed byte strings only, no varints, no padding, no host-order leaks.
+// Open checks the CRC, magic and version before handing out a single field,
+// so a truncated or bit-flipped checkpoint is rejected as a whole rather
+// than half-applied.
 
 #ifndef SRC_VFPGA_CHECKPOINT_H_
 #define SRC_VFPGA_CHECKPOINT_H_
@@ -26,6 +27,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "src/sim/wire.h"
 
 namespace coyote {
 namespace vfpga {
@@ -37,59 +40,14 @@ namespace ckpt {
 inline constexpr uint32_t kMagic = 0x314B5943u;  // "CYK1"
 inline constexpr uint16_t kVersion = 1;
 
-class Writer {
- public:
-  // Starts a checkpoint stream: magic + version + flags header.
-  explicit Writer(uint16_t flags = 0);
+// A Writer holding the header; the owner appends its sections, then seals
+// it with Writer::Seal (the CRC trailer).
+sim::wire::Writer Begin(uint16_t flags = 0);
 
-  void U8(uint8_t v) { buf_.push_back(v); }
-  void U16(uint16_t v);
-  void U32(uint32_t v);
-  void U64(uint64_t v);
-  // Length-prefixed (u32) byte string.
-  void Bytes(const uint8_t* data, size_t len);
-  void Bytes(const std::vector<uint8_t>& data) { Bytes(data.data(), data.size()); }
-  void Str(const std::string& s);
-
-  size_t size() const { return buf_.size(); }
-
-  // Appends the CRC trailer and returns the finished checkpoint. The writer
-  // is consumed; further appends are invalid.
-  std::vector<uint8_t> Finish() &&;
-
- private:
-  // lint: guard-ok stack-local serialization buffer: a Writer is built, filled and finished within one context, never shared
-  std::vector<uint8_t> buf_;
-};
-
-class Reader {
- public:
-  // Validates magic, version and the CRC trailer; ok() is false (and every
-  // read returns zero/empty) when the blob is malformed or corrupt.
-  explicit Reader(const std::vector<uint8_t>& blob);
-
-  bool ok() const { return ok_; }
-  uint16_t flags() const { return flags_; }
-
-  uint8_t U8();
-  uint16_t U16();
-  uint32_t U32();
-  uint64_t U64();
-  std::vector<uint8_t> Bytes();
-  std::string Str();
-
-  // True when every payload byte has been consumed (trailer excluded).
-  bool AtEnd() const { return ok_ && pos_ == end_; }
-
- private:
-  bool Need(size_t n);
-
-  const uint8_t* data_ = nullptr;
-  size_t pos_ = 0;
-  size_t end_ = 0;  // payload end (start of the CRC trailer)
-  uint16_t flags_ = 0;
-  bool ok_ = false;
-};
+// A Reader positioned after the header of a valid blob, or a failed Reader.
+// `flags`, when given, receives the header's flags (zero on failure).
+sim::wire::Reader Open(const std::vector<uint8_t>& blob, uint16_t* flags = nullptr);
+sim::wire::Reader Open(std::vector<uint8_t>&&, uint16_t* = nullptr) = delete;
 
 }  // namespace ckpt
 
@@ -105,11 +63,11 @@ struct RegionSnapshot {
 
   bool operator==(const RegionSnapshot&) const = default;
 
-  // Serialized payload section (no header/CRC — embed into a Writer).
-  void AppendTo(ckpt::Writer* w) const;
+  // Serialized payload section (no header/CRC — embed into a checkpoint).
+  void AppendTo(sim::wire::Writer* w) const;
   // Reads the section back; returns false (leaving *this unspecified) on a
   // malformed stream.
-  bool ParseFrom(ckpt::Reader* r);
+  bool ParseFrom(sim::wire::Reader* r);
 };
 
 // Captures the region's restorable state. The kernel, if any, contributes

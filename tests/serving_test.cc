@@ -26,6 +26,7 @@
 #include "src/sim/hash.h"
 #include "src/sim/rng.h"
 #include "src/sim/time.h"
+#include "src/sim/wire.h"
 
 namespace coyote {
 namespace runtime {
@@ -34,18 +35,18 @@ namespace {
 // --- rpc framing --------------------------------------------------------------
 
 TEST(RpcFrameTest, RoundTripPreservesEveryFieldAndValidates) {
-  net::rpc::FrameWriter w;
+  sim::wire::Writer w;
   w.U8(7);
   w.U16(0xBEEF);
   w.U32(0xDEADBEEFu);
   w.U64(0x0123456789ABCDEFull);
   w.I32(-42);
   w.Str("serve.bin");
-  const std::vector<uint8_t> frame = w.Finish(net::rpc::MsgType::kRequestBatch);
+  const std::vector<uint8_t> frame = net::rpc::Seal(net::rpc::MsgType::kRequestBatch, w);
 
-  net::rpc::FrameReader r(frame);
+  sim::wire::Reader r = net::rpc::Open(frame, net::rpc::MsgType::kRequestBatch);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.type(), net::rpc::MsgType::kRequestBatch);
+  EXPECT_FALSE(net::rpc::Open(frame, net::rpc::MsgType::kCompletion).ok());  // typed
   EXPECT_EQ(r.U8(), 7u);
   EXPECT_EQ(r.U16(), 0xBEEFu);
   EXPECT_EQ(r.U32(), 0xDEADBEEFu);
@@ -56,17 +57,17 @@ TEST(RpcFrameTest, RoundTripPreservesEveryFieldAndValidates) {
 }
 
 TEST(RpcFrameTest, AnySingleByteFlipRejectsTheWholeFrame) {
-  net::rpc::FrameWriter w;
+  sim::wire::Writer w;
   w.U64(0x1122334455667788ull);
   w.Str("integrity");
-  const std::vector<uint8_t> frame = w.Finish(net::rpc::MsgType::kCompletion);
+  const std::vector<uint8_t> frame = net::rpc::Seal(net::rpc::MsgType::kCompletion, w);
 
   // The CRC trailer covers everything before it, so no single corrupted byte
   // — header, payload, or the trailer itself — may survive validation.
   for (size_t i = 0; i < frame.size(); ++i) {
     std::vector<uint8_t> bad = frame;
     bad[i] ^= 0x01;
-    net::rpc::FrameReader r(bad);
+    sim::wire::Reader r = net::rpc::Open(bad, net::rpc::MsgType::kCompletion);
     EXPECT_FALSE(r.ok()) << "byte " << i << " flip was accepted";
     EXPECT_FALSE(r.AtEnd()) << "byte " << i << " flip reads as a complete frame";
     EXPECT_EQ(r.U64(), 0u);  // reads after rejection yield zero
@@ -88,7 +89,7 @@ std::string Hex(const std::vector<uint8_t>& bytes) {
 // these pin every byte of a CYRP frame, with the fields in the order
 // ServingFabric writes them.
 TEST(RpcFrameTest, RequestBatchGoldenBytes) {
-  net::rpc::FrameWriter w;
+  sim::wire::Writer w;
   w.U32(2);                      // node
   w.U32(1);                      // request count
   w.U64(0x1122334455667788ull);  // id
@@ -101,7 +102,7 @@ TEST(RpcFrameTest, RequestBatchGoldenBytes) {
   w.I32(-1);                     // region hint
   w.U64(1'000'000);              // submitted at
   w.U32(0);                      // retries
-  EXPECT_EQ(Hex(w.Finish(net::rpc::MsgType::kRequestBatch)),
+  EXPECT_EQ(Hex(net::rpc::Seal(net::rpc::MsgType::kRequestBatch, w)),
             "43595250010001004b000000"                          // header
             "0200000001000000"                                  // node, count
             "887766554433221107000000"                          // id, tenant
@@ -114,7 +115,7 @@ TEST(RpcFrameTest, RequestBatchGoldenBytes) {
 }
 
 TEST(RpcFrameTest, CompletionGoldenBytes) {
-  net::rpc::FrameWriter w;
+  sim::wire::Writer w;
   w.U64(0x1122334455667788ull);  // id
   w.U32(7);                      // tenant
   w.U8(0);                       // status
@@ -123,7 +124,7 @@ TEST(RpcFrameTest, CompletionGoldenBytes) {
   w.U64(1'000'000);              // submitted at
   w.U64(13'500'000);             // completed at
   w.U64(0xFEDCBA9876543210ull);  // response hash
-  EXPECT_EQ(Hex(w.Finish(net::rpc::MsgType::kCompletion)),
+  EXPECT_EQ(Hex(net::rpc::Seal(net::rpc::MsgType::kCompletion, w)),
             "43595250010002002d000000"          // header
             "88776655443322110700000000"        // id, tenant, status
             "0200000005000000"                  // node, region

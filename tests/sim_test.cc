@@ -17,6 +17,7 @@
 #include "src/sim/rng.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
+#include "src/sim/wire.h"
 
 // Counts heap allocations so CounterSet's no-allocation claim is measured.
 // Replacing global operator new/delete is the one portable way to observe the
@@ -301,6 +302,28 @@ TEST(HashTest, MatchesPublishedVectors) {
   EXPECT_EQ(fnv("foobar"), 0x85944171f73967e8ull);
   const char* check = "123456789";
   EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check), std::strlen(check)), 0xcbf43926u);
+}
+
+TEST(WireTest, ReaderFailureSticksAndAtEndRejectsTrailingBytes) {
+  wire::Writer w;
+  w.U16(0xBEEF);
+  w.Str("ab");
+  const std::vector<uint8_t>& bytes = w.bytes();
+  wire::Reader r(bytes.data(), bytes.size());
+  EXPECT_EQ(r.U16(), 0xBEEFu);
+  EXPECT_FALSE(r.AtEnd());  // the string is still unread
+  EXPECT_EQ(r.U64(), 0u);   // six bytes left: a short read fails the reader
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(r.Str(), "");  // and the bytes it left are never handed out
+  EXPECT_FALSE(r.AtEnd());
+
+  // A length prefix that runs past the end fails the same way.
+  const std::vector<uint8_t> overlong = {0x05, 0x00, 0x00, 0x00, 'a', 'b'};
+  wire::Reader s(overlong.data(), overlong.size());
+  EXPECT_EQ(s.Bytes(), std::vector<uint8_t>());
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(s.U8(), 0u);
 }
 
 TEST(RngTest, DeterministicAcrossInstances) {

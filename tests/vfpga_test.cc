@@ -10,6 +10,7 @@
 
 #include "src/services/vector_kernels.h"
 #include "src/sim/engine.h"
+#include "src/sim/wire.h"
 #include "src/vfpga/checkpoint.h"
 #include "src/vfpga/kernel.h"
 #include "src/vfpga/vfpga.h"
@@ -132,18 +133,19 @@ TEST(VfpgaTest, CsrFileIsPerRegion) {
 // --- CYK1 checkpoints ---------------------------------------------------------
 
 TEST(CheckpointTest, WriterReaderRoundtripPreservesEveryFieldType) {
-  ckpt::Writer w(/*flags=*/0x0102);
+  sim::wire::Writer w = ckpt::Begin(/*flags=*/0x0102);
   w.U8(0xAB);
   w.U16(0xBEEF);
   w.U32(0xDEADBEEFu);
   w.U64(0x0123456789ABCDEFull);
   w.Str("tenant-7");
   w.Bytes(std::vector<uint8_t>{1, 2, 3, 4, 5});
-  const std::vector<uint8_t> blob = std::move(w).Finish();
+  const std::vector<uint8_t> blob = std::move(w).Seal();
 
-  ckpt::Reader r(blob);
+  uint16_t flags = 0;
+  sim::wire::Reader r = ckpt::Open(blob, &flags);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.flags(), 0x0102);
+  EXPECT_EQ(flags, 0x0102);
   EXPECT_EQ(r.U8(), 0xAB);
   EXPECT_EQ(r.U16(), 0xBEEF);
   EXPECT_EQ(r.U32(), 0xDEADBEEFu);
@@ -154,32 +156,32 @@ TEST(CheckpointTest, WriterReaderRoundtripPreservesEveryFieldType) {
 }
 
 TEST(CheckpointTest, CrcTrailerRejectsAnySingleBitFlip) {
-  ckpt::Writer w;
+  sim::wire::Writer w = ckpt::Begin();
   w.U64(42);
   w.Str("payload");
-  const std::vector<uint8_t> blob = std::move(w).Finish();
-  ASSERT_TRUE(ckpt::Reader(blob).ok());
+  const std::vector<uint8_t> blob = std::move(w).Seal();
+  ASSERT_TRUE(ckpt::Open(blob).ok());
 
   // Flip one bit anywhere — header, payload, or the trailer itself — and the
   // whole checkpoint must be rejected before a single field is handed out.
   for (size_t i = 0; i < blob.size(); ++i) {
     std::vector<uint8_t> bad = blob;
     bad[i] ^= 0x10;
-    EXPECT_FALSE(ckpt::Reader(bad).ok()) << "byte " << i;
+    EXPECT_FALSE(ckpt::Open(bad).ok()) << "byte " << i;
   }
 }
 
 TEST(CheckpointTest, TruncatedOrOverlongBlobIsRejected) {
-  ckpt::Writer w;
+  sim::wire::Writer w = ckpt::Begin();
   w.U32(7);
-  const std::vector<uint8_t> blob = std::move(w).Finish();
+  const std::vector<uint8_t> blob = std::move(w).Seal();
   for (size_t len = 0; len < blob.size(); ++len) {
     const std::vector<uint8_t> cut(blob.begin(), blob.begin() + static_cast<long>(len));
-    EXPECT_FALSE(ckpt::Reader(cut).ok()) << "len " << len;
+    EXPECT_FALSE(ckpt::Open(cut).ok()) << "len " << len;
   }
   std::vector<uint8_t> padded = blob;
   padded.push_back(0);
-  EXPECT_FALSE(ckpt::Reader(padded).ok());
+  EXPECT_FALSE(ckpt::Open(padded).ok());
 }
 
 // Lowercase hex of a byte string, for comparing against a pinned layout.
@@ -202,9 +204,9 @@ TEST(CheckpointTest, FlaggedRegionSnapshotGoldenBytes) {
   snap.csr = {{0, 0x11}, {3, 0x0102030405060708ull}};
   snap.beats_retired = 0xA0B0C0D0E0ull;
   snap.kernel_state = {0xDE, 0xAD, 0xBE, 0xEF};
-  ckpt::Writer w(/*flags=*/0x0102);
+  sim::wire::Writer w = ckpt::Begin(/*flags=*/0x0102);
   snap.AppendTo(&w);
-  EXPECT_EQ(Hex(std::move(w).Finish()),
+  EXPECT_EQ(Hex(std::move(w).Seal()),
             "43594b3101000201"                // magic, version, flags
             "0b000000706173737468726f756768"  // kernel name
             "02000000"                        // CSR count
@@ -235,10 +237,10 @@ TEST(CheckpointTest, RegionSnapshotRoundtripsCsrsBeatsAndKernelState) {
   EXPECT_EQ(snap.beats_retired, src.beats_retired());
 
   // Embed into a CYK1 stream and read it back — the orchestrator's path.
-  ckpt::Writer w;
+  sim::wire::Writer w = ckpt::Begin();
   snap.AppendTo(&w);
-  const std::vector<uint8_t> blob = std::move(w).Finish();
-  ckpt::Reader r(blob);
+  const std::vector<uint8_t> blob = std::move(w).Seal();
+  sim::wire::Reader r = ckpt::Open(blob);
   ASSERT_TRUE(r.ok());
   RegionSnapshot parsed;
   ASSERT_TRUE(parsed.ParseFrom(&r));
@@ -277,9 +279,9 @@ TEST(CheckpointTest, SameStateProducesBitIdenticalBlobs) {
     p.data.assign(64, 0x17);
     region.host_in(0).Push(std::move(p));
     engine.RunUntilIdle();
-    ckpt::Writer w;
+    sim::wire::Writer w = ckpt::Begin();
     CaptureRegion(region).AppendTo(&w);
-    return std::move(w).Finish();
+    return std::move(w).Seal();
   };
   EXPECT_EQ(capture(), capture());
 }
