@@ -69,7 +69,7 @@ struct Metrics {
   bool operator==(const Metrics&) const = default;
 };
 
-void FoldRecords(const Fleet& fleet, uint64_t capture_bps, Metrics* m) {
+void FoldRecords(const Fleet& fleet, Metrics* m) {
   for (const MigrationRecord& rec : fleet.orchestrator().migrations()) {
     if (rec.outcome != "ok" && rec.outcome != "evacuated" && rec.outcome != "evacuated.fresh") {
       continue;
@@ -78,7 +78,7 @@ void FoldRecords(const Fleet& fleet, uint64_t capture_bps, Metrics* m) {
       m->ckpt_bytes = rec.ckpt_bytes;
       m->ckpt_pages = rec.ckpt_pages;
       m->chunks = rec.chunks;
-      m->capture_latency = sim::TransferTime(rec.ckpt_bytes, capture_bps);
+      m->capture_latency = sim::TransferTime(rec.ckpt_bytes, Fleet::kCaptureBps);
     }
     if (rec.downtime > m->downtime) {
       m->downtime = rec.downtime;
@@ -103,7 +103,7 @@ void Finish(Fleet* fleet, const std::vector<uint32_t>& ids, Metrics* m) {
     m->hashes.push_back(fleet->tenant_data_hash(id));
     m->outcomes.push_back(fleet->tenant_outcome(id));
   }
-  FoldRecords(*fleet, Fleet::Config{}.capture_bps, m);
+  FoldRecords(*fleet, m);
 }
 
 // Planned live migration under light chunk loss: one tenant moves across the

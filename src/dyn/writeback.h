@@ -51,9 +51,7 @@ class WritebackEngine {
       return;  // untracked transfer (no registered cThread slot)
     }
     const uint64_t addr = it->second;
-    ++pending_;
     c2h_->Submit(kWritebackSource, kWritebackBytes, [this, addr]() {
-      --pending_;
       uint32_t value = 0;
       host_->store().Read(addr, &value, sizeof(value));
       ++value;
@@ -74,7 +72,6 @@ class WritebackEngine {
   }
 
   uint64_t writebacks() const { return writebacks_; }
-  uint64_t pending() const { return pending_; }
 
  private:
   // Writeback shares the C2H link; give it a dedicated arbitration source so
@@ -87,7 +84,6 @@ class WritebackEngine {
   sim::Link* c2h_;
   std::unordered_map<Key, uint64_t, KeyHash> slots_;
   uint64_t writebacks_ = 0;
-  uint64_t pending_ = 0;
 };
 
 }  // namespace dyn

@@ -95,7 +95,6 @@ class ReconfigController {
         const double slow = injector_->NextReconfigSlowdown();
         if (slow > 1.0) {
           latency = static_cast<sim::TimePs>(static_cast<double>(latency) * slow);
-          ++programs_slowed_;
         }
       }
     }
@@ -111,7 +110,6 @@ class ReconfigController {
 
   bool busy() const { return programs_in_flight_ > 0; }
   uint64_t programs_failed() const { return programs_failed_; }
-  uint64_t programs_slowed() const { return programs_slowed_; }
   const ReconfigPortSpec& port() const { return port_; }
 
  private:
@@ -123,7 +121,6 @@ class ReconfigController {
   sim::FaultInjector* injector_ = nullptr;
   int programs_in_flight_ = 0;
   uint64_t programs_failed_ = 0;
-  uint64_t programs_slowed_ = 0;
 };
 
 }  // namespace fabric

@@ -37,7 +37,6 @@ void CardMemory::Access(uint64_t addr, uint64_t len, uint32_t source_id,
     engine_->ScheduleAfter(0, std::move(on_done));
     return;
   }
-  total_bytes_ += len;
 
   // Split into stripe-aligned bursts; count completions across all of them.
   struct Tracker {

@@ -53,7 +53,6 @@ class CardMemory {
 
   const Config& config() const { return config_; }
   uint64_t allocated_bytes() const { return next_; }
-  uint64_t total_bytes_accessed() const { return total_bytes_; }
 
   // Channel a card-physical address stripes to.
   uint32_t ChannelFor(uint64_t addr) const {
@@ -65,7 +64,6 @@ class CardMemory {
   Config config_;
   SparseMemory store_;
   uint64_t next_ = 0;
-  uint64_t total_bytes_ = 0;
 
   // One bandwidth server per channel + the shared translation crossbar.
   std::vector<std::unique_ptr<sim::Link>> channels_;

@@ -43,7 +43,6 @@ CollectiveGroup::CollectiveGroup(sim::Engine* engine, std::vector<Member> member
 
 void CollectiveGroup::Broadcast(uint32_t root, uint64_t vaddr, uint64_t bytes,
                                 Completion done) {
-  ++broadcasts_;
   const uint32_t n = static_cast<uint32_t>(members_.size());
   if (n <= 1 || bytes == 0) {
     engine_->ScheduleAfter(0, [done = std::move(done)]() {
@@ -68,7 +67,6 @@ void CollectiveGroup::Broadcast(uint32_t root, uint64_t vaddr, uint64_t bytes,
       return;
     }
     if (*failed) {
-      ++failed_collectives_;
       if (*shared_done) {
         (*shared_done)(false);
       }
@@ -127,7 +125,6 @@ void CollectiveGroup::AllGather(uint64_t vaddr, uint64_t chunk_bytes, Completion
       return;
     }
     if (*failed) {
-      ++failed_collectives_;
       if (*shared_done) {
         (*shared_done)(false);
       }
@@ -159,7 +156,6 @@ void CollectiveGroup::AllGather(uint64_t vaddr, uint64_t chunk_bytes, Completion
 }
 
 void CollectiveGroup::AllReduceInt32(uint64_t vaddr, uint64_t count, Completion done) {
-  ++allreduces_;
   const uint32_t n = static_cast<uint32_t>(members_.size());
   if (n <= 1 || count == 0) {
     engine_->ScheduleAfter(0, [done = std::move(done)]() {
@@ -190,7 +186,6 @@ void CollectiveGroup::AllReduceInt32(uint64_t vaddr, uint64_t count, Completion 
         return;
       }
       if (*failed) {
-        ++failed_collectives_;
         if (*shared_done) {
           (*shared_done)(false);
         }
@@ -237,7 +232,6 @@ void CollectiveGroup::AllReduceInt32(uint64_t vaddr, uint64_t count, Completion 
     }
     if (*failed) {
       // Reduce-phase loss: skip the gather phase entirely.
-      ++failed_collectives_;
       if (*shared_done) {
         (*shared_done)(false);
       }

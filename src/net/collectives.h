@@ -59,10 +59,6 @@ class CollectiveGroup {
   // afterwards all members hold all N chunks.
   void AllGather(uint64_t vaddr, uint64_t chunk_bytes, Completion done);
 
-  uint64_t broadcasts() const { return broadcasts_; }
-  uint64_t allreduces() const { return allreduces_; }
-  uint64_t failed_collectives() const { return failed_collectives_; }
-
  private:
   uint32_t QpFor(uint32_t from, uint32_t to) const { return qp_[from][to]; }
   void RingStep(uint64_t vaddr, uint64_t chunk_bytes, uint32_t steps, bool reduce,
@@ -72,9 +68,6 @@ class CollectiveGroup {
   std::vector<Member> members_;
   std::vector<std::vector<uint32_t>> qp_;  // [from][to] -> local qpn at `from`
 
-  uint64_t broadcasts_ = 0;
-  uint64_t allreduces_ = 0;
-  uint64_t failed_collectives_ = 0;
 };
 
 }  // namespace net

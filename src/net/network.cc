@@ -86,7 +86,6 @@ void Network::Transmit(uint32_t src_port, uint32_t dst_ip, axi::BufferView frame
             engine_->ScheduleAfter(hop_latency, [this, dst_port, frame]() {
               ports_[dst_port].rx_link->Submit(0, frame.size(), [this, dst_port, frame]() {
                 ++frames_delivered_;
-                bytes_delivered_ += frame.size();
                 if (ports_[dst_port].rx) {
                   ports_[dst_port].rx(frame);
                 }

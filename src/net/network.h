@@ -81,7 +81,6 @@ class Network {
   uint64_t frames_corrupted() const { return frames_corrupted_; }
   uint64_t frames_duplicated() const { return frames_duplicated_; }
   uint64_t frames_delayed() const { return frames_delayed_; }
-  uint64_t bytes_delivered() const { return bytes_delivered_; }
   const Config& config() const { return config_; }
 
  private:
@@ -112,7 +111,6 @@ class Network {
   uint64_t frames_corrupted_ = 0;
   uint64_t frames_duplicated_ = 0;
   uint64_t frames_delayed_ = 0;
-  uint64_t bytes_delivered_ = 0;
 };
 
 }  // namespace net

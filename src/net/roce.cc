@@ -54,7 +54,6 @@ bool RoceStack::ResetQp(uint32_t qpn) {
   qp.frames_since_ack = 0;
   qp.wedged = false;
   qp.state = QpState::kInit;
-  ++qp_resets_;
   return true;
 }
 
@@ -66,7 +65,6 @@ RoceStack::QpState RoceStack::qp_state(uint32_t qpn) const {
 void RoceStack::MaybeWedge(Qp& qp) {
   if (injector_ != nullptr && !qp.wedged && injector_->NextQpWedge()) {
     qp.wedged = true;
-    ++qps_wedged_;
   }
 }
 
@@ -106,7 +104,6 @@ void RoceStack::TransmitFrame(Qp& qp, const FrameMeta& meta,
     // Injected tx black hole: the frame is tracked (so timeouts fire and the
     // retry budget eventually trips the QP into kError) but never reaches
     // the wire.
-    ++wedged_tx_dropped_;
     return;
   }
   // Serialization is the single copy a transmitted payload pays; the frame
@@ -116,7 +113,6 @@ void RoceStack::TransmitFrame(Qp& qp, const FrameMeta& meta,
     tap_(frame, /*is_tx=*/true);
   }
   ++tx_frames_;
-  payload_bytes_sent_ += payload.size();
   // Per-frame stack processing latency before the frame hits the CMAC.
   const uint32_t dst_ip = meta.dst_ip;
   engine_->ScheduleAfter(config_.stack_latency, [this, dst_ip, frame]() {

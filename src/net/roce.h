@@ -123,10 +123,6 @@ class RoceStack {
   uint64_t backoff_events() const { return backoff_events_; }
   uint64_t retries_exhausted() const { return retries_exhausted_; }
   uint64_t error_completions() const { return error_completions_; }
-  uint64_t payload_bytes_sent() const { return payload_bytes_sent_; }
-  uint64_t qps_wedged() const { return qps_wedged_; }
-  uint64_t qp_resets() const { return qp_resets_; }
-  uint64_t wedged_tx_dropped() const { return wedged_tx_dropped_; }
   const Config& config() const { return config_; }
 
  private:
@@ -231,10 +227,6 @@ class RoceStack {
   uint64_t backoff_events_ = 0;
   uint64_t retries_exhausted_ = 0;
   uint64_t error_completions_ = 0;
-  uint64_t payload_bytes_sent_ = 0;
-  uint64_t qps_wedged_ = 0;
-  uint64_t qp_resets_ = 0;
-  uint64_t wedged_tx_dropped_ = 0;
 };
 
 }  // namespace net

@@ -48,8 +48,6 @@ SimDevice::SimDevice(const Config& config, net::Network* network, sim::Engine* s
   xdma_->SetMsixHandler([this](uint32_t vector, uint64_t value) {
     if (vector == dyn::kMsixPageFault) {
       ++page_faults_seen_;
-    } else if (vector == dyn::kMsixReconfigDone) {
-      ++reconfigs_seen_;
     } else if (vector >= dyn::kMsixUserBase) {
       if (user_irq_cb_) {
         user_irq_cb_(vector - dyn::kMsixUserBase, value);

@@ -35,7 +35,7 @@ std::vector<uint32_t> AllChunks(uint32_t n) {
 Fleet::Fleet(const Config& config)
     : config_(config), cluster_(config_, kDeadWindow), orch_logical_(cluster_.control()) {
   nodes_.reserve(config_.num_nodes);
-  cluster_.AddNodes({.kernel_at = [this](uint32_t, uint32_t) { return config_.kernel_name; },
+  cluster_.AddNodes({.kernel_at = [](uint32_t, uint32_t) { return std::string(kKernelName); },
                      .setup = [this](uint32_t node) { SetupNode(node); },
                      .start = [this](uint32_t node) { StartNode(node); },
                      .kill = [this](uint32_t node) { StopNode(node); }});
@@ -209,7 +209,7 @@ void Fleet::StartItem(uint32_t node, uint32_t tenant) {
   serving::ServingRequest item;
   item.id = t->items_done;
   item.tenant = tenant;
-  item.kernel = config_.kernel_name;
+  item.kernel = kKernelName;
   item.payload = axi::BufferView(std::move(payload));
   serving::StageAndInvoke(t->thread.get(), t->src_vaddr, t->dst_vaddr, item);
 }
@@ -471,7 +471,7 @@ void Fleet::BeginMigration(uint32_t node, uint32_t tenant, uint32_t dst_node,
 
   // TRANSFER: serialize-out at capture bandwidth, then chunks on the wire.
   SendChunks(node, dst_node, tenant, t->mig_blob, AllChunks(chunks), chunks, /*round=*/0,
-             dst_region, sim::TransferTime(bytes, config_.capture_bps));
+             dst_region, sim::TransferTime(bytes, kCaptureBps));
 }
 
 void Fleet::SendChunks(uint32_t src_logical, uint32_t dst_node, uint32_t tenant,
@@ -483,8 +483,8 @@ void Fleet::SendChunks(uint32_t src_logical, uint32_t dst_node, uint32_t tenant,
   uint64_t cumulative = 0;
   for (uint32_t i = 0; i < chunk_ids.size(); ++i) {
     const uint32_t id = chunk_ids[i];
-    const uint64_t off = static_cast<uint64_t>(id) * config_.chunk_bytes;
-    const uint64_t len = std::min<uint64_t>(config_.chunk_bytes, blob.size() - off);
+    const uint64_t off = static_cast<uint64_t>(id) * kChunkBytes;
+    const uint64_t len = std::min<uint64_t>(kChunkBytes, blob.size() - off);
     cumulative += len;
     if (injector.NextMigrationChunkDrop()) {
       continue;  // lost in flight; the marker round below detects the gap
@@ -555,7 +555,7 @@ void Fleet::OnTransferMarker(uint32_t node, uint32_t tenant, uint32_t src_logica
 void Fleet::OnResendRequest(uint32_t src_logical, uint32_t tenant, std::vector<uint32_t> missing,
                             uint32_t round) {
   sim::ActorScope actor(sim::kActorOrchestrator);
-  if (round > config_.chunk_retry_max) {
+  if (round > kChunkRetryMax) {
     // Retransmit budget exhausted: the orchestrator rolls back (migration)
     // or sheds (evacuation — the source is already gone).
     if (src_logical == orch_logical_) {
@@ -566,7 +566,7 @@ void Fleet::OnResendRequest(uint32_t src_logical, uint32_t tenant, std::vector<u
     }
     return;
   }
-  const sim::TimePs backoff = config_.chunk_retry_backoff * round;
+  const sim::TimePs backoff = kChunkRetryBackoff * round;
   if (src_logical == orch_logical_) {
     // Evacuation replay: the orchestrator itself is the sender.
     auto it = orch_->ckpt_store_.find(tenant);
@@ -601,7 +601,7 @@ void Fleet::RequestResend(uint32_t node, uint32_t src_logical, uint32_t tenant,
 }
 
 uint32_t Fleet::ChunkCount(uint64_t bytes) const {
-  return static_cast<uint32_t>((bytes + config_.chunk_bytes - 1) / config_.chunk_bytes);
+  return static_cast<uint32_t>((bytes + kChunkBytes - 1) / kChunkBytes);
 }
 
 void Fleet::TryRestore(uint32_t node, uint32_t tenant, uint32_t src_logical, int32_t dst_region,
@@ -628,7 +628,7 @@ void Fleet::TryRestore(uint32_t node, uint32_t tenant, uint32_t src_logical, int
   }
   // RESUME: charge deserialize-in at capture bandwidth before declaring the
   // tenant live (the first re-issued op is already queued behind it).
-  const sim::TimePs restore_ps = sim::TransferTime(blob.size(), config_.capture_bps);
+  const sim::TimePs restore_ps = sim::TransferTime(blob.size(), kCaptureBps);
   cluster_.After(node, restore_ps, [this, node, tenant]() {
     const sim::TimePs resumed = cluster_.NowAt(node);
     PostToOrch(node, 0, [this, tenant, resumed]() { orch_->OnMigrationDone(tenant, resumed); });

@@ -38,6 +38,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/runtime/cluster.h"
@@ -113,22 +114,24 @@ class Fleet {
     // a dead node's tenants then restart from scratch).
     sim::TimePs checkpoint_period = sim::Microseconds(300);
 
-    // Migration transport: checkpoint chunk size on the wire and capture
-    // serialization bandwidth. Link rate and switch latency come from `net`,
-    // the same constants the RoCE fabric models.
-    uint64_t chunk_bytes = 4096;
-    uint64_t capture_bps = 8'000'000'000ull;
-    uint32_t chunk_retry_max = 6;
-    sim::TimePs chunk_retry_backoff = sim::Microseconds(5);
     uint32_t restore_attempts_max = 2;
 
     Supervisor::Config supervisor;
-
-    // Name of the kernel kernel_factory preloads into every region. Restores
-    // must find the same kernel resident (RestoreRegion matches by name); the
-    // factory keeps this layer independent of the concrete kernel library.
-    std::string kernel_name = "passthrough";
   };
+
+  // Migration transport: checkpoint chunk size on the wire, capture
+  // serialization bandwidth, and the retransmit budget and per-round backoff
+  // for lost chunks. Link rate and switch latency come from `net`, the same
+  // constants the RoCE fabric models.
+  static constexpr uint64_t kChunkBytes = 4096;
+  static constexpr uint64_t kCaptureBps = 8'000'000'000ull;
+  static constexpr uint32_t kChunkRetryMax = 6;
+  static constexpr sim::TimePs kChunkRetryBackoff = sim::Microseconds(5);
+
+  // Name of the kernel kernel_factory preloads into every region. Restores
+  // must find the same kernel resident (RestoreRegion matches by name); the
+  // factory keeps this layer independent of the concrete kernel library.
+  static constexpr std::string_view kKernelName = "passthrough";
 
   // Heartbeat silence after which a node is declared dead: four missed beats.
   static constexpr sim::TimePs kDeadWindow = 4 * Cluster::kHeartbeatPeriod;

@@ -408,7 +408,7 @@ std::string ServingFabric::KernelAt(uint32_t node, uint32_t region) const {
 void ServingFabric::SetupNode(uint32_t node) {
   auto n = std::make_unique<NodeRt>();
   SimDevice& dev = cluster_.device(node);
-  n->sched = std::make_unique<KernelScheduler>(&dev, config_.policy);
+  n->sched = std::make_unique<KernelScheduler>(&dev, kSchedulerPolicy);
   n->sched->BindShard(cluster_.shard_of(node));
   for (uint32_t r = 0; r < config_.regions_per_node; ++r) {
     n->region_kernel.push_back(KernelAt(node, r));
@@ -421,8 +421,8 @@ void ServingFabric::SetupNode(uint32_t node) {
   for (uint32_t r = 0; r < config_.regions_per_node; ++r) {
     Exec& e = n->execs[r];
     e.thread = std::make_unique<CThread>(&dev, r, static_cast<int64_t>(node * 1000 + r));
-    e.src_vaddr = e.thread->GetMem({Alloc::kHpf, config_.max_payload_bytes});
-    e.dst_vaddr = e.thread->GetMem({Alloc::kHpf, config_.max_payload_bytes});
+    e.src_vaddr = e.thread->GetMem({Alloc::kHpf, kMaxPayloadBytes});
+    e.dst_vaddr = e.thread->GetMem({Alloc::kHpf, kMaxPayloadBytes});
     e.thread->SetCompletionCallback([this, node, r](CThread::Task task, OpStatus status) {
       OnExecDone(node, r, task, status);
     });
@@ -567,8 +567,7 @@ void ServingFabric::StartExec(uint32_t node, uint32_t region,
                               serving::ServingRequest req, std::function<void()> done) {
   cluster_.guard(node).Write();
   Exec& e = nodes_[node]->execs[region];
-  if (req.payload.size() > config_.max_payload_bytes ||
-      serving::ResponseBytes(req) > config_.max_payload_bytes) {
+  if (req.payload.size() > kMaxPayloadBytes || serving::ResponseBytes(req) > kMaxPayloadBytes) {
     CompleteFromNode(node, req, OpStatus::kError, static_cast<int32_t>(region));
     done();  // oversized payload: the region frees immediately
     return;

@@ -212,11 +212,13 @@ class ServingFabric {
     // Kernel k lives wherever (node + region) % kernel_names.size() == k;
     // kernel_factory builds it under every name.
     std::vector<std::string> kernel_names = {"serve.bin"};
-    uint64_t max_payload_bytes = 4096;  // executor staging buffer size
-    KernelScheduler::Policy policy = KernelScheduler::Policy::kAffinity;
     std::vector<StormSpec> storms;
     std::vector<KillSpec> kills;
   };
+
+  // Executor staging buffer size: the largest request or response payload.
+  static constexpr uint64_t kMaxPayloadBytes = 4096;
+  static constexpr KernelScheduler::Policy kSchedulerPolicy = KernelScheduler::Policy::kAffinity;
 
   explicit ServingFabric(const Config& config);
   ~ServingFabric();

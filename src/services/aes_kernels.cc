@@ -120,7 +120,6 @@ void AesCbcKernel::Pump(uint32_t stream_index) {
       cipher.EncryptBlock(x, &lane.out[lane.block_offset]);
       std::copy_n(&lane.out[lane.block_offset], Aes128::kBlockBytes, lane.chain.begin());
       lane.block_offset += Aes128::kBlockBytes;
-      ++blocks_processed_;
     }
     // Unaligned residue passes through.
     while (lane.block_offset < data.size()) {

@@ -85,8 +85,6 @@ class AesCbcKernel : public vfpga::HwKernel {
   void Attach(vfpga::Vfpga* region) override;
   void Detach() override;
 
-  uint64_t blocks_processed() const { return blocks_processed_; }
-
  private:
   struct LaneState {
     // CBC chaining value for this stream (starts at the IV).
@@ -112,7 +110,6 @@ class AesCbcKernel : public vfpga::HwKernel {
   std::vector<LaneState> lanes_;
   // Input-port cycles already claimed by scheduled blocks.
   std::set<uint64_t> occupied_input_cycles_;
-  uint64_t blocks_processed_ = 0;
 
   std::unique_ptr<Aes128> cipher_;
   uint64_t cached_key_lo_ = 0;

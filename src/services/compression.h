@@ -64,23 +64,15 @@ class CompressKernel : public StreamKernel {
                                  : fabric::ResourceVector{9'500, 14'000, 48, 0, 0};
   }
 
-  uint64_t bytes_in() const { return in_; }
-  uint64_t bytes_out() const { return out_; }
-
  protected:
   axi::BufferView Process(const axi::StreamPacket& in, uint32_t) override {
     ++frames_;
-    in_ += in.data.size();
-    auto frame = CompressFramed(codec_, in.data.ToVector());
-    out_ += frame.size();
-    return frame;
+    return CompressFramed(codec_, in.data.ToVector());
   }
 
  private:
   Codec codec_;
   uint64_t frames_ = 0;
-  uint64_t in_ = 0;
-  uint64_t out_ = 0;
 };
 
 class DecompressKernel : public StreamKernel {

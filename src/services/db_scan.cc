@@ -26,7 +26,6 @@ void DbScanKernel::Detach() {
 
 void DbScanKernel::Reset() {
   guard_.Write();
-  rows_ = 0;
   matched_ = 0;
   sum_ = 0;
   min_ = std::numeric_limits<int64_t>::max();
@@ -50,7 +49,6 @@ void DbScanKernel::Pump() {
       DbRecord rec;
       std::memcpy(&rec, &residual_[off], sizeof(rec));
       off += sizeof(rec);
-      ++rows_;
       if (rec.key >= min_key && rec.key <= max_key) {
         ++matched_;
         sum_ += rec.value;

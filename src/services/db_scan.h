@@ -57,16 +57,12 @@ class DbScanKernel : public vfpga::HwKernel {
   void Attach(vfpga::Vfpga* region) override;
   void Detach() override;
 
-  uint64_t rows_scanned() const { return rows_; }
-  uint64_t rows_matched() const { return matched_; }
-
  private:
   void Pump();
   void Reset();
 
   vfpga::Vfpga* region_ = nullptr;
   uint64_t pipe_free_cycle_ = 0;
-  uint64_t rows_ = 0;
   uint64_t matched_ = 0;
   int64_t sum_ = 0;
   int64_t min_ = 0;

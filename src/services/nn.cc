@@ -205,7 +205,6 @@ MlpSpec MakeConv1dClassifier() {
 void NnKernel::Attach(vfpga::Vfpga* region) {
   region_ = region;
   next_sample_entry_cycle_ = 0;
-  samples_ = 0;
   const uint32_t nh = region->config().num_host_streams;
   const uint32_t nc = region->config().num_card_streams;
   guard_.Write();
@@ -255,7 +254,6 @@ void NnKernel::Pump(uint32_t stream_index, bool card) {
       out_bytes.insert(out_bytes.end(), reinterpret_cast<uint8_t*>(result.data()),
                        reinterpret_cast<uint8_t*>(result.data()) + out_dim);
       off += in_dim;
-      ++samples_;
 
       const uint64_t entry = std::max(now_cycle, next_sample_entry_cycle_);
       next_sample_entry_cycle_ = entry + spec_.IiCycles();

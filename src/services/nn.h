@@ -105,7 +105,6 @@ class NnKernel : public vfpga::HwKernel {
   void Detach() override;
 
   const MlpSpec& spec() const { return spec_; }
-  uint64_t samples_processed() const { return samples_; }
 
  private:
   // The kernel serves both interface kinds: direct host streams (Coyote
@@ -115,7 +114,6 @@ class NnKernel : public vfpga::HwKernel {
   MlpSpec spec_;
   vfpga::Vfpga* region_ = nullptr;
   uint64_t next_sample_entry_cycle_ = 0;
-  uint64_t samples_ = 0;
   // Residual bytes of a sample split across packet boundaries, per stream;
   // host streams first, then card streams.
   sim::AccessGuard guard_{"svc.nn"};

@@ -51,7 +51,6 @@ class PointerChaseKernel : public vfpga::HwKernel {
   void Attach(vfpga::Vfpga* region) override;
   void Detach() override;
 
-  uint64_t nodes_visited() const { return visited_; }
   int64_t sum() const { return sum_; }
 
  private:

@@ -6,7 +6,7 @@
 namespace coyote {
 namespace sim {
 
-thread_local AccessLedger::Tls AccessLedger::tls_;
+constinit thread_local AccessLedger::Tls AccessLedger::tls_;
 
 std::string AccessConflict::ToString() const {
   char buf[256];

@@ -149,7 +149,9 @@ class AccessLedger {
     ShardId shard = kNoShard;
     uint32_t slot = 0;  // 0 = host/unsharded; shard s reports into slot s + 1
   };
-  static thread_local Tls tls_;
+  // constinit: other files read tls_ from inline code, and must know it
+  // needs no dynamic initialisation (no TLS wrapper call).
+  static constinit thread_local Tls tls_;
 
   // Sets the calling thread's shard id and report slot (no epoch banding —
   // ShardScope must not perturb the single-threaded epoch sequence).

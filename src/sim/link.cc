@@ -14,7 +14,6 @@ void Link::Submit(uint32_t source_id, uint64_t bytes, Callback on_done) {
     it = queues_.emplace(source_id, std::deque<Packet>{}).first;
   }
   it->second.push_back(Packet{bytes, std::move(on_done)});
-  ++queued_packets_;
   if (!busy_) {
     StartNext();
   }
@@ -44,7 +43,6 @@ void Link::StartNext() {
   busy_ = true;
   Packet pkt = std::move(queues_[sid].front());
   queues_[sid].pop_front();
-  --queued_packets_;
 
   TimePs duration =
       TransferTime(pkt.bytes, config_.bytes_per_second) + config_.per_packet_overhead;
@@ -52,13 +50,11 @@ void Link::StartNext() {
     const TimePs stall = fault_hook_(pkt.bytes);
     if (stall > 0) {
       ++stalled_packets_;
-      stall_time_ += stall;
       duration += stall;
     }
   }
   total_bytes_ += pkt.bytes;
   ++total_packets_;
-  busy_time_ += duration;
   per_source_bytes_[sid] += pkt.bytes;
 
   inflight_done_ = std::move(pkt.on_done);
@@ -85,16 +81,7 @@ uint64_t Link::bytes_for_source(uint32_t source_id) const {
 }
 
 double Link::ObservedBandwidthBps() const {
-  const TimePs elapsed = engine_->Now() - stats_epoch_;
-  return BandwidthBytesPerSec(total_bytes_, elapsed);
-}
-
-void Link::ResetStats() {
-  total_bytes_ = 0;
-  total_packets_ = 0;
-  busy_time_ = 0;
-  per_source_bytes_.clear();
-  stats_epoch_ = engine_->Now();
+  return BandwidthBytesPerSec(total_bytes_, engine_->Now());
 }
 
 }  // namespace sim

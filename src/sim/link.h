@@ -57,18 +57,13 @@ class Link {
   // --- Introspection / statistics -------------------------------------------
   uint64_t total_bytes() const { return total_bytes_; }
   uint64_t total_packets() const { return total_packets_; }
-  TimePs busy_time() const { return busy_time_; }
   uint64_t bytes_for_source(uint32_t source_id) const;
-  uint64_t queued_packets() const { return queued_packets_; }
   uint64_t stalled_packets() const { return stalled_packets_; }
-  TimePs stall_time() const { return stall_time_; }
   const Config& config() const { return config_; }
 
   // Effective bandwidth observed since construction (bytes actually moved over
   // wall simulated time).
   double ObservedBandwidthBps() const;
-
-  void ResetStats();
 
  private:
   struct Packet {
@@ -88,7 +83,6 @@ class Link {
   std::unordered_map<uint32_t, std::deque<Packet>> queues_;
   size_t rr_index_ = 0;
   bool busy_ = false;
-  uint64_t queued_packets_ = 0;
   // Completion of the single packet occupying the link. Held here (not in the
   // engine lambda) so the scheduled event captures only `this` and stays
   // within InlineCallback's inline budget.
@@ -98,9 +92,6 @@ class Link {
   uint64_t total_bytes_ = 0;
   uint64_t total_packets_ = 0;
   uint64_t stalled_packets_ = 0;
-  TimePs stall_time_ = 0;
-  TimePs busy_time_ = 0;
-  TimePs stats_epoch_ = 0;
   std::unordered_map<uint32_t, uint64_t> per_source_bytes_;
 };
 

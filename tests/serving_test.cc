@@ -46,7 +46,7 @@ TEST(RpcFrameTest, RoundTripPreservesEveryFieldAndValidates) {
 
   sim::wire::Reader r = net::rpc::Open(frame, net::rpc::MsgType::kRequestBatch);
   ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(net::rpc::Open(frame, net::rpc::MsgType::kCompletion).ok());  // typed
+  EXPECT_FALSE(net::rpc::Open(frame, net::rpc::MsgType::kCompletion).ok());  // type checked
   EXPECT_EQ(r.U8(), 7u);
   EXPECT_EQ(r.U16(), 0xBEEFu);
   EXPECT_EQ(r.U32(), 0xDEADBEEFu);
