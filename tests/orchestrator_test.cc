@@ -168,6 +168,7 @@ TEST(OrchestratorTest, CorruptCheckpointIsRejectedByCrcAndRolledBack) {
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->outcome, "rollback.transfer");
   EXPECT_GE(rec->retransmit_rounds, 1u);
+  EXPECT_EQ(fleet.orchestrator().TraceFingerprint(), 0x8691e44300e0d552ull);
 }
 
 TEST(OrchestratorTest, RestoreFailureRollsBackToSource) {
@@ -193,6 +194,7 @@ TEST(OrchestratorTest, RestoreFailureRollsBackToSource) {
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->outcome, "rollback.restore");
   EXPECT_EQ(rec->restore_attempts, 2u);
+  EXPECT_EQ(fleet.orchestrator().TraceFingerprint(), 0x14ba3ae6a96b7233ull);
 }
 
 // --- Node death and evacuation ------------------------------------------------
@@ -292,6 +294,7 @@ TEST(OrchestratorTest, CapacityPressureShedsLowestPriorityWithTypedOutcome) {
   EXPECT_EQ(fleet.tenant_outcome(ids[3]), TenantOutcome::kShed);
   EXPECT_EQ(orch.tenants().at(ids[0]).node, 1u);
   EXPECT_EQ(orch.tenants().at(ids[1]).node, 1u);
+  EXPECT_EQ(orch.TraceFingerprint(), 0x8217ed48ebe496d4ull);
 }
 
 // --- Cross-shard-count determinism --------------------------------------------
@@ -348,6 +351,11 @@ FleetRunResult RunDeterminismFleet(uint32_t num_shards, bool use_threads) {
 TEST(OrchestratorDeterminismTest, FleetIsBitIdenticalAcrossShardCountsAndThreading) {
   const FleetRunResult golden = RunDeterminismFleet(1, false);
   ASSERT_TRUE(golden.settled);
+  // Pinned, not only compared run against run: a change that shifts the
+  // outcome the same way at every shard count still fails here.
+  EXPECT_EQ(golden.trace_fp, 0x1d1dcb44102e149dull);
+  EXPECT_EQ(golden.injector_fp, 0x89bd7e9c47644667ull);
+  EXPECT_EQ(golden.settled_at, 372856908u);
   for (const uint32_t shards : {2u, 4u, 8u}) {
     const FleetRunResult seq = RunDeterminismFleet(shards, false);
     EXPECT_TRUE(seq == golden) << "sequential shards=" << shards;
