@@ -1,6 +1,10 @@
 #include "src/runtime/cthread.h"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
+
+#include "src/runtime/serving.h"
 
 namespace coyote {
 namespace runtime {
@@ -346,6 +350,132 @@ void CThread::ConnectQp(uint32_t local_qpn, uint32_t remote_ip, uint32_t remote_
   assert(dev_->roce() != nullptr);
   dev_->roce()->Connect(local_qpn, remote_ip, remote_qpn);
 }
+
+namespace serving {
+
+RegionExec::RegionExec(SimDevice* dev, uint32_t region, int64_t ctid, uint64_t buffer_bytes,
+                       OnDone on_done)
+    : thread_(dev, region, ctid),
+      bytes_(buffer_bytes),
+      src_(thread_.GetMem({Alloc::kHpf, buffer_bytes})),
+      dst_(thread_.GetMem({Alloc::kHpf, buffer_bytes})),
+      on_done_(std::move(on_done)) {
+  thread_.SetCompletionCallback(
+      [this](CThread::Task task, OpStatus status) { OnComplete(task, status); });
+}
+
+void RegionExec::OnComplete(CThread::Task task, OpStatus status) {
+  if (!busy_ || task.id != task_) {
+    return;
+  }
+  busy_ = false;
+  on_done_(status);
+}
+
+bool RegionExec::Start(const ServingRequest& req) {
+  if (req.payload.size() > bytes_ || ResponseBytes(req) > bytes_) {
+    return false;
+  }
+  task_ = StageAndInvoke(&thread_, src_, dst_, req).id;
+  busy_ = true;
+  return true;
+}
+
+std::vector<uint8_t> RegionExec::ReadBack(uint64_t len) {
+  std::vector<uint8_t> out(len);
+  thread_.ReadBuffer(dst_, out.data(), len);
+  return out;
+}
+
+void RegionExec::Abort(OpStatus status) {
+  if (busy_) {
+    thread_.AbortPending(status);
+  }
+}
+
+void RegionExec::Quiesce(OpStatus status) {
+  if (busy_) {
+    held_ = thread_.SnapshotPending();
+  }
+  Abort(status);
+  thread_.device().data_mover().AbortVfpga(region());
+  thread_.device().vfpga(region()).FlushStreams();
+}
+
+bool RegionExec::Reissue() {
+  const std::vector<CThread::PendingOp> ops = std::exchange(held_, {});
+  for (const CThread::PendingOp& op : ops) {
+    task_ = thread_.Invoke(op.oper, op.sg).id;
+    busy_ = true;
+  }
+  return !ops.empty();
+}
+
+void RegionExec::Release() {
+  if (src_ != 0) {
+    thread_.FreeMem(src_);
+    thread_.FreeMem(dst_);
+    src_ = dst_ = 0;
+  }
+}
+
+uint64_t RegionExec::WriteSection(sim::wire::Writer* w) {
+  // Buffer-relative: virtual addresses differ across nodes.
+  const std::vector<CThread::PendingOp> ops = held_.empty() ? thread_.SnapshotPending() : held_;
+  w->U32(static_cast<uint32_t>(ops.size()));
+  for (const CThread::PendingOp& op : ops) {
+    w->U8(static_cast<uint8_t>(op.oper));
+    w->U64(op.sg.local.src_addr - src_);
+    w->U64(op.sg.local.src_len);
+    w->U64(op.sg.local.dst_addr - dst_);
+    w->U64(op.sg.local.dst_len);
+  }
+  // Dirty-page manifest from the SVM layer: only pages ever written ship;
+  // the restore target reproduces untouched (zero) pages for free. Segments
+  // are clipped to the buffer, so a small buffer inside a hugepage does not
+  // drag the whole 2 MB across the wire.
+  uint64_t pages = 0;
+  const mmu::Svm& svm = thread_.device().svm();
+  const uint64_t page_bytes = svm.page_table().page_bytes();
+  for (const uint64_t vaddr : {src_, dst_}) {
+    const std::vector<uint64_t> dirty = svm.DirtyPagesIn(vaddr, bytes_, 0);
+    pages += dirty.size();
+    w->U32(static_cast<uint32_t>(dirty.size()));
+    for (const uint64_t vpage : dirty) {
+      const uint64_t page_start = vpage * page_bytes;
+      const uint64_t seg_start = std::max(page_start, vaddr);
+      const uint64_t seg_end = std::min(page_start + page_bytes, vaddr + bytes_);
+      std::vector<uint8_t> content(seg_end - seg_start);
+      svm.ReadVirtual(seg_start, content.data(), content.size());
+      w->U64(seg_start - vaddr);
+      w->Bytes(content);
+    }
+  }
+  return pages;
+}
+
+bool RegionExec::ReadSection(sim::wire::Reader* r) {
+  std::vector<CThread::PendingOp> ops(r->U32());
+  for (CThread::PendingOp& op : ops) {
+    op.oper = static_cast<Oper>(r->U8());
+    op.sg.local.src_addr = src_ + r->U64();
+    op.sg.local.src_len = r->U64();
+    op.sg.local.dst_addr = dst_ + r->U64();
+    op.sg.local.dst_len = r->U64();
+  }
+  for (const uint64_t vaddr : {src_, dst_}) {
+    const uint32_t segments = r->U32();
+    for (uint32_t i = 0; i < segments && r->ok(); ++i) {
+      const uint64_t off = r->U64();
+      const std::vector<uint8_t> bytes = r->Bytes();
+      thread_.WriteBuffer(vaddr + off, bytes.data(), bytes.size());
+    }
+  }
+  held_ = std::move(ops);
+  return r->ok();
+}
+
+}  // namespace serving
 
 }  // namespace runtime
 }  // namespace coyote

@@ -40,25 +40,25 @@ Fleet::Fleet(const Config& config)
                      .start = [this](uint32_t node) { StartNode(node); },
                      .kill = [this](uint32_t node) { StopNode(node); }});
 
-  sim::FaultPlan orch_plan = config_.fault_template;
-  orch_plan.seed = cluster_.NodeSeed(orch_logical_);
-  orch_injector_ =
-      std::make_unique<sim::FaultInjector>(&cluster_.EngineAt(orch_logical_), orch_plan);
-
+  AddInjector(orch_logical_);
   orch_ = std::make_unique<Orchestrator>(this);
 }
 
 Fleet::~Fleet() = default;
 
+sim::FaultInjector* Fleet::AddInjector(uint32_t logical) {
+  sim::FaultPlan plan = config_.fault_template;
+  plan.seed = cluster_.NodeSeed(logical);
+  return injectors_
+      .emplace_back(std::make_unique<sim::FaultInjector>(&cluster_.EngineAt(logical), plan))
+      .get();
+}
+
 void Fleet::SetupNode(uint32_t node) {
   auto n = std::make_unique<NodeRt>();
-  sim::FaultPlan plan = config_.fault_template;
-  plan.seed = cluster_.NodeSeed(node);
-  n->injector = std::make_unique<sim::FaultInjector>(&cluster_.EngineAt(node), plan);
   SimDevice& dev = cluster_.device(node);
-  dev.AttachFaultInjector(n->injector.get());
-  n->sup = std::make_unique<Supervisor>(&dev, nullptr, config_.supervisor);
-  n->region_tenant.assign(config_.regions_per_node, -1);
+  dev.AttachFaultInjector(AddInjector(node));
+  n->sup = std::make_unique<Supervisor>(&dev, nullptr, Supervisor::Config{});
   nodes_.push_back(std::move(n));
 }
 
@@ -84,14 +84,7 @@ void Fleet::StopNode(uint32_t node) {
 
 uint32_t Fleet::AddTenant(const TenantSpec& spec) {
   const uint32_t id = next_tenant_++;
-  NodeRt& n = *nodes_.at(spec.home_node);
-  int32_t region = -1;
-  for (uint32_t r = 0; r < n.region_tenant.size(); ++r) {
-    if (n.region_tenant[r] < 0) {
-      region = static_cast<int32_t>(r);
-      break;
-    }
-  }
+  const int32_t region = orch_->regions_.at(spec.home_node).FindFree();
   // Host-side setup runs outside any shard context, so touching node state
   // directly (rather than through Post) is legal here.
   StartTenantFresh(spec.home_node, id, spec, region);
@@ -131,10 +124,9 @@ uint64_t Fleet::tenant_items_done(uint32_t tenant) const {
 
 uint64_t Fleet::InjectorFingerprint() const {
   uint64_t h = sim::kFnvOffset;
-  for (const auto& node : nodes_) {
-    sim::FnvFoldU64(&h, node->injector->ScheduleFingerprint());
+  for (const auto& injector : injectors_) {
+    sim::FnvFoldU64(&h, injector->ScheduleFingerprint());
   }
-  sim::FnvFoldU64(&h, orch_injector_->ScheduleFingerprint());
   return h;
 }
 
@@ -156,26 +148,10 @@ std::unique_ptr<Fleet::TenantRt> Fleet::NewTenant(uint32_t node, uint32_t tenant
   auto t = std::make_unique<TenantRt>();
   t->id = tenant;
   t->spec = spec;
-  t->region = region;
-  t->thread = std::make_unique<CThread>(&cluster_.device(node), static_cast<uint32_t>(region));
-  t->src_vaddr = t->thread->GetMem({Alloc::kHpf, spec.item_bytes});
-  t->dst_vaddr = t->thread->GetMem({Alloc::kHpf, spec.item_bytes});
-  t->thread->SetCompletionCallback([this, node, tenant](CThread::Task task, OpStatus status) {
-    OnItemComplete(node, tenant, task, status);
-  });
+  t->exec = std::make_unique<serving::RegionExec>(
+      &cluster_.device(node), static_cast<uint32_t>(region), /*ctid=*/-1, spec.item_bytes,
+      [this, node, tenant](OpStatus status) { OnItemComplete(node, tenant, status); });
   return t;
-}
-
-void Fleet::Vacate(uint32_t node, TenantRt& t) {
-  if (t.src_vaddr != 0) {
-    t.thread->FreeMem(t.src_vaddr);  // unmap + TLB shootdown
-    t.thread->FreeMem(t.dst_vaddr);
-    t.src_vaddr = t.dst_vaddr = 0;
-  }
-  if (t.region >= 0) {
-    nodes_[node]->region_tenant[t.region] = -1;
-  }
-  t.region = -1;
 }
 
 void Fleet::StartTenantFresh(uint32_t node, uint32_t tenant, const TenantSpec& spec,
@@ -185,21 +161,24 @@ void Fleet::StartTenantFresh(uint32_t node, uint32_t tenant, const TenantSpec& s
     return;
   }
   cluster_.guard(node).Write();
-  NodeRt& n = *nodes_[node];
-  std::unique_ptr<TenantRt> t = NewTenant(node, tenant, spec, region);
-  t->running = true;
-  n.region_tenant[region] = static_cast<int32_t>(tenant);
-  n.tenants[tenant] = std::move(t);
-  StartItem(node, tenant);
+  std::unique_ptr<TenantRt>& t = nodes_[node]->tenants[tenant];
+  t = NewTenant(node, tenant, spec, region);
+  Resume(node, *t);
+}
+
+void Fleet::Resume(uint32_t node, TenantRt& t) {
+  t.running = true;
+  if (!t.exec->Reissue()) {
+    StartItem(node, t.id);
+  }
 }
 
 void Fleet::StartItem(uint32_t node, uint32_t tenant) {
   TenantRt* t = LiveTenant(node, tenant);
-  if (t == nullptr || !t->running || t->item_inflight || t->items_done >= t->spec.items_total) {
+  if (t == nullptr || !t->running || t->exec->busy() || t->items_done >= t->spec.items_total) {
     return;
   }
   cluster_.guard(node).Write();
-  t->item_inflight = true;
   // One item = one serving envelope: the same request shape the Router ships
   // to node schedulers, here issued directly on the tenant's resident region.
   std::vector<uint8_t> payload(t->spec.item_bytes);
@@ -211,24 +190,18 @@ void Fleet::StartItem(uint32_t node, uint32_t tenant) {
   item.tenant = tenant;
   item.kernel = kKernelName;
   item.payload = axi::BufferView(std::move(payload));
-  serving::StageAndInvoke(t->thread.get(), t->src_vaddr, t->dst_vaddr, item);
+  t->exec->Start(item);
 }
 
-void Fleet::OnItemComplete(uint32_t node, uint32_t tenant, CThread::Task task, OpStatus status) {
-  (void)task;
+void Fleet::OnItemComplete(uint32_t node, uint32_t tenant, OpStatus status) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   TenantRt* t = LiveTenant(node, tenant);
-  if (t == nullptr) {
-    return;
-  }
-  t->item_inflight = false;
-  if (!t->running) {
+  if (t == nullptr || !t->running) {
     return;  // quiesce/shed abort completions land here with running unset
   }
   cluster_.guard(node).Write();
   if (status == OpStatus::kOk) {
-    std::vector<uint8_t> out(t->spec.item_bytes);
-    t->thread->ReadBuffer(t->dst_vaddr, out.data(), out.size());
+    const std::vector<uint8_t> out = t->exec->ReadBack(t->spec.item_bytes);
     const uint64_t item = t->items_done;
     sim::FnvFold(&t->data_hash, &item, sizeof(item));
     sim::FnvFold(&t->data_hash, out.data(), out.size());
@@ -237,8 +210,8 @@ void Fleet::OnItemComplete(uint32_t node, uint32_t tenant, CThread::Task task, O
       // Retire in place and hand the region back through the orchestrator's
       // books.
       t->running = false;
-      Vacate(node, *t);
-      PostToOrch(node, 0, [this, tenant]() { orch_->OnTenantDone(tenant); });
+      t->exec->Release();
+      PostToOrch(node, 0, [this, tenant]() { orch_->Retire(tenant, TenantOutcome::kDone, ""); });
       return;
     }
     cluster_.After(node, t->spec.think_time, [this, node, tenant]() { StartItem(node, tenant); });
@@ -267,7 +240,7 @@ void Fleet::CheckpointTick(uint32_t node) {
     // Non-disruptive capture: in-flight ops ride along as pending descriptors
     // and are re-issued whole on restore, so the tenant keeps executing.
     uint64_t pages = 0;
-    std::vector<uint8_t> blob = BuildCheckpoint(node, *t, t->thread->SnapshotPending(), &pages);
+    std::vector<uint8_t> blob = BuildCheckpoint(node, *t, &pages);
     const sim::TimePs captured = cluster_.NowAt(node);
     const sim::TimePs wire = cluster_.WireDelay(blob.size());
     const uint32_t tenant_id = tenant;
@@ -282,7 +255,6 @@ void Fleet::CheckpointTick(uint32_t node) {
 // ---------------------------------------------------------------------------
 
 std::vector<uint8_t> Fleet::BuildCheckpoint(uint32_t node, const TenantRt& t,
-                                            const std::vector<CThread::PendingOp>& pending,
                                             uint64_t* pages_out) {
   sim::wire::Writer w = vfpga::ckpt::Begin();
   w.U32(t.id);
@@ -294,52 +266,12 @@ std::vector<uint8_t> Fleet::BuildCheckpoint(uint32_t node, const TenantRt& t,
   w.U64(t.items_done);
   w.U64(t.retries);
   w.U64(t.data_hash);
-
-  vfpga::RegionSnapshot snap =
-      vfpga::CaptureRegion(cluster_.device(node).vfpga(static_cast<uint32_t>(t.region)));
-  snap.AppendTo(&w);
-
-  // In-flight ops, buffer-relative (virtual addresses differ across nodes).
-  w.U32(static_cast<uint32_t>(pending.size()));
-  for (const auto& op : pending) {
-    w.U8(static_cast<uint8_t>(op.oper));
-    w.U64(op.sg.local.src_addr - t.src_vaddr);
-    w.U64(op.sg.local.src_len);
-    w.U64(op.sg.local.dst_addr - t.dst_vaddr);
-    w.U64(op.sg.local.dst_len);
-  }
-
-  // Dirty-page manifest from the SVM layer: only pages ever written ship;
-  // the restore target reproduces untouched (zero) pages for free. Segments
-  // are clipped to the buffer, so a small buffer inside a hugepage does not
-  // drag the whole 2 MB across the wire.
-  uint64_t pages = 0;
-  const mmu::Svm& svm = cluster_.device(node).svm();
-  const uint64_t page_bytes = svm.page_table().page_bytes();
-  auto append_buffer = [&](uint64_t vaddr) {
-    const std::vector<uint64_t> dirty = svm.DirtyPagesIn(vaddr, t.spec.item_bytes, 0);
-    pages += dirty.size();
-    w.U32(static_cast<uint32_t>(dirty.size()));
-    for (const uint64_t vpage : dirty) {
-      const uint64_t page_start = vpage * page_bytes;
-      const uint64_t seg_start = std::max(page_start, vaddr);
-      const uint64_t seg_end = std::min(page_start + page_bytes, vaddr + t.spec.item_bytes);
-      std::vector<uint8_t> content(seg_end - seg_start);
-      svm.ReadVirtual(seg_start, content.data(), content.size());
-      w.U64(seg_start - vaddr);
-      w.Bytes(content);
-    }
-  };
-  append_buffer(t.src_vaddr);
-  append_buffer(t.dst_vaddr);
-  if (pages_out != nullptr) {
-    *pages_out = pages;
-  }
+  vfpga::CaptureRegion(cluster_.device(node).vfpga(t.exec->region())).AppendTo(&w);
+  *pages_out = t.exec->WriteSection(&w);
   return std::move(w).Seal();
 }
 
 bool Fleet::ApplyCheckpoint(uint32_t node, int32_t region, const std::vector<uint8_t>& blob) {
-  NodeRt& n = *nodes_[node];
   sim::wire::Reader r = vfpga::ckpt::Open(blob);
   if (!r.ok() || region < 0) {
     return false;
@@ -359,73 +291,20 @@ bool Fleet::ApplyCheckpoint(uint32_t node, int32_t region, const std::vector<uin
   if (!snap.ParseFrom(&r)) {
     return false;
   }
-
-  struct PendingDesc {
-    Oper oper;
-    uint64_t src_off, src_len, dst_off, dst_len;
-  };
-  std::vector<PendingDesc> pending(r.U32());
-  for (auto& op : pending) {
-    op.oper = static_cast<Oper>(r.U8());
-    op.src_off = r.U64();
-    op.src_len = r.U64();
-    op.dst_off = r.U64();
-    op.dst_len = r.U64();
-  }
-
-  struct Segment {
-    uint64_t off;
-    std::vector<uint8_t> bytes;
-  };
-  auto read_segments = [&r]() {
-    std::vector<Segment> segs(r.U32());
-    for (auto& s : segs) {
-      s.off = r.U64();
-      s.bytes = r.Bytes();
-    }
-    return segs;
-  };
-  const std::vector<Segment> src_segs = read_segments();
-  const std::vector<Segment> dst_segs = read_segments();
-  if (!r.AtEnd()) {
-    return false;
-  }
-
   std::unique_ptr<TenantRt> t = NewTenant(node, tenant, spec, region);
-  for (const auto& s : src_segs) {
-    t->thread->WriteBuffer(t->src_vaddr + s.off, s.bytes.data(), s.bytes.size());
-  }
-  for (const auto& s : dst_segs) {
-    t->thread->WriteBuffer(t->dst_vaddr + s.off, s.bytes.data(), s.bytes.size());
-  }
-  if (!vfpga::RestoreRegion(cluster_.device(node).vfpga(static_cast<uint32_t>(region)), snap)) {
-    t->thread->FreeMem(t->src_vaddr);
-    t->thread->FreeMem(t->dst_vaddr);
+  if (!t->exec->ReadSection(&r) || !r.AtEnd() ||
+      !vfpga::RestoreRegion(cluster_.device(node).vfpga(static_cast<uint32_t>(region)), snap)) {
+    t->exec->Release();
     return false;
   }
   t->items_done = items_done;
   t->retries = retries;
   t->data_hash = data_hash;
-  // Re-issue the ops the quiesce cut short, rebased onto the new buffers.
-  // The workload keeps at most one op in flight, so the re-issue cannot
-  // double-fold the data hash.
-  t->running = true;
-  bool reissued = false;
-  for (const auto& op : pending) {
-    SgEntry sg;
-    sg.local = {.src_addr = t->src_vaddr + op.src_off,
-                .src_len = op.src_len,
-                .dst_addr = t->dst_vaddr + op.dst_off,
-                .dst_len = op.dst_len};
-    t->thread->Invoke(op.oper, sg);
-    t->item_inflight = true;
-    reissued = true;
-  }
-  n.region_tenant[region] = static_cast<int32_t>(tenant);
-  n.tenants[tenant] = std::move(t);
-  if (!reissued) {
-    StartItem(node, tenant);
-  }
+  // The executor re-issues the op the quiesce cut short, rebased onto its
+  // new buffers. One op in flight at most, so the data hash folds it once.
+  std::unique_ptr<TenantRt>& placed = nodes_[node]->tenants[tenant];
+  placed = std::move(t);
+  Resume(node, *placed);
   return true;
 }
 
@@ -446,19 +325,14 @@ void Fleet::BeginMigration(uint32_t node, uint32_t tenant, uint32_t dst_node,
     return;
   }
   cluster_.guard(node).Write();
-  SimDevice& dev = cluster_.device(node);
 
-  // QUIESCE: stop issuing, snapshot the in-flight descriptors, then abort
-  // them through the data mover (error completions, credit restore, TLB
-  // shootdown) so the region is drained before capture.
+  // QUIESCE: stop issuing, then the executor holds and aborts the op in
+  // flight and drains the region before capture.
   t->running = false;
-  t->mig_pending = t->thread->SnapshotPending();
-  t->thread->AbortPending(OpStatus::kAborted);
-  dev.data_mover().AbortVfpga(static_cast<uint32_t>(t->region));
-  dev.vfpga(static_cast<uint32_t>(t->region)).FlushStreams();
+  t->exec->Quiesce(OpStatus::kAborted);
 
   uint64_t pages = 0;
-  t->mig_blob = BuildCheckpoint(node, *t, t->mig_pending, &pages);
+  t->mig_blob = BuildCheckpoint(node, *t, &pages);
   t->mig_dst = dst_node;
   t->mig_dst_region = dst_region;
 
@@ -478,8 +352,7 @@ void Fleet::SendChunks(uint32_t src_logical, uint32_t dst_node, uint32_t tenant,
                        const std::vector<uint8_t>& blob, const std::vector<uint32_t>& chunk_ids,
                        uint32_t total_chunks, uint32_t round, int32_t dst_region,
                        sim::TimePs extra_delay) {
-  sim::FaultInjector& injector =
-      src_logical == orch_logical_ ? *orch_injector_ : *nodes_[src_logical]->injector;
+  sim::FaultInjector& injector = *injectors_[src_logical];
   uint64_t cumulative = 0;
   for (uint32_t i = 0; i < chunk_ids.size(); ++i) {
     const uint32_t id = chunk_ids[i];
@@ -615,9 +488,9 @@ void Fleet::TryRestore(uint32_t node, uint32_t tenant, uint32_t src_logical, int
 
   // RESTORE: bounded attempts, each subject to injected restore faults.
   bool restored = false;
-  for (uint32_t attempt = 0; attempt < config_.restore_attempts_max && !restored; ++attempt) {
+  for (uint32_t attempt = 0; attempt < kRestoreAttemptsMax && !restored; ++attempt) {
     PostToOrch(node, 0, [this, tenant]() { orch_->OnRestoreAttempt(tenant); });
-    if (nodes_[node]->injector->NextRestoreFail()) {
+    if (injectors_[node]->NextRestoreFail()) {
       continue;
     }
     restored = ApplyCheckpoint(node, dst_region, blob);
@@ -642,18 +515,8 @@ void Fleet::ResumeAtSource(uint32_t node, uint32_t tenant) {
     return;
   }
   cluster_.guard(node).Write();
-  t->running = true;
-  bool reissued = false;
-  for (const auto& op : t->mig_pending) {
-    t->thread->Invoke(op.oper, op.sg);  // same node, original addresses
-    t->item_inflight = true;
-    reissued = true;
-  }
   t->mig_blob.clear();
-  t->mig_pending.clear();
-  if (!reissued) {
-    StartItem(node, tenant);
-  }
+  Resume(node, *t);
   const sim::TimePs resumed = cluster_.NowAt(node);
   PostToOrch(node, 0, [this, tenant, resumed]() { orch_->OnRollbackResumed(tenant, resumed); });
 }
@@ -665,9 +528,8 @@ void Fleet::CleanupSource(uint32_t node, uint32_t tenant) {
     return;
   }
   cluster_.guard(node).Write();
-  Vacate(node, *t);
+  t->exec->Release();
   t->mig_blob.clear();
-  t->mig_pending.clear();
 }
 
 void Fleet::AbandonInbound(uint32_t node, uint32_t tenant) {
@@ -686,22 +548,18 @@ void Fleet::ShedTenant(uint32_t node, uint32_t tenant) {
     return;
   }
   cluster_.guard(node).Write();
-  if (!t->running && t->region < 0) {
+  if (!t->running && t->exec->released()) {
     // Retired (or already shed) before the command arrived; the tenant's own
-    // OnTenantDone resolves any evacuation waiting on this region.
+    // retirement resolves any evacuation waiting on this region.
     return;
   }
   // Graceful degradation: typed kShed completions instead of a hang, then
   // the region and its buffers go back to the pool.
   t->running = false;
-  t->thread->AbortPending(OpStatus::kShed);
-  if (t->region >= 0) {
-    SimDevice& dev = cluster_.device(node);
-    dev.data_mover().AbortVfpga(static_cast<uint32_t>(t->region));
-    dev.vfpga(static_cast<uint32_t>(t->region)).FlushStreams();
-  }
-  Vacate(node, *t);
-  PostToOrch(node, 0, [this, tenant]() { orch_->OnTenantShed(tenant, "capacity"); });
+  t->exec->Quiesce(OpStatus::kShed);
+  t->exec->Release();
+  PostToOrch(node, 0,
+             [this, tenant]() { orch_->Retire(tenant, TenantOutcome::kShed, "capacity"); });
 }
 
 // ---------------------------------------------------------------------------
@@ -744,17 +602,15 @@ void Orchestrator::AdmitTenant(uint32_t tenant, const TenantSpec& spec, uint32_t
                                int32_t region) {
   tenants_guard_.Write();
   regions_guard_.Write();
-  TenantBook book;
+  TenantBook& book = tenants_[tenant];
   book.spec = spec;
   book.node = node;
   book.region = region;
-  tenants_[tenant] = std::move(book);
-  ReserveRegion(node, region, tenant);
-  events_.Record("admit", {tenant, node, static_cast<uint64_t>(region), spec.priority}, Now());
-}
-
-void Orchestrator::ReserveRegion(uint32_t node, int32_t region, uint32_t tenant) {
   regions_[node].Reserve(region, tenant);
+  events_.Record("admit", {tenant, node, static_cast<uint64_t>(region), spec.priority}, Now());
+  if (region < 0) {
+    ShedBook(tenant, book, "admit.full");
+  }
 }
 
 void Orchestrator::ReleaseRegion(uint32_t node, int32_t region) {
@@ -793,7 +649,7 @@ void Orchestrator::StartMigration(uint32_t tenant, uint32_t dst_node, const std:
     return;
   }
   const int32_t region = regions_[dst_node].FindFree();
-  ReserveRegion(dst_node, region, tenant);
+  regions_[dst_node].Reserve(region, tenant);
   book.migrating = true;
   OpenRecord(tenant, book.node, dst_node, reason).outcome = "ok";
   events_.Record("migrate.start", {tenant, book.node, dst_node, sim::FnvHash(reason)}, Now());
@@ -911,12 +767,9 @@ void Orchestrator::OnMigrationFailed(uint32_t tenant, const std::string& why) {
   events_.Record("migrate.fail", {tenant, sim::FnvHash(why)}, Now());
 
   // Release the destination reservation in every failure shape.
-  const RegionBook& dst = regions_[rec->dst_node];
-  for (uint32_t r = 0; r < dst.size(); ++r) {
-    if (dst.tenant_at(r) == static_cast<int32_t>(tenant) &&
-        static_cast<int32_t>(r) != book.region) {
-      ReleaseRegion(rec->dst_node, static_cast<int32_t>(r));
-    }
+  const int32_t reserved = regions_[rec->dst_node].FindTenant(tenant);
+  if (reserved != book.region) {
+    ReleaseRegion(rec->dst_node, reserved);
   }
   book.migrating = false;
   active_migration_.erase(tenant);
@@ -950,12 +803,6 @@ void Orchestrator::OnRollbackResumed(uint32_t tenant, sim::TimePs resumed_at) {
     }
   }
   events_.Record("rollback.resumed", {tenant}, Now());
-}
-
-void Orchestrator::OnTenantDone(uint32_t tenant) { Retire(tenant, TenantOutcome::kDone, ""); }
-
-void Orchestrator::OnTenantShed(uint32_t tenant, const std::string& why) {
-  Retire(tenant, TenantOutcome::kShed, why);
 }
 
 void Orchestrator::Retire(uint32_t tenant, TenantOutcome outcome, const std::string& why) {
@@ -1023,10 +870,10 @@ void Orchestrator::DeclareDead(uint32_t node) {
         PostToNode(src, [this, src, id]() { fleet_->ResumeAtSource(src, id); });
         continue;
       }
-      if (rec != nullptr && rec->src_node == node) {
-        // Source died mid-transfer: abandon the partial transfer and replay
-        // the stored checkpoint instead.
-        rec->outcome = "abort.src_dead";
+      if (rec != nullptr && (rec->src_node == node || rec->dst_node == node)) {
+        // Source died mid-transfer, or the destination died after it:
+        // abandon the partial transfer and replay the stored checkpoint.
+        rec->outcome = rec->src_node == node ? "abort.src_dead" : "abort.dst_dead";
         book.migrating = false;
         active_migration_.erase(id);
         if (BelievedAlive(rec->dst_node)) {
@@ -1121,7 +968,7 @@ void Orchestrator::EvacuateTenant(uint32_t tenant, const std::string& reason) {
     return;
   }
 
-  ReserveRegion(dst, region, tenant);
+  regions_[dst].Reserve(region, tenant);
   book.migrating = true;
 
   MigrationRecord& rec = OpenRecord(tenant, book.node, dst, reason);

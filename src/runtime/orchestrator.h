@@ -9,8 +9,10 @@
 //   Fleet         — the workload harness on a runtime::Cluster (the nodes,
 //                   messaging, heartbeats and failure detector; the
 //                   Orchestrator is the cluster's control node): event-driven
-//                   tenant workloads, per-node fault injectors and
-//                   supervisors, and inbound checkpoint transfers.
+//                   tenant workloads, each on a serving::RegionExec (the
+//                   executor the serving fabric's regions run on too), one
+//                   fault injector per logical node, per-node supervisors,
+//                   and inbound checkpoint transfers.
 //   Orchestrator  — the control plane. Takes node deaths from the cluster's
 //                   detector, stores each tenant's periodic checkpoint, and
 //                   drives the migration pipeline:
@@ -24,12 +26,12 @@
 //   and when capacity runs out the lowest-priority tenant is shed with typed
 //   kShed completions — degraded, never hung.
 //
-// Checkpoints use the CYK1 wire format (src/vfpga/checkpoint.h): region
-// CSR/kernel state, the tenant's progress counters, in-flight op
-// descriptors rebased to buffer-relative offsets, and the dirty-page
-// manifest from the SVM layer (pages never written are not shipped — the
-// restore target reproduces zero state for free). See DESIGN.md
-// "Checkpoint wire format and migration protocol".
+// Checkpoints use the CYK1 wire format (src/vfpga/checkpoint.h): the
+// tenant's progress counters and region CSR/kernel state, then the
+// executor's section — in-flight op descriptors rebased to buffer-relative
+// offsets and the dirty-page manifest from the SVM layer (pages never
+// written are not shipped — the restore target reproduces zero state for
+// free). See DESIGN.md "Checkpoint wire format and migration protocol".
 
 #ifndef SRC_RUNTIME_ORCHESTRATOR_H_
 #define SRC_RUNTIME_ORCHESTRATOR_H_
@@ -42,9 +44,9 @@
 #include <vector>
 
 #include "src/runtime/cluster.h"
-#include "src/runtime/cthread.h"
 #include "src/runtime/device.h"
 #include "src/runtime/placement.h"
+#include "src/runtime/serving.h"
 #include "src/runtime/supervisor.h"
 #include "src/sim/access_guard.h"
 #include "src/sim/fault.h"
@@ -113,10 +115,6 @@ class Fleet {
     // Periodic tenant checkpoint cadence (0 disables periodic checkpoints;
     // a dead node's tenants then restart from scratch).
     sim::TimePs checkpoint_period = sim::Microseconds(300);
-
-    uint32_t restore_attempts_max = 2;
-
-    Supervisor::Config supervisor;
   };
 
   // Migration transport: checkpoint chunk size on the wire, capture
@@ -127,6 +125,8 @@ class Fleet {
   static constexpr uint64_t kCaptureBps = 8'000'000'000ull;
   static constexpr uint32_t kChunkRetryMax = 6;
   static constexpr sim::TimePs kChunkRetryBackoff = sim::Microseconds(5);
+  // Restore attempts on the destination before the migration rolls back.
+  static constexpr uint32_t kRestoreAttemptsMax = 2;
 
   // Name of the kernel kernel_factory preloads into every region. Restores
   // must find the same kernel resident (RestoreRegion matches by name); the
@@ -142,8 +142,8 @@ class Fleet {
   Fleet& operator=(const Fleet&) = delete;
 
   // --- Host-side setup (before Run) -------------------------------------------
-  // Admits a tenant on its home node's first free region. Returns the tenant
-  // id. Must be called before Run().
+  // Admits a tenant on its home node's first free region; with none free it
+  // is shed at once. Returns the tenant id. Must be called before Run().
   uint32_t AddTenant(const TenantSpec& spec);
   // Schedules a migration command (orchestrator-driven) at simulated time t.
   void ScheduleMigration(sim::TimePs t, uint32_t tenant, uint32_t dst_node);
@@ -177,29 +177,23 @@ class Fleet {
  private:
   friend class Orchestrator;
 
-  // Tenant execution state on a node. Retired entries are kept (a CThread
-  // with in-flight completions must outlive them); `region < 0` marks them.
+  // Tenant execution state on a node: its region executor (one item op in
+  // flight at a time, so a stale think-time timer cannot double-issue an
+  // item) and its progress. Retired entries are kept (a cThread with
+  // in-flight completions must outlive them); a released executor marks them.
   struct TenantRt {
     uint32_t id = 0;
     TenantSpec spec;
-    int32_t region = -1;
-    std::unique_ptr<CThread> thread;
-    uint64_t src_vaddr = 0;
-    uint64_t dst_vaddr = 0;
+    std::unique_ptr<serving::RegionExec> exec;
     uint64_t items_done = 0;
     uint64_t retries = 0;
     uint64_t data_hash = sim::kFnvOffset;
     bool running = false;  // false: quiesced / retired / shed
-    // Exactly one item op in flight at a time. Guards against a stale
-    // think-time timer firing right after a rollback resumed the tenant,
-    // which would double-issue the current item.
-    bool item_inflight = false;
 
     // Live-migration scratch, valid while this tenant is the source of an
-    // in-flight transfer: the frozen checkpoint for retransmit rounds and
-    // the aborted in-flight ops for a rollback re-issue.
+    // in-flight transfer: the frozen checkpoint for retransmit rounds. The
+    // executor holds the aborted op for a rollback re-issue.
     std::vector<uint8_t> mig_blob;
-    std::vector<CThread::PendingOp> mig_pending;
     uint32_t mig_dst = 0;
     int32_t mig_dst_region = -1;
   };
@@ -208,11 +202,7 @@ class Fleet {
   // Cluster.
   struct NodeRt {
     std::unique_ptr<Supervisor> sup;
-    std::unique_ptr<sim::FaultInjector> injector;
     sim::TimerWheel::TimerId ckpt_timer = sim::TimerWheel::kInvalidTimer;
-    // region -> resident tenant id (-1 free). Orchestrator placement is
-    // authoritative; this is the node-local execution view.
-    std::vector<int32_t> region_tenant;
     // tenant id -> runtime (including retired entries).
     std::map<uint32_t, std::unique_ptr<TenantRt>> tenants;
     // In-progress inbound checkpoint transfers: tenant -> chunk id -> bytes.
@@ -226,20 +216,23 @@ class Fleet {
   void SetupNode(uint32_t node);
   void StartNode(uint32_t node);
   void StopNode(uint32_t node);
+  // Appends logical node `logical`'s fault injector to injectors_.
+  sim::FaultInjector* AddInjector(uint32_t logical);
 
   // --- Node-side handlers (shard context of the node) ---------------------------
   // The tenant's runtime on `node`; nullptr once the node was killed or when
   // it never hosted the tenant.
   TenantRt* LiveTenant(uint32_t node, uint32_t tenant);
-  // A tenant runtime on (node, region): its cThread, item buffers and
-  // completion routing.
+  // A tenant runtime on (node, region): its executor, routing completions
+  // to OnItemComplete.
   std::unique_ptr<TenantRt> NewTenant(uint32_t node, uint32_t tenant, const TenantSpec& spec,
                                       int32_t region);
-  // Frees the tenant's buffers and its region slot on `node`.
-  void Vacate(uint32_t node, TenantRt& t);
   void StartTenantFresh(uint32_t node, uint32_t tenant, const TenantSpec& spec, int32_t region);
+  // Fresh start, restore and rollback all resume here: re-issue the op the
+  // executor holds, else start the next item.
+  void Resume(uint32_t node, TenantRt& t);
   void StartItem(uint32_t node, uint32_t tenant);
-  void OnItemComplete(uint32_t node, uint32_t tenant, CThread::Task task, OpStatus status);
+  void OnItemComplete(uint32_t node, uint32_t tenant, OpStatus status);
   void CheckpointTick(uint32_t node);
   void BeginMigration(uint32_t node, uint32_t tenant, uint32_t dst_node, int32_t dst_region);
   void SendChunks(uint32_t src_logical, uint32_t dst_node, uint32_t tenant,
@@ -261,12 +254,9 @@ class Fleet {
   void AbandonInbound(uint32_t node, uint32_t tenant);
   void ShedTenant(uint32_t node, uint32_t tenant);
 
-  // Serializes a tenant's full state (progress, region snapshot, pending
-  // ops, dirty pages) into a CYK1 blob. `pending` comes from SnapshotPending
-  // *before* the quiesce abort.
-  std::vector<uint8_t> BuildCheckpoint(uint32_t node, const TenantRt& t,
-                                       const std::vector<CThread::PendingOp>& pending,
-                                       uint64_t* pages_out);
+  // Serializes a tenant's full state (progress, region snapshot, then the
+  // executor's section: pending op and dirty pages) into a CYK1 blob.
+  std::vector<uint8_t> BuildCheckpoint(uint32_t node, const TenantRt& t, uint64_t* pages_out);
   // Instantiates the tenant described by `blob` on (node, region). Returns
   // false when the blob fails validation or the region state mismatches.
   bool ApplyCheckpoint(uint32_t node, int32_t region, const std::vector<uint8_t>& blob);
@@ -282,7 +272,8 @@ class Fleet {
   // Shard-owned: every mutation runs in the node's shard behind
   // cluster_.guard(node).
   std::vector<std::unique_ptr<NodeRt>> nodes_;
-  std::unique_ptr<sim::FaultInjector> orch_injector_;
+  // Indexed by logical node: nodes 0..N-1, then the orchestrator.
+  std::vector<std::unique_ptr<sim::FaultInjector>> injectors_;
   std::unique_ptr<Orchestrator> orch_;
   uint32_t next_tenant_ = 0;
 };
@@ -314,8 +305,6 @@ class Orchestrator {
   void OnMigrationDone(uint32_t tenant, sim::TimePs resumed_at);
   void OnMigrationFailed(uint32_t tenant, const std::string& why);
   void OnRollbackResumed(uint32_t tenant, sim::TimePs resumed_at);
-  void OnTenantDone(uint32_t tenant);
-  void OnTenantShed(uint32_t tenant, const std::string& why);
 
   // --- Host-side observation ----------------------------------------------------
   bool AllSettled() const;
@@ -346,6 +335,7 @@ class Orchestrator {
     sim::TimePs captured_at = 0;
   };
 
+  // `region < 0` (no free region on the home node) sheds the tenant at once.
   void AdmitTenant(uint32_t tenant, const TenantSpec& spec, uint32_t node, int32_t region);
   // The tenant reached `outcome` on its node (`why` names a shed's cause):
   // free its region and wake an evacuation waiting for it.
@@ -358,7 +348,6 @@ class Orchestrator {
   // Runs `cb` on `node` (delivery after the lookahead).
   void PostToNode(uint32_t node, sim::InlineCallback cb);
   void EvacuateTenant(uint32_t tenant, const std::string& reason);
-  void ReserveRegion(uint32_t node, int32_t region, uint32_t tenant);
   void ReleaseRegion(uint32_t node, int32_t region);
   // Lowest-priority running tenant strictly below `below` (ties: highest
   // id). Returns false when none qualifies.

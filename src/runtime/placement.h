@@ -32,10 +32,6 @@ class RegionBook {
   // A dead node offers no capacity, but its (stale) assignments remain
   // visible so evacuation can enumerate who was resident.
   void CloseCapacity() { closed_ = true; }
-  bool closed() const { return closed_; }
-
-  uint32_t size() const { return static_cast<uint32_t>(tenant_.size()); }
-  int32_t tenant_at(uint32_t region) const { return tenant_[region]; }
 
   uint32_t free() const {
     if (closed_) {

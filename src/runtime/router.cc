@@ -378,7 +378,11 @@ ServingFabric::ServingFabric(const Config& config)
   router_ = std::make_unique<Router>(&cluster_.EngineAt(control), rc);
   router_->BindShard(cluster_.shard_of(control));
   for (uint32_t n = 0; n < config_.num_nodes; ++n) {
-    router_->SetNodeResident(n, nodes_[n]->region_kernel);
+    std::vector<std::string> kernels;
+    for (uint32_t r = 0; r < config_.regions_per_node; ++r) {
+      kernels.push_back(KernelAt(n, r));
+    }
+    router_->SetNodeResident(n, std::move(kernels));
   }
   router_->SetBatchSink([this](uint32_t node, std::vector<serving::ServingRequest> batch) {
     SendBatch(node, std::move(batch));
@@ -410,22 +414,14 @@ void ServingFabric::SetupNode(uint32_t node) {
   SimDevice& dev = cluster_.device(node);
   n->sched = std::make_unique<KernelScheduler>(&dev, kSchedulerPolicy);
   n->sched->BindShard(cluster_.shard_of(node));
-  for (uint32_t r = 0; r < config_.regions_per_node; ++r) {
-    n->region_kernel.push_back(KernelAt(node, r));
-    n->sched->NoteRegionReset(r, n->region_kernel[r]);
-  }
-
-  // One executor cThread per region with preallocated staging buffers; the
-  // completion callback is the shard-safe alternative to Wait().
+  // One executor per region; its completion callback is the shard-safe
+  // alternative to Wait().
   n->execs.resize(config_.regions_per_node);
   for (uint32_t r = 0; r < config_.regions_per_node; ++r) {
-    Exec& e = n->execs[r];
-    e.thread = std::make_unique<CThread>(&dev, r, static_cast<int64_t>(node * 1000 + r));
-    e.src_vaddr = e.thread->GetMem({Alloc::kHpf, kMaxPayloadBytes});
-    e.dst_vaddr = e.thread->GetMem({Alloc::kHpf, kMaxPayloadBytes});
-    e.thread->SetCompletionCallback([this, node, r](CThread::Task task, OpStatus status) {
-      OnExecDone(node, r, task, status);
-    });
+    n->sched->NoteRegionReset(r, KernelAt(node, r));
+    n->execs[r].run = std::make_unique<serving::RegionExec>(
+        &dev, r, static_cast<int64_t>(node * 1000 + r), kMaxPayloadBytes,
+        [this, node, r](OpStatus status) { OnExecDone(node, r, status); });
   }
   nodes_.push_back(std::move(n));
 }
@@ -567,38 +563,28 @@ void ServingFabric::StartExec(uint32_t node, uint32_t region,
                               serving::ServingRequest req, std::function<void()> done) {
   cluster_.guard(node).Write();
   Exec& e = nodes_[node]->execs[region];
-  if (req.payload.size() > kMaxPayloadBytes || serving::ResponseBytes(req) > kMaxPayloadBytes) {
+  if (!e.run->Start(req)) {
     CompleteFromNode(node, req, OpStatus::kError, static_cast<int32_t>(region));
     done();  // oversized payload: the region frees immediately
     return;
   }
-  e.busy = true;
   e.req = std::move(req);
   e.done = std::move(done);
-  const CThread::Task task =
-      serving::StageAndInvoke(e.thread.get(), e.src_vaddr, e.dst_vaddr, e.req);
-  e.task_id = task.id;
 }
 
-void ServingFabric::OnExecDone(uint32_t node, uint32_t region, CThread::Task task,
-                               OpStatus status) {
+void ServingFabric::OnExecDone(uint32_t node, uint32_t region, OpStatus status) {
   if (!cluster_.alive(node)) {
     return;
   }
-  Exec& e = nodes_[node]->execs[region];
-  if (!e.busy || e.task_id != task.id) {
-    return;  // stale completion of a request the storm path already settled
-  }
   cluster_.guard(node).Write();
-  e.busy = false;
-  const uint64_t response_hash =
-      status == OpStatus::kOk
-          ? serving::HashResponse(e.thread.get(), e.dst_vaddr, serving::ResponseBytes(e.req))
-          : 0;
-  const serving::ServingRequest req = std::move(e.req);
-  std::function<void()> done = std::move(e.done);
-  e.done = nullptr;
-  e.req = serving::ServingRequest{};
+  Exec& e = nodes_[node]->execs[region];
+  uint64_t response_hash = 0;
+  if (status == OpStatus::kOk) {
+    const std::vector<uint8_t> out = e.run->ReadBack(serving::ResponseBytes(e.req));
+    response_hash = sim::FnvHash(out.data(), out.size());
+  }
+  const serving::ServingRequest req = std::exchange(e.req, {});
+  const std::function<void()> done = std::exchange(e.done, nullptr);
   CompleteFromNode(node, req, status, static_cast<int32_t>(region), response_hash);
   if (done) {
     done();  // frees the region; a reaped epoch makes this a no-op
@@ -658,9 +644,7 @@ void ServingFabric::StormBegin(const StormSpec& s) {
   // scheduler fails stranded require_resident work fast, then abort whatever
   // was running there (typed kAborted back through the completion path).
   n.sched->SetQuarantined(s.region, true);
-  if (n.execs[s.region].busy) {
-    n.execs[s.region].thread->AbortPending(OpStatus::kAborted);
-  }
+  n.execs[s.region].run->Abort(OpStatus::kAborted);
   cluster_.After(s.node, std::max<sim::TimePs>(1, s.duration), [this, s]() { StormEnd(s); });
 }
 
@@ -668,7 +652,7 @@ void ServingFabric::StormEnd(const StormSpec& s) {
   cluster_.guard(s.node).Write();
   NodeRt& n = *nodes_[s.node];
   // Reprogram done: the region comes back with its kernel freshly resident.
-  n.sched->NoteRegionReset(s.region, n.region_kernel[s.region]);
+  n.sched->NoteRegionReset(s.region, KernelAt(s.node, s.region));
   n.sched->SetQuarantined(s.region, false);
 }
 

@@ -181,16 +181,19 @@ class Router {
 
 // ---------------------------------------------------------------------------
 // ServingFabric: the serving workload on a runtime::Cluster. Each node adds a
-// KernelScheduler and per-region cThread executors; the Router and an
-// open-loop LoadGen live on the cluster's control node. Requests and
-// completions travel as rpc frames with modeled wire delays, so the whole
-// fabric is bit-identical across 1/2/4/8-shard placements.
+// KernelScheduler and one serving::RegionExec per region (the executor the
+// fleet's tenants run on too); the Router and an open-loop LoadGen live on
+// the cluster's control node. Requests and completions travel as rpc frames
+// with modeled wire delays, so the whole fabric is bit-identical across
+// 1/2/4/8-shard placements.
 //
 // Kernels are preloaded host-side (region r of node n holds
-// kernel_names[(n + r) % K]) and the schedulers run require_resident: a
-// reconfiguration — which nests an engine run — can never happen inside a
-// shard callback. Reconfiguration storms are modeled as quarantine +
-// region-reset after the reprogram latency; a node kill stops its
+// kernel_names[(n + r) % K], KernelAt) and the schedulers run
+// require_resident: a reconfiguration — which nests an engine run — can
+// never happen inside a shard callback. A payload larger than the
+// executor's staging buffers (kMaxPayloadBytes) completes kError. A
+// reconfiguration storm quarantines the region, aborts only its op in flight
+// and resets the region after the reprogram latency; a node kill stops its
 // heartbeats, and the cluster's detector hands the death to the Router.
 // ---------------------------------------------------------------------------
 class ServingFabric {
@@ -244,12 +247,9 @@ class ServingFabric {
   uint64_t Fingerprint() const;
 
  private:
+  // A region's executor plus the request it runs.
   struct Exec {
-    std::unique_ptr<CThread> thread;
-    uint64_t src_vaddr = 0;
-    uint64_t dst_vaddr = 0;
-    bool busy = false;
-    uint64_t task_id = 0;
+    std::unique_ptr<serving::RegionExec> run;
     serving::ServingRequest req;
     std::function<void()> done;  // scheduler region-free callback
   };
@@ -258,7 +258,6 @@ class ServingFabric {
   struct NodeRt {
     std::unique_ptr<KernelScheduler> sched;
     std::vector<Exec> execs;  // one executor per region
-    std::vector<std::string> region_kernel;
   };
 
   std::string KernelAt(uint32_t node, uint32_t region) const;
@@ -270,7 +269,7 @@ class ServingFabric {
   void ExecuteOnNode(uint32_t node, serving::ServingRequest req);
   void StartExec(uint32_t node, uint32_t region, serving::ServingRequest req,
                  std::function<void()> done);
-  void OnExecDone(uint32_t node, uint32_t region, CThread::Task task, OpStatus status);
+  void OnExecDone(uint32_t node, uint32_t region, OpStatus status);
   // Frames `req`'s completion, stamped with the node's clock, to the router.
   void CompleteFromNode(uint32_t node, const serving::ServingRequest& req, OpStatus status,
                         int32_t region, uint64_t response_hash = 0);

@@ -15,6 +15,7 @@
 #define SRC_RUNTIME_SERVING_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "src/runtime/cthread.h"
 #include "src/sim/hash.h"
 #include "src/sim/time.h"
+#include "src/sim/wire.h"
 
 namespace coyote {
 namespace runtime {
@@ -80,12 +82,62 @@ inline CThread::Task StageAndInvoke(CThread* t, uint64_t src_vaddr, uint64_t dst
   return t->Invoke(Oper::kLocalTransfer, sg);
 }
 
-// Reads the response back and hashes it (the completion's integrity witness).
-inline uint64_t HashResponse(CThread* t, uint64_t dst_vaddr, uint64_t len) {
-  std::vector<uint8_t> out(len);
-  t->ReadBuffer(dst_vaddr, out.data(), len);
-  return sim::FnvHash(out.data(), out.size());
-}
+// One region's executor, the cThread host abstraction (paper §7.3) as the
+// fleet and the serving fabric both run it: a cThread bound to the region,
+// src and dst staging buffers of `buffer_bytes` each, and at most one op in
+// flight. `on_done` fires once per terminal completion of that op;
+// completions of any other task are dropped. Runs in its node's shard, behind
+// the owning harness's AccessGuard.
+class RegionExec {
+ public:
+  using OnDone = std::function<void(OpStatus)>;
+
+  // Builds the cThread, then the src buffer, then the dst buffer.
+  RegionExec(SimDevice* dev, uint32_t region, int64_t ctid, uint64_t buffer_bytes,
+             OnDone on_done);
+  RegionExec(const RegionExec&) = delete;
+  RegionExec& operator=(const RegionExec&) = delete;
+
+  uint32_t region() const { return thread_.vfpga_id(); }
+  bool busy() const { return busy_; }
+  bool released() const { return src_ == 0; }
+
+  // Stages the payload and invokes the op; false, with nothing issued, when
+  // the payload or the response does not fit the staging buffers.
+  bool Start(const ServingRequest& req);
+  // The first `len` bytes of the dst buffer.
+  std::vector<uint8_t> ReadBack(uint64_t len);
+  // The op in flight completes with `status`.
+  void Abort(OpStatus status);
+  // Holds the op in flight for Reissue and the checkpoint, aborts it, then
+  // aborts the region's DMA (error completions, credit restore, TLB
+  // shootdown) and flushes its streams.
+  void Quiesce(OpStatus status);
+  // Re-issues the op Quiesce held or ReadSection restored; false if none.
+  bool Reissue();
+  // Frees the staging buffers (unmap + TLB shootdown).
+  void Release();
+
+  // The executor's section of a CYK1 tenant checkpoint: the held (else the
+  // in-flight) op relative to the buffers, then each buffer's dirty-page
+  // segments. WriteSection returns the pages shipped; ReadSection writes the
+  // segments into this executor's buffers and holds the op for Reissue.
+  uint64_t WriteSection(sim::wire::Writer* w);
+  bool ReadSection(sim::wire::Reader* r);
+
+ private:
+  void OnComplete(CThread::Task task, OpStatus status);
+
+  CThread thread_;
+  const uint64_t bytes_;
+  uint64_t src_;
+  uint64_t dst_;
+  OnDone on_done_;
+  bool busy_ = false;
+  uint64_t task_ = 0;  // the op in flight while busy_
+  // lint: guard-ok executor embedded in a guarded harness entry (Fleet::TenantRt, ServingFabric::Exec); every mutation runs in its node's shard behind the node's AccessGuard
+  std::vector<CThread::PendingOp> held_;
+};
 
 // Synchronous one-shot execution on an existing cThread: allocates transfer
 // buffers, stages, waits (nests an engine run, like InvokeSync — host-side

@@ -174,7 +174,6 @@ TEST(OrchestratorTest, CorruptCheckpointIsRejectedByCrcAndRolledBack) {
 TEST(OrchestratorTest, RestoreFailureRollsBackToSource) {
   Fleet::Config c = BaseConfig();
   c.num_nodes = 2;
-  c.restore_attempts_max = 2;
   c.fault_template.restore_fail_first_n = 2;  // exhaust both attempts
   Fleet fleet(c);
 
@@ -295,6 +294,65 @@ TEST(OrchestratorTest, CapacityPressureShedsLowestPriorityWithTypedOutcome) {
   EXPECT_EQ(orch.tenants().at(ids[0]).node, 1u);
   EXPECT_EQ(orch.tenants().at(ids[1]).node, 1u);
   EXPECT_EQ(orch.TraceFingerprint(), 0x8217ed48ebe496d4ull);
+}
+
+TEST(OrchestratorTest, EvacuationWhoseDestinationDiesEvacuatesAgain) {
+  Fleet::Config c = BaseConfig();
+  c.num_nodes = 3;
+  Fleet fleet(c);
+
+  std::vector<uint32_t> ids;
+  std::vector<TenantSpec> specs;
+  for (const uint32_t home : {0u, 0u, 2u}) {
+    TenantSpec spec;
+    spec.home_node = home;
+    spec.items_total = 30;
+    spec.think_time = sim::Microseconds(25);
+    ids.push_back(fleet.AddTenant(spec));
+    specs.push_back(spec);
+  }
+  // Node 1 dies before node 0's death is declared, so both node-0 tenants
+  // are evacuated onto it; its own declaration must send them on again.
+  fleet.ScheduleKill(sim::Microseconds(620), 0);
+  fleet.ScheduleKill(sim::Microseconds(700), 1);
+
+  ASSERT_TRUE(fleet.Run(sim::Milliseconds(100)));
+  const Orchestrator& orch = fleet.orchestrator();
+  EXPECT_EQ(orch.deaths_declared(), 2u);
+  const MigrationRecord* first = FindRecord(fleet, ids[0]);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->dst_node, 1u);
+  EXPECT_EQ(first->outcome, "abort.dst_dead");
+  // Node 2 has one free region: the first evacuee takes it and finishes
+  // with its data intact, the second sheds typed.
+  EXPECT_EQ(fleet.tenant_outcome(ids[0]), TenantOutcome::kDone);
+  EXPECT_EQ(orch.tenants().at(ids[0]).node, 2u);
+  EXPECT_EQ(fleet.tenant_data_hash(ids[0]),
+            ExpectedHash(ids[0], specs[0].items_total, specs[0].item_bytes));
+  EXPECT_EQ(fleet.tenant_outcome(ids[1]), TenantOutcome::kShed);
+  EXPECT_EQ(fleet.tenant_outcome(ids[2]), TenantOutcome::kDone);
+  EXPECT_EQ(orch.sheds(), 1u);
+}
+
+TEST(OrchestratorTest, TenantAddedToAFullHomeNodeIsShedAtAdmission) {
+  Fleet fleet(BaseConfig());  // 2 nodes x 2 regions
+
+  std::vector<uint32_t> ids;
+  TenantSpec spec;
+  spec.home_node = 0;
+  spec.items_total = 10;
+  for (int i = 0; i < 3; ++i) {
+    ids.push_back(fleet.AddTenant(spec));
+  }
+
+  ASSERT_TRUE(fleet.Run(sim::Milliseconds(50)));
+  const Orchestrator& orch = fleet.orchestrator();
+  EXPECT_EQ(fleet.tenant_outcome(ids[0]), TenantOutcome::kDone);
+  EXPECT_EQ(fleet.tenant_outcome(ids[1]), TenantOutcome::kDone);
+  EXPECT_EQ(fleet.tenant_outcome(ids[2]), TenantOutcome::kShed);
+  EXPECT_EQ(orch.tenants().at(ids[2]).region, -1);
+  EXPECT_EQ(orch.sheds(), 1u);
+  EXPECT_EQ(fleet.tenant_data_hash(ids[1]), ExpectedHash(ids[1], spec.items_total, spec.item_bytes));
 }
 
 // --- Cross-shard-count determinism --------------------------------------------

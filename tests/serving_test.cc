@@ -489,6 +489,27 @@ TEST(ServingFabricTest, NodeKillUnderLoadSettlesWithTypedCompletions) {
   EXPECT_EQ(fab.frame_errors(), 0u);
 }
 
+// A payload larger than the executor's staging buffers fails typed at the
+// node and frees the region at once: the next request on it runs.
+TEST(ServingFabricTest, OversizedPayloadCompletesErrorOnceAndFreesTheRegion) {
+  ServingFabric fab(QuietFabric(/*num_nodes=*/1, /*regions_per_node=*/1));
+  std::vector<serving::ServingCompletion> done;
+  fab.router().SetCompletionObserver(
+      [&done](const serving::ServingCompletion& c) { done.push_back(c); });
+  fab.SubmitAt(sim::Microseconds(10), FabricReq(/*tenant=*/1, /*bytes=*/5000));
+  fab.SubmitAt(sim::Microseconds(11), FabricReq(/*tenant=*/2));
+
+  ASSERT_TRUE(fab.Run(sim::Milliseconds(1), sim::Microseconds(50)));
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].tenant, 1u);
+  EXPECT_EQ(done[0].status, OpStatus::kError);
+  EXPECT_EQ(done[1].tenant, 2u);
+  EXPECT_EQ(done[1].status, OpStatus::kOk);
+  EXPECT_EQ(done[1].region, 0);
+  EXPECT_EQ(fab.router().completions(), 2u);
+  EXPECT_EQ(fab.router().counters().value("router.integrity.mismatch"), 0u);
+}
+
 // Same seed, shard placements {1, 2, 4, 8}: the fabric fingerprint — every
 // completion folded in delivery order plus all counters — is bit-identical.
 TEST(ServingFabricTest, SameSeedFingerprintIsShardPlacementInvariant) {
