@@ -14,6 +14,8 @@
 #include "src/net/network.h"
 #include "src/net/roce.h"
 #include "src/sim/engine.h"
+#include "src/sim/fault.h"
+#include "src/sim/hash.h"
 #include "src/sim/rng.h"
 
 namespace coyote {
@@ -193,6 +195,146 @@ TEST(CollectivesTest, BroadcastScalesLogarithmically) {
   const sim::TimePs t8 = run(8);   // 3 rounds
   EXPECT_LT(t8, 4 * t2);           // log scaling, not 7x
   EXPECT_GT(t8, 2 * t2);
+}
+
+// How a collective completed: the number of completions, the last status
+// and the simulated time of the last one.
+struct Outcome {
+  int completions = 0;
+  bool ok = false;
+  sim::TimePs at = 0;
+};
+
+CollectiveGroup::Completion RecordInto(Cluster& cluster, Outcome* out) {
+  return [&cluster, out](bool ok) {
+    ++out->completions;
+    out->ok = ok;
+    out->at = cluster.engine_.Now();
+  };
+}
+
+// FNV-1a over `bytes` at `vaddr` on every node, in node order.
+uint64_t HashAllNodes(Cluster& cluster, uint64_t vaddr, uint64_t bytes) {
+  uint64_t h = sim::kFnvOffset;
+  std::vector<uint8_t> buf(bytes);
+  for (auto& node : cluster.nodes_) {
+    node->svm->ReadVirtual(vaddr, buf.data(), bytes);
+    sim::FnvFold(&h, buf.data(), bytes);
+  }
+  return h;
+}
+
+// Each node writes `bytes` of seeded random data at its data buffer.
+void FillEachNode(Cluster& cluster, uint64_t bytes) {
+  for (uint32_t i = 0; i < cluster.nodes_.size(); ++i) {
+    std::vector<uint8_t> data(bytes);
+    sim::Rng rng(500 + i);
+    rng.FillBytes(data.data(), bytes);
+    cluster.nodes_[i]->svm->WriteVirtual(cluster.nodes_[i]->data_vaddr, data.data(), bytes);
+  }
+}
+
+// The constants below pin completion time, engine events and result bytes
+// on 5 nodes with counts that split unevenly into chunks and MTU frames. A
+// change to the step schedule, the segmentation or the retransmit timers
+// moves them.
+constexpr uint64_t kUnevenCount = 10'007;  // int32 elements: 5 chunks of 2002/1999
+
+TEST(CollectivesTest, PinnedBroadcastFromRootOneOnFiveNodes) {
+  Cluster cluster(5);
+  FillEachNode(cluster, kUnevenCount * 4);
+  const uint64_t vaddr = cluster.nodes_[0]->data_vaddr;
+  Outcome out;
+  cluster.group_->Broadcast(1, vaddr, kUnevenCount * 4, RecordInto(cluster, &out));
+  cluster.engine_.RunUntilIdle();
+  EXPECT_EQ(out.completions, 1);
+  EXPECT_TRUE(out.ok);
+  EXPECT_EQ(out.at, 18'580'320u);
+  EXPECT_EQ(cluster.engine_.events_executed(), 260u);
+  EXPECT_EQ(HashAllNodes(cluster, vaddr, kUnevenCount * 4), 0xf015c2ac9ddf8e47ull);
+}
+
+TEST(CollectivesTest, PinnedAllGatherOnFiveNodes) {
+  constexpr uint64_t kChunk = 5000;  // two frames per chunk
+  Cluster cluster(5);
+  FillEachNode(cluster, 5 * kChunk);
+  const uint64_t vaddr = cluster.nodes_[0]->data_vaddr;
+  Outcome out;
+  cluster.group_->AllGather(vaddr, kChunk, RecordInto(cluster, &out));
+  cluster.engine_.RunUntilIdle();
+  EXPECT_EQ(out.completions, 1);
+  EXPECT_TRUE(out.ok);
+  EXPECT_EQ(out.at, 13'416'320u);
+  EXPECT_EQ(cluster.engine_.events_executed(), 344u);
+  EXPECT_EQ(HashAllNodes(cluster, vaddr, 5 * kChunk), 0xc75636a57227fa24ull);
+}
+
+TEST(CollectivesTest, PinnedAllReduceOnFiveNodes) {
+  // 10'007 elements split 2002 x 4 + 1999; 6 elements split 2, 2, 2, 0, 0,
+  // so two chunks of every step are empty.
+  struct Pin {
+    uint64_t count;
+    sim::TimePs at;
+    uint64_t events;
+    uint64_t hash;
+  };
+  for (const Pin& pin : {Pin{kUnevenCount, 28'757'760, 689, 0x1c0af0593a559119},
+                         Pin{6, 20'984'320, 270, 0xe1fd269e3fe10913}}) {
+    Cluster cluster(5);
+    FillEachNode(cluster, pin.count * 4);
+    const uint64_t vaddr = cluster.nodes_[0]->data_vaddr;
+    Outcome out;
+    cluster.group_->AllReduceInt32(vaddr, pin.count, RecordInto(cluster, &out));
+    cluster.engine_.RunUntilIdle();
+    EXPECT_EQ(out.completions, 1) << pin.count;
+    EXPECT_TRUE(out.ok) << pin.count;
+    EXPECT_EQ(out.at, pin.at) << pin.count;
+    EXPECT_EQ(cluster.engine_.events_executed(), pin.events) << pin.count;
+    EXPECT_EQ(HashAllNodes(cluster, vaddr, pin.count * 4), pin.hash) << pin.count;
+  }
+}
+
+TEST(CollectivesTest, TrivialAllGatherAndAllReduceCompleteTrueOnceOneEventLater) {
+  // One node, or zero bytes on three nodes: nothing moves, and each
+  // collective still completes exactly once, never inside the call.
+  for (const uint32_t n : {1u, 3u}) {
+    Cluster cluster(n);
+    const uint64_t units = n == 1 ? 64 : 0;
+    const uint64_t vaddr = cluster.nodes_[0]->data_vaddr;
+    Outcome gather, reduce;
+    cluster.group_->AllGather(vaddr, units, RecordInto(cluster, &gather));
+    cluster.group_->AllReduceInt32(vaddr, units, RecordInto(cluster, &reduce));
+    EXPECT_EQ(gather.completions + reduce.completions, 0) << n;
+    cluster.engine_.RunUntilIdle();
+    EXPECT_EQ(gather.completions, 1) << n;
+    EXPECT_TRUE(gather.ok) << n;
+    EXPECT_EQ(reduce.completions, 1) << n;
+    EXPECT_TRUE(reduce.ok) << n;
+    EXPECT_EQ(cluster.engine_.events_executed(), 2u) << n;
+    EXPECT_EQ(cluster.engine_.Now(), 0u) << n;
+  }
+}
+
+TEST(CollectivesTest, WedgedQpFailsAllReduceOnceAtPinnedTime) {
+  // Member 2's first posted WRITE wedges its QP to member 3: the retry budget
+  // trips, that WRITE completes false, and the collective completes false
+  // once, at the end of the first reduce-scatter step.
+  Cluster cluster(5);
+  FillEachNode(cluster, kUnevenCount * 4);
+  sim::FaultPlan plan;
+  plan.qp_wedge_first_n = 1;
+  sim::FaultInjector injector(&cluster.engine_, plan);
+  cluster.nodes_[2]->stack->SetFaultInjector(&injector);
+  Outcome out;
+  cluster.group_->AllReduceInt32(cluster.nodes_[0]->data_vaddr, kUnevenCount,
+                                 RecordInto(cluster, &out));
+  cluster.engine_.RunUntilIdle();
+  EXPECT_EQ(out.completions, 1);
+  EXPECT_FALSE(out.ok);
+  EXPECT_EQ(out.at, 15'100'000'000u);
+  EXPECT_EQ(cluster.engine_.events_executed(), 78u);
+  EXPECT_EQ(cluster.nodes_[2]->stack->retries_exhausted(), 1u);
+  EXPECT_EQ(cluster.nodes_[2]->stack->error_completions(), 1u);
 }
 
 }  // namespace

@@ -16,6 +16,8 @@
 #include "src/net/roce.h"
 #include "src/net/sniffer.h"
 #include "src/sim/engine.h"
+#include "src/sim/fault.h"
+#include "src/sim/hash.h"
 #include "src/sim/rng.h"
 
 namespace coyote {
@@ -571,6 +573,103 @@ TEST_F(RoceTest, InboundOffloadTransformsPayloadOnPath) {
   engine_.RunUntilCondition([&] { return done; });
   svm_b_.ReadVirtual(buf_b_, got.data(), got.size());
   EXPECT_EQ(got, data);
+}
+
+// The constants below pin completion times, engine events, loss-recovery
+// counters and every frame A's tap sees. A change to segmentation, PSNs,
+// acknowledgement or the retransmit timers moves them.
+
+TEST_F(RoceTest, PinnedTwoFrameSendAndReadTimingAndFrames) {
+  uint64_t frames = 0;
+  uint64_t frame_hash = sim::kFnvOffset;
+  a_.SetTap([&](const axi::BufferView& f, bool is_tx) {
+    ++frames;
+    sim::FnvFoldU64(&frame_hash, is_tx ? 1 : 0);
+    sim::FnvFold(&frame_hash, f.data(), f.size());
+  });
+  const auto sent = FillA(4097, 40);
+  std::vector<uint8_t> received;
+  b_.SetRecvHandler(qp_b_, [&](std::vector<uint8_t> d) { received = std::move(d); });
+  sim::TimePs send_at = 0;
+  a_.PostSend(qp_a_, buf_a_, sent.size(), [&](bool ok) {
+    EXPECT_TRUE(ok);
+    send_at = engine_.Now();
+  });
+  engine_.RunUntilIdle();
+  EXPECT_EQ(received, sent);
+
+  std::vector<uint8_t> remote(4097);
+  sim::Rng rng(41);
+  rng.FillBytes(remote.data(), remote.size());
+  svm_b_.WriteVirtual(buf_b_ + 8192, remote.data(), remote.size());
+  sim::TimePs read_at = 0;
+  a_.PostRead(qp_a_, buf_a_ + 8192, buf_b_ + 8192, remote.size(), [&](bool ok) {
+    EXPECT_TRUE(ok);
+    read_at = engine_.Now();
+  });
+  engine_.RunUntilIdle();
+  std::vector<uint8_t> got(remote.size());
+  svm_a_.ReadVirtual(buf_a_ + 8192, got.data(), got.size());
+  EXPECT_EQ(got, remote);
+
+  EXPECT_EQ(send_at, 3'279'280u);
+  EXPECT_EQ(read_at, 103'282'160u);
+  EXPECT_EQ(frames, 6u);
+  EXPECT_EQ(frame_hash, 0xbffe31e719157bbdull);
+  EXPECT_EQ(engine_.events_executed(), 33u);
+}
+
+TEST_F(RoceTest, PinnedWriteUnderThirtyPercentFrameLoss) {
+  sim::FaultPlan plan;
+  plan.seed = 3;
+  plan.frame_drop_rate = 0.3;
+  sim::FaultInjector injector(&engine_, plan);
+  nw_.SetFaultInjector(&injector);
+  const auto data = FillA(64 << 10, 42);
+  int completions = 0;
+  sim::TimePs done_at = 0;
+  a_.PostWrite(qp_a_, buf_a_, buf_b_, data.size(), [&](bool ok) {
+    EXPECT_TRUE(ok);
+    ++completions;
+    done_at = engine_.Now();
+  });
+  engine_.RunUntilIdle();
+  std::vector<uint8_t> got(data.size());
+  svm_b_.ReadVirtual(buf_b_, got.data(), got.size());
+  EXPECT_EQ(got, data);
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(done_at, 713'149'440u);
+  EXPECT_EQ(a_.retransmitted_frames(), 62u);
+  EXPECT_EQ(a_.timeouts(), 5u);
+  EXPECT_EQ(a_.backoff_events(), 5u);
+  EXPECT_EQ(a_.retries_exhausted(), 0u);
+  EXPECT_EQ(engine_.events_executed(), 331u);
+}
+
+TEST_F(RoceTest, PinnedWriteAtNinetyPercentFrameLossExhaustsRetryBudget) {
+  sim::FaultPlan plan;
+  plan.seed = 5;
+  plan.frame_drop_rate = 0.9;
+  sim::FaultInjector injector(&engine_, plan);
+  nw_.SetFaultInjector(&injector);
+  FillA(64 << 10, 43);
+  int completions = 0;
+  sim::TimePs done_at = 0;
+  a_.PostWrite(qp_a_, buf_a_, buf_b_, 64 << 10, [&](bool ok) {
+    EXPECT_FALSE(ok);
+    ++completions;
+    done_at = engine_.Now();
+  });
+  engine_.RunUntilIdle();
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(done_at, 15'100'000'000u);
+  EXPECT_EQ(a_.qp_state(qp_a_), RoceStack::QpState::kError);
+  EXPECT_EQ(a_.retries_exhausted(), 1u);
+  EXPECT_EQ(a_.error_completions(), 1u);
+  EXPECT_EQ(a_.timeouts(), 9u);  // the first timeout plus eight retries
+  EXPECT_EQ(a_.retransmitted_frames(), 128u);
+  EXPECT_EQ(a_.backoff_events(), 5u);
+  EXPECT_EQ(engine_.events_executed(), 213u);
 }
 
 // Property: write payload integrity for any message size (boundary cases

@@ -13,6 +13,7 @@
 #include "src/net/packets.h"
 #include "src/net/tcp.h"
 #include "src/sim/engine.h"
+#include "src/sim/fault.h"
 #include "src/sim/rng.h"
 
 namespace coyote {
@@ -290,6 +291,41 @@ TEST_F(TcpTest, HandshakeIntoBlackholeFailsWithTypedError) {
   EXPECT_FALSE(ok);
   EXPECT_EQ(client_.retries_exhausted(), 1u);
   EXPECT_GT(client_.error_completions(), 0u);
+}
+
+TEST_F(TcpTest, PinnedSendUnderFivePercentFrameLoss) {
+  // Completion time, engine events and the retransmit count are pinned: a
+  // change to segmentation, acknowledgement or the RTO timer moves them.
+  auto [c, s] = Establish();
+  sim::FaultPlan plan;
+  plan.seed = 6;
+  plan.frame_drop_rate = 0.05;
+  sim::FaultInjector injector(&engine_, plan);
+  nw_.SetFaultInjector(&injector);
+  constexpr uint64_t kBytes = 64 << 10;
+  std::vector<uint8_t> data(kBytes);
+  sim::Rng rng(44);
+  rng.FillBytes(data.data(), kBytes);
+  svm_a_.WriteVirtual(buf_a_, data.data(), kBytes);
+  std::vector<uint8_t> received;
+  server_.SetRecvHandler(s, [&](std::vector<uint8_t> chunk) {
+    received.insert(received.end(), chunk.begin(), chunk.end());
+  });
+  int completions = 0;
+  sim::TimePs done_at = 0;
+  client_.Send(c, buf_a_, kBytes, [&](bool ok) {
+    EXPECT_TRUE(ok);
+    ++completions;
+    done_at = engine_.Now();
+  });
+  engine_.RunUntilIdle();
+  EXPECT_EQ(received, data);
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(done_at, 820'759'840u);
+  EXPECT_EQ(client_.retransmitted_segments(), 19u);
+  EXPECT_EQ(client_.timeouts(), 3u);
+  EXPECT_EQ(client_.backoff_events(), 3u);
+  EXPECT_EQ(engine_.events_executed(), 366u);
 }
 
 TEST_F(TcpTest, ThroughputReasonableOn100G) {
