@@ -6,10 +6,32 @@
 
 namespace coyote {
 namespace net {
+namespace {
 
-RoceStack::RoceStack(sim::Engine* engine, Network* network, uint32_t ip, mmu::Svm* svm,
-                     Config config)
-    : engine_(engine), network_(network), ip_(ip), svm_(svm), config_(config) {
+uint64_t FrameCount(uint64_t bytes) {
+  return std::max<uint64_t>(1, (bytes + RoceStack::kMtu - 1) / RoceStack::kMtu);
+}
+
+// Opcode of frame i of an n-frame message. Within one verb the IB opcodes
+// run first, middle, last; a one-frame message uses `only`.
+Opcode FrameOpcode(Opcode first, Opcode only, uint64_t i, uint64_t n) {
+  if (n == 1) {
+    return only;
+  }
+  const uint8_t step = i == 0 ? 0 : (i + 1 == n ? 2 : 1);
+  return static_cast<Opcode>(static_cast<uint8_t>(first) + step);
+}
+
+// Frame i's share of a message: the i-th MTU slice.
+axi::BufferView FrameSlice(const axi::BufferView& message, uint64_t i) {
+  const uint64_t off = i * RoceStack::kMtu;
+  return message.Slice(off, std::min<uint64_t>(RoceStack::kMtu, message.size() - off));
+}
+
+}  // namespace
+
+RoceStack::RoceStack(sim::Engine* engine, Network* network, uint32_t ip, mmu::Svm* svm)
+    : engine_(engine), network_(network), ip_(ip), svm_(svm), timers_(engine) {
   port_id_ = network_->AttachPort(ip, [this](axi::BufferView frame) {
     OnRxFrame(std::move(frame));
   });
@@ -42,9 +64,8 @@ bool RoceStack::ResetQp(uint32_t qpn) {
   qp.unacked.clear();
   qp.completions.clear();
   qp.reads.clear();
-  ++qp.timer_generation;  // cancel any pending retransmit timer
-  qp.cur_timeout = 0;
-  qp.consecutive_timeouts = 0;
+  timers_.Cancel(qp.retransmit_timer);
+  NoteProgress(qp);  // the retransmit timeout restarts at kAckTimeout
   // Responder state: expect a fresh message stream from the re-inited peer.
   qp.expected_psn = 0;
   qp.write_cursor_vaddr = 0;
@@ -98,7 +119,7 @@ void RoceStack::TransmitFrame(Qp& qp, const FrameMeta& meta,
   if (track_for_retransmit) {
     // Shares the posted message's buffer — no per-frame payload copy.
     qp.unacked[meta.psn] = PendingFrame{meta, payload};
-    ArmRetransmitTimer(qp.local_qpn);
+    ArmRetransmitTimer(qp);
   }
   if (qp.wedged) {
     // Injected tx black hole: the frame is tracked (so timeouts fire and the
@@ -115,90 +136,42 @@ void RoceStack::TransmitFrame(Qp& qp, const FrameMeta& meta,
   ++tx_frames_;
   // Per-frame stack processing latency before the frame hits the CMAC.
   const uint32_t dst_ip = meta.dst_ip;
-  engine_->ScheduleAfter(config_.stack_latency, [this, dst_ip, frame]() {
+  engine_->ScheduleAfter(kStackLatency, [this, dst_ip, frame]() {
     network_->Transmit(port_id_, dst_ip, frame);
   });
 }
 
-void RoceStack::PostWrite(uint32_t qpn, uint64_t local_vaddr, uint64_t remote_vaddr,
-                          uint64_t bytes, Completion done) {
+axi::BufferView RoceStack::ReadMessage(uint64_t vaddr, uint64_t bytes) const {
+  axi::BufferView message;
+  message.resize(bytes);
+  if (bytes > 0) {
+    svm_->ReadVirtual(vaddr, message.data(), bytes);
+  }
+  return message;
+}
+
+void RoceStack::PostMessage(uint32_t qpn, uint64_t local_vaddr, uint64_t remote_vaddr,
+                            uint64_t bytes, Opcode first, Opcode only, Completion done) {
   qp_guard_.Write();
   Qp& qp = qps_.at(qpn);
   if (!AdmitPost(qp, done)) {
     return;
   }
-  const uint64_t n_frames = std::max<uint64_t>(1, (bytes + config_.mtu - 1) / config_.mtu);
-  // Read the whole message out of virtual memory once; every MTU frame (and
-  // its go-back-N window entry) is a zero-copy slice of this buffer.
-  axi::BufferView message;
-  message.resize(bytes);
-  if (bytes > 0) {
-    svm_->ReadVirtual(local_vaddr, message.data(), bytes);
-  }
-  uint64_t off = 0;
+  const uint64_t n_frames = FrameCount(bytes);
+  const axi::BufferView message = ReadMessage(local_vaddr, bytes);
   for (uint64_t i = 0; i < n_frames; ++i) {
-    const uint64_t n = std::min<uint64_t>(config_.mtu, bytes - off);
     FrameMeta m = BaseMeta(qp);
     m.psn = qp.send_psn++;
-    if (n_frames == 1) {
-      m.opcode = Opcode::kWriteOnly;
-    } else if (i == 0) {
-      m.opcode = Opcode::kWriteFirst;
-    } else if (i + 1 == n_frames) {
-      m.opcode = Opcode::kWriteLast;
-    } else {
-      m.opcode = Opcode::kWriteMiddle;
-    }
+    m.opcode = FrameOpcode(first, only, i, n_frames);
     if (OpcodeHasReth(m.opcode)) {
       m.reth_vaddr = remote_vaddr;
       m.reth_len = static_cast<uint32_t>(bytes);
     }
     m.ack_req = OpcodeIsLastOrOnly(m.opcode);
-
-    if (OpcodeIsLastOrOnly(m.opcode) && done) {
+    if (m.ack_req && done) {
       qp.completions[m.psn] = std::move(done);
-      done = nullptr;
     }
-    TransmitFrame(qp, m, message.Slice(off, n), /*track_for_retransmit=*/true);
-    off += n;
-  }
-}
-
-void RoceStack::PostSend(uint32_t qpn, uint64_t local_vaddr, uint64_t bytes, Completion done) {
-  qp_guard_.Write();
-  Qp& qp = qps_.at(qpn);
-  if (!AdmitPost(qp, done)) {
-    return;
-  }
-  const uint64_t n_frames = std::max<uint64_t>(1, (bytes + config_.mtu - 1) / config_.mtu);
-  // Single bulk read; per-MTU frames slice it (see PostWrite).
-  axi::BufferView message;
-  message.resize(bytes);
-  if (bytes > 0) {
-    svm_->ReadVirtual(local_vaddr, message.data(), bytes);
-  }
-  uint64_t off = 0;
-  for (uint64_t i = 0; i < n_frames; ++i) {
-    const uint64_t n = std::min<uint64_t>(config_.mtu, bytes - off);
-    FrameMeta m = BaseMeta(qp);
-    m.psn = qp.send_psn++;
-    if (n_frames == 1) {
-      m.opcode = Opcode::kSendOnly;
-    } else if (i == 0) {
-      m.opcode = Opcode::kSendFirst;
-    } else if (i + 1 == n_frames) {
-      m.opcode = Opcode::kSendLast;
-    } else {
-      m.opcode = Opcode::kSendMiddle;
-    }
-    m.ack_req = OpcodeIsLastOrOnly(m.opcode);
-
-    if (OpcodeIsLastOrOnly(m.opcode) && done) {
-      qp.completions[m.psn] = std::move(done);
-      done = nullptr;
-    }
-    TransmitFrame(qp, m, message.Slice(off, n), /*track_for_retransmit=*/true);
-    off += n;
+    TransmitFrame(qp, m, FrameSlice(message, i), /*track_for_retransmit=*/true);
   }
 }
 
@@ -209,8 +182,7 @@ void RoceStack::PostRead(uint32_t qpn, uint64_t local_vaddr, uint64_t remote_vad
   if (!AdmitPost(qp, done)) {
     return;
   }
-  const uint32_t n_resp =
-      static_cast<uint32_t>(std::max<uint64_t>(1, (bytes + config_.mtu - 1) / config_.mtu));
+  const uint32_t n_resp = static_cast<uint32_t>(FrameCount(bytes));
 
   ReadCtx ctx;
   ctx.local_vaddr = local_vaddr;
@@ -253,7 +225,7 @@ void RoceStack::OnRxFrame(axi::BufferView frame) {
   // have been destroyed (e.g., the shell reconfigured) while the frame was
   // in the pipeline.
   auto shared = std::make_shared<ParsedFrame>(std::move(*parsed));
-  engine_->ScheduleAfter(config_.stack_latency, [this, qpn, shared]() {
+  engine_->ScheduleAfter(kStackLatency, [this, qpn, shared]() {
     auto it = qps_.find(qpn);
     if (it == qps_.end()) {
       return;
@@ -328,7 +300,7 @@ void RoceStack::HandleDataFrame(Qp& qp, const ParsedFrame& f) {
   }
 
   if (OpcodeIsLastOrOnly(op) || f.meta.ack_req ||
-      qp.frames_since_ack >= config_.ack_interval) {
+      qp.frames_since_ack >= kAckInterval) {
     SendAck(qp, f.meta.psn);
   }
 }
@@ -345,7 +317,7 @@ void RoceStack::SendAck(Qp& qp, uint32_t psn) {
 
 void RoceStack::NoteProgress(Qp& qp) {
   qp.consecutive_timeouts = 0;
-  qp.cur_timeout = config_.ack_timeout;
+  qp.cur_timeout = kAckTimeout;
 }
 
 void RoceStack::HandleAck(Qp& qp, const ParsedFrame& f) {
@@ -361,39 +333,23 @@ void RoceStack::HandleAck(Qp& qp, const ParsedFrame& f) {
     }
   }
   qp.completions.erase(qp.completions.begin(), end);
-  ++qp.timer_generation;  // cancel pending timer
+  timers_.Cancel(qp.retransmit_timer);
   if (!qp.unacked.empty()) {
-    ArmRetransmitTimer(qp.local_qpn);
+    ArmRetransmitTimer(qp);
   }
 }
 
 void RoceStack::HandleReadRequest(Qp& qp, const ParsedFrame& f) {
   // Idempotent: duplicates re-serve the same data at the same PSNs.
   const uint64_t bytes = f.meta.reth_len;
-  const uint64_t n_frames = std::max<uint64_t>(1, (bytes + config_.mtu - 1) / config_.mtu);
-  // One bulk read of the requested range; each response frame slices it.
-  axi::BufferView message;
-  message.resize(bytes);
-  if (bytes > 0) {
-    svm_->ReadVirtual(f.meta.reth_vaddr, message.data(), bytes);
-  }
-  uint64_t off = 0;
+  const uint64_t n_frames = FrameCount(bytes);
+  const axi::BufferView message = ReadMessage(f.meta.reth_vaddr, bytes);
   for (uint64_t i = 0; i < n_frames; ++i) {
-    const uint64_t n = std::min<uint64_t>(config_.mtu, bytes - off);
     FrameMeta m = BaseMeta(qp);
     m.psn = f.meta.psn + static_cast<uint32_t>(i);
-    if (n_frames == 1) {
-      m.opcode = Opcode::kReadResponseOnly;
-    } else if (i == 0) {
-      m.opcode = Opcode::kReadResponseFirst;
-    } else if (i + 1 == n_frames) {
-      m.opcode = Opcode::kReadResponseLast;
-    } else {
-      m.opcode = Opcode::kReadResponseMiddle;
-    }
+    m.opcode = FrameOpcode(Opcode::kReadResponseFirst, Opcode::kReadResponseOnly, i, n_frames);
     m.aeth_msn = m.psn & 0x00FFFFFF;
-    TransmitFrame(qp, m, message.Slice(off, n), /*track_for_retransmit=*/false);
-    off += n;
+    TransmitFrame(qp, m, FrameSlice(message, i), /*track_for_retransmit=*/false);
   }
 }
 
@@ -405,7 +361,7 @@ void RoceStack::HandleReadResponse(Qp& qp, const ParsedFrame& f) {
       continue;
     }
     const uint64_t index = f.meta.psn - ctx.first_psn;
-    const uint64_t off = index * config_.mtu;
+    const uint64_t off = index * kMtu;
     if (!f.payload.empty() && !ctx.got[index]) {
       ctx.got[index] = true;
       svm_->WriteVirtual(ctx.local_vaddr + off, f.payload.data(), f.payload.size());
@@ -416,9 +372,9 @@ void RoceStack::HandleReadResponse(Qp& qp, const ParsedFrame& f) {
       qp.unacked.erase(ctx.first_psn);
       Completion done = std::move(ctx.done);
       qp.reads.erase(it);
-      ++qp.timer_generation;
+      timers_.Cancel(qp.retransmit_timer);
       if (!qp.unacked.empty()) {
-        ArmRetransmitTimer(qp.local_qpn);
+        ArmRetransmitTimer(qp);
       }
       if (done) {
         done(true);
@@ -428,38 +384,31 @@ void RoceStack::HandleReadResponse(Qp& qp, const ParsedFrame& f) {
   }
 }
 
-void RoceStack::ArmRetransmitTimer(uint32_t qpn) {
+void RoceStack::ArmRetransmitTimer(Qp& qp) {
+  timers_.Cancel(qp.retransmit_timer);
+  const uint32_t qpn = qp.local_qpn;
+  qp.retransmit_timer =
+      timers_.ScheduleAfter(qp.cur_timeout, [this, qpn]() { OnRetransmitTimeout(qpn); });
+}
+
+void RoceStack::OnRetransmitTimeout(uint32_t qpn) {
   Qp& qp = qps_.at(qpn);
-  if (qp.cur_timeout == 0) {
-    qp.cur_timeout = config_.ack_timeout;
+  qp_guard_.Write();
+  ++timeouts_;
+  if (++qp.consecutive_timeouts > kMaxRetries) {
+    // Retry budget exhausted: the peer is unreachable (dead node, storm of
+    // losses). Error out instead of retrying forever.
+    FailQp(qp);
+    return;
   }
-  const uint64_t generation = ++qp.timer_generation;
-  engine_->ScheduleAfter(qp.cur_timeout, [this, qpn, generation]() {
-    auto it = qps_.find(qpn);
-    if (it == qps_.end()) {
-      return;
-    }
-    Qp& q = it->second;
-    qp_guard_.Write();
-    if (q.timer_generation != generation || q.unacked.empty()) {
-      return;
-    }
-    ++timeouts_;
-    if (++q.consecutive_timeouts > config_.max_retries) {
-      // Retry budget exhausted: the peer is unreachable (dead node, storm of
-      // losses). Error out instead of retrying forever.
-      FailQp(q);
-      return;
-    }
-    // Exponential backoff, capped.
-    const sim::TimePs next = std::min<sim::TimePs>(q.cur_timeout * 2, config_.max_ack_timeout);
-    if (next > q.cur_timeout) {
-      q.cur_timeout = next;
-      ++backoff_events_;
-    }
-    RetransmitUnacked(q);
-    ArmRetransmitTimer(qpn);
-  });
+  // Exponential backoff, capped.
+  const sim::TimePs next = std::min<sim::TimePs>(qp.cur_timeout * 2, kMaxAckTimeout);
+  if (next > qp.cur_timeout) {
+    qp.cur_timeout = next;
+    ++backoff_events_;
+  }
+  RetransmitUnacked(qp);
+  ArmRetransmitTimer(qp);
 }
 
 void RoceStack::FailQp(Qp& qp) {
@@ -469,7 +418,7 @@ void RoceStack::FailQp(Qp& qp) {
   qp.state = QpState::kError;
   qp.unacked.clear();
   NoteProgress(qp);
-  ++qp.timer_generation;  // cancel any pending timer
+  timers_.Cancel(qp.retransmit_timer);
   auto completions = std::move(qp.completions);
   qp.completions.clear();
   auto reads = std::move(qp.reads);

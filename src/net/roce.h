@@ -24,6 +24,7 @@
 #include "src/net/network.h"
 #include "src/net/packets.h"
 #include "src/sim/engine.h"
+#include "src/sim/timer_wheel.h"
 
 namespace coyote {
 namespace sim {
@@ -41,18 +42,16 @@ class RoceStack {
   // endpoints re-Connect() — the driver-mediated re-init handshake.
   enum class QpState : uint8_t { kInit, kReadyToSend, kError };
 
-  struct Config {
-    uint32_t mtu = 4096;
-    sim::TimePs stack_latency = sim::Nanoseconds(350);  // per-frame processing
-    sim::TimePs ack_timeout = sim::Microseconds(100);
-    uint32_t ack_interval = 16;  // receiver acks at least every N data frames
-    // Retry budget: after this many consecutive unanswered timeouts on a QP,
-    // outstanding work completes with ok=false instead of retrying forever.
-    uint32_t max_retries = 8;
-    // The retransmit timeout doubles on every consecutive timeout (exponential
-    // backoff) up to this cap; any ACK or read-response progress resets it.
-    sim::TimePs max_ack_timeout = sim::Milliseconds(3);
-  };
+  static constexpr uint32_t kMtu = 4096;
+  static constexpr sim::TimePs kStackLatency = sim::Nanoseconds(350);  // per-frame processing
+  static constexpr sim::TimePs kAckTimeout = sim::Microseconds(100);
+  static constexpr uint32_t kAckInterval = 16;  // receiver acks at least every N data frames
+  // Retry budget: after this many consecutive unanswered timeouts on a QP,
+  // outstanding work completes with ok=false instead of retrying forever.
+  static constexpr uint32_t kMaxRetries = 8;
+  // The retransmit timeout doubles on every consecutive timeout (exponential
+  // backoff) up to this cap; any ACK or read-response progress resets it.
+  static constexpr sim::TimePs kMaxAckTimeout = sim::Milliseconds(3);
 
   using Completion = std::function<void(bool ok)>;
   // Called when an inbound SEND message completes, with its payload. The
@@ -66,9 +65,7 @@ class RoceStack {
   // a tap that retains it (the sniffer does) retains it without copying.
   using Tap = std::function<void(const axi::BufferView& frame, bool is_tx)>;
 
-  RoceStack(sim::Engine* engine, Network* network, uint32_t ip, mmu::Svm* svm)
-      : RoceStack(engine, network, ip, svm, Config{}) {}
-  RoceStack(sim::Engine* engine, Network* network, uint32_t ip, mmu::Svm* svm, Config config);
+  RoceStack(sim::Engine* engine, Network* network, uint32_t ip, mmu::Svm* svm);
 
   uint32_t ip() const { return ip_; }
 
@@ -97,10 +94,16 @@ class RoceStack {
 
   // --- Verbs -------------------------------------------------------------------
   void PostWrite(uint32_t qpn, uint64_t local_vaddr, uint64_t remote_vaddr, uint64_t bytes,
-                 Completion done);
+                 Completion done) {
+    PostMessage(qpn, local_vaddr, remote_vaddr, bytes, Opcode::kWriteFirst, Opcode::kWriteOnly,
+                std::move(done));
+  }
   void PostRead(uint32_t qpn, uint64_t local_vaddr, uint64_t remote_vaddr, uint64_t bytes,
                 Completion done);
-  void PostSend(uint32_t qpn, uint64_t local_vaddr, uint64_t bytes, Completion done);
+  void PostSend(uint32_t qpn, uint64_t local_vaddr, uint64_t bytes, Completion done) {
+    PostMessage(qpn, local_vaddr, 0, bytes, Opcode::kSendFirst, Opcode::kSendOnly,
+                std::move(done));
+  }
 
   void SetRecvHandler(uint32_t qpn, RecvHandler handler);
   void SetWriteArrivalHandler(uint32_t qpn, WriteArrivalHandler handler);
@@ -123,7 +126,6 @@ class RoceStack {
   uint64_t backoff_events() const { return backoff_events_; }
   uint64_t retries_exhausted() const { return retries_exhausted_; }
   uint64_t error_completions() const { return error_completions_; }
-  const Config& config() const { return config_; }
 
  private:
   struct ReadCtx {
@@ -156,8 +158,8 @@ class RoceStack {
     std::map<uint32_t, PendingFrame> unacked;        // psn -> frame (go-back-N)
     std::map<uint32_t, Completion> completions;      // last psn of msg -> cb
     std::vector<ReadCtx> reads;                      // outstanding reads
-    uint64_t timer_generation = 0;
-    sim::TimePs cur_timeout = 0;          // 0 = use config ack_timeout
+    sim::TimerWheel::TimerId retransmit_timer = sim::TimerWheel::kInvalidTimer;
+    sim::TimePs cur_timeout = kAckTimeout;
     uint32_t consecutive_timeouts = 0;    // resets on any forward progress
 
     // Responder state.
@@ -172,6 +174,12 @@ class RoceStack {
     WriteArrivalHandler write_arrival_handler;
   };
 
+  // Segments a WRITE or SEND into MTU frames (`only` when it fits in one).
+  void PostMessage(uint32_t qpn, uint64_t local_vaddr, uint64_t remote_vaddr, uint64_t bytes,
+                   Opcode first, Opcode only, Completion done);
+  // The whole message read out of virtual memory once; every MTU frame (and
+  // its go-back-N window entry) is a zero-copy slice of it.
+  axi::BufferView ReadMessage(uint64_t vaddr, uint64_t bytes) const;
   void TransmitFrame(Qp& qp, const FrameMeta& meta, const axi::BufferView& payload,
                      bool track_for_retransmit);
   void OnRxFrame(axi::BufferView frame);
@@ -180,7 +188,8 @@ class RoceStack {
   void HandleReadResponse(Qp& qp, const ParsedFrame& f);
   void HandleReadRequest(Qp& qp, const ParsedFrame& f);
   void SendAck(Qp& qp, uint32_t psn);
-  void ArmRetransmitTimer(uint32_t qpn);
+  void ArmRetransmitTimer(Qp& qp);
+  void OnRetransmitTimeout(uint32_t qpn);
   void RetransmitUnacked(Qp& qp);
   void FailQp(Qp& qp);
   void NoteProgress(Qp& qp);
@@ -195,7 +204,7 @@ class RoceStack {
   uint32_t ip_;
   uint32_t port_id_;
   mmu::Svm* svm_;
-  Config config_;
+  sim::TimerWheel timers_;
 
   std::map<uint32_t, Qp> qps_;
   // One guard covers all QP state: requester/responder cursors, unacked

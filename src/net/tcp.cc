@@ -79,9 +79,8 @@ std::optional<ParsedTcpSegment> ParseTcpSegment(const axi::BufferView& frame) {
   return out;
 }
 
-TcpStack::TcpStack(sim::Engine* engine, Network* network, uint32_t ip, mmu::Svm* svm,
-                   Config config)
-    : engine_(engine), network_(network), ip_(ip), svm_(svm), config_(config) {
+TcpStack::TcpStack(sim::Engine* engine, Network* network, uint32_t ip, mmu::Svm* svm)
+    : engine_(engine), network_(network), ip_(ip), svm_(svm), timers_(engine) {
   port_id_ = network_->AttachPort(ip, [this](axi::BufferView frame) {
     OnRxFrame(std::move(frame));
   });
@@ -117,11 +116,11 @@ void TcpStack::TransmitSegment(Connection& conn, uint8_t flags, uint32_t seq,
   meta.seq = seq;
   meta.ack = conn.rcv_nxt;
   meta.flags = flags;
-  meta.window = static_cast<uint16_t>(std::min<uint32_t>(config_.window_bytes / 1024, 0xFFFF));
+  meta.window = static_cast<uint16_t>(std::min<uint32_t>(kWindowBytes / 1024, 0xFFFF));
   ++segments_sent_;
   const axi::BufferView frame = BuildTcpSegment(meta, payload);
   const uint32_t dst_ip = conn.remote_ip;
-  engine_->ScheduleAfter(config_.stack_latency, [this, dst_ip, frame]() {
+  engine_->ScheduleAfter(kStackLatency, [this, dst_ip, frame]() {
     network_->Transmit(port_id_, dst_ip, frame);
   });
 }
@@ -153,7 +152,7 @@ void TcpStack::Send(ConnId id, uint64_t vaddr, uint64_t bytes, Completion done) 
   uint64_t off = 0;
   uint32_t seq = conn.snd_nxt + static_cast<uint32_t>(backlog_bytes);
   while (off < bytes) {
-    const uint64_t n = std::min<uint64_t>(config_.mss, bytes - off);
+    const uint64_t n = std::min<uint64_t>(kMss, bytes - off);
     SendChunk chunk;
     chunk.seq = seq;
     chunk.payload = message.Slice(off, n);
@@ -169,7 +168,7 @@ void TcpStack::Send(ConnId id, uint64_t vaddr, uint64_t bytes, Completion done) 
 
 void TcpStack::PumpSendWindow(ConnId id) {
   Connection& conn = connections_.at(id);
-  const uint32_t window = std::max<uint32_t>(conn.peer_window, config_.mss);
+  const uint32_t window = std::max<uint32_t>(conn.peer_window, kMss);
   while (!conn.backlog.empty()) {
     const uint32_t inflight_bytes = conn.snd_nxt - conn.snd_una;
     const uint64_t next_len = conn.backlog.front().payload.size();
@@ -193,7 +192,7 @@ void TcpStack::OnRxFrame(axi::BufferView frame) {
     return;  // not TCP (e.g., RoCE sharing the wire)
   }
   auto shared = std::make_shared<ParsedTcpSegment>(std::move(*parsed));
-  engine_->ScheduleAfter(config_.stack_latency, [this, shared]() {
+  engine_->ScheduleAfter(kStackLatency, [this, shared]() {
     const ConnId id = FindConnection(shared->meta);
     if (id != 0) {
       HandleSegment(id, *shared);
@@ -234,8 +233,7 @@ TcpStack::ConnId TcpStack::FindConnection(const TcpSegmentMeta& meta) const {
 
 void TcpStack::HandleSegment(ConnId id, const ParsedTcpSegment& seg) {
   Connection& conn = connections_.at(id);
-  conn.peer_window = std::max<uint32_t>(static_cast<uint32_t>(seg.meta.window) * 1024,
-                                        config_.mss);
+  conn.peer_window = std::max<uint32_t>(static_cast<uint32_t>(seg.meta.window) * 1024, kMss);
 
   // Handshake transitions.
   if (conn.state == State::kSynSent && (seg.meta.flags & kTcpSyn) &&
@@ -245,7 +243,7 @@ void TcpStack::HandleSegment(ConnId id, const ParsedTcpSegment& seg) {
     conn.state = State::kEstablished;
     NoteProgress(conn);
     TransmitSegment(conn, kTcpAck, conn.snd_nxt, {});
-    ++conn.timer_generation;  // SYN acknowledged
+    timers_.Cancel(conn.timer);  // SYN acknowledged
     if (conn.on_connected) {
       conn.on_connected(id, true);
     }
@@ -255,7 +253,7 @@ void TcpStack::HandleSegment(ConnId id, const ParsedTcpSegment& seg) {
     conn.state = State::kEstablished;
     conn.snd_una = seg.meta.ack;
     NoteProgress(conn);
-    ++conn.timer_generation;
+    timers_.Cancel(conn.timer);
     auto listener = listeners_.find(conn.local_port);
     if (listener != listeners_.end() && listener->second) {
       listener->second(id);
@@ -285,7 +283,7 @@ void TcpStack::HandleSegment(ConnId id, const ParsedTcpSegment& seg) {
         }
       }
       conn.completions.erase(conn.completions.begin(), end);
-      ++conn.timer_generation;
+      timers_.Cancel(conn.timer);
       if (!conn.inflight.empty()) {
         ArmTimer(id);
       }
@@ -334,7 +332,7 @@ void TcpStack::HandleSegment(ConnId id, const ParsedTcpSegment& seg) {
 
 void TcpStack::NoteProgress(Connection& conn) {
   conn.consecutive_timeouts = 0;
-  conn.cur_rto = config_.rto;
+  conn.cur_rto = kRto;
 }
 
 void TcpStack::FailConnection(ConnId id) {
@@ -365,48 +363,44 @@ void TcpStack::FailConnection(ConnId id) {
 }
 
 void TcpStack::ArmTimer(ConnId id) {
-  Connection& armed = connections_.at(id);
-  if (armed.cur_rto == 0) {
-    armed.cur_rto = config_.rto;
+  Connection& conn = connections_.at(id);
+  timers_.Cancel(conn.timer);
+  conn.timer = timers_.ScheduleAfter(conn.cur_rto, [this, id]() { OnTimeout(id); });
+}
+
+void TcpStack::OnTimeout(ConnId id) {
+  auto it = connections_.find(id);
+  if (it == connections_.end()) {
+    return;  // closed or failed with the timer still armed
   }
-  const uint64_t generation = ++armed.timer_generation;
-  engine_->ScheduleAfter(armed.cur_rto, [this, id, generation]() {
-    auto it = connections_.find(id);
-    if (it == connections_.end()) {
-      return;
-    }
-    Connection& conn = it->second;
-    if (conn.timer_generation != generation) {
-      return;
-    }
-    ++timeouts_;
-    if (++conn.consecutive_timeouts > config_.max_retries) {
-      // Parity with RoCE retry-budget exhaustion: the peer is unreachable;
-      // abort instead of retrying forever.
-      FailConnection(id);
-      return;
-    }
-    // Exponential backoff, capped.
-    const sim::TimePs next = std::min<sim::TimePs>(conn.cur_rto * 2, config_.max_rto);
-    if (next > conn.cur_rto) {
-      conn.cur_rto = next;
-      ++backoff_events_;
-    }
-    if (conn.state == State::kSynSent) {
-      TransmitSegment(conn, kTcpSyn, conn.snd_una, {});
+  Connection& conn = it->second;
+  ++timeouts_;
+  if (++conn.consecutive_timeouts > kMaxRetries) {
+    // Parity with RoCE retry-budget exhaustion: the peer is unreachable;
+    // abort instead of retrying forever.
+    FailConnection(id);
+    return;
+  }
+  // Exponential backoff, capped.
+  const sim::TimePs next = std::min<sim::TimePs>(conn.cur_rto * 2, kMaxRto);
+  if (next > conn.cur_rto) {
+    conn.cur_rto = next;
+    ++backoff_events_;
+  }
+  if (conn.state == State::kSynSent) {
+    TransmitSegment(conn, kTcpSyn, conn.snd_una, {});
+    ++retransmitted_segments_;
+  } else if (conn.state == State::kFinSent && conn.inflight.empty()) {
+    TransmitSegment(conn, kTcpFin | kTcpAck, conn.snd_nxt - 1, {});
+    ++retransmitted_segments_;
+  } else {
+    // Go-back-N: resend every in-flight segment.
+    for (const SendChunk& chunk : conn.inflight) {
+      TransmitSegment(conn, kTcpAck, chunk.seq, chunk.payload);
       ++retransmitted_segments_;
-    } else if (conn.state == State::kFinSent && conn.inflight.empty()) {
-      TransmitSegment(conn, kTcpFin | kTcpAck, conn.snd_nxt - 1, {});
-      ++retransmitted_segments_;
-    } else {
-      // Go-back-N: resend every in-flight segment.
-      for (const SendChunk& chunk : conn.inflight) {
-        TransmitSegment(conn, kTcpAck, chunk.seq, chunk.payload);
-        ++retransmitted_segments_;
-      }
     }
-    ArmTimer(id);
-  });
+  }
+  ArmTimer(id);
 }
 
 void TcpStack::SetRecvHandler(ConnId id, RecvHandler handler) {

@@ -23,6 +23,7 @@
 #include "src/net/network.h"
 #include "src/sim/access_guard.h"
 #include "src/sim/engine.h"
+#include "src/sim/timer_wheel.h"
 
 namespace coyote {
 namespace net {
@@ -56,19 +57,17 @@ std::optional<ParsedTcpSegment> ParseTcpSegment(const axi::BufferView& frame);
 
 class TcpStack {
  public:
-  struct Config {
-    uint32_t mss = 4096;
-    uint32_t window_bytes = 256 * 1024;  // receive window advertised
-    sim::TimePs stack_latency = sim::Nanoseconds(500);
-    sim::TimePs rto = sim::Microseconds(200);
-    // Parity with the RoCE stack's loss hardening: after this many
-    // consecutive unanswered RTOs the connection aborts and every pending
-    // operation completes with ok=false instead of retrying forever.
-    uint32_t max_retries = 8;
-    // The RTO doubles on every consecutive timeout up to this cap; any ACK
-    // progress resets it.
-    sim::TimePs max_rto = sim::Milliseconds(3);
-  };
+  static constexpr uint32_t kMss = 4096;
+  static constexpr uint32_t kWindowBytes = 256 * 1024;  // receive window advertised
+  static constexpr sim::TimePs kStackLatency = sim::Nanoseconds(500);
+  static constexpr sim::TimePs kRto = sim::Microseconds(200);
+  // Parity with the RoCE stack's loss hardening: after this many consecutive
+  // unanswered RTOs the connection aborts and every pending operation
+  // completes with ok=false instead of retrying forever.
+  static constexpr uint32_t kMaxRetries = 8;
+  // The RTO doubles on every consecutive timeout up to this cap; any ACK
+  // progress resets it.
+  static constexpr sim::TimePs kMaxRto = sim::Milliseconds(3);
 
   using ConnId = uint32_t;
   using Completion = std::function<void(bool ok)>;
@@ -77,9 +76,7 @@ class TcpStack {
   // The stack moves received bytes into the handler (ownership transfer).
   using RecvHandler = std::function<void(std::vector<uint8_t> data)>;  // lint: hot-copy-ok
 
-  TcpStack(sim::Engine* engine, Network* network, uint32_t ip, mmu::Svm* svm)
-      : TcpStack(engine, network, ip, svm, Config{}) {}
-  TcpStack(sim::Engine* engine, Network* network, uint32_t ip, mmu::Svm* svm, Config config);
+  TcpStack(sim::Engine* engine, Network* network, uint32_t ip, mmu::Svm* svm);
 
   uint32_t ip() const { return ip_; }
 
@@ -108,7 +105,6 @@ class TcpStack {
   uint64_t backoff_events() const { return backoff_events_; }
   uint64_t retries_exhausted() const { return retries_exhausted_; }
   uint64_t error_completions() const { return error_completions_; }
-  const Config& config() const { return config_; }
 
  private:
   enum class State : uint8_t {
@@ -140,8 +136,8 @@ class TcpStack {
     std::deque<SendChunk> inflight;        // sent, unacked
     std::deque<SendChunk> backlog;         // queued beyond the window
     std::map<uint32_t, Completion> completions;  // end-seq -> cb
-    uint64_t timer_generation = 0;
-    sim::TimePs cur_rto = 0;            // 0 = use config rto
+    sim::TimerWheel::TimerId timer = sim::TimerWheel::kInvalidTimer;
+    sim::TimePs cur_rto = kRto;
     uint32_t consecutive_timeouts = 0;  // resets on any ACK progress
 
     ConnectHandler on_connected;
@@ -156,6 +152,7 @@ class TcpStack {
   void OnRxFrame(axi::BufferView frame);
   void HandleSegment(ConnId id, const ParsedTcpSegment& seg);
   void ArmTimer(ConnId id);
+  void OnTimeout(ConnId id);
   void NoteProgress(Connection& conn);
   // Retry budget exhausted: abort the connection, error-complete everything
   // pending (sends, deferred close, an unfinished handshake).
@@ -167,7 +164,7 @@ class TcpStack {
   uint32_t ip_;
   uint32_t port_id_;
   mmu::Svm* svm_;
-  Config config_;
+  sim::TimerWheel timers_;
 
   sim::AccessGuard guard_{"net.tcp"};
   std::map<ConnId, Connection> connections_;

@@ -210,7 +210,7 @@ TEST_F(FaultyRoceTest, NodeOutageKillsTransferWithErrorCompletion) {
   EXPECT_EQ(a_.retries_exhausted(), 1u);
   EXPECT_EQ(a_.error_completions(), 1u);
   // The budget bounds the retry count.
-  EXPECT_LE(a_.timeouts(), a_.config().max_retries + 1);
+  EXPECT_LE(a_.timeouts(), RoceStack::kMaxRetries + 1);
   EXPECT_GT(injector_->counters().value("net.outage_drop"), 0u);
 }
 
