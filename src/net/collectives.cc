@@ -1,7 +1,7 @@
 #include "src/net/collectives.h"
 
-#include <cstring>
-#include <memory>
+#include <algorithm>
+#include <utility>
 
 namespace coyote {
 namespace net {
@@ -43,216 +43,50 @@ CollectiveGroup::CollectiveGroup(sim::Engine* engine, std::vector<Member> member
 
 void CollectiveGroup::Broadcast(uint32_t root, uint64_t vaddr, uint64_t bytes,
                                 Completion done) {
+  // Binomial tree over ranks relative to the root: in round k, relative
+  // ranks v < 2^k send to v + 2^k.
   const uint32_t n = static_cast<uint32_t>(members_.size());
-  if (n <= 1 || bytes == 0) {
-    engine_->ScheduleAfter(0, [done = std::move(done)]() {
-      if (done) {
-        done(true);
-      }
-    });
-    return;
+  std::vector<Step> steps;
+  for (uint32_t span = 1; bytes > 0 && span < n; span *= 2) {
+    Step& step = steps.emplace_back();
+    for (uint32_t v = 0; v < span && v + span < n; ++v) {
+      step.writes.push_back({(root + v) % n, (root + v + span) % n, vaddr, vaddr, bytes});
+    }
   }
-  // Binomial tree over ranks relative to the root. The stored function
-  // captures itself weakly — in-flight completion callbacks hold the strong
-  // refs — so finishing the collective releases the whole chain. Any failed
-  // per-peer WR poisons `failed`; the next round boundary turns that into
-  // one error completion instead of forwarding stale data further.
-  auto shared_done = std::make_shared<Completion>(std::move(done));
-  auto failed = std::make_shared<bool>(false);
-  auto round = std::make_shared<std::function<void(uint32_t)>>();
-  std::weak_ptr<std::function<void(uint32_t)>> weak_round = round;
-  *round = [this, root, vaddr, bytes, n, shared_done, failed, weak_round](uint32_t k) {
-    auto self = weak_round.lock();
-    if (!self) {
-      return;
-    }
-    if (*failed) {
-      if (*shared_done) {
-        (*shared_done)(false);
-      }
-      return;
-    }
-    // Senders this round: relative ranks v < 2^k sending to v + 2^k.
-    std::vector<std::pair<uint32_t, uint32_t>> transfers;  // (from, to) absolute
-    for (uint32_t v = 0; v < (1u << k); ++v) {
-      const uint32_t dst_rel = v + (1u << k);
-      if (dst_rel >= n) {
-        continue;
-      }
-      transfers.emplace_back((root + v) % n, (root + dst_rel) % n);
-    }
-    if (transfers.empty()) {
-      if (*shared_done) {
-        (*shared_done)(true);
-      }
-      return;
-    }
-    auto remaining = std::make_shared<size_t>(transfers.size());
-    for (auto [from, to] : transfers) {
-      members_[from].stack->PostWrite(QpFor(from, to), vaddr, vaddr, bytes,
-                                      [remaining, self, failed, k](bool ok) {
-                                        if (!ok) {
-                                          *failed = true;
-                                        }
-                                        if (--*remaining == 0) {
-                                          (*self)(k + 1);
-                                        }
-                                      });
-    }
-  };
-  (*round)(0);
+  RunSteps(std::move(steps), std::move(done));
 }
 
 void CollectiveGroup::AllGather(uint64_t vaddr, uint64_t chunk_bytes, Completion done) {
+  // Ring: in step s, member i forwards chunk (i - s) mod n to member i + 1.
   const uint32_t n = static_cast<uint32_t>(members_.size());
-  if (n <= 1 || chunk_bytes == 0) {
-    engine_->ScheduleAfter(0, [done = std::move(done)]() {
-      if (done) {
-        done(true);
-      }
-    });
-    return;
-  }
-  // Ring: in step s, member i forwards chunk (i - s + n) % n to (i + 1) % n.
-  // Weak self-capture, as in Broadcast, to avoid a shared_ptr cycle.
-  auto shared_done = std::make_shared<Completion>(std::move(done));
-  auto failed = std::make_shared<bool>(false);
-  auto step = std::make_shared<std::function<void(uint32_t)>>();
-  std::weak_ptr<std::function<void(uint32_t)>> weak_step = step;
-  *step = [this, vaddr, chunk_bytes, n, shared_done, failed, weak_step](uint32_t s) {
-    auto self = weak_step.lock();
-    if (!self) {
-      return;
-    }
-    if (*failed) {
-      if (*shared_done) {
-        (*shared_done)(false);
-      }
-      return;
-    }
-    if (s == n - 1) {
-      if (*shared_done) {
-        (*shared_done)(true);
-      }
-      return;
-    }
-    auto remaining = std::make_shared<size_t>(n);
+  std::vector<Step> steps(n > 1 && chunk_bytes > 0 ? n - 1 : 0);
+  for (uint32_t s = 0; s < steps.size(); ++s) {
     for (uint32_t i = 0; i < n; ++i) {
-      const uint32_t chunk = (i + n - s) % n;
-      const uint32_t to = (i + 1) % n;
-      const uint64_t addr = vaddr + static_cast<uint64_t>(chunk) * chunk_bytes;
-      members_[i].stack->PostWrite(QpFor(i, to), addr, addr, chunk_bytes,
-                                   [remaining, self, failed, s](bool ok) {
-                                     if (!ok) {
-                                       *failed = true;
-                                     }
-                                     if (--*remaining == 0) {
-                                       (*self)(s + 1);
-                                     }
-                                   });
+      const uint64_t addr = vaddr + static_cast<uint64_t>((i + n - s) % n) * chunk_bytes;
+      steps[s].writes.push_back({i, (i + 1) % n, addr, addr, chunk_bytes});
     }
-  };
-  (*step)(0);
+  }
+  RunSteps(std::move(steps), std::move(done));
 }
 
 void CollectiveGroup::AllReduceInt32(uint64_t vaddr, uint64_t count, Completion done) {
   const uint32_t n = static_cast<uint32_t>(members_.size());
-  if (n <= 1 || count == 0) {
-    engine_->ScheduleAfter(0, [done = std::move(done)]() {
-      if (done) {
-        done(true);
-      }
-    });
-    return;
-  }
-
-  // Phase 1 — ring reduce-scatter: after step s, member (c + s + 1) % n holds
-  // the partial sum of chunk c over s + 2 contributors. Incoming fragments
-  // land in the member's scratch buffer, then fold into the local chunk.
-  // One `failed` flag spans both phases: a lost fragment anywhere makes the
-  // whole reduction unusable, so the collective errors out at the next
-  // barrier instead of folding garbage or stranding the caller.
-  auto shared_done = std::make_shared<Completion>(std::move(done));
-  auto failed = std::make_shared<bool>(false);
-  auto reduce_step = std::make_shared<std::function<void(uint32_t)>>();
-  auto gather = [this, vaddr, count, n, shared_done, failed]() {
-    // Phase 2 — ring all-gather of the reduced chunks. Member i now owns the
-    // fully reduced chunk (i + 1) % n; rotate N-1 times.
-    auto step = std::make_shared<std::function<void(uint32_t)>>();
-    std::weak_ptr<std::function<void(uint32_t)>> weak_step = step;
-    *step = [this, vaddr, count, n, shared_done, failed, weak_step](uint32_t s) {
-      auto self = weak_step.lock();
-      if (!self) {
-        return;
-      }
-      if (*failed) {
-        if (*shared_done) {
-          (*shared_done)(false);
-        }
-        return;
-      }
-      if (s == n - 1) {
-        if (*shared_done) {
-          (*shared_done)(true);
-        }
-        return;
-      }
-      auto remaining = std::make_shared<size_t>(n);
+  std::vector<Step> steps;
+  // Ring reduce-scatter: in step s, member i sends its partial sum of chunk
+  // (i - s) mod n into member i + 1's scratch, and the fold adds each
+  // received fragment into the receiver's copy. After n - 1 steps member i
+  // holds the full sum of chunk (i + 1) mod n.
+  for (uint32_t s = 0; count > 0 && s + 1 < n; ++s) {
+    Step& step = steps.emplace_back();
+    for (uint32_t i = 0; i < n; ++i) {
+      const ChunkRange r = ChunkFor((i + n - s) % n, n, count);
+      const uint32_t to = (i + 1) % n;
+      step.writes.push_back({i, to, vaddr + r.offset_bytes(),
+                             members_[to].scratch_vaddr + r.offset_bytes(), r.bytes()});
+    }
+    step.fold = [this, vaddr, count, n, s]() {
       for (uint32_t i = 0; i < n; ++i) {
-        const uint32_t chunk = (i + 1 + n - s) % n;
-        const ChunkRange r = ChunkFor(chunk, n, count);
-        const uint32_t to = (i + 1) % n;
-        if (r.bytes() == 0) {
-          if (--*remaining == 0) {
-            (*self)(s + 1);
-          }
-          continue;
-        }
-        const uint64_t addr = vaddr + r.offset_bytes();
-        members_[i].stack->PostWrite(QpFor(i, to), addr, addr, r.bytes(),
-                                     [remaining, self, failed, s](bool ok) {
-                                       if (!ok) {
-                                         *failed = true;
-                                       }
-                                       if (--*remaining == 0) {
-                                         (*self)(s + 1);
-                                       }
-                                     });
-      }
-    };
-    (*step)(0);
-  };
-
-  std::weak_ptr<std::function<void(uint32_t)>> weak_reduce = reduce_step;
-  *reduce_step = [this, vaddr, count, n, shared_done, failed, weak_reduce,
-                  gather](uint32_t s) {
-    auto self = weak_reduce.lock();
-    if (!self) {
-      return;
-    }
-    if (*failed) {
-      // Reduce-phase loss: skip the gather phase entirely.
-      if (*shared_done) {
-        (*shared_done)(false);
-      }
-      return;
-    }
-    if (s == n - 1) {
-      gather();
-      return;
-    }
-    auto remaining = std::make_shared<size_t>(n);
-    auto after_transfers = [this, vaddr, count, n, failed, remaining, self, s]() {
-      if (*failed) {
-        // Don't fold a fragment that never arrived; the next step entry
-        // converts the poisoned flag into the error completion.
-        (*self)(s + 1);
-        return;
-      }
-      // Fold each member's scratch fragment into its local chunk.
-      for (uint32_t i = 0; i < n; ++i) {
-        const uint32_t chunk = (i + n - s - 1) % n;  // chunk received this step
-        const ChunkRange r = ChunkFor(chunk, n, count);
+        const ChunkRange r = ChunkFor((i + n - s - 1) % n, n, count);  // received this step
         if (r.bytes() == 0) {
           continue;
         }
@@ -266,34 +100,71 @@ void CollectiveGroup::AllReduceInt32(uint64_t vaddr, uint64_t count, Completion 
         }
         m.svm->WriteVirtual(vaddr + r.offset_bytes(), local.data(), r.bytes());
       }
-      (*self)(s + 1);
     };
-    auto barrier = std::make_shared<std::function<void()>>(std::move(after_transfers));
+  }
+  // Ring all-gather of the reduced chunks: in step s, member i forwards
+  // chunk (i + 1 - s) mod n to member i + 1.
+  for (uint32_t s = 0; count > 0 && s + 1 < n; ++s) {
+    Step& step = steps.emplace_back();
     for (uint32_t i = 0; i < n; ++i) {
-      // Member i sends its current partial of chunk (i - s) % n to i+1's
-      // scratch.
-      const uint32_t chunk = (i + n - s) % n;
-      const ChunkRange r = ChunkFor(chunk, n, count);
-      const uint32_t to = (i + 1) % n;
-      if (r.bytes() == 0) {
-        if (--*remaining == 0) {
-          (*barrier)();
-        }
-        continue;
-      }
-      members_[i].stack->PostWrite(QpFor(i, to), vaddr + r.offset_bytes(),
-                                   members_[to].scratch_vaddr + r.offset_bytes(), r.bytes(),
-                                   [remaining, barrier, failed](bool ok) {
-                                     if (!ok) {
-                                       *failed = true;
-                                     }
-                                     if (--*remaining == 0) {
-                                       (*barrier)();
-                                     }
-                                   });
+      const ChunkRange r = ChunkFor((i + 1 + n - s) % n, n, count);
+      const uint64_t addr = vaddr + r.offset_bytes();
+      step.writes.push_back({i, (i + 1) % n, addr, addr, r.bytes()});
     }
-  };
-  (*reduce_step)(0);
+  }
+  RunSteps(std::move(steps), std::move(done));
+}
+
+void CollectiveGroup::RunSteps(std::vector<Step> steps, Completion done) {
+  if (steps.empty()) {
+    engine_->ScheduleAfter(0, [done = std::move(done)]() {
+      if (done) {
+        done(true);
+      }
+    });
+    return;
+  }
+  auto run = std::make_shared<Run>();
+  run->steps = std::move(steps);
+  run->done = std::move(done);
+  StartStep(run);
+}
+
+void CollectiveGroup::StartStep(const std::shared_ptr<Run>& run) {
+  if (run->failed || run->step == run->steps.size()) {
+    if (run->done) {
+      run->done(!run->failed);
+    }
+    return;
+  }
+  // The extra count holds the step open until every WRITE is posted. Each
+  // posted WRITE's completion holds the run, so the last one releases it.
+  run->outstanding = 1;
+  for (const Write& w : run->steps[run->step].writes) {
+    if (w.bytes == 0) {
+      continue;
+    }
+    ++run->outstanding;
+    members_[w.from].stack->PostWrite(qp_[w.from][w.to], w.local_vaddr, w.remote_vaddr, w.bytes,
+                                      [this, run](bool ok) {
+                                        if (!ok) {
+                                          run->failed = true;
+                                        }
+                                        EndWrite(run);
+                                      });
+  }
+  EndWrite(run);
+}
+
+void CollectiveGroup::EndWrite(const std::shared_ptr<Run>& run) {
+  if (--run->outstanding > 0) {
+    return;
+  }
+  const Step& step = run->steps[run->step++];
+  if (!run->failed && step.fold) {
+    step.fold();
+  }
+  StartStep(run);
 }
 
 }  // namespace net

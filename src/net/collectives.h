@@ -11,13 +11,16 @@
 //                   optimal: 2*(N-1)/N of the data per link).
 //
 // Functional on real buffer bytes in each node's shared virtual memory;
-// timing falls out of the RDMA/network substrate.
+// timing falls out of the RDMA/network substrate. Each algorithm is a plan
+// of steps for one step driver: step s posts its RDMA WRITEs, and once all
+// of them complete an optional fold runs and step s+1 starts.
 
 #ifndef SRC_NET_COLLECTIVES_H_
 #define SRC_NET_COLLECTIVES_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "src/mmu/svm.h"
@@ -60,14 +63,38 @@ class CollectiveGroup {
   void AllGather(uint64_t vaddr, uint64_t chunk_bytes, Completion done);
 
  private:
-  uint32_t QpFor(uint32_t from, uint32_t to) const { return qp_[from][to]; }
-  void RingStep(uint64_t vaddr, uint64_t chunk_bytes, uint32_t steps, bool reduce,
-                Completion done);
+  // One RDMA WRITE of a step, from member `from` to member `to`.
+  struct Write {
+    uint32_t from = 0;
+    uint32_t to = 0;
+    uint64_t local_vaddr = 0;
+    uint64_t remote_vaddr = 0;
+    uint64_t bytes = 0;
+  };
+  struct Step {
+    std::vector<Write> writes;
+    std::function<void()> fold;  // runs once every WRITE of the step succeeded
+  };
+  // A collective in flight: its plan, the step posted last and the WRITEs
+  // of that step still outstanding.
+  struct Run {
+    std::vector<Step> steps;
+    Completion done;
+    size_t step = 0;
+    size_t outstanding = 0;
+    bool failed = false;
+  };
+
+  // Runs `steps` in order. Zero-byte WRITEs are skipped. A failed WRITE ends
+  // the collective with one ok=false completion at the next step boundary;
+  // a plan of zero steps completes ok=true one event later.
+  void RunSteps(std::vector<Step> steps, Completion done);
+  void StartStep(const std::shared_ptr<Run>& run);
+  void EndWrite(const std::shared_ptr<Run>& run);
 
   sim::Engine* engine_;
   std::vector<Member> members_;
   std::vector<std::vector<uint32_t>> qp_;  // [from][to] -> local qpn at `from`
-
 };
 
 }  // namespace net
