@@ -766,10 +766,11 @@ void Orchestrator::OnMigrationFailed(uint32_t tenant, const std::string& why) {
   TenantBook& book = it->second;
   events_.Record("migrate.fail", {tenant, sim::FnvHash(why)}, Now());
 
-  // Release the destination reservation in every failure shape.
-  const int32_t reserved = regions_[rec->dst_node].FindTenant(tenant);
-  if (reserved != book.region) {
-    ReleaseRegion(rec->dst_node, reserved);
+  // Release the destination reservation in every failure shape. The
+  // tenant's own region is on book.node, so any region it holds on another
+  // destination is the reservation.
+  if (rec->dst_node != book.node) {
+    ReleaseRegion(rec->dst_node, regions_[rec->dst_node].FindTenant(tenant));
   }
   book.migrating = false;
   active_migration_.erase(tenant);

@@ -196,6 +196,34 @@ TEST(OrchestratorTest, RestoreFailureRollsBackToSource) {
   EXPECT_EQ(fleet.orchestrator().TraceFingerprint(), 0x14ba3ae6a96b7233ull);
 }
 
+TEST(OrchestratorTest, RolledBackMigrationReleasesTheDestinationRegion) {
+  // Node 1's only region is reserved for the first migration, whose restore
+  // fails twice and rolls back. The rollback must free that region, or the
+  // second migration to node 1 is refused as if the node were full.
+  Fleet::Config c = BaseConfig();
+  c.num_nodes = 2;
+  c.regions_per_node = 1;
+  c.fault_template.restore_fail_first_n = 2;
+  Fleet fleet(c);
+
+  TenantSpec spec;
+  spec.home_node = 0;
+  spec.items_total = 60;
+  const uint32_t t = fleet.AddTenant(spec);
+  fleet.ScheduleMigration(sim::Microseconds(150), t, 1);
+  fleet.ScheduleMigration(sim::Microseconds(900), t, 1);
+
+  ASSERT_TRUE(fleet.Run(sim::Milliseconds(50)));
+  EXPECT_EQ(fleet.tenant_outcome(t), TenantOutcome::kDone);
+  EXPECT_EQ(fleet.tenant_data_hash(t), ExpectedHash(t, spec.items_total, spec.item_bytes));
+  EXPECT_EQ(fleet.orchestrator().events().value("migrate.reject"), 0u);
+  const auto& records = fleet.orchestrator().migrations();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].outcome, "rollback.restore");
+  EXPECT_EQ(records[1].outcome, "ok");
+  EXPECT_EQ(fleet.orchestrator().tenants().at(t).node, 1u);
+}
+
 // --- Node death and evacuation ------------------------------------------------
 
 TEST(OrchestratorTest, KillOneNodeEvacuatesTenantsFromCheckpoint) {
