@@ -10,7 +10,7 @@ LoadGen::LoadGen(sim::Engine* engine, const Config& config, SubmitFn submit)
     : engine_(engine), config_(config), submit_(std::move(submit)), rng_(config.seed) {}
 
 void LoadGen::Start() {
-  engine_->ScheduleAt(config_.start, [this]() { ArrivalTick(); });
+  engine_->ScheduleAt(0, [this]() { ArrivalTick(); });
 }
 
 uint32_t LoadGen::PermilleAt(sim::TimePs t) const {
@@ -36,7 +36,7 @@ uint32_t LoadGen::PickTenant(sim::TimePs now) {
 
 void LoadGen::ArrivalTick() {
   const sim::TimePs now = engine_->Now();
-  if (now >= config_.start + config_.duration) {
+  if (now >= config_.duration) {
     done_ = true;
     return;
   }
@@ -83,10 +83,7 @@ void LoadGen::EmitRequestAfter(sim::TimePs delay, uint32_t tenant) {
   std::vector<uint8_t> bytes(lo + rng_.NextBounded(hi - lo + 1));
   rng_.FillBytes(bytes.data(), bytes.size());
   req.payload = axi::BufferView(std::move(bytes));
-  req.priority = static_cast<uint32_t>(rng_.NextBounded(std::max<uint32_t>(1, config_.priorities)));
-  if (config_.deadline_budget > 0) {
-    req.deadline = engine_->Now() + delay + config_.deadline_budget;
-  }
+  req.priority = static_cast<uint32_t>(rng_.NextBounded(kPriorities));
   engine_->ScheduleAfter(delay, [this, req = std::move(req)]() mutable {
     guard_.Write();
     submit_(std::move(req));

@@ -38,11 +38,13 @@ namespace runtime {
 
 class LoadGen {
  public:
+  // Each request's priority is drawn uniformly in [0, kPriorities).
+  static constexpr uint32_t kPriorities = 4;
+
   struct Config {
     uint64_t seed = 1;
-    sim::TimePs start = 0;
-    // Generation window: no new arrivals after start + duration (sessions
-    // opened just before the edge may still emit their trailing requests).
+    // Generation window: no new arrivals after `duration` (sessions opened
+    // just before the edge may still emit their trailing requests).
     sim::TimePs duration = sim::Milliseconds(2);
     // Mean gap between session arrivals at the baseline (permille = 1000)
     // rate; the diurnal profile divides it, jitter is +-50% uniform.
@@ -52,8 +54,6 @@ class LoadGen {
     uint64_t payload_bytes_min = 64;
     uint64_t payload_bytes_max = 512;
     std::vector<std::string> kernels;  // each request picks one uniformly
-    uint32_t priorities = 4;           // priority drawn in [0, priorities)
-    sim::TimePs deadline_budget = 0;   // per-request deadline; 0 = none
     // Tenancy: `active_tenants` of `tenant_universe` are live at any moment;
     // churn_period > 0 rotates the active window every period.
     uint32_t active_tenants = 8;
