@@ -7,7 +7,12 @@
 //      kernel workload (the §9.6 daemon pattern, generalized).
 //  E3  TCP/IP vs RDMA service throughput on the same wire (the Requirement-1
 //      "switch the networking service" scenario).
+//
+// Every value printed is simulated, so stdout is deterministic. The binary
+// exits nonzero, naming the claim on stderr, when one of the claims its
+// notes state fails.
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -34,6 +39,15 @@ namespace {
 
 constexpr uint64_t kPage = 2ull << 20;
 
+bool claims_hold = true;
+
+void Claim(bool holds, const char* claim) {
+  if (!holds) {
+    std::fprintf(stderr, "CHECK FAILED: %s\n", claim);
+    claims_hold = false;
+  }
+}
+
 struct ClusterNode {
   memsys::HostMemory host;
   std::unique_ptr<memsys::CardMemory> card;
@@ -49,6 +63,7 @@ void RunCollectives() {
              "AllReduce alg-bw [GB/s]");
   bench::PrintRule();
   constexpr uint64_t kBytes = 4 << 20;
+  double bcast_ms_at_2 = 0.0;
   for (uint32_t n : {2u, 4u, 8u, 16u}) {
     sim::Engine engine;
     net::Network network(&engine, {});
@@ -73,15 +88,29 @@ void RunCollectives() {
     net::CollectiveGroup group(&engine, std::move(members));
 
     sim::TimePs t0 = engine.Now();
-    bool done = false;
-    group.Broadcast(0, nodes[0]->data, kBytes, [&](bool) { done = true; });
+    bool done = false, ok = false;
+    group.Broadcast(0, nodes[0]->data, kBytes, [&](bool k) {
+      done = true;
+      ok = k;
+    });
     engine.RunUntilCondition([&] { return done; });
+    Claim(ok, "every broadcast completes ok");
     const double bcast_ms = sim::ToMilliseconds(engine.Now() - t0);
+    if (n == 2) {
+      bcast_ms_at_2 = bcast_ms;
+    }
+    // Binomial tree: log2(N) rounds of one full-size WRITE each.
+    Claim(std::abs(bcast_ms / (std::log2(n) * bcast_ms_at_2) - 1.0) < 0.1,
+          "broadcast time grows like log2(N)");
 
     done = false;
     t0 = engine.Now();
-    group.AllReduceInt32(nodes[0]->data, kBytes / 4, [&](bool) { done = true; });
+    group.AllReduceInt32(nodes[0]->data, kBytes / 4, [&](bool k) {
+      done = true;
+      ok = k;
+    });
     engine.RunUntilCondition([&] { return done; });
+    Claim(ok, "every allreduce completes ok");
     const double ar_ms = sim::ToMilliseconds(engine.Now() - t0);
     const double alg_bw = static_cast<double>(kBytes) / (ar_ms * 1e-3) / 1e9;
 
@@ -96,6 +125,7 @@ void RunScheduler() {
   bench::Row("E2. Kernel scheduling policy under a mixed workload (2 regions, 3 kernels)");
   bench::Row("%-12s %12s %16s %18s", "Policy", "jobs", "reconfigs", "makespan [ms]");
   bench::PrintRule();
+  uint64_t fcfs_reconfigs = 0;
   for (auto policy : {runtime::KernelScheduler::Policy::kFcfs,
                       runtime::KernelScheduler::Policy::kAffinity}) {
     runtime::SimDevice::Config cfg;
@@ -127,6 +157,12 @@ void RunScheduler() {
       sched.Submit(std::move(r));
     }
     dev.WaitFor([&] { return sched.Idle(); });
+    if (policy == runtime::KernelScheduler::Policy::kFcfs) {
+      fcfs_reconfigs = sched.reconfigurations();
+    } else {
+      Claim(sched.reconfigurations() < fcfs_reconfigs,
+            "affinity reconfigures less often than FCFS");
+    }
     bench::Row("%-12s %12d %16llu %18.1f",
                policy == runtime::KernelScheduler::Policy::kFcfs ? "FCFS" : "affinity", kJobs,
                static_cast<unsigned long long>(sched.reconfigurations()),
@@ -164,7 +200,9 @@ void RunTcpVsRdma() {
     const sim::TimePs t0 = engine.Now();
     sa.PostWrite(qa, a.data, b.data, kBytes, [&](bool) { done = true; });
     engine.RunUntilCondition([&] { return done; });
-    bench::Row("%-10s %20.2f %18llu", "RDMA", sim::BandwidthGBps(kBytes, engine.Now() - t0),
+    const double gbps = sim::BandwidthGBps(kBytes, engine.Now() - t0);
+    Claim(gbps >= 12.0, "RDMA reaches 12 GB/s");
+    bench::Row("%-10s %20.2f %18llu", "RDMA", gbps,
                static_cast<unsigned long long>(sa.tx_frames()));
   }
   // TCP.
@@ -190,7 +228,9 @@ void RunTcpVsRdma() {
     const sim::TimePs t0 = engine.Now();
     sa.Send(client, a.data, kBytes, [&](bool) { done = true; });
     engine.RunUntilCondition([&] { return done; });
-    bench::Row("%-10s %20.2f %18llu", "TCP/IP", sim::BandwidthGBps(kBytes, engine.Now() - t0),
+    const double gbps = sim::BandwidthGBps(kBytes, engine.Now() - t0);
+    Claim(gbps >= 12.0, "TCP/IP reaches 12 GB/s");
+    bench::Row("%-10s %20.2f %18llu", "TCP/IP", gbps,
                static_cast<unsigned long long>(sa.segments_sent()));
   }
   bench::Note("Both offload stacks sustain ~line rate for bulk transfers (that is the point");
@@ -207,5 +247,5 @@ int main() {
   coyote::RunCollectives();
   coyote::RunScheduler();
   coyote::RunTcpVsRdma();
-  return 0;
+  return coyote::claims_hold ? 0 : 1;
 }
