@@ -91,8 +91,10 @@ void CollectiveGroup::AllReduceInt32(uint64_t vaddr, uint64_t count, Completion 
           continue;
         }
         Member& m = members_[i];
-        std::vector<int32_t> local(r.end_elems - r.begin_elems);
-        std::vector<int32_t> incoming(local.size());
+        // Unsigned words: the int32 sum wraps, as the FPGA adder does,
+        // instead of overflowing.
+        std::vector<uint32_t> local(r.end_elems - r.begin_elems);
+        std::vector<uint32_t> incoming(local.size());
         m.svm->ReadVirtual(vaddr + r.offset_bytes(), local.data(), r.bytes());
         m.svm->ReadVirtual(m.scratch_vaddr + r.offset_bytes(), incoming.data(), r.bytes());
         for (size_t e = 0; e < local.size(); ++e) {
