@@ -22,7 +22,6 @@ Opcode FrameOpcode(Opcode first, Opcode only, uint64_t i, uint64_t n) {
   return static_cast<Opcode>(static_cast<uint8_t>(first) + step);
 }
 
-// Frame i's share of a message: the i-th MTU slice.
 axi::BufferView FrameSlice(const axi::BufferView& message, uint64_t i) {
   const uint64_t off = i * RoceStack::kMtu;
   return message.Slice(off, std::min<uint64_t>(RoceStack::kMtu, message.size() - off));

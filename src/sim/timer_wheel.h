@@ -2,11 +2,12 @@
 //
 // Engine::ScheduleAfter is fire-and-forget: once an event is queued it will
 // run, so any component that wants a *deadline* (fire only if something did
-// NOT happen) has to build its own generation-counter machinery — the RoCE
-// stack's retransmit timers do exactly that. The TimerWheel centralizes the
-// pattern: it hands out handles, and a cancelled handle turns the queued
-// engine event into a no-op. Watchdogs (runtime::Supervisor) and per-request
-// deadlines (runtime::CThread) are the primary clients.
+// NOT happen) would have to build its own generation-counter machinery. The
+// TimerWheel centralizes the pattern: it hands out handles, and a cancelled
+// handle turns the queued engine event into a no-op. Its clients are
+// watchdogs (runtime::Supervisor), per-request deadlines (runtime::CThread)
+// and the retransmit timers of the RoCE and TCP stacks (net::RoceStack,
+// net::TcpStack).
 //
 // Timers live in a slot pool indexed by the handle; a handle encodes
 // (slot, generation) so Cancel and re-arm are O(1) — no map lookups, no
