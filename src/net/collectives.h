@@ -12,8 +12,8 @@
 //
 // Functional on real buffer bytes in each node's shared virtual memory;
 // timing falls out of the RDMA/network substrate. Each algorithm is a plan
-// of steps for one step driver: step s posts its RDMA WRITEs, and once all
-// of them complete an optional fold runs and step s+1 starts.
+// of steps that one private runner executes: step s posts its RDMA WRITEs,
+// and once all of them complete an optional fold runs and step s+1 starts.
 
 #ifndef SRC_NET_COLLECTIVES_H_
 #define SRC_NET_COLLECTIVES_H_
