@@ -94,6 +94,42 @@ TEST(OrchestratorTest, PlannedMigrationMovesTenantAndPreservesData) {
   EXPECT_EQ(fleet.orchestrator().tenants().at(t).node, 1u);
 }
 
+// Item sizes that are neither a multiple of the pattern's 256-byte period
+// (8000) nor of a 64-bit word (1001): the tail of every item's fill reaches
+// the data hash, so a fill that drops or misplaces a tail byte diverges from
+// ExpectedHash.
+TEST(OrchestratorTest, OddItemSizesMigrateAndPreserveData) {
+  Fleet::Config c = BaseConfig();
+  c.num_nodes = 2;
+  Fleet fleet(c);
+
+  std::vector<uint32_t> ids;
+  std::vector<TenantSpec> specs;
+  for (const uint64_t bytes : {8000ull, 1001ull}) {
+    TenantSpec spec;
+    spec.name = "odd" + std::to_string(bytes);
+    spec.home_node = 0;
+    spec.items_total = 20;
+    spec.item_bytes = bytes;
+    specs.push_back(spec);
+    ids.push_back(fleet.AddTenant(spec));
+  }
+  fleet.ScheduleMigration(sim::Microseconds(150), ids[0], /*dst_node=*/1);
+  fleet.ScheduleMigration(sim::Microseconds(200), ids[1], /*dst_node=*/1);
+
+  ASSERT_TRUE(fleet.Run(sim::Milliseconds(50)));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(fleet.tenant_outcome(ids[i]), TenantOutcome::kDone) << specs[i].name;
+    EXPECT_EQ(fleet.tenant_data_hash(ids[i]),
+              ExpectedHash(ids[i], specs[i].items_total, specs[i].item_bytes))
+        << specs[i].name;
+    const MigrationRecord* rec = FindRecord(fleet, ids[i]);
+    ASSERT_NE(rec, nullptr) << specs[i].name;
+    EXPECT_EQ(rec->outcome, "ok") << specs[i].name;
+    EXPECT_EQ(fleet.orchestrator().tenants().at(ids[i]).node, 1u) << specs[i].name;
+  }
+}
+
 TEST(OrchestratorTest, MigrationToFullOrDeadDestinationIsRejected) {
   Fleet::Config c = BaseConfig();
   c.num_nodes = 2;

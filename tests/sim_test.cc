@@ -304,6 +304,35 @@ TEST(HashTest, MatchesPublishedVectors) {
   EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check), std::strlen(check)), 0xcbf43926u);
 }
 
+// Table-free CRC-32 (reflected, polynomial 0xEDB88320), one bit at a time:
+// the oracle for sim::Crc32 however that is computed.
+uint32_t BitwiseCrc32(const uint8_t* p, size_t n) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+TEST(HashTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  std::vector<uint8_t> buf(16 << 10);
+  Rng rng(2025);
+  rng.FillBytes(buf.data(), buf.size());
+  // Every length 0-64 from every start offset 0-7: a word-at-a-time CRC
+  // meets each split between its word steps and its byte tail.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32(buf.data() + offset, len), BitwiseCrc32(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  // One CYK1-checkpoint-sized buffer.
+  EXPECT_EQ(Crc32(buf.data(), buf.size()), BitwiseCrc32(buf.data(), buf.size()));
+}
+
 TEST(WireTest, ReaderFailureSticksAndAtEndRejectsTrailingBytes) {
   wire::Writer w;
   w.U16(0xBEEF);
