@@ -15,6 +15,7 @@
 #include "src/services/hll.h"
 #include "src/services/nn.h"
 #include "src/sim/engine.h"
+#include "src/sim/hash.h"
 #include "src/sim/rng.h"
 
 namespace coyote {
@@ -96,6 +97,34 @@ void BM_RoceFrameBuildParse(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
 }
 BENCHMARK(BM_RoceFrameBuildParse);
+
+// The two per-byte host loops on the fleet path: the CRC-32 seal over one
+// ~16 KiB CYK1 checkpoint and the FNV-1a fold of one 8 KiB item readback.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> buf(16 << 10);
+  sim::Rng rng(1);
+  rng.FillBytes(buf.data(), buf.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::Crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32);
+
+void BM_FnvFold(benchmark::State& state) {
+  std::vector<uint8_t> buf(8 << 10);
+  sim::Rng rng(1);
+  rng.FillBytes(buf.data(), buf.size());
+  for (auto _ : state) {
+    uint64_t h = sim::kFnvOffset;
+    sim::FnvFold(&h, buf.data(), buf.size());
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_FnvFold);
 
 void BM_MlpForward(benchmark::State& state) {
   const services::MlpSpec spec = services::MakeIntrusionDetectionMlp();
