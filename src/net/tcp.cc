@@ -135,6 +135,14 @@ void TcpStack::Send(ConnId id, uint64_t vaddr, uint64_t bytes, Completion done) 
     }
     return;
   }
+  if (bytes == 0) {
+    // Nothing to acknowledge. Keyed by its end sequence, the completion would
+    // replace the one of the send that ended there before it.
+    if (done) {
+      engine_->ScheduleAfter(0, [cb = std::move(done)]() { cb(true); });
+    }
+    return;
+  }
   Connection& conn = cit->second;
   // Sequence of the first new byte: snd_nxt already covers transmitted data,
   // the backlog extends beyond it.
@@ -146,9 +154,7 @@ void TcpStack::Send(ConnId id, uint64_t vaddr, uint64_t bytes, Completion done) 
   // (held across backlog, in-flight tracking and retransmission).
   axi::BufferView message;
   message.resize(bytes);
-  if (bytes > 0) {
-    svm_->ReadVirtual(vaddr, message.data(), bytes);
-  }
+  svm_->ReadVirtual(vaddr, message.data(), bytes);
   uint64_t off = 0;
   uint32_t seq = conn.snd_nxt + static_cast<uint32_t>(backlog_bytes);
   while (off < bytes) {

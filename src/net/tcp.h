@@ -87,7 +87,8 @@ class TcpStack {
   void Connect(uint32_t remote_ip, uint16_t remote_port, ConnectHandler on_connected);
 
   // Stream send of `bytes` at virtual address `vaddr`. Completion fires when
-  // every byte has been acknowledged by the peer.
+  // every byte has been acknowledged by the peer; a zero-byte send completes
+  // one event later.
   void Send(ConnId conn, uint64_t vaddr, uint64_t bytes, Completion done);
 
   // In-order received bytes are delivered through the handler (chunked at

@@ -234,6 +234,27 @@ TEST_F(TcpTest, MultipleSendsOnOneConnectionStaySequenced) {
   EXPECT_EQ(all, expected);
 }
 
+// A zero-byte send ends at the sequence the send before it ended at, so it
+// must not take over that send's completion: each completes once, ok.
+TEST_F(TcpTest, ZeroByteSendAfterASendCompletesEachOnce) {
+  auto [c, s] = Establish();
+  int sized = 0, empty = 0;
+  bool sized_ok = false, empty_ok = false;
+  client_.Send(c, buf_a_, 4096, [&](bool ok) {
+    ++sized;
+    sized_ok = ok;
+  });
+  client_.Send(c, buf_a_, 0, [&](bool ok) {
+    ++empty;
+    empty_ok = ok;
+  });
+  engine_.RunUntil(engine_.Now() + sim::Milliseconds(2));
+  EXPECT_EQ(sized, 1);
+  EXPECT_TRUE(sized_ok);
+  EXPECT_EQ(empty, 1);
+  EXPECT_TRUE(empty_ok);
+}
+
 TEST_F(TcpTest, CloseAfterSendDeliversEverythingFirst) {
   // Graceful close: the FIN must follow the last queued byte.
   auto [c, s] = Establish();
