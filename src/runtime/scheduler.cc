@@ -1,6 +1,7 @@
 #include "src/runtime/scheduler.h"
 
 #include <algorithm>
+#include <charconv>
 
 namespace coyote {
 namespace runtime {
@@ -75,6 +76,13 @@ void KernelScheduler::NoteDequeued(const Request& request) {
   }
 }
 
+void KernelScheduler::CountTenant(std::string_view prefix, uint32_t tenant) {
+  char key[48];
+  prefix.copy(key, prefix.size());
+  char* end = std::to_chars(key + prefix.size(), key + sizeof(key), tenant).ptr;
+  stats_.Increment(std::string_view(key, static_cast<size_t>(end - key)));
+}
+
 void KernelScheduler::FailRequest(size_t index, OpStatus status, const char* key) {
   Request request = std::move(queue_[index]);
   queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(index));
@@ -136,7 +144,7 @@ void KernelScheduler::Dispatch(size_t request_index, uint32_t vfpga_id) {
   queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(request_index));
   NoteDequeued(request);
   stats_.Increment("sched.dispatched");
-  stats_.Increment("sched.dispatched.tenant" + std::to_string(request.tenant));
+  CountTenant("sched.dispatched.tenant", request.tenant);
 
   RegionState& state = region_state_[vfpga_id];
   state.busy = true;

@@ -22,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/runtime/cthread.h"  // OpStatus: typed failure completions
@@ -78,7 +79,7 @@ class KernelScheduler {
   void Submit(Request request) {
     queue_guard_.Write();
     stats_.Increment("sched.submitted");
-    stats_.Increment("sched.submitted.tenant" + std::to_string(request.tenant));
+    CountTenant("sched.submitted.tenant", request.tenant);
     ++tenant_depth_[request.tenant];
     depth_hist_.Add(queue_.size() + 1);
     queue_.push_back(std::move(request));
@@ -151,6 +152,9 @@ class KernelScheduler {
   // counted under `key`.
   void FailRequest(size_t index, OpStatus status, const char* key);
   void NoteDequeued(const Request& request);
+  // Counts `prefix` followed by the tenant id in decimal. The key is built in
+  // a stack buffer, so a request of a tenant seen before allocates nothing.
+  void CountTenant(std::string_view prefix, uint32_t tenant);
 
   SimDevice* dev_;
   Policy policy_;
