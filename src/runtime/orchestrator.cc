@@ -1,6 +1,7 @@
 #include "src/runtime/orchestrator.h"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <utility>
 
@@ -181,12 +182,28 @@ void Fleet::StartItem(uint32_t node, uint32_t tenant) {
   cluster_.guard(node).Write();
   // One item = one serving envelope: the same request shape the Router ships
   // to node schedulers, here issued directly on the tenant's resident region.
-  std::vector<uint8_t> payload(t->spec.item_bytes);
-  for (uint64_t i = 0; i < t->spec.item_bytes; ++i) {
-    payload[i] = PatternByte(tenant, t->items_done, i);
+  // The fill reads the size and item index from locals, since a byte store
+  // may alias *t. As a byte, i * 7 repeats every 256 bytes and i >> 8 is
+  // fixed within a 256-byte block, so PatternByte(tenant, item, i) is
+  // PatternByte(tenant, item, i % 256) XOR (i >> 8): one row per item, then
+  // each block is the row XOR its block index.
+  const uint64_t bytes = t->spec.item_bytes;
+  const uint64_t item_index = t->items_done;
+  std::array<uint8_t, 256> row;
+  for (uint32_t j = 0; j < row.size(); ++j) {
+    row[j] = PatternByte(tenant, item_index, j);
+  }
+  std::vector<uint8_t> payload(bytes);
+  uint8_t* out = payload.data();
+  for (uint64_t block = 0; block < bytes; block += row.size()) {
+    const uint8_t index = static_cast<uint8_t>(block >> 8);
+    const uint64_t n = std::min<uint64_t>(row.size(), bytes - block);
+    for (uint64_t j = 0; j < n; ++j) {
+      out[block + j] = row[j] ^ index;
+    }
   }
   serving::ServingRequest item;
-  item.id = t->items_done;
+  item.id = item_index;
   item.tenant = tenant;
   item.kernel = kKernelName;
   item.payload = axi::BufferView(std::move(payload));
