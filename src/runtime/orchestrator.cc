@@ -189,7 +189,7 @@ void Fleet::StartItem(uint32_t node, uint32_t tenant) {
   // each block is the row XOR its block index.
   const uint64_t bytes = t->spec.item_bytes;
   const uint64_t item_index = t->items_done;
-  std::array<uint8_t, 256> row;
+  std::array<uint8_t, 256> row{};
   for (uint32_t j = 0; j < row.size(); ++j) {
     row[j] = PatternByte(tenant, item_index, j);
   }

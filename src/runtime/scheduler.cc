@@ -77,7 +77,7 @@ void KernelScheduler::NoteDequeued(const Request& request) {
 }
 
 void KernelScheduler::CountTenant(std::string_view prefix, uint32_t tenant) {
-  char key[48];
+  char key[48] = {};
   prefix.copy(key, prefix.size());
   char* end = std::to_chars(key + prefix.size(), key + sizeof(key), tenant).ptr;
   stats_.Increment(std::string_view(key, static_cast<size_t>(end - key)));
