@@ -280,6 +280,8 @@ TEST_F(SchedulerTest, TracksPerTenantDepthAndQuarantine) {
   dev_->WaitFor([&] { return sched.Idle(); });
   EXPECT_EQ(sched.tenant_depth(7), 0u);  // drained depths return to zero
   EXPECT_EQ(sched.tenant_depth(9), 0u);
+  EXPECT_EQ(sched.stats().value("sched.dispatched.tenant7"), 2u);
+  EXPECT_EQ(sched.stats().value("sched.dispatched.tenant9"), 1u);
 }
 
 }  // namespace
