@@ -1,8 +1,9 @@
 // Fleet resilience tests: checkpoint-driven live migration, chunk-loss
 // retransmission, CRC rejection + rollback, restore-failure rollback,
-// kill-one-node evacuation (from checkpoint and from scratch), priority
-// shedding under capacity pressure, and bit-identical behavior across shard
-// counts and threading modes.
+// rollback when the destination dies mid-migration, kill-one-node evacuation
+// (from checkpoint and from scratch), priority shedding under capacity
+// pressure, and bit-identical behavior across shard counts and threading
+// modes.
 
 #include <gtest/gtest.h>
 
@@ -258,6 +259,33 @@ TEST(OrchestratorTest, RolledBackMigrationReleasesTheDestinationRegion) {
   EXPECT_EQ(records[0].outcome, "rollback.restore");
   EXPECT_EQ(records[1].outcome, "ok");
   EXPECT_EQ(fleet.orchestrator().tenants().at(t).node, 1u);
+}
+
+TEST(OrchestratorTest, DestinationDyingMidMigrationRollsBackToSource) {
+  // Node 1 dies one microsecond before the migration to it starts. It is not
+  // yet declared dead, so the migration begins and its chunks vanish; once
+  // the detector declares node 1, the tenant resumes on its live source.
+  Fleet::Config c = BaseConfig();
+  c.num_nodes = 2;
+  Fleet fleet(c);
+
+  TenantSpec spec;
+  spec.home_node = 0;
+  spec.items_total = 20;
+  const uint32_t t = fleet.AddTenant(spec);
+  fleet.ScheduleKill(sim::Microseconds(149), 1);
+  fleet.ScheduleMigration(sim::Microseconds(150), t, 1);
+
+  ASSERT_TRUE(fleet.Run(sim::Milliseconds(50)));
+  EXPECT_EQ(fleet.tenant_outcome(t), TenantOutcome::kDone);
+  EXPECT_EQ(fleet.tenant_data_hash(t), ExpectedHash(t, spec.items_total, spec.item_bytes));
+  EXPECT_EQ(fleet.orchestrator().rollbacks(), 1u);
+  EXPECT_EQ(fleet.orchestrator().tenants().at(t).node, 0u);
+
+  const MigrationRecord* rec = FindRecord(fleet, t);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->outcome, "rollback.dst_dead");
+  EXPECT_GT(rec->resumed_at, 0u);
 }
 
 // --- Node death and evacuation ------------------------------------------------
