@@ -248,7 +248,7 @@ int RunShardsMode(uint32_t num_shards) {
     const Scenario& s = kScenarios[i];
     const Outcome single = RunScenario(s.mode, kSeed);
     sim::ShardedEngine eng(sim::ShardedEngine::Config{
-        num_shards, sim::Nanoseconds(100), /*mailbox_capacity=*/4096, /*use_threads=*/false});
+        .num_shards = num_shards, .lookahead = sim::Nanoseconds(100), .use_threads = false});
     const Outcome sharded =
         RunScenario(s.mode, kSeed, &eng.shard(static_cast<uint32_t>(i) % num_shards));
     const bool same = single.ok && sharded.ok && single == sharded;

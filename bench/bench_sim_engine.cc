@@ -252,8 +252,8 @@ struct ShardActor {
 };
 
 ShardCaseResult RunShardScaling(uint32_t num_shards) {
-  sim::ShardedEngine eng(
-      sim::ShardedEngine::Config{num_shards, kShardLookahead, 1u << 16, true});
+  sim::ShardedEngine eng(sim::ShardedEngine::Config{
+      .num_shards = num_shards, .lookahead = kShardLookahead, .use_threads = true});
   const std::vector<uint32_t> shard_of =
       runtime::ShardPlacement::RoundRobin(kShardNodes, num_shards);
   for (uint32_t n = 0; n < kShardNodes; ++n) {

@@ -22,18 +22,18 @@ ShardedEngine::ShardedEngine(const Config& config) : config_(config) {
     std::fprintf(stderr, "ShardedEngine: num_shards must be >= 1\n");
     std::abort();
   }
-  if (config_.num_shards > 1 && config_.lookahead == 0) {
+  if (config_.lookahead == 0) {
     // Zero lookahead makes every window degenerate (no event is strictly
     // below its own timestamp) — the conservative protocol cannot make
     // progress. Callers must derive a positive horizon from the model, e.g.
     // net::Network::MinCrossNodeLatencyPs.
-    std::fprintf(stderr, "ShardedEngine: num_shards > 1 requires lookahead > 0\n");
+    std::fprintf(stderr, "ShardedEngine: lookahead must be > 0\n");
     std::abort();
   }
   AccessLedger::Global().ConfigureShards(config_.num_shards);
   shards_.reserve(config_.num_shards);
   for (uint32_t s = 0; s < config_.num_shards; ++s) {
-    auto shard = std::make_unique<Shard>(config_.mailbox_capacity);
+    auto shard = std::make_unique<Shard>();
     shard->engine = std::make_unique<Engine>();
     shards_.push_back(std::move(shard));
   }
@@ -83,12 +83,7 @@ void ShardedEngine::Post(uint32_t dst_shard, TimePs t, Callback cb, uint32_t ord
   ev.src = src;
   ev.seq = shard.next_seq++;
   ev.cb = std::move(cb);
-  if (!shard.outbox.TryPush(std::move(ev))) {
-    // Ring full: spill (same thread, unbounded) and truncate this shard's
-    // window so pressure propagates back deterministically.
-    shard.overflow.push_back(std::move(ev));
-    shard.stall = true;
-  }
+  shard.outbox.push_back(std::move(ev));
 }
 
 void ShardedEngine::RunShardWindow(uint32_t s, TimePs window_end) {
@@ -100,7 +95,7 @@ void ShardedEngine::RunShardWindow(uint32_t s, TimePs window_end) {
   Engine& engine = *shard.engine;
   shard.executed_in_window = 0;
   TimePs t = 0;
-  while (!shard.stall && engine.PeekNextTime(&t) && t < window_end) {
+  while (engine.PeekNextTime(&t) && t < window_end) {
     engine.Step();
     ++shard.executed_in_window;
   }
@@ -156,15 +151,10 @@ void ShardedEngine::DeliverMailboxes() {
   merge_scratch_.clear();
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    shard.outbox.Drain(&merge_scratch_);
-    for (CrossShardEvent& ev : shard.overflow) {
+    for (CrossShardEvent& ev : shard.outbox) {
       merge_scratch_.push_back(std::move(ev));
     }
-    shard.overflow.clear();
-    if (shard.stall) {
-      ++stats_.backpressure_stalls;
-      shard.stall = false;
-    }
+    shard.outbox.clear();
     stats_.lookahead_violations += shard.lookahead_clamps;
     shard.lookahead_clamps = 0;
   }
@@ -179,11 +169,7 @@ void ShardedEngine::DeliverMailboxes() {
                      std::tie(b.time, b.order_key, b.src, b.seq);
             });
   for (CrossShardEvent& ev : merge_scratch_) {
-    Engine& dst = *shards_[ev.dst]->engine;
-    if (dst.Idle()) {
-      ++stats_.idle_wakeups;
-    }
-    dst.ScheduleAt(ev.time, std::move(ev.cb));
+    shards_[ev.dst]->engine->ScheduleAt(ev.time, std::move(ev.cb));
   }
   stats_.cross_shard_messages += merge_scratch_.size();
   merge_scratch_.clear();
@@ -206,14 +192,7 @@ uint64_t ShardedEngine::RunWindows(TimePs deadline) {
     if (!any_pending || next > deadline) {
       break;
     }
-    TimePs window_end;
-    if (num_shards() == 1 && config_.lookahead == 0) {
-      // Degenerate single-shard case: no synchronization needed, run the
-      // whole horizon in one window (matches a plain Engine exactly).
-      window_end = ~TimePs{0};
-    } else {
-      window_end = SaturatingAdd(next, config_.lookahead);
-    }
+    TimePs window_end = SaturatingAdd(next, config_.lookahead);
     if (deadline != kNoDeadline) {
       window_end = std::min(window_end, SaturatingAdd(deadline, 1));
     }

@@ -9,9 +9,9 @@
 //   2. Every shard executes its local events with timestamp strictly below
 //      the window end, in parallel, touching only shard-owned state.
 //   3. Cross-shard interaction goes exclusively through Post(): the event is
-//      placed in the sending shard's bounded SPSC outbox with a delivery time
-//      clamped to at least sender-now + lookahead, so nothing ever needs to
-//      be delivered into the window still executing.
+//      appended to the sending shard's outbox with a delivery time clamped
+//      to at least sender-now + lookahead, so nothing ever needs to be
+//      delivered into the window still executing.
 //   4. At the window barrier the coordinator drains every outbox, sorts the
 //      messages by the MERGE ORDER (below) and schedules them into their
 //      destination shards; then the next window opens.
@@ -28,9 +28,9 @@
 // scheduling — and, when order_key identifies logical nodes, identical
 // across shard counts too. Equal-timestamp messages drained at *different*
 // barriers are ordered by barrier (earlier barrier first); with
-// lookahead-clamped posting and no backpressure truncation, the barrier an
-// event is drained at is itself invariant, which is what makes N-shard runs
-// observably identical to the 1-shard reference.
+// lookahead-clamped posting, the barrier an event is drained at is itself
+// invariant, which is what makes N-shard runs observably identical to the
+// 1-shard reference.
 //
 // Determinism argument, in full (see DESIGN.md "Sharded PDES engine"):
 //   - each shard's Engine orders events by (time, insertion seq) — FIFO among
@@ -44,12 +44,6 @@
 // Lookahead comes from the modeled inter-node link latency: no frame can
 // cross the simulated switch in less than net::Network::MinCrossNodeLatencyPs,
 // so node-partitioned simulations get that much conservative slack for free.
-//
-// Backpressure: when a shard's outbox ring fills, the overflowing message
-// spills to an unbounded same-thread list and the shard's current window is
-// truncated (it simply stops early; unexecuted events stay queued for the
-// next window). Truncation depends only on the shard's own deterministic
-// event stream, so runs remain bit-identical for a fixed configuration.
 
 #ifndef SRC_SIM_SHARDED_ENGINE_H_
 #define SRC_SIM_SHARDED_ENGINE_H_
@@ -67,7 +61,6 @@
 #include "src/sim/access_guard.h"
 #include "src/sim/callback.h"
 #include "src/sim/engine.h"
-#include "src/sim/mailbox.h"
 #include "src/sim/time.h"
 
 namespace coyote {
@@ -79,13 +72,10 @@ class ShardedEngine {
 
   struct Config {
     uint32_t num_shards = 1;
-    // Conservative synchronization horizon. Must be > 0 when num_shards > 1;
-    // derive it from the modeled inter-node link latency
-    // (net::Network::MinCrossNodeLatencyPs) for node-partitioned simulations.
+    // Conservative synchronization horizon. Must be > 0; derive it from the
+    // modeled inter-node link latency (net::Network::MinCrossNodeLatencyPs)
+    // for node-partitioned simulations.
     TimePs lookahead = 0;
-    // Per-source-shard outbox ring capacity (messages per window before the
-    // backpressure policy truncates the window).
-    size_t mailbox_capacity = 4096;
     // false: run every shard's window sequentially on the calling thread —
     // the reference mode conformance tests compare against to prove results
     // do not depend on thread scheduling.
@@ -98,11 +88,9 @@ class ShardedEngine {
     // Posts whose requested delivery time violated the lookahead contract
     // and were clamped forward to sender-now + lookahead.
     uint64_t lookahead_violations = 0;
-    // Windows truncated because an outbox ring filled.
+    // Always 0: outboxes are unbounded and never truncate a window, so
+    // nothing increments it. Kept only for readers that still report it.
     uint64_t backpressure_stalls = 0;
-    // Deliveries into a shard that had no pending events (an idle shard
-    // woken across the horizon).
-    uint64_t idle_wakeups = 0;
   };
 
   explicit ShardedEngine(const Config& config);
@@ -142,7 +130,7 @@ class ShardedEngine {
   uint64_t RunUntil(TimePs deadline);
 
   bool Idle() const;
-  // Sum over shards (mailboxes are always empty between runs).
+  // Sum over shards (outboxes are always empty between runs).
   uint64_t events_executed() const;
   const Stats& stats() const { return stats_; }
 
@@ -157,13 +145,12 @@ class ShardedEngine {
   };
 
   struct Shard {
-    explicit Shard(size_t mailbox_capacity) : outbox(mailbox_capacity) {}
     std::unique_ptr<Engine> engine;
-    // Written only by this shard's worker during a window; drained only by
-    // the coordinator at the barrier.
-    SpscMailbox<CrossShardEvent> outbox;
-    std::vector<CrossShardEvent> overflow;  // spill when the ring fills
-    bool stall = false;                     // truncate this window (backpressure)
+    // Appended only by this shard's worker during a window; drained only by
+    // the coordinator after the barrier, which orders the two phases. The
+    // drain's clear() keeps the capacity, so steady-state posting does not
+    // allocate.
+    std::vector<CrossShardEvent> outbox;
     uint64_t next_seq = 0;
     uint64_t lookahead_clamps = 0;
     uint64_t executed_in_window = 0;

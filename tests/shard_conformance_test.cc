@@ -94,7 +94,8 @@ class Cluster {
 
   Cluster(uint32_t num_nodes, uint32_t num_shards, bool use_threads, Handler handler)
       : shard_of_(runtime::ShardPlacement::RoundRobin(num_nodes, num_shards)),
-        engine_(sim::ShardedEngine::Config{num_shards, kLink, 4096, use_threads}),
+        engine_(sim::ShardedEngine::Config{
+            .num_shards = num_shards, .lookahead = kLink, .use_threads = use_threads}),
         logs_(num_nodes),
         handler_(std::move(handler)) {}
 
@@ -275,9 +276,8 @@ void ExpectConformance(const char* scenario,
                                     << " threads=" << threads;
       EXPECT_EQ(got.events, ref.events) << scenario << " shards=" << shards;
       EXPECT_EQ(got.stats.lookahead_violations, 0u) << scenario;
-      EXPECT_EQ(got.stats.backpressure_stalls, 0u) << scenario;
       if (shards > 1) {
-        // The partitioning must actually exercise the mailbox path.
+        // The partitioning must actually exercise the Post path.
         EXPECT_GT(got.stats.cross_shard_messages, 0u) << scenario << " shards=" << shards;
       }
     }
@@ -424,8 +424,8 @@ TEST(ShardConformanceTest, RealStackReplicasMatchPlainEngineReference) {
     for (bool threads : {false, true}) {
       ledger.Reset();
       ledger.set_enabled(true);
-      sim::ShardedEngine eng(
-          sim::ShardedEngine::Config{shards, sim::Nanoseconds(500), 4096, threads});
+      sim::ShardedEngine eng(sim::ShardedEngine::Config{
+          .num_shards = shards, .lookahead = sim::Nanoseconds(500), .use_threads = threads});
       std::vector<std::unique_ptr<Replica>> replicas;
       for (uint32_t s = 0; s < shards; ++s) {
         replicas.push_back(

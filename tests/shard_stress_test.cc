@@ -1,12 +1,12 @@
 // Sharded-engine stress suite: the edges of the conservative protocol.
 //
 // Each case drives the coordinator into a corner the conformance suite
-// deliberately avoids — lookahead-violating posts, mailbox exhaustion, idle
-// shards woken across the horizon, shards with no work at all — and checks
-// the outcome against an analytic expectation AND against the sequential
-// (single-thread, use_threads=false) execution of the identical program,
-// which is the reference model: whatever the worker threads do, the result
-// must be what the one-thread interleaving produces.
+// deliberately avoids — lookahead-violating posts, bursts of thousands of
+// posts in one callback, idle shards woken across the horizon, shards with no
+// work at all — and checks the outcome against an analytic expectation AND
+// against the sequential (single-thread, use_threads=false) execution of the
+// identical program, which is the reference model: whatever the worker
+// threads do, the result must be what the one-thread interleaving produces.
 
 #include <gtest/gtest.h>
 
@@ -42,7 +42,8 @@ struct ClampResult {
 
 ClampResult RunClampCase(bool threads) {
   constexpr TimePs kLa = Nanoseconds(100);
-  ShardedEngine eng(ShardedEngine::Config{2, kLa, 4096, threads});
+  ShardedEngine eng(
+      ShardedEngine::Config{.num_shards = 2, .lookahead = kLa, .use_threads = threads});
   auto log = std::make_shared<std::vector<Delivery>>();
   // Three posting events on shard 0; each tries to deliver *at its own
   // timestamp* — impossible under conservative sync.
@@ -74,49 +75,57 @@ TEST(ShardStressTest, ZeroLookaheadPostsAreClampedAndCounted) {
   EXPECT_EQ(thr.stats.lookahead_violations, seq.stats.lookahead_violations);
 }
 
-// --- Mailbox backpressure ----------------------------------------------------
-// One callback floods a 4-slot outbox with 64 posts: 4 ride the ring, 60
-// spill, the window is marked stalled — and every message still arrives, in
-// exact sequence order (same time + same order key -> seq tie-break).
+// --- One sender's burst and another's post at the same instant ----------------
+// Logical nodes 0 (sender A, order key 1), 1 (sender B, order key 0) and 2
+// (the receiver) live on shard n % N. At 1 us, A posts 5,000 messages and B
+// posts one, all for the same delivery time. The merge order puts B's
+// message first, then A's burst in send order, at every shard count: the
+// burst's size must not move B's post to a later barrier.
 
-struct FloodResult {
-  std::vector<uint64_t> order_at_b;
-  ShardedEngine::Stats stats;
-};
+constexpr uint64_t kBurst = 5000;
+constexpr uint64_t kFromB = ~uint64_t{0};
 
-FloodResult RunFloodCase(bool threads) {
-  constexpr TimePs kLa = Nanoseconds(100);
-  constexpr uint64_t kMessages = 64;
-  ShardedEngine eng(ShardedEngine::Config{2, kLa, /*mailbox_capacity=*/4, threads});
-  auto order = std::make_shared<std::vector<uint64_t>>();
-  eng.ScheduleOn(0, Microseconds(1), [&eng, order] {
-    const TimePs t = eng.shard(0).Now() + Nanoseconds(100);
-    for (uint64_t i = 0; i < kMessages; ++i) {
-      eng.Post(1, t, [order, i] { order->push_back(i); });
+std::vector<Delivery> RunBurstCase(uint32_t num_shards, bool threads) {
+  constexpr TimePs kDeliverAt = Microseconds(2);
+  ShardedEngine eng(ShardedEngine::Config{
+      .num_shards = num_shards, .lookahead = Nanoseconds(100), .use_threads = threads});
+  auto log = std::make_shared<std::vector<Delivery>>();
+  const uint32_t rx = 2 % num_shards;
+  auto send = [&eng, log, rx](uint32_t order_key, uint64_t value) {
+    eng.Post(
+        rx, kDeliverAt,
+        [&eng, log, rx, value] { log->push_back(Delivery{eng.shard(rx).Now(), value}); },
+        order_key);
+  };
+  // A is scheduled first, so on a shared shard A's burst runs before B.
+  eng.ScheduleOn(0 % num_shards, Microseconds(1), [send] {
+    for (uint64_t i = 0; i < kBurst; ++i) {
+      send(/*order_key=*/1, i);
     }
   });
+  eng.ScheduleOn(1 % num_shards, Microseconds(1), [send] { send(/*order_key=*/0, kFromB); });
   eng.RunUntilIdle();
-  return FloodResult{*order, eng.stats()};
+  return *log;
 }
 
-TEST(ShardStressTest, MailboxBackpressureSpillsWithoutLossOrReorder) {
-  const FloodResult seq = RunFloodCase(false);
-  ASSERT_EQ(seq.order_at_b.size(), 64u);
-  for (uint64_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(seq.order_at_b[i], i);  // FIFO among equal (time, order_key)
+TEST(ShardStressTest, BurstLargerThanTheOldRingKeepsMergeOrderAtEveryShardCount) {
+  std::vector<Delivery> want = {Delivery{Microseconds(2), kFromB}};
+  for (uint64_t i = 0; i < kBurst; ++i) {
+    want.push_back(Delivery{Microseconds(2), i});
   }
-  EXPECT_EQ(seq.stats.cross_shard_messages, 64u);
-  EXPECT_GE(seq.stats.backpressure_stalls, 1u);
-
-  const FloodResult thr = RunFloodCase(true);
-  EXPECT_EQ(thr.order_at_b, seq.order_at_b);
-  EXPECT_EQ(thr.stats.backpressure_stalls, seq.stats.backpressure_stalls);
+  for (uint32_t shards : {1u, 2u, 3u}) {
+    for (bool threads : {false, true}) {
+      const std::vector<Delivery> got = RunBurstCase(shards, threads);
+      ASSERT_EQ(got.size(), want.size()) << "shards=" << shards << " threads=" << threads;
+      EXPECT_EQ(got.front(), want.front()) << "shards=" << shards << " threads=" << threads;
+      EXPECT_TRUE(got == want) << "shards=" << shards << " threads=" << threads;
+    }
+  }
 }
 
-// Sustained bursts: many windows in a row each overflow the ring, from two
-// competing source shards. Every window must spill and recover; nothing may
-// be lost, and the merge order must stay exact — per source FIFO by send
-// sequence, across sources by order key.
+// Sustained bursts: many windows in a row each carry a burst from two
+// competing source shards. Nothing may be lost, and the merge order must stay
+// exact — per source FIFO by send sequence, across sources by order key.
 
 struct SustainedResult {
   // (order_key, payload) in delivery order at the destination shard.
@@ -127,8 +136,9 @@ struct SustainedResult {
 SustainedResult RunSustainedBurstCase(bool threads) {
   constexpr TimePs kLa = Nanoseconds(100);
   constexpr uint64_t kRounds = 12;
-  constexpr uint64_t kPerRound = 24;  // 6x the ring per source per round
-  ShardedEngine eng(ShardedEngine::Config{3, kLa, /*mailbox_capacity=*/4, threads});
+  constexpr uint64_t kPerRound = 24;
+  ShardedEngine eng(
+      ShardedEngine::Config{.num_shards = 3, .lookahead = kLa, .use_threads = threads});
   auto seen = std::make_shared<std::vector<std::pair<uint64_t, uint64_t>>>();
   // Shards 0 and 1 each fire a burst at shard 2 every microsecond; both
   // bursts in one round target the SAME delivery timestamp, so ordering
@@ -150,7 +160,7 @@ SustainedResult RunSustainedBurstCase(bool threads) {
   return SustainedResult{*seen, eng.stats()};
 }
 
-TEST(ShardStressTest, SustainedCrossShardBurstsSpillEveryWindowWithoutLoss) {
+TEST(ShardStressTest, SustainedCrossShardBurstsArriveInOrderWithoutLoss) {
   const SustainedResult seq = RunSustainedBurstCase(false);
   ASSERT_EQ(seq.deliveries.size(), 12u * 24u * 2u);  // zero event loss
 
@@ -168,21 +178,18 @@ TEST(ShardStressTest, SustainedCrossShardBurstsSpillEveryWindowWithoutLoss) {
     }
   }
   EXPECT_EQ(seq.stats.cross_shard_messages, 12u * 24u * 2u);
-  // Each round overflows both 4-slot rings: the spill path is not a one-off,
-  // it sustains for the whole run.
-  EXPECT_GE(seq.stats.backpressure_stalls, 12u);
 
   const SustainedResult thr = RunSustainedBurstCase(true);
   EXPECT_EQ(thr.deliveries, seq.deliveries);
   EXPECT_EQ(thr.stats.cross_shard_messages, seq.stats.cross_shard_messages);
-  EXPECT_EQ(thr.stats.backpressure_stalls, seq.stats.backpressure_stalls);
 }
 
 // --- Idle shard woken across the horizon -------------------------------------
 
 TEST(ShardStressTest, IdleShardIsWokenAcrossTheHorizon) {
   for (bool threads : {false, true}) {
-    ShardedEngine eng(ShardedEngine::Config{2, Nanoseconds(200), 4096, threads});
+    ShardedEngine eng(ShardedEngine::Config{
+        .num_shards = 2, .lookahead = Nanoseconds(200), .use_threads = threads});
     auto fired = std::make_shared<std::vector<Delivery>>();
     // Shard 1 has NO events of its own; the only thing that can ever make it
     // run is a cross-shard delivery.
@@ -194,7 +201,6 @@ TEST(ShardStressTest, IdleShardIsWokenAcrossTheHorizon) {
     eng.RunUntilIdle();
     ASSERT_EQ(fired->size(), 1u) << "threads=" << threads;
     EXPECT_EQ(fired->front(), (Delivery{Microseconds(50), 7}));
-    EXPECT_GE(eng.stats().idle_wakeups, 1u);
     EXPECT_EQ(eng.shard(1).Now(), Microseconds(50));
   }
 }
@@ -212,7 +218,8 @@ RingResult RunRing(uint32_t num_shards, bool threads) {
   constexpr uint32_t kNodes = 3;
   constexpr uint64_t kHops = 30;
   constexpr TimePs kHop = Nanoseconds(700);
-  ShardedEngine eng(ShardedEngine::Config{num_shards, Nanoseconds(700), 4096, threads});
+  ShardedEngine eng(ShardedEngine::Config{
+      .num_shards = num_shards, .lookahead = Nanoseconds(700), .use_threads = threads});
   auto log = std::make_shared<std::vector<Delivery>>();
 
   // The token's journey is a chain of posts; node n lives on shard
@@ -259,7 +266,8 @@ TEST(ShardStressTest, MoreShardsThanNodesMatchesSingleShard) {
 
 TEST(ShardStressTest, EqualTimestampMergeFollowsSpecifiedOrder) {
   for (bool threads : {false, true}) {
-    ShardedEngine eng(ShardedEngine::Config{4, Nanoseconds(100), 4096, threads});
+    ShardedEngine eng(ShardedEngine::Config{
+        .num_shards = 4, .lookahead = Nanoseconds(100), .use_threads = threads});
     auto arrivals = std::make_shared<std::vector<uint64_t>>();
     constexpr TimePs kT = Microseconds(2);
     for (uint32_t s = 0; s < 4; ++s) {
@@ -319,12 +327,14 @@ TEST(ShardStressTest, DeadlineChunkingMatchesSingleRun) {
     }
   };
 
-  ShardedEngine whole(ShardedEngine::Config{2, Nanoseconds(300), 4096, true});
+  const ShardedEngine::Config config{
+      .num_shards = 2, .lookahead = Nanoseconds(300), .use_threads = true};
+  ShardedEngine whole(config);
   auto whole_logs = std::make_shared<ShardLogs>();
   build(whole, whole_logs);
   const uint64_t whole_events = whole.RunUntilIdle();
 
-  ShardedEngine chunked(ShardedEngine::Config{2, Nanoseconds(300), 4096, true});
+  ShardedEngine chunked(config);
   auto chunked_logs = std::make_shared<ShardLogs>();
   build(chunked, chunked_logs);
   uint64_t chunked_events = 0;
@@ -338,15 +348,20 @@ TEST(ShardStressTest, DeadlineChunkingMatchesSingleRun) {
 
 // --- Contract violations abort -----------------------------------------------
 
-TEST(ShardStressDeathTest, MultiShardWithZeroLookaheadAborts) {
-  EXPECT_DEATH(ShardedEngine eng(ShardedEngine::Config{4, 0, 4096, false}),
-               "lookahead");
+TEST(ShardStressDeathTest, ZeroLookaheadAbortsAtAnyShardCount) {
+  for (uint32_t shards : {1u, 4u}) {
+    EXPECT_DEATH(ShardedEngine eng(ShardedEngine::Config{
+                     .num_shards = shards, .lookahead = 0, .use_threads = false}),
+                 "lookahead")
+        << "shards=" << shards;
+  }
 }
 
 TEST(ShardStressDeathTest, PostOutsideShardContextAborts) {
   EXPECT_DEATH(
       {
-        ShardedEngine eng(ShardedEngine::Config{2, Nanoseconds(100), 4096, false});
+        ShardedEngine eng(ShardedEngine::Config{
+            .num_shards = 2, .lookahead = Nanoseconds(100), .use_threads = false});
         eng.Post(1, Microseconds(1), [] {});
       },
       "outside a shard");
