@@ -9,9 +9,8 @@
 // Context rules: seeded fixture files (tests/analyzer_fixtures/) prove each
 // rule class fires *through* helper frames and reports the correct
 // call-chain trace; a golden clean-repo test pins the repo-wide report the
-// analyze_repo gate and CI artifact rely on; in-memory sources exercise the
-// index cache (round-trip, stale-entry invalidation, rejection of a cache
-// another tool build wrote or with a malformed record) and primitive-site
+// analyze_repo gate and CI artifact rely on; in-memory sources pin down a
+// callback's direct blocking call, braced-list range-fors and primitive-site
 // suppressions.
 //
 // The fixture helpers (LintFixture/LintSnippet, AnalyzeFixture) narrow to
@@ -22,8 +21,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -63,7 +60,7 @@ std::vector<Finding> LintProject(const std::vector<SourceFile>& files, const Opt
 std::vector<Finding> LintPaths(const std::string& root_dir,
                                const std::vector<std::string>& relative_paths,
                                const Options& options) {
-  return Analyze(IndexPaths(root_dir, relative_paths, ""),
+  return Analyze(IndexPaths(root_dir, relative_paths),
                  options.rules.empty() ? kFileRules : options);
 }
 
@@ -310,7 +307,7 @@ TEST(LintRepo, WholeTreeIsClean) {
 // ===========================================================================
 
 std::vector<Finding> AnalyzeFixture(const std::string& name) {
-  const Index index = IndexPaths(ANALYZER_FIXTURE_DIR, {name}, "");
+  const Index index = IndexPaths(ANALYZER_FIXTURE_DIR, {name});
   return Analyze(index, kContextRules);
 }
 
@@ -450,153 +447,41 @@ TEST(AnalyzerRepo, WholeRepoSrcIsCleanAndReportIsStable) {
   // the report is byte-stable: the golden empty report.
   const auto files = frontend::CollectFiles(PROJECT_SOURCE_DIR, {"src"});
   ASSERT_FALSE(files.empty());
-  const Index index = IndexPaths(PROJECT_SOURCE_DIR, files, "");
+  const Index index = IndexPaths(PROJECT_SOURCE_DIR, files);
   const auto findings = Analyze(index, Options{});
   EXPECT_EQ(FormatReport(findings), "coyote_analyze: 0 findings\n") << FormatReport(findings);
 }
 
-// --- Index cache ------------------------------------------------------------
+// --- In-memory sources -------------------------------------------------------
 
 const char kSinkDecl[] =
     "class E {\n public:\n  void ScheduleAt(long when, void (*fn)());\n};\n";
 
-TEST(AnalyzerIndexCache, RoundTripPreservesFindings) {
+TEST(AnalyzerInMemory, BlockingCallInACallbackLambdaIsOneFinding) {
   const std::vector<SourceFile> files = {
       {"alpha.cc", std::string(kSinkDecl) + "void Arm(E& e) { e.ScheduleAt(1, [] { usleep(5); }); }\n"}};
-  const Index built = BuildIndex(files);
-  const auto before = Analyze(built, kContextRules);
-  ASSERT_EQ(before.size(), 1u) << FormatReport(before);
-  EXPECT_EQ(before[0].rule, "callback-blocking");
-
-  const std::string path = ::testing::TempDir() + "coyote_analyze_cache_test.index";
-  ASSERT_TRUE(SaveIndex(built, path));
-  Index loaded;
-  ASSERT_TRUE(LoadIndex(path, &loaded));
-  const auto after = Analyze(loaded, kContextRules);
-  EXPECT_EQ(FormatReport(after), FormatReport(before));
+  const auto findings = Analyze(BuildIndex(files), kContextRules);
+  ASSERT_EQ(findings.size(), 1u) << FormatReport(findings);
+  EXPECT_EQ(findings[0].rule, "callback-blocking");
 }
 
 // A range-for over a braced list names no container, so it is no iteration
-// site; the loops after it and the next file must survive a save and load.
-const std::vector<SourceFile> kLiteralListLoops = {
-    {"src/sim/alpha.cc",
-     "std::unordered_map<int, int> table;\n"
-     "int Sum() {\n"
-     "  int s = 0;\n"
-     "  for (int n : {1, 2}) { s += n; }\n"
-     "  for (const auto& kv : table) { s += kv.second; }\n"
-     "  return s;\n"
-     "}\n"},
-    {"src/sim/beta.cc", "void Beta(std::unordered_set<int>& u) { for (int x : u) { Use(x); } }\n"}};
-
-TEST(AnalyzerIndexCache, LiteralListLoopRoundTripsWithTheLoopsAfterIt) {
-  const Index built = BuildIndex(kLiteralListLoops);
-  const auto before = Analyze(built, Options{});
-  ASSERT_EQ(before.size(), 4u) << FormatReport(before);
-  EXPECT_TRUE(HasRuleAtLine(before, "unordered-iter", 5)) << FormatReport(before);
-  EXPECT_TRUE(HasRuleAtLine(before, "sim-nondet", 5)) << FormatReport(before);
-
-  const std::string path = ::testing::TempDir() + "coyote_analyze_literal_list.index";
-  ASSERT_TRUE(SaveIndex(built, path));
-  Index loaded;
-  ASSERT_TRUE(LoadIndex(path, &loaded));
-  ASSERT_EQ(loaded.files.size(), 2u);
-  EXPECT_EQ(FormatReport(Analyze(loaded, Options{})), FormatReport(before));
-}
-
-TEST(AnalyzerIndexCache, StaleEntriesAreReindexedUnchangedOnesReused) {
+// site; the loops after it and in the next file still are.
+TEST(AnalyzerInMemory, LiteralListLoopIsSkippedAndTheLoopsAfterItAreNot) {
   const std::vector<SourceFile> files = {
-      {"alpha.cc", std::string(kSinkDecl) + "void Arm(E& e) { e.ScheduleAt(1, [] { usleep(5); }); }\n"}};
-  const Index built = BuildIndex(files);
-
-  // Unchanged content: the cached FileIndex is reused verbatim.
-  const Index reused = BuildIndexCached(files, built);
-  EXPECT_EQ(FormatReport(Analyze(reused, Options{})),
-            FormatReport(Analyze(built, Options{})));
-
-  // Changed content (the blocking call is gone): the stale entry must be
-  // re-indexed, not served from the cache.
-  const std::vector<SourceFile> edited = {
-      {"alpha.cc", std::string(kSinkDecl) + "void Arm(E& e) { e.ScheduleAt(1, [] { Step(); }); }\nvoid Step();\n"}};
-  const Index refreshed = BuildIndexCached(edited, built);
-  EXPECT_EQ(FormatReport(Analyze(refreshed, Options{})), "coyote_analyze: 0 findings\n");
-}
-
-TEST(AnalyzerIndexCache, CacheWrittenByAnotherToolBuildIsRejectedAndRebuilt) {
-  // A cached entry whose content hash still matches but whose facts came
-  // from another build of the indexer — here one that found nothing.
-  const std::string name = "nondet_two_deep.cc";
-  const std::string expected =
-      FormatReport(Analyze(IndexPaths(ANALYZER_FIXTURE_DIR, {name}, ""), Options{}));
-  ASSERT_NE(expected, "coyote_analyze: 0 findings\n");
-  Index stale;
-  stale.files.push_back(IndexPaths(ANALYZER_FIXTURE_DIR, {name}, "").files.front());
-  stale.files.front().functions.clear();
-  stale.files.front().findings.clear();
-  stale.files.front().iters.clear();
-  const std::string path = ::testing::TempDir() + "coyote_analyze_foreign.index";
-
-  // The content hash alone cannot tell: under this tool's header the stale
-  // entry is served.
-  ASSERT_TRUE(SaveIndex(stale, path));
-  EXPECT_EQ(FormatReport(Analyze(IndexPaths(ANALYZER_FIXTURE_DIR, {name}, path), Options{})),
-            "coyote_analyze: 0 findings\n");
-
-  // The same cache under another tool's header is rejected, rebuilt and
-  // saved again.
-  ASSERT_TRUE(SaveIndex(stale, path));
-  std::string body;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::string header;
-    std::getline(in, header);
-    std::ostringstream rest;
-    rest << in.rdbuf();
-    body = rest.str();
-  }
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "coyote-analyze-index 0\n" << body;
-  }
-  Index loaded;
-  EXPECT_FALSE(LoadIndex(path, &loaded));
-  EXPECT_EQ(FormatReport(Analyze(IndexPaths(ANALYZER_FIXTURE_DIR, {name}, path), Options{})),
-            expected);
-  ASSERT_TRUE(LoadIndex(path, &loaded));
-  EXPECT_EQ(FormatReport(Analyze(loaded, Options{})), expected);
-}
-
-TEST(AnalyzerIndexCache, LoadRejectsMissingAndMalformedCaches) {
-  Index out;
-  EXPECT_FALSE(LoadIndex(::testing::TempDir() + "does_not_exist.index", &out));
-  const std::string path = ::testing::TempDir() + "coyote_analyze_malformed.index";
-  {
-    FILE* fp = fopen(path.c_str(), "w");
-    ASSERT_NE(fp, nullptr);
-    fputs("not-an-index v999\n", fp);
-    fclose(fp);
-  }
-  EXPECT_FALSE(LoadIndex(path, &out));
-
-  // A malformed record mid-file: nothing loads, not the files before it.
-  ASSERT_TRUE(SaveIndex(BuildIndex(kLiteralListLoops), path));
-  std::string text;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream all;
-    all << in.rdbuf();
-    text = all.str();
-  }
-  const size_t second = text.find("file ", text.find("file ") + 1);
-  ASSERT_NE(second, std::string::npos);
-  text.insert(second, "it 4 -1 0 0 -\n");  // an iteration record with no names
-  {
-    std::ofstream out_file(path, std::ios::binary | std::ios::trunc);
-    out_file << text;
-  }
-  out = BuildIndex(kLiteralListLoops);
-  EXPECT_FALSE(LoadIndex(path, &out));
-  EXPECT_TRUE(out.files.empty());
+      {"src/sim/alpha.cc",
+       "std::unordered_map<int, int> table;\n"
+       "int Sum() {\n"
+       "  int s = 0;\n"
+       "  for (int n : {1, 2}) { s += n; }\n"
+       "  for (const auto& kv : table) { s += kv.second; }\n"
+       "  return s;\n"
+       "}\n"},
+      {"src/sim/beta.cc", "void Beta(std::unordered_set<int>& u) { for (int x : u) { Use(x); } }\n"}};
+  const auto findings = Analyze(BuildIndex(files), Options{});
+  ASSERT_EQ(findings.size(), 4u) << FormatReport(findings);
+  EXPECT_TRUE(HasRuleAtLine(findings, "unordered-iter", 5)) << FormatReport(findings);
+  EXPECT_TRUE(HasRuleAtLine(findings, "sim-nondet", 5)) << FormatReport(findings);
 }
 
 // --- Suppressions at the primitive site -------------------------------------

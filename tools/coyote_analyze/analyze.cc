@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <deque>
-#include <fstream>
 #include <sstream>
 
-#include "src/sim/hash.h"
 #include "tools/coyote_analyze/frontend.h"
 
 namespace coyote {
@@ -229,7 +227,7 @@ bool RangeForNames(const std::vector<Token>& toks, size_t i, std::vector<std::st
 
 // ---------------------------------------------------------------------------
 // Per-file rules. Each judges one file from its own tokens and path; the
-// findings are stored in the file's index entry (and so cached with it).
+// findings are stored in the file's index entry.
 // ---------------------------------------------------------------------------
 
 struct FileCtx {
@@ -1220,7 +1218,6 @@ Index BuildIndex(const std::vector<SourceFile>& files) {
   for (const SourceFile& f : files) {
     FileIndex fi;
     fi.path = f.first;
-    fi.fnv = sim::FnvHash(f.second.data(), f.second.size());
     const LexedFile lexed = frontend::Lex(f.second);
     Indexer(fi.path, lexed, &fi).Run();
     CollectUnorderedNames(lexed, &fi.unordered_names);
@@ -1239,37 +1236,8 @@ Index BuildIndex(const std::vector<SourceFile>& files) {
   return index;
 }
 
-Index BuildIndexCached(const std::vector<SourceFile>& files, const Index& cached) {
-  std::map<std::string, const FileIndex*> by_path;
-  for (const FileIndex& fi : cached.files) {
-    by_path[fi.path] = &fi;
-  }
-  Index index;
-  index.files.reserve(files.size());
-  for (const SourceFile& f : files) {
-    auto it = by_path.find(f.first);
-    if (it != by_path.end() && it->second->fnv == sim::FnvHash(f.second.data(), f.second.size())) {
-      index.files.push_back(*it->second);
-      continue;
-    }
-    Index one = BuildIndex({f});
-    index.files.push_back(std::move(one.files.front()));
-  }
-  return index;
-}
-
-Index IndexPaths(const std::string& root_dir, const std::vector<std::string>& relative_paths,
-                 const std::string& cache_path) {
-  const auto files = frontend::ReadFiles(root_dir, relative_paths);
-  Index cached;
-  if (!cache_path.empty()) {
-    LoadIndex(cache_path, &cached);
-  }
-  Index index = cached.files.empty() ? BuildIndex(files) : BuildIndexCached(files, cached);
-  if (!cache_path.empty()) {
-    SaveIndex(index, cache_path);
-  }
-  return index;
+Index IndexPaths(const std::string& root_dir, const std::vector<std::string>& relative_paths) {
+  return BuildIndex(frontend::ReadFiles(root_dir, relative_paths));
 }
 
 // ---------------------------------------------------------------------------
@@ -1646,235 +1614,6 @@ std::string FormatReport(const std::vector<Finding>& findings) {
   out << "coyote_analyze: " << findings.size() << " finding"
       << (findings.size() == 1 ? "" : "s") << "\n";
   return out.str();
-}
-
-// ---------------------------------------------------------------------------
-// Index cache: line-oriented text serialization. Identifiers and paths carry
-// no spaces, so fields are space-separated with free text (primitive detail,
-// finding message) or a name list last on the line. "-" encodes an empty
-// string field.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// The first line names the tool that wrote the cache: an FNV-1a over the
-// running executable, so any rebuild of the indexer, its rules or their
-// vocabulary invalidates every entry. Empty (no cache) when the executable
-// can't be read.
-const std::string& CacheHeader() {
-  static const std::string header = [] {
-    std::ifstream exe("/proc/self/exe", std::ios::binary);
-    std::ostringstream image;
-    image << exe.rdbuf();
-    const std::string bytes = image.str();
-    if (bytes.empty()) {
-      return std::string();
-    }
-    std::ostringstream h;
-    h << "coyote-analyze-index " << std::hex << sim::FnvHash(bytes.data(), bytes.size());
-    return h.str();
-  }();
-  return header;
-}
-
-std::string Enc(const std::string& s) { return s.empty() ? "-" : s; }
-std::string Dec(const std::string& s) { return s == "-" ? "" : s; }
-
-// The free text ending a line.
-std::string ReadRest(std::istringstream& ls) {
-  std::string rest;
-  std::getline(ls, rest);
-  if (!rest.empty() && rest.front() == ' ') {
-    rest.erase(rest.begin());
-  }
-  return rest;
-}
-
-// The records after the header line; false at the first malformed one.
-bool ReadEntries(std::istream& in, Index* index) {
-  FileIndex* fi = nullptr;
-  ClassInfo* cls = nullptr;
-  FunctionInfo* fn = nullptr;
-  for (std::string line; std::getline(in, line);) {
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    if (tag == "file") {
-      index->files.emplace_back();
-      fi = &index->files.back();
-      cls = nullptr;
-      fn = nullptr;
-      ls >> fi->fnv >> fi->path;
-    } else if (fi == nullptr) {
-      return false;
-    } else if (tag == "un") {
-      std::string name;
-      ls >> name;
-      fi->unordered_names.push_back(name);
-    } else if (tag == "fd") {
-      Finding f;
-      f.file = fi->path;
-      if (!(ls >> f.line >> f.rule)) {
-        return false;
-      }
-      f.message = ReadRest(ls);  // free text reads to the end of the line
-      fi->findings.push_back(std::move(f));
-      continue;
-    } else if (tag == "it") {
-      IterSite s;
-      std::string call;
-      if (!(ls >> s.line >> s.fn >> s.ordered_ok >> s.sim_nondet_ok >> call)) {
-        return false;
-      }
-      s.call = Dec(call);
-      for (std::string name; ls >> name;) {  // the name list reads to the end of the line
-        s.names.push_back(name);
-      }
-      if (s.names.empty() || s.fn < -1 || s.fn >= static_cast<int>(fi->functions.size())) {
-        return false;
-      }
-      fi->iters.push_back(std::move(s));
-      continue;
-    } else if (tag == "gl") {
-      GlobalInfo gl;
-      ls >> gl.line >> gl.suppressed >> gl.has_reason >> gl.name;
-      fi->globals.push_back(gl);
-    } else if (tag == "cl") {
-      ClassInfo ci;
-      std::string name;
-      ls >> ci.line >> ci.has_access_guard >> name;
-      ci.name = Dec(name);
-      ci.file = fi->path;
-      fi->classes.push_back(ci);
-      cls = &fi->classes.back();
-      fn = nullptr;
-    } else if (tag == "mb") {
-      if (cls == nullptr) {
-        return false;
-      }
-      MemberInfo m;
-      ls >> m.line >> m.suppressed >> m.has_reason >> m.name;
-      cls->container_members.push_back(m);
-    } else if (tag == "fn") {
-      FunctionInfo f;
-      std::string root, class_name;
-      ls >> f.line >> f.is_lambda >> root >> class_name >> f.short_name >> f.name;
-      f.root = Dec(root);
-      f.class_name = Dec(class_name);
-      f.file = fi->path;
-      fi->functions.push_back(std::move(f));
-      fn = &fi->functions.back();
-      cls = nullptr;
-    } else if (tag == "ca") {
-      if (fn == nullptr) {
-        return false;
-      }
-      CallSite c;
-      std::string qual;
-      ls >> c.line >> c.member >> qual >> c.name;
-      c.qualifier = Dec(qual);
-      fn->calls.push_back(c);
-    } else if (tag == "mu") {
-      if (fn == nullptr) {
-        return false;
-      }
-      MutationSite m;
-      ls >> m.line >> m.global >> m.name;
-      fn->mutations.push_back(m);
-    } else if (tag == "pr") {
-      if (fn == nullptr) {
-        return false;
-      }
-      PrimitiveSite p;
-      if (!(ls >> p.line >> p.needs_reason >> p.rule)) {
-        return false;
-      }
-      p.detail = ReadRest(ls);  // free text reads to the end of the line
-      fn->primitives.push_back(std::move(p));
-      continue;
-    } else if (!tag.empty()) {
-      return false;
-    }
-    if (!ls) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-bool SaveIndex(const Index& index, const std::string& path) {
-  if (CacheHeader().empty()) {
-    return false;
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out << CacheHeader() << "\n";
-  for (const FileIndex& fi : index.files) {
-    out << "file " << fi.fnv << " " << fi.path << "\n";
-    for (const std::string& u : fi.unordered_names) {
-      out << "un " << u << "\n";
-    }
-    for (const Finding& f : fi.findings) {
-      out << "fd " << f.line << " " << f.rule << " " << f.message << "\n";
-    }
-    for (const GlobalInfo& gl : fi.globals) {
-      out << "gl " << gl.line << " " << gl.suppressed << " " << gl.has_reason << " "
-          << gl.name << "\n";
-    }
-    for (const ClassInfo& ci : fi.classes) {
-      out << "cl " << ci.line << " " << ci.has_access_guard << " " << Enc(ci.name) << "\n";
-      for (const MemberInfo& m : ci.container_members) {
-        out << "mb " << m.line << " " << m.suppressed << " " << m.has_reason << " " << m.name
-            << "\n";
-      }
-    }
-    for (const FunctionInfo& fn : fi.functions) {
-      out << "fn " << fn.line << " " << fn.is_lambda << " " << Enc(fn.root) << " "
-          << Enc(fn.class_name) << " " << fn.short_name << " " << fn.name << "\n";
-      for (const CallSite& c : fn.calls) {
-        out << "ca " << c.line << " " << c.member << " " << Enc(c.qualifier) << " " << c.name
-            << "\n";
-      }
-      for (const MutationSite& m : fn.mutations) {
-        out << "mu " << m.line << " " << m.global << " " << m.name << "\n";
-      }
-      for (const PrimitiveSite& p : fn.primitives) {
-        out << "pr " << p.line << " " << p.needs_reason << " " << p.rule << " " << p.detail
-            << "\n";
-      }
-    }
-    // After the functions, so a load can check each site's function index.
-    for (const IterSite& s : fi.iters) {
-      out << "it " << s.line << " " << s.fn << " " << s.ordered_ok << " " << s.sim_nondet_ok
-          << " " << Enc(s.call);
-      for (const std::string& name : s.names) {
-        out << " " << name;
-      }
-      out << "\n";
-    }
-  }
-  return static_cast<bool>(out);
-}
-
-bool LoadIndex(const std::string& path, Index* index) {
-  index->files.clear();
-  if (CacheHeader().empty()) {
-    return false;
-  }
-  std::ifstream in(path, std::ios::binary);
-  std::string header;
-  if (!in || !std::getline(in, header) || header != CacheHeader()) {
-    return false;
-  }
-  if (!ReadEntries(in, index)) {
-    index->files.clear();  // never a partial index
-    return false;
-  }
-  return true;
 }
 
 }  // namespace analyze

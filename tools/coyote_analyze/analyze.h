@@ -166,11 +166,9 @@ struct GlobalInfo {
   bool has_reason = false;
 };
 
-// Everything extracted from one file. Self-contained so the index cache can
-// reuse it whenever the file's content hash is unchanged.
+// Everything extracted from one file.
 struct FileIndex {
   std::string path;
-  uint64_t fnv = 0;
   std::vector<FunctionInfo> functions;
   std::vector<ClassInfo> classes;
   std::vector<GlobalInfo> globals;
@@ -215,24 +213,9 @@ std::vector<Finding> Analyze(const Index& index, const Options& options);
 // `coyote_analyze: N finding(s)` summary. Stable across runs and machines.
 std::string FormatReport(const std::vector<Finding>& findings);
 
-// --- Index cache ------------------------------------------------------------
-
-// Text serialization of an Index, headed by a hash of the running tool's
-// executable so a rebuilt indexer or vocabulary never reads entries it did
-// not write. Load returns false, leaving `index` empty, on a missing,
-// malformed or foreign cache, and both return false when the executable
-// can't be read (callers just index without a cache). BuildIndexCached reuses the cached FileIndex for
-// every file whose FNV-1a content hash is unchanged, re-indexes the rest,
-// and returns the fresh index; pass the result to SaveIndex to refresh the
-// cache.
-bool SaveIndex(const Index& index, const std::string& path);
-bool LoadIndex(const std::string& path, Index* index);
-Index BuildIndexCached(const std::vector<SourceFile>& files, const Index& cached);
-
 // Convenience: read `relative_paths` under `root_dir` (frontend::ReadFiles)
-// and index them, consulting `cache_path` when non-empty (read + refresh).
-Index IndexPaths(const std::string& root_dir, const std::vector<std::string>& relative_paths,
-                 const std::string& cache_path);
+// and index them.
+Index IndexPaths(const std::string& root_dir, const std::vector<std::string>& relative_paths);
 
 }  // namespace analyze
 }  // namespace coyote

@@ -1,7 +1,6 @@
 // coyote_analyze CLI: per-file and interprocedural analysis of the tree.
 //
 //   coyote_analyze --root <repo> src tests bench examples tools
-//   coyote_analyze --root <repo> --index-cache build/analyze.index src
 //   coyote_analyze --root <repo> --rule nondet --report build/analyze-report.txt src
 //   coyote_analyze --list-rules
 //
@@ -23,10 +22,9 @@ namespace {
 void PrintUsage() {
   std::fprintf(
       stderr,
-      "usage: coyote_analyze [--root DIR] [--index-cache FILE] [--report FILE]\n"
+      "usage: coyote_analyze [--root DIR] [--report FILE]\n"
       "                      [--rule ID]... [--list-rules] [path...]\n"
       "  --root DIR         project root; findings are reported relative to it (default .)\n"
-      "  --index-cache FILE reuse per-file index entries whose content hash is unchanged\n"
       "  --report FILE      also write the findings report to FILE\n"
       "  --rule ID          run only the named rule (repeatable)\n"
       "  --list-rules       print the rule table and exit\n"
@@ -38,14 +36,13 @@ void PrintUsage() {
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  std::string cache_path;
   std::string report_path;
   coyote::analyze::Options options;
   std::vector<std::string> paths;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--root" || arg == "--index-cache" || arg == "--report" || arg == "--rule") {
+    if (arg == "--root" || arg == "--report" || arg == "--rule") {
       if (i + 1 >= argc) {
         PrintUsage();
         return 2;
@@ -53,8 +50,6 @@ int main(int argc, char** argv) {
       const std::string value = argv[++i];
       if (arg == "--root") {
         root = value;
-      } else if (arg == "--index-cache") {
-        cache_path = value;
       } else if (arg == "--report") {
         report_path = value;
       } else {
@@ -87,7 +82,7 @@ int main(int argc, char** argv) {
                  root.c_str());
     return 2;
   }
-  const auto index = coyote::analyze::IndexPaths(root, files, cache_path);
+  const auto index = coyote::analyze::IndexPaths(root, files);
   const auto findings = coyote::analyze::Analyze(index, options);
   const std::string report = coyote::analyze::FormatReport(findings);
   std::fputs(report.c_str(), stdout);
