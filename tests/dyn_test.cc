@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/axi/stream.h"
@@ -13,6 +15,7 @@
 #include "src/memsys/card_memory.h"
 #include "src/memsys/gpu_memory.h"
 #include "src/memsys/host_memory.h"
+#include "src/memsys/nvme.h"
 #include "src/mmu/mmu.h"
 #include "src/mmu/svm.h"
 #include "src/sim/engine.h"
@@ -28,11 +31,13 @@ class DataMoverTest : public ::testing::Test {
  protected:
   DataMoverTest()
       : card_(&engine_, {}),
-        svm_(&engine_, &host_, &card_, &gpu_, kPage),
+        nvme_(&engine_, {}),
+        svm_(&engine_, &host_, &card_, &gpu_, kPage, &nvme_),
         xdma_(&engine_, {}),
         mover_(&engine_, &svm_, &card_, &gpu_, &xdma_, {}),
         mmu_(&engine_, &svm_.page_table(), MmuConfig()) {
     svm_.set_hooks(mover_.MakeMigrationHooks());
+    mover_.SetNvme(&nvme_);
     mover_.RegisterVfpga(0, &mmu_);
   }
 
@@ -56,6 +61,7 @@ class DataMoverTest : public ::testing::Test {
   memsys::HostMemory host_;
   memsys::CardMemory card_;
   memsys::GpuMemory gpu_;
+  memsys::NvmeDrive nvme_;
   mmu::Svm svm_;
   XdmaCore xdma_;
   DataMover mover_;
@@ -257,6 +263,204 @@ TEST_F(DataMoverTest, MigrateMovesWholeBuffer) {
   // Migration charged real time on the H2C link (8 MB at 12 GB/s > 600 us).
   EXPECT_GT(engine_.Now(), sim::Microseconds(600));
 }
+
+// Every path a packet takes through the data mover, in both directions: the
+// page the transfer lands on decides the translation outcome (hit, residency
+// fault with a migration, unmapped) and the physical leg (XDMA, HBM, the GPU
+// link, NVMe). Each row pins the completion time (from submission), the
+// status and the counters the path moves, so any change to the order or the
+// cost of the calls on a path shows up here.
+enum class PathPage : uint8_t {
+  kHost,        // host page, host target
+  kHostToCard,  // host page, card target: migrates first
+  kGpu,         // RegisterGpuBuffer page, GPU target
+  kNvme,        // page demoted to the drive, NVMe target: served in place
+  kUnmapped,    // no mapping: page-fault MSI-X
+};
+
+struct PinnedPath {
+  const char* name;
+  bool write;
+  PathPage page;
+  sim::TimePs done_ps;
+  bool ok;
+  uint64_t page_fault_irqs;
+  uint64_t msix_raised;
+  uint64_t migrations;
+  uint64_t h2c_bytes;
+  uint64_t c2h_bytes;
+  uint64_t events;
+};
+
+// name, write, page | done_ps, ok, page_fault_irqs, msix_raised, migrations,
+// h2c_bytes, c2h_bytes, events
+constexpr PinnedPath kPinnedPaths[] = {
+    {"ReadHost", false, PathPage::kHost, 5'924'002, true, 0, 0, 0, 12'288, 0, 9},
+    {"ReadHostToCard", false, PathPage::kHostToCard, 206'260'817, true, 0, 0, 1, 2'097'152, 0,
+     1'035},
+    {"ReadGpu", false, PathPage::kGpu, 6'128'800, true, 0, 0, 0, 0, 0, 9},
+    {"ReadNvme", false, PathPage::kNvme, 80'755'429, true, 0, 0, 0, 0, 0, 9},
+    {"ReadUnmapped", false, PathPage::kUnmapped, 4'000'000, false, 1, 1, 0, 0, 0, 4},
+    {"WriteHost", true, PathPage::kHost, 5'924'002, true, 0, 0, 0, 0, 12'288, 9},
+    {"WriteHostToCard", true, PathPage::kHostToCard, 206'260'817, true, 0, 0, 1, 2'097'152, 0,
+     1'035},
+    {"WriteGpu", true, PathPage::kGpu, 6'128'800, true, 0, 0, 0, 0, 0, 9},
+    {"WriteNvme", true, PathPage::kNvme, 21'363'079, true, 0, 0, 0, 0, 0, 9},
+    {"WriteUnmapped", true, PathPage::kUnmapped, 4'000'000, false, 1, 1, 0, 0, 0, 4},
+};
+
+class DataMoverPathTest : public DataMoverTest,
+                          public ::testing::WithParamInterface<PinnedPath> {};
+
+TEST_P(DataMoverPathTest, PinnedTimeStatusAndCounters) {
+  const PinnedPath& p = GetParam();
+  constexpr uint64_t kPacket = 4096;
+  constexpr uint64_t kBytes = 3 * kPacket;
+  std::vector<uint8_t> payload(kBytes);
+  sim::Rng rng(21);
+  rng.FillBytes(payload.data(), kBytes);
+
+  uint64_t vaddr = 0x100;
+  mmu::MemKind target = mmu::MemKind::kHost;
+  switch (p.page) {
+    case PathPage::kHost:
+      vaddr = MakeBuffer(kBytes, 20);
+      break;
+    case PathPage::kHostToCard:
+      vaddr = MakeBuffer(kBytes, 20);
+      target = mmu::MemKind::kCard;
+      break;
+    case PathPage::kGpu:
+      vaddr = svm_.RegisterGpuBuffer(kBytes);
+      target = mmu::MemKind::kGpu;
+      break;
+    case PathPage::kNvme:
+      vaddr = MakeBuffer(kBytes, 20);
+      target = mmu::MemKind::kNvme;
+      svm_.EnsureResident(vaddr, kPage, mmu::MemKind::kNvme, [] {});
+      engine_.RunUntilIdle();
+      ASSERT_EQ(svm_.page_table().Find(vaddr)->kind, mmu::MemKind::kNvme);
+      break;
+    case PathPage::kUnmapped:
+      break;
+  }
+  const bool mapped = p.page != PathPage::kUnmapped;
+  if (mapped && !p.write) {
+    svm_.WriteVirtual(vaddr, payload.data(), kBytes);
+  }
+
+  const sim::TimePs start = engine_.Now();
+  const uint64_t migrations0 = svm_.migrations();
+  const uint64_t h2c0 = xdma_.h2c().total_bytes();
+  const uint64_t c2h0 = xdma_.c2h().total_bytes();
+  const uint64_t events0 = engine_.events_executed();
+
+  const TransferRequest req{
+      .vfpga_id = 0, .tid = 3, .vaddr = vaddr, .bytes = kBytes, .target = target};
+  axi::Stream stream;
+  std::optional<bool> status;
+  sim::TimePs done_at = 0;
+  int completions = 0;
+  auto done = [&](bool ok) {
+    status = ok;
+    done_at = engine_.Now();
+    ++completions;
+  };
+  if (p.write) {
+    for (uint64_t off = 0; off < kBytes; off += kPacket) {
+      axi::StreamPacket pkt;
+      pkt.data.assign(payload.begin() + static_cast<std::ptrdiff_t>(off),
+                      payload.begin() + static_cast<std::ptrdiff_t>(off + kPacket));
+      pkt.last = (off + kPacket == kBytes);
+      stream.Push(std::move(pkt));
+    }
+    mover_.Write(req, &stream, done);
+  } else {
+    mover_.Read(req, &stream, done);
+  }
+  engine_.RunUntilIdle();
+
+  ASSERT_EQ(completions, 1);
+  EXPECT_EQ(*status, p.ok);
+  EXPECT_EQ(done_at - start, p.done_ps);
+  EXPECT_EQ(mover_.page_fault_irqs(), p.page_fault_irqs);
+  EXPECT_EQ(xdma_.msix_raised(), p.msix_raised);
+  EXPECT_EQ(svm_.migrations() - migrations0, p.migrations);
+  EXPECT_EQ(xdma_.h2c().total_bytes() - h2c0, p.h2c_bytes);
+  EXPECT_EQ(xdma_.c2h().total_bytes() - c2h0, p.c2h_bytes);
+  EXPECT_EQ(engine_.events_executed() - events0, p.events);
+
+  // The data moved is the payload, whichever path carried it.
+  if (p.ok) {
+    std::vector<uint8_t> moved;
+    if (p.write) {
+      moved.resize(kBytes);
+      svm_.ReadVirtual(vaddr, moved.data(), kBytes);
+    } else {
+      while (auto pkt = stream.Pop()) {
+        EXPECT_EQ(pkt->tid, 3u);
+        moved.insert(moved.end(), pkt->data.begin(), pkt->data.end());
+      }
+    }
+    EXPECT_EQ(moved, payload);
+  } else if (!p.write) {
+    EXPECT_TRUE(stream.Empty());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, DataMoverPathTest, ::testing::ValuesIn(kPinnedPaths),
+                         [](const ::testing::TestParamInfo<PinnedPath>& row) {
+                           return std::string(row.param.name);
+                         });
+
+// The two directions' fault handlers differ on purpose: a read fault always
+// raises the page-fault MSI-X, a write fault does nothing once its op has
+// completed. An abort that lands while a residency fault is migrating the
+// page, followed by an unmap, shows the difference.
+class DataMoverFaultAfterAbortTest : public DataMoverTest,
+                                     public ::testing::WithParamInterface<bool> {};
+
+TEST_P(DataMoverFaultAfterAbortTest, RaisesMsixOnlyForTheRead) {
+  const bool write = GetParam();
+  const uint64_t vaddr = MakeBuffer(3 * 4096, 22);
+  const TransferRequest req{
+      .vfpga_id = 0, .vaddr = vaddr, .bytes = 3 * 4096, .target = mmu::MemKind::kCard};
+  axi::Stream stream;
+  int completions = 0;
+  bool last_ok = true;
+  auto done = [&](bool ok) {
+    ++completions;
+    last_ok = ok;
+  };
+  if (write) {
+    for (int i = 0; i < 3; ++i) {
+      axi::StreamPacket pkt;
+      pkt.data.assign(4096, static_cast<uint8_t>(i));
+      stream.Push(std::move(pkt));
+    }
+    mover_.Write(req, &stream, done);
+  } else {
+    mover_.Read(req, &stream, done);
+  }
+  uint64_t aborted = 0;
+  engine_.ScheduleAt(sim::Microseconds(50), [&] {
+    aborted = mover_.AbortVfpga(0);
+    svm_.page_table().Unmap(vaddr);
+  });
+  engine_.RunUntilIdle();
+  EXPECT_EQ(aborted, 1u);
+  EXPECT_EQ(completions, 1);
+  EXPECT_FALSE(last_ok);
+  EXPECT_EQ(svm_.migrations(), 1u);
+  EXPECT_EQ(mover_.page_fault_irqs(), write ? 0u : 1u);
+  EXPECT_EQ(xdma_.msix_raised(), write ? 0u : 1u);
+  EXPECT_EQ(engine_.Now(), write ? 205'736'742u : 207'736'742u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Directions, DataMoverFaultAfterAbortTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& row) {
+                           return std::string(row.param ? "Write" : "Read");
+                         });
 
 TEST(XdmaTest, MsixDeliveryLatencyAndHandler) {
   sim::Engine engine;
