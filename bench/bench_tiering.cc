@@ -106,7 +106,7 @@ class TieredStack {
  public:
   TieredStack(Tiering::Policy policy, uint64_t fast_capacity_pages, uint64_t slow_capacity_pages)
       : card_(&engine_, {}),
-        nvme_(&engine_, {}),
+        nvme_(&engine_),
         svm_(&engine_, &host_, &card_, &gpu_, kPageBytes, &nvme_),
         pcie_(&engine_, PcieConfig()) {
     const uint64_t bytes = kWorkingSetPages * kPageBytes;
@@ -140,8 +140,8 @@ class TieredStack {
     hooks.transfer = [this](MemKind from, MemKind to, uint64_t wave_bytes,
                             std::function<void()> done) {
       const auto blocks =
-          static_cast<uint32_t>((wave_bytes + nvme_.config().block_bytes - 1) /
-                                nvme_.config().block_bytes);
+          static_cast<uint32_t>((wave_bytes + memsys::NvmeDrive::kBlockBytes - 1) /
+                                memsys::NvmeDrive::kBlockBytes);
       if (to == MemKind::kNvme) {
         nvme_.WriteCommand(0, blocks, kMigrateSource, std::move(done));
       } else if (from == MemKind::kNvme) {
@@ -184,7 +184,7 @@ class TieredStack {
       }
       case MemKind::kNvme: {
         bool done = false;
-        const auto blocks = static_cast<uint32_t>(kPageBytes / nvme_.config().block_bytes);
+        const auto blocks = static_cast<uint32_t>(kPageBytes / memsys::NvmeDrive::kBlockBytes);
         nvme_.ReadCommand(0, blocks, kDemandSource, [&done] { done = true; });
         engine_.RunUntilCondition([&done] { return done; });
         break;
@@ -232,7 +232,6 @@ class TieredStack {
     sim::Link::Config c;
     c.bytes_per_second = 12'000'000'000ull;  // one PCIe gen4 direction, derated
     c.delivery_latency = sim::Nanoseconds(1500);
-    c.name = "pcie";
     return c;
   }
 

@@ -45,7 +45,7 @@ DataMover::DataMover(sim::Engine* engine, mmu::Svm* svm, memsys::CardMemory* car
       gpu_(gpu),
       xdma_(xdma),
       config_(config),
-      gpu_link_(engine, {config.gpu_p2p_bps, 0, sim::Nanoseconds(900), "gpu_p2p"}) {}
+      gpu_link_(engine, {kGpuP2pBps, 0, XdmaCore::kPcieLatency}) {}
 
 void DataMover::RegisterVfpga(uint32_t vfpga_id, mmu::Mmu* mmu) { mmus_[vfpga_id] = mmu; }
 
@@ -69,16 +69,11 @@ axi::CreditCounter& DataMover::WriteCredits(uint32_t vfpga_id, uint32_t stream) 
 }
 
 void DataMover::SubmitPhysical(uint32_t vfpga_id, mmu::MemKind kind, uint64_t phys_addr,
-                               uint64_t bytes, std::function<void()> on_done) {
+                               uint64_t bytes, bool to_memory, sim::InlineCallback on_done) {
   switch (kind) {
     case mmu::MemKind::kHost:
-      // Direction chosen by the caller via which link it implies; reads from
-      // host memory traverse H2C, writes to host memory traverse C2H. The
-      // caller encodes this by the `phys_addr` being unused for host DRAM
-      // timing — both directions share the same model, so route on a flag
-      // folded into this function is unnecessary: reads call through
-      // SubmitHostRead/Write wrappers below.
-      xdma_->h2c().Submit(vfpga_id, bytes, std::move(on_done));
+      // Reads from host memory cross H2C, writes to it cross C2H.
+      (to_memory ? xdma_->c2h() : xdma_->h2c()).Submit(vfpga_id, bytes, std::move(on_done));
       break;
     case mmu::MemKind::kCard:
       card_->Access(phys_addr, bytes, vfpga_id, std::move(on_done));
@@ -87,15 +82,55 @@ void DataMover::SubmitPhysical(uint32_t vfpga_id, mmu::MemKind kind, uint64_t ph
       gpu_link_.Submit(vfpga_id, bytes, std::move(on_done));
       break;
     case mmu::MemKind::kNvme: {
-      // Reading a cold page in place: the NVMe command latency dominates.
+      // A cold page served in place: the NVMe command latency dominates.
       // The tiering service exists to make this path rare.
       assert(nvme_ != nullptr && "kNvme residency without an attached drive");
-      const uint64_t bb = nvme_->config().block_bytes;
-      nvme_->ReadCommand(phys_addr / bb, static_cast<uint32_t>((bytes + bb - 1) / bb),
-                         vfpga_id, std::move(on_done));
+      constexpr uint64_t kBlock = memsys::NvmeDrive::kBlockBytes;
+      const uint64_t lba = phys_addr / kBlock;
+      const auto blocks = static_cast<uint32_t>((bytes + kBlock - 1) / kBlock);
+      if (to_memory) {
+        nvme_->WriteCommand(lba, blocks, vfpga_id, std::move(on_done));
+      } else {
+        nvme_->ReadCommand(lba, blocks, vfpga_id, std::move(on_done));
+      }
       break;
     }
   }
+}
+
+template <typename Op, typename OnPage, typename OnFault>
+void DataMover::Resolve(const std::shared_ptr<Op>& op, mmu::Mmu* mmu, uint64_t vaddr,
+                        OnPage on_page, OnFault on_fault) {
+  mmu->Translate(vaddr, [this, op, mmu, vaddr, on_page = std::move(on_page),
+                         on_fault = std::move(on_fault)](std::optional<mmu::PhysPage> e) {
+    if (op->completed) {
+      // Aborted while the translation was in flight; the result is stale
+      // (and an aborted write's credit counter was already reset).
+      return;
+    }
+    if (!e) {
+      on_fault();
+      return;
+    }
+    const uint64_t page_bytes = svm_->page_table().page_bytes();
+    if (e->kind == op->req.target) {
+      on_page(e->kind, e->addr + (vaddr % page_bytes));
+      return;
+    }
+    // Page fault: data not in the memory this transfer addresses. Migrate
+    // the page, then re-translate (untimed: the driver already has the new
+    // entry in hand when it resumes the transfer).
+    const uint64_t page_base = (vaddr / page_bytes) * page_bytes;
+    svm_->EnsureResident(page_base, page_bytes, op->req.target,
+                         [mmu, vaddr, page_bytes, on_page, on_fault]() {
+                           auto e2 = mmu->TranslateUntimed(vaddr);
+                           if (!e2) {
+                             on_fault();
+                             return;
+                           }
+                           on_page(e2->kind, e2->addr + (vaddr % page_bytes));
+                         });
+  });
 }
 
 void DataMover::Read(const TransferRequest& req, axi::Stream* dst, Completion done) {
@@ -152,66 +187,41 @@ void DataMover::IssueReadPackets(const std::shared_ptr<ReadOp>& op) {
     const uint64_t seq = op->next_seq_issue++;
     op->next_issue += n;
 
-    mmu->Translate(vaddr, [this, op, mmu, vaddr, off, n, seq](std::optional<mmu::PhysPage> e) {
-      if (op->completed) {
-        // Aborted while the translation was in flight; the result is stale.
-        return;
-      }
-      auto fail = [this, op]() {
-        xdma_->RaiseMsix(kMsixPageFault, op->req.vaddr);
-        ++page_fault_irqs_;
-        if (!op->failed) {
-          op->failed = true;
-          if (op->done && !op->completed) {
-            op->completed = true;
-            op->done(false);
-          }
-          // A faulted transfer must not wedge the stream's descriptor queue.
-          RetireReadOp(op);
+    auto deliver = [this, op, off, n, seq](mmu::MemKind kind, uint64_t phys) {
+      SubmitPhysical(op->req.vfpga_id, kind, phys, n, /*to_memory=*/false,
+                     [this, op, off, n, seq]() {
+                       if (op->completed) {
+                         // Aborted while the physical read was in flight: the
+                         // op's buffers may already be unmapped (shed and
+                         // evacuation free them right after AbortVfpga), so
+                         // drop the packet without touching the SVM.
+                         return;
+                       }
+                       axi::StreamPacket pkt;
+                       pkt.data.resize(n);
+                       svm_->ReadVirtual(op->req.vaddr + off, pkt.data.data(), n);
+                       pkt.tid = op->req.tid;
+                       pkt.tdest = op->req.stream;
+                       pkt.last = (off + n == op->req.bytes);
+                       DeliverInOrder(op, seq, std::move(pkt));
+                     });
+    };
+    // A read fault always raises the page-fault MSI-X; the first one also
+    // fails the op and retires the stream's queue head.
+    auto fail = [this, op]() {
+      xdma_->RaiseMsix(kMsixPageFault, op->req.vaddr);
+      ++page_fault_irqs_;
+      if (!op->failed) {
+        op->failed = true;
+        if (op->done && !op->completed) {
+          op->completed = true;
+          op->done(false);
         }
-      };
-      if (!e) {
-        fail();
-        return;
+        // A faulted transfer must not wedge the stream's descriptor queue.
+        RetireReadOp(op);
       }
-      auto proceed = [this, op, vaddr, off, n, seq](mmu::PhysPage pg) {
-        const uint64_t page_bytes = svm_->page_table().page_bytes();
-        const uint64_t phys = pg.addr + (vaddr % page_bytes);
-        SubmitPhysical(op->req.vfpga_id, pg.kind, phys, n, [this, op, vaddr, off, n, seq]() {
-          if (op->completed) {
-            // Aborted while the physical read was in flight: the op's buffers
-            // may already be unmapped (shed/evacuation frees them right after
-            // AbortVfpga), so drop the packet without touching the SVM.
-            return;
-          }
-          axi::StreamPacket pkt;
-          pkt.data.resize(n);
-          svm_->ReadVirtual(vaddr, pkt.data.data(), n);
-          pkt.tid = op->req.tid;
-          pkt.tdest = op->req.stream;
-          pkt.last = (off + n == op->req.bytes);
-          DeliverInOrder(op, seq, std::move(pkt));
-        });
-      };
-      if (e->kind != op->req.target) {
-        // Page fault: data not in the memory this transfer addresses.
-        // Migrate the page, then re-translate (untimed: the driver already
-        // has the new entry in hand when it resumes the transfer).
-        const uint64_t page_bytes = svm_->page_table().page_bytes();
-        const uint64_t page_base = (vaddr / page_bytes) * page_bytes;
-        svm_->EnsureResident(page_base, page_bytes, op->req.target,
-                             [this, op, mmu, vaddr, proceed, fail]() {
-                               auto e2 = mmu->TranslateUntimed(vaddr);
-                               if (!e2) {
-                                 fail();
-                                 return;
-                               }
-                               proceed(*e2);
-                             });
-      } else {
-        proceed(*e);
-      }
-    });
+    };
+    Resolve(op, mmu, vaddr, std::move(deliver), std::move(fail));
   }
 }
 
@@ -306,93 +316,47 @@ void DataMover::PumpWrites(axi::Stream* src) {
     // ref-counted buffer instead of copying the bytes per hop.
     const axi::BufferView data = std::move(pkt->data);
 
-    mmu->Translate(vaddr, [this, op, mmu, vaddr, data, &credits](std::optional<mmu::PhysPage> e) {
+    auto commit = [this, op, vaddr, data, &credits](mmu::MemKind kind, uint64_t phys) {
+      SubmitPhysical(op->req.vfpga_id, kind, phys, data.size(), /*to_memory=*/true,
+                     [this, op, vaddr, data, &credits]() {
+                       if (op->completed) {
+                         // Aborted mid-flight: drop the data, and leave the
+                         // credit counter alone — the abort reset it to full.
+                         return;
+                       }
+                       svm_->WriteVirtual(vaddr, data.data(), data.size());
+                       op->written += data.size();
+                       ++packets_moved_;
+                       ++packets_moved_by_vfpga_[op->req.vfpga_id];
+                       credits.Release(1);
+                       if (op->written == op->req.bytes && !op->completed) {
+                         op->completed = true;
+                         if (op->done) {
+                           op->done(true);
+                         }
+                       }
+                     });
+    };
+    // A write fault releases its credit and fails the op, unless the op has
+    // already completed.
+    auto fail = [this, op, &credits]() {
       if (op->completed) {
-        // Aborted while the translation was in flight; the result is stale
-        // and the credit counter was already reset by the abort.
         return;
       }
-      auto fail = [this, op, &credits]() {
-        if (op->completed) {
-          return;
-        }
-        xdma_->RaiseMsix(kMsixPageFault, op->req.vaddr);
-        ++page_fault_irqs_;
-        credits.Release(1);
-        op->failed = true;
-        op->completed = true;
-        if (op->done) {
-          op->done(false);
-        }
-      };
-      if (!e) {
-        fail();
-        return;
+      xdma_->RaiseMsix(kMsixPageFault, op->req.vaddr);
+      ++page_fault_irqs_;
+      credits.Release(1);
+      op->failed = true;
+      op->completed = true;
+      if (op->done) {
+        op->done(false);
       }
-      auto commit = [this, op, vaddr, data, &credits](mmu::PhysPage pg) {
-        const uint64_t page_bytes = svm_->page_table().page_bytes();
-        const uint64_t phys = pg.addr + (vaddr % page_bytes);
-        // Writes to host memory travel C2H; card/GPU use their own paths.
-        auto finish = [this, op, vaddr, data, &credits]() {
-          if (op->completed) {
-            // Aborted mid-flight: drop the data, and leave the credit
-            // counter alone — the abort reset it to full.
-            return;
-          }
-          svm_->WriteVirtual(vaddr, data.data(), data.size());
-          op->written += data.size();
-          ++packets_moved_;
-          ++packets_moved_by_vfpga_[op->req.vfpga_id];
-          credits.Release(1);
-          if (op->written == op->req.bytes && !op->completed) {
-            op->completed = true;
-            if (op->done) {
-              op->done(true);
-            }
-          }
-        };
-        switch (pg.kind) {
-          case mmu::MemKind::kHost:
-            xdma_->c2h().Submit(op->req.vfpga_id, data.size(), finish);
-            break;
-          case mmu::MemKind::kCard:
-            card_->Access(phys, data.size(), op->req.vfpga_id, finish);
-            break;
-          case mmu::MemKind::kGpu:
-            gpu_link_.Submit(op->req.vfpga_id, data.size(), finish);
-            break;
-          case mmu::MemKind::kNvme: {
-            assert(nvme_ != nullptr && "kNvme residency without an attached drive");
-            const uint64_t bb = nvme_->config().block_bytes;
-            nvme_->WriteCommand(phys / bb,
-                                static_cast<uint32_t>((data.size() + bb - 1) / bb),
-                                op->req.vfpga_id, finish);
-            break;
-          }
-        }
-      };
-      if (e->kind != op->req.target) {
-        const uint64_t page_bytes = svm_->page_table().page_bytes();
-        const uint64_t page_base = (vaddr / page_bytes) * page_bytes;
-        svm_->EnsureResident(page_base, page_bytes, op->req.target,
-                             [this, op, mmu, vaddr, commit, fail]() {
-                               auto e2 = mmu->TranslateUntimed(vaddr);
-                               if (!e2) {
-                                 fail();
-                                 return;
-                               }
-                               commit(*e2);
-                             });
-      } else {
-        commit(*e);
-      }
-    });
+    };
+    Resolve(op, mmu, vaddr, std::move(commit), std::move(fail));
   }
 }
 
-void DataMover::Migrate(uint32_t vfpga_id, uint64_t vaddr, uint64_t bytes, mmu::MemKind to,
-                        Completion done) {
-  (void)vfpga_id;
+void DataMover::Migrate(uint64_t vaddr, uint64_t bytes, mmu::MemKind to, Completion done) {
   svm_->EnsureResident(vaddr, bytes, to, [done = std::move(done)]() {
     if (done) {
       done(true);
@@ -503,15 +467,15 @@ mmu::Svm::MigrationHooks DataMover::MakeMigrationHooks() {
       // Cold demotion wave: one bulk write command to the drive (the
       // write-back cache acks quickly; sustained bandwidth still gates).
       assert(nvme_ != nullptr && "demoting to kNvme without an attached drive");
-      const uint64_t bb = nvme_->config().block_bytes;
-      nvme_->WriteCommand(0, static_cast<uint32_t>((bytes + bb - 1) / bb), kMigrationSource,
-                          std::move(cb));
+      constexpr uint64_t kBlock = memsys::NvmeDrive::kBlockBytes;
+      nvme_->WriteCommand(0, static_cast<uint32_t>((bytes + kBlock - 1) / kBlock),
+                          kMigrationSource, std::move(cb));
     } else if (from == mmu::MemKind::kNvme) {
       // Promotion out of the cold tier: the drive read dominates; a card
       // destination additionally crosses H2C and occupies the HBM crossbar.
       assert(nvme_ != nullptr && "promoting from kNvme without an attached drive");
-      const uint64_t bb = nvme_->config().block_bytes;
-      const auto blocks = static_cast<uint32_t>((bytes + bb - 1) / bb);
+      constexpr uint64_t kBlock = memsys::NvmeDrive::kBlockBytes;
+      const auto blocks = static_cast<uint32_t>((bytes + kBlock - 1) / kBlock);
       if (to == mmu::MemKind::kCard) {
         nvme_->ReadCommand(0, blocks, kMigrationSource,
                            [this, bytes, cb = std::move(cb)]() mutable {

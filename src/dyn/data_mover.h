@@ -17,6 +17,12 @@
 //  * IN-ORDER DELIVERY: a reorder stage guarantees packets enter the
 //    destination stream in request order even when migrations or different
 //    physical paths complete out of order.
+//
+// Reads and writes share one packet path: Resolve translates the packet's
+// address (migrating its page on a residency fault), then SubmitPhysical
+// moves it over XDMA H2C/C2H, the HBM crossbar, the GPU peer link or an NVMe
+// command, as the page's memory implies. Only what each direction does with
+// the bytes, and how it handles a fault, differ.
 
 #ifndef SRC_DYN_DATA_MOVER_H_
 #define SRC_DYN_DATA_MOVER_H_
@@ -37,7 +43,9 @@
 #include "src/memsys/nvme.h"
 #include "src/mmu/mmu.h"
 #include "src/mmu/svm.h"
+#include "src/sim/callback.h"
 #include "src/sim/engine.h"
+#include "src/sim/link.h"
 
 namespace coyote {
 namespace dyn {
@@ -62,8 +70,11 @@ class DataMover {
   struct Config {
     uint64_t packet_bytes = 4096;     // §6.3 default
     uint32_t credits_per_stream = 8;  // destination-queue depth in packets
-    uint64_t gpu_p2p_bps = 10'000'000'000ull;
   };
+
+  // FPGA<->GPU peer link: P2P over PCIe tops out below host DMA because the
+  // root complex forwards it.
+  static constexpr uint64_t kGpuP2pBps = 10'000'000'000ull;
 
   using Completion = std::function<void(bool ok)>;
 
@@ -88,8 +99,7 @@ class DataMover {
 
   // Explicit buffer migration (the migration channel, §5.1): moves the pages
   // of [vaddr, vaddr+bytes) to `to`, e.g. pre-loading NN weights into HBM.
-  void Migrate(uint32_t vfpga_id, uint64_t vaddr, uint64_t bytes, mmu::MemKind to,
-               Completion done);
+  void Migrate(uint64_t vaddr, uint64_t bytes, mmu::MemKind to, Completion done);
 
   // Timing hooks wired into the Svm so page migrations charge DMA time here.
   mmu::Svm::MigrationHooks MakeMigrationHooks();
@@ -131,8 +141,16 @@ class DataMover {
                       axi::StreamPacket pkt);  // lint: hot-copy-ok
   void RetireReadOp(const std::shared_ptr<ReadOp>& op);
   void PumpWrites(axi::Stream* src);
+  // Translates one packet's `vaddr` through `mmu`, migrating its page into
+  // op->req.target first on a residency fault, then calls on_page(kind,
+  // phys), or on_fault() if the address is unmapped. Drops the result if the
+  // op completed meanwhile. Template continuations: no std::function each.
+  template <typename Op, typename OnPage, typename OnFault>
+  void Resolve(const std::shared_ptr<Op>& op, mmu::Mmu* mmu, uint64_t vaddr, OnPage on_page,
+               OnFault on_fault);
+  // Moves `bytes` at `phys_addr` of `kind` memory; `to_memory` is a write.
   void SubmitPhysical(uint32_t vfpga_id, mmu::MemKind kind, uint64_t phys_addr, uint64_t bytes,
-                      std::function<void()> on_done);
+                      bool to_memory, sim::InlineCallback on_done);
 
   axi::CreditCounter& CreditsFor(
       std::map<std::pair<uint64_t, uint32_t>, std::unique_ptr<axi::CreditCounter>>& table,

@@ -29,25 +29,23 @@ class XdmaCore {
     // measures on the U55C (§9.4) once PCIe/DMA overheads are folded in.
     uint64_t h2c_bps = 12'000'000'000ull;
     uint64_t c2h_bps = 12'000'000'000ull;
-    sim::TimePs per_packet_overhead = 0;  // descriptor cost, ablation knob
-    // PCIe round-trip latency per transfer (pipelined; throughput intact).
-    sim::TimePs pcie_latency = sim::Nanoseconds(900);
-    // MSI-X delivery: device write -> IOMMU -> LAPIC -> kernel ISR.
-    sim::TimePs msix_latency = sim::Microseconds(2);
-    // One BAR register access over PCIe (posted write / non-posted read).
-    sim::TimePs bar_write_latency = sim::Nanoseconds(300);
-    sim::TimePs bar_read_latency = sim::Nanoseconds(800);
   };
+
+  // PCIe round-trip latency per transfer (pipelined; throughput intact).
+  static constexpr sim::TimePs kPcieLatency = sim::Nanoseconds(900);
+  // MSI-X delivery: device write -> IOMMU -> LAPIC -> kernel ISR.
+  static constexpr sim::TimePs kMsixLatency = sim::Microseconds(2);
+  // One BAR register access over PCIe (posted write / non-posted read).
+  static constexpr sim::TimePs kBarWriteLatency = sim::Nanoseconds(300);
+  static constexpr sim::TimePs kBarReadLatency = sim::Nanoseconds(800);
 
   using MsixHandler = std::function<void(uint32_t vector, uint64_t value)>;
 
   XdmaCore(sim::Engine* engine, const Config& config)
       : engine_(engine),
         config_(config),
-        h2c_(engine, {config.h2c_bps, config.per_packet_overhead, config.pcie_latency,
-                      "xdma_h2c"}),
-        c2h_(engine, {config.c2h_bps, config.per_packet_overhead, config.pcie_latency,
-                      "xdma_c2h"}) {}
+        h2c_(engine, {config.h2c_bps, 0, kPcieLatency}),
+        c2h_(engine, {config.c2h_bps, 0, kPcieLatency}) {}
 
   // Host -> card direction (reads from host memory).
   sim::Link& h2c() { return h2c_; }
@@ -63,7 +61,7 @@ class XdmaCore {
   // completions, TLB invalidations and user-issued interrupts (§5.1).
   void RaiseMsix(uint32_t vector, uint64_t value) {
     ++msix_raised_;
-    engine_->ScheduleAfter(config_.msix_latency, [this, vector, value]() {
+    engine_->ScheduleAfter(kMsixLatency, [this, vector, value]() {
       if (msix_handler_) {
         msix_handler_(vector, value);
       }

@@ -8,17 +8,15 @@ namespace memsys {
 
 CardMemory::CardMemory(sim::Engine* engine, const Config& config)
     : engine_(engine), config_(config) {
-  const uint64_t eff_bps = static_cast<uint64_t>(static_cast<double>(config_.channel_raw_bps) *
-                                                 config_.controller_efficiency);
+  const uint64_t eff_bps =
+      static_cast<uint64_t>(static_cast<double>(kChannelRawBps) * kControllerEfficiency);
   channels_.reserve(config_.num_channels);
   for (uint32_t i = 0; i < config_.num_channels; ++i) {
-    channels_.push_back(std::make_unique<sim::Link>(
-        engine_, sim::Link::Config{eff_bps, 0, 0, "hbm_ch" + std::to_string(i)}));
+    channels_.push_back(std::make_unique<sim::Link>(engine_, sim::Link::Config{eff_bps, 0, 0}));
   }
   // The crossbar charges only the fixed per-burst translation/arbitration
   // cost (bytes_per_second = 0 disables the byte-proportional part).
-  crossbar_ = std::make_unique<sim::Link>(
-      engine_, sim::Link::Config{0, config_.translation_overhead, 0, "mem_crossbar"});
+  crossbar_ = std::make_unique<sim::Link>(engine_, sim::Link::Config{0, kTranslationOverhead, 0});
 }
 
 uint64_t CardMemory::Allocate(uint64_t bytes) {

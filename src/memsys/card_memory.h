@@ -29,13 +29,16 @@ class CardMemory {
  public:
   struct Config {
     uint32_t num_channels = 32;
-    uint64_t channel_raw_bps = 14'400'000'000ull;  // 256-bit @ 450 MHz
-    double controller_efficiency = 0.60;           // achievable share of raw
-    uint64_t stripe_bytes = 4096;                  // striping granularity
-    sim::TimePs translation_overhead = sim::Nanoseconds(50);  // per burst
+    uint64_t stripe_bytes = 4096;  // striping granularity
     bool mmu_bypass = false;
-    uint64_t capacity_bytes = 32ull << 30;
   };
+
+  // One pseudo-channel: 256 bits at 450 MHz raw, of which the controller
+  // achieves 60%.
+  static constexpr uint64_t kChannelRawBps = 14'400'000'000ull;
+  static constexpr double kControllerEfficiency = 0.60;
+  // Per-burst cost of the shared translation crossbar.
+  static constexpr sim::TimePs kTranslationOverhead = sim::Nanoseconds(50);
 
   CardMemory(sim::Engine* engine, const Config& config);
 

@@ -3,8 +3,9 @@
 // The paper highlights an external contribution that extended Coyote v2's
 // MMU with GPU memory, enabling direct FPGA<->GPU data movement (§2.2,
 // Requirement 1, refs [8]/[58]). We model the GPU as a third physical memory
-// kind reachable over the same PCIe fabric: a flat store plus a bandwidth
-// figure for the peer-to-peer path.
+// kind reachable over the same PCIe fabric: a flat store with a bump
+// allocator. The peer-to-peer link and its bandwidth belong to the data
+// mover (dyn::DataMover::kGpuP2pBps).
 
 #ifndef SRC_MEMSYS_GPU_MEMORY_H_
 #define SRC_MEMSYS_GPU_MEMORY_H_
@@ -18,15 +19,6 @@ namespace memsys {
 
 class GpuMemory {
  public:
-  struct Config {
-    uint64_t capacity_bytes = 16ull << 30;
-    // P2P over PCIe tops out below host DMA due to root-complex forwarding.
-    uint64_t p2p_bandwidth_bps = 10'000'000'000ull;
-  };
-
-  GpuMemory() = default;
-  explicit GpuMemory(const Config& config) : config_(config) {}
-
   uint64_t Allocate(uint64_t bytes) {
     const uint64_t addr = next_;
     next_ += (bytes + 255) & ~255ull;  // 256 B alignment, CUDA-style
@@ -35,10 +27,8 @@ class GpuMemory {
 
   SparseMemory& store() { return store_; }
   const SparseMemory& store() const { return store_; }
-  const Config& config() const { return config_; }
 
  private:
-  Config config_;
   SparseMemory store_;
   uint64_t next_ = 0;
 };

@@ -6,72 +6,66 @@
 // memory without bouncing through host software. This drive model provides
 // the storage substrate: block-addressed functional storage plus a
 // queue-served timing model (per-command latency + sustained bandwidth,
-// separate read/write characteristics, as in datacenter NVMe).
+// separate read/write characteristics, as in datacenter NVMe). The drive's
+// figures are constants of one Gen4 x4 datacenter SSD class; no caller
+// varies them.
 
 #ifndef SRC_MEMSYS_NVME_H_
 #define SRC_MEMSYS_NVME_H_
 
 #include <cstdint>
-#include <functional>
-#include <string>
+#include <utility>
 
 #include "src/memsys/sparse_memory.h"
+#include "src/sim/callback.h"
 #include "src/sim/engine.h"
 #include "src/sim/link.h"
+#include "src/sim/time.h"
 
 namespace coyote {
 namespace memsys {
 
 class NvmeDrive {
  public:
-  struct Config {
-    uint64_t capacity_bytes = 1ull << 40;  // 1 TB
-    uint32_t block_bytes = 4096;
-    // Gen4 x4 datacenter SSD class.
-    uint64_t read_bps = 7'000'000'000ull;
-    uint64_t write_bps = 5'200'000'000ull;
-    sim::TimePs read_latency = sim::Microseconds(75);
-    sim::TimePs write_latency = sim::Microseconds(15);  // write-back cache ack
-  };
+  static constexpr uint64_t kCapacityBytes = 1ull << 40;  // 1 TB
+  static constexpr uint32_t kBlockBytes = 4096;
+  static constexpr uint64_t kReadBps = 7'000'000'000ull;
+  static constexpr uint64_t kWriteBps = 5'200'000'000ull;
+  static constexpr sim::TimePs kReadLatency = sim::Microseconds(75);
+  static constexpr sim::TimePs kWriteLatency = sim::Microseconds(15);  // write-back cache ack
 
-  NvmeDrive(sim::Engine* engine, const Config& config)
+  explicit NvmeDrive(sim::Engine* engine)
       : engine_(engine),
-        config_(config),
-        read_queue_(engine, {config.read_bps, 0, config.read_latency, "nvme_rd"}),
-        write_queue_(engine, {config.write_bps, 0, config.write_latency, "nvme_wr"}) {}
+        read_queue_(engine, {kReadBps, 0, kReadLatency}),
+        write_queue_(engine, {kWriteBps, 0, kWriteLatency}) {}
 
-  const Config& config() const { return config_; }
-  uint64_t num_blocks() const { return config_.capacity_bytes / config_.block_bytes; }
+  uint64_t num_blocks() const { return kCapacityBytes / kBlockBytes; }
 
   // Bump-allocates a block-aligned byte range of the drive (the "swap
   // partition" the memory tiering service demotes cold pages into). Returns
-  // the byte address (lba * block_bytes) of the range's first block.
+  // the byte address (lba * kBlockBytes) of the range's first block.
   uint64_t Allocate(uint64_t bytes) {
-    const uint64_t blocks = (bytes + config_.block_bytes - 1) / config_.block_bytes;
+    const uint64_t blocks = (bytes + kBlockBytes - 1) / kBlockBytes;
     const uint64_t addr = next_alloc_;
-    next_alloc_ += blocks * config_.block_bytes;
+    next_alloc_ += blocks * kBlockBytes;
     return addr;
   }
   uint64_t allocated_bytes() const { return next_alloc_; }
 
   // Timing: a read/write command of `blocks` blocks; `done` fires at command
   // completion. Commands from different sources share the drive's bandwidth.
-  void ReadCommand(uint64_t lba, uint32_t blocks, uint32_t source,
-                   std::function<void()> done) {
+  void ReadCommand(uint64_t lba, uint32_t blocks, uint32_t source, sim::InlineCallback done) {
     (void)lba;
     ++reads_;
-    read_queue_.Submit(source, static_cast<uint64_t>(blocks) * config_.block_bytes,
-                       std::move(done));
+    read_queue_.Submit(source, static_cast<uint64_t>(blocks) * kBlockBytes, std::move(done));
   }
-  void WriteCommand(uint64_t lba, uint32_t blocks, uint32_t source,
-                    std::function<void()> done) {
+  void WriteCommand(uint64_t lba, uint32_t blocks, uint32_t source, sim::InlineCallback done) {
     (void)lba;
     ++writes_;
-    write_queue_.Submit(source, static_cast<uint64_t>(blocks) * config_.block_bytes,
-                        std::move(done));
+    write_queue_.Submit(source, static_cast<uint64_t>(blocks) * kBlockBytes, std::move(done));
   }
 
-  // Functional storage, addressed in bytes (lba * block_bytes).
+  // Functional storage, addressed in bytes (lba * kBlockBytes).
   SparseMemory& store() { return store_; }
   const SparseMemory& store() const { return store_; }
 
@@ -80,7 +74,6 @@ class NvmeDrive {
 
  private:
   sim::Engine* engine_;
-  Config config_;
   SparseMemory store_;
   sim::Link read_queue_;
   sim::Link write_queue_;

@@ -23,19 +23,16 @@ namespace mmu {
 
 class Mmu {
  public:
-  struct Config {
-    Tlb::Config tlb;
-    // One 250 MHz cycle for an SRAM TLB hit.
-    sim::TimePs hit_latency = sim::kSystemClock.CyclesToPs(1);
-    // TLB miss -> driver: MSI-X + kernel handler + BAR write back. Dominated
-    // by the interrupt path, a few microseconds on a tuned system.
-    sim::TimePs miss_latency = sim::Microseconds(4);
-  };
+  // One 250 MHz cycle for an SRAM TLB hit.
+  static constexpr sim::TimePs kHitLatency = sim::kSystemClock.CyclesToPs(1);
+  // TLB miss -> driver: MSI-X + kernel handler + BAR write back. Dominated
+  // by the interrupt path, a few microseconds on a tuned system.
+  static constexpr sim::TimePs kMissLatency = sim::Microseconds(4);
 
   using TranslateCallback = std::function<void(std::optional<PhysPage>)>;
 
-  Mmu(sim::Engine* engine, PageTable* page_table, const Config& config)
-      : engine_(engine), page_table_(page_table), config_(config), tlb_(config.tlb) {}
+  Mmu(sim::Engine* engine, PageTable* page_table, const Tlb::Config& tlb)
+      : engine_(engine), page_table_(page_table), tlb_(tlb) {}
 
   // Asynchronously translates `vaddr`. On a TLB hit the callback fires after
   // the hit latency; on a miss, after the driver-fallback latency (and the
@@ -49,15 +46,14 @@ class Mmu {
       tlb_.Invalidate(vaddr);
     }
     if (auto hit = tlb_.Lookup(vaddr)) {
-      engine_->ScheduleAfter(config_.hit_latency,
-                             [cb = std::move(cb), page = *hit]() { cb(page); });
+      engine_->ScheduleAfter(kHitLatency, [cb = std::move(cb), page = *hit]() { cb(page); });
       return;
     }
     ++driver_fallbacks_;
     if (profiler_ != nullptr) {
       profiler_->OnTlbMiss(vaddr);
     }
-    engine_->ScheduleAfter(config_.miss_latency, [this, vaddr, cb = std::move(cb)]() {
+    engine_->ScheduleAfter(kMissLatency, [this, vaddr, cb = std::move(cb)]() {
       auto entry = page_table_->Find(vaddr);
       if (entry) {
         tlb_.Insert(vaddr, *entry);
@@ -86,14 +82,12 @@ class Mmu {
   Tlb& tlb() { return tlb_; }
   const Tlb& tlb() const { return tlb_; }
   PageTable* page_table() { return page_table_; }
-  const Config& config() const { return config_; }
   uint64_t driver_fallbacks() const { return driver_fallbacks_; }
   uint64_t page_faults() const { return page_faults_; }
 
  private:
   sim::Engine* engine_;
   PageTable* page_table_;
-  Config config_;
   Tlb tlb_;
   sim::FaultInjector* injector_ = nullptr;
   TierProfileSink* profiler_ = nullptr;

@@ -58,7 +58,7 @@ void Tiering::Touch(uint64_t vpage, uint64_t weight) {
   st->heat += weight;
   st->last_touch = epoch_;
   st->referenced = true;
-  if (config_.policy == Policy::kLruClock && st->tier != config_.fast_tier && !st->queued) {
+  if (config_.policy == Policy::kLruClock && st->tier != kFastTier && !st->queued) {
     st->queued = true;
     demand_fifo_.push_back(vpage);
   }
@@ -74,14 +74,14 @@ void Tiering::OnAccess(uint64_t vaddr, uint64_t len, bool write) {
   const uint64_t first = svm_->page_table().VPage(vaddr);
   const uint64_t last = svm_->page_table().VPage(vaddr + len - 1);
   for (uint64_t vp = first; vp <= last; ++vp) {
-    Touch(vp, config_.access_weight);
+    Touch(vp, kAccessWeight);
   }
 }
 
 void Tiering::OnTlbMiss(uint64_t vaddr) {
   guard_.Write();
   stats_.Increment("tiering.tlb_misses");
-  Touch(svm_->page_table().VPage(vaddr), config_.tlb_miss_weight);
+  Touch(svm_->page_table().VPage(vaddr), kTlbMissWeight);
 }
 
 void Tiering::OnMigrate(uint64_t vpage, MemKind from, MemKind to) {
@@ -118,7 +118,7 @@ uint64_t Tiering::FreeFastSlots() const {
   if (config_.fast_capacity_pages == 0) {
     return ~0ull;
   }
-  const uint64_t used = occupancy_[static_cast<size_t>(config_.fast_tier)];
+  const uint64_t used = occupancy_[static_cast<size_t>(kFastTier)];
   return used >= config_.fast_capacity_pages ? 0 : config_.fast_capacity_pages - used;
 }
 
@@ -169,7 +169,7 @@ void Tiering::PlanProfileGuided(std::vector<uint64_t>* promote, std::vector<uint
   std::vector<std::pair<uint64_t, uint64_t>> cands;   // (heat, vpage)
   std::vector<std::pair<uint64_t, uint64_t>> victims; // (heat, vpage)
   for (const auto& [vp, st] : pages_) {
-    if (st.tier == config_.fast_tier) {
+    if (st.tier == kFastTier) {
       if (epoch_ - st.resident_since >= config_.min_residency_epochs) {
         victims.emplace_back(st.heat, vp);
       }
@@ -213,7 +213,7 @@ void Tiering::PlanProfileGuided(std::vector<uint64_t>* promote, std::vector<uint
 }
 
 uint64_t Tiering::ClockVictim() {
-  const uint64_t fast_count = occupancy_[static_cast<size_t>(config_.fast_tier)];
+  const uint64_t fast_count = occupancy_[static_cast<size_t>(kFastTier)];
   if (fast_count == 0) {
     return kNoVictim;
   }
@@ -232,7 +232,7 @@ uint64_t Tiering::ClockVictim() {
     PageState& st = it->second;
     const uint64_t vp = it->first;
     ++it;
-    if (st.tier != config_.fast_tier || st.victim_epoch == epoch_) {
+    if (st.tier != kFastTier || st.victim_epoch == epoch_) {
       continue;
     }
     ++scanned;
@@ -262,7 +262,7 @@ void Tiering::PlanLruClock(std::vector<uint64_t>* promote, std::vector<uint64_t>
       continue;
     }
     it->second.queued = false;
-    if (it->second.tier == config_.fast_tier || budget == 0 || eviction_exhausted) {
+    if (it->second.tier == kFastTier || budget == 0 || eviction_exhausted) {
       continue;
     }
     if (free_slots > 0) {
@@ -289,7 +289,7 @@ void Tiering::PlanColdDemotion(std::vector<uint64_t>* cold) {
   if (config_.slow_capacity_pages == 0 || !svm_->has_nvme()) {
     return;
   }
-  const uint64_t used = occupancy_[static_cast<size_t>(config_.slow_tier)];
+  const uint64_t used = occupancy_[static_cast<size_t>(kSlowTier)];
   if (used <= config_.slow_capacity_pages) {
     return;
   }
@@ -299,7 +299,7 @@ void Tiering::PlanColdDemotion(std::vector<uint64_t>* cold) {
     if (over == 0 || budget == 0) {
       break;
     }
-    if (st.tier != config_.slow_tier || st.heat != 0) {
+    if (st.tier != kSlowTier || st.heat != 0) {
       continue;
     }
     if (epoch_ - st.last_touch < config_.cold_after_epochs) {
@@ -333,20 +333,20 @@ void Tiering::ExecuteWaves(std::vector<uint64_t> cold, std::vector<uint64_t> dem
       finish();
       return;
     }
-    svm_->MigratePages(promote, config_.fast_tier, finish);
+    svm_->MigratePages(promote, kFastTier, finish);
   };
   auto do_cold = [this, cold = std::move(cold), do_promote]() {
     if (cold.empty()) {
       do_promote();
       return;
     }
-    svm_->MigratePages(cold, config_.cold_tier, do_promote);
+    svm_->MigratePages(cold, kColdTier, do_promote);
   };
   if (demote.empty()) {
     do_cold();
     return;
   }
-  svm_->MigratePages(demote, config_.slow_tier, do_cold);
+  svm_->MigratePages(demote, kSlowTier, do_cold);
 }
 
 }  // namespace mmu

@@ -56,19 +56,23 @@ class Tiering : public TierProfileSink {
     kProfileGuided,  // heat-ranked promotion/demotion with hysteresis
   };
 
+  // The three tiers, fastest first.
+  static constexpr MemKind kFastTier = MemKind::kCard;
+  static constexpr MemKind kSlowTier = MemKind::kHost;
+  static constexpr MemKind kColdTier = MemKind::kNvme;
+  // Heat per touched page per access, and per TLB miss: misses are where
+  // placement costs time.
+  static constexpr uint64_t kAccessWeight = 1;
+  static constexpr uint64_t kTlbMissWeight = 4;
+
   struct Config {
     Policy policy = Policy::kProfileGuided;
-    MemKind fast_tier = MemKind::kCard;
-    MemKind slow_tier = MemKind::kHost;
-    MemKind cold_tier = MemKind::kNvme;
     // Page budgets per tier; 0 = unlimited. With slow_capacity_pages == 0
     // cold demotion to NVMe never triggers.
     uint64_t fast_capacity_pages = 0;
     uint64_t slow_capacity_pages = 0;
     sim::TimePs epoch_ps = sim::Milliseconds(1);
     uint32_t decay_shift = 1;           // heat >>= decay_shift per epoch
-    uint64_t access_weight = 1;         // heat per touched page per access
-    uint64_t tlb_miss_weight = 4;       // misses are where placement costs time
     uint64_t promote_threshold = 2;     // min decayed heat to consider a page
     uint64_t hysteresis_margin = 1;     // candidate must beat victim by > this
     uint64_t min_residency_epochs = 2;  // fast-tier tenure before eviction

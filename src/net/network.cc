@@ -1,6 +1,5 @@
 #include "src/net/network.h"
 
-#include <string>
 #include <utility>
 
 namespace coyote {
@@ -11,10 +10,8 @@ uint32_t Network::AttachPort(uint32_t ip, RxHandler rx) {
   Port port;
   port.ip = ip;
   port.rx = std::move(rx);
-  port.tx_link = std::make_unique<sim::Link>(
-      engine_, sim::Link::Config{config_.link_bps, 0, 0, "net_tx" + std::to_string(id)});
-  port.rx_link = std::make_unique<sim::Link>(
-      engine_, sim::Link::Config{config_.link_bps, 0, 0, "net_rx" + std::to_string(id)});
+  port.tx_link = std::make_unique<sim::Link>(engine_, sim::Link::Config{config_.link_bps, 0, 0});
+  port.rx_link = std::make_unique<sim::Link>(engine_, sim::Link::Config{config_.link_bps, 0, 0});
   ports_.push_back(std::move(port));
   ip_to_port_.emplace(ip, id);
   return id;

@@ -76,16 +76,16 @@ void CThread::ReadBuffer(uint64_t vaddr, void* dst, uint64_t len) {
 void CThread::SetCsr(uint64_t value, uint32_t index) {
   // Posted BAR write: charge the PCIe latency, then the register updates.
   auto& region = dev_->vfpga(vfpga_id_);
-  dev_->engine().ScheduleAfter(dev_->xdma().config().bar_write_latency,
+  dev_->engine().ScheduleAfter(dyn::XdmaCore::kBarWriteLatency,
                                [&region, value, index]() { region.csr().Write(index, value); });
   // The host program "blocks" for the posted write to drain so that
   // subsequent invokes observe the register (simplest coherent model).
-  dev_->engine().RunUntil(dev_->engine().Now() + dev_->xdma().config().bar_write_latency);
+  dev_->engine().RunUntil(dev_->engine().Now() + dyn::XdmaCore::kBarWriteLatency);
 }
 
 uint64_t CThread::GetCsr(uint32_t index) {
   // Non-posted read: full round trip before the value is available.
-  dev_->engine().RunUntil(dev_->engine().Now() + dev_->xdma().config().bar_read_latency);
+  dev_->engine().RunUntil(dev_->engine().Now() + dyn::XdmaCore::kBarReadLatency);
   return dev_->vfpga(vfpga_id_).csr().Read(index);
 }
 
@@ -155,7 +155,7 @@ CThread::Task CThread::Invoke(Oper oper, const SgEntry& sg) {
 
   auto& region = dev_->vfpga(vfpga_id_);
   auto& mover = dev_->data_mover();
-  const sim::TimePs start = dev_->engine().Now() + dev_->config().invoke_latency;
+  const sim::TimePs start = dev_->engine().Now() + SimDevice::kInvokeLatency;
 
   const uint32_t src_stream = StreamFor(sg.local.src_stream);
   const uint32_t dst_stream = StreamFor(sg.local.dst_stream);
@@ -196,7 +196,7 @@ CThread::Task CThread::Invoke(Oper oper, const SgEntry& sg) {
       const mmu::MemKind target =
           oper == Oper::kMigrateToCard ? mmu::MemKind::kCard : mmu::MemKind::kHost;
       dev_->engine().ScheduleAt(start, [this, task_id, sg, target, &mover]() {
-        mover.Migrate(vfpga_id_, sg.local.src_addr, sg.local.src_len, target,
+        mover.Migrate(sg.local.src_addr, sg.local.src_len, target,
                       [this, task_id](bool ok) { FinishTask(task_id, ok, true); });
       });
       break;
@@ -212,12 +212,11 @@ CThread::Task CThread::Invoke(Oper oper, const SgEntry& sg) {
         });
         break;
       }
-      const uint32_t block = drive->config().block_bytes;
-      const uint32_t blocks =
-          static_cast<uint32_t>((sg.storage.len + block - 1) / block);
+      constexpr uint32_t kBlock = memsys::NvmeDrive::kBlockBytes;
+      const auto blocks = static_cast<uint32_t>((sg.storage.len + kBlock - 1) / kBlock);
       const bool is_read = oper == Oper::kStorageRead;
       dev_->engine().ScheduleAt(start, [this, task_id, sg, drive, blocks, is_read]() {
-        const uint64_t byte_addr = sg.storage.lba * drive->config().block_bytes;
+        const uint64_t byte_addr = sg.storage.lba * kBlock;
         if (is_read) {
           drive->ReadCommand(sg.storage.lba, blocks, vfpga_id_,
                              [this, task_id, sg, drive, byte_addr]() {
@@ -269,12 +268,9 @@ CThread::Task CThread::Invoke(Oper oper, const SgEntry& sg) {
     dev_->engine().ScheduleAt(start, [this, task_id]() { FinishTask(task_id, true, false); });
   }
 
-  // Arm the per-op deadline: this cThread's override, else the device-wide
-  // default; 0 means the op may wait forever (legacy behavior).
-  const sim::TimePs deadline =
-      op_deadline_ != 0 ? op_deadline_ : dev_->config().default_op_deadline;
-  if (deadline != 0) {
-    state.deadline_timer = dev_->timers().ScheduleAfter(deadline, [this, task_id]() {
+  // Arm the per-op deadline; 0 means the op may wait forever.
+  if (op_deadline_ != 0) {
+    state.deadline_timer = dev_->timers().ScheduleAfter(op_deadline_, [this, task_id]() {
       auto it = tasks_.find(task_id);
       if (it == tasks_.end() || it->second.status != OpStatus::kPending) {
         return;

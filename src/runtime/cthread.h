@@ -134,11 +134,11 @@ class CThread {
   OpStatus Status(Task task) const;
 
   // --- Deadlines -------------------------------------------------------------------
-  // Per-op deadline override for this cThread; 0 falls back to the device's
-  // Config::default_op_deadline (0 there too = no deadline). When a deadline
-  // fires before the op retires, the task force-completes with
-  // kDeadlineExceeded — Wait() unblocks with ok=false instead of spinning on
-  // a completion that will never arrive — and the supervisor is notified.
+  // Per-op deadline for this cThread's later invokes; 0 (the default) means
+  // no deadline. When a deadline fires before the op retires, the task
+  // force-completes with kDeadlineExceeded — Wait() unblocks with ok=false
+  // instead of spinning on a completion that will never arrive — and the
+  // supervisor is notified.
   void SetOpDeadline(sim::TimePs deadline) { op_deadline_ = deadline; }
   sim::TimePs op_deadline() const { return op_deadline_; }
 
@@ -206,7 +206,7 @@ class CThread {
   uint64_t next_task_id_ = 0;
   std::function<void(Task, OpStatus)> completion_cb_;
 
-  sim::TimePs op_deadline_ = 0;  // 0 = device default
+  sim::TimePs op_deadline_ = 0;  // 0 = no deadline
   uint64_t deadline_misses_ = 0;
 
   uint64_t rd_writeback_addr_ = 0;

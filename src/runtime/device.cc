@@ -1,6 +1,5 @@
 #include "src/runtime/device.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -17,7 +16,6 @@ memsys::CardMemory::Config CardConfigFor(const SimDevice::Config& config) {
   if (cfg.num_channels == 0) {
     cfg.num_channels = config.part.memory_channels;
   }
-  cfg.capacity_bytes = config.part.memory_bytes;
   return cfg;
 }
 
@@ -30,7 +28,7 @@ SimDevice::SimDevice(const Config& config, net::Network* network, sim::Engine* s
       floorplan_(fabric::Floorplan::ForPart(config.part, config.shell.num_vfpgas)),
       card_(std::make_unique<memsys::CardMemory>(engine_, CardConfigFor(config))),
       svm_(engine_, &host_, card_.get(), &gpu_, config.shell.page_bytes),
-      nvme_drive_(engine_, memsys::NvmeDrive::Config{}),
+      nvme_drive_(engine_),
       network_(network) {
   active_shell_ = config_.shell;
 
@@ -63,11 +61,10 @@ SimDevice::SimDevice(const Config& config, net::Network* network, sim::Engine* s
   }
   for (uint32_t i = 0; i < config_.shell.num_vfpgas; ++i) {
     vfpgas_.push_back(std::make_unique<vfpga::Vfpga>(engine_, i, vcfg));
-    mmu::Mmu::Config mcfg;
-    mcfg.tlb.entries = config_.shell.tlb_entries;
-    mcfg.tlb.associativity = config_.shell.tlb_associativity;
-    mcfg.tlb.page_bytes = config_.shell.page_bytes;
-    mmus_.push_back(std::make_unique<mmu::Mmu>(engine_, &svm_.page_table(), mcfg));
+    const mmu::Tlb::Config tlb{.entries = config_.shell.tlb_entries,
+                               .associativity = config_.shell.tlb_associativity,
+                               .page_bytes = config_.shell.page_bytes};
+    mmus_.push_back(std::make_unique<mmu::Mmu>(engine_, &svm_.page_table(), tlb));
     mover_->RegisterVfpga(i, mmus_.back().get());
 
     // Interrupt channel: user interrupts become MSI-X vectors.
@@ -204,17 +201,15 @@ const fabric::PartialBitstream* SimDevice::FindBitstreamFile(const std::string& 
 SimDevice::ReconfigResult SimDevice::StageAndProgram(const fabric::PartialBitstream& bs) {
   ReconfigResult result;
   const sim::TimePs start = engine_->Now();
-  const uint32_t max_attempts = std::max(1u, config_.reconfig_max_retries);
-
-  for (uint32_t attempt = 0; attempt < max_attempts && !result.ok; ++attempt) {
+  for (uint32_t attempt = 0; attempt < kReconfigMaxRetries && !result.ok; ++attempt) {
     ++result.attempts;
 
     // Host side: read the bitstream from disk and copy it into kernel space
     // (the Table 3 "total latency" components). An aborted program restages
     // from scratch — the driver re-validates the whole pipeline.
-    const sim::TimePs disk = sim::TransferTime(bs.size_bytes, config_.disk_read_bps);
-    const sim::TimePs copy = sim::TransferTime(bs.size_bytes, config_.kernel_copy_bps);
-    const sim::TimePs staged_at = engine_->Now() + config_.ioctl_latency + disk + copy;
+    const sim::TimePs disk = sim::TransferTime(bs.size_bytes, kDiskReadBps);
+    const sim::TimePs copy = sim::TransferTime(bs.size_bytes, kKernelCopyBps);
+    const sim::TimePs staged_at = engine_->Now() + kIoctlLatency + disk + copy;
 
     // ...then the ICAP programs the region (the "kernel latency").
     bool done = false;

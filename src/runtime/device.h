@@ -12,6 +12,11 @@
 //
 // The host-facing API (cThread, cRcnfg) lives on top of this class the same
 // way Coyote v2's user library sits on the character device.
+//
+// Config holds only what a caller varies: the part, the shell, the vFPGA,
+// data mover, XDMA bandwidth and card geometry settings, v1 mode and the
+// IP. The driver's own figures — doorbell and ioctl latency, bitstream
+// staging rates, the ICAP retry budget — are constants of the class.
 
 #ifndef SRC_RUNTIME_DEVICE_H_
 #define SRC_RUNTIME_DEVICE_H_
@@ -64,24 +69,6 @@ class SimDevice {
     // set it explicitly to sweep channel counts (Fig. 7(a)).
     memsys::CardMemory::Config card{.num_channels = 0};
 
-    // Software/driver path latencies.
-    sim::TimePs invoke_latency = sim::Microseconds(5);  // doorbell -> DMA start
-    sim::TimePs ioctl_latency = sim::Microseconds(10);  // reconfig etc.
-    // Bitstream staging (Table 3 total-vs-kernel split).
-    uint64_t disk_read_bps = 90'000'000ull;
-    uint64_t kernel_copy_bps = 6'000'000'000ull;
-
-    // ICAP programming attempts before a reconfiguration is reported failed
-    // (a fault injector can abort individual attempts).
-    uint32_t reconfig_max_retries = 3;
-
-    // Default per-operation deadline for cThread invokes. 0 disables the
-    // deadline (legacy behavior: a lost completion stalls Wait() forever).
-    // When set, an op that has not retired by Invoke-time + deadline is
-    // force-completed with OpStatus::kDeadlineExceeded and the supervisor
-    // (if attached) is notified.
-    sim::TimePs default_op_deadline = 0;
-
     // Coyote v1 compatibility mode (baseline for Fig. 11): single host
     // stream, no service reconfiguration.
     bool v1_compat = false;
@@ -89,6 +76,16 @@ class SimDevice {
     // External network: IP of this device's 100G port.
     uint32_t ip = 0x0A000001;  // 10.0.0.1
   };
+
+  // Software/driver path latencies.
+  static constexpr sim::TimePs kInvokeLatency = sim::Microseconds(5);  // doorbell -> DMA start
+  static constexpr sim::TimePs kIoctlLatency = sim::Microseconds(10);  // reconfig etc.
+  // Bitstream staging (Table 3 total-vs-kernel split).
+  static constexpr uint64_t kDiskReadBps = 90'000'000ull;
+  static constexpr uint64_t kKernelCopyBps = 6'000'000'000ull;
+  // ICAP programming attempts before a reconfiguration is reported failed
+  // (a fault injector can abort individual attempts).
+  static constexpr uint32_t kReconfigMaxRetries = 3;
 
   // `network` may be nullptr when the shell has no networking service.
   // `shared_engine` lets multiple devices (and the network) share one event

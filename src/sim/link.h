@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -38,7 +37,6 @@ class Link {
     // byte leaves the link, without holding the link (PCIe round trip,
     // controller latency). Does not affect throughput.
     TimePs delivery_latency = 0;
-    std::string name = "link";
   };
 
   Link(Engine* engine, const Config& config);

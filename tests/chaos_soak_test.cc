@@ -282,7 +282,7 @@ TEST_F(ReconfigChaosTest, FailedReconfigLeavesRegionEmptyAndReportsError) {
   runtime::CRcnfg rcnfg(dev_.get());
   const auto result = rcnfg.ReconfigureApp("/bit/app.bin", 0);
   EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.attempts, cfg_.reconfig_max_retries);
+  EXPECT_EQ(result.attempts, SimDevice::kReconfigMaxRetries);
   EXPECT_NE(result.error.find("attempts"), std::string::npos);
   EXPECT_EQ(dev_->vfpga(0).kernel(), nullptr);
 }

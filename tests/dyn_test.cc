@@ -31,20 +31,14 @@ class DataMoverTest : public ::testing::Test {
  protected:
   DataMoverTest()
       : card_(&engine_, {}),
-        nvme_(&engine_, {}),
+        nvme_(&engine_),
         svm_(&engine_, &host_, &card_, &gpu_, kPage, &nvme_),
         xdma_(&engine_, {}),
         mover_(&engine_, &svm_, &card_, &gpu_, &xdma_, {}),
-        mmu_(&engine_, &svm_.page_table(), MmuConfig()) {
+        mmu_(&engine_, &svm_.page_table(), {.page_bytes = kPage}) {
     svm_.set_hooks(mover_.MakeMigrationHooks());
     mover_.SetNvme(&nvme_);
     mover_.RegisterVfpga(0, &mmu_);
-  }
-
-  static mmu::Mmu::Config MmuConfig() {
-    mmu::Mmu::Config cfg;
-    cfg.tlb.page_bytes = kPage;
-    return cfg;
   }
 
   uint64_t MakeBuffer(uint64_t bytes, uint64_t seed) {
@@ -146,7 +140,7 @@ TEST_F(DataMoverTest, CreditsBoundOutstandingPackets) {
 }
 
 TEST_F(DataMoverTest, StalledVfpgaDoesNotBlockAnotherTenant) {
-  mmu::Mmu mmu1(&engine_, &svm_.page_table(), MmuConfig());
+  mmu::Mmu mmu1(&engine_, &svm_.page_table(), {.page_bytes = kPage});
   mover_.RegisterVfpga(1, &mmu1);
 
   const uint64_t a = MakeBuffer(1 << 20, 4);
@@ -256,7 +250,7 @@ TEST_F(DataMoverTest, ZeroByteOpsComplete) {
 TEST_F(DataMoverTest, MigrateMovesWholeBuffer) {
   const uint64_t addr = MakeBuffer(4 * kPage, 11);
   bool done = false;
-  mover_.Migrate(0, addr, 4 * kPage, mmu::MemKind::kCard, [&](bool ok) { done = ok; });
+  mover_.Migrate(addr, 4 * kPage, mmu::MemKind::kCard, [&](bool ok) { done = ok; });
   engine_.RunUntilIdle();
   EXPECT_TRUE(done);
   EXPECT_EQ(svm_.migrations(), 4u);
@@ -475,14 +469,14 @@ TEST(XdmaTest, MsixDeliveryLatencyAndHandler) {
   engine.RunUntilIdle();
   EXPECT_EQ(got_vector, kMsixUserBase + 3);
   EXPECT_EQ(got_value, 0x1234u);
-  EXPECT_EQ(engine.Now(), xdma.config().msix_latency);
+  EXPECT_EQ(engine.Now(), XdmaCore::kMsixLatency);
   EXPECT_EQ(xdma.msix_raised(), 1u);
 }
 
 TEST(WritebackTest, CountersIncrementViaC2hWrites) {
   sim::Engine engine;
   memsys::HostMemory host;
-  sim::Link c2h(&engine, {12'000'000'000ull, 0, 0, "c2h"});
+  sim::Link c2h(&engine, {12'000'000'000ull, 0, 0});
   WritebackEngine wb(&engine, &host, &c2h);
 
   const uint64_t slot = host.Allocate(64, memsys::AllocKind::kRegular);
@@ -515,9 +509,7 @@ TEST_P(PacketizationSweep, ExactByteCountAnyPacketSize) {
   cfg.packet_bytes = packet_bytes;
   cfg.credits_per_stream = 4;
   DataMover mover(&engine, &svm, &card, &gpu, &xdma, cfg);
-  mmu::Mmu::Config mcfg;
-  mcfg.tlb.page_bytes = kPage;
-  mmu::Mmu mmu(&engine, &svm.page_table(), mcfg);
+  mmu::Mmu mmu(&engine, &svm.page_table(), {.page_bytes = kPage});
   mover.RegisterVfpga(0, &mmu);
 
   const uint64_t bytes = 100'000;

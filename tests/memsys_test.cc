@@ -158,7 +158,6 @@ TEST(CardMemoryTest, CrossbarCapsVirtualizedBandwidth) {
   CardMemory::Config cfg;
   cfg.num_channels = 32;
   cfg.mmu_bypass = false;
-  cfg.translation_overhead = sim::Nanoseconds(50);
   CardMemory card(&engine, cfg);
   const uint64_t bytes = 32 << 20;
   bool done = false;
@@ -203,7 +202,7 @@ TEST(GpuMemoryTest, AllocateAligned256) {
 
 TEST(NvmeTest, CommandLatencyAndBandwidth) {
   sim::Engine engine;
-  memsys::NvmeDrive drive(&engine, {});
+  memsys::NvmeDrive drive(&engine);
   // Small read: dominated by command latency (75 us).
   bool done = false;
   drive.ReadCommand(0, 1, 0, [&] { done = true; });
@@ -223,7 +222,7 @@ TEST(NvmeTest, CommandLatencyAndBandwidth) {
 
 TEST(NvmeTest, WritesAckFasterThanReads) {
   sim::Engine engine;
-  memsys::NvmeDrive drive(&engine, {});
+  memsys::NvmeDrive drive(&engine);
   sim::TimePs write_done = 0, read_done = 0;
   drive.WriteCommand(0, 1, 0, [&] { write_done = engine.Now(); });
   engine.RunUntilIdle();
@@ -237,7 +236,7 @@ TEST(NvmeTest, WritesAckFasterThanReads) {
 
 TEST(NvmeTest, StoreIsBlockAddressedAndPersistent) {
   sim::Engine engine;
-  memsys::NvmeDrive drive(&engine, {});
+  memsys::NvmeDrive drive(&engine);
   std::vector<uint8_t> block(4096);
   sim::Rng rng(5);
   rng.FillBytes(block.data(), block.size());
@@ -250,7 +249,7 @@ TEST(NvmeTest, StoreIsBlockAddressedAndPersistent) {
 
 TEST(NvmeTest, AllocateIsBlockAlignedAndMonotone) {
   sim::Engine engine;
-  memsys::NvmeDrive drive(&engine, {});
+  memsys::NvmeDrive drive(&engine);
   // Sub-block request still consumes a whole block (the tiering service's
   // swap slots never alias).
   EXPECT_EQ(drive.Allocate(100), 0u);

@@ -40,8 +40,7 @@ class Universe {
       : engine_(engine),
         page_bytes_(page_bytes),
         page_table_(page_bytes),
-        mmu_(engine, &page_table_,
-             {.tlb = {.entries = 64, .associativity = 4, .page_bytes = page_bytes}}) {}
+        mmu_(engine, &page_table_, {.entries = 64, .associativity = 4, .page_bytes = page_bytes}) {}
 
   struct Alloc {
     uint64_t vaddr = 0;
@@ -259,7 +258,7 @@ class SvmStack {
 
   explicit SvmStack(bool tiered)
       : card_(&engine_, {}),
-        nvme_(&engine_, {}),
+        nvme_(&engine_),
         svm_(&engine_, &host_, &card_, &gpu_, kPage, &nvme_) {
     if (tiered) {
       Tiering::Config cfg;

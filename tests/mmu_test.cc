@@ -120,15 +120,14 @@ TEST(MmuTest, HitIsOneCycleMissPaysDriverLatency) {
   sim::Engine engine;
   PageTable pt(kPage2M);
   pt.Map(0, {MemKind::kHost, 0x1234});
-  Mmu::Config cfg;
-  Mmu mmu(&engine, &pt, cfg);
+  Mmu mmu(&engine, &pt, {});
 
   // Miss path: driver fallback latency.
   std::optional<PhysPage> result;
   mmu.Translate(0, [&](std::optional<PhysPage> e) { result = e; });
   engine.RunUntilIdle();
   ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(engine.Now(), cfg.miss_latency);
+  EXPECT_EQ(engine.Now(), Mmu::kMissLatency);
   EXPECT_EQ(mmu.driver_fallbacks(), 1u);
 
   // Now cached: hit latency only.
@@ -137,7 +136,7 @@ TEST(MmuTest, HitIsOneCycleMissPaysDriverLatency) {
   mmu.Translate(100, [&](std::optional<PhysPage> e) { result = e; });
   engine.RunUntilIdle();
   ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(engine.Now() - before, cfg.hit_latency);
+  EXPECT_EQ(engine.Now() - before, Mmu::kHitLatency);
 }
 
 TEST(MmuTest, UnmappedAddressIsPageFault) {
@@ -284,7 +283,7 @@ TEST_F(SvmTest, VirtualAccessSpansPagesAcrossKinds) {
 }
 
 TEST_F(SvmTest, NvmeTierRoundTripsDataAndRecyclesFrames) {
-  memsys::NvmeDrive nvme(&engine_, {});
+  memsys::NvmeDrive nvme(&engine_);
   EXPECT_FALSE(svm_.has_nvme());
   svm_.set_nvme(&nvme);
   ASSERT_TRUE(svm_.has_nvme());

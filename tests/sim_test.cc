@@ -163,7 +163,7 @@ TEST(EngineTest, RunUntilCondition) {
 
 TEST(LinkTest, SinglePacketLatency) {
   Engine e;
-  Link link(&e, {.bytes_per_second = 1'000'000'000, .per_packet_overhead = 0, .name = "t"});
+  Link link(&e, {.bytes_per_second = 1'000'000'000, .per_packet_overhead = 0});
   TimePs done_at = 0;
   link.Submit(0, 1'000'000, [&] { done_at = e.Now(); });
   e.RunUntilIdle();
@@ -173,8 +173,7 @@ TEST(LinkTest, SinglePacketLatency) {
 
 TEST(LinkTest, PerPacketOverheadCharged) {
   Engine e;
-  Link link(&e, {.bytes_per_second = 1'000'000'000, .per_packet_overhead = Nanoseconds(500),
-                 .name = "t"});
+  Link link(&e, {.bytes_per_second = 1'000'000'000, .per_packet_overhead = Nanoseconds(500)});
   TimePs done_at = 0;
   link.Submit(0, 1000, [&] { done_at = e.Now(); });
   e.RunUntilIdle();
@@ -183,7 +182,7 @@ TEST(LinkTest, PerPacketOverheadCharged) {
 
 TEST(LinkTest, SerializesPacketsFifoPerSource) {
   Engine e;
-  Link link(&e, {.bytes_per_second = 1'000'000, .per_packet_overhead = 0, .name = "t"});
+  Link link(&e, {.bytes_per_second = 1'000'000, .per_packet_overhead = 0});
   std::vector<TimePs> completions;
   for (int i = 0; i < 3; ++i) {
     link.Submit(7, 1'000, [&] { completions.push_back(e.Now()); });
@@ -198,7 +197,7 @@ TEST(LinkTest, SerializesPacketsFifoPerSource) {
 TEST(LinkTest, RoundRobinFairSharing) {
   // Two sources each offering unlimited load: bytes served must stay equal.
   Engine e;
-  Link link(&e, {.bytes_per_second = 1'000'000'000, .per_packet_overhead = 0, .name = "t"});
+  Link link(&e, {.bytes_per_second = 1'000'000'000, .per_packet_overhead = 0});
   constexpr int kPackets = 100;
   for (int i = 0; i < kPackets; ++i) {
     link.Submit(0, 4096, nullptr);
@@ -211,7 +210,7 @@ TEST(LinkTest, RoundRobinFairSharing) {
 
 TEST(LinkTest, FairSharingAcrossManySourcesWithinTolerance) {
   Engine e;
-  Link link(&e, {.bytes_per_second = 12'000'000'000ull, .per_packet_overhead = 0, .name = "t"});
+  Link link(&e, {.bytes_per_second = 12'000'000'000ull, .per_packet_overhead = 0});
   constexpr int kSources = 8;
   constexpr int kPackets = 64;
   for (int p = 0; p < kPackets; ++p) {
@@ -232,7 +231,7 @@ TEST(LinkTest, FairSharingAcrossManySourcesWithinTolerance) {
 
 TEST(LinkTest, LateJoinerGetsFairShareGoingForward) {
   Engine e;
-  Link link(&e, {.bytes_per_second = 1'000'000'000, .per_packet_overhead = 0, .name = "t"});
+  Link link(&e, {.bytes_per_second = 1'000'000'000, .per_packet_overhead = 0});
   // Source 0 queues a long backlog; source 1 joins with one packet. The
   // round-robin arbiter must serve source 1 after at most one more packet of
   // source 0.
@@ -253,7 +252,7 @@ TEST(LinkTest, DeliveryLatencyAddsLatencyNotOccupancy) {
   // packets still stream at full bandwidth (the link frees at wire time).
   Engine e;
   Link link(&e, {.bytes_per_second = 1'000'000'000, .per_packet_overhead = 0,
-                 .delivery_latency = Microseconds(5), .name = "t"});
+                 .delivery_latency = Microseconds(5)});
   std::vector<TimePs> completions;
   for (int i = 0; i < 3; ++i) {
     link.Submit(0, 1'000'000, [&] { completions.push_back(e.Now()); });  // 1 ms wire time
@@ -286,7 +285,7 @@ TEST(EngineTest, LargeEventCountStableAndOrdered) {
 
 TEST(LinkTest, ObservedBandwidthMatchesConfig) {
   Engine e;
-  Link link(&e, {.bytes_per_second = 800'000'000, .per_packet_overhead = 0, .name = "icap"});
+  Link link(&e, {.bytes_per_second = 800'000'000, .per_packet_overhead = 0});
   bool done = false;
   link.Submit(0, 40'000'000, [&] { done = true; });
   e.RunUntilIdle();

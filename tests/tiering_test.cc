@@ -25,7 +25,7 @@ class TieringTest : public ::testing::Test {
  protected:
   TieringTest()
       : card_(&engine_, {}),
-        nvme_(&engine_, {}),
+        nvme_(&engine_),
         svm_(&engine_, &host_, &card_, &gpu_, kPage, &nvme_) {}
 
   // Allocates and registers `pages` 4K pages of host memory; returns the base.
@@ -333,7 +333,7 @@ TEST_F(TieringTest, SameSeedRunsProduceIdenticalFingerprints) {
     memsys::HostMemory host;
     memsys::CardMemory card(&engine, {});
     memsys::GpuMemory gpu;
-    memsys::NvmeDrive nvme(&engine, {});
+    memsys::NvmeDrive nvme(&engine);
     Svm svm(&engine, &host, &card, &gpu, kPage, &nvme);
     auto cfg = BaseConfig();
     cfg.fast_capacity_pages = 3;
