@@ -354,6 +354,69 @@ TEST(OrchestratorTest, EvacuationWithoutCheckpointRestartsFresh) {
   EXPECT_EQ(fleet.orchestrator().tenants().at(t).node, 1u);
 }
 
+TEST(OrchestratorTest, EvacuationReplayRetransmitsADroppedChunk) {
+  // The orchestrator replays the stored checkpoint itself. Its first chunk
+  // is dropped, so the survivor asks the orchestrator, not the dead source,
+  // for a resend.
+  Fleet::Config c = BaseConfig();
+  c.num_nodes = 2;
+  c.fault_template.migration_chunk_drop_first_n = 1;
+  Fleet fleet(c);
+
+  TenantSpec spec;
+  spec.home_node = 0;
+  spec.items_total = 30;
+  spec.think_time = sim::Microseconds(25);
+  const uint32_t t = fleet.AddTenant(spec);
+  fleet.ScheduleKill(sim::Microseconds(620), 0);
+
+  ASSERT_TRUE(fleet.Run(sim::Milliseconds(100)));
+  EXPECT_EQ(fleet.tenant_outcome(t), TenantOutcome::kDone);
+  EXPECT_EQ(fleet.tenant_data_hash(t), ExpectedHash(t, spec.items_total, spec.item_bytes));
+  EXPECT_EQ(fleet.orchestrator().events().value("transfer.retry"), 1u);
+  const MigrationRecord* rec = FindRecord(fleet, t);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->outcome, "evacuated");
+  EXPECT_EQ(rec->reason, "node.dead");
+  EXPECT_EQ(rec->retransmit_rounds, 1u);
+  EXPECT_EQ(rec->resumed_at, 910'546'240u);
+  EXPECT_EQ(fleet.orchestrator().tenants().at(t).node, 1u);
+}
+
+TEST(OrchestratorTest, SourceDyingBeforeQuiesceAbortsThenEvacuates) {
+  // Node 0 dies one microsecond before a planned migration off it starts. It
+  // is not yet declared dead, so the migration reserves a region on node 1
+  // and the quiesce goes to a dead source. Once the detector declares node
+  // 0, the migration aborts, node 1 abandons the inbound transfer and frees
+  // the reservation, and the tenant is evacuated from its stored checkpoint.
+  Fleet::Config c = BaseConfig();
+  c.num_nodes = 2;
+  Fleet fleet(c);
+
+  TenantSpec spec;
+  spec.home_node = 0;
+  spec.items_total = 30;
+  spec.think_time = sim::Microseconds(25);
+  const uint32_t t = fleet.AddTenant(spec);
+  fleet.ScheduleKill(sim::Microseconds(600), 0);
+  fleet.ScheduleMigration(sim::Microseconds(601), t, 1);
+
+  ASSERT_TRUE(fleet.Run(sim::Milliseconds(100)));
+  const Orchestrator& orch = fleet.orchestrator();
+  EXPECT_EQ(fleet.tenant_outcome(t), TenantOutcome::kDone);
+  EXPECT_EQ(fleet.tenant_data_hash(t), ExpectedHash(t, spec.items_total, spec.item_bytes));
+  EXPECT_EQ(orch.rollbacks(), 0u);
+  const auto& records = orch.migrations();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].outcome, "abort.src_dead");
+  EXPECT_EQ(records[0].reason, "planned");
+  EXPECT_EQ(records[1].outcome, "evacuated");
+  EXPECT_EQ(records[1].reason, "node.dead");
+  EXPECT_EQ(records[1].dst_node, 1u);
+  EXPECT_EQ(records[1].resumed_at, 804'003'200u);
+  EXPECT_EQ(orch.tenants().at(t).node, 1u);
+}
+
 TEST(OrchestratorTest, CapacityPressureShedsLowestPriorityWithTypedOutcome) {
   Fleet::Config c = BaseConfig();
   c.num_nodes = 2;

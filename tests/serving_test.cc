@@ -165,6 +165,106 @@ TEST(ServingEnvelopeTest, ExecuteSyncEchoesPayloadAndWitnessesIntegrity) {
   EXPECT_GT(done.completed_at, 0u);
 }
 
+// --- the region executor ------------------------------------------------------
+
+// One passthrough region and a 32-byte executor on it: small enough that a
+// whole checkpoint section reads as a few lines of hex.
+class RegionExecTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kBytes = 32;
+
+  static SimDevice::Config OneRegion() {
+    SimDevice::Config cfg;
+    cfg.shell.name = "exec-shell";
+    cfg.shell.services = {fabric::Service::kHostStream, fabric::Service::kCardMemory};
+    cfg.shell.num_vfpgas = 1;
+    return cfg;
+  }
+
+  RegionExecTest() : dev_(OneRegion()) {
+    dev_.vfpga(0).LoadKernel(std::make_unique<services::PassthroughKernel>());
+  }
+
+  std::unique_ptr<serving::RegionExec> MakeExec() {
+    return std::make_unique<serving::RegionExec>(
+        &dev_, 0, /*ctid=*/-1, kBytes, [this](OpStatus status) { done_.push_back(status); });
+  }
+
+  // A 16-byte request whose payload is 0x00..0x0f.
+  serving::ServingRequest Req() {
+    std::vector<uint8_t> payload(16);
+    for (size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<uint8_t>(i);
+    }
+    payload_ = payload;
+    serving::ServingRequest req;
+    req.payload = axi::BufferView(std::move(payload));
+    return req;
+  }
+
+  static std::string Section(serving::RegionExec* exec) {
+    sim::wire::Writer w;
+    exec->WriteSection(&w);
+    return Hex(w.bytes());
+  }
+
+  SimDevice dev_;
+  std::vector<uint8_t> payload_;
+  std::vector<OpStatus> done_;
+};
+
+// Pins every byte of the executor's checkpoint section: a u32 op count, each
+// op's kind and buffer-relative src/dst offsets and lengths, then each
+// buffer's dirty segments (u32 count; u64 offset and length-prefixed bytes).
+TEST_F(RegionExecTest, SectionGoldenBytesIdleInFlightAndHeld) {
+  std::unique_ptr<serving::RegionExec> exec = MakeExec();
+  // Idle: no op, and neither buffer has a written page.
+  EXPECT_EQ(Section(exec.get()),
+            "00000000"                          // no op
+            "00000000"                          // src: no segment
+            "00000000");                        // dst: no segment
+
+  ASSERT_TRUE(exec->Start(Req()));
+  // Let the doorbell land so the data mover holds the op's DMA.
+  dev_.engine().RunUntil(dev_.engine().Now() + SimDevice::kInvokeLatency);
+  ASSERT_TRUE(exec->busy());
+  // In flight: the op rides along, and the staged payload is the src
+  // buffer's one dirty segment.
+  const std::string in_flight = Section(exec.get());
+  EXPECT_EQ(in_flight,
+            "01000000"                          // one op
+            "01"                                // kLocalTransfer
+            "00000000000000001000000000000000"  // src offset 0, 16 bytes
+            "00000000000000001000000000000000"  // dst offset 0, 16 bytes
+            "01000000"                          // src: one segment
+            "000000000000000020000000"          // offset 0, 32 bytes
+            "000102030405060708090a0b0c0d0e0f00000000000000000000000000000000"
+            "00000000");                        // dst: no segment
+
+  // Held: quiesce aborts the op and keeps it; the section does not change.
+  exec->Quiesce(OpStatus::kAborted);
+  EXPECT_FALSE(exec->busy());
+  EXPECT_EQ(done_, std::vector<OpStatus>{OpStatus::kAborted});
+  EXPECT_EQ(Section(exec.get()), in_flight);
+
+  // The held op is re-issued exactly once, then runs to completion.
+  EXPECT_TRUE(exec->Reissue());
+  EXPECT_FALSE(exec->Reissue());
+  EXPECT_TRUE(exec->busy());
+  dev_.engine().RunUntilIdle();
+  EXPECT_EQ(done_, (std::vector<OpStatus>{OpStatus::kAborted, OpStatus::kOk}));
+  EXPECT_EQ(exec->ReadBack(payload_.size()), payload_);
+  // Idle again: the retired op no longer rides along; both buffers ship.
+  EXPECT_EQ(Section(exec.get()),
+            "00000000"                          // no op
+            "01000000"                          // src: one segment
+            "000000000000000020000000"          // offset 0, 32 bytes
+            "000102030405060708090a0b0c0d0e0f00000000000000000000000000000000"
+            "01000000"                          // dst: one segment
+            "000000000000000020000000"          // offset 0, 32 bytes
+            "000102030405060708090a0b0c0d0e0f00000000000000000000000000000000");
+}
+
 // --- Router policies in isolation ---------------------------------------------
 
 class RouterTest : public ::testing::Test {

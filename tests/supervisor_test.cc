@@ -405,6 +405,78 @@ TEST_F(SupervisorTest, CleanReadmissionResetsTheIncidentBudget) {
   sup.Stop();
 }
 
+TEST_F(SupervisorTest, RetiredTasksKeepTheirAnswers) {
+  // One cThread retires a task with every terminal status the tests above
+  // produce, then runs 100 more ok ops; each id still answers as it did the
+  // moment it retired.
+  sim::FaultPlan plan;
+  plan.seed = 49;
+  plan.kernel_hang_first_n = 2;
+  AttachChaos(plan);
+  ASSERT_TRUE(dev_->ReconfigureApp("/bit/app.bin", 0).ok);
+  Supervisor sup(dev_.get(), nullptr, FastWatchdog());
+  sup.SetLastKnownGood(0, "/bit/app.bin");
+  sup.Start();
+
+  CThread t(dev_.get(), 0);
+  struct Answer {
+    OpStatus status;
+    bool completed;
+    bool waited;
+  };
+  std::vector<Answer> answers;
+  auto answer = [&t](CThread::Task task) {
+    return Answer{t.Status(task), t.CheckCompleted(task), t.Wait(task)};
+  };
+  auto retired = [&](OpStatus expected) {
+    const CThread::Task task{t.tasks_issued() - 1};
+    const Answer now = answer(task);
+    EXPECT_EQ(now.status, expected) << "task " << task.id;
+    EXPECT_TRUE(now.completed) << "task " << task.id;
+    EXPECT_EQ(now.waited, expected == OpStatus::kOk) << "task " << task.id;
+    answers.push_back(now);
+  };
+
+  // Hang #1: the watchdog's recovery aborts the region's DMA.
+  EXPECT_FALSE(RunTransfer(t));
+  retired(OpStatus::kError);
+  ASSERT_TRUE(dev_->engine().RunUntilCondition([&] { return sup.readmissions() == 1; }));
+  // Hang #2: the op deadline fires before the 60 us heartbeat window ends.
+  t.SetOpDeadline(sim::Microseconds(20));
+  EXPECT_FALSE(RunTransfer(t));
+  retired(OpStatus::kDeadlineExceeded);
+  t.SetOpDeadline(0);
+  ASSERT_TRUE(dev_->engine().RunUntilCondition([&] { return sup.readmissions() == 2; }));
+  EXPECT_TRUE(RunTransfer(t));
+  retired(OpStatus::kOk);
+  // A host-side cancel before the doorbell lands; the op's late sub-op
+  // completions must not touch the retired task.
+  constexpr uint64_t kBytes = 4 << 10;
+  const uint64_t src = t.GetMem({Alloc::kHpf, kBytes});
+  const uint64_t dst = t.GetMem({Alloc::kHpf, kBytes});
+  SgEntry sg;
+  sg.local = {.src_addr = src, .src_len = kBytes, .dst_addr = dst, .dst_len = kBytes};
+  t.Invoke(Oper::kLocalTransfer, sg);
+  EXPECT_EQ(t.AbortPending(), 1u);
+  retired(OpStatus::kAborted);
+  dev_->engine().RunUntil(dev_->engine().Now() + sim::Milliseconds(1));
+
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(t.InvokeSync(Oper::kLocalTransfer, sg));
+    retired(OpStatus::kOk);
+  }
+  ASSERT_EQ(t.tasks_issued(), answers.size());
+  EXPECT_EQ(t.AbortPending(), 0u);
+  for (uint64_t id = 0; id < answers.size(); ++id) {
+    const Answer now = answer(CThread::Task{id});
+    EXPECT_EQ(now.status, answers[id].status) << "task " << id;
+    EXPECT_EQ(now.completed, answers[id].completed) << "task " << id;
+    EXPECT_EQ(now.waited, answers[id].waited) << "task " << id;
+  }
+  EXPECT_EQ(sup.recoveries(), 2u);
+  sup.Stop();
+}
+
 TEST_F(SupervisorTest, TraceFingerprintIsIdenticalForSameSeed) {
   auto run = [](uint64_t seed) {
     SimDevice::Config cfg = TwoRegionConfig();
