@@ -31,10 +31,10 @@ CThread::CThread(SimDevice* dev, uint32_t vfpga_id, int64_t ctid)
 
   // Writeback slots: the shell updates these host-memory counters when
   // transfers complete, so completion checks never cross PCIe (§5.1).
-  rd_writeback_addr_ = dev_->host_memory().Allocate(64, memsys::AllocKind::kRegular);
-  wr_writeback_addr_ = dev_->host_memory().Allocate(64, memsys::AllocKind::kRegular);
-  dev_->writeback().RegisterSlot({vfpga_id_, ctid_, false}, rd_writeback_addr_);
-  dev_->writeback().RegisterSlot({vfpga_id_, ctid_, true}, wr_writeback_addr_);
+  const uint64_t rd_writeback = dev_->host_memory().Allocate(64, memsys::AllocKind::kRegular);
+  const uint64_t wr_writeback = dev_->host_memory().Allocate(64, memsys::AllocKind::kRegular);
+  dev_->writeback().RegisterSlot({vfpga_id_, ctid_, false}, rd_writeback);
+  dev_->writeback().RegisterSlot({vfpga_id_, ctid_, true}, wr_writeback);
 }
 
 uint64_t CThread::GetMem(const AllocSpec& spec) {
@@ -97,61 +97,48 @@ uint32_t CThread::StreamFor(uint32_t requested) const {
 }
 
 void CThread::FinishTask(uint64_t task_id, bool ok, bool write_direction) {
-  auto it = tasks_.find(task_id);
-  if (it == tasks_.end()) {
-    return;
-  }
-  TaskState& state = it->second;
-  if (state.status != OpStatus::kPending) {
+  auto it = live_.find(task_id);
+  if (it == live_.end()) {
     return;  // already forced terminal (deadline/abort); late completion
   }
+  Live& state = it->second;
   state.ok = state.ok && ok;
   if (--state.remaining == 0) {
-    state.status = state.ok ? OpStatus::kOk : OpStatus::kError;
-    if (state.deadline_timer != sim::TimerWheel::kInvalidTimer) {
-      dev_->timers().Cancel(state.deadline_timer);
-      state.deadline_timer = sim::TimerWheel::kInvalidTimer;
-    }
-    const OpStatus status = state.status;
-    dev_->writeback().Complete({vfpga_id_, ctid_, write_direction});
-    if (completion_cb_) {
-      // After the writeback so host pollers and the callback agree; the
-      // callback may Invoke, which mutates tasks_, so `state` is dead here.
-      completion_cb_(Task{task_id}, status);
-    }
+    Retire(it, state.ok ? OpStatus::kOk : OpStatus::kError, write_direction);
   }
 }
 
 void CThread::ForceTerminal(uint64_t task_id, OpStatus status) {
-  auto it = tasks_.find(task_id);
-  if (it == tasks_.end()) {
-    return;
+  auto it = live_.find(task_id);
+  if (it != live_.end()) {
+    // Complete the writeback slot so a host spinning on the counter unblocks
+    // with the error status instead of hanging with the stuck hardware.
+    Retire(it, status, /*write_direction=*/true);
   }
-  TaskState& state = it->second;
-  if (state.status != OpStatus::kPending) {
-    return;
+}
+
+void CThread::Retire(std::map<uint64_t, Live>::iterator it, OpStatus status,
+                     bool write_direction) {
+  tasks_guard_.Write();
+  const uint64_t task_id = it->first;
+  if (it->second.deadline_timer != sim::TimerWheel::kInvalidTimer) {
+    dev_->timers().Cancel(it->second.deadline_timer);
   }
-  state.status = status;
-  state.ok = false;
-  state.remaining = 0;
-  if (state.deadline_timer != sim::TimerWheel::kInvalidTimer) {
-    dev_->timers().Cancel(state.deadline_timer);
-    state.deadline_timer = sim::TimerWheel::kInvalidTimer;
-  }
-  // Complete the writeback slot so a host spinning on the counter unblocks
-  // with the error status instead of hanging with the stuck hardware.
-  dev_->writeback().Complete({vfpga_id_, ctid_, true});
+  live_.erase(it);
+  status_[task_id] = status;
+  dev_->writeback().Complete({vfpga_id_, ctid_, write_direction});
   if (completion_cb_) {
+    // After the writeback so host pollers and the callback agree. The
+    // callback may Invoke, so nothing here refers into live_ or status_.
     completion_cb_(Task{task_id}, status);
   }
 }
 
 CThread::Task CThread::Invoke(Oper oper, const SgEntry& sg) {
-  const uint64_t task_id = next_task_id_++;
-  TaskState& state = tasks_[task_id];
-  state.remaining = 0;
-  state.oper = oper;
-  state.sg = sg;
+  tasks_guard_.Write();
+  const uint64_t task_id = status_.size();
+  status_.push_back(OpStatus::kPending);
+  Live& state = live_[task_id];
 
   auto& region = dev_->vfpga(vfpga_id_);
   auto& mover = dev_->data_mover();
@@ -271,8 +258,7 @@ CThread::Task CThread::Invoke(Oper oper, const SgEntry& sg) {
   // Arm the per-op deadline; 0 means the op may wait forever.
   if (op_deadline_ != 0) {
     state.deadline_timer = dev_->timers().ScheduleAfter(op_deadline_, [this, task_id]() {
-      auto it = tasks_.find(task_id);
-      if (it == tasks_.end() || it->second.status != OpStatus::kPending) {
+      if (live_.find(task_id) == live_.end()) {
         return;
       }
       ++deadline_misses_;
@@ -284,44 +270,29 @@ CThread::Task CThread::Invoke(Oper oper, const SgEntry& sg) {
 }
 
 bool CThread::CheckCompleted(Task task) const {
-  auto it = tasks_.find(task.id);
-  return it != tasks_.end() && it->second.remaining == 0;
+  return Status(task) != OpStatus::kPending;
 }
 
 bool CThread::Wait(Task task) {
   dev_->WaitFor([this, task]() { return CheckCompleted(task); });
-  auto it = tasks_.find(task.id);
-  return it != tasks_.end() && it->second.ok;
+  return Status(task) == OpStatus::kOk;
 }
 
 OpStatus CThread::Status(Task task) const {
-  auto it = tasks_.find(task.id);
-  return it == tasks_.end() ? OpStatus::kPending : it->second.status;
+  return task.id < status_.size() ? status_[task.id] : OpStatus::kPending;
 }
 
 size_t CThread::AbortPending(OpStatus status) {
   // Collect first: ForceTerminal fires the completion callback, which may
-  // Invoke new work and mutate tasks_ under a live iterator.
+  // Invoke new work and mutate live_ under a live iterator.
   std::vector<uint64_t> pending;
-  for (const auto& [id, state] : tasks_) {
-    if (state.status == OpStatus::kPending) {
-      pending.push_back(id);
-    }
+  for (const auto& [id, state] : live_) {
+    pending.push_back(id);
   }
   for (uint64_t id : pending) {
     ForceTerminal(id, status);
   }
   return pending.size();
-}
-
-std::vector<CThread::PendingOp> CThread::SnapshotPending() const {
-  std::vector<PendingOp> out;
-  for (const auto& [id, state] : tasks_) {
-    if (state.status == OpStatus::kPending) {
-      out.push_back(PendingOp{id, state.oper, state.sg});
-    }
-  }
-  return out;
 }
 
 void CThread::SetInterruptCallback(std::function<void(uint64_t value)> cb) {
@@ -368,12 +339,17 @@ void RegionExec::OnComplete(CThread::Task task, OpStatus status) {
   on_done_(status);
 }
 
+void RegionExec::Issue(const Op& op) {
+  task_ = thread_.Invoke(op.oper, op.sg).id;
+  op_ = op;
+  busy_ = true;
+}
+
 bool RegionExec::Start(const ServingRequest& req) {
   if (req.payload.size() > bytes_ || ResponseBytes(req) > bytes_) {
     return false;
   }
-  task_ = StageAndInvoke(&thread_, src_, dst_, req).id;
-  busy_ = true;
+  Issue({Oper::kLocalTransfer, Stage(&thread_, src_, dst_, req)});
   return true;
 }
 
@@ -391,7 +367,7 @@ void RegionExec::Abort(OpStatus status) {
 
 void RegionExec::Quiesce(OpStatus status) {
   if (busy_) {
-    held_ = thread_.SnapshotPending();
+    held_ = op_;
   }
   Abort(status);
   thread_.device().data_mover().AbortVfpga(region());
@@ -399,12 +375,12 @@ void RegionExec::Quiesce(OpStatus status) {
 }
 
 bool RegionExec::Reissue() {
-  const std::vector<CThread::PendingOp> ops = std::exchange(held_, {});
-  for (const CThread::PendingOp& op : ops) {
-    task_ = thread_.Invoke(op.oper, op.sg).id;
-    busy_ = true;
+  if (!held_) {
+    return false;
   }
-  return !ops.empty();
+  Issue(*held_);
+  held_.reset();
+  return true;
 }
 
 void RegionExec::Release() {
@@ -417,14 +393,14 @@ void RegionExec::Release() {
 
 uint64_t RegionExec::WriteSection(sim::wire::Writer* w) {
   // Buffer-relative: virtual addresses differ across nodes.
-  const std::vector<CThread::PendingOp> ops = held_.empty() ? thread_.SnapshotPending() : held_;
-  w->U32(static_cast<uint32_t>(ops.size()));
-  for (const CThread::PendingOp& op : ops) {
-    w->U8(static_cast<uint8_t>(op.oper));
-    w->U64(op.sg.local.src_addr - src_);
-    w->U64(op.sg.local.src_len);
-    w->U64(op.sg.local.dst_addr - dst_);
-    w->U64(op.sg.local.dst_len);
+  const Op* op = held_ ? &*held_ : busy_ ? &op_ : nullptr;
+  w->U32(op != nullptr ? 1 : 0);
+  if (op != nullptr) {
+    w->U8(static_cast<uint8_t>(op->oper));
+    w->U64(op->sg.local.src_addr - src_);
+    w->U64(op->sg.local.src_len);
+    w->U64(op->sg.local.dst_addr - dst_);
+    w->U64(op->sg.local.dst_len);
   }
   // Dirty-page manifest from the SVM layer: only pages ever written ship;
   // the restore target reproduces untouched (zero) pages for free. Segments
@@ -451,13 +427,19 @@ uint64_t RegionExec::WriteSection(sim::wire::Writer* w) {
 }
 
 bool RegionExec::ReadSection(sim::wire::Reader* r) {
-  std::vector<CThread::PendingOp> ops(r->U32());
-  for (CThread::PendingOp& op : ops) {
-    op.oper = static_cast<Oper>(r->U8());
-    op.sg.local.src_addr = src_ + r->U64();
-    op.sg.local.src_len = r->U64();
-    op.sg.local.dst_addr = dst_ + r->U64();
-    op.sg.local.dst_len = r->U64();
+  const uint32_t ops = r->U32();
+  if (ops > 1) {
+    r->Fail();  // the executor never has more than one op to hold
+    return false;
+  }
+  std::optional<Op> op;
+  if (ops == 1) {
+    op.emplace();
+    op->oper = static_cast<Oper>(r->U8());
+    op->sg.local.src_addr = src_ + r->U64();
+    op->sg.local.src_len = r->U64();
+    op->sg.local.dst_addr = dst_ + r->U64();
+    op->sg.local.dst_len = r->U64();
   }
   for (const uint64_t vaddr : {src_, dst_}) {
     const uint32_t segments = r->U32();
@@ -467,7 +449,7 @@ bool RegionExec::ReadSection(sim::wire::Reader* r) {
       thread_.WriteBuffer(vaddr + off, bytes.data(), bytes.size());
     }
   }
-  held_ = std::move(ops);
+  held_ = op;
   return r->ok();
 }
 

@@ -9,6 +9,10 @@
 // API surface follows the paper's Code 1: GetMem/SetCsr/Invoke plus
 // completion checking and user-interrupt callbacks (eventfd-style).
 //
+// A cThread keeps a record only for each task still in flight, plus one
+// status byte per task id, so a retired id keeps its answer for the
+// thread's lifetime.
+//
 // Naming note: the class is CThread per style; `cThread` is provided as an
 // alias so examples read like the paper.
 
@@ -23,6 +27,7 @@
 
 #include "src/mmu/types.h"
 #include "src/runtime/device.h"
+#include "src/sim/access_guard.h"
 
 namespace coyote {
 namespace runtime {
@@ -126,8 +131,9 @@ class CThread {
   };
   Task Invoke(Oper oper, const SgEntry& sg);
   bool CheckCompleted(Task task) const;
-  // Blocks (advances simulated time) until the task completes. Returns
-  // whether the task succeeded.
+  // Blocks (advances simulated time) until the task completes or the engine
+  // runs out of events. Returns whether the task completed with kOk, so a
+  // task that never completes returns false.
   bool Wait(Task task);
   bool InvokeSync(Oper oper, const SgEntry& sg) { return Wait(Invoke(oper, sg)); }
   // Typed completion status (kPending while sub-operations are in flight).
@@ -156,17 +162,6 @@ class CThread {
     completion_cb_ = std::move(cb);
   }
 
-  // --- Checkpoint support ----------------------------------------------------
-  // In-flight op descriptors, ascending task id. A migration checkpoint
-  // captures these after AbortPending so the restored tenant can re-issue
-  // exactly the work that was cut short.
-  struct PendingOp {
-    uint64_t id = 0;
-    Oper oper = Oper::kNoop;
-    SgEntry sg;
-  };
-  std::vector<PendingOp> SnapshotPending() const;
-
   uint64_t deadline_misses() const { return deadline_misses_; }
 
   // --- Interrupts -----------------------------------------------------------------
@@ -179,38 +174,37 @@ class CThread {
   uint32_t CreateQp();
   void ConnectQp(uint32_t local_qpn, uint32_t remote_ip, uint32_t remote_qpn);
 
-  uint64_t tasks_issued() const { return next_task_id_; }
+  uint64_t tasks_issued() const { return status_.size(); }
 
  private:
+  // A task whose sub-operations are still in flight.
+  struct Live {
+    int remaining = 0;
+    bool ok = true;
+    sim::TimerWheel::TimerId deadline_timer = sim::TimerWheel::kInvalidTimer;
+  };
+
   uint32_t StreamFor(uint32_t requested) const;
   void FinishTask(uint64_t task_id, bool ok, bool write_direction);
   // Forces a pending task terminal with the given status (deadline expiry or
   // host-side abort); late FinishTask calls for it become no-ops.
   void ForceTerminal(uint64_t task_id, OpStatus status);
+  // Ends a live task; the completion callback runs last and may Invoke.
+  void Retire(std::map<uint64_t, Live>::iterator it, OpStatus status, bool write_direction);
 
   SimDevice* dev_;
   uint32_t vfpga_id_;
   uint32_t ctid_;
 
-  struct TaskState {
-    int remaining = 0;
-    bool ok = true;
-    OpStatus status = OpStatus::kPending;
-    sim::TimerWheel::TimerId deadline_timer = sim::TimerWheel::kInvalidTimer;
-    // Original descriptor, kept while pending so SnapshotPending can hand a
-    // migration checkpoint the exact ops to re-issue.
-    Oper oper = Oper::kNoop;
-    SgEntry sg;
-  };
-  std::map<uint64_t, TaskState> tasks_;
-  uint64_t next_task_id_ = 0;
+  std::map<uint64_t, Live> live_;
+  // Every task's status, indexed by task id; ids are dense from 0.
+  std::vector<OpStatus> status_;
+  // Invoke and Retire run from host code and from completion callbacks.
+  sim::AccessGuard tasks_guard_{"cthread.tasks"};
   std::function<void(Task, OpStatus)> completion_cb_;
 
   sim::TimePs op_deadline_ = 0;  // 0 = no deadline
   uint64_t deadline_misses_ = 0;
-
-  uint64_t rd_writeback_addr_ = 0;
-  uint64_t wr_writeback_addr_ = 0;
 };
 
 // Paper-style spelling.

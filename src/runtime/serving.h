@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,26 +69,27 @@ inline uint64_t ResponseBytes(const ServingRequest& req) {
   return req.response_bytes != 0 ? req.response_bytes : req.payload.size();
 }
 
-// Stages the payload into `src_vaddr` and invokes the kernel op. Async: the
-// terminal status arrives through the CThread's completion callback — the
-// shard-safe path the fabric's node executors use.
-inline CThread::Task StageAndInvoke(CThread* t, uint64_t src_vaddr, uint64_t dst_vaddr,
-                                    const ServingRequest& req) {
+// Stages the payload into `src_vaddr` and returns the kernel op's
+// scatter-gather entry: the payload from src, the response into dst.
+inline SgEntry Stage(CThread* t, uint64_t src_vaddr, uint64_t dst_vaddr,
+                     const ServingRequest& req) {
   t->WriteBuffer(src_vaddr, req.payload.data(), req.payload.size());
   SgEntry sg;
   sg.local = {.src_addr = src_vaddr,
               .src_len = req.payload.size(),
               .dst_addr = dst_vaddr,
               .dst_len = ResponseBytes(req)};
-  return t->Invoke(Oper::kLocalTransfer, sg);
+  return sg;
 }
 
 // One region's executor, the cThread host abstraction (paper §7.3) as the
 // fleet and the serving fabric both run it: a cThread bound to the region,
 // src and dst staging buffers of `buffer_bytes` each, and at most one op in
 // flight. `on_done` fires once per terminal completion of that op;
-// completions of any other task are dropped. Runs in its node's shard, behind
-// the owning harness's AccessGuard.
+// completions of any other task are dropped. The executor, not the cThread,
+// keeps the descriptor of the op it invoked: that one op is all a quiesce or
+// a checkpoint captures. Runs in its node's shard, behind the owning
+// harness's AccessGuard.
 class RegionExec {
  public:
   using OnDone = std::function<void(OpStatus)>;
@@ -118,14 +120,21 @@ class RegionExec {
   // Frees the staging buffers (unmap + TLB shootdown).
   void Release();
 
-  // The executor's section of a CYK1 tenant checkpoint: the held (else the
-  // in-flight) op relative to the buffers, then each buffer's dirty-page
-  // segments. WriteSection returns the pages shipped; ReadSection writes the
-  // segments into this executor's buffers and holds the op for Reissue.
+  // The executor's section of a CYK1 tenant checkpoint: an op count of 0 or
+  // 1, the held (else the in-flight) op relative to the buffers, then each
+  // buffer's dirty-page segments. WriteSection returns the pages shipped;
+  // ReadSection rejects a count above 1, writes the segments into this
+  // executor's buffers and holds the op for Reissue.
   uint64_t WriteSection(sim::wire::Writer* w);
   bool ReadSection(sim::wire::Reader* r);
 
  private:
+  struct Op {
+    Oper oper = Oper::kNoop;
+    SgEntry sg;
+  };
+
+  void Issue(const Op& op);
   void OnComplete(CThread::Task task, OpStatus status);
 
   CThread thread_;
@@ -135,8 +144,9 @@ class RegionExec {
   OnDone on_done_;
   bool busy_ = false;
   uint64_t task_ = 0;  // the op in flight while busy_
-  // lint: guard-ok executor embedded in a guarded harness entry (Fleet::TenantRt, ServingFabric::Exec); every mutation runs in its node's shard behind the node's AccessGuard
-  std::vector<CThread::PendingOp> held_;
+  Op op_;              // and its descriptor
+  // The op Quiesce held or ReadSection restored, until Reissue.
+  std::optional<Op> held_;
 };
 
 // Synchronous one-shot execution on an existing cThread: allocates transfer
@@ -156,7 +166,7 @@ inline ServingCompletion ExecuteSync(CThread* t, const ServingRequest& req,
   const uint64_t resp_len = ResponseBytes(req);
   const uint64_t src = t->GetMem({Alloc::kHpf, req.payload.size()});
   const uint64_t dst = t->GetMem({Alloc::kHpf, resp_len});
-  const CThread::Task task = StageAndInvoke(t, src, dst, req);
+  const CThread::Task task = t->Invoke(Oper::kLocalTransfer, Stage(t, src, dst, req));
   t->Wait(task);
   done.status = t->Status(task);
   done.completed_at = t->device().engine().Now();

@@ -265,6 +265,27 @@ TEST_F(RegionExecTest, SectionGoldenBytesIdleInFlightAndHeld) {
             "000102030405060708090a0b0c0d0e0f00000000000000000000000000000000");
 }
 
+// The executor holds at most one op, so a section that claims two is
+// malformed: it is rejected whole, and nothing is held for Reissue.
+TEST_F(RegionExecTest, ReadSectionRejectsTwoOps) {
+  std::unique_ptr<serving::RegionExec> exec = MakeExec();
+  sim::wire::Writer w;
+  w.U32(2);  // two ops
+  for (int i = 0; i < 2; ++i) {
+    w.U8(static_cast<uint8_t>(Oper::kLocalTransfer));
+    w.U64(0);   // src offset
+    w.U64(16);  // src bytes
+    w.U64(0);   // dst offset
+    w.U64(16);  // dst bytes
+  }
+  w.U32(0);  // src: no segment
+  w.U32(0);  // dst: no segment
+  sim::wire::Reader r(w.bytes().data(), w.bytes().size());
+  EXPECT_FALSE(exec->ReadSection(&r));
+  EXPECT_FALSE(exec->Reissue());
+  EXPECT_FALSE(exec->busy());
+}
+
 // --- Router policies in isolation ---------------------------------------------
 
 class RouterTest : public ::testing::Test {

@@ -173,8 +173,10 @@ TEST_F(SupervisorTest, OpDeadlineConvertsSilentStallToTypedError) {
 
   CThread t(dev_.get(), 0);
   t.SetOpDeadline(sim::Microseconds(500));
-  // Without the deadline this InvokeSync would never return: the kernel
-  // consumes nothing, so neither DMA direction can complete.
+  // Without the deadline nothing would complete the op: the kernel consumes
+  // nothing, so neither DMA direction can finish, and InvokeSync would
+  // return only once the engine ran out of events
+  // (WaitOnAWedgedOpReturnsFalse).
   EXPECT_FALSE(RunTransfer(t));
   EXPECT_EQ(t.deadline_misses(), 1u);
   EXPECT_EQ(injector_->counters().value("kernel.hang"), 1u);
@@ -182,6 +184,22 @@ TEST_F(SupervisorTest, OpDeadlineConvertsSilentStallToTypedError) {
   // The most recent task carries the typed status.
   const CThread::Task task{t.tasks_issued() - 1};
   EXPECT_EQ(t.Status(task), OpStatus::kDeadlineExceeded);
+}
+
+TEST_F(SupervisorTest, WaitOnAWedgedOpReturnsFalse) {
+  sim::FaultPlan plan;
+  plan.seed = 50;
+  plan.kernel_hang_first_n = 1;
+  AttachChaos(plan);
+  ASSERT_TRUE(dev_->ReconfigureApp("/bit/app.bin", 0).ok);
+
+  // No deadline and no supervisor: nothing ever completes the op. Wait
+  // returns once the engine runs out of events and must not report success.
+  CThread t(dev_.get(), 0);
+  EXPECT_FALSE(RunTransfer(t));
+  const CThread::Task task{t.tasks_issued() - 1};
+  EXPECT_FALSE(t.CheckCompleted(task));
+  EXPECT_EQ(t.Status(task), OpStatus::kPending);
 }
 
 TEST_F(SupervisorTest, HealthyOpsCompleteWithOkStatusUnderDeadline) {
