@@ -258,7 +258,7 @@ CThread::Task CThread::Invoke(Oper oper, const SgEntry& sg) {
   // Arm the per-op deadline; 0 means the op may wait forever.
   if (op_deadline_ != 0) {
     state.deadline_timer = dev_->timers().ScheduleAfter(op_deadline_, [this, task_id]() {
-      if (live_.find(task_id) == live_.end()) {
+      if (!live_.contains(task_id)) {
         return;
       }
       ++deadline_misses_;
@@ -427,13 +427,13 @@ uint64_t RegionExec::WriteSection(sim::wire::Writer* w) {
 }
 
 bool RegionExec::ReadSection(sim::wire::Reader* r) {
-  const uint32_t ops = r->U32();
-  if (ops > 1) {
-    r->Fail();  // the executor never has more than one op to hold
+  const uint32_t count = r->U32();
+  if (count > 1) {
+    r->Fail();  // the executor never holds more than one op
     return false;
   }
   std::optional<Op> op;
-  if (ops == 1) {
+  if (count == 1) {
     op.emplace();
     op->oper = static_cast<Oper>(r->U8());
     op->sg.local.src_addr = src_ + r->U64();
