@@ -155,6 +155,38 @@ TEST(OrchestratorTest, MigrationToFullOrDeadDestinationIsRejected) {
   EXPECT_TRUE(fleet.orchestrator().migrations().empty());
 }
 
+TEST(OrchestratorTest, MigrationReachingARetiredTenantAbortsWithoutRollback) {
+  // The tenant retires its last item on node 0 at 120,518,668 ps, and the
+  // orchestrator hears it one lookahead later, at 121,128,908 ps. A migration
+  // started in between reaches a source that no longer runs the tenant: it
+  // aborts as src_done, and nothing rolls back.
+  Fleet::Config c = BaseConfig();
+  c.num_nodes = 2;
+  Fleet fleet(c);
+
+  TenantSpec spec;
+  spec.home_node = 0;
+  spec.items_total = 5;
+  const uint32_t t = fleet.AddTenant(spec);
+  fleet.ScheduleMigration(sim::Nanoseconds(120'600), t, 1);
+
+  ASSERT_TRUE(fleet.Run(sim::Milliseconds(50)));
+  const Orchestrator& orch = fleet.orchestrator();
+  EXPECT_EQ(orch.settled_at(), 121'128'908u);
+  EXPECT_EQ(fleet.tenant_outcome(t), TenantOutcome::kDone);
+  EXPECT_EQ(fleet.tenant_data_hash(t), ExpectedHash(t, spec.items_total, spec.item_bytes));
+  ASSERT_EQ(orch.migrations().size(), 1u);
+  const MigrationRecord& rec = orch.migrations()[0];
+  EXPECT_EQ(rec.outcome, "abort.src_done");
+  EXPECT_EQ(rec.started_at, sim::Nanoseconds(120'600));
+  EXPECT_EQ(rec.resumed_at, 0u);
+  EXPECT_EQ(orch.events().value("migrate.fail"), 1u);
+  EXPECT_EQ(orch.rollbacks(), 0u);
+  EXPECT_EQ(orch.events().value("rollback.resumed"), 0u);
+  EXPECT_EQ(orch.tenants().at(t).node, 0u);
+  EXPECT_FALSE(orch.tenants().at(t).migrating);
+}
+
 // --- Transfer-layer faults ----------------------------------------------------
 
 TEST(OrchestratorTest, DroppedChunksAreRetransmittedUntilComplete) {
@@ -487,6 +519,51 @@ TEST(OrchestratorTest, EvacuationWhoseDestinationDiesEvacuatesAgain) {
   EXPECT_EQ(fleet.tenant_outcome(ids[1]), TenantOutcome::kShed);
   EXPECT_EQ(fleet.tenant_outcome(ids[2]), TenantOutcome::kDone);
   EXPECT_EQ(orch.sheds(), 1u);
+}
+
+TEST(OrchestratorTest, EvacueeOrphanedByItsVictimsDeathIsEvacuatedAgain) {
+  // One region per node, priorities 2, 0 and 1 on nodes 0, 1 and 2. Node 0's
+  // death leaves its tenant no free region, so the lowest-priority tenant,
+  // on node 1, is picked as the shed victim and the evacuee waits for its
+  // ack. Node 1 dies before the shed command lands, so no ack comes; node
+  // 1's declaration hands the orphaned evacuee back to the evacuation path,
+  // which sheds node 2's tenant instead.
+  Fleet::Config c = BaseConfig();
+  c.num_nodes = 3;
+  c.regions_per_node = 1;
+  Fleet fleet(c);
+
+  std::vector<uint32_t> ids;
+  std::vector<TenantSpec> specs;
+  const uint32_t prios[3] = {2, 0, 1};
+  const uint64_t items[3] = {30, 60, 120};
+  for (uint32_t i = 0; i < 3; ++i) {
+    TenantSpec spec;
+    spec.priority = prios[i];
+    spec.home_node = i;
+    spec.items_total = items[i];
+    spec.think_time = sim::Microseconds(25);
+    ids.push_back(fleet.AddTenant(spec));
+    specs.push_back(spec);
+  }
+  fleet.ScheduleKill(sim::Microseconds(620), 0);
+  fleet.ScheduleKill(sim::Microseconds(700), 1);
+
+  ASSERT_TRUE(fleet.Run(sim::Milliseconds(100)));
+  const Orchestrator& orch = fleet.orchestrator();
+  EXPECT_EQ(orch.deaths_declared(), 2u);
+  EXPECT_EQ(orch.events().value("shed.request"), 2u);
+  EXPECT_EQ(fleet.tenant_outcome(ids[0]), TenantOutcome::kDone);
+  EXPECT_EQ(orch.tenants().at(ids[0]).node, 2u);
+  EXPECT_EQ(fleet.tenant_data_hash(ids[0]),
+            ExpectedHash(ids[0], specs[0].items_total, specs[0].item_bytes));
+  const MigrationRecord* rec = FindRecord(fleet, ids[0]);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->outcome, "evacuated");
+  EXPECT_EQ(rec->dst_node, 2u);
+  EXPECT_EQ(fleet.tenant_outcome(ids[1]), TenantOutcome::kShed);
+  EXPECT_EQ(fleet.tenant_outcome(ids[2]), TenantOutcome::kShed);
+  EXPECT_EQ(orch.sheds(), 2u);
 }
 
 TEST(OrchestratorTest, TenantAddedToAFullHomeNodeIsShedAtAdmission) {

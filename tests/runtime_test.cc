@@ -209,6 +209,111 @@ TEST(CThreadTest, UserInterruptReachesCallback) {
   EXPECT_EQ(seen, 0x42u);
 }
 
+// --- One row per op kind a cThread issues --------------------------------------
+
+// A row issues its ops one after another on 4 KiB buffers and pins, from the
+// first Invoke, when the last op completes, its status, and the bytes that
+// crossed the host link each way.
+struct OpPathRow {
+  const char* name;
+  std::vector<Oper> opers;
+  bool storage = false;                       // shell has the NVMe service
+  mmu::MemKind target = mmu::MemKind::kHost;  // of the local src and dst
+  sim::TimePs took = 0;
+  OpStatus status = OpStatus::kOk;
+  uint64_t h2c = 0;
+  uint64_t c2h = 0;
+};
+
+class OpPathTest : public ::testing::TestWithParam<OpPathRow> {};
+
+TEST_P(OpPathTest, CompletesAtItsPinnedTimeAndBytes) {
+  const OpPathRow& row = GetParam();
+  SimDevice::Config cfg = DefaultConfig();
+  if (row.storage) {
+    cfg.shell.services.push_back(fabric::Service::kStorage);
+  }
+  SimDevice dev(cfg);
+  if (row.target == mmu::MemKind::kCard) {
+    dev.vfpga(0).LoadKernel(std::make_unique<services::CardPassthroughKernel>());
+  } else {
+    dev.vfpga(0).LoadKernel(std::make_unique<services::PassthroughKernel>());
+  }
+  CThread t(&dev, 0);
+  constexpr uint64_t kBytes = 4096;
+  const uint64_t src = t.GetMem({Alloc::kHpf, kBytes});
+  const uint64_t dst = t.GetMem({Alloc::kHpf, kBytes});
+  const auto data = RandomBytes(kBytes, 9);
+  t.WriteBuffer(src, data.data(), kBytes);
+  SgEntry sg;
+  sg.local = {.src_addr = src,
+              .src_len = kBytes,
+              .dst_addr = dst,
+              .dst_len = kBytes,
+              .src_target = row.target,
+              .dst_target = row.target};
+  sg.storage = {.lba = 8, .vaddr = src, .len = kBytes};
+  sg.rdma = {.qpn = 1, .local_addr = src, .remote_addr = dst, .len = kBytes};
+
+  sim::TimePs done_at = 0;
+  t.SetCompletionCallback([&](CThread::Task, OpStatus) { done_at = dev.engine().Now(); });
+  const sim::TimePs start = dev.engine().Now();
+  OpStatus status = OpStatus::kPending;
+  for (const Oper oper : row.opers) {
+    const CThread::Task task = t.Invoke(oper, sg);
+    t.Wait(task);
+    status = t.Status(task);
+  }
+  EXPECT_EQ(done_at - start, row.took);
+  EXPECT_EQ(status, row.status);
+  EXPECT_EQ(dev.xdma().h2c().total_bytes(), row.h2c);
+  EXPECT_EQ(dev.xdma().c2h().total_bytes(), row.c2h);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CThread, OpPathTest,
+    ::testing::Values(
+        // Every completion also writes a 64-byte writeback counter over C2H.
+        OpPathRow{.name = "Noop", .opers = {Oper::kNoop}, .took = 5'000'000, .c2h = 64},
+        OpPathRow{.name = "HostTransfer",
+                  .opers = {Oper::kLocalTransfer},
+                  .took = 7'761'334,
+                  .h2c = 4096,
+                  .c2h = 4096 + 64},
+        // The card kernel faults both 2 MiB hugepages to the card over H2C.
+        OpPathRow{.name = "CardTransfer",
+                  .opers = {Oper::kLocalTransfer},
+                  .target = mmu::MemKind::kCard,
+                  .took = 409'537'634,
+                  .h2c = 2 * (2 << 20),
+                  .c2h = 64},
+        OpPathRow{.name = "ReadOnly",
+                  .opers = {Oper::kLocalRead},
+                  .took = 6'245'334,
+                  .h2c = 4096,
+                  .c2h = 64},
+        OpPathRow{.name = "MigrateToCardAndBack",
+                  .opers = {Oper::kMigrateToCard, Oper::kMigrateToHost},
+                  .took = 387'399'409,
+                  .h2c = 2 << 20,
+                  .c2h = (2 << 20) + 2 * 64},
+        OpPathRow{.name = "NvmeWriteThenRead",
+                  .opers = {Oper::kStorageWrite, Oper::kStorageRead},
+                  .storage = true,
+                  .took = 101'372'836,
+                  .c2h = 2 * 64},
+        OpPathRow{.name = "NvmeReadWithoutTheService",
+                  .opers = {Oper::kStorageRead},
+                  .took = 5'000'000,
+                  .status = OpStatus::kError,
+                  .c2h = 64},
+        OpPathRow{.name = "RemoteWriteWithoutTheService",
+                  .opers = {Oper::kRemoteWrite},
+                  .took = 5'000'000,
+                  .status = OpStatus::kError,
+                  .c2h = 64}),
+    [](const ::testing::TestParamInfo<OpPathRow>& row) { return row.param.name; });
+
 // --- AES end-to-end ---------------------------------------------------------
 
 TEST(AesEndToEnd, EcbMatchesSoftwareAes) {
