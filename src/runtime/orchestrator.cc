@@ -36,6 +36,7 @@ std::vector<uint32_t> AllChunks(uint32_t n) {
 Fleet::Fleet(const Config& config)
     : config_(config), cluster_(config_, kDeadWindow), orch_logical_(cluster_.control()) {
   nodes_.reserve(config_.num_nodes);
+  outbound_.resize(config_.num_nodes + 1);
   cluster_.AddNodes({.kernel_at = [](uint32_t, uint32_t) { return std::string(kKernelName); },
                      .setup = [this](uint32_t node) { SetupNode(node); },
                      .start = [this](uint32_t node) { StartNode(node); },
@@ -349,26 +350,27 @@ void Fleet::BeginMigration(uint32_t node, uint32_t tenant, uint32_t dst_node,
   t->exec->Quiesce(OpStatus::kAborted);
 
   uint64_t pages = 0;
-  t->mig_blob = BuildCheckpoint(node, *t, &pages);
-  t->mig_dst = dst_node;
-  t->mig_dst_region = dst_region;
-
-  const uint32_t chunks = ChunkCount(t->mig_blob.size());
-  const uint64_t bytes = t->mig_blob.size();
+  const Outbound& out = outbound_[node][tenant] = {BuildCheckpoint(node, *t, &pages), dst_node,
+                                                   dst_region};
+  const uint64_t bytes = out.blob.size();
+  const uint32_t chunks = ChunkCount(bytes);
   const sim::TimePs quiesced = cluster_.NowAt(node);
   PostToOrch(node, 0, [this, tenant, quiesced, bytes, pages, chunks]() {
     orch_->OnMigrationQuiesced(tenant, quiesced, bytes, pages, chunks);
   });
 
   // TRANSFER: serialize-out at capture bandwidth, then chunks on the wire.
-  SendChunks(node, dst_node, tenant, t->mig_blob, AllChunks(chunks), chunks, /*round=*/0,
-             dst_region, sim::TransferTime(bytes, kCaptureBps));
+  SendChunks(node, tenant, AllChunks(chunks), /*round=*/0, sim::TransferTime(bytes, kCaptureBps));
 }
 
-void Fleet::SendChunks(uint32_t src_logical, uint32_t dst_node, uint32_t tenant,
-                       const std::vector<uint8_t>& blob, const std::vector<uint32_t>& chunk_ids,
-                       uint32_t total_chunks, uint32_t round, int32_t dst_region,
+void Fleet::SendChunks(uint32_t src_logical, uint32_t tenant,
+                       const std::vector<uint32_t>& chunk_ids, uint32_t round,
                        sim::TimePs extra_delay) {
+  const Outbound& out = outbound_[src_logical].at(tenant);
+  const std::vector<uint8_t>& blob = out.blob;
+  const uint32_t dst_node = out.dst;
+  const int32_t dst_region = out.dst_region;
+  const uint32_t total_chunks = ChunkCount(blob.size());
   sim::FaultInjector& injector = *injectors_[src_logical];
   uint64_t cumulative = 0;
   for (uint32_t i = 0; i < chunk_ids.size(); ++i) {
@@ -445,41 +447,34 @@ void Fleet::OnTransferMarker(uint32_t node, uint32_t tenant, uint32_t src_logica
 void Fleet::OnResendRequest(uint32_t src_logical, uint32_t tenant, std::vector<uint32_t> missing,
                             uint32_t round) {
   sim::ActorScope actor(sim::kActorOrchestrator);
+  if (!outbound_[src_logical].contains(tenant)) {
+    return;  // the transfer already ended
+  }
+  // The orchestrator hears the round or the failure in place when it is the
+  // sender, and by message from a source node.
+  const bool from_orch = src_logical == orch_logical_;
+  auto report = [this, src_logical, from_orch](sim::InlineCallback cb) {
+    if (from_orch) {
+      cb();
+    } else {
+      PostToOrch(src_logical, 0, std::move(cb));
+    }
+  };
   if (round > kChunkRetryMax) {
     // Retransmit budget exhausted: the orchestrator rolls back (migration)
     // or sheds (evacuation — the source is already gone).
-    if (src_logical == orch_logical_) {
-      orch_->OnMigrationFailed(tenant, "evac.transfer");
-    } else {
-      PostToOrch(src_logical, 0,
-                 [this, tenant]() { orch_->OnMigrationFailed(tenant, "transfer"); });
+    const char* why = from_orch ? "evac.transfer" : "transfer";
+    report([this, tenant, why]() { orch_->OnMigrationFailed(tenant, why); });
+    return;
+  }
+  if (!from_orch) {
+    if (!cluster_.alive(src_logical)) {
+      return;  // a source that died mid-transfer is the detector's to handle
     }
-    return;
+    cluster_.guard(src_logical).Write();
   }
-  const sim::TimePs backoff = kChunkRetryBackoff * round;
-  if (src_logical == orch_logical_) {
-    // Evacuation replay: the orchestrator itself is the sender.
-    auto it = orch_->ckpt_store_.find(tenant);
-    auto bit = orch_->active_migration_.find(tenant);
-    if (it == orch_->ckpt_store_.end() || bit == orch_->active_migration_.end()) {
-      return;
-    }
-    orch_->OnTransferRound(tenant, round);
-    const MigrationRecord& rec = orch_->records_[bit->second];
-    const int32_t region = orch_->regions_[rec.dst_node].FindTenant(tenant);
-    SendChunks(orch_logical_, rec.dst_node, tenant, it->second.blob, missing,
-               ChunkCount(it->second.blob.size()), round, region, backoff);
-    return;
-  }
-  // A source that died mid-transfer is the detector's to handle.
-  TenantRt* t = LiveTenant(src_logical, tenant);
-  if (t == nullptr || t->mig_blob.empty()) {
-    return;
-  }
-  cluster_.guard(src_logical).Write();
-  PostToOrch(src_logical, 0, [this, tenant, round]() { orch_->OnTransferRound(tenant, round); });
-  SendChunks(src_logical, t->mig_dst, tenant, t->mig_blob, missing, ChunkCount(t->mig_blob.size()),
-             round, t->mig_dst_region, backoff);
+  report([this, tenant, round]() { orch_->OnTransferRound(tenant, round); });
+  SendChunks(src_logical, tenant, missing, round, kChunkRetryBackoff * round);
 }
 
 void Fleet::RequestResend(uint32_t node, uint32_t src_logical, uint32_t tenant,
@@ -532,7 +527,7 @@ void Fleet::ResumeAtSource(uint32_t node, uint32_t tenant) {
     return;
   }
   cluster_.guard(node).Write();
-  t->mig_blob.clear();
+  outbound_[node].erase(tenant);
   Resume(node, *t);
   const sim::TimePs resumed = cluster_.NowAt(node);
   PostToOrch(node, 0, [this, tenant, resumed]() { orch_->OnRollbackResumed(tenant, resumed); });
@@ -546,7 +541,7 @@ void Fleet::CleanupSource(uint32_t node, uint32_t tenant) {
   }
   cluster_.guard(node).Write();
   t->exec->Release();
-  t->mig_blob.clear();
+  outbound_[node].erase(tenant);
 }
 
 void Fleet::AbandonInbound(uint32_t node, uint32_t tenant) {
@@ -626,7 +621,7 @@ void Orchestrator::AdmitTenant(uint32_t tenant, const TenantSpec& spec, uint32_t
   regions_[node].Reserve(region, tenant);
   events_.Record("admit", {tenant, node, static_cast<uint64_t>(region), spec.priority}, Now());
   if (region < 0) {
-    ShedBook(tenant, book, "admit.full");
+    Retire(tenant, TenantOutcome::kShed, "admit.full");
   }
 }
 
@@ -694,10 +689,10 @@ void Orchestrator::StampResumed(MigrationRecord* rec, sim::TimePs resumed_at) {
   rec->downtime = resumed_at - (rec->quiesced_at > 0 ? rec->quiesced_at : rec->started_at);
 }
 
-void Orchestrator::ShedBook(uint32_t tenant, TenantBook& book, const std::string& why) {
-  book.outcome = TenantOutcome::kShed;
-  events_.Record("shed", {tenant, sim::FnvHash(why)}, Now());
-  CheckSettled();
+void Orchestrator::EndMigration(uint32_t tenant, TenantBook& book) {
+  book.migrating = false;
+  active_migration_.erase(tenant);
+  fleet_->outbound_[fleet_->orch_logical_].erase(tenant);
 }
 
 MigrationRecord* Orchestrator::ActiveRecord(uint32_t tenant) {
@@ -757,9 +752,8 @@ void Orchestrator::OnMigrationDone(uint32_t tenant, sim::TimePs resumed_at) {
   const uint32_t old_node = book.node;
   const int32_t old_region = book.region;
   book.node = rec->dst_node;
-  book.migrating = false;
   book.region = regions_[rec->dst_node].FindTenant(tenant);
-  active_migration_.erase(tenant);
+  EndMigration(tenant, book);
   events_.Record("resume", {tenant, book.node, rec->downtime, sim::FnvHash(rec->outcome)},
                  Now());
 
@@ -789,8 +783,7 @@ void Orchestrator::OnMigrationFailed(uint32_t tenant, const std::string& why) {
   if (rec->dst_node != book.node) {
     ReleaseRegion(rec->dst_node, regions_[rec->dst_node].FindTenant(tenant));
   }
-  book.migrating = false;
-  active_migration_.erase(tenant);
+  EndMigration(tenant, book);
 
   if (why == "src.not_running") {
     rec->outcome = "abort.src_done";
@@ -806,7 +799,7 @@ void Orchestrator::OnMigrationFailed(uint32_t tenant, const std::string& why) {
   }
   // Evacuation failed and there is no source to roll back to: degrade.
   rec->outcome = "shed";
-  ShedBook(tenant, book, why);
+  Retire(tenant, TenantOutcome::kShed, why);
 }
 
 void Orchestrator::OnRollbackResumed(uint32_t tenant, sim::TimePs resumed_at) {
@@ -881,8 +874,7 @@ void Orchestrator::DeclareDead(uint32_t node) {
       if (rec != nullptr && rec->dst_node == node && BelievedAlive(rec->src_node)) {
         // Destination died mid-restore: roll back to the live source.
         rec->outcome = "rollback.dst_dead";
-        book.migrating = false;
-        active_migration_.erase(id);
+        EndMigration(id, book);
         const uint32_t src = rec->src_node;
         events_.Record("rollback.dst_dead", {id}, Now());
         PostToNode(src, [this, src, id]() { fleet_->ResumeAtSource(src, id); });
@@ -892,8 +884,7 @@ void Orchestrator::DeclareDead(uint32_t node) {
         // Source died mid-transfer, or the destination died after it:
         // abandon the partial transfer and replay the stored checkpoint.
         rec->outcome = rec->src_node == node ? "abort.src_dead" : "abort.dst_dead";
-        book.migrating = false;
-        active_migration_.erase(id);
+        EndMigration(id, book);
         if (BelievedAlive(rec->dst_node)) {
           const uint32_t dst = rec->dst_node;
           // The reserved destination region frees up for the evacuation
@@ -982,7 +973,7 @@ void Orchestrator::EvacuateTenant(uint32_t tenant, const std::string& reason) {
       return;
     }
     // Nobody to displace: the evacuee itself degrades.
-    ShedBook(tenant, book, "capacity");
+    Retire(tenant, TenantOutcome::kShed, "capacity");
     return;
   }
 
@@ -994,15 +985,18 @@ void Orchestrator::EvacuateTenant(uint32_t tenant, const std::string& reason) {
 
   auto cit = ckpt_store_.find(tenant);
   if (cit != ckpt_store_.end()) {
+    const std::vector<uint8_t>& blob = cit->second.blob;
     rec.outcome = "evacuated";
-    rec.ckpt_bytes = cit->second.blob.size();
+    rec.ckpt_bytes = blob.size();
     rec.ckpt_pages = cit->second.pages;
-    const uint32_t chunks = fleet_->ChunkCount(cit->second.blob.size());
+    const uint32_t chunks = fleet_->ChunkCount(blob.size());
     rec.chunks = chunks;
-    events_.Record("evacuate",
-                   {tenant, dst, static_cast<uint64_t>(region), cit->second.blob.size()}, Now());
-    fleet_->SendChunks(fleet_->orch_logical_, dst, tenant, cit->second.blob, AllChunks(chunks),
-                       chunks, /*round=*/0, region, /*extra_delay=*/0);
+    events_.Record("evacuate", {tenant, dst, static_cast<uint64_t>(region), blob.size()}, Now());
+    // The orchestrator is the sender: it replays a copy of the stored
+    // checkpoint through the same path a source node sends by.
+    fleet_->outbound_[fleet_->orch_logical_][tenant] = {blob, dst, region};
+    fleet_->SendChunks(fleet_->orch_logical_, tenant, AllChunks(chunks), /*round=*/0,
+                       /*extra_delay=*/0);
     return;
   }
 

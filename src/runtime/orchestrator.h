@@ -189,13 +189,15 @@ class Fleet {
     uint64_t retries = 0;
     uint64_t data_hash = sim::kFnvOffset;
     bool running = false;  // false: quiesced / retired / shed
+  };
 
-    // Live-migration scratch, valid while this tenant is the source of an
-    // in-flight transfer: the frozen checkpoint for retransmit rounds. The
-    // executor holds the aborted op for a rollback re-issue.
-    std::vector<uint8_t> mig_blob;
-    uint32_t mig_dst = 0;
-    int32_t mig_dst_region = -1;
+  // A checkpoint transfer as its sender (a source node, or the orchestrator
+  // replaying an evacuation) keeps it until the migration ends: the frozen
+  // blob every round reads, and where it goes.
+  struct Outbound {
+    std::vector<uint8_t> blob;
+    uint32_t dst = 0;
+    int32_t dst_region = -1;
   };
 
   // A node's fleet-side extras; its device, liveness and guard live in the
@@ -235,10 +237,9 @@ class Fleet {
   void OnItemComplete(uint32_t node, uint32_t tenant, OpStatus status);
   void CheckpointTick(uint32_t node);
   void BeginMigration(uint32_t node, uint32_t tenant, uint32_t dst_node, int32_t dst_region);
-  void SendChunks(uint32_t src_logical, uint32_t dst_node, uint32_t tenant,
-                  const std::vector<uint8_t>& blob, const std::vector<uint32_t>& chunk_ids,
-                  uint32_t total_chunks, uint32_t round, int32_t dst_region,
-                  sim::TimePs extra_delay);
+  // Sends `chunk_ids` of the sender's Outbound record, then the round's marker.
+  void SendChunks(uint32_t src_logical, uint32_t tenant, const std::vector<uint32_t>& chunk_ids,
+                  uint32_t round, sim::TimePs extra_delay);
   void OnChunk(uint32_t node, uint32_t tenant, uint32_t chunk_id, std::vector<uint8_t> bytes);
   void OnTransferMarker(uint32_t node, uint32_t tenant, uint32_t src_logical, int32_t dst_region,
                         uint32_t total_chunks, uint32_t round, uint64_t corrupt_entropy);
@@ -274,6 +275,9 @@ class Fleet {
   std::vector<std::unique_ptr<NodeRt>> nodes_;
   // Indexed by logical node: nodes 0..N-1, then the orchestrator.
   std::vector<std::unique_ptr<sim::FaultInjector>> injectors_;
+  // Each sender's checkpoint transfers by tenant, indexed like injectors_;
+  // a sender's map is touched only on its shard.
+  std::vector<std::map<uint32_t, Outbound>> outbound_;
   std::unique_ptr<Orchestrator> orch_;
   uint32_t next_tenant_ = 0;
 };
@@ -359,8 +363,9 @@ class Orchestrator {
                               const std::string& reason);
   MigrationRecord* ActiveRecord(uint32_t tenant);
   static void StampResumed(MigrationRecord* rec, sim::TimePs resumed_at);
-  // The tenant degrades to kShed without a region to give back.
-  void ShedBook(uint32_t tenant, TenantBook& book, const std::string& why);
+  // Closes the tenant's active migration, dropping the transfer of an
+  // evacuation replay.
+  void EndMigration(uint32_t tenant, TenantBook& book);
   void CheckSettled();
 
   Fleet* fleet_;
