@@ -139,121 +139,9 @@ CThread::Task CThread::Invoke(Oper oper, const SgEntry& sg) {
   const uint64_t task_id = status_.size();
   status_.push_back(OpStatus::kPending);
   Live& state = live_[task_id];
-
-  auto& region = dev_->vfpga(vfpga_id_);
-  auto& mover = dev_->data_mover();
-  const sim::TimePs start = dev_->engine().Now() + SimDevice::kInvokeLatency;
-
-  const uint32_t src_stream = StreamFor(sg.local.src_stream);
-  const uint32_t dst_stream = StreamFor(sg.local.dst_stream);
-
-  switch (oper) {
-    case Oper::kNoop:
-      break;
-    case Oper::kLocalTransfer:
-    case Oper::kLocalRead:
-    case Oper::kLocalWrite: {
-      if (oper != Oper::kLocalWrite && sg.local.src_len > 0) {
-        ++state.remaining;
-        dyn::TransferRequest req{vfpga_id_, ctid_, src_stream, sg.local.src_addr,
-                                 sg.local.src_len, sg.local.src_target};
-        axi::Stream* dst = sg.local.src_target == mmu::MemKind::kCard
-                               ? &region.card_in(src_stream)
-                               : &region.host_in(src_stream);
-        dev_->engine().ScheduleAt(start, [this, task_id, req, dst, &mover]() {
-          mover.Read(req, dst, [this, task_id](bool ok) { FinishTask(task_id, ok, false); });
-        });
-      }
-      if (oper != Oper::kLocalRead && sg.local.dst_len > 0) {
-        ++state.remaining;
-        dyn::TransferRequest req{vfpga_id_, ctid_, dst_stream, sg.local.dst_addr,
-                                 sg.local.dst_len, sg.local.dst_target};
-        axi::Stream* src = sg.local.dst_target == mmu::MemKind::kCard
-                               ? &region.card_out(dst_stream)
-                               : &region.host_out(dst_stream);
-        dev_->engine().ScheduleAt(start, [this, task_id, req, src, &mover]() {
-          mover.Write(req, src, [this, task_id](bool ok) { FinishTask(task_id, ok, true); });
-        });
-      }
-      break;
-    }
-    case Oper::kMigrateToCard:
-    case Oper::kMigrateToHost: {
-      ++state.remaining;
-      const mmu::MemKind target =
-          oper == Oper::kMigrateToCard ? mmu::MemKind::kCard : mmu::MemKind::kHost;
-      dev_->engine().ScheduleAt(start, [this, task_id, sg, target, &mover]() {
-        mover.Migrate(sg.local.src_addr, sg.local.src_len, target,
-                      [this, task_id](bool ok) { FinishTask(task_id, ok, true); });
-      });
-      break;
-    }
-    case Oper::kStorageRead:
-    case Oper::kStorageWrite: {
-      memsys::NvmeDrive* drive = dev_->nvme();
-      ++state.remaining;
-      if (drive == nullptr) {
-        // Shell built without the storage service: the request faults.
-        dev_->engine().ScheduleAt(start, [this, task_id]() {
-          FinishTask(task_id, false, true);
-        });
-        break;
-      }
-      constexpr uint32_t kBlock = memsys::NvmeDrive::kBlockBytes;
-      const auto blocks = static_cast<uint32_t>((sg.storage.len + kBlock - 1) / kBlock);
-      const bool is_read = oper == Oper::kStorageRead;
-      dev_->engine().ScheduleAt(start, [this, task_id, sg, drive, blocks, is_read]() {
-        const uint64_t byte_addr = sg.storage.lba * kBlock;
-        if (is_read) {
-          drive->ReadCommand(sg.storage.lba, blocks, vfpga_id_,
-                             [this, task_id, sg, drive, byte_addr]() {
-                               std::vector<uint8_t> buf(sg.storage.len);
-                               drive->store().Read(byte_addr, buf.data(), buf.size());
-                               dev_->svm().WriteVirtual(sg.storage.vaddr, buf.data(),
-                                                        buf.size());
-                               FinishTask(task_id, true, false);
-                             });
-        } else {
-          std::vector<uint8_t> buf(sg.storage.len);
-          dev_->svm().ReadVirtual(sg.storage.vaddr, buf.data(), buf.size());
-          drive->store().Write(byte_addr, buf.data(), buf.size());
-          drive->WriteCommand(sg.storage.lba, blocks, vfpga_id_,
-                              [this, task_id]() { FinishTask(task_id, true, true); });
-        }
-      });
-      break;
-    }
-    case Oper::kRemoteWrite:
-    case Oper::kRemoteRead: {
-      net::RoceStack* roce = dev_->roce();
-      ++state.remaining;
-      if (roce == nullptr) {
-        // Shell built without the RDMA service: typed error completion
-        // instead of a crash or a silent stall.
-        dev_->engine().ScheduleAt(start, [this, task_id]() {
-          FinishTask(task_id, false, true);
-        });
-        break;
-      }
-      const bool is_write = oper == Oper::kRemoteWrite;
-      dev_->engine().ScheduleAt(start, [this, task_id, sg, roce, is_write]() {
-        auto done = [this, task_id](bool ok) { FinishTask(task_id, ok, true); };
-        if (is_write) {
-          roce->PostWrite(sg.rdma.qpn, sg.rdma.local_addr, sg.rdma.remote_addr, sg.rdma.len,
-                          done);
-        } else {
-          roce->PostRead(sg.rdma.qpn, sg.rdma.local_addr, sg.rdma.remote_addr, sg.rdma.len,
-                         done);
-        }
-      });
-      break;
-    }
-  }
-
-  if (state.remaining == 0) {
-    state.remaining = 1;
-    dev_->engine().ScheduleAt(start, [this, task_id]() { FinishTask(task_id, true, false); });
-  }
+  // One doorbell per op: the shell starts every sub-op from it.
+  dev_->engine().ScheduleAfter(SimDevice::kInvokeLatency,
+                               [this, task_id, oper, sg]() { Start(task_id, oper, sg); });
 
   // Arm the per-op deadline; 0 means the op may wait forever.
   if (op_deadline_ != 0) {
@@ -267,6 +155,105 @@ CThread::Task CThread::Invoke(Oper oper, const SgEntry& sg) {
     });
   }
   return Task{task_id};
+}
+
+void CThread::Start(uint64_t task_id, Oper oper, const SgEntry& sg) {
+  tasks_guard_.Write();
+  auto it = live_.find(task_id);
+  if (it == live_.end()) {
+    return;  // retired before its doorbell (abort, deadline): start nothing
+  }
+  // Set before issuing: a sub-op may complete synchronously, and once the
+  // last one is issued the task may already be retired.
+  int& remaining = it->second.remaining;
+  auto& mover = dev_->data_mover();
+  switch (oper) {
+    case Oper::kNoop:
+      break;
+    case Oper::kLocalTransfer:
+    case Oper::kLocalRead:
+    case Oper::kLocalWrite: {
+      const bool read = oper != Oper::kLocalWrite && sg.local.src_len > 0;
+      const bool write = oper != Oper::kLocalRead && sg.local.dst_len > 0;
+      if (!read && !write) {
+        break;
+      }
+      remaining = int{read} + int{write};
+      auto& region = dev_->vfpga(vfpga_id_);
+      if (read) {
+        const uint32_t stream = StreamFor(sg.local.src_stream);
+        mover.Read({vfpga_id_, ctid_, stream, sg.local.src_addr, sg.local.src_len,
+                    sg.local.src_target},
+                   sg.local.src_target == mmu::MemKind::kCard ? &region.card_in(stream)
+                                                              : &region.host_in(stream),
+                   [this, task_id](bool ok) { FinishTask(task_id, ok, false); });
+      }
+      if (write) {
+        const uint32_t stream = StreamFor(sg.local.dst_stream);
+        mover.Write({vfpga_id_, ctid_, stream, sg.local.dst_addr, sg.local.dst_len,
+                     sg.local.dst_target},
+                    sg.local.dst_target == mmu::MemKind::kCard ? &region.card_out(stream)
+                                                               : &region.host_out(stream),
+                    [this, task_id](bool ok) { FinishTask(task_id, ok, true); });
+      }
+      return;
+    }
+    case Oper::kMigrateToCard:
+    case Oper::kMigrateToHost:
+      remaining = 1;
+      mover.Migrate(sg.local.src_addr, sg.local.src_len,
+                    oper == Oper::kMigrateToCard ? mmu::MemKind::kCard : mmu::MemKind::kHost,
+                    [this, task_id](bool ok) { FinishTask(task_id, ok, true); });
+      return;
+    case Oper::kStorageRead:
+    case Oper::kStorageWrite: {
+      memsys::NvmeDrive* drive = dev_->nvme();
+      if (drive == nullptr) {
+        // Shell built without the storage service: the request faults.
+        Retire(it, OpStatus::kError, /*write_direction=*/true);
+        return;
+      }
+      remaining = 1;
+      constexpr uint32_t kBlock = memsys::NvmeDrive::kBlockBytes;
+      const auto blocks = static_cast<uint32_t>((sg.storage.len + kBlock - 1) / kBlock);
+      const uint64_t byte_addr = sg.storage.lba * kBlock;
+      if (oper == Oper::kStorageRead) {
+        drive->ReadCommand(sg.storage.lba, blocks, vfpga_id_,
+                           [this, task_id, sg, drive, byte_addr]() {
+                             std::vector<uint8_t> buf(sg.storage.len);
+                             drive->store().Read(byte_addr, buf.data(), buf.size());
+                             dev_->svm().WriteVirtual(sg.storage.vaddr, buf.data(), buf.size());
+                             FinishTask(task_id, true, false);
+                           });
+      } else {
+        std::vector<uint8_t> buf(sg.storage.len);
+        dev_->svm().ReadVirtual(sg.storage.vaddr, buf.data(), buf.size());
+        drive->store().Write(byte_addr, buf.data(), buf.size());
+        drive->WriteCommand(sg.storage.lba, blocks, vfpga_id_,
+                            [this, task_id]() { FinishTask(task_id, true, true); });
+      }
+      return;
+    }
+    case Oper::kRemoteWrite:
+    case Oper::kRemoteRead: {
+      net::RoceStack* roce = dev_->roce();
+      if (roce == nullptr) {
+        // Shell built without the RDMA service: typed error completion
+        // instead of a crash or a silent stall.
+        Retire(it, OpStatus::kError, /*write_direction=*/true);
+        return;
+      }
+      remaining = 1;
+      auto done = [this, task_id](bool ok) { FinishTask(task_id, ok, true); };
+      if (oper == Oper::kRemoteWrite) {
+        roce->PostWrite(sg.rdma.qpn, sg.rdma.local_addr, sg.rdma.remote_addr, sg.rdma.len, done);
+      } else {
+        roce->PostRead(sg.rdma.qpn, sg.rdma.local_addr, sg.rdma.remote_addr, sg.rdma.len, done);
+      }
+      return;
+    }
+  }
+  Retire(it, OpStatus::kOk, /*write_direction=*/false);  // nothing to issue
 }
 
 bool CThread::CheckCompleted(Task task) const {

@@ -185,6 +185,8 @@ class CThread {
   };
 
   uint32_t StreamFor(uint32_t requested) const;
+  // The op's doorbell: issues every sub-op of a task that is still live.
+  void Start(uint64_t task_id, Oper oper, const SgEntry& sg);
   void FinishTask(uint64_t task_id, bool ok, bool write_direction);
   // Forces a pending task terminal with the given status (deadline expiry or
   // host-side abort); late FinishTask calls for it become no-ops.
