@@ -2,8 +2,8 @@
 // retransmission, CRC rejection + rollback, restore-failure rollback,
 // rollback when the destination dies mid-migration, kill-one-node evacuation
 // (from checkpoint and from scratch), priority shedding under capacity
-// pressure, and bit-identical behavior across shard counts and threading
-// modes.
+// pressure, a seed sweep of random migration plans, and bit-identical
+// behavior across shard counts and threading modes.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 
 #include "src/runtime/orchestrator.h"
 #include "src/services/vector_kernels.h"
+#include "src/sim/rng.h"
 #include "src/sim/time.h"
 
 namespace coyote {
@@ -585,6 +586,57 @@ TEST(OrchestratorTest, TenantAddedToAFullHomeNodeIsShedAtAdmission) {
   EXPECT_EQ(orch.tenants().at(ids[2]).region, -1);
   EXPECT_EQ(orch.sheds(), 1u);
   EXPECT_EQ(fleet.tenant_data_hash(ids[1]), ExpectedHash(ids[1], spec.items_total, spec.item_bytes));
+}
+
+// --- Random migration plans ---------------------------------------------------
+
+// 4 nodes x 2 regions, tenant n on node n. Per seed, sim::Rng(seed) draws each
+// tenant's item count and size, then the kill time and node, then a random
+// tenant and destination every 500 us from 2.5 ms to before 5 ms. A planned
+// migration must leave its source region clean: a DMA still running on
+// freed buffers page-faults, the supervisor declares the region hung, and a
+// later restore into it fails.
+TEST(OrchestratorSweepTest, RandomMigrationPlansSettleWithoutHangsOrPageFaults) {
+  constexpr uint32_t kNodes = 4;
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Rng rng(seed);
+    Fleet::Config c = BaseConfig();
+    c.num_nodes = kNodes;
+    c.seed = seed;
+    Fleet fleet(c);
+    std::vector<TenantSpec> specs(kNodes);
+    std::vector<uint32_t> ids;
+    for (uint32_t n = 0; n < kNodes; ++n) {
+      specs[n].home_node = n;
+      specs[n].items_total = 200 + rng.NextBounded(8);
+      specs[n].item_bytes = (8 << 10) - 64 * rng.NextBounded(8);
+      ids.push_back(fleet.AddTenant(specs[n]));
+    }
+    const sim::TimePs kill_at = sim::Milliseconds(5) + rng.NextBounded(sim::Microseconds(500));
+    fleet.ScheduleKill(kill_at, static_cast<uint32_t>(rng.NextBounded(kNodes)));
+    for (sim::TimePs at = sim::Milliseconds(2.5); at < sim::Milliseconds(5);
+         at += sim::Microseconds(500)) {
+      const uint64_t tenant = rng.NextBounded(kNodes);
+      fleet.ScheduleMigration(at, ids[tenant], static_cast<uint32_t>(rng.NextBounded(kNodes)));
+    }
+
+    EXPECT_TRUE(fleet.Run(sim::Milliseconds(200)));
+    uint64_t hangs = 0;
+    uint64_t page_faults = 0;
+    for (uint32_t n = 0; n < kNodes; ++n) {
+      hangs += fleet.node_supervisor(n).hangs_detected();
+      page_faults += fleet.node_device(n).data_mover().page_fault_irqs();
+    }
+    EXPECT_EQ(hangs, 0u);
+    EXPECT_EQ(page_faults, 0u);
+    for (uint32_t n = 0; n < kNodes; ++n) {
+      EXPECT_EQ(fleet.tenant_outcome(ids[n]), TenantOutcome::kDone) << "tenant " << n;
+      EXPECT_EQ(fleet.tenant_data_hash(ids[n]),
+                ExpectedHash(ids[n], specs[n].items_total, specs[n].item_bytes))
+          << "tenant " << n;
+    }
+  }
 }
 
 // --- Cross-shard-count determinism --------------------------------------------

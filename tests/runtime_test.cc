@@ -314,6 +314,36 @@ INSTANTIATE_TEST_SUITE_P(
                   .c2h = 64}),
     [](const ::testing::TestParamInfo<OpPathRow>& row) { return row.param.name; });
 
+// A task retired before its doorbell, kInvokeLatency after Invoke, starts
+// nothing: neither a host-side abort right after Invoke nor a deadline that
+// fires first lets its read or write reach the data mover. Only the forced
+// completion's 64-byte writeback crosses C2H.
+TEST(CThreadTest, TaskRetiredBeforeItsDoorbellMovesNoData) {
+  for (const OpStatus how : {OpStatus::kAborted, OpStatus::kDeadlineExceeded}) {
+    SCOPED_TRACE(how == OpStatus::kAborted ? "aborted" : "deadline");
+    SimDevice dev(DefaultConfig());
+    dev.vfpga(0).LoadKernel(std::make_unique<services::PassthroughKernel>());
+    CThread t(&dev, 0);
+    constexpr uint64_t kBytes = 4096;
+    const uint64_t src = t.GetMem({Alloc::kHpf, kBytes});
+    const uint64_t dst = t.GetMem({Alloc::kHpf, kBytes});
+    SgEntry sg;
+    sg.local = {.src_addr = src, .src_len = kBytes, .dst_addr = dst, .dst_len = kBytes};
+    if (how == OpStatus::kDeadlineExceeded) {
+      t.SetOpDeadline(sim::Microseconds(1));
+    }
+    const CThread::Task task = t.Invoke(Oper::kLocalTransfer, sg);
+    if (how == OpStatus::kAborted) {
+      EXPECT_EQ(t.AbortPending(), 1u);
+    }
+    dev.engine().RunUntilIdle();
+    EXPECT_EQ(t.Status(task), how);
+    EXPECT_EQ(dev.data_mover().packets_moved(), 0u);
+    EXPECT_EQ(dev.xdma().h2c().total_bytes(), 0u);
+    EXPECT_EQ(dev.xdma().c2h().total_bytes(), 64u);
+  }
+}
+
 // --- AES end-to-end ---------------------------------------------------------
 
 TEST(AesEndToEnd, EcbMatchesSoftwareAes) {
