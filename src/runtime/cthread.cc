@@ -414,6 +414,8 @@ uint64_t RegionExec::WriteSection(sim::wire::Writer* w) {
 }
 
 bool RegionExec::ReadSection(sim::wire::Reader* r) {
+  // Whether [off, off + len) lies inside a staging buffer.
+  auto fits = [this](uint64_t off, uint64_t len) { return off <= bytes_ && len <= bytes_ - off; };
   const uint32_t count = r->U32();
   if (count > 1) {
     r->Fail();  // the executor never holds more than one op
@@ -421,18 +423,31 @@ bool RegionExec::ReadSection(sim::wire::Reader* r) {
   }
   std::optional<Op> op;
   if (count == 1) {
+    const auto oper = static_cast<Oper>(r->U8());
+    const uint64_t src_off = r->U64();
+    const uint64_t src_len = r->U64();
+    const uint64_t dst_off = r->U64();
+    const uint64_t dst_len = r->U64();
+    if (oper != Oper::kLocalTransfer || !fits(src_off, src_len) || !fits(dst_off, dst_len)) {
+      r->Fail();  // the executor only issues local transfers within its buffers
+      return false;
+    }
     op.emplace();
-    op->oper = static_cast<Oper>(r->U8());
-    op->sg.local.src_addr = src_ + r->U64();
-    op->sg.local.src_len = r->U64();
-    op->sg.local.dst_addr = dst_ + r->U64();
-    op->sg.local.dst_len = r->U64();
+    op->oper = oper;
+    op->sg.local = {.src_addr = src_ + src_off,
+                    .src_len = src_len,
+                    .dst_addr = dst_ + dst_off,
+                    .dst_len = dst_len};
   }
   for (const uint64_t vaddr : {src_, dst_}) {
     const uint32_t segments = r->U32();
     for (uint32_t i = 0; i < segments && r->ok(); ++i) {
       const uint64_t off = r->U64();
       const std::vector<uint8_t> bytes = r->Bytes();
+      if (!fits(off, bytes.size())) {
+        r->Fail();
+        return false;
+      }
       thread_.WriteBuffer(vaddr + off, bytes.data(), bytes.size());
     }
   }

@@ -123,8 +123,9 @@ class RegionExec {
   // The executor's section of a CYK1 tenant checkpoint: an op count of 0 or
   // 1, the held (else the in-flight) op relative to the buffers, then each
   // buffer's dirty-page segments. WriteSection returns the pages shipped;
-  // ReadSection rejects a count above 1, writes the segments into this
-  // executor's buffers and holds the op for Reissue.
+  // ReadSection rejects a count above 1, an op other than a local transfer,
+  // and an op range or a segment that leaves its buffer; otherwise it writes
+  // the segments into this executor's buffers and holds the op for Reissue.
   uint64_t WriteSection(sim::wire::Writer* w);
   bool ReadSection(sim::wire::Reader* r);
 

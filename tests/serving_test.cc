@@ -286,6 +286,48 @@ TEST_F(RegionExecTest, ReadSectionRejectsTwoOps) {
   EXPECT_FALSE(exec->busy());
 }
 
+// The executor only ever writes a local transfer within its buffers and
+// segments clipped to them, so a section with anything else is rejected
+// whole and nothing is held: re-issuing it would DMA past a buffer or start
+// an NVMe or RoCE op, and a segment past the end would write past a buffer.
+// A range that ends exactly at the end of its buffer is accepted.
+TEST_F(RegionExecTest, ReadSectionRejectsOutOfRangeInput) {
+  struct Case {
+    const char* what;
+    Oper oper;
+    uint64_t src_off, src_len, dst_off, dst_len;
+    uint64_t seg_off, seg_len;  // one src segment
+    bool accepted;
+  };
+  const Case cases[] = {
+      {"storage op", Oper::kStorageWrite, 0, 16, 0, 16, 0, 16, false},
+      {"remote op", Oper::kRemoteWrite, 0, 16, 0, 16, 0, 16, false},
+      {"src range past the end", Oper::kLocalTransfer, kBytes - 8, 16, 0, 16, 0, 16, false},
+      {"dst range at the end", Oper::kLocalTransfer, 0, 16, kBytes, 1, 0, 16, false},
+      {"segment at the end", Oper::kLocalTransfer, 0, 16, 0, 16, kBytes, 1, false},
+      {"segment past the end", Oper::kLocalTransfer, 0, 16, 0, 16, kBytes - 8, 16, false},
+      {"everything up to the end", Oper::kLocalTransfer, 0, kBytes, 16, 16, 16, 16, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::unique_ptr<serving::RegionExec> exec = MakeExec();
+    sim::wire::Writer w;
+    w.U32(1);  // one op
+    w.U8(static_cast<uint8_t>(c.oper));
+    w.U64(c.src_off);
+    w.U64(c.src_len);
+    w.U64(c.dst_off);
+    w.U64(c.dst_len);
+    w.U32(1);  // src: one segment
+    w.U64(c.seg_off);
+    w.Bytes(std::vector<uint8_t>(c.seg_len, 0xab));
+    w.U32(0);  // dst: no segment
+    sim::wire::Reader r(w.bytes().data(), w.bytes().size());
+    EXPECT_EQ(exec->ReadSection(&r), c.accepted);
+    EXPECT_EQ(exec->Reissue(), c.accepted);
+  }
+}
+
 // --- Router policies in isolation ---------------------------------------------
 
 class RouterTest : public ::testing::Test {
