@@ -166,6 +166,7 @@ void CThread::Start(uint64_t task_id, Oper oper, const SgEntry& sg) {
   // Set before issuing: a sub-op may complete synchronously, and once the
   // last one is issued the task may already be retired.
   int& remaining = it->second.remaining;
+  remaining = 1;  // two for a local transfer with both a read and a write
   auto& mover = dev_->data_mover();
   switch (oper) {
     case Oper::kNoop:
@@ -200,7 +201,6 @@ void CThread::Start(uint64_t task_id, Oper oper, const SgEntry& sg) {
     }
     case Oper::kMigrateToCard:
     case Oper::kMigrateToHost:
-      remaining = 1;
       mover.Migrate(sg.local.src_addr, sg.local.src_len,
                     oper == Oper::kMigrateToCard ? mmu::MemKind::kCard : mmu::MemKind::kHost,
                     [this, task_id](bool ok) { FinishTask(task_id, ok, true); });
@@ -213,7 +213,6 @@ void CThread::Start(uint64_t task_id, Oper oper, const SgEntry& sg) {
         Retire(it, OpStatus::kError, /*write_direction=*/true);
         return;
       }
-      remaining = 1;
       constexpr uint32_t kBlock = memsys::NvmeDrive::kBlockBytes;
       const auto blocks = static_cast<uint32_t>((sg.storage.len + kBlock - 1) / kBlock);
       const uint64_t byte_addr = sg.storage.lba * kBlock;
@@ -243,7 +242,6 @@ void CThread::Start(uint64_t task_id, Oper oper, const SgEntry& sg) {
         Retire(it, OpStatus::kError, /*write_direction=*/true);
         return;
       }
-      remaining = 1;
       auto done = [this, task_id](bool ok) { FinishTask(task_id, ok, true); };
       if (oper == Oper::kRemoteWrite) {
         roce->PostWrite(sg.rdma.qpn, sg.rdma.local_addr, sg.rdma.remote_addr, sg.rdma.len, done);
@@ -423,21 +421,18 @@ bool RegionExec::ReadSection(sim::wire::Reader* r) {
   }
   std::optional<Op> op;
   if (count == 1) {
-    const auto oper = static_cast<Oper>(r->U8());
-    const uint64_t src_off = r->U64();
-    const uint64_t src_len = r->U64();
-    const uint64_t dst_off = r->U64();
-    const uint64_t dst_len = r->U64();
-    if (oper != Oper::kLocalTransfer || !fits(src_off, src_len) || !fits(dst_off, dst_len)) {
+    op.emplace();
+    op->oper = static_cast<Oper>(r->U8());
+    SgEntry::Local& l = op->sg.local;
+    l.src_addr = src_ + r->U64();
+    l.src_len = r->U64();
+    l.dst_addr = dst_ + r->U64();
+    l.dst_len = r->U64();
+    if (op->oper != Oper::kLocalTransfer || !fits(l.src_addr - src_, l.src_len) ||
+        !fits(l.dst_addr - dst_, l.dst_len)) {
       r->Fail();  // the executor only issues local transfers within its buffers
       return false;
     }
-    op.emplace();
-    op->oper = oper;
-    op->sg.local = {.src_addr = src_ + src_off,
-                    .src_len = src_len,
-                    .dst_addr = dst_ + dst_off,
-                    .dst_len = dst_len};
   }
   for (const uint64_t vaddr : {src_, dst_}) {
     const uint32_t segments = r->U32();

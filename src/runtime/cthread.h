@@ -11,7 +11,9 @@
 //
 // A cThread keeps a record only for each task still in flight, plus one
 // status byte per task id, so a retired id keeps its answer for the
-// thread's lifetime.
+// thread's lifetime. Each op has one doorbell, SimDevice::kInvokeLatency
+// after Invoke, that issues all its sub-ops; a task retired before it (an
+// abort or a deadline) starts nothing.
 //
 // Naming note: the class is CThread per style; `cThread` is provided as an
 // alias so examples read like the paper.

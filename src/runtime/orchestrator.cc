@@ -450,21 +450,12 @@ void Fleet::OnResendRequest(uint32_t src_logical, uint32_t tenant, std::vector<u
   if (!outbound_[src_logical].contains(tenant)) {
     return;  // the transfer already ended
   }
-  // The orchestrator hears the round or the failure in place when it is the
-  // sender, and by message from a source node.
   const bool from_orch = src_logical == orch_logical_;
-  auto report = [this, src_logical, from_orch](sim::InlineCallback cb) {
-    if (from_orch) {
-      cb();
-    } else {
-      PostToOrch(src_logical, 0, std::move(cb));
-    }
-  };
   if (round > kChunkRetryMax) {
     // Retransmit budget exhausted: the orchestrator rolls back (migration)
     // or sheds (evacuation — the source is already gone).
     const char* why = from_orch ? "evac.transfer" : "transfer";
-    report([this, tenant, why]() { orch_->OnMigrationFailed(tenant, why); });
+    PostToOrch(src_logical, 0, [this, tenant, why]() { orch_->OnMigrationFailed(tenant, why); });
     return;
   }
   if (!from_orch) {
@@ -473,7 +464,7 @@ void Fleet::OnResendRequest(uint32_t src_logical, uint32_t tenant, std::vector<u
     }
     cluster_.guard(src_logical).Write();
   }
-  report([this, tenant, round]() { orch_->OnTransferRound(tenant, round); });
+  PostToOrch(src_logical, 0, [this, tenant, round]() { orch_->OnTransferRound(tenant, round); });
   SendChunks(src_logical, tenant, missing, round, kChunkRetryBackoff * round);
 }
 
@@ -889,10 +880,7 @@ void Orchestrator::DeclareDead(uint32_t node) {
           const uint32_t dst = rec->dst_node;
           // The reserved destination region frees up for the evacuation
           // placement decision below.
-          const int32_t reserved = regions_[dst].FindTenant(id);
-          if (reserved >= 0) {
-            ReleaseRegion(dst, reserved);
-          }
+          ReleaseRegion(dst, regions_[dst].FindTenant(id));
           PostToNode(dst, [this, dst, id]() { fleet_->AbandonInbound(dst, id); });
         }
         EvacuateTenant(id, "node.dead");
@@ -992,8 +980,7 @@ void Orchestrator::EvacuateTenant(uint32_t tenant, const std::string& reason) {
     const uint32_t chunks = fleet_->ChunkCount(blob.size());
     rec.chunks = chunks;
     events_.Record("evacuate", {tenant, dst, static_cast<uint64_t>(region), blob.size()}, Now());
-    // The orchestrator is the sender: it replays a copy of the stored
-    // checkpoint through the same path a source node sends by.
+    // The orchestrator sends a copy of the stored checkpoint, as a source would.
     fleet_->outbound_[fleet_->orch_logical_][tenant] = {blob, dst, region};
     fleet_->SendChunks(fleet_->orch_logical_, tenant, AllChunks(chunks), /*round=*/0,
                        /*extra_delay=*/0);

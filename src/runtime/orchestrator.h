@@ -12,7 +12,8 @@
 //                   tenant workloads, each on a serving::RegionExec (the
 //                   executor the serving fabric's regions run on too), one
 //                   fault injector per logical node, per-node supervisors,
-//                   and inbound checkpoint transfers.
+//                   and checkpoint transfers: outbound ones by sender (a
+//                   source node or the orchestrator), inbound ones by node.
 //   Orchestrator  — the control plane. Takes node deaths from the cluster's
 //                   detector, stores each tenant's periodic checkpoint, and
 //                   drives the migration pipeline:
@@ -181,6 +182,8 @@ class Fleet {
   // flight at a time, so a stale think-time timer cannot double-issue an
   // item) and its progress. Retired entries are kept (a cThread with
   // in-flight completions must outlive them); a released executor marks them.
+  // A migration's source keeps the aborted op in the executor, for a
+  // rollback to re-issue, and the checkpoint in transfer as its Outbound.
   struct TenantRt {
     uint32_t id = 0;
     TenantSpec spec;
@@ -237,7 +240,6 @@ class Fleet {
   void OnItemComplete(uint32_t node, uint32_t tenant, OpStatus status);
   void CheckpointTick(uint32_t node);
   void BeginMigration(uint32_t node, uint32_t tenant, uint32_t dst_node, int32_t dst_region);
-  // Sends `chunk_ids` of the sender's Outbound record, then the round's marker.
   void SendChunks(uint32_t src_logical, uint32_t tenant, const std::vector<uint32_t>& chunk_ids,
                   uint32_t round, sim::TimePs extra_delay);
   void OnChunk(uint32_t node, uint32_t tenant, uint32_t chunk_id, std::vector<uint8_t> bytes);
@@ -262,7 +264,13 @@ class Fleet {
   // false when the blob fails validation or the region state mismatches.
   bool ApplyCheckpoint(uint32_t node, int32_t region, const std::vector<uint8_t>& blob);
 
+  // Runs `cb` on the orchestrator: after `delay` from a node, in place when
+  // the orchestrator itself is the sender.
   void PostToOrch(uint32_t src_logical, sim::TimePs delay, sim::InlineCallback cb) {
+    if (src_logical == orch_logical_) {
+      cb();
+      return;
+    }
     cluster_.Post(src_logical, orch_logical_, delay, std::move(cb));
   }
 
@@ -275,8 +283,8 @@ class Fleet {
   std::vector<std::unique_ptr<NodeRt>> nodes_;
   // Indexed by logical node: nodes 0..N-1, then the orchestrator.
   std::vector<std::unique_ptr<sim::FaultInjector>> injectors_;
-  // Each sender's checkpoint transfers by tenant, indexed like injectors_;
-  // a sender's map is touched only on its shard.
+  // Checkpoint transfers by sender (indexed like injectors_), then tenant.
+  // A sender's map is touched only on that sender's shard.
   std::vector<std::map<uint32_t, Outbound>> outbound_;
   std::unique_ptr<Orchestrator> orch_;
   uint32_t next_tenant_ = 0;
@@ -363,8 +371,7 @@ class Orchestrator {
                               const std::string& reason);
   MigrationRecord* ActiveRecord(uint32_t tenant);
   static void StampResumed(MigrationRecord* rec, sim::TimePs resumed_at);
-  // Closes the tenant's active migration, dropping the transfer of an
-  // evacuation replay.
+  // Closes the active migration, and an evacuation replay's transfer with it.
   void EndMigration(uint32_t tenant, TenantBook& book);
   void CheckSettled();
 

@@ -113,7 +113,8 @@ class RegionExec {
   void Abort(OpStatus status);
   // Holds the op in flight for Reissue and the checkpoint, aborts it, then
   // aborts the region's DMA (error completions, credit restore, TLB
-  // shootdown) and flushes its streams.
+  // shootdown) and flushes its streams. A fence: an op aborted before its
+  // doorbell never starts, so no DMA of it outlives the quiesce.
   void Quiesce(OpStatus status);
   // Re-issues the op Quiesce held or ReadSection restored; false if none.
   bool Reissue();
