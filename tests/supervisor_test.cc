@@ -467,8 +467,8 @@ TEST_F(SupervisorTest, RetiredTasksKeepTheirAnswers) {
   ASSERT_TRUE(dev_->engine().RunUntilCondition([&] { return sup.readmissions() == 2; }));
   EXPECT_TRUE(RunTransfer(t));
   retired(OpStatus::kOk);
-  // A host-side cancel before the doorbell lands; the op's late sub-op
-  // completions must not touch the retired task.
+  // A host-side cancel before the doorbell lands: the retired task starts
+  // nothing, and keeps its kAborted answer.
   constexpr uint64_t kBytes = 4 << 10;
   const uint64_t src = t.GetMem({Alloc::kHpf, kBytes});
   const uint64_t dst = t.GetMem({Alloc::kHpf, kBytes});
