@@ -350,8 +350,8 @@ void Fleet::BeginMigration(uint32_t node, uint32_t tenant, uint32_t dst_node,
   t->exec->Quiesce(OpStatus::kAborted);
 
   uint64_t pages = 0;
-  const Outbound& out = outbound_[node][tenant] = {BuildCheckpoint(node, *t, &pages), dst_node,
-                                                   dst_region};
+  Outbound& out = outbound_[node][tenant];
+  out = {BuildCheckpoint(node, *t, &pages), dst_node, dst_region};
   const uint64_t bytes = out.blob.size();
   const uint32_t chunks = ChunkCount(bytes);
   const sim::TimePs quiesced = cluster_.NowAt(node);
