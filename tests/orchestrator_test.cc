@@ -206,11 +206,19 @@ TEST(OrchestratorTest, DroppedChunksAreRetransmittedUntilComplete) {
   EXPECT_EQ(fleet.tenant_outcome(t), TenantOutcome::kDone);
   EXPECT_EQ(fleet.tenant_data_hash(t), ExpectedHash(t, spec.items_total, spec.item_bytes));
 
+  // Three of the five chunks are lost in the first round; one resend round
+  // carries them. Pinned, so a change to how a round travels cannot move the
+  // migration's timing.
   const MigrationRecord* rec = FindRecord(fleet, t);
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->outcome, "ok");
-  EXPECT_GE(rec->retransmit_rounds, 1u);
+  EXPECT_EQ(rec->chunks, 5u);
+  EXPECT_EQ(rec->retransmit_rounds, 1u);
+  EXPECT_EQ(rec->resumed_at, 163'872'950u);
+  EXPECT_EQ(rec->downtime, 13'262'710u);
   EXPECT_EQ(fleet.orchestrator().tenants().at(t).node, 1u);
+  EXPECT_EQ(fleet.orchestrator().settled_at(), 535'868'908u);
+  EXPECT_EQ(fleet.orchestrator().TraceFingerprint(), 0x2c77caf70a974bdaull);
 }
 
 TEST(OrchestratorTest, CorruptCheckpointIsRejectedByCrcAndRolledBack) {

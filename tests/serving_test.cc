@@ -673,6 +673,29 @@ TEST(ServingFabricTest, OversizedPayloadCompletesErrorOnceAndFreesTheRegion) {
   EXPECT_EQ(fab.router().counters().value("router.integrity.mismatch"), 0u);
 }
 
+// A request whose deadline is still ahead when the router dispatches it, but
+// passes while it waits out the batch timeout, expires on the node: it
+// completes typed from there, without a region, and the router's own expiry
+// check never fires.
+TEST(ServingFabricTest, DeadlinePassedInFlightCompletesFromTheNode) {
+  ServingFabric fab(QuietFabric(/*num_nodes=*/1, /*regions_per_node=*/1));
+  std::vector<serving::ServingCompletion> done;
+  fab.router().SetCompletionObserver(
+      [&done](const serving::ServingCompletion& c) { done.push_back(c); });
+  serving::ServingRequest req = FabricReq(/*tenant=*/1);
+  req.deadline = sim::Microseconds(3);
+  fab.SubmitAt(sim::Microseconds(1), std::move(req));
+
+  ASSERT_TRUE(fab.Run(sim::Milliseconds(1), sim::Microseconds(50)));
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].status, OpStatus::kDeadlineExceeded);
+  EXPECT_EQ(done[0].node, 0u);
+  EXPECT_EQ(done[0].region, -1);
+  EXPECT_EQ(done[0].completed_at, 6'612'560u);
+  EXPECT_EQ(fab.router().counters().value("router.expired"), 0u);
+  EXPECT_EQ(fab.router().counters().value("router.done.deadline"), 1u);
+}
+
 // Same seed, shard placements {1, 2, 4, 8}: the fabric fingerprint — every
 // completion folded in delivery order plus all counters — is bit-identical.
 TEST(ServingFabricTest, SameSeedFingerprintIsShardPlacementInvariant) {
