@@ -96,7 +96,7 @@ uint32_t Fleet::AddTenant(const TenantSpec& spec) {
 
 void Fleet::ScheduleMigration(sim::TimePs t, uint32_t tenant, uint32_t dst_node) {
   cluster_.ScheduleOn(orch_logical_, t, [this, tenant, dst_node]() {
-    orch_->StartMigration(tenant, dst_node, "planned");
+    orch_->StartMigration(tenant, dst_node);
   });
 }
 
@@ -259,11 +259,10 @@ void Fleet::CheckpointTick(uint32_t node) {
     // and are re-issued whole on restore, so the tenant keeps executing.
     uint64_t pages = 0;
     std::vector<uint8_t> blob = BuildCheckpoint(node, *t, &pages);
-    const sim::TimePs captured = cluster_.NowAt(node);
     const sim::TimePs wire = cluster_.WireDelay(blob.size());
     const uint32_t tenant_id = tenant;
-    PostToOrch(node, wire, [this, tenant_id, blob = std::move(blob), pages, captured]() mutable {
-      orch_->OnCheckpoint(tenant_id, std::move(blob), pages, captured);
+    PostToOrch(node, wire, [this, tenant_id, blob = std::move(blob), pages]() mutable {
+      orch_->OnCheckpoint(tenant_id, std::move(blob), pages);
     });
   }
 }
@@ -511,7 +510,7 @@ void Fleet::TryRestore(uint32_t node, uint32_t tenant, uint32_t src_logical, int
   });
 }
 
-void Fleet::ResumeAtSource(uint32_t node, uint32_t tenant) {
+void Fleet::ResumeAtSource(uint32_t node, uint32_t tenant, size_t record) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   TenantRt* t = LiveTenant(node, tenant);
   if (t == nullptr) {
@@ -521,7 +520,7 @@ void Fleet::ResumeAtSource(uint32_t node, uint32_t tenant) {
   outbound_[node].erase(tenant);
   Resume(node, *t);
   const sim::TimePs resumed = cluster_.NowAt(node);
-  PostToOrch(node, 0, [this, tenant, resumed]() { orch_->OnRollbackResumed(tenant, resumed); });
+  PostToOrch(node, 0, [this, record, resumed]() { orch_->OnRollbackResumed(record, resumed); });
 }
 
 void Fleet::CleanupSource(uint32_t node, uint32_t tenant) {
@@ -622,8 +621,7 @@ void Orchestrator::ReleaseRegion(uint32_t node, int32_t region) {
   }
 }
 
-void Orchestrator::OnCheckpoint(uint32_t tenant, std::vector<uint8_t> blob, uint64_t pages,
-                                sim::TimePs captured_at) {
+void Orchestrator::OnCheckpoint(uint32_t tenant, std::vector<uint8_t> blob, uint64_t pages) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   ckpt_guard_.Write();
   auto it = tenants_.find(tenant);
@@ -633,10 +631,9 @@ void Orchestrator::OnCheckpoint(uint32_t tenant, std::vector<uint8_t> blob, uint
   StoredCkpt& s = ckpt_store_[tenant];
   s.blob = std::move(blob);
   s.pages = pages;
-  s.captured_at = captured_at;
 }
 
-void Orchestrator::StartMigration(uint32_t tenant, uint32_t dst_node, const std::string& reason) {
+void Orchestrator::StartMigration(uint32_t tenant, uint32_t dst_node) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   tenants_guard_.Write();
   regions_guard_.Write();
@@ -646,16 +643,15 @@ void Orchestrator::StartMigration(uint32_t tenant, uint32_t dst_node, const std:
   }
   TenantBook& book = it->second;
   if (dst_node >= regions_.size() || book.outcome != TenantOutcome::kRunning ||
-      book.migrating || !BelievedAlive(book.node) || !BelievedAlive(dst_node) ||
+      book.migration || !BelievedAlive(book.node) || !BelievedAlive(dst_node) ||
       regions_[dst_node].free() == 0 || dst_node == book.node) {
     events_.Record("migrate.reject", {tenant, dst_node}, Now());
     return;
   }
   const int32_t region = regions_[dst_node].FindFree();
   regions_[dst_node].Reserve(region, tenant);
-  book.migrating = true;
-  OpenRecord(tenant, book.node, dst_node, reason).outcome = "ok";
-  events_.Record("migrate.start", {tenant, book.node, dst_node, sim::FnvHash(reason)}, Now());
+  OpenRecord(tenant, book, dst_node, "planned").outcome = "ok";
+  events_.Record("migrate.start", {tenant, book.node, dst_node, sim::FnvHash("planned")}, Now());
 
   const uint32_t src = book.node;
   PostToNode(src, [this, src, tenant, dst_node, region]() {
@@ -663,12 +659,12 @@ void Orchestrator::StartMigration(uint32_t tenant, uint32_t dst_node, const std:
   });
 }
 
-MigrationRecord& Orchestrator::OpenRecord(uint32_t tenant, uint32_t src, uint32_t dst,
-                                          const std::string& reason) {
-  active_migration_[tenant] = records_.size();
+MigrationRecord& Orchestrator::OpenRecord(uint32_t tenant, TenantBook& book, uint32_t dst,
+                                          const char* reason) {
+  book.migration = records_.size();
   MigrationRecord& rec = records_.emplace_back();
   rec.tenant = tenant;
-  rec.src_node = src;
+  rec.src_node = book.node;
   rec.dst_node = dst;
   rec.reason = reason;
   rec.started_at = Now();
@@ -681,14 +677,16 @@ void Orchestrator::StampResumed(MigrationRecord* rec, sim::TimePs resumed_at) {
 }
 
 void Orchestrator::EndMigration(uint32_t tenant, TenantBook& book) {
-  book.migrating = false;
-  active_migration_.erase(tenant);
+  book.migration.reset();
   fleet_->outbound_[fleet_->orch_logical_].erase(tenant);
 }
 
 MigrationRecord* Orchestrator::ActiveRecord(uint32_t tenant) {
-  auto it = active_migration_.find(tenant);
-  return it == active_migration_.end() ? nullptr : &records_[it->second];
+  auto it = tenants_.find(tenant);
+  if (it == tenants_.end() || !it->second.migration) {
+    return nullptr;
+  }
+  return &records_[*it->second.migration];
 }
 
 void Orchestrator::OnMigrationQuiesced(uint32_t tenant, sim::TimePs quiesced_at,
@@ -733,11 +731,10 @@ void Orchestrator::OnMigrationDone(uint32_t tenant, sim::TimePs resumed_at) {
   tenants_guard_.Write();
   regions_guard_.Write();
   MigrationRecord* rec = ActiveRecord(tenant);
-  auto it = tenants_.find(tenant);
-  if (rec == nullptr || it == tenants_.end()) {
+  if (rec == nullptr) {
     return;
   }
-  TenantBook& book = it->second;
+  TenantBook& book = tenants_.at(tenant);
   StampResumed(rec, resumed_at);
 
   const uint32_t old_node = book.node;
@@ -748,8 +745,8 @@ void Orchestrator::OnMigrationDone(uint32_t tenant, sim::TimePs resumed_at) {
   events_.Record("resume", {tenant, book.node, rec->downtime, sim::FnvHash(rec->outcome)},
                  Now());
 
-  // Source cleanup only applies to a live source (planned migration or
-  // drain); an evacuated tenant's source is gone.
+  // Source cleanup only applies to a live source (a planned migration); an
+  // evacuated tenant's source is gone.
   if (BelievedAlive(old_node) && old_node != book.node) {
     ReleaseRegion(old_node, old_region);
     PostToNode(old_node, [this, old_node, tenant]() { fleet_->CleanupSource(old_node, tenant); });
@@ -761,11 +758,11 @@ void Orchestrator::OnMigrationFailed(uint32_t tenant, const std::string& why) {
   tenants_guard_.Write();
   regions_guard_.Write();
   MigrationRecord* rec = ActiveRecord(tenant);
-  auto it = tenants_.find(tenant);
-  if (rec == nullptr || it == tenants_.end()) {
+  if (rec == nullptr) {
     return;
   }
-  TenantBook& book = it->second;
+  TenantBook& book = tenants_.at(tenant);
+  const size_t record = *book.migration;
   events_.Record("migrate.fail", {tenant, sim::FnvHash(why)}, Now());
 
   // Release the destination reservation in every failure shape. The
@@ -785,7 +782,8 @@ void Orchestrator::OnMigrationFailed(uint32_t tenant, const std::string& why) {
     rec->outcome = "rollback." + why;
     events_.Record("rollback", {tenant, sim::FnvHash(why)}, Now());
     const uint32_t src = book.node;
-    PostToNode(src, [this, src, tenant]() { fleet_->ResumeAtSource(src, tenant); });
+    PostToNode(src,
+               [this, src, tenant, record]() { fleet_->ResumeAtSource(src, tenant, record); });
     return;
   }
   // Evacuation failed and there is no source to roll back to: degrade.
@@ -793,18 +791,12 @@ void Orchestrator::OnMigrationFailed(uint32_t tenant, const std::string& why) {
   Retire(tenant, TenantOutcome::kShed, why);
 }
 
-void Orchestrator::OnRollbackResumed(uint32_t tenant, sim::TimePs resumed_at) {
+void Orchestrator::OnRollbackResumed(size_t record, sim::TimePs resumed_at) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   tenants_guard_.Write();
-  // The record was already closed by OnMigrationFailed; stamp the downtime
-  // on the most recent record for this tenant.
-  for (auto rit = records_.rbegin(); rit != records_.rend(); ++rit) {
-    if (rit->tenant == tenant) {
-      StampResumed(&*rit, resumed_at);
-      break;
-    }
-  }
-  events_.Record("rollback.resumed", {tenant}, Now());
+  MigrationRecord& rec = records_[record];
+  StampResumed(&rec, resumed_at);
+  events_.Record("rollback.resumed", {rec.tenant}, Now());
 }
 
 void Orchestrator::Retire(uint32_t tenant, TenantOutcome outcome, const std::string& why) {
@@ -830,7 +822,7 @@ void Orchestrator::Retire(uint32_t tenant, TenantOutcome outcome, const std::str
   if (pit != pending_evacuations_.end()) {
     const uint32_t evacuee = pit->second;
     pending_evacuations_.erase(pit);
-    EvacuateTenant(evacuee, "node.dead");
+    EvacuateTenant(evacuee);
   }
   CheckSettled();
 }
@@ -860,43 +852,43 @@ void Orchestrator::DeclareDead(uint32_t node) {
     if (book.outcome != TenantOutcome::kRunning) {
       continue;
     }
-    if (book.migrating) {
-      MigrationRecord* rec = ActiveRecord(id);
-      if (rec != nullptr && rec->dst_node == node && BelievedAlive(rec->src_node)) {
+    if (book.migration) {
+      const size_t record = *book.migration;
+      MigrationRecord& rec = records_[record];
+      if (rec.dst_node == node && BelievedAlive(rec.src_node)) {
         // Destination died mid-restore: roll back to the live source.
-        rec->outcome = "rollback.dst_dead";
+        rec.outcome = "rollback.dst_dead";
         EndMigration(id, book);
-        const uint32_t src = rec->src_node;
+        const uint32_t src = rec.src_node;
         events_.Record("rollback.dst_dead", {id}, Now());
-        PostToNode(src, [this, src, id]() { fleet_->ResumeAtSource(src, id); });
+        PostToNode(src, [this, src, id, record]() { fleet_->ResumeAtSource(src, id, record); });
         continue;
       }
-      if (rec != nullptr && (rec->src_node == node || rec->dst_node == node)) {
+      if (rec.src_node == node || rec.dst_node == node) {
         // Source died mid-transfer, or the destination died after it:
         // abandon the partial transfer and replay the stored checkpoint.
-        rec->outcome = rec->src_node == node ? "abort.src_dead" : "abort.dst_dead";
+        rec.outcome = rec.src_node == node ? "abort.src_dead" : "abort.dst_dead";
         EndMigration(id, book);
-        if (BelievedAlive(rec->dst_node)) {
-          const uint32_t dst = rec->dst_node;
+        if (BelievedAlive(rec.dst_node)) {
+          const uint32_t dst = rec.dst_node;
           // The reserved destination region frees up for the evacuation
           // placement decision below.
           ReleaseRegion(dst, regions_[dst].FindTenant(id));
           PostToNode(dst, [this, dst, id]() { fleet_->AbandonInbound(dst, id); });
         }
-        EvacuateTenant(id, "node.dead");
-        continue;
+        EvacuateTenant(id);  // appends a record: rec is not read after this
       }
       continue;
     }
     if (book.node == node) {
-      EvacuateTenant(id, "node.dead");
+      EvacuateTenant(id);
     }
   }
   for (const uint32_t evacuee : orphaned) {
     const auto eit = tenants_.find(evacuee);
     if (eit != tenants_.end() && eit->second.outcome == TenantOutcome::kRunning &&
-        !eit->second.migrating) {
-      EvacuateTenant(evacuee, "node.dead");
+        !eit->second.migration) {
+      EvacuateTenant(evacuee);
     }
   }
 }
@@ -921,7 +913,7 @@ bool Orchestrator::FindShedVictim(uint32_t below_priority, uint32_t* victim_out)
   uint32_t best_prio = 0;
   uint32_t best_id = 0;
   for (const auto& [id, book] : tenants_) {
-    if (book.outcome != TenantOutcome::kRunning || book.migrating ||
+    if (book.outcome != TenantOutcome::kRunning || book.migration ||
         !BelievedAlive(book.node) || book.spec.priority >= below_priority ||
         pending_evacuations_.find(id) != pending_evacuations_.end()) {
       continue;  // a victim already slated for another evacuee stays claimed
@@ -940,7 +932,7 @@ bool Orchestrator::FindShedVictim(uint32_t below_priority, uint32_t* victim_out)
   return found;
 }
 
-void Orchestrator::EvacuateTenant(uint32_t tenant, const std::string& reason) {
+void Orchestrator::EvacuateTenant(uint32_t tenant) {
   tenants_guard_.Write();
   regions_guard_.Write();
   ckpt_guard_.Read();
@@ -966,9 +958,7 @@ void Orchestrator::EvacuateTenant(uint32_t tenant, const std::string& reason) {
   }
 
   regions_[dst].Reserve(region, tenant);
-  book.migrating = true;
-
-  MigrationRecord& rec = OpenRecord(tenant, book.node, dst, reason);
+  MigrationRecord& rec = OpenRecord(tenant, book, dst, "node.dead");
   rec.quiesced_at = rec.started_at;  // downtime for an evacuation runs from detection
 
   auto cit = ckpt_store_.find(tenant);

@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -86,7 +87,7 @@ struct MigrationRecord {
   uint32_t tenant = 0;
   uint32_t src_node = 0;
   uint32_t dst_node = 0;
-  std::string reason;  // "planned", "drain", "node.dead", ...
+  std::string reason;  // "planned" or "node.dead"
   sim::TimePs started_at = 0;
   sim::TimePs quiesced_at = 0;   // tenant stopped executing on the source
   sim::TimePs resumed_at = 0;    // tenant executing again (dst or rollback)
@@ -252,7 +253,9 @@ class Fleet {
   uint32_t ChunkCount(uint64_t bytes) const;
   void TryRestore(uint32_t node, uint32_t tenant, uint32_t src_logical, int32_t dst_region,
                   uint32_t round, std::vector<uint8_t> blob);
-  void ResumeAtSource(uint32_t node, uint32_t tenant);
+  // Rollback: the source resumes the tenant and reports to the orchestrator
+  // with `record`, the index of the migration that rolled back.
+  void ResumeAtSource(uint32_t node, uint32_t tenant, size_t record);
   void CleanupSource(uint32_t node, uint32_t tenant);
   void AbandonInbound(uint32_t node, uint32_t tenant);
   void ShedTenant(uint32_t node, uint32_t tenant);
@@ -301,22 +304,26 @@ class Orchestrator {
     uint32_t node = 0;
     int32_t region = -1;
     TenantOutcome outcome = TenantOutcome::kRunning;
-    bool migrating = false;
+    // Index into migrations() of the tenant's open migration; empty when
+    // none is open.
+    std::optional<size_t> migration;
   };
 
   explicit Orchestrator(Fleet* fleet);
 
   // --- Control-plane events (shard context) ------------------------------------
-  void OnCheckpoint(uint32_t tenant, std::vector<uint8_t> blob, uint64_t pages,
-                    sim::TimePs captured_at);
-  void StartMigration(uint32_t tenant, uint32_t dst_node, const std::string& reason);
+  void OnCheckpoint(uint32_t tenant, std::vector<uint8_t> blob, uint64_t pages);
+  // A planned migration of `tenant` to `dst_node`.
+  void StartMigration(uint32_t tenant, uint32_t dst_node);
   void OnMigrationQuiesced(uint32_t tenant, sim::TimePs quiesced_at, uint64_t ckpt_bytes,
                            uint64_t ckpt_pages, uint32_t chunks);
   void OnTransferRound(uint32_t tenant, uint32_t round);
   void OnRestoreAttempt(uint32_t tenant);
   void OnMigrationDone(uint32_t tenant, sim::TimePs resumed_at);
   void OnMigrationFailed(uint32_t tenant, const std::string& why);
-  void OnRollbackResumed(uint32_t tenant, sim::TimePs resumed_at);
+  // The source resumed after the rollback of migrations()[record]: stamps
+  // that record, which closed when the rollback was ordered.
+  void OnRollbackResumed(size_t record, sim::TimePs resumed_at);
 
   // --- Host-side observation ----------------------------------------------------
   bool AllSettled() const;
@@ -344,7 +351,6 @@ class Orchestrator {
   struct StoredCkpt {
     std::vector<uint8_t> blob;
     uint64_t pages = 0;
-    sim::TimePs captured_at = 0;
   };
 
   // `region < 0` (no free region on the home node) sheds the tenant at once.
@@ -359,16 +365,18 @@ class Orchestrator {
   sim::TimePs Now();
   // Runs `cb` on `node` (delivery after the lookahead).
   void PostToNode(uint32_t node, sim::InlineCallback cb);
-  void EvacuateTenant(uint32_t tenant, const std::string& reason);
+  // Replays the tenant's stored checkpoint (or a fresh start) on a survivor.
+  void EvacuateTenant(uint32_t tenant);
   void ReleaseRegion(uint32_t node, int32_t region);
   // Lowest-priority running tenant strictly below `below` (ties: highest
   // id). Returns false when none qualifies.
   bool FindShedVictim(uint32_t below_priority, uint32_t* victim_out) const;
   bool FindFreeRegion(uint32_t* node_out, int32_t* region_out) const;
-  // Appends a migration record (started now) and makes it the tenant's
-  // active one.
-  MigrationRecord& OpenRecord(uint32_t tenant, uint32_t src, uint32_t dst,
-                              const std::string& reason);
+  // Appends a migration record from the tenant's node (started now) and
+  // makes it the tenant's open one.
+  MigrationRecord& OpenRecord(uint32_t tenant, TenantBook& book, uint32_t dst,
+                              const char* reason);
+  // The tenant's open migration; nullptr when none is open.
   MigrationRecord* ActiveRecord(uint32_t tenant);
   static void StampResumed(MigrationRecord* rec, sim::TimePs resumed_at);
   // Closes the active migration, and an evacuation replay's transfer with it.
@@ -386,8 +394,6 @@ class Orchestrator {
   std::map<uint32_t, StoredCkpt> ckpt_store_;
   // Tenants whose evacuation waits on a shed victim's region (victim -> evacuee).
   std::map<uint32_t, uint32_t> pending_evacuations_;
-  // Index into records_ of each tenant's active migration.
-  std::map<uint32_t, size_t> active_migration_;
 
   std::vector<MigrationRecord> records_;
   sim::CounterSet events_;

@@ -185,7 +185,7 @@ TEST(OrchestratorTest, MigrationReachingARetiredTenantAbortsWithoutRollback) {
   EXPECT_EQ(orch.rollbacks(), 0u);
   EXPECT_EQ(orch.events().value("rollback.resumed"), 0u);
   EXPECT_EQ(orch.tenants().at(t).node, 0u);
-  EXPECT_FALSE(orch.tenants().at(t).migrating);
+  EXPECT_FALSE(orch.tenants().at(t).migration.has_value());
 }
 
 // --- Transfer-layer faults ----------------------------------------------------
