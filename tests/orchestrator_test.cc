@@ -302,6 +302,38 @@ TEST(OrchestratorTest, RolledBackMigrationReleasesTheDestinationRegion) {
   EXPECT_EQ(fleet.orchestrator().tenants().at(t).node, 1u);
 }
 
+TEST(OrchestratorTest, RollbackResumeStampsItsOwnRecord) {
+  // The first migration's restore fails twice and rolls back. The second
+  // migration starts at 155.25 us, after the rollback was ordered and before
+  // the source's resume report reaches the orchestrator: that report must
+  // stamp the rolled-back record, not the open one. Record 0 gets what a lone
+  // rollback records.
+  Fleet::Config c = BaseConfig();
+  c.num_nodes = 2;
+  c.fault_template.restore_fail_first_n = 2;
+  Fleet fleet(c);
+
+  TenantSpec spec;
+  spec.home_node = 0;
+  spec.items_total = 20;
+  const uint32_t t = fleet.AddTenant(spec);
+  fleet.ScheduleMigration(sim::Microseconds(150), t, 1);
+  fleet.ScheduleMigration(sim::Nanoseconds(155'250), t, 1);
+
+  ASSERT_TRUE(fleet.Run(sim::Milliseconds(50)));
+  EXPECT_EQ(fleet.tenant_outcome(t), TenantOutcome::kDone);
+  EXPECT_EQ(fleet.tenant_data_hash(t), ExpectedHash(t, spec.items_total, spec.item_bytes));
+  const auto& records = fleet.orchestrator().migrations();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].outcome, "rollback.restore");
+  EXPECT_EQ(records[0].resumed_at, 155'827'155u);
+  EXPECT_EQ(records[0].downtime, 5'216'915u);
+  EXPECT_EQ(records[1].outcome, "ok");
+  EXPECT_EQ(records[1].resumed_at, 161'935'440u);
+  EXPECT_EQ(records[1].downtime, 6'075'200u);
+  EXPECT_EQ(fleet.orchestrator().TraceFingerprint(), 0x6cdb783d3050e145ull);
+}
+
 TEST(OrchestratorTest, DestinationDyingMidMigrationRollsBackToSource) {
   // Node 1 dies one microsecond before the migration to it starts. It is not
   // yet declared dead, so the migration begins and its chunks vanish; once
