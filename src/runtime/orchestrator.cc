@@ -372,45 +372,34 @@ void Fleet::SendChunks(uint32_t src_logical, uint32_t tenant,
   const uint32_t total_chunks = ChunkCount(blob.size());
   sim::FaultInjector& injector = *injectors_[src_logical];
   uint64_t cumulative = 0;
-  for (uint32_t i = 0; i < chunk_ids.size(); ++i) {
-    const uint32_t id = chunk_ids[i];
+  NodeRt::Chunks arrived;
+  for (const uint32_t id : chunk_ids) {
     const uint64_t off = static_cast<uint64_t>(id) * kChunkBytes;
     const uint64_t len = std::min<uint64_t>(kChunkBytes, blob.size() - off);
     cumulative += len;
     if (injector.NextMigrationChunkDrop()) {
-      continue;  // lost in flight; the marker round below detects the gap
+      continue;  // lost in flight; the receiver finds the gap when the round closes
     }
-    std::vector<uint8_t> bytes(blob.begin() + static_cast<ptrdiff_t>(off),
-                               blob.begin() + static_cast<ptrdiff_t>(off + len));
-    cluster_.Post(src_logical, dst_node, extra_delay + cluster_.WireDelay(cumulative),
-               [this, dst_node, tenant, id, bytes = std::move(bytes)]() mutable {
-                 OnChunk(dst_node, tenant, id, std::move(bytes));
-               });
+    arrived[id].assign(blob.begin() + static_cast<ptrdiff_t>(off),
+                       blob.begin() + static_cast<ptrdiff_t>(off + len));
   }
-  // The marker always arrives (control channel): it carries the per-round
-  // corruption draw and closes the round on the receiver.
+  // One message per round: the chunks that survived the wire ride with the
+  // marker that closes the round, which lands when the round's last byte
+  // would. The marker always arrives (control channel) and carries the
+  // per-round corruption draw.
   const uint64_t corrupt = injector.NextCheckpointCorrupt();
   const sim::TimePs marker_delay = extra_delay + cluster_.WireDelay(cumulative + 64);
   cluster_.Post(src_logical, dst_node, marker_delay,
-             [this, dst_node, tenant, src_logical, dst_region, total_chunks, round, corrupt]() {
-               OnTransferMarker(dst_node, tenant, src_logical, dst_region, total_chunks, round,
-                                corrupt);
-             });
-}
-
-void Fleet::OnChunk(uint32_t node, uint32_t tenant, uint32_t chunk_id,
-                    std::vector<uint8_t> bytes) {
-  sim::ActorScope actor(sim::kActorOrchestrator);
-  if (!cluster_.alive(node)) {
-    return;
-  }
-  cluster_.guard(node).Write();
-  nodes_[node]->inbound[tenant][chunk_id] = std::move(bytes);
+                [this, dst_node, tenant, src_logical, dst_region, total_chunks, round, corrupt,
+                 arrived = std::move(arrived)]() mutable {
+                  OnTransferMarker(dst_node, tenant, src_logical, dst_region, total_chunks,
+                                   round, corrupt, std::move(arrived));
+                });
 }
 
 void Fleet::OnTransferMarker(uint32_t node, uint32_t tenant, uint32_t src_logical,
                              int32_t dst_region, uint32_t total_chunks, uint32_t round,
-                             uint64_t corrupt_entropy) {
+                             uint64_t corrupt_entropy, NodeRt::Chunks arrived) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   if (!cluster_.alive(node)) {
     return;
@@ -418,6 +407,9 @@ void Fleet::OnTransferMarker(uint32_t node, uint32_t tenant, uint32_t src_logica
   cluster_.guard(node).Write();
   NodeRt& n = *nodes_[node];
   NodeRt::Chunks& chunks = n.inbound[tenant];
+  for (auto& [id, bytes] : arrived) {
+    chunks[id] = std::move(bytes);
+  }
 
   std::vector<uint32_t> missing;
   for (uint32_t i = 0; i < total_chunks; ++i) {

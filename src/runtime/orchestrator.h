@@ -212,8 +212,8 @@ class Fleet {
     // tenant id -> runtime (including retired entries).
     std::map<uint32_t, std::unique_ptr<TenantRt>> tenants;
     // In-progress inbound checkpoint transfers: tenant -> chunk id -> bytes.
-    // Chunks accumulate across retransmit rounds; each round's marker
-    // carries the metadata.
+    // Chunks accumulate across retransmit rounds; each round is one message,
+    // its marker carrying the metadata and the chunks that survived the wire.
     using Chunks = std::map<uint32_t, std::vector<uint8_t>>;
     std::map<uint32_t, Chunks> inbound;
   };
@@ -243,9 +243,12 @@ class Fleet {
   void BeginMigration(uint32_t node, uint32_t tenant, uint32_t dst_node, int32_t dst_region);
   void SendChunks(uint32_t src_logical, uint32_t tenant, const std::vector<uint32_t>& chunk_ids,
                   uint32_t round, sim::TimePs extra_delay);
-  void OnChunk(uint32_t node, uint32_t tenant, uint32_t chunk_id, std::vector<uint8_t> bytes);
+  // Closes a round on the receiver: merges the chunks that arrived with the
+  // marker into the transfer's inbound map, then requests a resend of the
+  // missing ones or assembles and restores the blob.
   void OnTransferMarker(uint32_t node, uint32_t tenant, uint32_t src_logical, int32_t dst_region,
-                        uint32_t total_chunks, uint32_t round, uint64_t corrupt_entropy);
+                        uint32_t total_chunks, uint32_t round, uint64_t corrupt_entropy,
+                        NodeRt::Chunks arrived);
   void OnResendRequest(uint32_t src_logical, uint32_t tenant, std::vector<uint32_t> missing,
                        uint32_t round);
   void RequestResend(uint32_t node, uint32_t src_logical, uint32_t tenant,
