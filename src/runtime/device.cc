@@ -42,14 +42,12 @@ SimDevice::SimDevice(const Config& config, net::Network* network, sim::Engine* s
                                                            config_.xdma.h2c_bps);
   svm_.set_hooks(mover_->MakeMigrationHooks());
 
-  // MSI-X dispatch: the driver demultiplexes interrupt sources (§5.1).
+  // MSI-X dispatch: the driver demultiplexes interrupt sources (§5.1). User
+  // vectors go to the user callback; page faults are counted by the data
+  // mover, which the BAR's page-fault status register reads.
   xdma_->SetMsixHandler([this](uint32_t vector, uint64_t value) {
-    if (vector == dyn::kMsixPageFault) {
-      ++page_faults_seen_;
-    } else if (vector >= dyn::kMsixUserBase) {
-      if (user_irq_cb_) {
-        user_irq_cb_(vector - dyn::kMsixUserBase, value);
-      }
+    if (vector >= dyn::kMsixUserBase && user_irq_cb_) {
+      user_irq_cb_(vector - dyn::kMsixUserBase, value);
     }
   });
 

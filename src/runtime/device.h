@@ -160,7 +160,6 @@ class SimDevice {
   // --- Interrupt dispatch (driver -> user space eventfd) ---------------------------
   using UserInterruptCallback = std::function<void(uint32_t vfpga_id, uint64_t value)>;
   void SetUserInterruptCallback(UserInterruptCallback cb) { user_irq_cb_ = std::move(cb); }
-  uint64_t page_fault_interrupts() const { return page_faults_seen_; }
 
   // Runs the engine until `done` returns true (host-side blocking wait).
   bool WaitFor(const std::function<bool()>& done) { return engine_->RunUntilCondition(done); }
@@ -239,7 +238,6 @@ class SimDevice {
   std::map<std::string, fabric::PartialBitstream> bitstream_files_;
 
   UserInterruptCallback user_irq_cb_;
-  uint64_t page_faults_seen_ = 0;
   std::map<uint32_t, uint32_t> next_ctid_;
 
   sim::FaultInjector* injector_ = nullptr;  // not owned

@@ -69,13 +69,6 @@ bool KernelScheduler::ResidentAnywhereEligible(const std::string& bitstream) con
   return false;
 }
 
-void KernelScheduler::NoteDequeued(const Request& request) {
-  auto it = tenant_depth_.find(request.tenant);
-  if (it != tenant_depth_.end() && it->second > 0) {
-    --it->second;
-  }
-}
-
 void KernelScheduler::CountTenant(std::string_view prefix, uint32_t tenant) {
   char key[48] = {};
   prefix.copy(key, prefix.size());
@@ -86,7 +79,6 @@ void KernelScheduler::CountTenant(std::string_view prefix, uint32_t tenant) {
 void KernelScheduler::FailRequest(size_t index, OpStatus status, const char* key) {
   Request request = std::move(queue_[index]);
   queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(index));
-  NoteDequeued(request);
   ++completed_;  // left the scheduler: Idle() converges
   stats_.Increment(key);
   if (request.failed) {
@@ -142,7 +134,6 @@ void KernelScheduler::DoSchedule() {
 void KernelScheduler::Dispatch(size_t request_index, uint32_t vfpga_id) {
   Request request = std::move(queue_[request_index]);
   queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(request_index));
-  NoteDequeued(request);
   stats_.Increment("sched.dispatched");
   CountTenant("sched.dispatched.tenant", request.tenant);
 

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,7 +43,7 @@ class KernelScheduler {
   struct Request {
     std::string bitstream_path;  // kernel to run (app bitstream)
     uint32_t priority = 0;       // larger = more urgent (kPriority)
-    uint32_t tenant = 0;         // accounting key for depth/fairness stats
+    uint32_t tenant = 0;         // accounting key for the per-tenant counters
     // Placement hint from the routing tier: try this region first when it is
     // eligible. -1 leaves placement entirely to the policy.
     int32_t region_hint = -1;
@@ -80,7 +79,6 @@ class KernelScheduler {
     queue_guard_.Write();
     stats_.Increment("sched.submitted");
     CountTenant("sched.submitted.tenant", request.tenant);
-    ++tenant_depth_[request.tenant];
     depth_hist_.Add(queue_.size() + 1);
     queue_.push_back(std::move(request));
     Schedule();
@@ -118,15 +116,10 @@ class KernelScheduler {
     return stats_.value("sched.failed.no_resident") + stats_.value("sched.failed.reconfig");
   }
 
-  // --- Observability (serving-tier admission inputs) --------------------------
-  // Live queue depth for one tenant (requests enqueued, not yet dispatched).
-  uint64_t tenant_depth(uint32_t tenant) const {
-    auto it = tenant_depth_.find(tenant);
-    return it == tenant_depth_.end() ? 0 : it->second;
-  }
+  // --- Observability ----------------------------------------------------------
   // Monotonic event counters (per-tenant submits/dispatches, quarantine
-  // transitions, failures) — the router reads these instead of poking
-  // scheduler internals, and tests fingerprint them.
+  // transitions, failures); the serving fabric folds them into its
+  // fingerprint, and tests read them.
   const sim::CounterSet& stats() const { return stats_; }
   // Queue depth sampled at every Submit.
   const sim::Histogram& depth_histogram() const { return depth_hist_; }
@@ -151,7 +144,6 @@ class KernelScheduler {
   // Removes queue_[index] with a typed rejection (see Request::failed),
   // counted under `key`.
   void FailRequest(size_t index, OpStatus status, const char* key);
-  void NoteDequeued(const Request& request);
   // Counts `prefix` followed by the tenant id in decimal. The key is built in
   // a stack buffer, so a request of a tenant seen before allocates nothing.
   void CountTenant(std::string_view prefix, uint32_t tenant);
@@ -172,7 +164,6 @@ class KernelScheduler {
 
   sim::CounterSet stats_;
   sim::Histogram depth_hist_;
-  std::map<uint32_t, uint64_t> tenant_depth_;
 };
 
 }  // namespace runtime

@@ -209,7 +209,6 @@ void Supervisor::Recover(uint32_t id, const std::string& fault_class) {
   bool ok = false;
   while (!ok && w.incident_attempts < config_.max_recoveries) {
     ++w.incident_attempts;
-    ++w.recovery_count;
     if (w.last_known_good.empty()) {
       break;
     }
@@ -222,7 +221,6 @@ void Supervisor::Recover(uint32_t id, const std::string& fault_class) {
   const sim::TimePs now = dev_->engine().Now();
   if (ok) {
     incident.recovered = true;
-    incident.recovered_at = now;
     incident.mttr = now - detected_at;
     w.health = RegionHealth::kProbation;
     w.probation_left = config_.probation_ticks;

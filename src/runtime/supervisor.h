@@ -78,8 +78,7 @@ class Supervisor {
     std::string fault_class;         // "kernel.hang" or "deadline.miss"
     sim::TimePs detected_at = 0;
     sim::TimePs detect_latency = 0;  // last progress -> detection
-    sim::TimePs recovered_at = 0;    // 0 when the attempt failed
-    sim::TimePs mttr = 0;            // detected_at -> recovered_at
+    sim::TimePs mttr = 0;            // detected_at -> recovery; 0 when it failed
     bool recovered = false;
   };
 
@@ -127,7 +126,6 @@ class Supervisor {
     uint64_t last_packets = 0;
     sim::TimePs last_progress_at = 0;
     uint32_t probation_left = 0;
-    uint32_t recovery_count = 0;
     // Reprogram attempts consumed by the current incident *chain*: a relapse
     // mid-probation continues this budget instead of resetting it, so a
     // region that keeps failing straight out of recovery escalates to

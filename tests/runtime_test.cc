@@ -125,8 +125,6 @@ TEST(CThreadTest, UnmappedAddressFailsTaskAndRaisesPageFault) {
   sg.local = {.src_addr = 0x100000, .src_len = 4096, .dst_addr = 0, .dst_len = 0};
   EXPECT_FALSE(t.InvokeSync(Oper::kLocalRead, sg));
   EXPECT_GE(dev.data_mover().page_fault_irqs(), 1u);
-  dev.engine().RunUntilIdle();
-  EXPECT_GE(dev.page_fault_interrupts(), 1u);
 }
 
 TEST(CThreadTest, WritebackCountersAdvanceOnCompletion) {
