@@ -316,7 +316,6 @@ class Orchestrator {
 
   // --- Control-plane events (shard context) ------------------------------------
   void OnCheckpoint(uint32_t tenant, std::vector<uint8_t> blob, uint64_t pages);
-  // A planned migration of `tenant` to `dst_node`.
   void StartMigration(uint32_t tenant, uint32_t dst_node);
   void OnMigrationQuiesced(uint32_t tenant, sim::TimePs quiesced_at, uint64_t ckpt_bytes,
                            uint64_t ckpt_pages, uint32_t chunks);
@@ -368,7 +367,6 @@ class Orchestrator {
   sim::TimePs Now();
   // Runs `cb` on `node` (delivery after the lookahead).
   void PostToNode(uint32_t node, sim::InlineCallback cb);
-  // Replays the tenant's stored checkpoint (or a fresh start) on a survivor.
   void EvacuateTenant(uint32_t tenant);
   void ReleaseRegion(uint32_t node, int32_t region);
   // Lowest-priority running tenant strictly below `below` (ties: highest
