@@ -1,13 +1,12 @@
-// Ordering stress tests for the calendar-queue event engine.
+// Ordering stress tests for the event engine.
 //
-// The engine contract is exact: events fire in (timestamp, insertion order)
-// regardless of which internal structure — adopted bucket, incursion heap, or
-// overflow heap — they travelled through. These tests aim adversarial
-// schedules at the calendar geometry (bucket boundaries, the wheel's
-// one-rotation horizon, overflow migration) and check the execution sequence
-// against a stable-sort reference model. Any routing bug that reorders even
-// two events fails loudly here, long before it would show up as a chaos
-// fingerprint mismatch.
+// The engine contract is exact: events fire in timestamp order, and events
+// with equal timestamps fire in insertion order. These tests mix equal
+// timestamps, near and far schedule-ahead, events scheduled from inside a
+// firing event, RunUntil deadlines and long self-rescheduling runs, and check
+// the execution sequence against a stable-sort reference model. Any engine
+// change that reorders even two events fails loudly here, long before it
+// would show up as a chaos fingerprint mismatch.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +22,11 @@
 namespace coyote {
 namespace sim {
 namespace {
+
+// Spacing and span of the adversarial schedules below, in ps. Any values
+// work; these keep every schedule the same as it has always been.
+constexpr TimePs kStepPs = 1024;
+constexpr TimePs kSpanPs = 4096 * kStepPs;
 
 // Schedules every (time, id) pair in order, runs to idle, and checks the
 // fired sequence equals the stable sort of the schedule by time.
@@ -51,41 +55,42 @@ void CheckAgainstReferenceModel(const std::vector<TimePs>& schedule) {
   }
 }
 
-TEST(EngineStressTest, FifoTieBreakAcrossBucketBoundaries) {
-  // Equal timestamps planted exactly on bucket boundaries, one bucket-width
-  // apart, interleaved in reverse insertion waves. The stable tie-break must
-  // hold within each timestamp even though neighbours land in different
-  // buckets.
+TEST(EngineStressTest, EqualTimestampsFireInInsertionOrderAcrossWaves) {
+  // Each of 96 timestamps, three per kStepPs, is scheduled once in each of
+  // eight waves, so every timestamp has eight events inserted far apart and
+  // interleaved with its neighbours. Each timestamp's events must fire in
+  // wave order, and the timestamps in ascending order.
   std::vector<TimePs> schedule;
   for (int wave = 0; wave < 8; ++wave) {
     for (uint32_t b = 0; b < 32; ++b) {
-      schedule.push_back(static_cast<TimePs>(b) * Engine::kBucketWidthPs);
-      schedule.push_back(static_cast<TimePs>(b) * Engine::kBucketWidthPs + 1);
-      schedule.push_back(static_cast<TimePs>(b + 1) * Engine::kBucketWidthPs - 1);
+      schedule.push_back(static_cast<TimePs>(b) * kStepPs);
+      schedule.push_back(static_cast<TimePs>(b) * kStepPs + 1);
+      schedule.push_back(static_cast<TimePs>(b + 1) * kStepPs - 1);
     }
   }
   CheckAgainstReferenceModel(schedule);
 }
 
-TEST(EngineStressTest, OrderHoldsAcrossWheelHorizonAndOverflow) {
-  // Mix of near events (incursion / wheel), events right at the one-rotation
-  // horizon, and far-future events that start in the overflow heap and must
-  // migrate back into the wheel without losing their place.
+TEST(EngineStressTest, RandomNearAndFarScheduleFiresInTimestampOrder) {
+  // 4000 random timestamps: dense ties within one kStepPs, a spread over
+  // kSpanPs, a tight cluster around kSpanPs, and a sparse spread over
+  // 8 * kSpanPs, all inserted out of order. They must fire sorted by time,
+  // ties in insertion order.
   Rng rng(42);
   std::vector<TimePs> schedule;
   for (int i = 0; i < 4000; ++i) {
     switch (rng.NextBounded(4)) {
-      case 0:  // same-bucket churn
-        schedule.push_back(rng.NextBounded(Engine::kBucketWidthPs));
+      case 0:  // dense ties
+        schedule.push_back(rng.NextBounded(kStepPs));
         break;
-      case 1:  // within one rotation
-        schedule.push_back(rng.NextBounded(Engine::kDaySpanPs));
+      case 1:  // spread over the span
+        schedule.push_back(rng.NextBounded(kSpanPs));
         break;
-      case 2:  // straddling the horizon
-        schedule.push_back(Engine::kDaySpanPs - 8 + rng.NextBounded(16));
+      case 2:  // clustered around the span
+        schedule.push_back(kSpanPs - 8 + rng.NextBounded(16));
         break;
-      default:  // deep overflow, several rotations out
-        schedule.push_back(rng.NextBounded(8 * Engine::kDaySpanPs));
+      default:  // sparse and far out
+        schedule.push_back(rng.NextBounded(8 * kSpanPs));
         break;
     }
   }
@@ -110,12 +115,12 @@ TEST(EngineStressTest, PastEventsClampAndKeepInsertionOrder) {
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
 }
 
-TEST(EngineStressTest, RunUntilDeadlineSplitsAnAdoptedBucket) {
-  // Several events share one calendar bucket; the RunUntil deadline lands
-  // between them. The already-adopted (sorted) bucket must stop draining at
-  // the deadline and resume exactly where it left off.
+TEST(EngineStressTest, RunUntilStopsAtTheDeadlineAndResumesInOrder) {
+  // Eight events 100 ps apart; the RunUntil deadline lands between the
+  // fourth and the fifth. The run must stop after the fourth, move Now() to
+  // the deadline, and a later run must fire the other four in order.
   Engine engine;
-  const TimePs base = 7 * Engine::kBucketWidthPs;
+  const TimePs base = 7 * kStepPs;
   std::vector<int> fired;
   for (int i = 0; i < 8; ++i) {
     engine.ScheduleAt(base + static_cast<TimePs>(i) * 100, [&fired, i] { fired.push_back(i); });
@@ -129,11 +134,11 @@ TEST(EngineStressTest, RunUntilDeadlineSplitsAnAdoptedBucket) {
 }
 
 TEST(EngineStressTest, LateArrivalsIntoTheOpenWindowInterleaveCorrectly) {
-  // A firing event schedules new work into the very window being drained
-  // (same bucket, later timestamp). Those incursions must interleave with the
-  // already-sorted remainder of the bucket in timestamp order.
+  // A firing event schedules two events between events that are already
+  // pending, the later one first. They must interleave with the pending ones
+  // in timestamp order.
   Engine engine;
-  const TimePs base = 3 * Engine::kBucketWidthPs;
+  const TimePs base = 3 * kStepPs;
   std::vector<int> fired;
   engine.ScheduleAt(base + 100, [&] {
     fired.push_back(0);
@@ -146,10 +151,11 @@ TEST(EngineStressTest, LateArrivalsIntoTheOpenWindowInterleaveCorrectly) {
   EXPECT_EQ(fired, (std::vector<int>{0, 15, 20, 25, 30}));
 }
 
-TEST(EngineStressTest, SelfReschedulingActorsStayOrderedAcrossRotations) {
-  // Actors with co-prime periods reschedule themselves for many wheel
-  // rotations; times and per-actor fire counts must come out exact. This
-  // drives the cursor through thousands of bucket adoptions and day wraps.
+TEST(EngineStressTest, SelfReschedulingActorsKeepExactPeriods) {
+  // Four actors with co-prime periods, from 97 ns to just over kSpanPs,
+  // reschedule themselves until 40 * kSpanPs. Every fire must land exactly
+  // one period after the actor's previous one, and each actor must fire
+  // exactly end / period times.
   Engine engine;
   struct ActorState {
     TimePs period;
@@ -159,10 +165,10 @@ TEST(EngineStressTest, SelfReschedulingActorsStayOrderedAcrossRotations) {
   std::vector<ActorState> actors;
   actors.push_back({Nanoseconds(97)});
   actors.push_back({Nanoseconds(1009)});
-  actors.push_back({Microseconds(3) + 1});  // just under a rotation
-  actors.push_back({Engine::kDaySpanPs + 7});  // always beyond the horizon
+  actors.push_back({Microseconds(3) + 1});
+  actors.push_back({kSpanPs + 7});
 
-  const TimePs kEnd = 40 * Engine::kDaySpanPs;
+  const TimePs kEnd = 40 * kSpanPs;
   for (size_t i = 0; i < actors.size(); ++i) {
     struct Tick {
       Engine* engine;
