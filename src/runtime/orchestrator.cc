@@ -763,6 +763,14 @@ void Orchestrator::OnMigrationFailed(uint32_t tenant, const std::string& why) {
   if (rec->dst_node != book.node) {
     ReleaseRegion(rec->dst_node, regions_[rec->dst_node].FindTenant(tenant));
   }
+  // A transfer out of retransmit budget leaves the chunks that arrived on
+  // the destination; drop them, or a later transfer of this tenant there
+  // merges with them. A failed restore needs nothing: the destination erased
+  // its chunks before it tried the restore.
+  if ((why == "transfer" || why == "evac.transfer") && BelievedAlive(rec->dst_node)) {
+    const uint32_t dst = rec->dst_node;
+    PostToNode(dst, [this, dst, tenant]() { fleet_->AbandonInbound(dst, tenant); });
+  }
   EndMigration(tenant, book);
 
   if (why == "src.not_running") {

@@ -249,6 +249,41 @@ TEST(OrchestratorTest, CorruptCheckpointIsRejectedByCrcAndRolledBack) {
   EXPECT_EQ(fleet.orchestrator().TraceFingerprint(), 0x8691e44300e0d552ull);
 }
 
+TEST(OrchestratorTest, TransferRollbackLeavesNoChunksAtTheDestination) {
+  // The first transfer loses chunks until its retransmit budget runs out and
+  // rolls back after chunks 3 and 4 reached node 1. The rollback must drop
+  // them there: the second transfer to node 1 then rebuilds its blob from
+  // its own chunks, and its one resend round fills what it lost. Merged
+  // with the stale chunks, the blob failed its CRC and cost a full round.
+  Fleet::Config c = BaseConfig();
+  c.num_nodes = 2;
+  c.seed = 6;
+  c.fault_template.migration_chunk_drop_first_n = 33;
+  c.fault_template.migration_chunk_drop_rate = 0.2;
+  Fleet fleet(c);
+
+  TenantSpec spec;
+  spec.home_node = 0;
+  spec.items_total = 60;
+  const uint32_t t = fleet.AddTenant(spec);
+  fleet.ScheduleMigration(sim::Microseconds(150), t, 1);
+  fleet.ScheduleMigration(sim::Microseconds(700), t, 1);
+
+  ASSERT_TRUE(fleet.Run(sim::Milliseconds(50)));
+  EXPECT_EQ(fleet.tenant_outcome(t), TenantOutcome::kDone);
+  EXPECT_EQ(fleet.tenant_data_hash(t), ExpectedHash(t, spec.items_total, spec.item_bytes));
+  EXPECT_EQ(fleet.orchestrator().tenants().at(t).node, 1u);
+  const auto& records = fleet.orchestrator().migrations();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].outcome, "rollback.transfer");
+  EXPECT_EQ(records[0].retransmit_rounds, 6u);
+  EXPECT_EQ(records[0].resumed_at, 276'670'195u);
+  EXPECT_EQ(records[1].outcome, "ok");
+  EXPECT_EQ(records[1].retransmit_rounds, 1u);
+  EXPECT_EQ(records[1].resumed_at, 713'885'670u);
+  EXPECT_EQ(records[1].downtime, 13'275'430u);
+}
+
 TEST(OrchestratorTest, RestoreFailureRollsBackToSource) {
   Fleet::Config c = BaseConfig();
   c.num_nodes = 2;
