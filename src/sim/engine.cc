@@ -1,7 +1,5 @@
 #include "src/sim/engine.h"
 
-#include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include "src/sim/access_guard.h"
@@ -9,7 +7,7 @@
 namespace coyote {
 namespace sim {
 
-Engine::Engine() : ledger_(&AccessLedger::Global()), buckets_(kNumBuckets) {
+Engine::Engine() : ledger_(&AccessLedger::Global()) {
 #ifdef COYOTE_ACCESS_GUARDS
   // Sanitize/debug builds arm the race-detection ledger for every test that
   // spins up an engine; release builds leave it to tests to opt in.
@@ -30,23 +28,29 @@ uint32_t Engine::AllocNode(Callback&& cb) {
   return idx;
 }
 
-void Engine::HeapPush(std::vector<HeapEntry>* heap, const HeapEntry& e) {
-  heap->push_back(e);
-  size_t i = heap->size() - 1;
+void Engine::HeapPush(const HeapEntry& e) {
+  heap_.push_back(e);
+  size_t i = heap_.size() - 1;
   while (i > 0) {
     const size_t parent = (i - 1) / 2;
-    if (!EntryAfter((*heap)[parent], e)) {
+    if (!EntryAfter(heap_[parent], e)) {
       break;
     }
-    (*heap)[i] = (*heap)[parent];
+    heap_[i] = heap_[parent];
     i = parent;
   }
-  (*heap)[i] = e;
+  heap_[i] = e;
 }
 
-void Engine::SiftDown(std::vector<HeapEntry>* heap, size_t i) {
-  const size_t n = heap->size();
-  const HeapEntry e = (*heap)[i];
+Engine::HeapEntry Engine::HeapPop() {
+  const HeapEntry top = heap_.front();
+  const HeapEntry e = heap_.back();
+  heap_.pop_back();
+  const size_t n = heap_.size();
+  if (n == 0) {
+    return top;
+  }
+  size_t i = 0;
   for (;;) {
     const size_t l = 2 * i + 1;
     if (l >= n) {
@@ -54,145 +58,34 @@ void Engine::SiftDown(std::vector<HeapEntry>* heap, size_t i) {
     }
     size_t c = l;
     const size_t r = l + 1;
-    if (r < n && EntryAfter((*heap)[l], (*heap)[r])) {
+    if (r < n && EntryAfter(heap_[l], heap_[r])) {
       c = r;
     }
-    if (!EntryAfter(e, (*heap)[c])) {
+    if (!EntryAfter(e, heap_[c])) {
       break;
     }
-    (*heap)[i] = (*heap)[c];
+    heap_[i] = heap_[c];
     i = c;
   }
-  (*heap)[i] = e;
-}
-
-Engine::HeapEntry Engine::HeapPop(std::vector<HeapEntry>* heap) {
-  const HeapEntry top = heap->front();
-  heap->front() = heap->back();
-  heap->pop_back();
-  if (!heap->empty()) {
-    SiftDown(heap, 0);
-  }
+  heap_[i] = e;
   return top;
 }
 
-void Engine::Route(const HeapEntry& e) {
-  if (e.time < ActiveEnd()) {
-    // Inside (or before) the window currently being drained: the incursion
-    // heap keeps the (time, seq) order exact for late arrivals.
-    HeapPush(&incursion_, e);
-  } else if ((e.time >> kBucketWidthLog2) <= cur_bucket_ + kNumBuckets) {
-    // Within one full rotation of the cursor: ride the wheel. The horizon
-    // tracks the cursor, so schedule-ahead up to kDaySpanPs never spills to
-    // the overflow heap regardless of where the cursor sits.
-    const uint32_t b = static_cast<uint32_t>((e.time >> kBucketWidthLog2) & (kNumBuckets - 1));
-    buckets_[b].push_back(e);
-    bucket_bits_[b >> 6] |= uint64_t{1} << (b & 63);
-    ++wheel_count_;
-  } else {
-    HeapPush(&overflow_, e);
-  }
-}
-
 void Engine::ScheduleImpl(TimePs t, Callback&& cb) {
-  const uint32_t idx = AllocNode(std::move(cb));
-  ++num_pending_;
-  Route(HeapEntry{t, static_cast<uint32_t>(next_seq_++), idx});
-}
-
-void Engine::MigrateOverflow() {
-  while (!overflow_.empty() &&
-         (overflow_.front().time >> kBucketWidthLog2) <= cur_bucket_ + kNumBuckets) {
-    Route(HeapPop(&overflow_));
-  }
-}
-
-uint64_t Engine::NextOccupiedBucket() const {
-  const uint32_t start = static_cast<uint32_t>((cur_bucket_ + 1) & (kNumBuckets - 1));
-  uint32_t w = start >> 6;
-  uint64_t word = bucket_bits_[w] & (~uint64_t{0} << (start & 63));
-#ifndef NDEBUG
-  uint32_t scanned = 0;
-#endif
-  while (word == 0) {
-    ++w;
-    if (w == bucket_bits_.size()) {
-      w = 0;  // the ring wraps: slots below the cursor are one rotation ahead
-    }
-#ifndef NDEBUG
-    assert(++scanned <= bucket_bits_.size() && "wheel_count_ > 0 implies an occupied slot");
-#endif
-    word = bucket_bits_[w];
-  }
-  const uint32_t slot = (w << 6) + static_cast<uint32_t>(__builtin_ctzll(word));
-  // Ring distance from the slot just after the cursor, in [0, kNumBuckets).
-  const uint32_t delta = (slot - start) & (kNumBuckets - 1);
-  return cur_bucket_ + 1 + delta;
-}
-
-bool Engine::PrepareNext() {
-  while (StackEmpty() && incursion_.empty()) {
-    // Advance to the earliest pending bucket, wherever it lives. Overflow
-    // events must rejoin the wheel before the cursor passes their bucket;
-    // taking the minimum of the two next-bucket candidates guarantees that
-    // (and doubles as the empty-span fast-forward: cur_bucket_ jumps, it
-    // never rotates through empty slots).
-    const uint64_t next_wheel = wheel_count_ > 0 ? NextOccupiedBucket() : ~uint64_t{0};
-    const uint64_t next_over =
-        !overflow_.empty() ? (overflow_.front().time >> kBucketWidthLog2) : ~uint64_t{0};
-    if (next_wheel == ~uint64_t{0} && next_over == ~uint64_t{0}) {
-      return false;
-    }
-    if (next_over <= next_wheel) {
-      // Park the cursor just below the overflow head's bucket so migration
-      // lands it (and any followers within the new horizon) in the wheel;
-      // the next iteration then adopts that bucket with wheel and migrated
-      // events merged, preserving the global (time, seq) order.
-      cur_bucket_ = next_over - 1;
-      MigrateOverflow();
-      continue;
-    }
-    cur_bucket_ = next_wheel;
-    const uint32_t slot = static_cast<uint32_t>(cur_bucket_ & (kNumBuckets - 1));
-    bucket_bits_[slot >> 6] &= ~(uint64_t{1} << (slot & 63));
-    std::vector<HeapEntry>& bucket = buckets_[slot];
-    wheel_count_ -= bucket.size();
-    // The window is empty here, so adopt the bucket wholesale: one
-    // ascending sort now makes every subsequent pop an O(1) cursor bump.
-    // Copy rather than swap so both vectors keep their grown capacity —
-    // swapping rotates capacities between buckets and causes steady-state
-    // reallocations.
-    active_.assign(bucket.begin(), bucket.end());
-    drain_pos_ = 0;
-    bucket.clear();
-    if (active_.size() > 1) {
-      std::sort(active_.begin(), active_.end(),
-                [](const HeapEntry& a, const HeapEntry& b) { return EntryAfter(b, a); });
-    }
-  }
-  return true;
+  HeapPush(HeapEntry{t, next_seq_++, AllocNode(std::move(cb))});
 }
 
 bool Engine::Step() {
-  if (!PrepareNext()) {
+  if (heap_.empty()) {
     return false;
   }
-  // Pop the earliest event of the window: min of the drain cursor's head and
-  // the incursion heap's top, under the same (time, seq) total order.
-  HeapEntry top;
-  if (incursion_.empty() ||
-      (!StackEmpty() && !EntryAfter(active_[drain_pos_], incursion_.front()))) {
-    top = active_[drain_pos_++];
-  } else {
-    top = HeapPop(&incursion_);
-  }
+  const HeapEntry top = HeapPop();
   now_ = top.time;
   // Move the callback out and recycle the slot *before* invoking, so the
   // callback can schedule new events (and reuse this very slot) freely.
   // (Move-construction nulls the pool slot's ops pointer; no extra reset.)
   Callback cb = std::move(pool_[top.idx]);
   free_nodes_.push_back(top.idx);
-  --num_pending_;
   ++events_executed_;
   AccessLedger& ledger = *ledger_;
   if (ledger.enabled()) {
@@ -230,7 +123,7 @@ uint64_t Engine::RunUntilIdle() {
 
 uint64_t Engine::RunUntil(TimePs deadline) {
   uint64_t n = 0;
-  while (PrepareNext() && NextTime() <= deadline) {
+  while (!heap_.empty() && heap_.front().time <= deadline) {
     Step();
     ++n;
   }

@@ -9,26 +9,18 @@
 // (src/sim/sharded_engine.h) gives every shard its own Engine on its own
 // worker thread and only ever drives one engine from one thread at a time.
 //
-// Implementation: a hierarchical calendar queue (timing wheel) instead of a
-// global binary heap. Near-future events land in one of kNumBuckets
-// fixed-width buckets; the bucket under the cursor is sorted once at
-// adoption and drained with O(1) pops (`active_`), late arrivals into the
-// open window go to a small incursion min-heap, and events beyond the
-// wheel's horizon wait in an overflow heap that migrates into the wheel as
-// simulated time advances. Because every structure orders events by the
-// global (timestamp, sequence) pair, the execution order is IDENTICAL to the
-// previous binary-heap engine: events fire in timestamp order with a stable
-// FIFO tie-break among equal timestamps, so same-seed runs stay
-// bit-identical across the engine swap. What changes is the constant factor:
-// pushes are O(1) for in-horizon events, pops touch at most the two window
-// tops instead of sifting the whole queue, and event callbacks are recycled
-// through a pooled free list so steady-state scheduling never allocates
-// (callback captures up to InlineCallback::kInlineBytes ride inline too).
+// Implementation: one binary min-heap of 16-byte (time, seq, slot) entries
+// over a pool of callbacks. Events fire in timestamp order, and events with
+// equal timestamps fire in insertion order (a FIFO tie-break on a per-engine
+// sequence number), so same-seed runs are bit-identical. Callbacks are
+// recycled through a LIFO free list, and the heap keeps its grown capacity,
+// so once both have grown to the peak pending population scheduling never
+// allocates (callback captures up to InlineCallback::kInlineBytes ride
+// inline too).
 
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -80,25 +72,17 @@ class Engine {
   // Earliest pending timestamp without executing it; false when idle. The
   // sharded coordinator (src/sim/sharded_engine.h) uses this between windows
   // to compute the next conservative horizon across all shards.
-  bool PeekNextTime(TimePs* t) {
-    if (!PrepareNext()) {
+  bool PeekNextTime(TimePs* t) const {
+    if (heap_.empty()) {
       return false;
     }
-    *t = NextTime();
+    *t = heap_.front().time;
     return true;
   }
 
-  bool Idle() const { return num_pending_ == 0; }
+  bool Idle() const { return heap_.empty(); }
   uint64_t events_executed() const { return events_executed_; }
-  size_t pending_events() const { return num_pending_; }
-
-  // Calendar geometry, exposed so tests can exercise bucket/day boundaries.
-  static constexpr uint32_t kBucketWidthLog2 = 10;  // 1024 ps per bucket
-  static constexpr uint32_t kNumBucketsLog2 = 12;   // 4096 buckets
-  static constexpr TimePs kBucketWidthPs = TimePs{1} << kBucketWidthLog2;
-  static constexpr uint32_t kNumBuckets = 1u << kNumBucketsLog2;
-  // One full rotation of the wheel (~4.2 us of simulated time).
-  static constexpr TimePs kDaySpanPs = kBucketWidthPs * kNumBuckets;
+  size_t pending_events() const { return heap_.size(); }
 
   // Allocation introspection for the perf bench: capacity of the callback
   // pool and how many slots currently sit on the free list.
@@ -111,14 +95,12 @@ class Engine {
   // last event, never logically concurrent with it.
   void CloseEpoch();
 
-  // Ordering key + pool index. Entries carry their (time, seq) key so heap
-  // comparisons and sorts touch only the contiguous entry array — never the
-  // callback pool. That locality is worth ~2x on deep queues versus moving
-  // full callback slots through the ordering structures. The sequence number
-  // is stored truncated to 32 bits to keep the entry at 16 bytes: pending
-  // events never span anywhere near 2^31 sequence numbers (the spread is
-  // bounded by the pool size), so the wrap-safe difference compare below
-  // reproduces the full-width FIFO order exactly.
+  // Ordering key + pool index. Entries carry their (time, seq) key so sifts
+  // touch only the contiguous entry array, never the callback pool. The
+  // sequence number is kept to 32 bits so an entry stays 16 bytes. It is
+  // compared only between equal timestamps, and the wrap-safe difference
+  // below reproduces the full-width FIFO order exactly while fewer than 2^31
+  // events are scheduled between two events with the same timestamp.
   struct HeapEntry {
     TimePs time = 0;
     uint32_t seq = 0;  // tie-break: FIFO among equal timestamps (mod 2^32)
@@ -131,44 +113,18 @@ class Engine {
     return static_cast<int32_t>(a.seq - b.seq) > 0;
   }
 
-  // End of the time window currently drained through active_.
-  TimePs ActiveEnd() const { return (cur_bucket_ + 1) << kBucketWidthLog2; }
-
   // Takes the callback by rvalue reference so the capture bytes move exactly
   // once, from the caller's frame into the pool slot.
   void ScheduleImpl(TimePs t, Callback&& cb);
   uint32_t AllocNode(Callback&& cb);
-  void Route(const HeapEntry& e);  // place an event into the window/wheel/overflow
-  // Absolute bucket number of the next occupied wheel bucket after
-  // cur_bucket_ (wrapping ring scan). Caller guarantees wheel_count_ > 0.
-  uint64_t NextOccupiedBucket() const;
-  // Ensures the current window (active_ or incursion_) holds the globally
-  // earliest pending event. Returns false if no events are pending.
-  bool PrepareNext();
-  void MigrateOverflow();
-  // True when the adopted bucket is fully drained.
-  bool StackEmpty() const { return drain_pos_ == active_.size(); }
-  // Earliest pending timestamp. Only valid after PrepareNext() == true.
-  TimePs NextTime() const {
-    if (incursion_.empty()) {
-      return active_[drain_pos_].time;
-    }
-    if (StackEmpty() || EntryAfter(active_[drain_pos_], incursion_.front())) {
-      return incursion_.front().time;
-    }
-    return active_[drain_pos_].time;
-  }
-
-  // (time, seq) min-heap primitives (hole-insertion sifts: one move per
-  // level instead of a swap per level).
-  static void SiftDown(std::vector<HeapEntry>* heap, size_t i);
-  static void HeapPush(std::vector<HeapEntry>* heap, const HeapEntry& e);
-  static HeapEntry HeapPop(std::vector<HeapEntry>* heap);
+  // (time, seq) min-heap primitives over heap_ (hole-insertion sifts: one
+  // move per level instead of a swap per level).
+  void HeapPush(const HeapEntry& e);
+  HeapEntry HeapPop();
 
   TimePs now_ = 0;
-  uint64_t next_seq_ = 0;
+  uint32_t next_seq_ = 0;  // wraps; see HeapEntry
   uint64_t events_executed_ = 0;
-  size_t num_pending_ = 0;
   // Cached at construction: the process-wide ledger outlives every engine,
   // and caching skips an out-of-line Global() call on the per-event path.
   AccessLedger* ledger_ = nullptr;
@@ -179,41 +135,7 @@ class Engine {
   // allocation once the pool has warmed up.
   std::vector<Callback> pool_;
   std::vector<uint32_t> free_nodes_;
-
-  // Calendar wheel. cur_bucket_ is the absolute bucket number under the
-  // cursor (monotonic; event time >> kBucketWidthLog2); ring slot i holds
-  // absolute bucket b iff b % kNumBuckets == i. The wheel always covers one
-  // full rotation AHEAD OF THE CURSOR — not a fixed day — so any event up to
-  // kDaySpanPs in the future rides the wheel regardless of cursor phase.
-  // Invariants:
-  //  * every event with time < ActiveEnd() is in active_/incursion_;
-  //  * wheel entries have absolute bucket in (cur_bucket_,
-  //    cur_bucket_ + kNumBuckets]; inserting within one rotation of the
-  //    cursor means a ring slot never mixes two absolute buckets by the
-  //    time the cursor adopts it;
-  //  * overflow_ events lie beyond that horizon, and PrepareNext migrates
-  //    them in (earliest-bucket-first) before the cursor can pass them.
-  uint64_t cur_bucket_ = 0;
-  std::vector<std::vector<HeapEntry>> buckets_;
-  // Occupancy bitmap over buckets_ (one bit per bucket, 512 B — L1-resident).
-  // Advancing the cursor scans words with ctz instead of touching the 96 KB
-  // array of scattered vector headers; with sparse buckets that scan is the
-  // dominant per-event cost otherwise.
-  std::array<uint64_t, kNumBuckets / 64> bucket_bits_{};
-  size_t wheel_count_ = 0;
-  // The cursor window drains from two structures. active_ is the adopted
-  // bucket, sorted ascending once at adoption and consumed by advancing
-  // drain_pos_ — a bucket is fully drained before the next is adopted, so a
-  // heap's incremental ordering is wasted work there. incursion_ is a
-  // min-heap for the rarer events scheduled *into* the open window after
-  // adoption; each pop takes the min of the two tops, which preserves the
-  // exact global (time, seq) order. All vectors retain their grown capacity
-  // (adoption copies entries instead of swapping storage), so the wheel
-  // stops allocating once every touched bucket has warmed up.
-  std::vector<HeapEntry> active_;
-  size_t drain_pos_ = 0;
-  std::vector<HeapEntry> incursion_;
-  std::vector<HeapEntry> overflow_;  // min-heap beyond the wheel horizon
+  std::vector<HeapEntry> heap_;  // pending events, min-heap on (time, seq)
 };
 
 }  // namespace sim

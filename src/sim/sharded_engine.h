@@ -1,8 +1,8 @@
 // Sharded parallel discrete-event simulation (conservative PDES).
 //
-// Partitions a simulation into `num_shards` shards, each owning one
-// calendar-queue Engine driven by its own worker thread. Synchronization is
-// conservative and window-based (a.k.a. bounded-lag BSP):
+// Partitions a simulation into `num_shards` shards, each owning one Engine
+// driven by its own worker thread. Synchronization is conservative and
+// window-based (a.k.a. bounded-lag BSP):
 //
 //   1. The coordinator computes the global minimum pending timestamp T across
 //      all shards and opens the window [T, T + lookahead).

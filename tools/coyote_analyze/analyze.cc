@@ -1493,7 +1493,7 @@ std::vector<Finding> Analyze(const Index& index, const Options& options) {
           Chain(g, callback, id, "callback", p.detail, f->file, p.line));
     }
     // The event machinery in src/sim/ is exempt from guard-state: the engine's
-    // own calendar/pool containers and the AccessLedger's logs are what the
+    // own heap/pool containers and the AccessLedger's logs are what the
     // guards are *built from* — registering guards on them would be circular
     // (every guard touch mutates ledger state from callback context).
     if (enabled("guard-state") && !StartsWith(f->file, "src/sim/")) {
