@@ -1,15 +1,15 @@
 // Event-engine fast-path microbenchmark.
 //
 // Measures the simulator's schedule/fire cycle — the loop every other bench
-// sits on top of — and compares the calendar-queue engine (sim::Engine) with
-// an embedded copy of the pre-optimization binary-heap engine
-// (LegacyHeapEngine below: std::priority_queue + std::function callbacks,
-// byte-for-byte the old src/sim/engine.{h,cc} hot path). Three workloads:
+// sits on top of — and compares sim::Engine (a binary heap of 16-byte keys
+// over a pool of inline callbacks) with an embedded copy of the original
+// engine (LegacyHeapEngine below: std::priority_queue + std::function
+// callbacks, byte-for-byte the old src/sim/engine.{h,cc} hot path). Three
+// workloads:
 //
 //   1. steady-state schedule/fire throughput at several queue depths
 //      (self-rescheduling actors, the pattern links and timers produce),
-//   2. an overflow-day workload whose periods exceed the calendar span
-//      (exercises the day-jump path),
+//   2. the same at 4096 pending events with periods from 1 ns to 8 us,
 //   3. payload fan-out: one message delivered to N consumers as zero-copy
 //      BufferView slices vs. per-consumer std::vector copies.
 //
@@ -181,7 +181,7 @@ CaseResult RunActors(const char* name, const char* engine_name, uint64_t depth,
   EngineT eng;
   uint64_t fired = 0;
   for (uint64_t i = 0; i < depth; ++i) {
-    // Distinct stagger per actor keeps timestamps spread across buckets.
+    // Distinct stagger per actor keeps the actors' timestamps apart.
     eng.ScheduleAfter(1 + i, Actor<EngineT>{&eng, &fired, budget, period, i % 7});
   }
   // Warm up outside the timed region: steady state is the claim. The
@@ -369,7 +369,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::PrintHeader("Event-engine fast path: calendar queue vs. binary heap",
+  bench::PrintHeader("Event-engine fast path: pooled heap vs. legacy std::function heap",
                      "perf substrate for every bench/ figure (simulator internals)");
 
   struct CaseSpec {
@@ -378,16 +378,15 @@ int main(int argc, char** argv) {
     uint64_t budget;
     sim::TimePs period;
   };
-  // The pending-event *spread* equals the reschedule period, so the period
-  // decides how many calendar buckets the queue occupies. The 100ns-1us cases
-  // match what the device models actually schedule (link serialization, DMA
-  // bursts, timer deadlines): events spread across hundreds of 1024 ps
-  // buckets, so each pop sifts a near-empty window heap — this is where the
-  // calendar engine wins. The 1 ns case is the adversarial shape: every
-  // pending event lands in one bucket and the calendar degenerates into a
-  // single heap (expected ~parity with the legacy engine, kept honest here).
-  // The 8 us case lands every event beyond the ~4.2 us calendar day, driving
-  // the overflow heap + day-jump path.
+  // The depth is the number of pending events, so each pop sifts through
+  // log2(depth) heap levels; the pending-event spread equals the reschedule
+  // period. The perfbench workloads hold at most 59 pending events per
+  // engine, so the depth-64 case is the one that looks like them; the deeper
+  // cases show the cost of a deep queue. The names of the 1 ns and 8 us
+  // cases come from an earlier bucketed engine, for which they were the
+  // adversarial (every event in one bucket) and the overflow (every event
+  // beyond the buckets' span) shapes; they stay so the perf history lines
+  // up. To the heap they are two more periods at depth 4096.
   const CaseSpec specs[] = {
       {"depth_64_period_100ns", 64, 2'000'000, sim::Nanoseconds(100)},
       {"depth_1024_period_400ns", 1024, 2'000'000, sim::Nanoseconds(400)},
@@ -405,24 +404,25 @@ int main(int argc, char** argv) {
   if (!shards_only) {
     bench::PrintRule();
     for (const CaseSpec& s : specs) {
-      CaseResult cal = RunActors<sim::Engine>(s.name, "calendar", s.depth, s.budget, s.period);
-      CaseResult heap =
+      CaseResult pooled =
+          RunActors<sim::Engine>(s.name, "pooled_heap", s.depth, s.budget, s.period);
+      CaseResult legacy =
           RunActors<LegacyHeapEngine>(s.name, "legacy_heap", s.depth, s.budget, s.period);
-      if (cal.events != heap.events || cal.final_time_ps != heap.final_time_ps) {
+      if (pooled.events != legacy.events || pooled.final_time_ps != legacy.final_time_ps) {
         bench::Note("MISMATCH: engines disagree on event count or final time");
         return 1;
       }
       bench::Row("%s:", s.name);
-      bench::RowEventsPerSec("calendar queue", cal.events, cal.wall_seconds);
-      bench::RowEventsPerSec("legacy binary heap", heap.events, heap.wall_seconds);
-      bench::Row("  %-32s %12llu (calendar)  vs %12llu (heap)", "steady-state allocs",
-                 static_cast<unsigned long long>(cal.allocs),
-                 static_cast<unsigned long long>(heap.allocs));
+      bench::RowEventsPerSec("pooled heap", pooled.events, pooled.wall_seconds);
+      bench::RowEventsPerSec("legacy binary heap", legacy.events, legacy.wall_seconds);
+      bench::Row("  %-32s %12llu (pooled)    vs %12llu (legacy)", "steady-state allocs",
+                 static_cast<unsigned long long>(pooled.allocs),
+                 static_cast<unsigned long long>(legacy.allocs));
       bench::Row("  %-32s %.2fx", "wall speedup",
-                 bench::EventsPerSec(cal.events, cal.wall_seconds) /
-                     bench::EventsPerSec(heap.events, heap.wall_seconds));
-      results.push_back(cal);
-      results.push_back(heap);
+                 bench::EventsPerSec(pooled.events, pooled.wall_seconds) /
+                     bench::EventsPerSec(legacy.events, legacy.wall_seconds));
+      results.push_back(pooled);
+      results.push_back(legacy);
     }
 
     bench::PrintRule();
