@@ -335,13 +335,14 @@ class RouterTest : public ::testing::Test {
   struct CapturedBatch {
     uint32_t node = 0;
     std::vector<serving::ServingRequest> batch;
+    sim::TimePs at = 0;  // when the router flushed it
   };
 
   void MakeRouter(Router::Config c, uint32_t num_nodes = 1) {
     c.num_nodes = num_nodes;
     router_ = std::make_unique<Router>(&engine_, c);
     router_->SetBatchSink([this](uint32_t node, std::vector<serving::ServingRequest> b) {
-      batches_.push_back({node, std::move(b)});
+      batches_.push_back({node, std::move(b), engine_.Now()});
     });
     router_->SetCompletionObserver(
         [this](const serving::ServingCompletion& done) { completions_.push_back(done); });
@@ -422,13 +423,17 @@ TEST_F(RouterTest, BatchFlushesAtMaxSizeOrTimeoutWhicheverFirst) {
   for (int i = 0; i < 3; ++i) {
     SubmitAt(sim::Microseconds(1), Req(1));
   }
-  // One straggler: nothing fills the batch, the timeout flushes it alone.
-  SubmitAt(sim::Microseconds(40), Req(1));
+  // One straggler: nothing fills the batch, the timeout flushes it alone. It
+  // opens its batch before the size-flushed batch's timeout (due at 21 us)
+  // comes round, so that timeout must not flush it early.
+  SubmitAt(sim::Microseconds(10), Req(1));
   engine_.RunUntil(sim::Microseconds(100));
 
   ASSERT_EQ(batches_.size(), 2u);
   EXPECT_EQ(batches_[0].batch.size(), 3u);
+  EXPECT_EQ(batches_[0].at, sim::Microseconds(1));
   EXPECT_EQ(batches_[1].batch.size(), 1u);
+  EXPECT_EQ(batches_[1].at, sim::Microseconds(30));
   EXPECT_EQ(Count("router.flush.size"), 1u);
   EXPECT_EQ(Count("router.flush.timeout"), 1u);
   EXPECT_EQ(Count("router.batches"), 2u);
