@@ -24,6 +24,7 @@ uint32_t Engine::AllocNode(Callback&& cb) {
   } else {
     idx = static_cast<uint32_t>(pool_.size());
     pool_.push_back(std::move(cb));
+    generations_.push_back(0);
   }
   return idx;
 }
@@ -71,8 +72,24 @@ Engine::HeapEntry Engine::HeapPop() {
   return top;
 }
 
-void Engine::ScheduleImpl(TimePs t, Callback&& cb) {
-  HeapPush(HeapEntry{t, next_seq_++, AllocNode(std::move(cb))});
+Engine::EventId Engine::ScheduleImpl(TimePs t, Callback&& cb) {
+  const uint32_t idx = AllocNode(std::move(cb));
+  HeapPush(HeapEntry{t, next_seq_++, idx});
+  return ((static_cast<EventId>(idx) + 1) << 32) | generations_[idx];
+}
+
+bool Engine::Cancel(EventId id) {
+  // kNoEvent wraps to a slot past the pool, like any id this engine never
+  // issued.
+  const uint64_t idx = (id >> 32) - 1;
+  if (idx >= pool_.size() || generations_[idx] != static_cast<uint32_t>(id)) {
+    return false;
+  }
+  ++generations_[idx];
+  // Moved out so the captures are destroyed after the slot is settled, even
+  // if a destructor schedules.
+  Callback cancelled = std::move(pool_[idx]);
+  return true;
 }
 
 bool Engine::Step() {
@@ -88,6 +105,15 @@ bool Engine::Step() {
   free_nodes_.push_back(top.idx);
   ++events_executed_;
   AccessLedger& ledger = *ledger_;
+  if (!cb) {
+    // Cancelled (Cancel already retired the id): a no-op pop, still one
+    // executed event and one race-detection epoch.
+    if (ledger.enabled()) {
+      ledger.AdvanceEpoch();
+    }
+    return true;
+  }
+  ++generations_[top.idx];  // the id goes stale as the event fires
   if (ledger.enabled()) {
     // Each executed event is one race-detection epoch; the callback runs as
     // the engine actor unless a narrower ActorScope is set further down.

@@ -17,6 +17,19 @@
 // so once both have grown to the peak pending population scheduling never
 // allocates (callback captures up to InlineCallback::kInlineBytes ride
 // inline too).
+//
+// Cancellation: ScheduleAt/ScheduleAfter return an EventId, and Cancel(id)
+// destroys that event's callback at once. The event keeps its heap entry and
+// pops at its time as a no-op: the no-op pop advances Now(), counts in
+// events_executed() and closes a race-detection epoch, exactly like a fired
+// event that does nothing. That is deliberate: dropping the entry would move
+// the clock after a drain and the event count every determinism fingerprint
+// folds. Each slot carries a 32-bit generation that goes up when its event
+// fires or is cancelled; an id is (slot + 1, generation), so kNoEvent (0)
+// names no event and a stale id can name a new event only after 2^32 reuses
+// of one slot. The generations grow with the pool, so steady-state scheduling
+// still never allocates. An id means something only to the engine that
+// issued it.
 
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
@@ -37,6 +50,9 @@ class AccessLedger;
 class Engine {
  public:
   using Callback = InlineCallback;
+  // Names one scheduled event of this engine (see the header comment).
+  using EventId = uint64_t;
+  static constexpr EventId kNoEvent = 0;
 
   // Arms the global AccessLedger in COYOTE_ACCESS_GUARDS builds (see
   // src/sim/access_guard.h).
@@ -50,10 +66,21 @@ class Engine {
   // Schedules `cb` at absolute time `t`. Events scheduled for a time in the
   // past fire at the current time. Events with equal timestamps fire in
   // insertion order (stable FIFO tie-break).
-  void ScheduleAt(TimePs t, Callback cb) { ScheduleImpl(t < now_ ? now_ : t, std::move(cb)); }
+  EventId ScheduleAt(TimePs t, Callback cb) {
+    return ScheduleImpl(t < now_ ? now_ : t, std::move(cb));
+  }
 
   // Schedules `cb` after `delay` picoseconds.
-  void ScheduleAfter(TimePs delay, Callback cb) { ScheduleImpl(now_ + delay, std::move(cb)); }
+  EventId ScheduleAfter(TimePs delay, Callback cb) {
+    return ScheduleImpl(now_ + delay, std::move(cb));
+  }
+
+  // Destroys the pending event's callback; the event still pops at its time,
+  // as a no-op. Returns false and changes nothing for kNoEvent, an event that
+  // already fired or was cancelled (including the one running now, so a
+  // callback may cancel its own id), and a stale id whose slot now holds
+  // another event.
+  bool Cancel(EventId id);
 
   // Runs the next pending event. Returns false if the queue is empty.
   bool Step();
@@ -115,7 +142,7 @@ class Engine {
 
   // Takes the callback by rvalue reference so the capture bytes move exactly
   // once, from the caller's frame into the pool slot.
-  void ScheduleImpl(TimePs t, Callback&& cb);
+  EventId ScheduleImpl(TimePs t, Callback&& cb);
   uint32_t AllocNode(Callback&& cb);
   // (time, seq) min-heap primitives over heap_ (hole-insertion sifts: one
   // move per level instead of a swap per level).
@@ -132,8 +159,10 @@ class Engine {
   // Callback pool with an index free list: slots are recycled LIFO, so the
   // slot written at schedule time is usually the one just vacated by the
   // firing event — cache-hot — and steady-state scheduling performs no
-  // allocation once the pool has warmed up.
+  // allocation once the pool has warmed up. A cancelled event's slot holds an
+  // empty callback and goes back on the free list when its entry pops.
   std::vector<Callback> pool_;
+  std::vector<uint32_t> generations_;  // per slot; see the header comment
   std::vector<uint32_t> free_nodes_;
   std::vector<HeapEntry> heap_;  // pending events, min-heap on (time, seq)
 };

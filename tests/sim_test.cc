@@ -161,6 +161,89 @@ TEST(EngineTest, RunUntilCondition) {
   EXPECT_EQ(fired, 10);
 }
 
+// --- Cancellation ---------------------------------------------------------
+
+TEST(EngineTest, CancelledEventPopsAsANoOpAtItsTime) {
+  Engine e;
+  int fired = 0;
+  const Engine::EventId id = e.ScheduleAt(500, [&] { ++fired; });
+  e.ScheduleAt(100, [&] { ++fired; });
+  EXPECT_TRUE(e.Cancel(id));
+  EXPECT_EQ(e.pending_events(), 2u);  // the cancelled entry stays queued
+  // Both entries pop: the clock and the event count read as if the
+  // cancelled event had run, but its callback never does.
+  EXPECT_EQ(e.RunUntilIdle(), 2u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(e.events_executed(), 2u);
+  EXPECT_EQ(e.Now(), 500u);
+}
+
+TEST(EngineTest, CancelRefusesNoEventASecondCancelAndAFiredEvent) {
+  Engine e;
+  EXPECT_FALSE(e.Cancel(Engine::kNoEvent));
+  const Engine::EventId cancelled = e.ScheduleAt(10, [] {});
+  EXPECT_TRUE(e.Cancel(cancelled));
+  EXPECT_FALSE(e.Cancel(cancelled));
+  const Engine::EventId fired = e.ScheduleAt(20, [] {});
+  e.RunUntilIdle();
+  EXPECT_FALSE(e.Cancel(fired));
+  EXPECT_FALSE(e.Cancel(cancelled));
+}
+
+TEST(EngineTest, StaleIdNeverCancelsTheEventReusingItsSlot) {
+  Engine e;
+  const Engine::EventId first = e.ScheduleAt(10, [] {});
+  e.RunUntilIdle();
+  // The free list is LIFO, so the next event takes the slot just vacated.
+  bool ran = false;
+  const Engine::EventId second = e.ScheduleAt(20, [&] { ran = true; });
+  EXPECT_NE(second, first);
+  EXPECT_FALSE(e.Cancel(first));
+  e.RunUntilIdle();
+  EXPECT_TRUE(ran);
+  // The same holds for a slot freed by a cancelled event's no-op pop.
+  const Engine::EventId third = e.ScheduleAt(30, [] {});
+  EXPECT_TRUE(e.Cancel(third));
+  e.RunUntilIdle();
+  ran = false;
+  e.ScheduleAt(40, [&] { ran = true; });
+  EXPECT_FALSE(e.Cancel(third));
+  e.RunUntilIdle();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(e.event_pool_size(), 1u);
+}
+
+TEST(EngineTest, CancelOfTheRunningEventFromItsOwnCallbackReturnsFalse) {
+  Engine e;
+  Engine::EventId self = Engine::kNoEvent;
+  bool cancelled = true;
+  self = e.ScheduleAt(10, [&] { cancelled = e.Cancel(self); });
+  e.RunUntilIdle();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(e.events_executed(), 1u);
+}
+
+TEST(EngineTest, SelfReschedulingTimerStopsWhenItsNextTickIsCancelled) {
+  // A periodic timer re-arms as the first statement of its callback and
+  // keeps the id of its next tick; cancelling that id stops the chain.
+  Engine e;
+  int fired = 0;
+  Engine::EventId next = Engine::kNoEvent;
+  std::function<void()> tick = [&] {
+    next = e.ScheduleAfter(10, tick);
+    if (++fired == 3) {
+      EXPECT_TRUE(e.Cancel(next));
+    }
+  };
+  next = e.ScheduleAfter(10, tick);
+  // Three ticks at 10, 20 and 30; the fourth, armed before the third
+  // cancelled it, drains as one no-op at 40.
+  EXPECT_EQ(e.RunUntilIdle(), 4u);
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(e.Now(), 40u);
+  EXPECT_FALSE(e.Cancel(next));
+}
+
 TEST(LinkTest, SinglePacketLatency) {
   Engine e;
   Link link(&e, {.bytes_per_second = 1'000'000'000, .per_packet_overhead = 0});
