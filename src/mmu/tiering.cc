@@ -14,11 +14,10 @@ constexpr uint64_t kNoVictim = ~0ull;
 }  // namespace
 
 void Tiering::Start() {
-  if (started_) {
+  if (started()) {
     return;
   }
-  started_ = true;
-  engine_->ScheduleAfter(config_.epoch_ps, [this]() { EpochTick(); });
+  next_tick_ = engine_->ScheduleAfter(config_.epoch_ps, [this]() { EpochTick(); });
 }
 
 void Tiering::Manage(uint64_t vaddr, uint64_t bytes) {
@@ -123,9 +122,6 @@ uint64_t Tiering::FreeFastSlots() const {
 }
 
 void Tiering::EpochTick() {
-  if (!started_) {
-    return;  // Stop() drops the self-rescheduling chain
-  }
   guard_.Write();
   ++epoch_;
   stats_.Increment("tiering.epochs");
@@ -137,7 +133,7 @@ void Tiering::EpochTick() {
   if (!wave_in_flight_) {
     RunPolicy();
   }
-  engine_->ScheduleAfter(config_.epoch_ps, [this]() { EpochTick(); });
+  next_tick_ = engine_->ScheduleAfter(config_.epoch_ps, [this]() { EpochTick(); });
 }
 
 void Tiering::RunPolicy() {

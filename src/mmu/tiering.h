@@ -95,11 +95,15 @@ class Tiering : public TierProfileSink {
   Tiering(sim::Engine* engine, Svm* svm, const Config& config)
       : engine_(engine), svm_(svm), config_(config) {}
 
-  // Begins epoch sampling. The tick reschedules itself while started, so a
-  // caller that drains the engine with RunUntilIdle must Stop() first.
+  // Begins epoch sampling (idempotent). Each epoch tick re-arms the next one
+  // at its end, so a caller that drains the engine with RunUntilIdle must
+  // Stop() first; Stop() cancels the pending tick.
   void Start();
-  void Stop() { started_ = false; }
-  bool started() const { return started_; }
+  void Stop() {
+    engine_->Cancel(next_tick_);
+    next_tick_ = sim::Engine::kNoEvent;
+  }
+  bool started() const { return next_tick_ != sim::Engine::kNoEvent; }
 
   const Config& config() const { return config_; }
 
@@ -159,7 +163,7 @@ class Tiering : public TierProfileSink {
   sim::Engine* engine_;
   Svm* svm_;
   Config config_;
-  bool started_ = false;
+  sim::Engine::EventId next_tick_ = sim::Engine::kNoEvent;  // while started
   // One wave pipeline at a time: while a wave's transfers are still being
   // charged, epoch ticks keep decaying heat but plan no new moves.
   bool wave_in_flight_ = false;

@@ -30,7 +30,7 @@ axi::BufferView FrameSlice(const axi::BufferView& message, uint64_t i) {
 }  // namespace
 
 RoceStack::RoceStack(sim::Engine* engine, Network* network, uint32_t ip, mmu::Svm* svm)
-    : engine_(engine), network_(network), ip_(ip), svm_(svm), timers_(engine) {
+    : engine_(engine), network_(network), ip_(ip), svm_(svm) {
   port_id_ = network_->AttachPort(ip, [this](axi::BufferView frame) {
     OnRxFrame(std::move(frame));
   });
@@ -63,7 +63,7 @@ bool RoceStack::ResetQp(uint32_t qpn) {
   qp.unacked.clear();
   qp.completions.clear();
   qp.reads.clear();
-  timers_.Cancel(qp.retransmit_timer);
+  engine_->Cancel(qp.retransmit_timer);
   NoteProgress(qp);  // the retransmit timeout restarts at kAckTimeout
   // Responder state: expect a fresh message stream from the re-inited peer.
   qp.expected_psn = 0;
@@ -332,7 +332,7 @@ void RoceStack::HandleAck(Qp& qp, const ParsedFrame& f) {
     }
   }
   qp.completions.erase(qp.completions.begin(), end);
-  timers_.Cancel(qp.retransmit_timer);
+  engine_->Cancel(qp.retransmit_timer);
   if (!qp.unacked.empty()) {
     ArmRetransmitTimer(qp);
   }
@@ -371,7 +371,7 @@ void RoceStack::HandleReadResponse(Qp& qp, const ParsedFrame& f) {
       qp.unacked.erase(ctx.first_psn);
       Completion done = std::move(ctx.done);
       qp.reads.erase(it);
-      timers_.Cancel(qp.retransmit_timer);
+      engine_->Cancel(qp.retransmit_timer);
       if (!qp.unacked.empty()) {
         ArmRetransmitTimer(qp);
       }
@@ -384,10 +384,10 @@ void RoceStack::HandleReadResponse(Qp& qp, const ParsedFrame& f) {
 }
 
 void RoceStack::ArmRetransmitTimer(Qp& qp) {
-  timers_.Cancel(qp.retransmit_timer);
+  engine_->Cancel(qp.retransmit_timer);
   const uint32_t qpn = qp.local_qpn;
   qp.retransmit_timer =
-      timers_.ScheduleAfter(qp.cur_timeout, [this, qpn]() { OnRetransmitTimeout(qpn); });
+      engine_->ScheduleAfter(qp.cur_timeout, [this, qpn]() { OnRetransmitTimeout(qpn); });
 }
 
 void RoceStack::OnRetransmitTimeout(uint32_t qpn) {
@@ -417,7 +417,7 @@ void RoceStack::FailQp(Qp& qp) {
   qp.state = QpState::kError;
   qp.unacked.clear();
   NoteProgress(qp);
-  timers_.Cancel(qp.retransmit_timer);
+  engine_->Cancel(qp.retransmit_timer);
   auto completions = std::move(qp.completions);
   qp.completions.clear();
   auto reads = std::move(qp.reads);

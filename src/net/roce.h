@@ -24,7 +24,6 @@
 #include "src/net/network.h"
 #include "src/net/packets.h"
 #include "src/sim/engine.h"
-#include "src/sim/timer_wheel.h"
 
 namespace coyote {
 namespace sim {
@@ -158,7 +157,7 @@ class RoceStack {
     std::map<uint32_t, PendingFrame> unacked;        // psn -> frame (go-back-N)
     std::map<uint32_t, Completion> completions;      // last psn of msg -> cb
     std::vector<ReadCtx> reads;                      // outstanding reads
-    sim::TimerWheel::TimerId retransmit_timer = sim::TimerWheel::kInvalidTimer;
+    sim::Engine::EventId retransmit_timer = sim::Engine::kNoEvent;
     sim::TimePs cur_timeout = kAckTimeout;
     uint32_t consecutive_timeouts = 0;    // resets on any forward progress
 
@@ -204,7 +203,6 @@ class RoceStack {
   uint32_t ip_;
   uint32_t port_id_;
   mmu::Svm* svm_;
-  sim::TimerWheel timers_;
 
   std::map<uint32_t, Qp> qps_;
   // One guard covers all QP state: requester/responder cursors, unacked

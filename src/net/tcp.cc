@@ -80,7 +80,7 @@ std::optional<ParsedTcpSegment> ParseTcpSegment(const axi::BufferView& frame) {
 }
 
 TcpStack::TcpStack(sim::Engine* engine, Network* network, uint32_t ip, mmu::Svm* svm)
-    : engine_(engine), network_(network), ip_(ip), svm_(svm), timers_(engine) {
+    : engine_(engine), network_(network), ip_(ip), svm_(svm) {
   port_id_ = network_->AttachPort(ip, [this](axi::BufferView frame) {
     OnRxFrame(std::move(frame));
   });
@@ -249,7 +249,7 @@ void TcpStack::HandleSegment(ConnId id, const ParsedTcpSegment& seg) {
     conn.state = State::kEstablished;
     NoteProgress(conn);
     TransmitSegment(conn, kTcpAck, conn.snd_nxt, {});
-    timers_.Cancel(conn.timer);  // SYN acknowledged
+    engine_->Cancel(conn.timer);  // SYN acknowledged
     if (conn.on_connected) {
       conn.on_connected(id, true);
     }
@@ -259,7 +259,7 @@ void TcpStack::HandleSegment(ConnId id, const ParsedTcpSegment& seg) {
     conn.state = State::kEstablished;
     conn.snd_una = seg.meta.ack;
     NoteProgress(conn);
-    timers_.Cancel(conn.timer);
+    engine_->Cancel(conn.timer);
     auto listener = listeners_.find(conn.local_port);
     if (listener != listeners_.end() && listener->second) {
       listener->second(id);
@@ -289,7 +289,7 @@ void TcpStack::HandleSegment(ConnId id, const ParsedTcpSegment& seg) {
         }
       }
       conn.completions.erase(conn.completions.begin(), end);
-      timers_.Cancel(conn.timer);
+      engine_->Cancel(conn.timer);
       if (!conn.inflight.empty()) {
         ArmTimer(id);
       }
@@ -370,8 +370,8 @@ void TcpStack::FailConnection(ConnId id) {
 
 void TcpStack::ArmTimer(ConnId id) {
   Connection& conn = connections_.at(id);
-  timers_.Cancel(conn.timer);
-  conn.timer = timers_.ScheduleAfter(conn.cur_rto, [this, id]() { OnTimeout(id); });
+  engine_->Cancel(conn.timer);
+  conn.timer = engine_->ScheduleAfter(conn.cur_rto, [this, id]() { OnTimeout(id); });
 }
 
 void TcpStack::OnTimeout(ConnId id) {

@@ -23,7 +23,6 @@
 #include "src/net/network.h"
 #include "src/sim/access_guard.h"
 #include "src/sim/engine.h"
-#include "src/sim/timer_wheel.h"
 
 namespace coyote {
 namespace net {
@@ -137,7 +136,7 @@ class TcpStack {
     std::deque<SendChunk> inflight;        // sent, unacked
     std::deque<SendChunk> backlog;         // queued beyond the window
     std::map<uint32_t, Completion> completions;  // end-seq -> cb
-    sim::TimerWheel::TimerId timer = sim::TimerWheel::kInvalidTimer;
+    sim::Engine::EventId timer = sim::Engine::kNoEvent;
     sim::TimePs cur_rto = kRto;
     uint32_t consecutive_timeouts = 0;  // resets on any ACK progress
 
@@ -165,7 +164,6 @@ class TcpStack {
   uint32_t ip_;
   uint32_t port_id_;
   mmu::Svm* svm_;
-  sim::TimerWheel timers_;
 
   sim::AccessGuard guard_{"net.tcp"};
   std::map<ConnId, Connection> connections_;

@@ -24,7 +24,6 @@ Cluster::Cluster(const ClusterConfig& config, sim::TimePs dead_window)
       dead_window_(dead_window),
       shard_of_(ShardPlacement::RoundRobin(config.num_nodes + 1, config.num_shards)),
       sharded_(std::make_unique<sim::ShardedEngine>(EngineConfig(config))),
-      control_timers_(&EngineAt(control())),
       last_beat_(config.num_nodes, 0),
       declared_dead_(config.num_nodes, false) {
   membership_guard_.BindShard(shard_of_[control()]);
@@ -88,13 +87,12 @@ bool Cluster::Start() {
   }
   started_ = true;
   for (uint32_t n = 0; n < config_.num_nodes; ++n) {
-    nodes_[n]->hb_timer =
-        device(n).timers().SchedulePeriodic(kHeartbeatPeriod, [this, n]() { Beat(n); });
+    nodes_[n]->next_beat = EngineAt(n).ScheduleAfter(kHeartbeatPeriod, [this, n]() { Beat(n); });
     if (hooks_.start) {
       hooks_.start(n);
     }
   }
-  control_timers_.SchedulePeriodic(kSweepPeriod, [this]() { Sweep(); });
+  EngineAt(control()).ScheduleAfter(kSweepPeriod, [this]() { Sweep(); });
   return true;
 }
 
@@ -112,6 +110,8 @@ bool Cluster::Run(sim::TimePs horizon, sim::TimePs step, const std::function<boo
 // Node side: an unframed beat, delivered after exactly the lookahead (the
 // minimum cross-node latency covers a small control message's wire time).
 void Cluster::Beat(uint32_t node) {
+  nodes_[node]->next_beat =
+      EngineAt(node).ScheduleAfter(kHeartbeatPeriod, [this, node]() { Beat(node); });
   Post(node, control(), 0, [this, node]() {
     membership_guard_.Write();
     last_beat_[node] = NowAt(control());
@@ -119,6 +119,7 @@ void Cluster::Beat(uint32_t node) {
 }
 
 void Cluster::Sweep() {
+  EngineAt(control()).ScheduleAfter(kSweepPeriod, [this]() { Sweep(); });
   membership_guard_.Write();
   const sim::TimePs now = NowAt(control());
   for (uint32_t n = 0; n < config_.num_nodes; ++n) {
@@ -138,8 +139,7 @@ void Cluster::Kill(uint32_t node) {
   }
   n.guard.Write();
   n.alive = false;
-  n.dev->timers().Cancel(n.hb_timer);
-  n.hb_timer = sim::TimerWheel::kInvalidTimer;
+  EngineAt(node).Cancel(n.next_beat);
   if (hooks_.kill) {
     hooks_.kill(node);
   }

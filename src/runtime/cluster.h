@@ -40,7 +40,6 @@
 #include "src/sim/callback.h"
 #include "src/sim/sharded_engine.h"
 #include "src/sim/time.h"
-#include "src/sim/timer_wheel.h"
 
 namespace coyote {
 namespace runtime {
@@ -138,7 +137,7 @@ class Cluster {
     explicit Node(uint32_t id) : guard("cluster.node" + std::to_string(id)) {}
     std::unique_ptr<SimDevice> dev;
     bool alive = true;
-    sim::TimerWheel::TimerId hb_timer = sim::TimerWheel::kInvalidTimer;
+    sim::Engine::EventId next_beat = sim::Engine::kNoEvent;  // Kill cancels it
     sim::AccessGuard guard;
   };
 
@@ -155,7 +154,6 @@ class Cluster {
   bool started_ = false;
 
   // Membership, owned by the control node's shard.
-  sim::TimerWheel control_timers_;
   std::vector<sim::TimePs> last_beat_;
   std::vector<bool> declared_dead_;
   std::vector<NodeHook> on_dead_;

@@ -121,9 +121,7 @@ void CThread::Retire(std::map<uint64_t, Live>::iterator it, OpStatus status,
                      bool write_direction) {
   tasks_guard_.Write();
   const uint64_t task_id = it->first;
-  if (it->second.deadline_timer != sim::TimerWheel::kInvalidTimer) {
-    dev_->timers().Cancel(it->second.deadline_timer);
-  }
+  dev_->engine().Cancel(it->second.deadline_timer);
   live_.erase(it);
   status_[task_id] = status;
   dev_->writeback().Complete({vfpga_id_, ctid_, write_direction});
@@ -145,10 +143,8 @@ CThread::Task CThread::Invoke(Oper oper, const SgEntry& sg) {
 
   // Arm the per-op deadline; 0 means the op may wait forever.
   if (op_deadline_ != 0) {
-    state.deadline_timer = dev_->timers().ScheduleAfter(op_deadline_, [this, task_id]() {
-      if (!live_.contains(task_id)) {
-        return;
-      }
+    // Retire cancels it, so it fires only for a task that is still live.
+    state.deadline_timer = dev_->engine().ScheduleAfter(op_deadline_, [this, task_id]() {
       ++deadline_misses_;
       ForceTerminal(task_id, OpStatus::kDeadlineExceeded);
       dev_->NotifyOpDeadline(vfpga_id_);

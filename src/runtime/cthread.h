@@ -183,7 +183,7 @@ class CThread {
   struct Live {
     int remaining = 0;
     bool ok = true;
-    sim::TimerWheel::TimerId deadline_timer = sim::TimerWheel::kInvalidTimer;
+    sim::Engine::EventId deadline_timer = sim::Engine::kNoEvent;
   };
 
   uint32_t StreamFor(uint32_t requested) const;

@@ -49,7 +49,6 @@
 #include "src/net/sniffer.h"
 #include "src/net/tcp.h"
 #include "src/sim/engine.h"
-#include "src/sim/timer_wheel.h"
 #include "src/vfpga/vfpga.h"
 
 namespace coyote {
@@ -170,10 +169,6 @@ class SimDevice {
   // remembered so services recreated by a shell reconfiguration are rewired.
   void AttachFaultInjector(sim::FaultInjector* injector);
 
-  // Cancellable timers shared by the runtime layer (cThread op deadlines,
-  // supervisor watchdogs).
-  sim::TimerWheel& timers() { return timers_; }
-
   // Supervision hook: when a supervisor is attached, cThread deadline misses
   // are reported to it so the watchdog can treat them as early hang evidence.
   void SetSupervisor(Supervisor* supervisor) { supervisor_ = supervisor; }
@@ -210,7 +205,6 @@ class SimDevice {
   Config config_;
   std::unique_ptr<sim::Engine> owned_engine_;
   sim::Engine* engine_;  // == owned_engine_.get() unless shared
-  sim::TimerWheel timers_{engine_};
   fabric::Floorplan floorplan_;
 
   memsys::HostMemory host_;

@@ -67,8 +67,8 @@ void Fleet::SetupNode(uint32_t node) {
 void Fleet::StartNode(uint32_t node) {
   NodeRt& n = *nodes_[node];
   if (config_.checkpoint_period > 0) {
-    n.ckpt_timer = cluster_.device(node).timers().SchedulePeriodic(
-        config_.checkpoint_period, [this, node]() { CheckpointTick(node); });
+    n.next_ckpt = cluster_.EngineAt(node).ScheduleAfter(config_.checkpoint_period,
+                                                        [this, node]() { CheckpointTick(node); });
   }
   n.sup->Start();
 }
@@ -79,8 +79,7 @@ void Fleet::StartNode(uint32_t node) {
 void Fleet::StopNode(uint32_t node) {
   sim::ActorScope actor(sim::kActorOrchestrator);
   NodeRt& n = *nodes_[node];
-  cluster_.device(node).timers().Cancel(n.ckpt_timer);
-  n.ckpt_timer = sim::TimerWheel::kInvalidTimer;
+  cluster_.EngineAt(node).Cancel(n.next_ckpt);
   n.sup->Stop();
 }
 
@@ -246,6 +245,8 @@ void Fleet::OnItemComplete(uint32_t node, uint32_t tenant, OpStatus status) {
 // ---------------------------------------------------------------------------
 
 void Fleet::CheckpointTick(uint32_t node) {
+  nodes_[node]->next_ckpt = cluster_.EngineAt(node).ScheduleAfter(
+      config_.checkpoint_period, [this, node]() { CheckpointTick(node); });
   sim::ActorScope actor(sim::kActorOrchestrator);
   if (!cluster_.alive(node)) {
     return;

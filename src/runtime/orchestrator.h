@@ -56,7 +56,6 @@
 #include "src/sim/sharded_engine.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
-#include "src/sim/timer_wheel.h"
 
 namespace coyote {
 namespace runtime {
@@ -208,7 +207,7 @@ class Fleet {
   // Cluster.
   struct NodeRt {
     std::unique_ptr<Supervisor> sup;
-    sim::TimerWheel::TimerId ckpt_timer = sim::TimerWheel::kInvalidTimer;
+    sim::Engine::EventId next_ckpt = sim::Engine::kNoEvent;  // StopNode cancels it
     // tenant id -> runtime (including retired entries).
     std::map<uint32_t, std::unique_ptr<TenantRt>> tenants;
     // In-progress inbound checkpoint transfers: tenant -> chunk id -> bytes.

@@ -229,21 +229,16 @@ void Router::AppendToBatch(uint32_t node, serving::ServingRequest req) {
     return;
   }
   if (v.open_batch.size() == 1) {
-    // Arm the timeout for this batch generation; a flush (any reason) bumps
-    // the generation and the timer becomes a no-op.
-    const uint64_t gen = v.batch_gen;
-    engine_->ScheduleAfter(config_.batch_timeout, [this, node, gen]() {
+    v.batch_timeout = engine_->ScheduleAfter(config_.batch_timeout, [this, node]() {
       guard_.Write();
-      if (nodes_[node].batch_gen == gen && !nodes_[node].open_batch.empty()) {
-        FlushBatch(node, "router.flush.timeout");
-      }
+      FlushBatch(node, "router.flush.timeout");
     });
   }
 }
 
 void Router::FlushBatch(uint32_t node, const char* key) {
   NodeView& v = nodes_[node];
-  ++v.batch_gen;
+  engine_->Cancel(v.batch_timeout);
   std::vector<serving::ServingRequest> batch = std::move(v.open_batch);
   v.open_batch.clear();
   v.outstanding += batch.size();
@@ -294,7 +289,7 @@ void Router::MarkNodeDead(uint32_t node) {
   // Evacuate: the unflushed open batch plus everything in flight there.
   std::vector<serving::ServingRequest> orphans = std::move(v.open_batch);
   v.open_batch.clear();
-  ++v.batch_gen;
+  engine_->Cancel(v.batch_timeout);
   for (auto it = inflight_.begin(); it != inflight_.end();) {
     if (it->second.node == node) {
       orphans.push_back(std::move(it->second.req));

@@ -134,7 +134,8 @@ class Router {
     uint64_t outstanding = 0;  // flushed, completion not yet delivered
     std::vector<std::string> region_kernel;
     std::vector<serving::ServingRequest> open_batch;
-    uint64_t batch_gen = 0;  // bumped per flush; cancels stale timeout timers
+    // The open batch's timeout; every path that empties the batch cancels it.
+    sim::Engine::EventId batch_timeout = sim::Engine::kNoEvent;
   };
   struct Inflight {
     uint32_t node = 0;

@@ -30,7 +30,7 @@ Supervisor::~Supervisor() {
 }
 
 void Supervisor::Start() {
-  if (watchdog_timer_ != sim::TimerWheel::kInvalidTimer) {
+  if (running()) {
     return;
   }
   // Baseline the heartbeats so a region already busy at Start() is not
@@ -42,15 +42,12 @@ void Supervisor::Start() {
     w.last_packets = dev_->data_mover().packets_moved_for(i);
     w.last_progress_at = now;
   }
-  watchdog_timer_ =
-      dev_->timers().SchedulePeriodic(config_.watchdog_period, [this]() { Tick(); });
+  next_tick_ = dev_->engine().ScheduleAfter(config_.watchdog_period, [this]() { Tick(); });
 }
 
 void Supervisor::Stop() {
-  if (watchdog_timer_ != sim::TimerWheel::kInvalidTimer) {
-    dev_->timers().Cancel(watchdog_timer_);
-    watchdog_timer_ = sim::TimerWheel::kInvalidTimer;
-  }
+  dev_->engine().Cancel(next_tick_);
+  next_tick_ = sim::Engine::kNoEvent;
 }
 
 void Supervisor::SetLastKnownGood(uint32_t vfpga_id, const std::string& bitstream_path) {
@@ -72,8 +69,9 @@ void Supervisor::NoteDeadlineMiss(uint32_t vfpga_id) {
 }
 
 void Supervisor::Tick() {
+  next_tick_ = dev_->engine().ScheduleAfter(config_.watchdog_period, [this]() { Tick(); });
   if (ticking_) {
-    return;  // nested fire while a recovery advances time
+    return;  // nested tick while a recovery advances time
   }
   ticking_ = true;
   sim::ActorScope actor(sim::kActorSupervisor);

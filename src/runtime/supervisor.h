@@ -40,8 +40,8 @@
 #include "src/runtime/device.h"
 #include "src/runtime/scheduler.h"
 #include "src/sim/access_guard.h"
+#include "src/sim/engine.h"
 #include "src/sim/stats.h"
-#include "src/sim/timer_wheel.h"
 
 namespace coyote {
 namespace runtime {
@@ -93,7 +93,7 @@ class Supervisor {
   // Arms the periodic watchdog (idempotent). Stop() disarms it.
   void Start();
   void Stop();
-  bool running() const { return watchdog_timer_ != sim::TimerWheel::kInvalidTimer; }
+  bool running() const { return next_tick_ != sim::Engine::kNoEvent; }
 
   // Registers the bitstream recovery reprograms the region with — callers
   // name the bitstream they consider good (typically the one that last
@@ -147,9 +147,11 @@ class Supervisor {
   Config config_;
 
   std::vector<RegionWatch> regions_;
-  sim::TimerWheel::TimerId watchdog_timer_ = sim::TimerWheel::kInvalidTimer;
+  // The pending watchdog tick; every tick re-arms the next one first, and
+  // Stop() cancels it.
+  sim::Engine::EventId next_tick_ = sim::Engine::kNoEvent;
   // Recovery advances simulated time (nested event processing), which can
-  // re-fire the periodic watchdog; nested ticks are skipped.
+  // run the next watchdog tick; nested ticks re-arm and return.
   bool ticking_ = false;
 
   std::vector<Incident> incidents_;

@@ -11,9 +11,9 @@
 // Larger captures (or throwing-move functors) fall back to the heap exactly
 // like std::function, so nothing needs to change at call sites.
 //
-// Used as the callback type of sim::Engine, sim::TimerWheel, sim::Link and
-// axi::Stream. Anything callable with signature void() converts implicitly,
-// including an existing std::function<void()> (which then rides inline, since
+// Used as the callback type of sim::Engine, sim::Link and axi::Stream.
+// Anything callable with signature void() converts implicitly, including an
+// existing std::function<void()> (which then rides inline, since
 // sizeof(std::function) <= 48 everywhere we build).
 
 #ifndef SRC_SIM_CALLBACK_H_

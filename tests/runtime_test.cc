@@ -531,6 +531,27 @@ TEST(CThreadTest, ShellStatusRegistersReflectLiveCounters) {
   EXPECT_EQ(bar.Read(v0 + SimDevice::kStatusUserIrqs), 1u);
 }
 
+// --- Memory tiering service ----------------------------------------------------
+
+TEST(TieringServiceTest, EnablingTieringAgainReplacesTheRunningService) {
+  SimDevice dev(DefaultConfig(1));
+  mmu::Tiering::Config cfg;
+  cfg.policy = mmu::Tiering::Policy::kStatic;
+  cfg.epoch_ps = sim::Microseconds(10);
+  dev.EnableTiering(cfg);
+  // The first service's next tick is pending when the second replaces it;
+  // that tick must die with the service it belongs to.
+  dev.engine().RunUntil(dev.engine().Now() + sim::Microseconds(15));
+  mmu::Tiering& second = dev.EnableTiering(cfg);
+  ASSERT_EQ(dev.tiering(), &second);
+  dev.engine().RunUntil(dev.engine().Now() + 10 * cfg.epoch_ps + 1);
+  second.Stop();
+  dev.engine().RunUntilIdle();
+
+  EXPECT_EQ(second.stats().value("tiering.epochs"), 10u);
+  EXPECT_EQ(second.epoch(), 10u);
+}
+
 // --- Storage service (paper §10 future work) ----------------------------------
 
 TEST(StorageTest, RoundTripThroughTheNvmeService) {

@@ -327,6 +327,25 @@ TEST_F(TieringTest, ManagePreSeedsTrackingAtCurrentResidency) {
   EXPECT_EQ(tiering.occupancy(MemKind::kHost), 2u);
 }
 
+TEST_F(TieringTest, RestartBeforeThePendingTickRunsOneEpochChain) {
+  auto cfg = BaseConfig();
+  cfg.policy = Tiering::Policy::kStatic;
+  Tiering tiering(&engine_, &svm_, cfg);
+  tiering.Start();
+  tiering.Stop();
+  EXPECT_FALSE(tiering.started());
+  // Restarted before the first tick fires: the stopped chain's tick must not
+  // run alongside the new one.
+  tiering.Start();
+  EXPECT_TRUE(tiering.started());
+  RunEpochs(tiering, 10);
+  tiering.Stop();
+  engine_.RunUntilIdle();
+
+  EXPECT_EQ(tiering.stats().value("tiering.epochs"), 10u);
+  EXPECT_EQ(tiering.epoch(), 10u);
+}
+
 TEST_F(TieringTest, SameSeedRunsProduceIdenticalFingerprints) {
   auto run = [](uint64_t* stats_fp, uint64_t* heat_fp, uint64_t* migrations) {
     sim::Engine engine;
