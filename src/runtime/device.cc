@@ -76,11 +76,18 @@ SimDevice::SimDevice(const Config& config, net::Network* network, sim::Engine* s
       dyn::TransferRequest req{
           .vfpga_id = i, .tid = e.tid, .stream = e.stream, .vaddr = e.vaddr,
           .bytes = e.bytes, .target = e.target};
-      if (e.remote && roce_) {
-        if (e.is_write) {
-          roce_->PostWrite(e.qpn, e.vaddr, e.vaddr, e.bytes, [region, e](bool ok) {
-            region->PushCompletion({true, e.stream, e.tid, e.bytes, ok});
-          });
+      if (e.remote) {
+        // RDMA at the same vaddr on both nodes; a shell without the RDMA
+        // service fails the entry and moves nothing.
+        auto done = [region, e](bool ok) {
+          region->PushCompletion({e.is_write, e.stream, e.tid, e.bytes, ok});
+        };
+        if (!roce_) {
+          engine_->ScheduleAfter(0, [done]() { done(false); });
+        } else if (e.is_write) {
+          roce_->PostWrite(e.qpn, e.vaddr, e.vaddr, e.bytes, done);
+        } else {
+          roce_->PostRead(e.qpn, e.vaddr, e.vaddr, e.bytes, done);
         }
         return;
       }

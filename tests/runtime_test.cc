@@ -7,6 +7,7 @@
 #include <cstring>
 #include <vector>
 
+#include "src/net/network.h"
 #include "src/runtime/crcnfg.h"
 #include "src/runtime/cthread.h"
 #include "src/runtime/device.h"
@@ -529,6 +530,82 @@ TEST(CThreadTest, ShellStatusRegistersReflectLiveCounters) {
   // Counters are live: an interrupt shows up immediately.
   dev.vfpga(0).RaiseUserInterrupt(1);
   EXPECT_EQ(bar.Read(v0 + SimDevice::kStatusUserIrqs), 1u);
+}
+
+// --- Send queues ---------------------------------------------------------------
+
+// A vFPGA's remote send-queue entries run over the RDMA service: a read
+// fetches the peer's bytes and a write lands them at the peer, each at the
+// entry's vaddr on both nodes. A shell without RDMA completes a remote entry
+// with an error and moves nothing.
+TEST(SendQueueTest, RemoteEntriesRunOverRdmaAndFailWithoutIt) {
+  sim::Engine engine;
+  net::Network network(&engine, {});
+  constexpr uint32_t kIpA = 0x0A000001, kIpB = 0x0A000002;
+  SimDevice::Config cfg = DefaultConfig(1);
+  cfg.shell.services.push_back(fabric::Service::kRdma);
+  cfg.ip = kIpA;
+  SimDevice a(cfg, &network, &engine);
+  cfg.ip = kIpB;
+  SimDevice b(cfg, &network, &engine);
+  CThread ta(&a, 0);
+  CThread tb(&b, 0);
+  const uint32_t qp_a = ta.CreateQp();
+  const uint32_t qp_b = tb.CreateQp();
+  ta.ConnectQp(qp_a, kIpB, qp_b);
+  tb.ConnectQp(qp_b, kIpA, qp_a);
+
+  constexpr uint64_t kBytes = 8 << 10;
+  constexpr uint64_t kHalf = kBytes / 2;
+  const uint64_t buf = ta.GetMem({Alloc::kHpf, kBytes});
+  ASSERT_EQ(tb.GetMem({Alloc::kHpf, kBytes}), buf);  // one vaddr on both nodes
+  const auto remote_bytes = RandomBytes(kHalf, 71);
+  const auto local_bytes = RandomBytes(kHalf, 72);
+  tb.WriteBuffer(buf, remote_bytes.data(), kHalf);
+  ta.WriteBuffer(buf + kHalf, local_bytes.data(), kHalf);
+
+  vfpga::SendQueueEntry read;
+  read.vaddr = buf;
+  read.bytes = kHalf;
+  read.tid = 1;
+  read.remote = true;
+  read.qpn = qp_a;
+  vfpga::SendQueueEntry write = read;
+  write.is_write = true;
+  write.vaddr = buf + kHalf;
+  write.tid = 2;
+  // The write goes first: the RoCE responder does not advance its expected
+  // PSN past a read's response PSNs, so a write behind a read on one QP is
+  // discarded until the retry budget fails the QP.
+  a.vfpga(0).PostSend(write);
+  a.vfpga(0).PostSend(read);
+  engine.RunUntilIdle();
+
+  const auto& done = a.vfpga(0).completions();
+  ASSERT_EQ(done.size(), 2u);
+  for (const vfpga::CompletionEntry& c : done) {
+    EXPECT_TRUE(c.ok) << "tid " << c.tid;
+    EXPECT_EQ(c.is_write, c.tid == 2) << "tid " << c.tid;
+    EXPECT_EQ(c.bytes, kHalf);
+  }
+  std::vector<uint8_t> got(kHalf);
+  ta.ReadBuffer(buf, got.data(), kHalf);
+  EXPECT_EQ(got, remote_bytes);  // the read fetched the peer's bytes
+  tb.ReadBuffer(buf + kHalf, got.data(), kHalf);
+  EXPECT_EQ(got, local_bytes);  // the write landed at the peer
+  EXPECT_EQ(a.data_mover().packets_moved(), 0u);  // no local DMA stood in
+
+  SimDevice plain(DefaultConfig(1));
+  ASSERT_EQ(plain.roce(), nullptr);
+  CThread tp(&plain, 0);
+  vfpga::SendQueueEntry orphan = read;
+  orphan.vaddr = tp.GetMem({Alloc::kHpf, kBytes});
+  orphan.qpn = 0;
+  plain.vfpga(0).PostSend(orphan);
+  plain.engine().RunUntilIdle();
+  ASSERT_EQ(plain.vfpga(0).completions().size(), 1u);
+  EXPECT_FALSE(plain.vfpga(0).completions().front().ok);
+  EXPECT_EQ(plain.data_mover().packets_moved(), 0u);
 }
 
 // --- Memory tiering service ----------------------------------------------------
