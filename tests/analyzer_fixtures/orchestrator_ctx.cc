@@ -1,5 +1,5 @@
 // Fixture: orchestrator-style control plane. Heartbeat/checkpoint handlers
-// run in callback context (armed via SchedulePeriodic/Post); the control
+// run in callback context (armed via ScheduleAfter/Post); the control
 // plane's own state maps register sim::AccessGuard members (clean), a
 // bolt-on ledger does not (finding), and a rebalance helper reaches through
 // .shard() instead of the mailbox (finding) while the Post path stays clean.
@@ -24,7 +24,7 @@ class Cluster {
 
 class Engine {
  public:
-  void SchedulePeriodic(long period, void (*fn)());
+  void ScheduleAfter(long delay, void (*fn)());
   void Post(long when, void (*fn)());
 };
 
@@ -72,7 +72,7 @@ class Rebalancer {
 };
 
 void ArmControlPlane(Engine& engine, ControlPlane& orch, EvacLedger& ledger, Rebalancer& rb) {
-  engine.SchedulePeriodic(50, [&] {
+  engine.ScheduleAfter(50, [&] {
     orch.OnHeartbeat(0, 50);
     ledger.Record(7);
   });

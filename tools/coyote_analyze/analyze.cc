@@ -120,8 +120,8 @@ const std::set<std::string>& IterCalls() {
 // fired from engine context; SetCompletionCallback is the cThread's
 // shard-safe completion path the serving fabric's node executors use.
 const std::set<std::string>& CallbackSinks() {
-  static const std::set<std::string> s = {"ScheduleAt", "ScheduleAfter", "SchedulePeriodic",
-                                          "Post", "ScheduleOn", "SetCompletionCallback"};
+  static const std::set<std::string> s = {"ScheduleAt", "ScheduleAfter", "Post", "ScheduleOn",
+                                          "SetCompletionCallback"};
   return s;
 }
 

@@ -13,8 +13,8 @@
 // tests/ bench/ examples/ tools/ (harness code may sleep, print and seed
 // from the clock, and indexing it would resolve harness calls into the
 // simulator by name). The analyzer classifies *contexts* — which functions
-// are event-callback bodies (passed to sim::Engine::ScheduleAt/ScheduleAfter,
-// ShardedEngine::Post, TimerWheel, or shard worker bodies) and which run in
+// are event-callback bodies (passed to sim::Engine::ScheduleAt/ScheduleAfter
+// or ShardedEngine::Post, or shard worker bodies) and which run in
 // simulation context — propagates them transitively through the call graph,
 // and enforces:
 //
