@@ -122,9 +122,9 @@ class SimDevice {
   // --- Memory tiering service (ROADMAP item 4) -------------------------------
   // Creates the profiling + policy layer over the device's SVM, attaches its
   // profiler to the Svm and every vFPGA MMU, and starts epoch sampling.
-  // Calling again replaces the previous service (fresh heat state). The tick
-  // reschedules itself, so drain-style callers must Stop() it first; WaitFor
-  // (condition-based) is unaffected.
+  // Calling again stops and replaces the previous service (fresh heat
+  // state). The tick reschedules itself, so drain-style callers must Stop()
+  // it first; WaitFor (condition-based) is unaffected.
   mmu::Tiering& EnableTiering(const mmu::Tiering::Config& tiering_config);
   // nullptr until EnableTiering.
   mmu::Tiering* tiering() { return tiering_.get(); }

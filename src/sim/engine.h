@@ -22,14 +22,14 @@
 // destroys that event's callback at once. The event keeps its heap entry and
 // pops at its time as a no-op: the no-op pop advances Now(), counts in
 // events_executed() and closes a race-detection epoch, exactly like a fired
-// event that does nothing. That is deliberate: dropping the entry would move
-// the clock after a drain and the event count every determinism fingerprint
-// folds. Each slot carries a 32-bit generation that goes up when its event
-// fires or is cancelled; an id is (slot + 1, generation), so kNoEvent (0)
-// names no event and a stale id can name a new event only after 2^32 reuses
-// of one slot. The generations grow with the pool, so steady-state scheduling
-// still never allocates. An id means something only to the engine that
-// issued it.
+// event that does nothing. That is deliberate: dropping the entry would
+// change events_executed(), which determinism fingerprints fold, and the
+// clock after a drain. Each slot carries a 32-bit generation that goes up
+// when its event fires or is cancelled; an id is (slot + 1, generation), so
+// kNoEvent (0) names no event and a stale id can name a new event only after
+// 2^32 reuses of one slot. The generations grow with the pool, so
+// steady-state scheduling still never allocates. An id means something only
+// to the engine that issued it.
 
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
@@ -77,9 +77,9 @@ class Engine {
 
   // Destroys the pending event's callback; the event still pops at its time,
   // as a no-op. Returns false and changes nothing for kNoEvent, an event that
-  // already fired or was cancelled (including the one running now, so a
-  // callback may cancel its own id), and a stale id whose slot now holds
-  // another event.
+  // already fired or was cancelled (the running event included, so it is
+  // safe inside the event's own callback), and a stale id whose slot now
+  // holds another event.
   bool Cancel(EventId id);
 
   // Runs the next pending event. Returns false if the queue is empty.
