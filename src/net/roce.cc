@@ -339,9 +339,14 @@ void RoceStack::HandleAck(Qp& qp, const ParsedFrame& f) {
 }
 
 void RoceStack::HandleReadRequest(Qp& qp, const ParsedFrame& f) {
-  // Idempotent: duplicates re-serve the same data at the same PSNs.
+  // Idempotent: duplicates re-serve the same data at the same PSNs. A read
+  // in order moves the expected PSN past its responses, where the requester
+  // numbers its next message.
   const uint64_t bytes = f.meta.reth_len;
   const uint64_t n_frames = FrameCount(bytes);
+  if (f.meta.psn == qp.expected_psn) {
+    qp.expected_psn += static_cast<uint32_t>(n_frames);
+  }
   const axi::BufferView message = ReadMessage(f.meta.reth_vaddr, bytes);
   for (uint64_t i = 0; i < n_frames; ++i) {
     FrameMeta m = BaseMeta(qp);

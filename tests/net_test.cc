@@ -295,6 +295,34 @@ TEST_F(RoceTest, ReadFetchesRemoteBytes) {
   EXPECT_EQ(got, remote);
 }
 
+// A read's responses take PSNs, and the requester numbers the write behind
+// it after them: the responder must expect that PSN, not discard the write.
+TEST_F(RoceTest, WriteBehindAReadOnOneQpCompletes) {
+  std::vector<uint8_t> remote(10000);
+  sim::Rng rng(8);
+  rng.FillBytes(remote.data(), remote.size());
+  svm_b_.WriteVirtual(buf_b_, remote.data(), remote.size());
+  constexpr uint64_t kWriteOffset = 1 << 20;
+  const auto data = FillA(9000, 9);  // at buf_a_; the read lands above it
+
+  int read_ok = -1, write_ok = -1;
+  a_.PostRead(qp_a_, buf_a_ + kWriteOffset, buf_b_, remote.size(),
+              [&](bool ok) { read_ok = ok; });
+  a_.PostWrite(qp_a_, buf_a_, buf_b_ + kWriteOffset, data.size(),
+               [&](bool ok) { write_ok = ok; });
+  engine_.RunUntilIdle();
+
+  EXPECT_EQ(read_ok, 1);
+  EXPECT_EQ(write_ok, 1);
+  std::vector<uint8_t> got(remote.size());
+  svm_a_.ReadVirtual(buf_a_ + kWriteOffset, got.data(), got.size());
+  EXPECT_EQ(got, remote);
+  got.resize(data.size());
+  svm_b_.ReadVirtual(buf_b_ + kWriteOffset, got.data(), got.size());
+  EXPECT_EQ(got, data);
+  EXPECT_EQ(a_.retransmitted_frames(), 0u);
+}
+
 TEST_F(RoceTest, GoBackNRecoversFromLoss) {
   // Drop two data frames of the first transmission; the timeout-driven
   // go-back-N retransmission must still deliver the exact payload.

@@ -574,11 +574,8 @@ TEST(SendQueueTest, RemoteEntriesRunOverRdmaAndFailWithoutIt) {
   write.is_write = true;
   write.vaddr = buf + kHalf;
   write.tid = 2;
-  // The write goes first: the RoCE responder does not advance its expected
-  // PSN past a read's response PSNs, so a write behind a read on one QP is
-  // discarded until the retry budget fails the QP.
-  a.vfpga(0).PostSend(write);
   a.vfpga(0).PostSend(read);
+  a.vfpga(0).PostSend(write);
   engine.RunUntilIdle();
 
   const auto& done = a.vfpga(0).completions();
