@@ -5,7 +5,8 @@ namespace net {
 namespace rpc {
 
 std::vector<uint8_t> Seal(MsgType type, const sim::wire::Writer& payload) {
-  sim::wire::Writer w;
+  // One buffer sized once: the 12-byte header, the payload, the 4-byte CRC.
+  sim::wire::Writer w(16 + payload.bytes().size());
   w.U32(kMagic);
   w.U16(kVersion);
   w.U8(static_cast<uint8_t>(type));
