@@ -5,8 +5,9 @@
 // vFPGA apps behind one shell per node). The sweep holds the admission
 // budget fixed and raises offered load through and past saturation:
 //
-//   light — well under the token rate: nothing sheds, latency is the
-//           batch-timeout floor plus the wire.
+//   light — well under the token rate: nothing sheds, and the batcher is
+//           work-conserving, so a request to a node with an idle region
+//           flushes at once: latency is the wire plus the node's own time.
 //   knee  — near the admission budget: the bucket starts clipping the
 //           diurnal peaks.
 //   over  — several times the budget: admission sheds the excess at the

@@ -224,6 +224,10 @@ void Router::DispatchLoop() {
 void Router::AppendToBatch(uint32_t node, serving::ServingRequest req) {
   NodeView& v = nodes_[node];
   v.open_batch.push_back(std::move(req));
+  if (v.has_idle_region()) {
+    FlushBatch(node, "router.flush.idle");
+    return;
+  }
   if (v.open_batch.size() >= config_.batch_max || config_.batch_timeout == 0) {
     FlushBatch(node, "router.flush.size");
     return;
@@ -269,12 +273,17 @@ void Router::OnCompletion(const serving::ServingCompletion& c) {
                        c.response_hash == sim::FnvHash(p.data(), p.size());
     counters_.Increment(match ? "router.integrity.ok" : "router.integrity.mismatch");
   }
-  NodeView& v = nodes_[it->second.node];
+  const uint32_t node = it->second.node;
+  NodeView& v = nodes_[node];
   if (v.outstanding > 0) {
     --v.outstanding;
   }
   inflight_.erase(it);
   Complete(c);
+  // The completion freed a region: the batch held behind it goes now.
+  if (!v.open_batch.empty() && v.has_idle_region()) {
+    FlushBatch(node, "router.flush.idle");
+  }
   KickDispatch();
 }
 

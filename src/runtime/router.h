@@ -15,9 +15,13 @@
 //   fair queue — one FIFO per tenant, drained round-robin (quantum 1) by a
 //                cursor over the tenant id space. A burst from one tenant
 //                cannot starve the others.
-//   batching   — per destination node, requests accumulate into an open
-//                batch flushed when it reaches batch_max or when the oldest
-//                entry has waited batch_timeout. One batch = one RPC frame.
+//   batching   — work-conserving, per destination node. While the node has
+//                fewer requests outstanding than regions, its open batch
+//                flushes at once; otherwise requests accumulate behind the
+//                busy regions and the batch flushes at batch_max, after
+//                batch_timeout from its first entry, or at the completion
+//                that frees a region, whichever first. One batch = one RPC
+//                frame.
 //   routing    — among alive nodes with the kernel resident and room in
 //                their outstanding window: least loaded, then lowest id.
 //                The router stamps a region placement hint (lowest matching
@@ -74,9 +78,11 @@ class Router {
     // Per-tenant queue cap; an admitted request finding its tenant queue
     // full completes kShed.
     uint64_t tenant_queue_cap = 256;
-    // Batching: flush at batch_max requests or after batch_timeout from the
-    // batch's first entry, whichever first. batch_timeout == 0 degenerates
-    // to unbatched (every request flushes alone).
+    // Batching: a node with an idle region (outstanding < regions) takes
+    // each request at once. Behind busy regions, a batch flushes at
+    // batch_max requests, after batch_timeout from its first entry, or when
+    // a completion frees a region, whichever first. batch_timeout == 0
+    // degenerates to unbatched (every request flushes alone).
     uint32_t batch_max = 8;
     sim::TimePs batch_timeout = sim::Microseconds(5);
     // Max requests dispatched-but-incomplete per node (open batch included).
@@ -136,6 +142,10 @@ class Router {
     std::vector<serving::ServingRequest> open_batch;
     // The open batch's timeout; every path that empties the batch cancels it.
     sim::Engine::EventId batch_timeout = sim::Engine::kNoEvent;
+
+    // Fewer requests outstanding than regions: a request flushed now starts
+    // without queueing at the node.
+    bool has_idle_region() const { return outstanding < region_kernel.size(); }
   };
   struct Inflight {
     uint32_t node = 0;
@@ -148,7 +158,8 @@ class Router {
   int32_t RouteOf(const serving::ServingRequest& req) const;
   int32_t RegionHintOn(uint32_t node, const std::string& kernel) const;
   void AppendToBatch(uint32_t node, serving::ServingRequest req);
-  // Counts the flush under `key`: "router.flush.size" or "router.flush.timeout".
+  // Counts the flush under `key`: "router.flush.idle", "router.flush.size" or
+  // "router.flush.timeout".
   void FlushBatch(uint32_t node, const char* key);
   void Requeue(std::vector<serving::ServingRequest> orphans);
   serving::ServingCompletion LocalCompletion(const serving::ServingRequest& req,

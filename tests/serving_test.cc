@@ -381,6 +381,11 @@ class RouterTest : public ::testing::Test {
     });
   }
 
+  // Submits, at time 0, a request the test never completes. It keeps the
+  // node's one region busy, so the requests after it are held in a batch
+  // instead of flushing at once to an idle region.
+  void OccupyRegion() { SubmitAt(0, Req(/*tenant=*/9)); }
+
   uint64_t Count(const char* key) const { return router_->counters().value(key); }
 
   sim::Engine engine_;
@@ -392,21 +397,22 @@ class RouterTest : public ::testing::Test {
 TEST_F(RouterTest, AdmissionBucketShedsPastTheBurstBank) {
   Router::Config c;
   c.admit_period = sim::Microseconds(100);  // far slower than the burst below
-  c.bucket_burst = 2;
+  c.bucket_burst = 3;  // one token for the occupier, two for the burst
   c.batch_max = 8;
   c.batch_timeout = sim::Microseconds(1);
   MakeRouter(c);
 
+  OccupyRegion();
   for (int i = 0; i < 5; ++i) {
     SubmitAt(sim::Microseconds(1), Req(/*tenant=*/1));
   }
   engine_.RunUntil(sim::Microseconds(50));
 
-  // 2 tokens banked -> 2 admitted and flushed, 3 shed at the front door.
-  EXPECT_EQ(Count("router.offered"), 5u);
+  // 2 tokens left banked -> 2 admitted and flushed, 3 shed at the front door.
+  EXPECT_EQ(Count("router.offered"), 6u);
   EXPECT_EQ(Count("router.shed.bucket"), 3u);
-  ASSERT_EQ(batches_.size(), 1u);
-  EXPECT_EQ(batches_[0].batch.size(), 2u);
+  ASSERT_EQ(batches_.size(), 2u);
+  EXPECT_EQ(batches_[1].batch.size(), 2u);
   ASSERT_EQ(completions_.size(), 3u);
   for (const auto& done : completions_) {
     EXPECT_EQ(done.status, OpStatus::kShed);
@@ -419,6 +425,7 @@ TEST_F(RouterTest, BatchFlushesAtMaxSizeOrTimeoutWhicheverFirst) {
   c.batch_timeout = sim::Microseconds(20);
   MakeRouter(c);
 
+  OccupyRegion();  // flushes at once; the region stays busy from here on
   // Three at once: the batch hits batch_max and flushes on size.
   for (int i = 0; i < 3; ++i) {
     SubmitAt(sim::Microseconds(1), Req(1));
@@ -429,14 +436,15 @@ TEST_F(RouterTest, BatchFlushesAtMaxSizeOrTimeoutWhicheverFirst) {
   SubmitAt(sim::Microseconds(10), Req(1));
   engine_.RunUntil(sim::Microseconds(100));
 
-  ASSERT_EQ(batches_.size(), 2u);
-  EXPECT_EQ(batches_[0].batch.size(), 3u);
-  EXPECT_EQ(batches_[0].at, sim::Microseconds(1));
-  EXPECT_EQ(batches_[1].batch.size(), 1u);
-  EXPECT_EQ(batches_[1].at, sim::Microseconds(30));
+  ASSERT_EQ(batches_.size(), 3u);
+  EXPECT_EQ(batches_[1].batch.size(), 3u);
+  EXPECT_EQ(batches_[1].at, sim::Microseconds(1));
+  EXPECT_EQ(batches_[2].batch.size(), 1u);
+  EXPECT_EQ(batches_[2].at, sim::Microseconds(30));
+  EXPECT_EQ(Count("router.flush.idle"), 1u);
   EXPECT_EQ(Count("router.flush.size"), 1u);
   EXPECT_EQ(Count("router.flush.timeout"), 1u);
-  EXPECT_EQ(Count("router.batches"), 2u);
+  EXPECT_EQ(Count("router.batches"), 3u);
 }
 
 TEST_F(RouterTest, FairQueueInterleavesTenantsRoundRobin) {
@@ -444,6 +452,7 @@ TEST_F(RouterTest, FairQueueInterleavesTenantsRoundRobin) {
   c.batch_max = 4;
   MakeRouter(c);
 
+  OccupyRegion();  // holds the four below in one batch
   // Tenant 1 floods three requests before tenant 2's single one arrives; the
   // round-robin drain (quantum 1) must not make tenant 2 wait out the flood.
   SubmitAt(sim::Microseconds(1), Req(1));
@@ -452,8 +461,8 @@ TEST_F(RouterTest, FairQueueInterleavesTenantsRoundRobin) {
   SubmitAt(sim::Microseconds(1), Req(2));
   engine_.RunUntil(sim::Microseconds(10));
 
-  ASSERT_EQ(batches_.size(), 1u);
-  const auto& b = batches_[0].batch;
+  ASSERT_EQ(batches_.size(), 2u);
+  const auto& b = batches_[1].batch;
   ASSERT_EQ(b.size(), 4u);
   EXPECT_EQ(b[0].tenant, 1u);
   EXPECT_EQ(b[1].tenant, 2u);  // interleaved, not last
@@ -462,6 +471,53 @@ TEST_F(RouterTest, FairQueueInterleavesTenantsRoundRobin) {
   for (const auto& r : b) {
     EXPECT_EQ(r.region_hint, 0);  // the router stamped the placement hint
   }
+}
+
+// Work-conserving batching: a node with fewer requests outstanding than
+// regions takes each request at once, at its submit time; only a request
+// behind busy regions waits for a batch to fill or time out.
+TEST_F(RouterTest, IdleRegionFlushesARequestAtItsSubmitTime) {
+  Router::Config c;
+  c.batch_timeout = sim::Microseconds(5);
+  MakeRouter(c);
+  router_->SetNodeResident(0, {"k.bin", "k.bin"});  // two regions
+
+  for (int i = 0; i < 3; ++i) {
+    SubmitAt(sim::Microseconds(3), Req(1));
+  }
+  engine_.RunUntil(sim::Microseconds(50));
+
+  ASSERT_EQ(batches_.size(), 3u);
+  for (int i = 0; i < 2; ++i) {  // one per idle region, at the submit time
+    EXPECT_EQ(batches_[i].batch.size(), 1u);
+    EXPECT_EQ(batches_[i].at, sim::Microseconds(3));
+  }
+  // Both regions busy: the third waits out the timeout.
+  EXPECT_EQ(batches_[2].batch.size(), 1u);
+  EXPECT_EQ(batches_[2].at, sim::Microseconds(8));
+  EXPECT_EQ(Count("router.flush.idle"), 2u);
+  EXPECT_EQ(Count("router.flush.timeout"), 1u);
+}
+
+TEST_F(RouterTest, HeldBatchFlushesAtTheCompletionThatFreesARegion) {
+  Router::Config c;
+  c.batch_timeout = sim::Microseconds(20);
+  MakeRouter(c);
+
+  SubmitAt(sim::Microseconds(1), Req(1));  // id 1 takes the one region
+  SubmitAt(sim::Microseconds(2), Req(1));  // ids 2 and 3 are held behind it
+  SubmitAt(sim::Microseconds(2), Req(1));
+  CompleteAt(sim::Microseconds(5), /*id=*/1, /*tenant=*/1, /*node=*/0);
+  engine_.RunUntil(sim::Microseconds(50));
+
+  ASSERT_EQ(batches_.size(), 2u);
+  EXPECT_EQ(batches_[0].at, sim::Microseconds(1));
+  // Flushed by the completion at 5 us, not by the timeout due at 22 us.
+  EXPECT_EQ(batches_[1].batch.size(), 2u);
+  EXPECT_EQ(batches_[1].at, sim::Microseconds(5));
+  EXPECT_EQ(Count("router.flush.idle"), 2u);
+  EXPECT_EQ(Count("router.flush.timeout"), 0u);
+  EXPECT_EQ(Count("router.batches"), 2u);
 }
 
 TEST_F(RouterTest, NoResidentKernelShedsTyped) {
@@ -679,7 +735,7 @@ TEST(ServingFabricTest, OversizedPayloadCompletesErrorOnceAndFreesTheRegion) {
 }
 
 // A request whose deadline is still ahead when the router dispatches it, but
-// passes while it waits out the batch timeout, expires on the node: it
+// passes while its batch frame is on the wire, expires on the node: it
 // completes typed from there, without a region, and the router's own expiry
 // check never fires.
 TEST(ServingFabricTest, DeadlinePassedInFlightCompletesFromTheNode) {
@@ -688,7 +744,8 @@ TEST(ServingFabricTest, DeadlinePassedInFlightCompletesFromTheNode) {
   fab.router().SetCompletionObserver(
       [&done](const serving::ServingCompletion& c) { done.push_back(c); });
   serving::ServingRequest req = FabricReq(/*tenant=*/1);
-  req.deadline = sim::Microseconds(3);
+  // The idle node takes it at 1 us; the frame reaches the node after 1.5 us.
+  req.deadline = sim::Nanoseconds(1500);
   fab.SubmitAt(sim::Microseconds(1), std::move(req));
 
   ASSERT_TRUE(fab.Run(sim::Milliseconds(1), sim::Microseconds(50)));
@@ -696,7 +753,7 @@ TEST(ServingFabricTest, DeadlinePassedInFlightCompletesFromTheNode) {
   EXPECT_EQ(done[0].status, OpStatus::kDeadlineExceeded);
   EXPECT_EQ(done[0].node, 0u);
   EXPECT_EQ(done[0].region, -1);
-  EXPECT_EQ(done[0].completed_at, 6'612'560u);
+  EXPECT_EQ(done[0].completed_at, 1'612'560u);
   EXPECT_EQ(fab.router().counters().value("router.expired"), 0u);
   EXPECT_EQ(fab.router().counters().value("router.done.deadline"), 1u);
 }
@@ -737,7 +794,7 @@ TEST(ServingFabricTest, SameSeedFingerprintIsShardPlacementInvariant) {
   const uint64_t golden = run(1);
   // Pinned, not only compared run against run: a change that shifts every
   // placement the same way still fails here.
-  EXPECT_EQ(golden, 0xd09a71232f70576bull);
+  EXPECT_EQ(golden, 0xb4e226400767d8b6ull);
   EXPECT_EQ(run(1), golden);  // same-seed rerun
   EXPECT_EQ(run(2), golden);
   EXPECT_EQ(run(4), golden);
