@@ -5,8 +5,7 @@ namespace net {
 namespace rpc {
 
 std::vector<uint8_t> Seal(MsgType type, const sim::wire::Writer& payload) {
-  // One buffer sized once: the 12-byte header, the payload, the 4-byte CRC.
-  sim::wire::Writer w(16 + payload.bytes().size());
+  sim::wire::Writer w;
   w.U32(kMagic);
   w.U16(kVersion);
   w.U8(static_cast<uint8_t>(type));

@@ -37,22 +37,17 @@ namespace wire {
 
 namespace detail {
 
-// Each put grows the buffer once, then stores the bytes in place.
 template <typename T>
 void PutBe(std::vector<uint8_t>& out, T v) {
-  const size_t at = out.size();
-  out.resize(at + sizeof(T));
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    out[at + i] = static_cast<uint8_t>(v >> (8 * (sizeof(T) - 1 - i)));
+  for (size_t i = sizeof(T); i-- > 0;) {
+    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
   }
 }
 
 template <typename T>
 void PutLe(std::vector<uint8_t>& out, T v) {
-  const size_t at = out.size();
-  out.resize(at + sizeof(T));
   for (size_t i = 0; i < sizeof(T); ++i) {
-    out[at + i] = static_cast<uint8_t>(v >> (8 * i));
+    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
   }
 }
 
@@ -92,10 +87,6 @@ inline uint64_t GetLe64(const uint8_t* p) { return detail::GetLe<uint64_t>(p); }
 
 class Writer {
  public:
-  // Reserves `capacity` bytes up front: a small record by default, or the
-  // exact size when the caller knows it.
-  explicit Writer(size_t capacity = 64) { buf_.reserve(capacity); }
-
   void U8(uint8_t v) { buf_.push_back(v); }
   void U16(uint16_t v) { PutLe16(buf_, v); }
   void U32(uint32_t v) { PutLe32(buf_, v); }
