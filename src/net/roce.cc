@@ -1,6 +1,7 @@
 #include "src/net/roce.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/sim/fault.h"
 
@@ -322,8 +323,12 @@ void RoceStack::NoteProgress(Qp& qp) {
 void RoceStack::HandleAck(Qp& qp, const ParsedFrame& f) {
   NoteProgress(qp);
   const uint32_t acked = f.meta.psn;
-  // Cumulative: drop every tracked frame with psn <= acked.
-  qp.unacked.erase(qp.unacked.begin(), qp.unacked.upper_bound(acked));
+  // Cumulative: drop every tracked frame with psn <= acked, except a read
+  // request: only its last response retires it, so a lost response is
+  // fetched again by the go-back-N resend.
+  for (auto it = qp.unacked.begin(); it != qp.unacked.end() && it->first <= acked;) {
+    it = it->second.meta.opcode == Opcode::kReadRequest ? std::next(it) : qp.unacked.erase(it);
+  }
   // Fire message completions.
   auto end = qp.completions.upper_bound(acked);
   for (auto it = qp.completions.begin(); it != end; ++it) {
@@ -339,9 +344,13 @@ void RoceStack::HandleAck(Qp& qp, const ParsedFrame& f) {
 }
 
 void RoceStack::HandleReadRequest(Qp& qp, const ParsedFrame& f) {
-  // Idempotent: duplicates re-serve the same data at the same PSNs. A read
-  // in order moves the expected PSN past its responses, where the requester
-  // numbers its next message.
+  // Sequenced like a data frame: a read ahead of a lost frame is discarded
+  // and comes back with the go-back-N resend; a read in order moves the
+  // expected PSN past its responses, where the requester numbers its next
+  // message; a duplicate re-serves the same data at the same PSNs.
+  if (f.meta.psn > qp.expected_psn) {
+    return;
+  }
   const uint64_t bytes = f.meta.reth_len;
   const uint64_t n_frames = FrameCount(bytes);
   if (f.meta.psn == qp.expected_psn) {

@@ -323,6 +323,80 @@ TEST_F(RoceTest, WriteBehindAReadOnOneQpCompletes) {
   EXPECT_EQ(a_.retransmitted_frames(), 0u);
 }
 
+// The first write is lost, so the read behind it arrives ahead of the
+// expected PSN. The responder discards it like a data frame; the go-back-N
+// resend then delivers write, read and write in order, and the second write
+// is not discarded behind a read the responder served out of turn.
+TEST_F(RoceTest, ReadAheadOfALostWriteIsResentInOrder) {
+  std::vector<uint8_t> remote(4000);
+  sim::Rng rng(10);
+  rng.FillBytes(remote.data(), remote.size());
+  svm_b_.WriteVirtual(buf_b_, remote.data(), remote.size());
+  constexpr uint64_t kReadOffset = 1 << 20;
+  constexpr uint64_t kFirstOffset = 2 << 20;
+  constexpr uint64_t kSecondOffset = 3 << 20;
+  const auto data = FillA(3000, 11);  // both writes send these bytes
+  uint64_t count = 0;
+  nw_.SetDropFilter([&count](uint64_t) { return ++count == 1; });
+
+  int first_ok = -1, read_ok = -1, second_ok = -1;
+  a_.PostWrite(qp_a_, buf_a_, buf_b_ + kFirstOffset, 1000, [&](bool ok) { first_ok = ok; });
+  a_.PostRead(qp_a_, buf_a_ + kReadOffset, buf_b_, remote.size(),
+              [&](bool ok) { read_ok = ok; });
+  a_.PostWrite(qp_a_, buf_a_, buf_b_ + kSecondOffset, data.size(),
+               [&](bool ok) { second_ok = ok; });
+  engine_.RunUntilIdle();
+
+  EXPECT_EQ(first_ok, 1);
+  EXPECT_EQ(read_ok, 1);
+  EXPECT_EQ(second_ok, 1);
+  std::vector<uint8_t> got(remote.size());
+  svm_a_.ReadVirtual(buf_a_ + kReadOffset, got.data(), got.size());
+  EXPECT_EQ(got, remote);
+  got.resize(data.size());
+  svm_b_.ReadVirtual(buf_b_ + kSecondOffset, got.data(), got.size());
+  EXPECT_EQ(got, data);
+  got.resize(1000);
+  svm_b_.ReadVirtual(buf_b_ + kFirstOffset, got.data(), got.size());
+  EXPECT_EQ(got, std::vector<uint8_t>(data.begin(), data.begin() + 1000));
+  EXPECT_GT(a_.retransmitted_frames(), 0u);
+}
+
+// The write behind a read is acked while one of the read's responses is
+// lost. The ACK covers the read request's PSN, but only the read's last
+// response retires the request, so the resend fetches the lost response
+// instead of leaving the read waiting forever.
+TEST_F(RoceTest, LostReadResponseBehindAnAckedWriteIsFetchedAgain) {
+  std::vector<uint8_t> remote(10000);  // three responses
+  sim::Rng rng(12);
+  rng.FillBytes(remote.data(), remote.size());
+  svm_b_.WriteVirtual(buf_b_, remote.data(), remote.size());
+  constexpr uint64_t kReadOffset = 1 << 20;
+  constexpr uint64_t kWriteOffset = 2 << 20;
+  const auto data = FillA(1000, 13);
+  // Frames 1 and 2 are A's read request and write; frame 3 is B's first
+  // read response.
+  uint64_t count = 0;
+  nw_.SetDropFilter([&count](uint64_t) { return ++count == 3; });
+
+  int read_ok = -1, write_ok = -1;
+  a_.PostRead(qp_a_, buf_a_ + kReadOffset, buf_b_, remote.size(),
+              [&](bool ok) { read_ok = ok; });
+  a_.PostWrite(qp_a_, buf_a_, buf_b_ + kWriteOffset, data.size(),
+               [&](bool ok) { write_ok = ok; });
+  engine_.RunUntilIdle();
+
+  EXPECT_EQ(read_ok, 1);
+  EXPECT_EQ(write_ok, 1);
+  std::vector<uint8_t> got(remote.size());
+  svm_a_.ReadVirtual(buf_a_ + kReadOffset, got.data(), got.size());
+  EXPECT_EQ(got, remote);
+  got.resize(data.size());
+  svm_b_.ReadVirtual(buf_b_ + kWriteOffset, got.data(), got.size());
+  EXPECT_EQ(got, data);
+  EXPECT_EQ(a_.retransmitted_frames(), 1u);  // the read request alone
+}
+
 TEST_F(RoceTest, GoBackNRecoversFromLoss) {
   // Drop two data frames of the first transmission; the timeout-driven
   // go-back-N retransmission must still deliver the exact payload.
