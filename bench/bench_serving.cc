@@ -15,7 +15,8 @@
 //           collapsing (the point of admission control).
 //
 // The chaos scenario reruns the knee with reconfiguration storms
-// (quarantine + region reset mid-batch) and a node kill (heartbeat-silence
+// (quarantine + region reset mid-batch, each reported to the Router, which
+// routes around the region meanwhile) and a node kill (heartbeat-silence
 // death declaration + evacuation) in the mix — goodput dips, nothing hangs,
 // every request still gets exactly one typed completion.
 //

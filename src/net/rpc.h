@@ -1,6 +1,6 @@
 // Length-prefixed, CRC-trailed RPC framing for control-plane messages that
 // ride the simulated fabric (router -> node request batches, node -> router
-// completions).
+// completions and region state).
 //
 // The serving tier ships request *metadata* on the wire and lets payloads
 // travel as ref-counted axi::BufferViews alongside the frame — the wire
@@ -34,6 +34,7 @@ inline constexpr uint16_t kVersion = 1;
 enum class MsgType : uint8_t {
   kRequestBatch = 1,  // router -> node: a batch of serving requests
   kCompletion = 2,    // node -> router: one typed completion
+  kRegionState = 3,   // node -> router: a region's routable kernel
 };
 
 // Frames `payload` as a `type` message: header, payload, CRC trailer.

@@ -287,6 +287,11 @@ void Router::OnCompletion(const serving::ServingCompletion& c) {
   KickDispatch();
 }
 
+void Router::SetRegionKernel(uint32_t node, uint32_t region, std::string kernel) {
+  guard_.Write();
+  nodes_.at(node).region_kernel.at(region) = std::move(kernel);
+}
+
 void Router::MarkNodeDead(uint32_t node) {
   NodeView& v = nodes_[node];
   if (!v.alive) {
@@ -635,6 +640,31 @@ void ServingFabric::OnCompletionFrame(const std::vector<uint8_t>& frame) {
   router_->OnCompletion(c);
 }
 
+// --- Wire: node -> router region state ---------------------------------------
+
+void ServingFabric::SendRegionState(uint32_t node, uint32_t region, const std::string& kernel) {
+  sim::wire::Writer w;
+  w.U32(node);
+  w.U32(region);
+  w.Str(kernel);
+  std::vector<uint8_t> frame = net::rpc::Seal(net::rpc::MsgType::kRegionState, w);
+  cluster_.Post(node, cluster_.control(), cluster_.WireDelay(frame.size()),
+                [this, frame = std::move(frame)]() { OnRegionStateFrame(frame); });
+}
+
+void ServingFabric::OnRegionStateFrame(const std::vector<uint8_t>& frame) {
+  sim::wire::Reader r = net::rpc::Open(frame, net::rpc::MsgType::kRegionState);
+  const uint32_t node = r.U32();
+  const uint32_t region = r.U32();
+  std::string kernel = r.Str();
+  if (!r.ok() || !r.AtEnd() || node >= config_.num_nodes ||
+      region >= config_.regions_per_node) {
+    ++frame_errors_;
+    return;
+  }
+  router_->SetRegionKernel(node, region, std::move(kernel));
+}
+
 // --- Storms -------------------------------------------------------------------
 
 void ServingFabric::StormBegin(const StormSpec& s) {
@@ -649,6 +679,7 @@ void ServingFabric::StormBegin(const StormSpec& s) {
   // was running there (typed kAborted back through the completion path).
   n.sched->SetQuarantined(s.region, true);
   n.execs[s.region].run->Abort(OpStatus::kAborted);
+  SendRegionState(s.node, s.region, "");
   cluster_.After(s.node, std::max<sim::TimePs>(1, s.duration), [this, s]() { StormEnd(s); });
 }
 
@@ -658,6 +689,7 @@ void ServingFabric::StormEnd(const StormSpec& s) {
   // Reprogram done: the region comes back with its kernel freshly resident.
   n.sched->NoteRegionReset(s.region, KernelAt(s.node, s.region));
   n.sched->SetQuarantined(s.region, false);
+  SendRegionState(s.node, s.region, KernelAt(s.node, s.region));
 }
 
 }  // namespace runtime

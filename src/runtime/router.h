@@ -25,7 +25,8 @@
 //   routing    — among alive nodes with the kernel resident and room in
 //                their outstanding window: least loaded, then lowest id.
 //                The router stamps a region placement hint (lowest matching
-//                region) that the node scheduler honors when eligible.
+//                region) that the node scheduler honors when eligible. A
+//                region a node quarantines leaves the table until its reset.
 //   shedding   — no alive node has the kernel resident -> kShed (typed, the
 //                reconfiguration-free contract); retries after a node death
 //                are capped, then kShed.
@@ -112,6 +113,10 @@ class Router {
   // Takes ownership of the request; stamps id + submitted_at.
   void Submit(serving::ServingRequest req);
   void OnCompletion(const serving::ServingCompletion& c);
+  // One region's entry in the routing table: empty while the node has the
+  // region quarantined (nothing routes to it), its kernel again once the
+  // region is reset.
+  void SetRegionKernel(uint32_t node, uint32_t region, std::string kernel);
   // Stops routing to `node` and requeues its open batch and in-flight work.
   void MarkNodeDead(uint32_t node);
 
@@ -143,8 +148,8 @@ class Router {
     // The open batch's timeout; every path that empties the batch cancels it.
     sim::Engine::EventId batch_timeout = sim::Engine::kNoEvent;
 
-    // Fewer requests outstanding than regions: a request flushed now starts
-    // without queueing at the node.
+    // Fewer requests outstanding than the node has regions, so some region
+    // is free, though not necessarily one that runs the request's kernel.
     bool has_idle_region() const { return outstanding < region_kernel.size(); }
   };
   struct Inflight {
@@ -205,7 +210,8 @@ class Router {
 // never happen inside a shard callback. A payload larger than the
 // executor's staging buffers (kMaxPayloadBytes) completes kError. A
 // reconfiguration storm quarantines the region, aborts only its op in flight
-// and resets the region after the reprogram latency; a node kill stops its
+// and resets the region after the reprogram latency; the node reports both
+// edges to the Router in a region-state frame. A node kill stops its
 // heartbeats, and the cluster's detector hands the death to the Router.
 // ---------------------------------------------------------------------------
 class ServingFabric {
@@ -286,6 +292,10 @@ class ServingFabric {
   void CompleteFromNode(uint32_t node, const serving::ServingRequest& req, OpStatus status,
                         int32_t region, uint64_t response_hash = 0);
   void OnCompletionFrame(const std::vector<uint8_t>& frame);
+  // Frames region `region`'s routable kernel (empty while quarantined) from
+  // `node` to the router.
+  void SendRegionState(uint32_t node, uint32_t region, const std::string& kernel);
+  void OnRegionStateFrame(const std::vector<uint8_t>& frame);
   void StormBegin(const StormSpec& s);
   void StormEnd(const StormSpec& s);
   bool Settled() const;
