@@ -657,8 +657,7 @@ void ServingFabric::OnRegionStateFrame(const std::vector<uint8_t>& frame) {
   const uint32_t node = r.U32();
   const uint32_t region = r.U32();
   std::string kernel = r.Str();
-  if (!r.ok() || !r.AtEnd() || node >= config_.num_nodes ||
-      region >= config_.regions_per_node) {
+  if (!r.ok() || !r.AtEnd()) {
     ++frame_errors_;
     return;
   }

@@ -148,8 +148,8 @@ class Router {
     // The open batch's timeout; every path that empties the batch cancels it.
     sim::Engine::EventId batch_timeout = sim::Engine::kNoEvent;
 
-    // Fewer requests outstanding than the node has regions, so some region
-    // is free, though not necessarily one that runs the request's kernel.
+    // Fewer requests outstanding than the node has regions, quarantined ones
+    // counted: a region may be free, not necessarily one for this kernel.
     bool has_idle_region() const { return outstanding < region_kernel.size(); }
   };
   struct Inflight {
