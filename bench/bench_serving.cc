@@ -5,9 +5,9 @@
 // vFPGA apps behind one shell per node). The sweep holds the admission
 // budget fixed and raises offered load through and past saturation:
 //
-//   light — well under the token rate: nothing sheds, and the batcher is
-//           work-conserving, so a request to a node with an idle region
-//           flushes at once: latency is the wire plus the node's own time.
+//   light — well under the token rate: nothing sheds, and no request
+//           waits at the router (each dispatch pass ships its batches when
+//           it ends): latency is the wire plus the node's own time.
 //   knee  — near the admission budget: the bucket starts clipping the
 //           diurnal peaks.
 //   over  — several times the budget: admission sheds the excess at the
@@ -81,7 +81,6 @@ Result RunOne(sim::TimePs session_gap, uint32_t num_shards, bool chaos) {
   c.router.bucket_burst = 64;
   c.router.tenant_queue_cap = 512;
   c.router.batch_max = 8;
-  c.router.batch_timeout = sim::Microseconds(5);
   c.router.node_window = 16;
   c.router.heartbeat_window = sim::Microseconds(400);
 

@@ -137,13 +137,12 @@ int32_t Router::RouteOf(const serving::ServingRequest& req) const {
       continue;
     }
     any_resident = true;
-    const uint64_t load = v.outstanding + v.open_batch.size();
-    if (load >= config_.node_window) {
+    if (v.outstanding >= config_.node_window) {
       continue;
     }
-    if (best < 0 || load < best_load) {
+    if (best < 0 || v.outstanding < best_load) {
       best = static_cast<int32_t>(n);
-      best_load = load;
+      best_load = v.outstanding;
     }
   }
   return best >= 0 ? best : (any_resident ? kBackpressure : kNoResident);
@@ -215,6 +214,12 @@ void Router::DispatchLoop() {
       AppendToBatch(static_cast<uint32_t>(node), std::move(taken));
     }
   }
+  // The pass is over: every batch it filled ships now.
+  for (uint32_t n = 0; n < nodes_.size(); ++n) {
+    if (!nodes_[n].batch.empty()) {
+      FlushBatch(n);
+    }
+  }
   // Drop drained queues so churned-away tenants don't grow the map forever.
   for (auto it = tenant_queues_.begin(); it != tenant_queues_.end();) {
     it = it->second.empty() ? tenant_queues_.erase(it) : ++it;
@@ -223,35 +228,19 @@ void Router::DispatchLoop() {
 
 void Router::AppendToBatch(uint32_t node, serving::ServingRequest req) {
   NodeView& v = nodes_[node];
-  v.open_batch.push_back(std::move(req));
-  if (v.has_idle_region()) {
-    FlushBatch(node, "router.flush.idle");
-    return;
-  }
-  if (v.open_batch.size() >= config_.batch_max || config_.batch_timeout == 0) {
-    FlushBatch(node, "router.flush.size");
-    return;
-  }
-  if (v.open_batch.size() == 1) {
-    v.batch_timeout = engine_->ScheduleAfter(config_.batch_timeout, [this, node]() {
-      guard_.Write();
-      FlushBatch(node, "router.flush.timeout");
-    });
+  ++v.outstanding;
+  inflight_.emplace(req.id, Inflight{node, req});  // payload copy = refcount bump
+  v.batch.push_back(std::move(req));
+  if (v.batch.size() >= config_.batch_max) {
+    counters_.Increment("router.flush.size");
+    FlushBatch(node);
   }
 }
 
-void Router::FlushBatch(uint32_t node, const char* key) {
-  NodeView& v = nodes_[node];
-  engine_->Cancel(v.batch_timeout);
-  std::vector<serving::ServingRequest> batch = std::move(v.open_batch);
-  v.open_batch.clear();
-  v.outstanding += batch.size();
+void Router::FlushBatch(uint32_t node) {
+  std::vector<serving::ServingRequest> batch = std::exchange(nodes_[node].batch, {});
   counters_.Increment("router.batches");
-  counters_.Increment(key);
   batch_hist_.Add(batch.size());
-  for (const serving::ServingRequest& r : batch) {
-    inflight_.emplace(r.id, Inflight{node, r});  // payload copy = refcount bump
-  }
   if (batch_sink_) {
     batch_sink_(node, std::move(batch));
   }
@@ -273,17 +262,9 @@ void Router::OnCompletion(const serving::ServingCompletion& c) {
                        c.response_hash == sim::FnvHash(p.data(), p.size());
     counters_.Increment(match ? "router.integrity.ok" : "router.integrity.mismatch");
   }
-  const uint32_t node = it->second.node;
-  NodeView& v = nodes_[node];
-  if (v.outstanding > 0) {
-    --v.outstanding;
-  }
+  --nodes_[it->second.node].outstanding;
   inflight_.erase(it);
   Complete(c);
-  // The completion freed a region: the batch held behind it goes now.
-  if (!v.open_batch.empty() && v.has_idle_region()) {
-    FlushBatch(node, "router.flush.idle");
-  }
   KickDispatch();
 }
 
@@ -299,31 +280,17 @@ void Router::MarkNodeDead(uint32_t node) {
   }
   guard_.Write();
   v.alive = false;
-  counters_.Increment("router.node_dead");
-  // Evacuate: the unflushed open batch plus everything in flight there.
-  std::vector<serving::ServingRequest> orphans = std::move(v.open_batch);
-  v.open_batch.clear();
-  engine_->Cancel(v.batch_timeout);
-  for (auto it = inflight_.begin(); it != inflight_.end();) {
-    if (it->second.node == node) {
-      orphans.push_back(std::move(it->second.req));
-      it = inflight_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   v.outstanding = 0;
-  Requeue(std::move(orphans));
-}
-
-void Router::Requeue(std::vector<serving::ServingRequest> orphans) {
-  // Ascending id: the open batch and the in-flight map each iterate in id
-  // order but interleave; sort for a placement-independent requeue order.
-  std::sort(orphans.begin(), orphans.end(),
-            [](const serving::ServingRequest& a, const serving::ServingRequest& b) {
-              return a.id < b.id;
-            });
-  for (serving::ServingRequest& r : orphans) {
+  counters_.Increment("router.node_dead");
+  // Evacuate everything in flight there, in ascending id order (the map's),
+  // so the requeue order does not depend on the shard placement.
+  for (auto it = inflight_.begin(); it != inflight_.end();) {
+    if (it->second.node != node) {
+      ++it;
+      continue;
+    }
+    serving::ServingRequest r = std::move(it->second.req);
+    it = inflight_.erase(it);
     if (r.retries >= config_.retry_max) {
       counters_.Increment("router.shed.retries");
       Complete(LocalCompletion(r, OpStatus::kShed));
@@ -336,18 +303,6 @@ void Router::Requeue(std::vector<serving::ServingRequest> orphans) {
     ++total_queued_;
   }
   KickDispatch();
-}
-
-bool Router::Settled() const {
-  if (total_queued_ > 0 || !inflight_.empty()) {
-    return false;
-  }
-  for (const NodeView& v : nodes_) {
-    if (!v.open_batch.empty()) {
-      return false;
-    }
-  }
-  return true;
 }
 
 uint64_t Router::Fingerprint() const {

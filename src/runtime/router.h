@@ -15,13 +15,11 @@
 //   fair queue — one FIFO per tenant, drained round-robin (quantum 1) by a
 //                cursor over the tenant id space. A burst from one tenant
 //                cannot starve the others.
-//   batching   — work-conserving, per destination node. While the node has
-//                fewer requests outstanding than regions, its open batch
-//                flushes at once; otherwise requests accumulate behind the
-//                busy regions and the batch flushes at batch_max, after
-//                batch_timeout from its first entry, or at the completion
-//                that frees a region, whichever first. One batch = one RPC
-//                frame.
+//   batching   — per destination node and dispatch pass: the requests one
+//                pass routes to a node form one batch (one RPC frame), which
+//                ships at batch_max requests or when the pass ends. A batch
+//                never outlives the event that filled it, so only a full
+//                node_window holds a request at the router.
 //   routing    — among alive nodes with the kernel resident and room in
 //                their outstanding window: least loaded, then lowest id.
 //                The router stamps a region placement hint (lowest matching
@@ -32,8 +30,8 @@
 //                are capped, then kShed.
 //
 // Failure handling: MarkNodeDead (in a fabric, the cluster's failure
-// detector calls it) evacuates the node's open batch and in-flight requests
-// back into the tenant queues (retries capped) and routes them elsewhere.
+// detector calls it) evacuates the node's in-flight requests back into the
+// tenant queues (retries capped) and routes them elsewhere.
 // Completions that race the declaration are counted stale and dropped.
 //
 // Determinism: the router lives on one logical node, so every input —
@@ -79,14 +77,12 @@ class Router {
     // Per-tenant queue cap; an admitted request finding its tenant queue
     // full completes kShed.
     uint64_t tenant_queue_cap = 256;
-    // Batching: a node with an idle region (outstanding < regions) takes
-    // each request at once. Behind busy regions, a batch flushes at
-    // batch_max requests, after batch_timeout from its first entry, or when
-    // a completion frees a region, whichever first. batch_timeout == 0
-    // degenerates to unbatched (every request flushes alone).
+    // Most requests in one batch; a dispatch pass that routes more to a node
+    // ships them as several frames at the same instant.
     uint32_t batch_max = 8;
+    // Read by nothing; kept only because perfbench/serving.cc assigns it.
     sim::TimePs batch_timeout = sim::Microseconds(5);
-    // Max requests dispatched-but-incomplete per node (open batch included).
+    // Max requests routed to a node whose completions are not yet delivered.
     uint32_t node_window = 16;
     // Re-routes after node deaths before the request sheds.
     uint32_t retry_max = 2;
@@ -117,13 +113,13 @@ class Router {
   // region quarantined (nothing routes to it), its kernel again once the
   // region is reset.
   void SetRegionKernel(uint32_t node, uint32_t region, std::string kernel);
-  // Stops routing to `node` and requeues its open batch and in-flight work.
+  // Stops routing to `node` and requeues its in-flight work.
   void MarkNodeDead(uint32_t node);
 
   // --- Observation ------------------------------------------------------------
   bool node_alive(uint32_t node) const { return nodes_[node].alive; }
-  // No queued, batched, or in-flight requests anywhere.
-  bool Settled() const;
+  // No queued or in-flight requests anywhere.
+  bool Settled() const { return total_queued_ == 0 && inflight_.empty(); }
   uint64_t completions() const { return completions_; }
   const sim::CounterSet& counters() const { return counters_; }
   // End-to-end latency (submit -> completion delivery) of kOk requests, us.
@@ -142,15 +138,9 @@ class Router {
 
   struct NodeView {
     bool alive = true;
-    uint64_t outstanding = 0;  // flushed, completion not yet delivered
+    uint64_t outstanding = 0;  // routed here, completion not yet delivered
     std::vector<std::string> region_kernel;
-    std::vector<serving::ServingRequest> open_batch;
-    // The open batch's timeout; every path that empties the batch cancels it.
-    sim::Engine::EventId batch_timeout = sim::Engine::kNoEvent;
-
-    // Fewer requests outstanding than the node has regions, quarantined ones
-    // counted: a region may be free, not necessarily one for this kernel.
-    bool has_idle_region() const { return outstanding < region_kernel.size(); }
+    std::vector<serving::ServingRequest> batch;  // empty between dispatch passes
   };
   struct Inflight {
     uint32_t node = 0;
@@ -163,10 +153,7 @@ class Router {
   int32_t RouteOf(const serving::ServingRequest& req) const;
   int32_t RegionHintOn(uint32_t node, const std::string& kernel) const;
   void AppendToBatch(uint32_t node, serving::ServingRequest req);
-  // Counts the flush under `key`: "router.flush.idle", "router.flush.size" or
-  // "router.flush.timeout".
-  void FlushBatch(uint32_t node, const char* key);
-  void Requeue(std::vector<serving::ServingRequest> orphans);
+  void FlushBatch(uint32_t node);
   serving::ServingCompletion LocalCompletion(const serving::ServingRequest& req,
                                              OpStatus status) const;
   void Complete(const serving::ServingCompletion& c);

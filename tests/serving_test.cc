@@ -393,11 +393,6 @@ class RouterTest : public ::testing::Test {
     });
   }
 
-  // Submits, at time 0, a request the test never completes. It keeps the
-  // node's one region busy, so the requests after it are held in a batch
-  // instead of flushing at once to an idle region.
-  void OccupyRegion() { SubmitAt(0, Req(/*tenant=*/9)); }
-
   uint64_t Count(const char* key) const { return router_->counters().value(key); }
 
   sim::Engine engine_;
@@ -409,54 +404,24 @@ class RouterTest : public ::testing::Test {
 TEST_F(RouterTest, AdmissionBucketShedsPastTheBurstBank) {
   Router::Config c;
   c.admit_period = sim::Microseconds(100);  // far slower than the burst below
-  c.bucket_burst = 3;  // one token for the occupier, two for the burst
+  c.bucket_burst = 2;
   c.batch_max = 8;
-  c.batch_timeout = sim::Microseconds(1);
   MakeRouter(c);
 
-  OccupyRegion();
   for (int i = 0; i < 5; ++i) {
     SubmitAt(sim::Microseconds(1), Req(/*tenant=*/1));
   }
   engine_.RunUntil(sim::Microseconds(50));
 
-  // 2 tokens left banked -> 2 admitted and flushed, 3 shed at the front door.
-  EXPECT_EQ(Count("router.offered"), 6u);
+  // 2 tokens banked -> 2 admitted and flushed, 3 shed at the front door.
+  EXPECT_EQ(Count("router.offered"), 5u);
   EXPECT_EQ(Count("router.shed.bucket"), 3u);
-  ASSERT_EQ(batches_.size(), 2u);
-  EXPECT_EQ(batches_[1].batch.size(), 2u);
+  ASSERT_EQ(batches_.size(), 1u);
+  EXPECT_EQ(batches_[0].batch.size(), 2u);
   ASSERT_EQ(completions_.size(), 3u);
   for (const auto& done : completions_) {
     EXPECT_EQ(done.status, OpStatus::kShed);
   }
-}
-
-TEST_F(RouterTest, BatchFlushesAtMaxSizeOrTimeoutWhicheverFirst) {
-  Router::Config c;
-  c.batch_max = 3;
-  c.batch_timeout = sim::Microseconds(20);
-  MakeRouter(c);
-
-  OccupyRegion();  // flushes at once; the region stays busy from here on
-  // Three at once: the batch hits batch_max and flushes on size.
-  for (int i = 0; i < 3; ++i) {
-    SubmitAt(sim::Microseconds(1), Req(1));
-  }
-  // One straggler: nothing fills the batch, the timeout flushes it alone. It
-  // opens its batch before the size-flushed batch's timeout (due at 21 us)
-  // comes round, so that timeout must not flush it early.
-  SubmitAt(sim::Microseconds(10), Req(1));
-  engine_.RunUntil(sim::Microseconds(100));
-
-  ASSERT_EQ(batches_.size(), 3u);
-  EXPECT_EQ(batches_[1].batch.size(), 3u);
-  EXPECT_EQ(batches_[1].at, sim::Microseconds(1));
-  EXPECT_EQ(batches_[2].batch.size(), 1u);
-  EXPECT_EQ(batches_[2].at, sim::Microseconds(30));
-  EXPECT_EQ(Count("router.flush.idle"), 1u);
-  EXPECT_EQ(Count("router.flush.size"), 1u);
-  EXPECT_EQ(Count("router.flush.timeout"), 1u);
-  EXPECT_EQ(Count("router.batches"), 3u);
 }
 
 TEST_F(RouterTest, FairQueueInterleavesTenantsRoundRobin) {
@@ -464,7 +429,6 @@ TEST_F(RouterTest, FairQueueInterleavesTenantsRoundRobin) {
   c.batch_max = 4;
   MakeRouter(c);
 
-  OccupyRegion();  // holds the four below in one batch
   // Tenant 1 floods three requests before tenant 2's single one arrives; the
   // round-robin drain (quantum 1) must not make tenant 2 wait out the flood.
   SubmitAt(sim::Microseconds(1), Req(1));
@@ -473,8 +437,8 @@ TEST_F(RouterTest, FairQueueInterleavesTenantsRoundRobin) {
   SubmitAt(sim::Microseconds(1), Req(2));
   engine_.RunUntil(sim::Microseconds(10));
 
-  ASSERT_EQ(batches_.size(), 2u);
-  const auto& b = batches_[1].batch;
+  ASSERT_EQ(batches_.size(), 1u);
+  const auto& b = batches_[0].batch;
   ASSERT_EQ(b.size(), 4u);
   EXPECT_EQ(b[0].tenant, 1u);
   EXPECT_EQ(b[1].tenant, 2u);  // interleaved, not last
@@ -485,51 +449,118 @@ TEST_F(RouterTest, FairQueueInterleavesTenantsRoundRobin) {
   }
 }
 
-// Work-conserving batching: a node with fewer requests outstanding than
-// regions takes each request at once, at its submit time; only a request
-// behind busy regions waits for a batch to fill or time out.
-TEST_F(RouterTest, IdleRegionFlushesARequestAtItsSubmitTime) {
-  Router::Config c;
-  c.batch_timeout = sim::Microseconds(5);
-  MakeRouter(c);
-  router_->SetNodeResident(0, {"k.bin", "k.bin"});  // two regions
+// One flush rule: the requests one dispatch pass routes to a node ship as one
+// batch when the pass ends. The node's one region is busy from the first
+// request on, and no request is held for it.
+TEST_F(RouterTest, BusyNodeTakesEachDispatchPassAsOneBatchAtItsSubmitTime) {
+  MakeRouter(Router::Config{});
 
+  SubmitAt(sim::Microseconds(1), Req(1));  // never completes: the region stays busy
   for (int i = 0; i < 3; ++i) {
-    SubmitAt(sim::Microseconds(3), Req(1));
+    SubmitAt(sim::Microseconds(5), Req(1));
+  }
+  for (int i = 0; i < 2; ++i) {
+    SubmitAt(sim::Microseconds(7), Req(2));
   }
   engine_.RunUntil(sim::Microseconds(50));
 
   ASSERT_EQ(batches_.size(), 3u);
-  for (int i = 0; i < 2; ++i) {  // one per idle region, at the submit time
-    EXPECT_EQ(batches_[i].batch.size(), 1u);
-    EXPECT_EQ(batches_[i].at, sim::Microseconds(3));
-  }
-  // Both regions busy: the third waits out the timeout.
-  EXPECT_EQ(batches_[2].batch.size(), 1u);
-  EXPECT_EQ(batches_[2].at, sim::Microseconds(8));
-  EXPECT_EQ(Count("router.flush.idle"), 2u);
-  EXPECT_EQ(Count("router.flush.timeout"), 1u);
+  EXPECT_EQ(batches_[0].batch.size(), 1u);
+  EXPECT_EQ(batches_[0].at, sim::Microseconds(1));
+  EXPECT_EQ(batches_[1].batch.size(), 3u);
+  EXPECT_EQ(batches_[1].at, sim::Microseconds(5));
+  EXPECT_EQ(batches_[2].batch.size(), 2u);
+  EXPECT_EQ(batches_[2].at, sim::Microseconds(7));
+  EXPECT_EQ(Count("router.flush.size"), 0u);
+  EXPECT_EQ(Count("router.batches"), 3u);
 }
 
-TEST_F(RouterTest, HeldBatchFlushesAtTheCompletionThatFreesARegion) {
+// batch_max caps a frame, not a pass: a larger burst ships as several frames
+// at the instant it arrives.
+TEST_F(RouterTest, BurstPastBatchMaxSplitsIntoCappedFramesAtOnce) {
   Router::Config c;
-  c.batch_timeout = sim::Microseconds(20);
+  c.batch_max = 3;
   MakeRouter(c);
 
-  SubmitAt(sim::Microseconds(1), Req(1));  // id 1 takes the one region
-  SubmitAt(sim::Microseconds(2), Req(1));  // ids 2 and 3 are held behind it
-  SubmitAt(sim::Microseconds(2), Req(1));
-  CompleteAt(sim::Microseconds(5), /*id=*/1, /*tenant=*/1, /*node=*/0);
+  for (int i = 0; i < 8; ++i) {
+    SubmitAt(sim::Microseconds(2), Req(1));
+  }
   engine_.RunUntil(sim::Microseconds(50));
 
+  ASSERT_EQ(batches_.size(), 3u);
+  const size_t sizes[] = {3, 3, 2};
+  for (size_t i = 0; i < batches_.size(); ++i) {
+    EXPECT_EQ(batches_[i].batch.size(), sizes[i]);
+    EXPECT_EQ(batches_[i].at, sim::Microseconds(2));
+  }
+  EXPECT_EQ(Count("router.flush.size"), 2u);
+  EXPECT_EQ(Count("router.batches"), 3u);
+}
+
+// Nothing waits at the router for a region to free, so a completion that
+// finds the tenant queues empty has nothing to ship.
+TEST_F(RouterTest, CompletionShipsNoBatch) {
+  MakeRouter(Router::Config{});
+
+  SubmitAt(sim::Microseconds(1), Req(1));
+  SubmitAt(sim::Microseconds(1), Req(1));
+  CompleteAt(sim::Microseconds(5), /*id=*/1, /*tenant=*/1, /*node=*/0);
+  engine_.RunUntil(sim::Microseconds(4));
+  EXPECT_EQ(Count("router.batches"), 1u);
+  engine_.RunUntil(sim::Microseconds(50));
+
+  EXPECT_EQ(Count("router.batches"), 1u);
+  ASSERT_EQ(batches_.size(), 1u);
+  EXPECT_EQ(batches_[0].batch.size(), 2u);
+  ASSERT_EQ(completions_.size(), 1u);
+  EXPECT_EQ(completions_[0].status, OpStatus::kOk);
+  EXPECT_FALSE(router_->Settled());  // id 2 is still in flight
+}
+
+// node_window is the one hold left at the router: a request past it waits in
+// its tenant queue and ships at the completion that frees a slot.
+TEST_F(RouterTest, FullNodeWindowHoldsARequestUntilACompletionFreesASlot) {
+  Router::Config c;
+  c.node_window = 2;
+  MakeRouter(c);
+
+  for (int i = 0; i < 3; ++i) {
+    SubmitAt(sim::Microseconds(1), Req(1));
+  }
+  engine_.RunUntil(sim::Microseconds(4));
+  ASSERT_EQ(batches_.size(), 1u);
+  EXPECT_EQ(batches_[0].batch.size(), 2u);
+
+  CompleteAt(sim::Microseconds(5), /*id=*/1, /*tenant=*/1, /*node=*/0);
+  engine_.RunUntil(sim::Microseconds(50));
   ASSERT_EQ(batches_.size(), 2u);
-  EXPECT_EQ(batches_[0].at, sim::Microseconds(1));
-  // Flushed by the completion at 5 us, not by the timeout due at 22 us.
-  EXPECT_EQ(batches_[1].batch.size(), 2u);
+  ASSERT_EQ(batches_[1].batch.size(), 1u);
+  EXPECT_EQ(batches_[1].batch[0].id, 3u);
   EXPECT_EQ(batches_[1].at, sim::Microseconds(5));
-  EXPECT_EQ(Count("router.flush.idle"), 2u);
-  EXPECT_EQ(Count("router.flush.timeout"), 0u);
-  EXPECT_EQ(Count("router.batches"), 2u);
+  EXPECT_EQ(Count("router.shed.queue_full"), 0u);
+}
+
+TEST_F(RouterTest, FullTenantQueueShedsTyped) {
+  Router::Config c;
+  c.tenant_queue_cap = 2;
+  MakeRouter(c);
+
+  // The dispatch pass runs after every submission at this instant, so tenant
+  // 1's queue holds two and sheds three; tenant 2 has its own cap.
+  for (int i = 0; i < 5; ++i) {
+    SubmitAt(sim::Microseconds(1), Req(1));
+  }
+  SubmitAt(sim::Microseconds(1), Req(2));
+  engine_.RunUntil(sim::Microseconds(10));
+
+  EXPECT_EQ(Count("router.shed.queue_full"), 3u);
+  ASSERT_EQ(completions_.size(), 3u);
+  for (const auto& done : completions_) {
+    EXPECT_EQ(done.status, OpStatus::kShed);
+    EXPECT_EQ(done.tenant, 1u);
+  }
+  ASSERT_EQ(batches_.size(), 1u);
+  EXPECT_EQ(batches_[0].batch.size(), 3u);
 }
 
 TEST_F(RouterTest, NoResidentKernelShedsTyped) {
@@ -559,9 +590,7 @@ TEST_F(RouterTest, ExpiredDeadlineCompletesTypedBeforeRouting) {
 // Detection itself is the cluster's job (cluster_test); here the death
 // arrives the way the detector delivers it.
 TEST_F(RouterTest, NodeDeathEvacuatesInflightAndReroutes) {
-  Router::Config c;
-  c.batch_timeout = 0;  // unbatched: every request flushes alone
-  MakeRouter(c, /*num_nodes=*/2);
+  MakeRouter(Router::Config{}, /*num_nodes=*/2);
 
   // One request lands on node 0 (tie-break: lowest id) and never completes.
   SubmitAt(sim::Microseconds(1), Req(1));
@@ -588,7 +617,6 @@ TEST_F(RouterTest, NodeDeathEvacuatesInflightAndReroutes) {
 
 TEST_F(RouterTest, RetriesAreCappedThenTheRequestSheds) {
   Router::Config c;
-  c.batch_timeout = 0;
   c.retry_max = 1;
   MakeRouter(c, /*num_nodes=*/2);
 
@@ -648,7 +676,6 @@ uint64_t StatusSum(const sim::CounterSet& ctr) {
 TEST(ServingFabricTest, QuarantineMidBatchCompletesTypedErrorNotHang) {
   ServingFabric::Config c = QuietFabric(/*num_nodes=*/1, /*regions_per_node=*/1);
   c.router.batch_max = 8;
-  c.router.batch_timeout = sim::Microseconds(5);
   // The storm quarantines the fabric's only region from 30us to 130us.
   c.storms = {{sim::Microseconds(30), 0, 0, sim::Microseconds(100)}};
   // Background open-loop traffic keeps the fabric live through every phase
@@ -834,7 +861,7 @@ TEST(ServingFabricTest, SameSeedFingerprintIsShardPlacementInvariant) {
   const uint64_t golden = run(1);
   // Pinned, not only compared run against run: a change that shifts every
   // placement the same way still fails here.
-  EXPECT_EQ(golden, 0x3fba21d42da21a25ull);
+  EXPECT_EQ(golden, 0x7e96aee69150ff15ull);
   EXPECT_EQ(run(1), golden);  // same-seed rerun
   EXPECT_EQ(run(2), golden);
   EXPECT_EQ(run(4), golden);

@@ -504,10 +504,10 @@ TEST(CounterSetTest, IncrementOnlyFingerprintIsPinned) {
   c.Increment("router.done.ok", 3);
   c.Increment("sched.submitted.tenant7");
   c.Increment("sched.submitted.tenant7");
-  c.Increment("router.flush.timeout");
+  c.Increment("router.flush.size");
   c.Increment("tier.promotions", 5);
   EXPECT_EQ(c.total(), 11u);
-  EXPECT_EQ(c.Fingerprint(), 0x8b1cfb1d011c52b6ull);
+  EXPECT_EQ(c.Fingerprint(), 0x6fa573df8ed20cccull);
 }
 
 TEST(CounterSetTest, RecordFoldsOrderFieldsAndTime) {
