@@ -1,23 +1,9 @@
 #include "src/runtime/scheduler.h"
 
-#include <algorithm>
 #include <charconv>
 
 namespace coyote {
 namespace runtime {
-
-size_t KernelScheduler::PickRequest() {
-  if (policy_ != Policy::kPriority) {
-    return 0;  // FIFO head
-  }
-  size_t best = 0;
-  for (size_t i = 1; i < queue_.size(); ++i) {
-    if (queue_[i].priority > queue_[best].priority) {
-      best = i;
-    }
-  }
-  return best;
-}
 
 int KernelScheduler::PickRegion(const Request& request) {
   auto eligible = [this, &request](uint32_t i) {
@@ -109,23 +95,24 @@ void KernelScheduler::DoSchedule() {
   dispatching_ = true;
   do {
     rerun_needed_ = false;
-    while (!queue_.empty()) {
-      const size_t req_index = PickRequest();
-      const int region = PickRegion(queue_[req_index]);
-      if (region < 0) {
-        // A require_resident request with no eligible resident region left
-        // anywhere (the resident region was quarantined or reset) can never
-        // proceed without a reconfiguration the serving tier forbids: fail it
-        // fast with a typed error and keep draining. Otherwise the head
-        // waits — a busy region will free up and re-enter Schedule().
-        if (queue_[req_index].require_resident &&
-            !ResidentAnywhereEligible(queue_[req_index].bitstream_path)) {
-          FailRequest(req_index, OpStatus::kError, "sched.failed.no_resident");
-          continue;
-        }
-        break;
+    // One scan in policy order dispatches every request a region can take
+    // now. A require_resident request that no eligible region holds (its
+    // region was quarantined or reset) would need a reconfiguration the
+    // serving tier forbids: it fails fast with a typed error. Any other
+    // request waits for a completion to re-enter Schedule(). Only
+    // require_resident lets a request pass a waiting one, and only onto a
+    // region the waiting one cannot use.
+    size_t i = 0;
+    while (i < queue_.size()) {
+      const int region = PickRegion(queue_[i]);
+      if (region >= 0) {
+        Dispatch(i, static_cast<uint32_t>(region));
+      } else if (queue_[i].require_resident &&
+                 !ResidentAnywhereEligible(queue_[i].bitstream_path)) {
+        FailRequest(i, OpStatus::kError, "sched.failed.no_resident");
+      } else {
+        ++i;
       }
-      Dispatch(req_index, static_cast<uint32_t>(region));
     }
   } while (rerun_needed_);
   dispatching_ = false;
@@ -193,16 +180,12 @@ void KernelScheduler::SetQuarantined(uint32_t vfpga_id, bool quarantined) {
     return;
   }
   state.quarantined = quarantined;
-  if (quarantined) {
-    stats_.Increment("sched.quarantine.on");
-    // Queued require_resident requests stranded by this quarantine fail fast
-    // in the next DoSchedule pass rather than waiting on a readmission that
-    // may never come.
-    Schedule();
-  } else {
-    stats_.Increment("sched.quarantine.off");
-    Schedule();  // re-admitted: queued work may land here again
-  }
+  stats_.Increment(quarantined ? "sched.quarantine.on" : "sched.quarantine.off");
+  // Either edge changes what the queue can do: queued require_resident
+  // requests stranded by a quarantine fail fast in the next pass rather than
+  // waiting on a readmission that may never come, and a re-admitted region
+  // takes queued work again.
+  Schedule();
 }
 
 void KernelScheduler::NoteRegionReset(uint32_t vfpga_id,

@@ -7,16 +7,19 @@
 // the scheduler places each request on a free vFPGA, reconfiguring the
 // region when the resident kernel differs.
 //
-// Policies:
-//   kFcfs     — first come, first served onto the first free region.
-//   kPriority — highest priority first among queued requests.
-//   kAffinity — prefer a free region that already holds the requested
-//               kernel, avoiding the reconfiguration entirely (the paper's
-//               daemon pattern: hot kernels stay resident).
+// Each pass dispatches, in queue order, every queued request a region can
+// take now: a request waits only while no region that can run it is free.
+// The policy orders the queue and picks the region:
+//   kFcfs     — arrival order, onto the first free region.
+//   kPriority — highest priority first, arrival order among equals.
+//   kAffinity — arrival order, preferring a free region that already holds
+//               the requested kernel, avoiding the reconfiguration entirely
+//               (the paper's daemon pattern: hot kernels stay resident).
 
 #ifndef SRC_RUNTIME_SCHEDULER_H_
 #define SRC_RUNTIME_SCHEDULER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -73,14 +76,21 @@ class KernelScheduler {
     sim::AccessLedger::Global().DeclareOrdered(sim::kActorHost, sim::kActorScheduler);
   }
 
-  // Enqueues the request; dispatch happens from the event loop (so a batch
-  // of submissions is scheduled together, respecting the policy).
+  // Enqueues the request in policy order; dispatch happens from the event
+  // loop, so a batch of submissions is scheduled together.
   void Submit(Request request) {
     queue_guard_.Write();
     stats_.Increment("sched.submitted");
     CountTenant("sched.submitted.tenant", request.tenant);
     depth_hist_.Add(queue_.size() + 1);
-    queue_.push_back(std::move(request));
+    auto at = queue_.end();
+    if (policy_ == Policy::kPriority) {  // after every request of equal or higher priority
+      at = std::upper_bound(queue_.begin(), queue_.end(), request,
+                            [](const Request& a, const Request& b) {
+                              return a.priority > b.priority;
+                            });
+    }
+    queue_.insert(at, std::move(request));
     Schedule();
   }
 
@@ -136,7 +146,6 @@ class KernelScheduler {
 
   void Schedule();
   void DoSchedule();
-  size_t PickRequest();
   int PickRegion(const Request& request);
   void Dispatch(size_t request_index, uint32_t vfpga_id);
   // True when some non-quarantined region (busy or not) holds the kernel.

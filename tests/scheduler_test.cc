@@ -62,6 +62,34 @@ class SchedulerTest : public ::testing::Test {
     return r;
   }
 
+  struct Start {
+    std::string tag;
+    uint32_t region;
+    sim::TimePs at;
+  };
+
+  // A request that logs when and where it starts, then holds its region for
+  // `hold` of simulated time.
+  KernelScheduler::Request HoldingRequest(const std::string& path, sim::TimePs hold,
+                                          std::vector<Start>* log, const std::string& tag) {
+    KernelScheduler::Request r;
+    r.bitstream_path = path;
+    r.run = [this, hold, log, tag](uint32_t vfpga_id, std::function<void()> done) {
+      log->push_back({tag, vfpga_id, dev_->engine().Now()});
+      dev_->engine().ScheduleAfter(hold, std::move(done));
+    };
+    return r;
+  }
+
+  // Region 0 holds hll.bin, region 1 aes.bin: recorded as resident without
+  // loading either (require_resident work never reconfigures).
+  void MakeKernelsResident(KernelScheduler& sched) {
+    sched.NoteRegionReset(0, "/bit/hll.bin");
+    sched.NoteRegionReset(1, "/bit/aes.bin");
+  }
+
+  void RunFor(sim::TimePs span) { dev_->engine().RunUntil(dev_->engine().Now() + span); }
+
   std::unique_ptr<SimDevice> dev_;
 };
 
@@ -278,6 +306,93 @@ TEST_F(SchedulerTest, TracksPerTenantDepthAndQuarantine) {
   dev_->WaitFor([&] { return sched.Idle(); });
   EXPECT_EQ(sched.stats().value("sched.dispatched.tenant7"), 2u);  // drained
   EXPECT_EQ(sched.stats().value("sched.dispatched.tenant9"), 1u);
+}
+
+// --- No head-of-line blocking: a request waits only for a region that can run it
+
+TEST_F(SchedulerTest, ResidentRequestRunsWhileAnotherKernelWaitsForItsBusyRegion) {
+  KernelScheduler sched(dev_.get(), KernelScheduler::Policy::kAffinity);
+  MakeKernelsResident(sched);
+  std::vector<Start> log;
+  const auto resident = [&](const std::string& path, const std::string& tag) {
+    KernelScheduler::Request r = HoldingRequest(path, sim::Milliseconds(10), &log, tag);
+    r.require_resident = true;
+    return r;
+  };
+  sched.Submit(resident("/bit/hll.bin", "a1"));  // holds region 0 for 10 ms
+  RunFor(sim::Microseconds(10));
+  sched.Submit(resident("/bit/hll.bin", "a2"));  // queues behind a1
+  RunFor(sim::Microseconds(10));
+  const sim::TimePs b_submitted = dev_->engine().Now();
+  sched.Submit(resident("/bit/aes.bin", "b"));
+  dev_->WaitFor([&] { return sched.Idle(); });
+
+  ASSERT_EQ(log.size(), 3u);
+  // b's region is idle, so b runs at once instead of waiting behind a2.
+  EXPECT_EQ(log[1].tag, "b");
+  EXPECT_EQ(log[1].region, 1u);
+  EXPECT_EQ(log[1].at, b_submitted);
+  // a2 runs only when a1 frees region 0.
+  EXPECT_EQ(log[2].tag, "a2");
+  EXPECT_EQ(log[2].region, 0u);
+  EXPECT_EQ(log[2].at, log[0].at + sim::Milliseconds(10));
+  EXPECT_EQ(sched.reconfigurations(), 0u);
+}
+
+TEST_F(SchedulerTest, PriorityResidentRequestPassesOnlyRequestsBlockedOnAnotherRegion) {
+  KernelScheduler sched(dev_.get(), KernelScheduler::Policy::kPriority);
+  MakeKernelsResident(sched);
+  std::vector<Start> log;
+  const auto resident = [&](const std::string& path, uint32_t priority, const std::string& tag) {
+    KernelScheduler::Request r = HoldingRequest(path, sim::Milliseconds(1), &log, tag);
+    r.priority = priority;
+    r.require_resident = true;
+    return r;
+  };
+  sched.Submit(resident("/bit/hll.bin", 0, "fill"));  // holds region 0
+  RunFor(sim::Microseconds(10));
+  const sim::TimePs submitted = dev_->engine().Now();
+  sched.Submit(resident("/bit/hll.bin", 1, "a_low"));
+  sched.Submit(resident("/bit/hll.bin", 9, "a_high1"));
+  sched.Submit(resident("/bit/hll.bin", 9, "a_high2"));
+  sched.Submit(resident("/bit/aes.bin", 0, "b_low"));
+  dev_->WaitFor([&] { return sched.Idle(); });
+
+  std::vector<std::string> order;
+  for (const Start& s : log) {
+    order.push_back(s.tag);
+  }
+  // b_low passes every blocked A request, whatever its priority, because
+  // none of them can use region 1. The A requests keep priority order, and
+  // equal priorities keep arrival order.
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"fill", "b_low", "a_high1", "a_high2", "a_low"}));
+  ASSERT_EQ(log.size(), 5u);
+  EXPECT_EQ(log[1].at, submitted);
+  EXPECT_EQ(log[1].region, 1u);
+}
+
+TEST_F(SchedulerTest, WithoutRequireResidentABlockedHeadHoldsEveryLaterRequest) {
+  KernelScheduler sched(dev_.get(), KernelScheduler::Policy::kAffinity);
+  MakeKernelsResident(sched);
+  std::vector<Start> log;
+  sched.Submit(HoldingRequest("/bit/hll.bin", sim::Seconds(1), &log, "a_fill"));
+  sched.Submit(HoldingRequest("/bit/aes.bin", sim::Milliseconds(1), &log, "b_fill"));
+  RunFor(sim::Microseconds(10));
+  sched.Submit(HoldingRequest("/bit/hll.bin", sim::Milliseconds(1), &log, "a"));
+  sched.Submit(HoldingRequest("/bit/aes.bin", sim::Milliseconds(1), &log, "b"));
+  dev_->WaitFor([&] { return sched.Idle(); });
+
+  // b_fill frees region 1 first. Any request may use it, so the head, a,
+  // takes it (reconfiguring it) although b's kernel was the one resident
+  // there, and b waits for a.
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_EQ(log[2].tag, "a");
+  EXPECT_EQ(log[2].region, 1u);
+  EXPECT_EQ(log[3].tag, "b");
+  EXPECT_EQ(log[3].region, 1u);
+  EXPECT_GE(log[3].at, log[2].at + sim::Milliseconds(1));
+  EXPECT_EQ(sched.reconfigurations(), 2u);
 }
 
 }  // namespace
