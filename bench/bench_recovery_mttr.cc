@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/runtime/crcnfg.h"
 #include "src/runtime/cthread.h"
 #include "src/runtime/device.h"
 #include "src/runtime/supervisor.h"
@@ -109,7 +110,7 @@ Outcome RunScenario(Mode mode, uint64_t seed, sim::Engine* engine = nullptr) {
     // not this setup step.
     dev.vfpga(0).LoadKernel(std::make_unique<services::PassthroughKernel>());
   } else {
-    if (!dev.ReconfigureApp("/bit/app.bin", 0).ok) {
+    if (!runtime::CRcnfg(&dev).ReconfigureApp("/bit/app.bin", 0).ok) {
       return result;
     }
   }

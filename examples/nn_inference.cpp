@@ -47,9 +47,13 @@ int main() {
   cfg.shell.num_vfpgas = 1;
   runtime::SimDevice device(cfg);
   hlscompat::CoyoteOverlay overlay(&device, built);
-  const sim::TimePs program_time = overlay.ProgramFpga();
+  const runtime::SimDevice::ReconfigResult programmed = overlay.ProgramFpga();
+  if (!programmed.ok) {
+    std::fprintf(stderr, "program_fpga() failed: %s\n", programmed.error.c_str());
+    return 1;
+  }
   std::printf("program_fpga(): partial reconfiguration in %.1f ms\n",
-              sim::ToMilliseconds(program_time));
+              sim::ToMilliseconds(programmed.total_latency));
 
   const auto pred_fpga = overlay.Predict(features, kSamples, /*batch_size=*/256);
   std::printf("predict(): %zu samples at %.2f M samples/s, outputs %s emulation\n", kSamples,

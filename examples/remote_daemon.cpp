@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -83,6 +84,30 @@ int main() {
   const uint64_t result_zone = client_thread.GetMem({runtime::Alloc::kHpf, kZone});
 
   int jobs_served = 0;
+  // One daemon worker cThread per region. A job runs inside the scheduler's
+  // dispatch event, so it never blocks: a posted BAR write sets the job's
+  // control register, the invoke follows it, and the worker's completion
+  // callback writes the result back to the client and frees the region.
+  struct Worker {
+    std::unique_ptr<runtime::cThread> thread;
+    uint64_t out_addr = 0;
+    uint64_t out_bytes = 0;
+    std::function<void()> job_done;
+  };
+  std::vector<Worker> workers(server.num_vfpgas());
+  for (uint32_t r = 0; r < workers.size(); ++r) {
+    Worker& w = workers[r];
+    w.thread = std::make_unique<runtime::cThread>(&server, r);
+    w.thread->SetCompletionCallback([&](runtime::cThread::Task, runtime::OpStatus) {
+      // Push the result back into the client's result zone.
+      server.roce()->PostWrite(qp_s, w.out_addr, result_zone, w.out_bytes, [&](bool) {
+        ++jobs_served;
+        std::function<void()> job_done = std::move(w.job_done);
+        job_done();
+      });
+    });
+  }
+
   // The daemon: a SEND announces a request; data is already in the landing
   // zone (client WRITEs it first). The scheduler places the job.
   server.roce()->SetRecvHandler(qp_s, [&](std::vector<uint8_t> msg) {
@@ -91,26 +116,21 @@ int main() {
     runtime::KernelScheduler::Request job;
     job.bitstream_path = req.kind == 0 ? "/bit/hll.bin" : "/bit/aes.bin";
     job.run = [&, req](uint32_t vfpga, std::function<void()> job_done) {
-      runtime::cThread worker(&server, vfpga);
-      if (req.kind == 1) {
-        worker.SetCsr(req.key, services::kAesCsrKeyLo);
-      } else {
-        worker.SetCsr(1, services::kHllCsrCtrl);  // clear the sketch
-      }
-      const uint64_t out_bytes = req.kind == 0 ? 8 : req.bytes;
-      const uint64_t out_addr = server_main.GetMem({runtime::Alloc::kHpf, out_bytes});
-      runtime::SgEntry sg;
-      sg.local = {.src_addr = landing, .src_len = req.bytes, .dst_addr = out_addr,
-                  .dst_len = out_bytes, .src_stream = 0, .dst_stream = 0};
-      const bool ok = worker.InvokeSync(runtime::Oper::kLocalTransfer, sg);
-      // Push the result back into the client's result zone.
-      server.roce()->PostWrite(qp_s, out_addr, result_zone, out_bytes,
-                               [&, job_done = std::move(job_done), ok](bool sent) mutable {
-                                 ++jobs_served;
-                                 (void)sent;
-                                 (void)ok;
-                                 job_done();
-                               });
+      workers[vfpga].job_done = std::move(job_done);
+      server.engine().ScheduleAfter(dyn::XdmaCore::kBarWriteLatency, [&, req, vfpga]() {
+        if (req.kind == 1) {
+          server.vfpga(vfpga).csr().Write(services::kAesCsrKeyLo, req.key);
+        } else {
+          server.vfpga(vfpga).csr().Write(services::kHllCsrCtrl, 1);  // clear the sketch
+        }
+        Worker& w = workers[vfpga];
+        w.out_bytes = req.kind == 0 ? 8 : req.bytes;
+        w.out_addr = server_main.GetMem({runtime::Alloc::kHpf, w.out_bytes});
+        runtime::SgEntry sg;
+        sg.local = {.src_addr = landing, .src_len = req.bytes, .dst_addr = w.out_addr,
+                    .dst_len = w.out_bytes, .src_stream = 0, .dst_stream = 0};
+        w.thread->Invoke(runtime::Oper::kLocalTransfer, sg);
+      });
     };
     scheduler.Submit(std::move(job));
   });

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/runtime/crcnfg.h"
 #include "src/services/nn.h"
 
 namespace coyote {
@@ -24,6 +25,16 @@ fabric::PartialBitstream MakeAppBitstream(runtime::SimDevice* dev,
   return bs;
 }
 
+// The one ProgramFpga body of both overlays; `programmed` records success.
+runtime::SimDevice::ReconfigResult Program(runtime::SimDevice* dev, const CompiledModel& model,
+                                           uint32_t vfpga_id, bool* programmed) {
+  dev->WriteBitstreamFile(kBitstreamPath, MakeAppBitstream(dev, model, vfpga_id));
+  runtime::SimDevice::ReconfigResult result =
+      runtime::CRcnfg(dev).ReconfigureApp(kBitstreamPath, vfpga_id);
+  *programmed = result.ok;
+  return result;
+}
+
 }  // namespace
 
 CoyoteOverlay::CoyoteOverlay(runtime::SimDevice* dev, CompiledModel model, uint32_t vfpga_id)
@@ -34,12 +45,8 @@ CoyoteOverlay::CoyoteOverlay(runtime::SimDevice* dev, CompiledModel model, uint3
   });
 }
 
-sim::TimePs CoyoteOverlay::ProgramFpga() {
-  dev_->WriteBitstreamFile(kBitstreamPath, MakeAppBitstream(dev_, model_, vfpga_id_));
-  const auto result = dev_->ReconfigureApp(kBitstreamPath, vfpga_id_);
-  assert(result.ok);
-  programmed_ = true;
-  return result.total_latency;
+runtime::SimDevice::ReconfigResult CoyoteOverlay::ProgramFpga() {
+  return Program(dev_, model_, vfpga_id_, &programmed_);
 }
 
 InferenceResult CoyoteOverlay::Predict(const std::vector<int8_t>& inputs, size_t num_samples,
@@ -92,12 +99,8 @@ PynqBaseline::PynqBaseline(runtime::SimDevice* dev, CompiledModel model, uint32_
   });
 }
 
-sim::TimePs PynqBaseline::ProgramFpga() {
-  dev_->WriteBitstreamFile(kBitstreamPath, MakeAppBitstream(dev_, model_, vfpga_id_));
-  const auto result = dev_->ReconfigureApp(kBitstreamPath, vfpga_id_);
-  assert(result.ok);
-  programmed_ = true;
-  return result.total_latency;
+runtime::SimDevice::ReconfigResult PynqBaseline::ProgramFpga() {
+  return Program(dev_, model_, vfpga_id_, &programmed_);
 }
 
 InferenceResult PynqBaseline::Predict(const std::vector<int8_t>& inputs, size_t num_samples,

@@ -36,9 +36,9 @@ class CoyoteOverlay {
  public:
   CoyoteOverlay(runtime::SimDevice* dev, CompiledModel model, uint32_t vfpga_id = 0);
 
-  // Loads the NN kernel into the vFPGA (partial reconfiguration). Returns
-  // the reconfiguration latency.
-  sim::TimePs ProgramFpga();
+  // Loads the NN kernel into the vFPGA through cRcnfg (partial
+  // reconfiguration) and returns its result. Predict needs an ok one.
+  runtime::SimDevice::ReconfigResult ProgramFpga();
 
   // Batched inference: `num_samples` samples of spec.input_dim() int8
   // features each, processed in batches of `batch_size`.
@@ -65,7 +65,7 @@ class PynqBaseline {
 
   PynqBaseline(runtime::SimDevice* dev, CompiledModel model, uint32_t vfpga_id = 0);
 
-  sim::TimePs ProgramFpga();
+  runtime::SimDevice::ReconfigResult ProgramFpga();  // as CoyoteOverlay's
   InferenceResult Predict(const std::vector<int8_t>& inputs, size_t num_samples,
                           size_t batch_size);
 

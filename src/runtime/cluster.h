@@ -5,8 +5,9 @@
 // watches node health above them. A Cluster is that shape and nothing more:
 //
 //   nodes       logical nodes 0..N-1, one SimDevice each with every region's
-//               kernel preloaded host-side (reconfiguration nests an engine
-//               run, so it never happens inside a shard callback);
+//               kernel preloaded host-side (a shard callback may still
+//               reprogram a region: SimDevice::ReconfigureApp is
+//               event-driven, and no callback ever runs an engine);
 //   control     logical node N, where the workload's control plane lives
 //               (the Orchestrator of a Fleet, the Router of a ServingFabric);
 //   placement   logical node i runs on shard RoundRobin(N + 1, shards)[i];

@@ -6,11 +6,20 @@
 //
 // Paths resolve through the device's bitstream store (the simulated
 // filesystem the build flows emit into).
+//
+// Like the paper's host call, each method blocks: it starts the device's
+// event-driven reconfiguration and waits for its completion with
+// SimDevice::WaitFor. That makes cRcnfg host code: it must never be called
+// from inside an event (the scheduler and the supervisor call the device's
+// event-driven form instead).
 
 #ifndef SRC_RUNTIME_CRCNFG_H_
 #define SRC_RUNTIME_CRCNFG_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "src/runtime/device.h"
 
@@ -22,12 +31,16 @@ class CRcnfg {
   explicit CRcnfg(SimDevice* dev) : dev_(dev) {}
 
   SimDevice::ReconfigResult ReconfigureShell(const std::string& bitstream_path) {
-    return dev_->ReconfigureShell(bitstream_path);
+    return Wait([&](SimDevice::ReconfigDone done) {
+      dev_->ReconfigureShell(bitstream_path, std::move(done));
+    });
   }
 
   SimDevice::ReconfigResult ReconfigureApp(const std::string& bitstream_path,
                                            uint32_t vfpga_id) {
-    return dev_->ReconfigureApp(bitstream_path, vfpga_id);
+    return Wait([&](SimDevice::ReconfigDone done) {
+      dev_->ReconfigureApp(bitstream_path, vfpga_id, std::move(done));
+    });
   }
 
   // Tries `primary`; if every ICAP attempt on it fails (e.g. under fault
@@ -37,17 +50,27 @@ class CRcnfg {
   SimDevice::ReconfigResult ReconfigureAppWithFallback(const std::string& primary,
                                                        const std::string& fallback,
                                                        uint32_t vfpga_id) {
-    SimDevice::ReconfigResult first = dev_->ReconfigureApp(primary, vfpga_id);
+    SimDevice::ReconfigResult first = ReconfigureApp(primary, vfpga_id);
     if (first.ok) {
       return first;
     }
-    SimDevice::ReconfigResult second = dev_->ReconfigureApp(fallback, vfpga_id);
+    SimDevice::ReconfigResult second = ReconfigureApp(fallback, vfpga_id);
     second.attempts += first.attempts;
     second.used_fallback = true;
     return second;
   }
 
  private:
+  // Starts a reconfiguration through `start` and runs the engine until its
+  // on_done reports.
+  template <typename Start>
+  SimDevice::ReconfigResult Wait(Start start) {
+    std::optional<SimDevice::ReconfigResult> result;
+    start([&result](const SimDevice::ReconfigResult& r) { result = r; });
+    dev_->WaitFor([&result] { return result.has_value(); });
+    return result.value_or(SimDevice::ReconfigResult{});
+  }
+
   SimDevice* dev_;
 };
 

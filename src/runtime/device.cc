@@ -180,17 +180,14 @@ void SimDevice::RegisterKernelFactory(const std::string& name, KernelFactory fac
   kernel_factories_[name] = std::move(factory);
 }
 
-std::unique_ptr<vfpga::HwKernel> SimDevice::MakeKernelFor(const std::string& bitstream_name) {
+const SimDevice::KernelFactory* SimDevice::FactoryFor(const std::string& bitstream_name) const {
   // "app:<kernel>" -> "<kernel>".
   std::string key = bitstream_name;
   if (key.rfind("app:", 0) == 0) {
     key = key.substr(4);
   }
   auto it = kernel_factories_.find(key);
-  if (it == kernel_factories_.end()) {
-    return nullptr;
-  }
-  return it->second();
+  return it == kernel_factories_.end() ? nullptr : &it->second;
 }
 
 void SimDevice::WriteBitstreamFile(const std::string& path,
@@ -203,110 +200,107 @@ const fabric::PartialBitstream* SimDevice::FindBitstreamFile(const std::string& 
   return it == bitstream_files_.end() ? nullptr : &it->second;
 }
 
-SimDevice::ReconfigResult SimDevice::StageAndProgram(const fabric::PartialBitstream& bs) {
-  ReconfigResult result;
-  const sim::TimePs start = engine_->Now();
-  for (uint32_t attempt = 0; attempt < kReconfigMaxRetries && !result.ok; ++attempt) {
-    ++result.attempts;
-
-    // Host side: read the bitstream from disk and copy it into kernel space
-    // (the Table 3 "total latency" components). An aborted program restages
-    // from scratch — the driver re-validates the whole pipeline.
-    const sim::TimePs disk = sim::TransferTime(bs.size_bytes, kDiskReadBps);
-    const sim::TimePs copy = sim::TransferTime(bs.size_bytes, kKernelCopyBps);
-    const sim::TimePs staged_at = engine_->Now() + kIoctlLatency + disk + copy;
-
-    // ...then the ICAP programs the region (the "kernel latency").
-    bool done = false;
-    engine_->ScheduleAt(staged_at, [this, &bs, &done, &result]() {
-      reconfig_->ProgramAsync(bs.size_bytes, [this, &done, &result](bool ok) {
-        if (ok) {
-          xdma_->RaiseMsix(dyn::kMsixReconfigDone, 0);
-          result.ok = true;
-        }
-        done = true;
-      });
-    });
-    engine_->RunUntilCondition([&done]() { return done; });
-  }
-
-  result.kernel_latency = reconfig_->ProgramLatency(bs.size_bytes);
-  result.total_latency = engine_->Now() - start;
-  if (!result.ok) {
-    result.error =
-        "ICAP programming failed after " + std::to_string(result.attempts) + " attempts";
-  }
-  return result;
+void SimDevice::StageAndProgram(uint64_t bytes, sim::TimePs start, uint32_t attempt,
+                                ReconfigDone on_done) {
+  // Host side: read the bitstream from disk and copy it into kernel space
+  // (the Table 3 "total latency" components). An aborted program restages
+  // from scratch — the driver re-validates the whole pipeline.
+  const sim::TimePs disk = sim::TransferTime(bytes, kDiskReadBps);
+  const sim::TimePs copy = sim::TransferTime(bytes, kKernelCopyBps);
+  auto finish = [this, bytes, start, attempt, on_done = std::move(on_done)](bool ok) mutable {
+    if (!ok && attempt < kReconfigMaxRetries) {
+      StageAndProgram(bytes, start, attempt + 1, std::move(on_done));
+      return;
+    }
+    ReconfigResult result;
+    result.ok = ok;
+    result.attempts = attempt;
+    result.kernel_latency = reconfig_->ProgramLatency(bytes);
+    result.total_latency = engine_->Now() - start;
+    if (ok) {
+      xdma_->RaiseMsix(dyn::kMsixReconfigDone, 0);
+    } else {
+      result.error = "ICAP programming failed after " + std::to_string(attempt) + " attempts";
+    }
+    on_done(result);
+  };
+  // ...then the ICAP programs the region (the "kernel latency").
+  engine_->ScheduleAfter(kIoctlLatency + disk + copy,
+                         [this, bytes, finish = std::move(finish)]() mutable {
+                           reconfig_->ProgramAsync(bytes, std::move(finish));
+                         });
 }
 
-SimDevice::ReconfigResult SimDevice::ReconfigureShell(const std::string& bitstream_path) {
-  ReconfigResult result;
+void SimDevice::FailReconfig(std::string error, ReconfigDone on_done) {
+  engine_->ScheduleAfter(0, [error = std::move(error), on_done = std::move(on_done)]() {
+    ReconfigResult result;
+    result.error = error;
+    on_done(result);
+  });
+}
+
+void SimDevice::ReconfigureShell(const std::string& bitstream_path, ReconfigDone on_done) {
+  const fabric::PartialBitstream* bs = FindBitstreamFile(bitstream_path);
+  std::string error;
   if (config_.v1_compat) {
-    result.error = "Coyote v1 cannot reconfigure the service layer without a reboot";
-    return result;
+    error = "Coyote v1 cannot reconfigure the service layer without a reboot";
+  } else if (bs == nullptr) {
+    error = "no such bitstream: " + bitstream_path;
+  } else if (!bs->IsShell()) {
+    error = "bitstream does not target the shell (dynamic) layer";
   }
-  const fabric::PartialBitstream* bs = FindBitstreamFile(bitstream_path);
-  if (bs == nullptr) {
-    result.error = "no such bitstream: " + bitstream_path;
-    return result;
+  if (!error.empty()) {
+    FailReconfig(std::move(error), std::move(on_done));
+    return;
   }
-  if (!bs->IsShell()) {
-    result.error = "bitstream does not target the shell (dynamic) layer";
-    return result;
-  }
-
-  result = StageAndProgram(*bs);
-  if (!result.ok) {
-    // Programming never completed: the previous shell stays active.
-    return result;
-  }
-
-  // Swap the service layer and reset the application regions: a shell
-  // reconfiguration replaces both (§4).
-  TearDownShellServices();
-  active_shell_ = bs->shell_config;
-  for (auto& region : vfpgas_) {
-    region->UnloadKernel();
-  }
-  BuildShellServices();
-  return result;
+  auto swap = [this, shell = bs->shell_config,
+               on_done = std::move(on_done)](const ReconfigResult& result) {
+    // A failed program leaves the previous shell active. A good one swaps the
+    // service layer and resets the application regions: a shell
+    // reconfiguration replaces both (§4).
+    if (result.ok) {
+      TearDownShellServices();
+      active_shell_ = shell;
+      for (auto& region : vfpgas_) {
+        region->UnloadKernel();
+      }
+      BuildShellServices();
+    }
+    on_done(result);
+  };
+  StageAndProgram(bs->size_bytes, engine_->Now(), 1, std::move(swap));
 }
 
-SimDevice::ReconfigResult SimDevice::ReconfigureApp(const std::string& bitstream_path,
-                                                    uint32_t vfpga_id) {
-  ReconfigResult result;
+void SimDevice::ReconfigureApp(const std::string& bitstream_path, uint32_t vfpga_id,
+                               ReconfigDone on_done) {
   const fabric::PartialBitstream* bs = FindBitstreamFile(bitstream_path);
+  const KernelFactory* factory = bs == nullptr ? nullptr : FactoryFor(bs->name);
+  std::string error;
   if (bs == nullptr) {
-    result.error = "no such bitstream: " + bitstream_path;
-    return result;
+    error = "no such bitstream: " + bitstream_path;
+  } else if (bs->IsShell()) {
+    error = "bitstream targets the shell, not a vFPGA region";
+  } else if (vfpga_id >= vfpgas_.size()) {
+    error = "vFPGA index out of range";
+  } else if (bs->shell_config_id != active_shell_.ConfigId()) {
+    // Link-time fail-safe (§4): the app must have been linked against the
+    // currently active shell configuration.
+    error = "bitstream was linked against a different shell configuration";
+  } else if (factory == nullptr) {
+    error = "no kernel registered for bitstream '" + bs->name + "'";
   }
-  if (bs->IsShell()) {
-    result.error = "bitstream targets the shell, not a vFPGA region";
-    return result;
+  if (!error.empty()) {
+    FailReconfig(std::move(error), std::move(on_done));
+    return;
   }
-  if (vfpga_id >= vfpgas_.size()) {
-    result.error = "vFPGA index out of range";
-    return result;
-  }
-  // Link-time fail-safe (§4): the app must have been linked against the
-  // currently active shell configuration.
-  if (bs->shell_config_id != active_shell_.ConfigId()) {
-    result.error = "bitstream was linked against a different shell configuration";
-    return result;
-  }
-  std::unique_ptr<vfpga::HwKernel> kernel = MakeKernelFor(bs->name);
-  if (kernel == nullptr) {
-    result.error = "no kernel registered for bitstream '" + bs->name + "'";
-    return result;
-  }
-
-  result = StageAndProgram(*bs);
-  if (!result.ok) {
-    // The region keeps whatever it held before the failed program.
-    return result;
-  }
-  vfpgas_[vfpga_id]->LoadKernel(std::move(kernel));
-  return result;
+  auto load = [this, vfpga_id, make = *factory,
+               on_done = std::move(on_done)](const ReconfigResult& result) {
+    if (result.ok) {  // a failed program leaves the region with what it held
+      vfpgas_[vfpga_id]->LoadKernel(make());
+    }
+    on_done(result);
+  };
+  StageAndProgram(bs->size_bytes, engine_->Now(), 1, std::move(load));
 }
 
 void SimDevice::AttachFaultInjector(sim::FaultInjector* injector) {

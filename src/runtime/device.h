@@ -152,9 +152,16 @@ class SimDevice {
     uint32_t attempts = 0;           // ICAP programming attempts consumed
     bool used_fallback = false;      // cRcnfg fell back to a secondary bitstream
   };
-  // Synchronous from the caller's perspective: advances the engine.
-  ReconfigResult ReconfigureShell(const std::string& bitstream_path);
-  ReconfigResult ReconfigureApp(const std::string& bitstream_path, uint32_t vfpga_id);
+  using ReconfigDone = std::function<void(const ReconfigResult&)>;
+  // Event-driven, like the driver's ioctl and the shell's done interrupt: the
+  // call returns at once and `on_done` runs exactly once, always from an
+  // event and never inside the call — when the ICAP raises kMsixReconfigDone,
+  // after the retry budget is spent, or one zero-delay event after a
+  // validation failure. The rest of the device keeps running meanwhile.
+  // cRcnfg is the blocking host-side form.
+  void ReconfigureShell(const std::string& bitstream_path, ReconfigDone on_done);
+  void ReconfigureApp(const std::string& bitstream_path, uint32_t vfpga_id,
+                      ReconfigDone on_done);
 
   // --- Interrupt dispatch (driver -> user space eventfd) ---------------------------
   using UserInterruptCallback = std::function<void(uint32_t vfpga_id, uint64_t value)>;
@@ -199,8 +206,13 @@ class SimDevice {
  private:
   void BuildShellServices();
   void TearDownShellServices();
-  ReconfigResult StageAndProgram(const fabric::PartialBitstream& bs);
-  std::unique_ptr<vfpga::HwKernel> MakeKernelFor(const std::string& bitstream_name);
+  // One programming attempt of `bytes` (attempt number `attempt`, begun at
+  // `start`); a failed attempt restages until kReconfigMaxRetries are spent.
+  void StageAndProgram(uint64_t bytes, sim::TimePs start, uint32_t attempt,
+                       ReconfigDone on_done);
+  // Reports a validation failure one zero-delay event later.
+  void FailReconfig(std::string error, ReconfigDone on_done);
+  const KernelFactory* FactoryFor(const std::string& bitstream_name) const;
 
   Config config_;
   std::unique_ptr<sim::Engine> owned_engine_;

@@ -509,7 +509,6 @@ void ServingFabric::ExecuteOnNode(uint32_t node, serving::ServingRequest req) {
   }
   KernelScheduler::Request sr;
   sr.bitstream_path = req.kernel;
-  sr.priority = req.priority;
   sr.tenant = req.tenant;
   sr.region_hint = req.region_hint;
   // The serving contract: never reconfigure on the request path. If the

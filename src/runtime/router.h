@@ -193,8 +193,9 @@ class Router {
 //
 // Kernels are preloaded host-side (region r of node n holds
 // kernel_names[(n + r) % K], KernelAt) and the schedulers run
-// require_resident: a reconfiguration — which nests an engine run — can
-// never happen inside a shard callback. A payload larger than the
+// require_resident: a request never waits on a reconfiguration's latency,
+// although the event-driven reconfiguration would be safe inside a shard
+// callback. A payload larger than the
 // executor's staging buffers (kMaxPayloadBytes) completes kError. A
 // reconfiguration storm quarantines the region, aborts only its op in flight
 // and resets the region after the reprogram latency; the node reports both

@@ -86,36 +86,25 @@ void KernelScheduler::Schedule() {
 void KernelScheduler::DoSchedule() {
   sim::ActorScope actor(sim::kActorScheduler);
   queue_guard_.Write();
-  // Reconfiguration advances simulated time and may re-enter the scheduler
-  // through nested event processing; serialize dispatching.
-  if (dispatching_) {
-    rerun_needed_ = true;  // a completion freed a region mid-dispatch
-    return;
-  }
-  dispatching_ = true;
-  do {
-    rerun_needed_ = false;
-    // One scan in policy order dispatches every request a region can take
-    // now. A require_resident request that no eligible region holds (its
-    // region was quarantined or reset) would need a reconfiguration the
-    // serving tier forbids: it fails fast with a typed error. Any other
-    // request waits for a completion to re-enter Schedule(). Only
-    // require_resident lets a request pass a waiting one, and only onto a
-    // region the waiting one cannot use.
-    size_t i = 0;
-    while (i < queue_.size()) {
-      const int region = PickRegion(queue_[i]);
-      if (region >= 0) {
-        Dispatch(i, static_cast<uint32_t>(region));
-      } else if (queue_[i].require_resident &&
-                 !ResidentAnywhereEligible(queue_[i].bitstream_path)) {
-        FailRequest(i, OpStatus::kError, "sched.failed.no_resident");
-      } else {
-        ++i;
-      }
+  // One scan in arrival order dispatches every request a region can take now,
+  // unless a reconfiguration holds the scheduler. A require_resident request
+  // that no eligible region holds (its region was quarantined or reset) would
+  // need a reconfiguration the serving tier forbids: it fails fast with a
+  // typed error. Any other request waits for a completion to re-enter
+  // Schedule(). Only require_resident lets a request pass a waiting one, and
+  // only onto a region the waiting one cannot use.
+  size_t i = 0;
+  while (!reconfiguring_ && i < queue_.size()) {
+    const int region = PickRegion(queue_[i]);
+    if (region >= 0) {
+      Dispatch(i, static_cast<uint32_t>(region));
+    } else if (queue_[i].require_resident &&
+               !ResidentAnywhereEligible(queue_[i].bitstream_path)) {
+      FailRequest(i, OpStatus::kError, "sched.failed.no_resident");
+    } else {
+      ++i;
     }
-  } while (rerun_needed_);
-  dispatching_ = false;
+  }
 }
 
 void KernelScheduler::Dispatch(size_t request_index, uint32_t vfpga_id) {
@@ -127,30 +116,44 @@ void KernelScheduler::Dispatch(size_t request_index, uint32_t vfpga_id) {
   RegionState& state = region_state_[vfpga_id];
   state.busy = true;
   ++busy_regions_;
+  if (state.resident_bitstream == request.bitstream_path) {
+    ++affinity_hits_;
+    Start(vfpga_id, std::move(request));
+    return;
+  }
 
-  if (state.resident_bitstream != request.bitstream_path) {
-    // Synchronous from the scheduler's perspective: the reconfiguration
-    // advances simulated time before the work starts.
-    const auto result = dev_->ReconfigureApp(request.bitstream_path, vfpga_id);
-    if (!result.ok) {
+  // The region stays busy while it reprograms; the request starts in the
+  // callback unless NoteRegionReset reaped it meanwhile (a stale epoch).
+  reconfiguring_ = true;
+  const uint64_t epoch = state.epoch;
+  const std::string path = request.bitstream_path;  // the callback below takes `request`
+  dev_->ReconfigureApp(path, vfpga_id, [this, vfpga_id, epoch, request = std::move(request)](
+                                           const SimDevice::ReconfigResult& result) mutable {
+    sim::ActorScope actor(sim::kActorScheduler);
+    queue_guard_.Write();
+    reconfiguring_ = false;
+    RegionState& region = region_state_[vfpga_id];
+    if (region.epoch == epoch && result.ok) {
+      region.resident_bitstream = request.bitstream_path;
+      ++reconfigurations_;
+      Start(vfpga_id, std::move(request));
+    } else if (region.epoch == epoch) {
       // Typed rejection (legacy callers without `failed` keep the silent
       // drop); count it completed either way so Idle() converges.
-      state.busy = false;
+      region.busy = false;
       --busy_regions_;
       ++completed_;
       stats_.Increment("sched.failed.reconfig");
       if (request.failed) {
         request.failed(OpStatus::kError);
       }
-      return;
     }
-    state.resident_bitstream = request.bitstream_path;
-    ++reconfigurations_;
-  } else {
-    ++affinity_hits_;
-  }
+    Schedule();  // the hold is over: place what waited
+  });
+}
 
-  const uint64_t epoch = state.epoch;
+void KernelScheduler::Start(uint32_t vfpga_id, Request request) {
+  const uint64_t epoch = region_state_[vfpga_id].epoch;
   auto done = [this, vfpga_id, epoch]() {
     // Completions arrive from arbitrary contexts (DMA callbacks, RoCE rx,
     // supervisor probes) yet mutate scheduler-owned state; run them as the

@@ -7,19 +7,22 @@
 // the scheduler places each request on a free vFPGA, reconfiguring the
 // region when the resident kernel differs.
 //
-// Each pass dispatches, in queue order, every queued request a region can
+// Each pass dispatches, in arrival order, every queued request a region can
 // take now: a request waits only while no region that can run it is free.
-// The policy orders the queue and picks the region:
-//   kFcfs     — arrival order, onto the first free region.
-//   kPriority — highest priority first, arrival order among equals.
-//   kAffinity — arrival order, preferring a free region that already holds
-//               the requested kernel, avoiding the reconfiguration entirely
-//               (the paper's daemon pattern: hot kernels stay resident).
+// The policy picks the region:
+//   kFcfs     — the first free region.
+//   kAffinity — a free region that already holds the requested kernel,
+//               avoiding the reconfiguration entirely (the paper's daemon
+//               pattern: hot kernels stay resident).
+//
+// A request whose kernel is not resident starts in the callback of the
+// region's event-driven reconfiguration. While a reconfiguration the
+// scheduler started is in flight it places nothing (the hold rule); the
+// callback ends the hold with a new pass.
 
 #ifndef SRC_RUNTIME_SCHEDULER_H_
 #define SRC_RUNTIME_SCHEDULER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -39,13 +42,11 @@ class KernelScheduler {
  public:
   enum class Policy : uint8_t {
     kFcfs,
-    kPriority,
     kAffinity,
   };
 
   struct Request {
     std::string bitstream_path;  // kernel to run (app bitstream)
-    uint32_t priority = 0;       // larger = more urgent (kPriority)
     uint32_t tenant = 0;         // accounting key for the per-tenant counters
     // Placement hint from the routing tier: try this region first when it is
     // eligible. -1 leaves placement entirely to the policy.
@@ -53,8 +54,7 @@ class KernelScheduler {
     // Serving-tier contract: only dispatch onto a region where the kernel is
     // already resident. When no eligible region holds it (e.g. the only
     // resident region just got quarantined mid-batch) the request fails fast
-    // with a typed error instead of waiting on a reconfiguration that the
-    // sharded fabric must never run inside a callback.
+    // with a typed error instead of paying a reconfiguration's latency.
     bool require_resident = false;
     // The work: receives the assigned vFPGA id and a completion callback the
     // work must invoke when finished (frees the region).
@@ -76,21 +76,14 @@ class KernelScheduler {
     sim::AccessLedger::Global().DeclareOrdered(sim::kActorHost, sim::kActorScheduler);
   }
 
-  // Enqueues the request in policy order; dispatch happens from the event
-  // loop, so a batch of submissions is scheduled together.
+  // Enqueues the request; dispatch happens from the event loop, so a batch
+  // of submissions is scheduled together.
   void Submit(Request request) {
     queue_guard_.Write();
     stats_.Increment("sched.submitted");
     CountTenant("sched.submitted.tenant", request.tenant);
     depth_hist_.Add(queue_.size() + 1);
-    auto at = queue_.end();
-    if (policy_ == Policy::kPriority) {  // after every request of equal or higher priority
-      at = std::upper_bound(queue_.begin(), queue_.end(), request,
-                            [](const Request& a, const Request& b) {
-                              return a.priority > b.priority;
-                            });
-    }
-    queue_.insert(at, std::move(request));
+    queue_.push_back(std::move(request));
     Schedule();
   }
 
@@ -148,6 +141,8 @@ class KernelScheduler {
   void DoSchedule();
   int PickRegion(const Request& request);
   void Dispatch(size_t request_index, uint32_t vfpga_id);
+  // Runs the dispatched request on its region.
+  void Start(uint32_t vfpga_id, Request request);
   // True when some non-quarantined region (busy or not) holds the kernel.
   bool ResidentAnywhereEligible(const std::string& bitstream) const;
   // Removes queue_[index] with a typed rejection (see Request::failed),
@@ -163,8 +158,7 @@ class KernelScheduler {
   std::deque<Request> queue_;
   uint32_t busy_regions_ = 0;
   bool schedule_pending_ = false;
-  bool dispatching_ = false;
-  bool rerun_needed_ = false;
+  bool reconfiguring_ = false;  // the hold rule: a reconfiguration is in flight
 
   sim::AccessGuard queue_guard_{"runtime.sched_queue"};
   uint64_t completed_ = 0;

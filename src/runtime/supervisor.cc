@@ -11,10 +11,10 @@ namespace runtime {
 Supervisor::Supervisor(SimDevice* dev, KernelScheduler* scheduler, Config config)
     : dev_(dev), scheduler_(scheduler), config_(config) {
   regions_.resize(dev_->num_vfpgas());
-  // The supervisor drives quarantine, DMA aborts, and reconfiguration
-  // synchronously from inside its own tick; those cross-actor touches are
-  // program-ordered by construction. Declare the pairs so the race detector
-  // stays focused on genuine reentrancy bugs.
+  // The supervisor drives quarantine and DMA aborts from inside its own tick,
+  // and the scheduler's reset from its reprogram's callback; those
+  // cross-actor touches are program-ordered by construction. Declare the
+  // pairs so the race detector stays focused on genuine reentrancy bugs.
   auto& ledger = sim::AccessLedger::Global();
   ledger.DeclareOrdered(sim::kActorSupervisor, sim::kActorScheduler);
   ledger.DeclareOrdered(sim::kActorSupervisor, sim::kActorDma);
@@ -70,16 +70,11 @@ void Supervisor::NoteDeadlineMiss(uint32_t vfpga_id) {
 
 void Supervisor::Tick() {
   next_tick_ = dev_->engine().ScheduleAfter(config_.watchdog_period, [this]() { Tick(); });
-  if (ticking_) {
-    return;  // nested tick while a recovery advances time
-  }
-  ticking_ = true;
   sim::ActorScope actor(sim::kActorSupervisor);
   state_guard_.Write();
   for (uint32_t i = 0; i < regions_.size(); ++i) {
     SampleRegion(i);
   }
-  ticking_ = false;
 }
 
 void Supervisor::SampleRegion(uint32_t id) {
@@ -204,33 +199,13 @@ void Supervisor::Recover(uint32_t id, const std::string& fault_class) {
   if (fault_class != "probation.relapse") {
     w.incident_attempts = 0;
   }
-  bool ok = false;
-  while (!ok && w.incident_attempts < config_.max_recoveries) {
-    ++w.incident_attempts;
-    if (w.last_known_good.empty()) {
-      break;
-    }
-    ok = dev_->ReconfigureApp(w.last_known_good, id).ok;
-    if (!ok) {
-      events_.Record("recover.retry", {id}, dev_->engine().Now());
-    }
-  }
+  Reprogram(std::move(incident));
+}
 
-  const sim::TimePs now = dev_->engine().Now();
-  if (ok) {
-    incident.recovered = true;
-    incident.mttr = now - detected_at;
-    w.health = RegionHealth::kProbation;
-    w.probation_left = config_.probation_ticks;
-    w.last_beats = dev_->vfpga(id).beats_retired();
-    w.last_packets = dev_->data_mover().packets_moved_for(id);
-    w.last_progress_at = now;
-    events_.Record("recover.ok", {id}, now);
-    if (scheduler_ != nullptr) {
-      // Reap the hung request and record the freshly programmed bitstream.
-      scheduler_->NoteRegionReset(id, w.last_known_good);
-    }
-  } else {
+void Supervisor::Reprogram(Incident incident) {
+  const uint32_t id = incident.vfpga_id;
+  RegionWatch& w = regions_[id];
+  if (w.last_known_good.empty() || w.incident_attempts >= config_.max_recoveries) {
     // Budget exhausted (or nothing to reprogram with): fence permanently.
     // The shell keeps serving the other regions.
     dev_->vfpga(id).UnloadKernel();
@@ -239,8 +214,37 @@ void Supervisor::Recover(uint32_t id, const std::string& fault_class) {
     if (scheduler_ != nullptr) {
       scheduler_->NoteRegionReset(id, std::string());
     }
+    incidents_.push_back(std::move(incident));
+    return;
   }
-  incidents_.push_back(std::move(incident));
+  ++w.incident_attempts;
+  // The region stays kRecovering until the callback; the watchdog keeps
+  // sampling every other region meanwhile.
+  dev_->ReconfigureApp(w.last_known_good, id, [this, id, incident = std::move(incident)](
+                                                  const SimDevice::ReconfigResult& result) mutable {
+    sim::ActorScope actor(sim::kActorSupervisor);
+    state_guard_.Write();
+    const sim::TimePs now = dev_->engine().Now();
+    if (!result.ok) {
+      events_.Record("recover.retry", {id}, now);
+      Reprogram(std::move(incident));
+      return;
+    }
+    RegionWatch& watch = regions_[id];
+    incident.recovered = true;
+    incident.mttr = now - incident.detected_at;
+    watch.health = RegionHealth::kProbation;
+    watch.probation_left = config_.probation_ticks;
+    watch.last_beats = dev_->vfpga(id).beats_retired();
+    watch.last_packets = dev_->data_mover().packets_moved_for(id);
+    watch.last_progress_at = now;
+    events_.Record("recover.ok", {id}, now);
+    if (scheduler_ != nullptr) {
+      // Reap the hung request and record the freshly programmed bitstream.
+      scheduler_->NoteRegionReset(id, watch.last_known_good);
+    }
+    incidents_.push_back(std::move(incident));
+  });
 }
 
 }  // namespace runtime

@@ -18,9 +18,10 @@
 //              credit counters and shoots down the TLB), and its stream
 //              queues are flushed.
 //   RECOVER  — the region is reprogrammed with its last-known-good
-//              bitstream through the normal ICAP path (ReconfigureApp), so
-//              recovery pays the real Table-3 reconfiguration latency and
-//              is itself subject to injected ICAP faults.
+//              bitstream through the normal, event-driven ICAP path
+//              (ReconfigureApp), so recovery pays the real Table-3
+//              reconfiguration latency and is itself subject to injected
+//              ICAP faults; the watchdog keeps sampling the other regions.
 //   REPORT   — every incident is recorded (fault class, detection latency,
 //              MTTR), and every state change is a sim::CounterSet event whose
 //              fingerprint is bit-identical across same-seed runs.
@@ -137,10 +138,13 @@ class Supervisor {
 
   void Tick();
   void SampleRegion(uint32_t id);
-  // The full isolate->recover->report sequence; synchronous (advances
-  // simulated time through the nested reconfiguration, like the scheduler's
-  // dispatch path).
+  // Detects, isolates and starts the reprogram; the region stays
+  // kRecovering until Reprogram's chain reports the incident.
   void Recover(uint32_t id, const std::string& fault_class);
+  // One reprogram attempt of the incident's region. Its callback retries,
+  // puts the region in probation or, with the budget spent, quarantines it
+  // for good; then the incident is recorded.
+  void Reprogram(Incident incident);
 
   SimDevice* dev_;
   KernelScheduler* scheduler_;  // may be nullptr
@@ -150,9 +154,6 @@ class Supervisor {
   // The pending watchdog tick; every tick re-arms the next one first, and
   // Stop() cancels it.
   sim::Engine::EventId next_tick_ = sim::Engine::kNoEvent;
-  // Recovery advances simulated time (nested event processing), which can
-  // run the next watchdog tick; nested ticks re-arm and return.
-  bool ticking_ = false;
 
   std::vector<Incident> incidents_;
   sim::CounterSet events_;

@@ -1,5 +1,7 @@
 #include "src/sim/engine.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "src/sim/access_guard.h"
@@ -93,6 +95,13 @@ bool Engine::Cancel(EventId id) {
 }
 
 bool Engine::Step() {
+#ifdef COYOTE_ACCESS_GUARDS
+  if (in_event_) {
+    // lint: callback-blocking-ok fatal diagnostic immediately before abort()
+    std::fprintf(stderr, "Engine: Step() entered inside one of its own events (nested run)\n");
+    std::abort();
+  }
+#endif
   if (heap_.empty()) {
     return false;
   }
@@ -114,6 +123,9 @@ bool Engine::Step() {
     return true;
   }
   ++generations_[top.idx];  // the id goes stale as the event fires
+#ifdef COYOTE_ACCESS_GUARDS
+  in_event_ = true;
+#endif
   if (ledger.enabled()) {
     // Each executed event is one race-detection epoch; the callback runs as
     // the engine actor unless a narrower ActorScope is set further down.
@@ -123,6 +135,9 @@ bool Engine::Step() {
   } else {
     cb();
   }
+#ifdef COYOTE_ACCESS_GUARDS
+  in_event_ = false;
+#endif
   return true;
 }
 

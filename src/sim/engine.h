@@ -8,6 +8,8 @@
 // simulation does not relax this — the sharded PDES coordinator
 // (src/sim/sharded_engine.h) gives every shard its own Engine on its own
 // worker thread and only ever drives one engine from one thread at a time.
+// Only host code runs an engine: no event runs its own engine (a nested
+// run), and in COYOTE_ACCESS_GUARDS builds Step() aborts if one tries.
 //
 // Implementation: one binary min-heap of 16-byte (time, seq, slot) entries
 // over a pool of callbacks. Events fire in timestamp order, and events with
@@ -82,7 +84,8 @@ class Engine {
   // holds another event.
   bool Cancel(EventId id);
 
-  // Runs the next pending event. Returns false if the queue is empty.
+  // Runs the next pending event. Returns false if the queue is empty. Must
+  // not be reached from inside this engine's own events (see above).
   bool Step();
 
   // Runs until no events remain. Returns the number of events executed.
@@ -118,7 +121,7 @@ class Engine {
 
  private:
   // Advances the race-detection epoch when a run loop hands control back to
-  // its caller: code resuming after a nested run is program-ordered after the
+  // its host caller: code resuming after a run is program-ordered after the
   // last event, never logically concurrent with it.
   void CloseEpoch();
 
@@ -151,6 +154,7 @@ class Engine {
 
   TimePs now_ = 0;
   uint32_t next_seq_ = 0;  // wraps; see HeapEntry
+  bool in_event_ = false;  // set around each callback in COYOTE_ACCESS_GUARDS builds
   uint64_t events_executed_ = 0;
   // Cached at construction: the process-wide ledger outlives every engine,
   // and caching skips an out-of-line Global() call on the per-event path.

@@ -297,7 +297,7 @@ TEST_F(ReconfigChaosTest, HungKernelRecoveredBySupervisor) {
   plan.xdma_stall_ps = sim::Microseconds(2);
   sim::FaultInjector injector(&dev_->engine(), plan);
   dev_->AttachFaultInjector(&injector);
-  ASSERT_TRUE(dev_->ReconfigureApp("/bit/app.bin", 0).ok);
+  ASSERT_TRUE(runtime::CRcnfg(dev_.get()).ReconfigureApp("/bit/app.bin", 0).ok);
 
   runtime::Supervisor sup(dev_.get(), nullptr, SoakSupervisorConfig());
   sup.SetLastKnownGood(0, "/bit/app.bin");
@@ -316,11 +316,14 @@ TEST_F(ReconfigChaosTest, HungKernelRecoveredBySupervisor) {
   // detects the flat heartbeats and the recovery aborts the stuck DMA.
   EXPECT_FALSE(t.InvokeSync(Oper::kLocalTransfer, sg));
   EXPECT_EQ(sup.hangs_detected(), 1u);
+
+  // The retry goes out at once, while the region still reprograms, and
+  // completes on the hot-swapped kernel bit-identically.
+  const CThread::Task retry = t.Invoke(Oper::kLocalTransfer, sg);
+  ASSERT_TRUE(dev_->WaitFor([&] { return sup.recoveries() == 1; }));
   EXPECT_EQ(sup.recoveries(), 1u);
   EXPECT_EQ(injector.counters().value("kernel.hang"), 1u);
-
-  // The hot-swapped region serves the retried transfer bit-identically.
-  EXPECT_TRUE(t.InvokeSync(Oper::kLocalTransfer, sg));
+  EXPECT_TRUE(t.Wait(retry));
   std::vector<uint8_t> out(kBytes);
   t.ReadBuffer(dst, out.data(), kBytes);
   EXPECT_EQ(out, data);
@@ -350,6 +353,7 @@ TEST_F(ReconfigChaosTest, IcapFailureMidRecoveryIsAbsorbedByDriverRetry) {
   SgEntry sg;
   sg.local = {.src_addr = src, .src_len = kBytes, .dst_addr = dst, .dst_len = kBytes};
   EXPECT_FALSE(t.InvokeSync(Oper::kLocalTransfer, sg));
+  ASSERT_TRUE(dev_->WaitFor([&] { return sup.recoveries() == 1; }));
 
   // Layered recovery: the transient ICAP abort is retried by the driver's
   // own program budget (ReconfigureApp restages and the second attempt
@@ -639,8 +643,8 @@ TEST(ChaosSoakTest, SixtyFourClientCombinedChaosSoakIsHangFreeAndDeterministic) 
     plan.tlb_force_miss_rate = 0.1;
     sim::FaultInjector injector(&dev.engine(), plan);
     dev.AttachFaultInjector(&injector);
-    EXPECT_TRUE(dev.ReconfigureApp("/bit/app.bin", 0).ok);
-    EXPECT_TRUE(dev.ReconfigureApp("/bit/app.bin", 1).ok);
+    EXPECT_TRUE(runtime::CRcnfg(&dev).ReconfigureApp("/bit/app.bin", 0).ok);
+    EXPECT_TRUE(runtime::CRcnfg(&dev).ReconfigureApp("/bit/app.bin", 1).ok);
 
     runtime::Supervisor sup(&dev, nullptr, SoakSupervisorConfig());
     sup.SetLastKnownGood(0, "/bit/app.bin");

@@ -1,17 +1,25 @@
 // Cluster substrate tests: the heartbeat-silence detector (declaration time,
-// no false positives, permanence), kill semantics, and bit-identical death
-// times across shard counts and threading modes.
+// no false positives, permanence), kill semantics, bit-identical death
+// times across shard counts and threading modes, and a region reprogrammed
+// from inside a shard callback.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <ostream>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "src/net/network.h"
 #include "src/runtime/cluster.h"
+#include "src/services/vector_kernels.h"
 #include "src/sim/time.h"
+#include "src/synth/flow.h"
+#include "src/synth/netlist.h"
 
 namespace coyote {
 namespace runtime {
@@ -152,6 +160,51 @@ TEST(ClusterTest, DeathTimesAreBitIdenticalAcrossShardCountsAndThreading) {
       EXPECT_EQ(StaggeredDeaths(shards, threads), golden)
           << shards << " shards, threads=" << threads;
     }
+  }
+}
+
+// (d) A shard callback may reprogram a region: the reconfiguration is
+// event-driven, so no engine runs inside the callback, the node keeps
+// beating meanwhile, and the result (ok, attempts, latency) and completion
+// time are the same at 1, 2 and 4 shards.
+using Reprogram = std::tuple<bool, uint32_t, sim::TimePs, sim::TimePs>;
+
+Reprogram ReprogramFromShardCallback(uint32_t num_shards) {
+  ClusterConfig c = Config(2, num_shards);
+  c.kernel_factory = [] { return std::make_unique<services::PassthroughKernel>(); };
+  Cluster cluster(c, sim::Microseconds(200));
+  Cluster::Hooks hooks;
+  hooks.kernel_at = [](uint32_t, uint32_t) { return std::string("passthrough"); };
+  hooks.setup = [&cluster](uint32_t node) {
+    SimDevice& dev = cluster.device(node);
+    synth::Netlist passthrough{"passthrough", {synth::LibraryModule("passthrough")}};
+    dev.WriteBitstreamFile("/bit/app.bin", synth::BuildFlow(dev.floorplan())
+                                               .RunShellFlow(dev.config().shell, {passthrough})
+                                               .app_bitstreams[0]);
+  };
+  cluster.AddNodes(std::move(hooks));
+
+  std::optional<Reprogram> got;
+  cluster.ScheduleOn(1, sim::Microseconds(100), [&cluster, &got]() {
+    cluster.device(1).ReconfigureApp(
+        "/bit/app.bin", 0, [&cluster, &got](const SimDevice::ReconfigResult& r) {
+          got = Reprogram{r.ok, r.attempts, r.total_latency, cluster.NowAt(1)};
+        });
+  });
+  cluster.Run(sim::Seconds(1), sim::Milliseconds(10), [&got] { return got.has_value(); });
+  EXPECT_FALSE(cluster.declared_dead(1)) << num_shards << " shards";
+  EXPECT_NE(cluster.device(1).vfpga(0).kernel(), nullptr) << num_shards << " shards";
+  return got.value_or(Reprogram{});
+}
+
+TEST(ClusterTest, ShardCallbackReprogramsARegionIdenticallyAtEveryShardCount) {
+  const auto [ok, attempts, latency, done_at] = ReprogramFromShardCallback(1);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(attempts, 1u);
+  EXPECT_EQ(done_at, sim::Microseconds(100) + latency);
+  for (const uint32_t shards : {2u, 4u}) {
+    EXPECT_EQ(ReprogramFromShardCallback(shards), Reprogram(ok, attempts, latency, done_at))
+        << shards << " shards";
   }
 }
 

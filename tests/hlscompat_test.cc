@@ -3,12 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/hlscompat/hls_model.h"
 #include "src/hlscompat/overlay.h"
 #include "src/runtime/device.h"
 #include "src/services/nn.h"
+#include "src/sim/fault.h"
 #include "src/sim/rng.h"
 
 namespace coyote {
@@ -75,7 +77,7 @@ TEST(OverlayTest, CoyotePredictIsBitExactVsEmulation) {
 
   runtime::SimDevice dev(DeviceConfig());
   CoyoteOverlay overlay(&dev, built);
-  EXPECT_GT(overlay.ProgramFpga(), 0u);
+  EXPECT_GT(overlay.ProgramFpga().total_latency, 0u);
 
   constexpr size_t kSamples = 500;
   const auto inputs = RandomInputs(kSamples, spec.input_dim(), 2);
@@ -108,6 +110,34 @@ TEST(OverlayTest, PynqPredictIsBitExactButSlower) {
 
   // The headline claim: order-of-magnitude advantage for direct streaming.
   EXPECT_GT(coyote.samples_per_second / pynq.samples_per_second, 8.0);
+}
+
+// A failed program reaches the caller in every build, NDEBUG included, and
+// the region keeps no kernel.
+TEST(OverlayTest, FailedProgramIsReportedToTheCaller) {
+  const services::MlpSpec spec = services::MakeIntrusionDetectionMlp();
+  const fabric::Floorplan fp = fabric::Floorplan::ForPart(fabric::kAlveoU55C, 1);
+  sim::FaultPlan plan;
+  plan.seed = 12;
+  plan.reconfig_fail_rate = 1.0;  // every ICAP program aborts
+  auto check = [](runtime::SimDevice& dev, const runtime::SimDevice::ReconfigResult& result) {
+    EXPECT_FALSE(result.ok);
+    EXPECT_EQ(result.attempts, runtime::SimDevice::kReconfigMaxRetries);
+    EXPECT_NE(result.error.find("ICAP programming failed"), std::string::npos);
+    EXPECT_EQ(dev.vfpga(0).kernel(), nullptr);
+  };
+
+  runtime::SimDevice dev_c(DeviceConfig());
+  sim::FaultInjector injector_c(&dev_c.engine(), plan);
+  dev_c.AttachFaultInjector(&injector_c);
+  CoyoteOverlay overlay(&dev_c, HlsModel(spec, Backend::kCoyoteAccelerator).Build(fp));
+  check(dev_c, overlay.ProgramFpga());
+
+  runtime::SimDevice dev_p(DeviceConfig());
+  sim::FaultInjector injector_p(&dev_p.engine(), plan);
+  dev_p.AttachFaultInjector(&injector_p);
+  PynqBaseline baseline(&dev_p, HlsModel(spec, Backend::kPynqVitis).Build(fp));
+  check(dev_p, baseline.ProgramFpga());
 }
 
 TEST(HlsModelTest, ReuseFactorTradesDspForThroughput) {

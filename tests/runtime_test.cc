@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/net/network.h"
@@ -679,7 +680,7 @@ TEST(StorageTest, DriveContentsSurviveShellReconfiguration) {
   no_storage.services = {fabric::Service::kHostStream, fabric::Service::kCardMemory};
   auto out = flow.RunShellFlow(no_storage, {});
   dev.WriteBitstreamFile("/bit/nostore.bin", out.shell_bitstream);
-  ASSERT_TRUE(dev.ReconfigureShell("/bit/nostore.bin").ok);
+  ASSERT_TRUE(CRcnfg(&dev).ReconfigureShell("/bit/nostore.bin").ok);
   EXPECT_EQ(dev.nvme(), nullptr);
   CThread t2(&dev, 0);
   const uint64_t buf2 = t2.GetMem({Alloc::kHpf, 4096});
@@ -690,7 +691,7 @@ TEST(StorageTest, DriveContentsSurviveShellReconfiguration) {
   // ...but its contents persist: reconfigure storage back and read.
   auto with = flow.RunShellFlow(cfg.shell, {});
   dev.WriteBitstreamFile("/bit/store.bin", with.shell_bitstream);
-  ASSERT_TRUE(dev.ReconfigureShell("/bit/store.bin").ok);
+  ASSERT_TRUE(CRcnfg(&dev).ReconfigureShell("/bit/store.bin").ok);
   CThread t3(&dev, 0);
   const uint64_t buf3 = t3.GetMem({Alloc::kHpf, 4096});
   SgEntry sg3;
@@ -868,6 +869,33 @@ TEST_F(ReconfigTest, AppReconfigLoadsKernel) {
   EXPECT_GT(result.total_latency, result.kernel_latency);
 }
 
+// The device's reconfiguration is event-driven: on_done runs exactly once,
+// from an event and never inside the call, for a good program and for a
+// validation failure (one zero-delay event later) alike.
+TEST_F(ReconfigTest, OnDoneRunsOnceFromAnEventNeverInsideTheCall) {
+  for (const std::string path : {"/bit/passthrough.bin", "/bit/missing.bin"}) {
+    const sim::TimePs start = dev_->engine().Now();
+    std::vector<SimDevice::ReconfigResult> results;
+    std::vector<sim::TimePs> at;
+    dev_->ReconfigureApp(path, 0, [&](const SimDevice::ReconfigResult& r) {
+      results.push_back(r);
+      at.push_back(dev_->engine().Now());
+    });
+    EXPECT_TRUE(results.empty()) << path;
+    dev_->engine().RunUntilIdle();
+    ASSERT_EQ(results.size(), 1u) << path;
+    if (path == "/bit/passthrough.bin") {
+      EXPECT_TRUE(results[0].ok) << results[0].error;
+      EXPECT_EQ(at[0], start + results[0].total_latency);
+      EXPECT_NE(dev_->vfpga(0).kernel(), nullptr);
+    } else {
+      EXPECT_FALSE(results[0].ok);
+      EXPECT_NE(results[0].error.find("no such bitstream"), std::string::npos);
+      EXPECT_EQ(at[0], start);
+    }
+  }
+}
+
 TEST_F(ReconfigTest, AppLinkedAgainstOtherShellIsRejected) {
   // Build an app against a *different* shell config.
   fabric::ShellConfigDesc other = cfg_.shell;
@@ -949,7 +977,7 @@ TEST_F(ReconfigTest, V1CompatCannotReconfigureShell) {
   cfg.v1_compat = true;
   SimDevice dev(cfg);
   dev.WriteBitstreamFile("/bit/shell.bin", shell_out_.shell_bitstream);
-  auto result = dev.ReconfigureShell("/bit/shell.bin");
+  auto result = CRcnfg(&dev).ReconfigureShell("/bit/shell.bin");
   EXPECT_FALSE(result.ok);
 }
 

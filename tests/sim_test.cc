@@ -223,6 +223,23 @@ TEST(EngineTest, CancelOfTheRunningEventFromItsOwnCallbackReturnsFalse) {
   EXPECT_EQ(e.events_executed(), 1u);
 }
 
+// Only host code runs an engine. Guard-armed builds abort a run entered from
+// inside one of the engine's own events; a run of another engine is fine.
+TEST(EngineDeathTest, RunInsideItsOwnEventAborts) {
+#ifdef COYOTE_ACCESS_GUARDS
+  Engine other;
+  other.ScheduleAt(5, [] {});
+  Engine e;
+  e.ScheduleAt(10, [&other] { other.RunUntilIdle(); });
+  e.RunUntilIdle();
+  EXPECT_EQ(other.Now(), 5u);
+  e.ScheduleAt(20, [&e] { e.RunUntilIdle(); });
+  EXPECT_DEATH(e.RunUntilIdle(), "nested run");
+#else
+  GTEST_SKIP() << "the nested-run check is armed in COYOTE_ACCESS_GUARDS builds only";
+#endif
+}
+
 TEST(EngineTest, SelfReschedulingTimerStopsWhenItsNextTickIsCancelled) {
   // A periodic timer re-arms as the first statement of its callback and
   // keeps the id of its next tick; cancelling that id stops the chain.

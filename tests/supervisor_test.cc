@@ -10,6 +10,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/runtime/crcnfg.h"
 #include "src/runtime/cthread.h"
 #include "src/runtime/device.h"
 #include "src/runtime/scheduler.h"
@@ -26,6 +27,7 @@ namespace coyote {
 namespace {
 
 using runtime::Alloc;
+using runtime::CRcnfg;
 using runtime::CThread;
 using runtime::KernelScheduler;
 using runtime::Oper;
@@ -35,13 +37,11 @@ using runtime::SimDevice;
 using runtime::Supervisor;
 
 // The scheduler Request grew routing fields (tenant, region_hint,
-// require_resident) between priority and run; build it explicitly.
-KernelScheduler::Request SchedReq(
-    std::string bitstream_path, uint32_t priority,
-    std::function<void(uint32_t, std::function<void()>)> run) {
+// require_resident) between bitstream_path and run; build it explicitly.
+KernelScheduler::Request SchedReq(std::string bitstream_path,
+                                  std::function<void(uint32_t, std::function<void()>)> run) {
   KernelScheduler::Request r;
   r.bitstream_path = std::move(bitstream_path);
-  r.priority = priority;
   r.run = std::move(run);
   return r;
 }
@@ -117,7 +117,7 @@ TEST_F(SupervisorTest, OpDeadlineConvertsSilentStallToTypedError) {
   plan.seed = 41;
   plan.kernel_hang_first_n = 1;  // the kernel wedges on first data
   AttachChaos(plan);
-  ASSERT_TRUE(dev_->ReconfigureApp("/bit/app.bin", 0).ok);
+  ASSERT_TRUE(CRcnfg(dev_.get()).ReconfigureApp("/bit/app.bin", 0).ok);
 
   CThread t(dev_.get(), 0);
   t.SetOpDeadline(sim::Microseconds(500));
@@ -139,7 +139,7 @@ TEST_F(SupervisorTest, WaitOnAWedgedOpReturnsFalse) {
   plan.seed = 50;
   plan.kernel_hang_first_n = 1;
   AttachChaos(plan);
-  ASSERT_TRUE(dev_->ReconfigureApp("/bit/app.bin", 0).ok);
+  ASSERT_TRUE(CRcnfg(dev_.get()).ReconfigureApp("/bit/app.bin", 0).ok);
 
   // No deadline and no supervisor: nothing ever completes the op. Wait
   // returns once the engine runs out of events and must not report success.
@@ -151,7 +151,7 @@ TEST_F(SupervisorTest, WaitOnAWedgedOpReturnsFalse) {
 }
 
 TEST_F(SupervisorTest, HealthyOpsCompleteWithOkStatusUnderDeadline) {
-  ASSERT_TRUE(dev_->ReconfigureApp("/bit/app.bin", 0).ok);
+  ASSERT_TRUE(CRcnfg(dev_.get()).ReconfigureApp("/bit/app.bin", 0).ok);
   CThread t(dev_.get(), 0);
   t.SetOpDeadline(sim::Milliseconds(50));
   std::vector<uint8_t> out;
@@ -171,7 +171,7 @@ TEST_F(SupervisorTest, AbortPendingMarksInFlightTasksAborted) {
   plan.seed = 42;
   plan.kernel_hang_first_n = 1;
   AttachChaos(plan);
-  ASSERT_TRUE(dev_->ReconfigureApp("/bit/app.bin", 0).ok);
+  ASSERT_TRUE(CRcnfg(dev_.get()).ReconfigureApp("/bit/app.bin", 0).ok);
 
   CThread t(dev_.get(), 0);
   constexpr uint64_t kBytes = 64 << 10;
@@ -196,19 +196,21 @@ TEST_F(SupervisorTest, WatchdogDetectsHungKernelAndRecoversRegion) {
   plan.seed = 43;
   plan.kernel_hang_first_n = 1;
   AttachChaos(plan);
-  ASSERT_TRUE(dev_->ReconfigureApp("/bit/app.bin", 0).ok);
+  ASSERT_TRUE(CRcnfg(dev_.get()).ReconfigureApp("/bit/app.bin", 0).ok);
 
   Supervisor sup(dev_.get(), nullptr, FastWatchdog());
   sup.SetLastKnownGood(0, "/bit/app.bin");
   sup.Start();
 
   CThread t(dev_.get(), 0);
-  // The hung transfer is aborted by the recovery, so InvokeSync unblocks
-  // with an error instead of hanging forever.
+  // The hung transfer is aborted when the hang is detected, so InvokeSync
+  // unblocks with an error instead of hanging forever; the reprogram ends
+  // later.
   EXPECT_FALSE(RunTransfer(t));
   EXPECT_EQ(t.Status(CThread::Task{t.tasks_issued() - 1}), OpStatus::kError);
 
   EXPECT_EQ(sup.hangs_detected(), 1u);
+  ASSERT_TRUE(dev_->WaitFor([&] { return sup.recoveries() == 1; }));
   EXPECT_EQ(sup.recoveries(), 1u);
   ASSERT_EQ(sup.incidents().size(), 1u);
   const Supervisor::Incident& inc = sup.incidents()[0];
@@ -236,7 +238,7 @@ TEST_F(SupervisorTest, DeadlineMissShortcutsTheWatchdogWindow) {
   plan.seed = 44;
   plan.kernel_hang_first_n = 1;
   AttachChaos(plan);
-  ASSERT_TRUE(dev_->ReconfigureApp("/bit/app.bin", 0).ok);
+  ASSERT_TRUE(CRcnfg(dev_.get()).ReconfigureApp("/bit/app.bin", 0).ok);
 
   Supervisor::Config scfg = FastWatchdog();
   scfg.heartbeat_deadline = sim::Milliseconds(10);  // generous window...
@@ -258,6 +260,49 @@ TEST_F(SupervisorTest, DeadlineMissShortcutsTheWatchdogWindow) {
   EXPECT_LT(sup.incidents()[0].detect_latency,
             sim::Microseconds(100) + 2 * FastWatchdog().watchdog_period);
   EXPECT_EQ(sup.incidents()[0].fault_class, "deadline.miss");
+  sup.Stop();
+}
+
+// A reprogram does not blind the watchdog: while one region reprograms, the
+// ticks keep sampling the others, so a second region's hang is detected
+// within one heartbeat window plus one watchdog period.
+TEST_F(SupervisorTest, SecondHangIsDetectedWhileTheFirstRegionReprograms) {
+  sim::FaultPlan plan;
+  plan.seed = 51;
+  plan.kernel_hang_first_n = 2;  // both regions' kernels wedge on first data
+  AttachChaos(plan);
+  ASSERT_TRUE(CRcnfg(dev_.get()).ReconfigureApp("/bit/app.bin", 0).ok);
+  ASSERT_TRUE(CRcnfg(dev_.get()).ReconfigureApp("/bit/app.bin", 1).ok);
+
+  const Supervisor::Config scfg = FastWatchdog();
+  Supervisor sup(dev_.get(), nullptr, scfg);
+  sup.SetLastKnownGood(0, "/bit/app.bin");
+  sup.SetLastKnownGood(1, "/bit/app.bin");
+  sup.Start();
+
+  constexpr uint64_t kBytes = 64 << 10;
+  auto invoke = [](CThread& t) {
+    SgEntry sg;
+    sg.local = {.src_addr = t.GetMem({Alloc::kHpf, kBytes}), .src_len = kBytes,
+                .dst_addr = t.GetMem({Alloc::kHpf, kBytes}), .dst_len = kBytes};
+    return t.Invoke(Oper::kLocalTransfer, sg);
+  };
+  CThread t0(dev_.get(), 0);
+  CThread t1(dev_.get(), 1);
+  const CThread::Task a = invoke(t0);
+  dev_->engine().RunUntil(dev_->engine().Now() + sim::Microseconds(40));
+  const CThread::Task b = invoke(t1);
+  ASSERT_TRUE(dev_->WaitFor([&] { return sup.recoveries() == 2; }));
+
+  ASSERT_EQ(sup.incidents().size(), 2u);
+  const Supervisor::Incident& first = sup.incidents()[0];
+  const Supervisor::Incident& second = sup.incidents()[1];
+  EXPECT_EQ(first.vfpga_id, 0u);
+  EXPECT_EQ(second.vfpga_id, 1u);
+  EXPECT_LE(second.detect_latency, scfg.heartbeat_deadline + scfg.watchdog_period);
+  EXPECT_LT(second.detected_at, first.detected_at + first.mttr);  // 0 still reprogramming
+  EXPECT_EQ(t0.Status(a), OpStatus::kError);
+  EXPECT_EQ(t1.Status(b), OpStatus::kError);
   sup.Stop();
 }
 
@@ -290,7 +335,7 @@ TEST_F(SupervisorTest, FailedRecoveryEscalatesToPermanentQuarantine) {
   EXPECT_EQ(dev_->vfpga(0).kernel(), nullptr);
 
   // Fault isolation: the second region still serves transfers.
-  EXPECT_FALSE(dev_->ReconfigureApp("/bit/app.bin", 1).ok);  // ICAP still failing
+  EXPECT_FALSE(CRcnfg(dev_.get()).ReconfigureApp("/bit/app.bin", 1).ok);  // ICAP still failing
   dev_->vfpga(1).LoadKernel(std::make_unique<services::PassthroughKernel>());
   CThread t1(dev_.get(), 1);
   std::vector<uint8_t> out;
@@ -307,7 +352,7 @@ TEST_F(SupervisorTest, RelapseMidProbationCarriesTheIncidentBudget) {
   plan.seed = 47;
   plan.kernel_hang_first_n = 3;
   AttachChaos(plan);
-  ASSERT_TRUE(dev_->ReconfigureApp("/bit/app.bin", 0).ok);
+  ASSERT_TRUE(CRcnfg(dev_.get()).ReconfigureApp("/bit/app.bin", 0).ok);
 
   Supervisor::Config scfg = FastWatchdog();
   scfg.max_recoveries = 2;
@@ -351,7 +396,7 @@ TEST_F(SupervisorTest, CleanReadmissionResetsTheIncidentBudget) {
   plan.seed = 48;
   plan.kernel_hang_first_n = 2;
   AttachChaos(plan);
-  ASSERT_TRUE(dev_->ReconfigureApp("/bit/app.bin", 0).ok);
+  ASSERT_TRUE(CRcnfg(dev_.get()).ReconfigureApp("/bit/app.bin", 0).ok);
 
   Supervisor::Config scfg = FastWatchdog();
   scfg.max_recoveries = 1;
@@ -382,7 +427,7 @@ TEST_F(SupervisorTest, RetiredTasksKeepTheirAnswers) {
   plan.seed = 49;
   plan.kernel_hang_first_n = 2;
   AttachChaos(plan);
-  ASSERT_TRUE(dev_->ReconfigureApp("/bit/app.bin", 0).ok);
+  ASSERT_TRUE(CRcnfg(dev_.get()).ReconfigureApp("/bit/app.bin", 0).ok);
   Supervisor sup(dev_.get(), nullptr, FastWatchdog());
   sup.SetLastKnownGood(0, "/bit/app.bin");
   sup.Start();
@@ -465,7 +510,7 @@ TEST_F(SupervisorTest, TraceFingerprintIsIdenticalForSameSeed) {
     plan.xdma_stall_ps = sim::Microseconds(3);
     sim::FaultInjector injector(&dev.engine(), plan);
     dev.AttachFaultInjector(&injector);
-    EXPECT_TRUE(dev.ReconfigureApp("/bit/app.bin", 0).ok);
+    EXPECT_TRUE(CRcnfg(&dev).ReconfigureApp("/bit/app.bin", 0).ok);
 
     Supervisor sup(&dev, nullptr, FastWatchdog());
     sup.SetLastKnownGood(0, "/bit/app.bin");
@@ -501,7 +546,7 @@ TEST_F(SupervisorTest, QuarantinedRegionIsSkippedUntilReadmitted) {
 
   std::vector<uint32_t> placements;
   for (int i = 0; i < 2; ++i) {
-    sched.Submit(SchedReq("/bit/app.bin", 0, [&](uint32_t id, std::function<void()> done) {
+    sched.Submit(SchedReq("/bit/app.bin", [&](uint32_t id, std::function<void()> done) {
                     placements.push_back(id);
                     done();
                   }));
@@ -511,7 +556,7 @@ TEST_F(SupervisorTest, QuarantinedRegionIsSkippedUntilReadmitted) {
   EXPECT_EQ(placements, (std::vector<uint32_t>{1, 1}));  // region 0 fenced off
 
   sched.SetQuarantined(0, false);
-  sched.Submit(SchedReq("/bit/app.bin", 0, [&](uint32_t id, std::function<void()> done) {
+  sched.Submit(SchedReq("/bit/app.bin", [&](uint32_t id, std::function<void()> done) {
                   placements.push_back(id);
                   done();
                 }));
@@ -522,7 +567,7 @@ TEST_F(SupervisorTest, QuarantinedRegionIsSkippedUntilReadmitted) {
 TEST_F(SupervisorTest, NoteRegionResetReapsTheHungRequest) {
   KernelScheduler sched(dev_.get(), KernelScheduler::Policy::kFcfs);
   std::function<void()> stuck_done;
-  sched.Submit(SchedReq("/bit/app.bin", 0, [&](uint32_t, std::function<void()> done) {
+  sched.Submit(SchedReq("/bit/app.bin", [&](uint32_t, std::function<void()> done) {
                   stuck_done = std::move(done);  // never called: the hang
                 }));
   dev_->engine().RunUntilIdle();
@@ -543,7 +588,7 @@ TEST_F(SupervisorTest, NoteRegionResetReapsTheHungRequest) {
   // bitstream means no redundant reconfiguration.
   const uint64_t reconfigs_before = sched.reconfigurations();
   bool ran = false;
-  sched.Submit(SchedReq("/bit/app.bin", 0, [&](uint32_t id, std::function<void()> done) {
+  sched.Submit(SchedReq("/bit/app.bin", [&](uint32_t id, std::function<void()> done) {
                   ran = id == 0;
                   done();
                 }));
@@ -574,7 +619,7 @@ TEST_F(SupervisorTest, SupervisedSchedulerRoutesAroundRecoveringRegion) {
   // region serving, and every job must complete (ok or typed error).
   int completed = 0;
   for (int job = 0; job < 8; ++job) {
-    sched.Submit(SchedReq("/bit/app.bin", 0, [&](uint32_t id, std::function<void()> done) {
+    sched.Submit(SchedReq("/bit/app.bin", [&](uint32_t id, std::function<void()> done) {
                     CThread& t = *threads[id];
                     constexpr uint64_t kBytes = 32 << 10;
                     const uint64_t src = t.GetMem({Alloc::kHpf, kBytes});
@@ -607,11 +652,12 @@ TEST_F(SupervisorTest, SupervisedSchedulerRoutesAroundRecoveringRegion) {
   ASSERT_TRUE(dev_->engine().RunUntilCondition([&] { return completed == 8; }));
   EXPECT_TRUE(sched.Idle());
   EXPECT_GE(sup.hangs_detected(), 1u);
+  ASSERT_TRUE(dev_->WaitFor([&] { return sup.recoveries() >= 1; }));
   EXPECT_GE(sup.recoveries(), 1u);
   // Note: the hung job itself is typically freed by its own error completion
-  // (the DMA abort unblocks its poll) during the nested recovery run, so the
-  // scheduler rarely needs to reap here — NoteRegionResetReapsTheHungRequest
-  // covers the reap path directly.
+  // (the DMA abort at detection unblocks its poll) before its region's
+  // reprogram ends, so the scheduler rarely needs to reap here —
+  // NoteRegionResetReapsTheHungRequest covers the reap path directly.
   sup.Stop();
 }
 
